@@ -32,7 +32,7 @@ from repro.replication import (
     StandbyServer,
     cold_restore_from_store,
 )
-from repro.store import ChunkStore, StoreClient, StoreServer
+from repro.store import ChunkStore, FleetClient, FleetNode
 
 HEAP_WORDS = 640 * 1024
 MUTATION_PCT = 5
@@ -101,7 +101,7 @@ def _config(path: str) -> VMConfig:
     )
 
 
-def _mirror(client: StoreClient, rec, path: str) -> None:
+def _mirror(client: FleetClient, rec, path: str) -> None:
     meta = {
         "platform": "rodrigo",
         "instructions": rec.instructions,
@@ -118,10 +118,10 @@ def _mirror(client: StoreClient, rec, path: str) -> None:
 
 def test_warm_takeover_beats_cold_restore(tmp_path, get_report, bench_json):
     code = compile_source(churn_source(HEAP_WORDS, MUTATION_PCT, PHASES))
-    store = StoreServer(ChunkStore(str(tmp_path / "store")))
+    store = FleetNode(ChunkStore(str(tmp_path / "store")))
     store.start()
-    client = StoreClient(*store.address, backoff=0.01)
-    lease_client = StoreClient(*store.address, backoff=0.01)
+    client = FleetClient([store.address], backoff=0.01)
+    lease_client = FleetClient([store.address], backoff=0.01)
     standby = StandbyServer(
         code,
         "ultra64",

@@ -1,25 +1,27 @@
-"""Store fleet throughput: RSTP/2 batched + cached vs v1 per-op uploads.
+"""Store upload throughput under a simulated network round trip.
 
 Eight concurrent supervisors push periodic checkpoint generations —
 512 KiB payloads in 8 KiB chunks, half the chunks mutated between
 generations, the store-traffic shape HA supervision produces.  The same
-workload runs twice:
+workload runs against the one store path, at both shard counts:
 
-* **v1**: one threaded ``StoreServer``, plain ``StoreClient`` — one
-  HAS_MANY per window plus one PUT_CHUNK round trip per absent chunk;
-* **fleet**: three ``FleetNode`` shards behind ``FleetClient`` — RSTP/2
-  BATCH frames carry all of a shard's puts in one round trip, and the
-  presence cache answers unchanged chunks with no round trip at all.
+* **1 shard**: one ``FleetNode`` behind ``FleetClient([addr])`` — what
+  ``repro store serve`` runs;
+* **3 shards**: three ``FleetNode`` daemons behind one ``FleetClient``.
+
+Either way RSTP/2 BATCH frames carry all of a shard's puts in one round
+trip, and the presence cache answers unchanged chunks with no round
+trip at all.
 
 Loopback round trips cost microseconds, which would hide exactly the
-thing the protocol revision buys, so every connection runs through a
+thing the protocol buys, so every connection runs through a
 ``LatencyProxy`` that charges ``RTT_MS`` per response — the shape of a
-real network, where the per-chunk PUT conversation is what hurts.
+real network.
 
-Acceptance gate (recorded in ``results/BENCH_store_fleet.json``): the
-fleet's upload throughput is at least ``MIN_SPEEDUP``x the v1 single
-node's on the identical workload, with p50/p95/p99 upload latencies
-recorded for both.
+Recorded in ``results/BENCH_store_fleet.json``: throughput and
+p50/p95/p99 upload latency per arm.  There is no ratio gate: the
+per-op v1 path this used to be compared against (2.6x slower at this
+RTT, EXPERIMENTS.md) was deleted, so no baseline remains.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import socket
 import threading
 import time
 
-from repro.store import ChunkStore, StoreClient, StoreServer
-from repro.store.fleet import FleetClient, FleetNode
+from repro.store import ChunkStore, FleetClient, FleetNode
 
 N_WORKERS = 8
 GENERATIONS = 6
@@ -38,7 +39,6 @@ PAYLOAD_CHUNKS = 64  # 512 KiB per generation
 MUTATE_EVERY = 2  # every other chunk changes per generation
 
 RTT_MS = 15.0  # simulated network round-trip charged per response
-MIN_SPEEDUP = 2.0
 
 
 class LatencyProxy:
@@ -165,27 +165,14 @@ def _drive(make_client) -> dict:
     }
 
 
-def test_fleet_vs_v1_throughput(tmp_path, bench_json, get_report):
+def _run_fleet(tmp_path, shards: int) -> dict:
     rtt = RTT_MS / 1e3
-
-    # -- v1 baseline: one threaded daemon, per-op round trips ------------
-    v1_server = StoreServer(ChunkStore(str(tmp_path / "v1")))
-    v1_server.start()
-    v1_proxy = LatencyProxy(v1_server.address, rtt)
-    try:
-        host, port = v1_proxy.address
-        v1 = _drive(
-            lambda: StoreClient(host, port, backoff=0.01,
-                                chunk_size=CHUNK_SIZE)
-        )
-    finally:
-        v1_proxy.stop()
-        v1_server.stop()
-
-    # -- 3-shard fleet: batched RSTP/2 + presence cache ------------------
     nodes = [
-        FleetNode(ChunkStore(str(tmp_path / f"shard-{i}")), node_id=f"s{i}")
-        for i in range(3)
+        FleetNode(
+            ChunkStore(str(tmp_path / f"fleet{shards}-shard-{i}")),
+            node_id=f"s{i}",
+        )
+        for i in range(shards)
     ]
     proxies = []
     for node in nodes:
@@ -193,7 +180,7 @@ def test_fleet_vs_v1_throughput(tmp_path, bench_json, get_report):
         proxies.append(LatencyProxy(node.address, rtt))
     addrs = [proxy.address for proxy in proxies]
     try:
-        fleet = _drive(
+        return _drive(
             lambda: FleetClient(addrs, backoff=0.01, chunk_size=CHUNK_SIZE)
         )
     finally:
@@ -202,7 +189,9 @@ def test_fleet_vs_v1_throughput(tmp_path, bench_json, get_report):
         for node in nodes:
             node.stop()
 
-    speedup = fleet["throughput_mib_s"] / max(v1["throughput_mib_s"], 1e-9)
+
+def test_fleet_throughput(tmp_path, bench_json, get_report):
+    arms = {shards: _run_fleet(tmp_path, shards) for shards in (1, 3)}
 
     rep = get_report(
         "store fleet",
@@ -211,12 +200,6 @@ def test_fleet_vs_v1_throughput(tmp_path, bench_json, get_report):
         f"{RTT_MS:g} ms simulated RTT",
         ["backend", "MiB/s", "p50 ms", "p95 ms", "p99 ms"],
     )
-    rep.row("v1 single node", v1["throughput_mib_s"], v1["p50_ms"],
-            v1["p95_ms"], v1["p99_ms"])
-    rep.row("RSTP/2 3-shard fleet", fleet["throughput_mib_s"],
-            fleet["p50_ms"], fleet["p95_ms"], fleet["p99_ms"])
-    rep.note(f"fleet speedup {speedup:.2f}x (gate: >= {MIN_SPEEDUP}x)")
-
     doc = bench_json("BENCH_store_fleet")
     doc["workload"] = {
         "workers": N_WORKERS,
@@ -226,13 +209,8 @@ def test_fleet_vs_v1_throughput(tmp_path, bench_json, get_report):
         "mutated_per_generation": PAYLOAD_CHUNKS // MUTATE_EVERY,
         "simulated_rtt_ms": RTT_MS,
     }
-    doc["v1"] = v1
-    doc["fleet"] = fleet
-    doc["speedup"] = round(speedup, 2)
-    doc["min_speedup"] = MIN_SPEEDUP
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"fleet {fleet['throughput_mib_s']} MiB/s vs "
-        f"v1 {v1['throughput_mib_s']} MiB/s = {speedup:.2f}x "
-        f"(need {MIN_SPEEDUP}x)"
-    )
+    for shards, arm in arms.items():
+        rep.row(f"RSTP/2 {shards}-shard fleet", arm["throughput_mib_s"],
+                arm["p50_ms"], arm["p95_ms"], arm["p99_ms"])
+        doc[f"fleet_{shards}_shard"] = arm
+        assert arm["uploads"] == N_WORKERS * GENERATIONS

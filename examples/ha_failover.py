@@ -18,7 +18,7 @@ from __future__ import annotations
 import tempfile
 
 from repro import VMConfig, VirtualMachine, compile_source, get_platform
-from repro.store import ChunkStore, HASupervisor, StoreClient, StoreServer
+from repro.store import ChunkStore, FleetClient, FleetNode, HASupervisor
 
 # The same bounded-sum workload as periodic_fault_tolerance.py: enough
 # iterations for several checkpoint intervals, small enough to stay
@@ -46,10 +46,10 @@ def main() -> None:
     expected = vm.run().stdout
 
     # A live store daemon on an ephemeral port, plus a client for it.
-    server = StoreServer(ChunkStore(tempfile.mkdtemp(prefix="repro-store-")))
+    server = FleetNode(ChunkStore(tempfile.mkdtemp(prefix="repro-store-")))
     host, port = server.start()
     try:
-        with StoreClient(host, port) as client:
+        with FleetClient([(host, port)]) as client:
             supervisor = HASupervisor(
                 code,
                 client,

@@ -51,7 +51,7 @@ class LocalStoreSource:
 
 
 class ClientSource:
-    """Repair from a running store daemon via :class:`StoreClient`."""
+    """Repair from a running store (one daemon or a fleet) via :class:`FleetClient`."""
 
     def __init__(self, client) -> None:
         self.client = client

@@ -293,10 +293,7 @@ def cmd_fsck(args: argparse.Namespace) -> int:
 
         source = LocalStoreSource(ChunkStore(args.store_root))
     elif args.repair:
-        from repro.store import StoreClient
-
-        host, port = _parse_addr(args.addr)
-        client = StoreClient(host, port, retries=args.retries)
+        client = _store_client(args)
         source = ClientSource(client)
     check = fsck_chain if args.chain else fsck_checkpoint
     try:
@@ -400,21 +397,8 @@ def _parse_addr(addr: str) -> tuple[str, int]:
 
 
 def _store_client(args: argparse.Namespace):
-    """Build the client ``--addr`` asks for.
-
-    A single ``host:port`` gets the plain :class:`StoreClient`; a
-    comma-separated list gets the sharded :class:`FleetClient` routing
-    across every named node.
-    """
-    if "," in args.addr:
-        return _fleet_client(args)
-    from repro.store import StoreClient
-
-    host, port = _parse_addr(args.addr)
-    return StoreClient(host, port, retries=args.retries)
-
-
-def _fleet_client(args: argparse.Namespace):
+    """The checkpoint client for ``--addr``: one ``host:port`` or several,
+    comma-separated — a single daemon is a 1-shard fleet."""
     from repro.store import FleetClient
 
     addrs = [_parse_addr(a) for a in args.addr.split(",") if a]
@@ -423,25 +407,39 @@ def _fleet_client(args: argparse.Namespace):
     return FleetClient(addrs, retries=args.retries)
 
 
+def _serve_nodes(nodes, banner: str) -> int:
+    """Run store daemons until interrupted."""
+    import time
+
+    addrs = [node.start() for node in nodes]
+    joined = ",".join(f"{h}:{p}" for h, p in addrs)
+    print(f"{banner} on {joined}", file=sys.stderr)
+    try:
+        while True:
+            time.sleep(1.0)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        for node in nodes:
+            node.stop()
+    return 0
+
+
 def cmd_store_serve(args: argparse.Namespace) -> int:
-    from repro.store import ChunkStore, StoreServer
+    from repro.store import ChunkStore, FleetNode
 
     replicas = [_parse_addr(a) for a in args.replica]
-    server = StoreServer(
+    node = FleetNode(
         ChunkStore(args.root),
         host=args.host,
         port=args.port,
         replicas=replicas,
         heartbeat_interval=args.heartbeat,
     )
-    host, port = server.address
-    print(f"store serving {args.root} on {host}:{port} "
-          f"({len(replicas)} replica(s))", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.stop()
-    return 0
+    return _serve_nodes(
+        [node],
+        f"store serving {args.root} ({len(replicas)} replica(s))",
+    )
 
 
 def cmd_store_put(args: argparse.Namespace) -> int:
@@ -489,10 +487,10 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
 def cmd_store_stat(args: argparse.Namespace) -> int:
     with _store_client(args) as client:
         stat = client.stat()
-    if getattr(args, "json", False) or "shards" not in stat:
+    if args.json:
         print(json.dumps(stat, indent=2, sort_keys=True))
         return 0
-    # Fleet without --json: a compact per-shard summary.
+    # Without --json: a compact per-shard summary.
     for addr in sorted(stat["shards"]):
         shard = stat["shards"][addr]
         drain = " (draining)" if shard.get("draining") else ""
@@ -514,10 +512,7 @@ def cmd_store_stat(args: argparse.Namespace) -> int:
 
 
 def cmd_store_fleet_serve(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.store import ChunkStore
-    from repro.store.fleet import FleetNode
+    from repro.store import ChunkStore, FleetNode
 
     if args.shards < 1:
         raise SystemExit("repro: --shards must be >= 1")
@@ -530,41 +525,18 @@ def cmd_store_fleet_serve(args: argparse.Namespace) -> int:
             FleetNode(ChunkStore(root), host=args.host, port=port,
                       node_id=shard_id)
         )
-    addrs = [node.start() for node in nodes]
-    joined = ",".join(f"{h}:{p}" for h, p in addrs)
-    print(f"fleet serving {args.shards} shard(s) under {args.root} "
-          f"on {joined}", file=sys.stderr)
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for node in nodes:
-            node.stop()
-    return 0
-
-
-def cmd_store_fleet_stat(args: argparse.Namespace) -> int:
-    with _fleet_client(args) as client:
-        print(json.dumps(client.fleet_stat(), indent=2, sort_keys=True))
-    return 0
+    return _serve_nodes(
+        nodes, f"fleet serving {args.shards} shard(s) under {args.root}"
+    )
 
 
 def cmd_store_fleet_rebalance(args: argparse.Namespace) -> int:
-    with _fleet_client(args) as client:
+    with _store_client(args) as client:
         result = client.rebalance()
     print(f"rebalance: moved {result['manifests_moved']} manifest(s) and "
           f"{result['chunks_moved']} chunk(s), removed {result['removed']} "
           f"chunk(s), freed {result['bytes_freed']} bytes")
     return 0
-
-
-def cmd_store_fleet_audit(args: argparse.Namespace) -> int:
-    with _fleet_client(args) as client:
-        report = client.audit(deep=args.deep)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report.get("ok") else 1
 
 
 def cmd_store_audit(args: argparse.Namespace) -> int:
@@ -767,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     def store_common(sp):
         sp.add_argument("--addr", default="127.0.0.1:7420",
                         metavar="HOST:PORT[,HOST:PORT...]",
-                        help="store daemon address; a comma-separated list "
-                             "routes across a sharded fleet")
+                        help="store daemon address(es); several, comma-"
+                             "separated, are the shards of a fleet")
         sp.add_argument("--retries", type=int, default=3,
                         help="transport retries per request")
 
@@ -795,11 +767,10 @@ def build_parser() -> argparse.ArgumentParser:
     store_common(sp_gc)
     sp_gc.set_defaults(fn=cmd_store_gc)
 
-    sp_stat = stsub.add_parser("stat", help="daemon statistics as JSON")
+    sp_stat = stsub.add_parser("stat", help="per-shard store statistics")
     sp_stat.add_argument("--json", action="store_true",
                          help="full JSON detail (per-shard counts, ring "
-                              "ownership ranges, cache hit rates for a "
-                              "fleet --addr list)")
+                              "ownership ranges, cache hit rates)")
     store_common(sp_stat)
     sp_stat.set_defaults(fn=cmd_store_stat)
 
@@ -826,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fl_stat = flsub.add_parser("stat", help="fleet statistics as JSON")
     store_common(fl_stat)
-    fl_stat.set_defaults(fn=cmd_store_fleet_stat)
+    fl_stat.set_defaults(fn=cmd_store_stat, json=True)
 
     fl_reb = flsub.add_parser(
         "rebalance", help="move manifests/chunks to their ring owners")
@@ -837,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     fl_audit.add_argument("--deep", action="store_true",
                           help="also validate reassembled checkpoints")
     store_common(fl_audit)
-    fl_audit.set_defaults(fn=cmd_store_fleet_audit)
+    fl_audit.set_defaults(fn=cmd_store_audit)
 
     ha = sub.add_parser("ha", help="high-availability supervision")
     hasub = ha.add_subparsers(dest="ha_command", required=True)

@@ -242,9 +242,6 @@ class DeltaCounters:
     #: Bytes a delta saved versus the full heap dump it replaced
     #: (heap words * word size minus the delta file size, clamped at 0).
     delta_bytes_saved: int = 0
-    #: Wall-clock seconds of hashing/compression overlapped with socket
-    #: writes by the pipelined store upload.
-    upload_overlap_seconds: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -252,7 +249,6 @@ class DeltaCounters:
             "checkpoints_delta": self.checkpoints_delta,
             "dirty_regions": self.dirty_regions,
             "delta_bytes_saved": self.delta_bytes_saved,
-            "upload_overlap_seconds": self.upload_overlap_seconds,
         }
 
     def reset(self) -> None:
@@ -260,10 +256,9 @@ class DeltaCounters:
         self.checkpoints_delta = 0
         self.dirty_regions = 0
         self.delta_bytes_saved = 0
-        self.upload_overlap_seconds = 0.0
 
 
-#: The module-level instance the writer and store client increment.
+#: The module-level instance the writer increments.
 DELTA = DeltaCounters()
 
 

@@ -62,7 +62,7 @@ from repro.replication.lease import EpochLease
 from repro.replication.standby import StandbyServer
 from repro.replication.tailer import CommitTailer
 from repro.replication.wire import GenRecord
-from repro.store.client import StoreClient
+from repro.store.fleet.client import FleetClient
 from repro.store.ha import fetch_chain, restart_candidates
 from repro.vm import VMConfig, VirtualMachine
 
@@ -197,7 +197,7 @@ class LiveHA:
         cfg.chkpt_retain = max(cfg.chkpt_retain, 8)
         return cfg
 
-    def _mirror(self, client: StoreClient, rec: GenRecord, path: str) -> None:
+    def _mirror(self, client: FleetClient, rec: GenRecord, path: str) -> None:
         """Upload the generation to the store the way the crash-restart
         supervisor would — the cold-restore baseline the benchmark
         measures warm takeover against."""
@@ -226,9 +226,8 @@ class LiveHA:
         primary_path = os.path.join(tmpdir, "primary.hckp")
         standby_path = os.path.join(tmpdir, "standby.hckp")
 
-        host, port = self.store_addr
-        primary_client = StoreClient(host, port, backoff=0.01)
-        standby_client = StoreClient(host, port, backoff=0.01)
+        primary_client = FleetClient([self.store_addr], backoff=0.01)
+        standby_client = FleetClient([self.store_addr], backoff=0.01)
         primary_lease = EpochLease(primary_client, self.vm_id, "primary")
         standby_lease = EpochLease(standby_client, self.vm_id, "standby")
 
@@ -298,7 +297,7 @@ class LiveHA:
     def _reign(
         self,
         report: LiveReport,
-        client: StoreClient,
+        client: FleetClient,
         lease: EpochLease,
         epoch: int,
         sender: ReplicationSender,
@@ -512,7 +511,7 @@ class LiveHA:
 
 
 def cold_restore_from_store(
-    client: StoreClient,
+    client: FleetClient,
     vm_id: str,
     code: CodeImage,
     platform: Platform | str,

@@ -1,9 +1,10 @@
 """The replication channel wire protocol: acked, length-prefixed frames.
 
-Same framing discipline as the store's RSTP (one ``sendall`` per frame,
-a fixed header carrying magic/version/opcode/length) but a separate
-protocol: the replication channel is a long-lived, ordered, *stateful*
-stream between exactly two nodes, not a request/response service.
+Same frame layout as the store's RSTP (the shared
+:class:`repro.net.FrameCodec`: one ``sendall`` per frame, a fixed header
+carrying magic/version/opcode/length) but a separate protocol: the
+replication channel is a long-lived, ordered, *stateful* stream between
+exactly two nodes, not a request/response service.
 
 ::
 
@@ -34,21 +35,21 @@ Frames:
 from __future__ import annotations
 
 import hashlib
-import json
-import socket
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ReplicationProtocolError
+from repro.net import HEADER, FrameCodec  # HEADER is re-exported
 
 MAGIC = b"RPLC"
 VERSION = 1
-HEADER = struct.Struct("<4sBBI")
 
 #: Upper bound on one frame's payload; a generation (delta or full) of
 #: any workload this VM runs fits far below this.
 MAX_FRAME = 256 * 1024 * 1024
+
+CODEC = FrameCodec(MAGIC, (VERSION,), MAX_FRAME, ReplicationProtocolError)
 
 OP_HELLO = 0x01
 OP_GEN = 0x02
@@ -96,68 +97,11 @@ class GenRecord:
         return hashlib.sha256(self.data).hexdigest()
 
 
-def encode_frame(op: int, payload: bytes = b"") -> bytes:
-    if len(payload) > MAX_FRAME:
-        raise ReplicationProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds MAX_FRAME"
-        )
-    return HEADER.pack(MAGIC, VERSION, op, len(payload)) + payload
-
-
-def send_frame(sock, op: int, payload: bytes = b"") -> None:
-    sock.sendall(encode_frame(op, payload))
-
-
-def _recv_exact(sock, n: int, allow_eof: bool = False) -> Optional[bytes]:
-    buf = bytearray()
-    while len(buf) < n:
-        try:
-            part = sock.recv(n - len(buf))
-        except ConnectionResetError:
-            part = b""
-        if not part:
-            if allow_eof and not buf:
-                return None
-            raise ReplicationProtocolError(
-                f"connection closed mid-frame ({len(buf)}/{n} bytes)"
-            )
-        buf += part
-    return bytes(buf)
-
-
-def recv_frame(sock, allow_eof: bool = False) -> Optional[tuple[int, bytes]]:
-    """Read one frame; ``None`` on clean EOF (when ``allow_eof``).
-
-    A socket timeout propagates as :class:`socket.timeout` — the
-    failure detectors are built on exactly that signal.
-    """
-    head = _recv_exact(sock, HEADER.size, allow_eof=allow_eof)
-    if head is None:
-        return None
-    magic, version, op, length = HEADER.unpack(head)
-    if magic != MAGIC:
-        raise ReplicationProtocolError(f"bad frame magic {magic!r}")
-    if version != VERSION:
-        raise ReplicationProtocolError(
-            f"unsupported replication protocol version {version}"
-        )
-    if length > MAX_FRAME:
-        raise ReplicationProtocolError(
-            f"frame length {length} exceeds MAX_FRAME"
-        )
-    payload = _recv_exact(sock, length) if length else b""
-    return op, payload
-
-
-def encode_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True).encode()
-
-
-def decode_json(payload: bytes):
-    try:
-        return json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ReplicationProtocolError(f"malformed JSON payload: {e}") from e
+encode_frame = CODEC.encode_frame
+send_frame = CODEC.send_frame
+recv_frame = CODEC.recv_message
+encode_json = CODEC.encode_json
+decode_json = CODEC.decode_json
 
 
 def encode_gen(rec: GenRecord) -> bytes:

@@ -9,28 +9,31 @@ provides:
   keyed by SHA-256 and zlib-compressed, with a generation manifest per
   VM.  Successive periodic checkpoints dedup unchanged heap/stack
   chunks.
-- :class:`~repro.store.server.StoreServer` /
-  :class:`~repro.store.client.StoreClient` — a TCP daemon speaking a
-  length-prefixed binary protocol, with N-way replication to follower
-  stores and heartbeat liveness tracking; the client has configurable
-  timeouts and bounded exponential-backoff retries.
+- :class:`~repro.store.fleet.aserver.FleetNode` — the one daemon: a
+  selectors event loop serving the chunk store over RSTP (framed by the
+  shared :mod:`repro.net` codec), with N-way replication to follower
+  stores and heartbeat liveness tracking.  One daemon is a single-node
+  store; several are the shards of a consistent-hash fleet.
+- :class:`~repro.store.fleet.client.FleetClient` — the one checkpoint
+  client: chunked dedup uploads, streamed verified downloads, per-key
+  routing across 1..N shards with client-side presence caching.  It
+  holds one :class:`~repro.store.client.StoreClient` per node — the
+  persistent RSTP/2 connection with configurable timeouts and bounded
+  full-jitter retries.
 - :class:`~repro.store.ha.HASupervisor` — runs a workload VM with
   periodic checkpoints pushed to the store, injects faults, and
   auto-restarts from the latest manifest on a *different* simulated
   platform, repeating until the program completes.
-- :mod:`repro.store.fleet` — the sharded fleet: RSTP/2 batched
-  protocol, selectors-based shard daemons
-  (:class:`~repro.store.fleet.aserver.FleetNode`), consistent-hash
-  placement, and the routing
-  :class:`~repro.store.fleet.client.FleetClient` with client-side
-  chunk-presence caching.
 """
 
 from repro.store.chunkstore import ChunkStore, Manifest, PutStats
-from repro.store.client import StoreClient
-from repro.store.fleet import FleetClient, FleetNode
+
+# The fleet package must load before repro.store.client: the client
+# imports repro.store.fleet.wire, whose package pulls the client back in.
+from repro.store.fleet import FleetClient, FleetNode  # isort: skip
+from repro.store.client import StoreClient  # isort: skip
 from repro.store.ha import HAReport, HASupervisor
-from repro.store.server import StoreOpHandlers, StoreServer
+from repro.store.server import StoreOpHandlers
 
 __all__ = [
     "ChunkStore",
@@ -38,7 +41,6 @@ __all__ = [
     "PutStats",
     "StoreClient",
     "StoreOpHandlers",
-    "StoreServer",
     "FleetClient",
     "FleetNode",
     "HAReport",

@@ -187,9 +187,6 @@ class PutStats:
     chunks_new: int = 0
     bytes_total: int = 0
     bytes_new: int = 0
-    #: Seconds of chunk reading/hashing that ran concurrently with
-    #: network I/O during a pipelined upload (0 for local puts).
-    overlap_seconds: float = 0.0
 
     @property
     def dedup_ratio(self) -> float:
@@ -203,7 +200,6 @@ class PutStats:
         self.chunks_new += other.chunks_new
         self.bytes_total += other.bytes_total
         self.bytes_new += other.bytes_new
-        self.overlap_seconds += other.overlap_seconds
 
 
 class ChunkStore:

@@ -1,36 +1,27 @@
-"""The checkpoint-store client.
+"""The per-node store client.
 
-One persistent TCP connection to a store daemon, re-established
-transparently when it drops.  Every request is retried on transport
-failure with *full-jitter* bounded exponential backoff: attempt ``n``
-sleeps a uniform random duration in ``[0, min(backoff * 2**(n-1),
-backoff_max)]``.  The jitter matters at fleet scale — N supervisors
-whose store node dies all fail in the same instant, and a deterministic
-schedule would march them back in lockstep, re-spiking the recovering
-node at every backoff step.  Application errors reported by the daemon
-(``ERR`` frames) are *not* retried — they are re-raised as the matching
-:class:`~repro.errors.StoreError` subclass.
+One persistent TCP connection to one store daemon, re-established
+transparently when it drops.  Every connection opens with a ``HELLO``
+that negotiates RSTP/2; every request then goes through the one retry
+loop (:class:`repro.net.RetryPolicy`: bounded attempts, full-jitter
+exponential backoff) on transport failure.  Application errors reported
+by the daemon (``ERR`` frames) are *not* retried — they are re-raised as
+the matching :class:`~repro.errors.StoreError` subclass.
 
 Retried uploads are safe end to end: chunk puts are content-addressed
 (idempotent by construction) and a manifest commit of an unchanged
 payload returns the existing generation instead of minting a new one.
 
-Uploads are pipelined: a producer thread reads and SHA-256-hashes
-chunks while the calling thread queries presence and uploads the
-missing ones in small windows, so hashing overlaps socket I/O.  Memory
-stays bounded by the queue depth plus one window of chunks, and every
-chunk is verified against its content address on the way down.
+This class speaks to exactly one node.  Whole checkpoints — chunking,
+dedup, routing, verification — are the job of
+:class:`~repro.store.fleet.client.FleetClient`, which holds one of these
+per shard (a single-node store is a 1-shard fleet).
 """
 
 from __future__ import annotations
 
-import hashlib
-import queue
-import random
 import socket
-import threading
-import time
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.errors import (
     StoreConnectionError,
@@ -39,8 +30,13 @@ from repro.errors import (
     StoreNotFoundError,
     StoreProtocolError,
 )
+from repro.metrics import FLEET, STORE
+from repro.net import RetryPolicy
 from repro.store import protocol as P
-from repro.store.chunkstore import DEFAULT_CHUNK_SIZE, Manifest, PutStats, chunk_key
+from repro.store.chunkstore import DEFAULT_CHUNK_SIZE, Manifest, chunk_key
+from repro.store.fleet import wire as W
+
+T = TypeVar("T")
 
 _ERROR_CLASSES = {
     "StoreError": StoreError,
@@ -53,13 +49,33 @@ _ERROR_CLASSES = {
 #: How many digests one HAS_MANY query carries at most.
 _HAS_BATCH = 1024
 
-#: How many hashed chunks the upload producer may run ahead of the
-#: uploading thread (bounds pipeline memory to depth * chunk_size).
-_PIPELINE_DEPTH = 8
+#: What the retry loop treats as a transport failure: the socket died
+#: or the byte stream stopped being frames.
+_TRANSPORT_ERRORS = (OSError, StoreProtocolError)
 
-#: How many chunks the uploader accumulates before one presence query
-#: (amortizes HAS_MANY round trips without unbounded buffering).
-_UPLOAD_WINDOW = 32
+
+def _remote_error(payload: bytes) -> StoreError:
+    """The typed error an ``ERR`` payload carries."""
+    err = P.decode_json(payload)
+    if not isinstance(err, dict):
+        raise StoreProtocolError("malformed ERR payload")
+    return _ERROR_CLASSES.get(err.get("error"), StoreError)(
+        err.get("message", "unknown store error")
+    )
+
+
+def unwrap_reply(rop: int, rpayload: bytes) -> bytes:
+    """An ``OK`` reply's payload; raises the daemon's typed error on ``ERR``."""
+    if rop == P.OP_ERR:
+        raise _remote_error(rpayload)
+    if rop != P.OP_OK:
+        raise StoreProtocolError(f"unexpected response opcode 0x{rop:02x}")
+    return rpayload
+
+
+def batched(seq: list, size: int) -> Iterator[list]:
+    for i in range(0, len(seq), size):
+        yield seq[i : i + size]
 
 
 class StoreClient:
@@ -82,15 +98,14 @@ class StoreClient:
         self.port = port
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_max = backoff_max
         self.chunk_size = chunk_size
-        self.jitter = jitter
-        self._rng = random.Random(jitter_seed)
-        #: Frame revision stamped on outgoing requests; the fleet client
-        #: raises this to RSTP/2 after a successful HELLO negotiation.
-        self.wire_rev = P.VERSION
+        self._retry = RetryPolicy(
+            retries, backoff, backoff_max, jitter=jitter, seed=jitter_seed
+        )
+        #: Protocol revision agreed with the daemon (set on connect); it
+        #: is stamped on every request after the HELLO.
+        self.negotiated: Optional[int] = None
+        self.remote_node_id: Optional[str] = None
         self._sock: Optional[socket.socket] = None
         #: Transport failures survived via retry (observability + tests).
         self.retries_used = 0
@@ -98,10 +113,40 @@ class StoreClient:
     # -- connection management ---------------------------------------------
 
     def _connect(self) -> socket.socket:
+        """Open the connection and negotiate RSTP/2 on it."""
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.connect_timeout
         )
-        sock.settimeout(self.io_timeout)
+        try:
+            sock.settimeout(self.io_timeout)
+            # HELLO travels in revision-1 framing: the one header every
+            # revision of the daemon can parse.
+            P.send_frame(
+                sock, P.OP_HELLO, P.encode_json({"max_version": P.RSTP2})
+            )
+            op, payload = P.recv_frame(sock)
+            if op != P.OP_OK:
+                detail = (
+                    str(_remote_error(payload))
+                    if op == P.OP_ERR
+                    else f"opcode 0x{op:02x}"
+                )
+                raise StoreProtocolError(
+                    f"peer {self.host}:{self.port} refused HELLO ({detail}); "
+                    f"it does not speak RSTP/2"
+                )
+            info = P.decode_json(payload)
+            agreed = info.get("version") if isinstance(info, dict) else None
+            if agreed not in P.SUPPORTED_VERSIONS:
+                raise StoreProtocolError(
+                    f"peer {self.host}:{self.port} agreed on unsupported "
+                    f"protocol version {agreed!r}"
+                )
+        except BaseException:
+            sock.close()
+            raise
+        self.negotiated = agreed
+        self.remote_node_id = info.get("node_id")
         return sock
 
     def close(self) -> None:
@@ -119,60 +164,55 @@ class StoreClient:
 
     # -- request core ------------------------------------------------------
 
-    def _backoff_delay(self, attempt: int) -> float:
-        """Full-jitter backoff: uniform in [0, bounded exponential cap]."""
-        cap = min(self.backoff * (2 ** (attempt - 1)), self.backoff_max)
-        return self._rng.uniform(0.0, cap) if self.jitter else cap
+    def _exchange(
+        self, op: int, payload: bytes, read: Callable[[socket.socket], T]
+    ) -> T:
+        """Send one request and ``read`` its answer off the socket.
 
-    def _note_retry(self) -> None:
-        from repro.metrics import STORE
+        The one retry loop: a transport failure anywhere in connect,
+        negotiate, send or read drops the connection and tries again on
+        a fresh one, within the retry policy's budget.
+        """
 
-        self.retries_used += 1
-        STORE.transport_retries += 1
-
-    def _call(self, op: int, payload: bytes = b"") -> bytes:
-        """One request/response exchange, with retry on transport failure."""
-        last: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self._note_retry()
-                time.sleep(self._backoff_delay(attempt))
+        def attempt() -> T:
             try:
                 if self._sock is None:
                     self._sock = self._connect()
-                P.send_frame(self._sock, op, payload, self.wire_rev)
-                frame = P.recv_frame(self._sock)
-            except (OSError, StoreProtocolError) as e:
+                P.send_frame(self._sock, op, payload, self.negotiated)
+                return read(self._sock)
+            except _TRANSPORT_ERRORS:
                 self.close()
-                last = e
-                continue
-            rop, rpayload = frame
-            if rop == P.OP_ERR:
-                err = P.decode_json(rpayload)
-                raise _ERROR_CLASSES.get(err.get("error"), StoreError)(
-                    err.get("message", "unknown store error")
-                )
-            if rop != P.OP_OK:
-                self.close()
-                raise StoreProtocolError(f"unexpected response opcode 0x{rop:02x}")
-            return rpayload
-        raise StoreConnectionError(
-            f"store at {self.host}:{self.port} unreachable after "
-            f"{self.retries + 1} attempt(s): {last}"
+                raise
+
+        def note_retry() -> None:
+            self.retries_used += 1
+            STORE.transport_retries += 1
+
+        return self._retry.run(
+            attempt,
+            transient=_TRANSPORT_ERRORS,
+            on_retry=note_retry,
+            exhausted=lambda attempts, last: StoreConnectionError(
+                f"store at {self.host}:{self.port} unreachable after "
+                f"{attempts} attempt(s): {last}"
+            ),
         )
+
+    def _call(self, op: int, payload: bytes = b"") -> bytes:
+        """One request/response exchange; returns the ``OK`` payload."""
+        rop, rpayload = self._exchange(op, payload, P.recv_frame)
+        if rop not in (P.OP_OK, P.OP_ERR):
+            self.close()
+        return unwrap_reply(rop, rpayload)
 
     # -- primitive operations ----------------------------------------------
 
     def ping(self) -> bool:
         return self._call(P.OP_PING) == b"pong"
 
-    def has_chunk(self, key: str) -> bool:
-        return self._call(P.OP_HAS_CHUNK, bytes.fromhex(key)) == b"\x01"
-
     def has_many(self, keys: list[str]) -> list[bool]:
         out: list[bool] = []
-        for i in range(0, len(keys), _HAS_BATCH):
-            batch = keys[i : i + _HAS_BATCH]
+        for batch in batched(keys, _HAS_BATCH):
             payload = b"".join(bytes.fromhex(k) for k in batch)
             resp = self._call(P.OP_HAS_MANY, payload)
             if len(resp) != len(batch):
@@ -233,9 +273,6 @@ class StoreClient:
     def ls(self) -> dict:
         return P.decode_json(self._call(P.OP_LS))
 
-    def gc(self) -> dict:
-        return P.decode_json(self._call(P.OP_GC))
-
     def stat(self) -> dict:
         return P.decode_json(self._call(P.OP_STAT))
 
@@ -247,188 +284,101 @@ class StoreClient:
             )
         )
 
-    # -- streaming checkpoint transfer --------------------------------------
+    # -- batched and streamed operations ------------------------------------
 
-    def _put_stream(
-        self,
-        vm_id: str,
-        chunk_iter: Iterable[bytes],
-        meta: Optional[dict],
-    ) -> tuple[int, PutStats]:
-        """Single-pass pipelined upload.
+    def batch_call(
+        self, items: list[tuple[int, bytes]]
+    ) -> list[tuple[int, bytes]]:
+        """Run many sub-operations; one round trip per MAX_BATCH_OPS.
 
-        A producer thread reads and hashes chunks into a bounded queue;
-        this thread drains it in ``_UPLOAD_WINDOW``-sized windows —
-        one HAS_MANY per window, then puts for the absent chunks — so
-        read + hash time overlaps socket time.  ``overlap_seconds`` on
-        the returned stats is ``producer + consumer - wall``: the work
-        the pipeline hid versus running the two stages back to back.
+        Returns one ``(opcode, payload)`` per item, in order — callers
+        unwrap each with :func:`unwrap_reply`, so one failed sub-op does
+        not fail the batch.
         """
-        q: queue.Queue = queue.Queue(maxsize=_PIPELINE_DEPTH)
-        abort = threading.Event()  # consumer died; stop producing
-        payload_sha = hashlib.sha256()
-        producer_seconds = [0.0]
+        results: list[tuple[int, bytes]] = []
+        for group in batched(items, W.MAX_BATCH_OPS):
+            sub = W.decode_ops(self._call(P.OP_BATCH, W.encode_ops(group)))
+            if len(sub) != len(group):
+                raise StoreProtocolError("BATCH answer count mismatch")
+            FLEET.batches_sent += 1
+            FLEET.batched_ops += len(group)
+            results.extend(sub)
+        return results
 
-        def _enqueue(item) -> bool:
-            """Put with abort polling so a dead consumer can't wedge us."""
-            while not abort.is_set():
-                try:
-                    q.put(item, timeout=0.1)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def _produce() -> None:
-            it = iter(chunk_iter)
-            try:
-                while True:
-                    t0 = time.perf_counter()
-                    try:
-                        chunk = next(it)
-                    except StopIteration:
-                        producer_seconds[0] += time.perf_counter() - t0
-                        break
-                    key = chunk_key(chunk)
-                    payload_sha.update(chunk)
-                    producer_seconds[0] += time.perf_counter() - t0
-                    if not _enqueue((key, chunk)):
-                        return
-            except BaseException as exc:  # surfaced on the consumer side
-                _enqueue(exc)
-            else:
-                _enqueue(None)
-
-        stats = PutStats()
-        keys: list[str] = []
-        payload_len = 0
-        consumer_seconds = 0.0
-        window: list[tuple[str, bytes]] = []
-
-        def _flush_window() -> float:
-            """Query one window's presence and upload the absent chunks."""
-            t0 = time.perf_counter()
-            present = self.has_many([k for k, _ in window])
-            sent: set[str] = set()
-            for (key, chunk), have in zip(window, present):
-                if have or key in sent:
-                    continue
-                self.put_chunk(chunk)
-                sent.add(key)
-                stats.chunks_new += 1
-                stats.bytes_new += len(chunk)
-            window.clear()
-            return time.perf_counter() - t0
-
-        wall0 = time.perf_counter()
-        producer = threading.Thread(
-            target=_produce, name="store-put-producer", daemon=True
+    def put_chunks(self, chunks: list[bytes]) -> int:
+        """Batched content-addressed puts; returns how many were new."""
+        ops = [
+            (P.OP_PUT_CHUNK, P.encode_chunk(bytes.fromhex(chunk_key(c)), c))
+            for c in chunks
+        ]
+        return sum(
+            unwrap_reply(rop, rpayload) == b"\x01"
+            for rop, rpayload in self.batch_call(ops)
         )
-        producer.start()
-        try:
-            done = False
-            while not done:
-                item = q.get()
-                if item is None:
-                    done = True
-                elif isinstance(item, BaseException):
-                    raise item
+
+    def get_many(self, keys: list[str]) -> tuple[dict[str, bytes], list[str]]:
+        """Fetch many chunks; returns ``(found, missing)``.
+
+        One streamed request per MAX_GET_MANY keys; every chunk is
+        verified against its content address.
+        """
+        out: dict[str, bytes] = {}
+        missing: list[str] = []
+        for group in batched(list(dict.fromkeys(keys)), W.MAX_GET_MANY):
+            got, miss = self._get_many_stream(group)
+            out.update(got)
+            missing.extend(miss)
+        return out, missing
+
+    def _get_many_stream(
+        self, keys: list[str]
+    ) -> tuple[dict[str, bytes], list[str]]:
+        """One GET_MANY exchange: CHUNK frames, then END."""
+        wanted = set(keys)
+
+        def read_stream(sock: socket.socket):
+            got: dict[str, bytes] = {}
+            while True:
+                op, rpayload = P.recv_frame(sock)
+                if op == P.OP_CHUNK:
+                    key_raw, data = P.decode_chunk(rpayload)
+                    key = key_raw.hex()
+                    if key not in wanted or chunk_key(data) != key:
+                        raise StoreProtocolError(
+                            f"streamed chunk {key[:16]}... fails verification"
+                        )
+                    got[key] = data
+                    FLEET.streamed_chunks += 1
+                elif op == P.OP_END:
+                    return got, P.decode_json(rpayload)
+                elif op == P.OP_ERR:
+                    return None, rpayload
                 else:
-                    key, chunk = item
-                    keys.append(key)
-                    payload_len += len(chunk)
-                    window.append((key, chunk))
-                if window and (done or len(window) >= _UPLOAD_WINDOW):
-                    consumer_seconds += _flush_window()
-        finally:
-            abort.set()
-            producer.join()
-        wall = time.perf_counter() - wall0
-        if not keys:  # an empty payload is one empty chunk
-            keys = [chunk_key(b"")]
-            if not self.has_chunk(keys[0]):
-                self.put_chunk(b"")
-                stats.chunks_new += 1
-        stats.chunks_total = len(keys)
-        stats.bytes_total = payload_len
-        stats.overlap_seconds = max(
-            0.0, producer_seconds[0] + consumer_seconds - wall
+                    raise StoreProtocolError(
+                        f"unexpected stream opcode 0x{op:02x}"
+                    )
+
+        got, end = self._exchange(
+            P.OP_GET_MANY, b"".join(bytes.fromhex(k) for k in keys), read_stream
         )
-        from repro.metrics import DELTA
+        if got is None:
+            raise _remote_error(end)
+        return got, [k for k in end.get("missing", []) if k in wanted]
 
-        DELTA.upload_overlap_seconds += stats.overlap_seconds
-        generation = self.put_manifest(
-            vm_id,
-            keys,
-            payload_len=payload_len,
-            payload_sha256=payload_sha.hexdigest(),
-            meta=meta,
+    # -- housekeeping ops ---------------------------------------------------
+
+    def epoch(self) -> int:
+        return int(P.decode_json(self._call(P.OP_EPOCH))["epoch"])
+
+    def del_manifest(self, vm_id: str, generation: int) -> bool:
+        resp = P.decode_json(
+            self._call(
+                P.OP_DEL_MANIFEST,
+                P.encode_json({"vm_id": vm_id, "generation": generation}),
+            )
         )
-        return generation, stats
+        return bool(resp["deleted"])
 
-    def _iter_chunks(self, payload: bytes) -> Iterator[bytes]:
-        cs = self.chunk_size
-        for i in range(0, len(payload), cs):
-            yield payload[i : i + cs]
-
-    @staticmethod
-    def _iter_file(f: BinaryIO, chunk_size: int) -> Iterator[bytes]:
-        while True:
-            chunk = f.read(chunk_size)
-            if not chunk:
-                return
-            yield chunk
-
-    def put_checkpoint(
-        self, vm_id: str, payload: bytes, meta: Optional[dict] = None
-    ) -> tuple[int, PutStats]:
-        """Upload one checkpoint payload; returns its generation + stats."""
-        return self._put_stream(vm_id, self._iter_chunks(payload), meta)
-
-    def put_checkpoint_file(
-        self, vm_id: str, path: str, meta: Optional[dict] = None
-    ) -> tuple[int, PutStats]:
-        """Stream a checkpoint file up without loading it whole."""
-        with open(path, "rb") as f:
-            return self._put_stream(
-                vm_id, self._iter_file(f, self.chunk_size), meta
-            )
-
-    def get_checkpoint(
-        self, vm_id: str, generation: Optional[int] = None
-    ) -> tuple[bytes, Manifest]:
-        """Download and verify one generation (latest by default)."""
-        manifest = self.get_manifest(vm_id, generation)
-        payload = b"".join(self.get_chunk(k) for k in manifest.chunks)
-        if (
-            len(payload) != manifest.payload_len
-            or hashlib.sha256(payload).hexdigest() != manifest.payload_sha256
-        ):
-            raise StoreIntegrityError(
-                f"vm {vm_id!r} gen {manifest.generation}: downloaded payload "
-                f"fails verification"
-            )
-        return payload, manifest
-
-    def get_checkpoint_file(
-        self, vm_id: str, path: str, generation: Optional[int] = None
-    ) -> Manifest:
-        """Stream one generation down to ``path`` chunk by chunk."""
-        manifest = self.get_manifest(vm_id, generation)
-        payload_sha = hashlib.sha256()
-        written = 0
-        with open(path, "wb") as f:
-            for key in manifest.chunks:
-                chunk = self.get_chunk(key)
-                payload_sha.update(chunk)
-                written += len(chunk)
-                f.write(chunk)
-        if (
-            written != manifest.payload_len
-            or payload_sha.hexdigest() != manifest.payload_sha256
-        ):
-            raise StoreIntegrityError(
-                f"vm {vm_id!r} gen {manifest.generation}: downloaded payload "
-                f"fails verification"
-            )
-        return manifest
+    def sweep(self, keep: Iterable[str]) -> dict:
+        payload = b"".join(bytes.fromhex(k) for k in sorted(set(keep)))
+        return P.decode_json(self._call(P.OP_SWEEP, payload))

@@ -1,26 +1,27 @@
-"""The fleet shard daemon: one selectors event loop, many connections.
+"""The store daemon: one selectors event loop, many connections.
 
-The threaded daemon spends a thread per connection; at fleet scale —
-hundreds of supervisors holding persistent sockets — that is hundreds
-of mostly-idle threads.  :class:`FleetNode` multiplexes every
-connection on one ``selectors`` loop instead: non-blocking sockets,
-per-connection in/out byte buffers, frames popped incrementally by
-:func:`~repro.store.fleet.wire.pop_frame`.  The store work itself is
-byte-shuffling and hashing, so one loop thread keeps up with many
-clients and the accept path never queues behind a slow handler.
+At fleet scale — hundreds of supervisors holding persistent sockets — a
+thread per connection is hundreds of mostly-idle threads.
+:class:`FleetNode` multiplexes every connection on one ``selectors``
+loop instead: non-blocking sockets, per-connection in/out byte buffers,
+frames popped incrementally by :func:`~repro.store.fleet.wire.pop_frame`.
+The store work itself is byte-shuffling and hashing, so one loop thread
+keeps up with many clients and the accept path never queues behind a
+slow handler.  A single-node store is this same daemon as a 1-shard
+fleet.
 
-Opcode semantics are exactly the shared
-:class:`~repro.store.server.StoreOpHandlers`; this module adds only the
-RSTP/2 connection-layer ops:
+Opcode semantics (and follower replication) are the
+:class:`~repro.store.server.StoreOpHandlers` this class extends; this
+module adds only the RSTP/2 connection-layer ops:
 
 - ``HELLO``    — version negotiation (one round trip);
 - ``BATCH``    — run each sub-operation through the shared dispatch,
   answer one OK frame whose payload carries per-sub-op results;
-- ``GET_MANY`` — stream one ``CHUNK`` frame per present key, then one
+- ``GET_MANY`` — queue one ``CHUNK`` frame per present key, then one
   ``END`` frame naming the missing ones.
 
-Responses are framed with the *request's* wire revision, so a v1
-client talking to a fleet node sees pure v1 traffic.
+Responses are framed with the *request's* wire revision, so a raw
+revision-1 peer that never says ``HELLO`` sees pure revision-1 traffic.
 """
 
 from __future__ import annotations
@@ -40,25 +41,6 @@ from repro.store.server import StoreOpHandlers
 _RECV_SIZE = 256 * 1024
 
 
-class FleetOps(StoreOpHandlers):
-    """Shared store handlers plus fleet-side accounting."""
-
-    def __init__(self, store: ChunkStore, node_id: Optional[str] = None) -> None:
-        super().__init__(store, node_id=node_id)
-        self.batches_handled = 0
-        self.batched_ops_handled = 0
-        self.chunks_streamed = 0
-        self.hellos = 0
-
-    def stats(self) -> dict:
-        out = super().stats()
-        out["batches_handled"] = self.batches_handled
-        out["batched_ops_handled"] = self.batched_ops_handled
-        out["chunks_streamed"] = self.chunks_streamed
-        out["hellos"] = self.hellos
-        return out
-
-
 class _Conn:
     """One multiplexed client connection."""
 
@@ -70,8 +52,8 @@ class _Conn:
         self.outbuf = bytearray()
 
 
-class FleetNode:
-    """One shard daemon: a chunk store behind a selectors event loop."""
+class FleetNode(StoreOpHandlers):
+    """The daemon: a chunk store behind a selectors event loop."""
 
     def __init__(
         self,
@@ -79,13 +61,25 @@ class FleetNode:
         host: str = "127.0.0.1",
         port: int = 0,
         node_id: Optional[str] = None,
+        replicas: list[tuple[str, int]] | None = None,
+        heartbeat_interval: float = 2.0,
+        heartbeat_misses: int = 3,
     ) -> None:
-        self.ops = FleetOps(store, node_id=node_id)
+        super().__init__(
+            store,
+            node_id=node_id,
+            replicas=replicas,
+            heartbeat_misses=heartbeat_misses,
+        )
+        self.heartbeat_interval = heartbeat_interval
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(128)
         self._listener.setblocking(False)
+        #: The bound (host, port) — concrete even if port 0 was asked,
+        #: and still readable after :meth:`stop`.
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
         # A socketpair wakes the select() so stop() does not have to
         # wait out the poll timeout.
         self._wake_r, self._wake_w = socket.socketpair()
@@ -98,27 +92,23 @@ class FleetNode:
         self._thread: Optional[threading.Thread] = None
         self.connections_accepted = 0
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()[:2]
-
-    @property
-    def node_id(self) -> Optional[str]:
-        return self.ops.node_id
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
         """Run the event loop in a background thread; returns the address."""
+        if self.followers:
+            threading.Thread(
+                target=self._heartbeat_loop, name="store-heartbeat", daemon=True
+            ).start()
         self._thread = threading.Thread(
             target=self._loop, name="fleet-node", daemon=True
         )
         self._thread.start()
         return self.address
 
-    def serve_forever(self) -> None:
-        """Blocking variant of :meth:`start` (the CLI daemon loop)."""
-        self._loop()
+    def _heartbeat_loop(self) -> None:  # pragma: no cover - timing loop
+        while not self._stopping.wait(self.heartbeat_interval):
+            self.heartbeat_once()
 
     def stop(self) -> None:
         self._stopping.set()
@@ -175,9 +165,7 @@ class FleetNode:
         while True:
             try:
                 sock, _addr = self._listener.accept()
-            except BlockingIOError:
-                return
-            except OSError:
+            except OSError:  # BlockingIOError: the backlog is drained
                 return
             sock.setblocking(False)
             conn = _Conn(sock)
@@ -221,8 +209,7 @@ class FleetNode:
             try:
                 frame = W.pop_frame(conn.inbuf)
             except StoreProtocolError:
-                # Garbage framing: drop the connection, like the
-                # blocking daemon does.
+                # Garbage framing: drop the connection.
                 self._drop(conn.sock)
                 return
             if frame is None:
@@ -258,7 +245,7 @@ class FleetNode:
             elif op == P.OP_BATCH:
                 self._op_batch(conn, wire_rev, payload)
             else:
-                rop, rpayload = self.ops.dispatch(op, payload)
+                rop, rpayload = self.dispatch(op, payload)
                 self._send(conn, wire_rev, rop, rpayload)
         except Exception as e:  # never let a handler kill the loop
             self._send(conn, wire_rev, P.OP_ERR, W.error_payload(e))
@@ -272,8 +259,8 @@ class FleetNode:
         agreed = min(client_max, P.RSTP2)
         if agreed not in P.SUPPORTED_VERSIONS:
             agreed = P.VERSION
-        self.ops.hellos += 1
-        self.ops.requests_served += 1
+        self.hellos += 1
+        self.requests_served += 1
         self._send(
             conn,
             wire_rev,
@@ -281,8 +268,8 @@ class FleetNode:
             P.encode_json(
                 {
                     "version": agreed,
-                    "node_id": self.ops.node_id,
-                    "epoch": self.ops.store.epoch,
+                    "node_id": self.node_id,
+                    "epoch": self.store.epoch,
                 }
             ),
         )
@@ -306,13 +293,11 @@ class FleetNode:
                 )
                 continue
             try:
-                results.append(self.ops.dispatch(sub_op, sub_payload))
-            except StoreError as e:
+                results.append(self.dispatch(sub_op, sub_payload))
+            except Exception as e:  # one bad sub-op must not fail the batch
                 results.append((P.OP_ERR, W.error_payload(e)))
-            except Exception as e:
-                results.append((P.OP_ERR, W.error_payload(e)))
-        self.ops.batches_handled += 1
-        self.ops.batched_ops_handled += len(items)
+        self.batches_handled += 1
+        self.batched_ops_handled += len(items)
         self._send(conn, wire_rev, P.OP_OK, W.encode_ops(results))
 
     def _op_get_many(self, conn: _Conn, wire_rev: int, payload: bytes) -> None:
@@ -324,13 +309,13 @@ class FleetNode:
                 f"GET_MANY of {len(keys)} exceeds MAX_GET_MANY "
                 f"({W.MAX_GET_MANY})"
             )
-        self.ops.requests_served += 1
+        self.requests_served += 1
         missing: list[str] = []
         sentc = 0
         for key_raw in keys:
             key = key_raw.hex()
             try:
-                data = self.ops.store.get_object(key)
+                data = self.store.get_object(key)
             except StoreError:
                 missing.append(key)
                 continue
@@ -338,7 +323,7 @@ class FleetNode:
                 conn, wire_rev, P.OP_CHUNK, P.encode_chunk(key_raw, data)
             )
             sentc += 1
-        self.ops.chunks_streamed += sentc
+        self.chunks_streamed += sentc
         self._send(
             conn,
             wire_rev,

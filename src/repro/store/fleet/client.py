@@ -1,18 +1,13 @@
-"""Fleet clients: one negotiated node connection, and the sharded router.
+"""The checkpoint client: a sharded router over per-node connections.
 
-:class:`FleetNodeClient` extends the v1 :class:`StoreClient` with the
-RSTP/2 surface — ``HELLO`` negotiation on connect, ``BATCH`` round
-trips, streamed ``GET_MANY`` downloads, and the fleet housekeeping ops.
-Negotiation is transparent: against a revision-1 daemon every RSTP/2
-method silently degrades to sequential v1 operations, so one client
-works across a mixed-revision fleet.
-
-:class:`FleetClient` is what supervisors actually hold: it routes every
-chunk to its ring owner, keeps a per-shard
-:class:`~repro.store.fleet.cache.PresenceCache`, and exposes the same
-checkpoint surface as ``StoreClient`` (``put_checkpoint_file``,
-``get_checkpoint_file``, ``ls``, ``get_manifest``, ...) so
-``HASupervisor`` plugs in unchanged.
+:class:`FleetClient` is what supervisors, the CLI and the HA pipeline
+hold — for a fleet of N shards or a single daemon (a 1-shard fleet).
+It owns the checkpoint-level surface (``put_checkpoint[_file]``,
+``get_checkpoint[_file]``, ``ls``, ``get_manifest``, gc/rebalance/audit):
+it chunks the payload, routes every chunk to its ring owner over that
+node's :class:`~repro.store.client.StoreClient`, keeps a per-shard
+:class:`~repro.store.fleet.cache.PresenceCache`, and verifies every
+download against the manifest digest.
 
 Upload correctness under caching
 --------------------------------
@@ -35,22 +30,15 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Iterable, Iterator, Optional
 
-from repro.errors import (
-    StoreConnectionError,
-    StoreError,
-    StoreNotFoundError,
-    StoreProtocolError,
-)
+from repro.errors import StoreError, StoreIntegrityError, StoreNotFoundError
 from repro.metrics import FLEET
-from repro.store import protocol as P
 from repro.store.chunkstore import (
     DEFAULT_CHUNK_SIZE,
     Manifest,
     PutStats,
     chunk_key,
 )
-from repro.store.client import _ERROR_CLASSES, StoreClient
-from repro.store.fleet import wire as W
+from repro.store.client import StoreClient, batched
 from repro.store.fleet.cache import PresenceCache
 from repro.store.fleet.ring import DEFAULT_VNODES, HashRing
 
@@ -61,236 +49,6 @@ _FLEET_WINDOW = 128
 #: Chunk positions fetched per download window (split per owner node,
 #: each node request capped by wire.MAX_GET_MANY).
 _DOWNLOAD_WINDOW = 256
-
-
-def _raise_sub_error(rop: int, rpayload: bytes) -> bytes:
-    """Unwrap one batch sub-result, raising the daemon's typed error."""
-    if rop == P.OP_ERR:
-        err = P.decode_json(rpayload)
-        raise _ERROR_CLASSES.get(err.get("error"), StoreError)(
-            err.get("message", "unknown store error")
-        )
-    if rop != P.OP_OK:
-        raise StoreProtocolError(f"unexpected sub-response opcode 0x{rop:02x}")
-    return rpayload
-
-
-def _batched(seq: list, size: int) -> Iterator[list]:
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]
-
-
-class FleetNodeClient(StoreClient):
-    """A ``StoreClient`` that negotiates and speaks RSTP/2 when it can."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Protocol revision agreed with the daemon (set on connect).
-        self.negotiated: Optional[int] = None
-        self.remote_node_id: Optional[str] = None
-
-    # -- negotiation -------------------------------------------------------
-
-    def _connect(self):
-        sock = super()._connect()
-        # HELLO travels in revision-1 framing so a v1 daemon can parse
-        # the header; it answers ERR (unknown opcode) and we stay on v1.
-        P.send_frame(sock, P.OP_HELLO, P.encode_json({"max_version": P.RSTP2}))
-        frame = P.recv_frame(sock)
-        op, payload = frame
-        if op == P.OP_OK:
-            info = P.decode_json(payload)
-            agreed = int(info.get("version", P.VERSION))
-            if agreed not in P.SUPPORTED_VERSIONS:
-                agreed = P.VERSION
-            self.negotiated = agreed
-            self.remote_node_id = info.get("node_id")
-        elif op == P.OP_ERR:
-            self.negotiated = P.VERSION
-        else:
-            raise StoreProtocolError(
-                f"unexpected HELLO response opcode 0x{op:02x}"
-            )
-        self.wire_rev = (
-            P.RSTP2 if self.negotiated == P.RSTP2 else P.VERSION
-        )
-        return sock
-
-    def _ensure_session(self) -> None:
-        if self._sock is None:
-            # One cheap round trip forces connect + negotiation through
-            # the normal retry machinery.
-            self.ping()
-
-    @property
-    def speaks_rstp2(self) -> bool:
-        self._ensure_session()
-        return self.negotiated == P.RSTP2
-
-    # -- RSTP/2 surface ----------------------------------------------------
-
-    def batch_call(
-        self, items: list[tuple[int, bytes]]
-    ) -> list[tuple[int, bytes]]:
-        """Run many sub-operations; one round trip per MAX_BATCH_OPS.
-
-        Returns one ``(opcode, payload)`` per item, in order — callers
-        unwrap with :func:`_raise_sub_error`.  Against a revision-1
-        daemon this degrades to one round trip per item.
-        """
-        if not items:
-            return []
-        if self.speaks_rstp2:
-            results: list[tuple[int, bytes]] = []
-            groups = list(_batched(items, W.MAX_BATCH_OPS))
-            for gi, group in enumerate(groups):
-                try:
-                    resp = self._call(P.OP_BATCH, W.encode_ops(group))
-                except StoreConnectionError:
-                    raise
-                except StoreError:
-                    if self.negotiated == P.RSTP2:
-                        raise
-                    # The peer died mid-BATCH and the reconnect landed on
-                    # a revision-1 daemon (a rolled-back or replaced
-                    # node): the retried BATCH opcode drew its typed
-                    # "unknown opcode" error.  Degrade this group and
-                    # every remaining one to sequential v1 calls — the
-                    # sub-ops are idempotent, so replaying the whole
-                    # group is safe even if the dead peer half-applied it.
-                    for g in groups[gi:]:
-                        results.extend(self._sequential_batch(g))
-                    return results
-                sub = W.decode_ops(resp)
-                if len(sub) != len(group):
-                    raise StoreProtocolError("BATCH answer count mismatch")
-                FLEET.batches_sent += 1
-                FLEET.batched_ops += len(group)
-                results.extend(sub)
-            return results
-        return self._sequential_batch(items)
-
-    def _sequential_batch(
-        self, items: list[tuple[int, bytes]]
-    ) -> list[tuple[int, bytes]]:
-        """The v1 degradation: one round trip per sub-operation."""
-        results: list[tuple[int, bytes]] = []
-        for op, payload in items:
-            try:
-                results.append((P.OP_OK, self._call(op, payload)))
-            except StoreConnectionError:
-                raise
-            except StoreError as e:
-                results.append((P.OP_ERR, W.error_payload(e)))
-        return results
-
-    def put_chunks(self, chunks: list[bytes]) -> int:
-        """Batched content-addressed puts; returns how many were new."""
-        ops = [
-            (P.OP_PUT_CHUNK, P.encode_chunk(bytes.fromhex(chunk_key(c)), c))
-            for c in chunks
-        ]
-        new = 0
-        for rop, rpayload in self.batch_call(ops):
-            if _raise_sub_error(rop, rpayload) == b"\x01":
-                new += 1
-        return new
-
-    def get_many(self, keys: list[str]) -> tuple[dict[str, bytes], list[str]]:
-        """Fetch many chunks; returns ``(found, missing)``.
-
-        RSTP/2: one streamed request per MAX_GET_MANY keys.  Revision 1:
-        sequential GET_CHUNKs.  Every chunk is verified against its
-        content address either way.
-        """
-        todo = list(dict.fromkeys(keys))
-        out: dict[str, bytes] = {}
-        missing: list[str] = []
-        if not todo:
-            return out, missing
-        if not self.speaks_rstp2:
-            for key in todo:
-                try:
-                    out[key] = self.get_chunk(key)
-                except StoreNotFoundError:
-                    missing.append(key)
-            return out, missing
-        for group in _batched(todo, W.MAX_GET_MANY):
-            got, miss = self._get_many_stream(group)
-            out.update(got)
-            missing.extend(miss)
-        return out, missing
-
-    def _get_many_stream(
-        self, keys: list[str]
-    ) -> tuple[dict[str, bytes], list[str]]:
-        """One GET_MANY exchange: CHUNK frames then END, with retry."""
-        payload = b"".join(bytes.fromhex(k) for k in keys)
-        wanted = set(keys)
-        last: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self._note_retry()
-                import time
-
-                time.sleep(self._backoff_delay(attempt))
-            try:
-                if self._sock is None:
-                    self._sock = self._connect()
-                P.send_frame(self._sock, P.OP_GET_MANY, payload, self.wire_rev)
-                got: dict[str, bytes] = {}
-                while True:
-                    op, rpayload = P.recv_frame(self._sock)
-                    if op == P.OP_CHUNK:
-                        key_raw, data = P.decode_chunk(rpayload)
-                        key = key_raw.hex()
-                        if key not in wanted or chunk_key(data) != key:
-                            raise StoreProtocolError(
-                                f"streamed chunk {key[:16]}... fails "
-                                f"verification"
-                            )
-                        got[key] = data
-                        FLEET.streamed_chunks += 1
-                    elif op == P.OP_END:
-                        info = P.decode_json(rpayload)
-                        return got, [
-                            k for k in info.get("missing", []) if k in wanted
-                        ]
-                    elif op == P.OP_ERR:
-                        err = P.decode_json(rpayload)
-                        raise _ERROR_CLASSES.get(
-                            err.get("error"), StoreError
-                        )(err.get("message", "unknown store error"))
-                    else:
-                        raise StoreProtocolError(
-                            f"unexpected stream opcode 0x{op:02x}"
-                        )
-            except (OSError, StoreProtocolError) as e:
-                self.close()
-                last = e
-                continue
-        raise StoreConnectionError(
-            f"store at {self.host}:{self.port} unreachable after "
-            f"{self.retries + 1} attempt(s): {last}"
-        )
-
-    # -- fleet housekeeping ops --------------------------------------------
-
-    def epoch(self) -> int:
-        return int(P.decode_json(self._call(P.OP_EPOCH))["epoch"])
-
-    def del_manifest(self, vm_id: str, generation: int) -> bool:
-        resp = P.decode_json(
-            self._call(
-                P.OP_DEL_MANIFEST,
-                P.encode_json({"vm_id": vm_id, "generation": generation}),
-            )
-        )
-        return bool(resp["deleted"])
-
-    def sweep(self, keep: Iterable[str]) -> dict:
-        payload = b"".join(bytes.fromhex(k) for k in sorted(set(keep)))
-        return P.decode_json(self._call(P.OP_SWEEP, payload))
 
 
 class FleetClient:
@@ -312,13 +70,13 @@ class FleetClient:
     ) -> None:
         if not addrs:
             raise StoreError("a fleet client needs at least one node address")
-        self.nodes: dict[str, FleetNodeClient] = {}
+        self.nodes: dict[str, StoreClient] = {}
         for addr in addrs:
             if isinstance(addr, str):
                 host, _, port = addr.rpartition(":")
                 addr = (host, int(port))
             host, port = addr
-            self.nodes[f"{host}:{port}"] = FleetNodeClient(
+            self.nodes[f"{host}:{port}"] = StoreClient(
                 host,
                 port,
                 connect_timeout=connect_timeout,
@@ -432,6 +190,15 @@ class FleetClient:
         ``make_iter`` must produce a *fresh* chunk iterator per call —
         the rare stale-cache recovery pass re-reads the source.
         """
+
+        def source() -> Iterator[bytes]:
+            empty = True
+            for chunk in make_iter():
+                empty = False
+                yield chunk
+            if empty:  # an empty payload is one empty chunk
+                yield b""
+
         epochs_before = self._sync_epochs() if self.caches is not None else {}
         stats = PutStats()
         payload_sha = hashlib.sha256()
@@ -440,7 +207,7 @@ class FleetClient:
         seen: set[str] = set()
         # node -> [(key, chunk, cached_answer)] with cached in (False, None)
         pending: dict[str, list[tuple[str, bytes, Optional[bool]]]] = {}
-        for chunk in make_iter():
+        for chunk in source():
             key = chunk_key(chunk)
             payload_sha.update(chunk)
             keys.append(key)
@@ -461,25 +228,13 @@ class FleetClient:
             pending.setdefault(node, []).append((key, chunk, cached))
             if len(pending[node]) >= _FLEET_WINDOW:
                 self._flush_window(node, pending.pop(node), stats)
-        if not keys:  # an empty payload is one empty chunk
-            key = chunk_key(b"")
-            keys = [key]
-            stats.chunks_total = 1
-            node = self.ring.chunk_node(key)
-            cached = (
-                self.caches[node].lookup(key)
-                if self.caches is not None
-                else None
-            )
-            if cached is not True:
-                pending.setdefault(node, []).append((key, b"", cached))
         for node, items in sorted(pending.items()):
             self._flush_window(node, items, stats)
         generation = self._commit(
             vm_id, keys, payload_len, payload_sha.hexdigest(), meta
         )
         if self.caches is not None:
-            self._verify_after_commit(epochs_before, keys, make_iter)
+            self._verify_after_commit(epochs_before, keys, source)
         return generation, stats
 
     def _flush_window(
@@ -619,6 +374,10 @@ class FleetClient:
             return data
         raise StoreNotFoundError(f"chunk {key[:16]}... is on no fleet node")
 
+    def get_chunk(self, key: str) -> bytes:
+        """One verified chunk, from its owner shard or wherever it is."""
+        return self._fetch_keys([key])[key]
+
     def _fetch_keys(self, keys: Iterable[str]) -> dict[str, bytes]:
         out: dict[str, bytes] = {}
         for node, group in self._group_by_owner(set(keys)).items():
@@ -633,7 +392,7 @@ class FleetClient:
     ) -> tuple[bytes, Manifest]:
         manifest = self.get_manifest(vm_id, generation)
         parts: list[bytes] = []
-        for window in _batched(list(manifest.chunks), _DOWNLOAD_WINDOW):
+        for window in batched(list(manifest.chunks), _DOWNLOAD_WINDOW):
             data = self._fetch_keys(window)
             parts.extend(data[key] for key in window)
         payload = b"".join(parts)
@@ -648,7 +407,7 @@ class FleetClient:
         payload_sha = hashlib.sha256()
         written = 0
         with open(path, "wb") as f:
-            for window in _batched(list(manifest.chunks), _DOWNLOAD_WINDOW):
+            for window in batched(list(manifest.chunks), _DOWNLOAD_WINDOW):
                 data = self._fetch_keys(window)
                 for key in window:
                     chunk = data[key]
@@ -662,8 +421,6 @@ class FleetClient:
     def _verify_payload(
         vm_id: str, manifest: Manifest, length: int, sha256: str
     ) -> None:
-        from repro.errors import StoreIntegrityError
-
         if length != manifest.payload_len or sha256 != manifest.payload_sha256:
             raise StoreIntegrityError(
                 f"vm {vm_id!r} gen {manifest.generation}: downloaded payload "
@@ -691,9 +448,6 @@ class FleetClient:
             "objects": objects,
         }
 
-    def stat(self) -> dict:
-        return self.fleet_stat()
-
     def fleet_stat(self) -> dict:
         """Per-shard stats, ring ownership, and this process's caches."""
         shards = {}
@@ -717,6 +471,8 @@ class FleetClient:
             ),
             "fleet_counters": FLEET.as_dict(),
         }
+
+    stat = fleet_stat
 
     # -- housekeeping ------------------------------------------------------
 

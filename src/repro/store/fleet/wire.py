@@ -14,32 +14,35 @@ The frame *layout* is unchanged from revision 1 (see
 ``GET_MANY``
     A digest list up; a *stream* down — one ``CHUNK`` frame per present
     chunk, terminated by an ``END`` frame whose JSON carries the keys
-    that were missing.  The server never buffers more than one chunk.
+    that were missing.  The daemon queues the whole answer on the
+    connection's output buffer before its loop writes any of it, so it
+    holds up to ``MAX_GET_MANY`` chunks per request (512 x 64 KiB =
+    32 MiB at the default chunk size); the client never holds more than
+    the window it asked for.
 
 ``HELLO``
     ``{"max_version": N}`` up; ``OK {"version": v, "node_id": ...,
     "epoch": e}`` down, where ``v`` is the highest revision both sides
-    speak.  A revision-1 daemon answers ``ERR`` (unknown opcode), which
-    a client treats as "speak revision 1".
+    speak.  Any other answer is a protocol error on the client.
 
-The selectors server cannot block in ``recv``; :func:`pop_frame` is the
+The selectors server cannot block in ``recv``; :func:`pop_frame` (the
+RSTP binding of :meth:`repro.net.FrameCodec.pop_frame`) is the
 incremental decoder over its per-connection byte buffer.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
-from repro.errors import StoreProtocolError
+from repro.errors import StoreError, StoreProtocolError
 from repro.store import protocol as P
 
 #: Most sub-operations one BATCH frame may carry; bounds server-side
 #: work per round trip the same way MAX_FRAME bounds memory.
 MAX_BATCH_OPS = 256
 
-#: Most digests one GET_MANY request may carry (the response streams,
-#: so this bounds only the request frame and the server's key list).
+#: Most digests one GET_MANY request may carry; with the chunk size it
+#: bounds what the daemon queues for one answer.
 MAX_GET_MANY = 512
 
 _SUB_HEADER = struct.Struct("<BI")
@@ -90,35 +93,11 @@ def decode_ops(payload: bytes) -> list[tuple[int, bytes]]:
     return items
 
 
-def pop_frame(buf: bytearray) -> Optional[tuple[int, int, bytes]]:
-    """Pop one complete frame off a connection buffer, if present.
-
-    Returns ``(wire_rev, opcode, payload)`` and consumes the bytes, or
-    ``None`` when the buffer does not yet hold a whole frame.  Raises
-    :class:`~repro.errors.StoreProtocolError` on garbage — the caller
-    drops the connection, exactly like the blocking reader.
-    """
-    if len(buf) < P.HEADER.size:
-        return None
-    magic, wire_rev, op, length = P.HEADER.unpack_from(buf)
-    if magic != P.MAGIC:
-        raise StoreProtocolError(f"bad frame magic {bytes(magic)!r}")
-    if wire_rev not in P.SUPPORTED_VERSIONS:
-        raise StoreProtocolError(f"unsupported protocol version {wire_rev}")
-    if length > P.MAX_FRAME:
-        raise StoreProtocolError(f"frame length {length} exceeds MAX_FRAME")
-    end = P.HEADER.size + length
-    if len(buf) < end:
-        return None
-    payload = bytes(buf[P.HEADER.size : end])
-    del buf[:end]
-    return wire_rev, op, payload
+pop_frame = P.pop_frame
 
 
 def error_payload(exc: Exception) -> bytes:
-    """The ERR-frame JSON for one exception, matching the v1 daemon."""
-    from repro.errors import StoreError
-
+    """The ERR-frame JSON for one exception."""
     if isinstance(exc, StoreError):
         return P.encode_json(
             {"error": type(exc).__name__, "message": str(exc)}

@@ -39,7 +39,7 @@ from repro.errors import ReproError, RestartError, StoreNotFoundError
 from repro.faults.injectors import CrashHooks, SimulatedCrashError
 from repro.metrics import INTEGRITY, PhaseTimer
 from repro.store.chunkstore import Manifest, PutStats
-from repro.store.client import StoreClient
+from repro.store.fleet.client import FleetClient
 from repro.vm import VMConfig, VirtualMachine
 
 
@@ -68,7 +68,7 @@ def restart_candidates(
 
 
 def find_generation_by_sha(
-    client: StoreClient, vm_id: str, body_sha: str, below: int
+    client: FleetClient, vm_id: str, body_sha: str, below: int
 ) -> Optional[int]:
     """The newest store generation under ``below`` whose meta records the
     given body SHA-256, or None if no upload carries it."""
@@ -86,7 +86,7 @@ def find_generation_by_sha(
 
 
 def fetch_chain(
-    client: StoreClient,
+    client: FleetClient,
     vm_id: str,
     ckpt_path: str,
     generation: Optional[int] = None,
@@ -184,7 +184,7 @@ class HASupervisor:
     def __init__(
         self,
         code: CodeImage,
-        client: StoreClient,
+        client: FleetClient,
         vm_id: str,
         start_platform: Platform | str = "rodrigo",
         checkpoint_every: int = 20_000,

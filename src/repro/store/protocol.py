@@ -24,21 +24,18 @@ top: ``HELLO`` (version negotiation), ``BATCH`` (many sub-operations in
 one round trip), ``GET_MANY`` (a streamed multi-chunk response:
 ``CHUNK`` frames followed by one ``END``), plus the fleet housekeeping
 ops (``EPOCH``/``DEL_MANIFEST``/``SWEEP``).  Negotiation is one round
-trip: a client sends ``HELLO`` in revision-1 framing; a fleet daemon
-answers ``OK`` with the agreed revision, a revision-1 daemon answers
-``ERR`` (unknown opcode) and the client simply stays on revision 1.
-Frame codecs for the new payloads live in
-:mod:`repro.store.fleet.wire`.
+trip: a client sends ``HELLO`` in revision-1 framing and the daemon
+answers ``OK`` with the agreed revision; any other answer is a protocol
+error.  The daemon echoes each request's revision, so a raw revision-1
+peer that never says ``HELLO`` is still served.  Frame codecs for the
+new payloads live in :mod:`repro.store.fleet.wire`; the framing itself
+is the shared :class:`repro.net.FrameCodec`.
 """
 
 from __future__ import annotations
 
-import json
-import socket
-import struct
-from typing import Optional
-
 from repro.errors import StoreProtocolError
+from repro.net import HEADER, FrameCodec  # HEADER is re-exported
 
 MAGIC = b"RSTP"
 VERSION = 1
@@ -46,11 +43,12 @@ VERSION = 1
 #: streamed opcodes on top, negotiated per connection via ``OP_HELLO``.
 RSTP2 = 2
 SUPPORTED_VERSIONS = (VERSION, RSTP2)
-HEADER = struct.Struct("<4sBBI")
 
 #: Upper bound on one frame's payload; protects both sides from a
 #: corrupt or hostile length prefix.
 MAX_FRAME = 64 * 1024 * 1024
+
+CODEC = FrameCodec(MAGIC, SUPPORTED_VERSIONS, MAX_FRAME, StoreProtocolError)
 
 # Request opcodes.
 OP_PING = 0x01
@@ -65,8 +63,7 @@ OP_STAT = 0x09
 OP_AUDIT = 0x0A
 OP_HAS_MANY = 0x0B
 
-# RSTP/2 request opcodes (a revision-1 daemon answers ERR "unknown
-# opcode" to all of these; clients treat that as a downgrade signal).
+# RSTP/2 request opcodes.
 OP_HELLO = 0x10
 OP_BATCH = 0x11
 OP_GET_MANY = 0x12
@@ -107,67 +104,12 @@ OP_NAMES = {
 }
 
 
-def encode_frame(op: int, payload: bytes = b"", wire_rev: int = VERSION) -> bytes:
-    """One complete frame, ready for ``sendall``."""
-    if len(payload) > MAX_FRAME:
-        raise StoreProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds MAX_FRAME"
-        )
-    if wire_rev not in SUPPORTED_VERSIONS:
-        raise StoreProtocolError(f"unsupported protocol version {wire_rev}")
-    return HEADER.pack(MAGIC, wire_rev, op, len(payload)) + payload
-
-
-def send_frame(
-    sock: socket.socket, op: int, payload: bytes = b"", wire_rev: int = VERSION
-) -> None:
-    sock.sendall(encode_frame(op, payload, wire_rev))
-
-
-def _recv_exact(sock: socket.socket, n: int, allow_eof: bool = False) -> Optional[bytes]:
-    buf = bytearray()
-    while len(buf) < n:
-        try:
-            part = sock.recv(n - len(buf))
-        except ConnectionResetError:
-            part = b""
-        if not part:
-            if allow_eof and not buf:
-                return None
-            raise StoreProtocolError(
-                f"connection closed mid-frame ({len(buf)}/{n} bytes)"
-            )
-        buf += part
-    return bytes(buf)
-
-
-def recv_frame(
-    sock: socket.socket, allow_eof: bool = False
-) -> Optional[tuple[int, bytes]]:
-    """Read one frame; ``None`` on clean EOF (when ``allow_eof``)."""
-    head = _recv_exact(sock, HEADER.size, allow_eof=allow_eof)
-    if head is None:
-        return None
-    magic, wire_rev, op, length = HEADER.unpack(head)
-    if magic != MAGIC:
-        raise StoreProtocolError(f"bad frame magic {magic!r}")
-    if wire_rev not in SUPPORTED_VERSIONS:
-        raise StoreProtocolError(f"unsupported protocol version {wire_rev}")
-    if length > MAX_FRAME:
-        raise StoreProtocolError(f"frame length {length} exceeds MAX_FRAME")
-    payload = _recv_exact(sock, length) if length else b""
-    return op, payload
-
-
-def encode_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True).encode()
-
-
-def decode_json(payload: bytes):
-    try:
-        return json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise StoreProtocolError(f"malformed JSON payload: {e}") from e
+encode_frame = CODEC.encode_frame
+send_frame = CODEC.send_frame
+recv_frame = CODEC.recv_message
+pop_frame = CODEC.pop_frame
+encode_json = CODEC.encode_json
+decode_json = CODEC.decode_json
 
 
 def encode_chunk(key_raw: bytes, data: bytes) -> bytes:

@@ -1,14 +1,12 @@
-"""The checkpoint store daemon.
+"""The store daemon's operations: every RSTP op, plus follower replication.
 
-A threaded TCP server exposing one :class:`~repro.store.chunkstore.ChunkStore`
-over the frame protocol in :mod:`repro.store.protocol`, in the spirit of
-"checkpointing as a service": workload VMs push periodic checkpoints
-here, restart supervisors pull the latest manifest from here.
-
-The opcode handlers live in :class:`StoreOpHandlers` so the two daemons
-— this thread-per-connection server and the selectors-based
-:class:`~repro.store.fleet.aserver.FleetNode` — share one
-implementation of every operation against the store.
+:class:`StoreOpHandlers` answers every store operation against one
+:class:`~repro.store.chunkstore.ChunkStore`, transport-free, in the
+spirit of "checkpointing as a service": workload VMs push periodic
+checkpoints here, restart supervisors pull the latest manifest from
+here.  The one daemon — the selectors-based
+:class:`~repro.store.fleet.aserver.FleetNode` — is these handlers behind
+an event loop.
 
 Replication
 -----------
@@ -20,6 +18,14 @@ chunks it is missing, streams exactly those over, then commits the same
 manifest (same generation number) there.  A follower that was down and
 comes back is therefore fully caught up by the next checkpoint that
 lands — content addressing makes re-sends idempotent and cheap.
+
+The ``PUT_MANIFEST`` reply is sent only after every live follower has
+the generation, so replication runs inside the commit, on the daemon's
+loop thread: while it ships, the daemon serves nobody else.  The stall
+is bounded by the follower client's budget (2 s connect, 10 s I/O, one
+retry) and a follower the heartbeat has marked dead is skipped outright.
+Follower topologies must be acyclic — a daemon that replicated back to
+its own primary would wait on a loop thread that is waiting on it.
 
 Liveness is tracked by heartbeats: a background thread pings every
 follower each ``heartbeat_interval`` seconds; ``heartbeat_misses``
@@ -33,7 +39,6 @@ again.
 
 from __future__ import annotations
 
-import socketserver
 import threading
 import time
 from dataclasses import dataclass
@@ -98,22 +103,31 @@ class FollowerState:
 class StoreOpHandlers:
     """Every RSTP operation against one chunk store, transport-free.
 
-    Both daemons delegate here; a handler returns ``(opcode, payload)``
-    for the single response frame.  The fleet housekeeping ops
-    (``EPOCH``/``DEL_MANIFEST``/``SWEEP``) are part of the shared table
-    — a plain single-node daemon answers them too, which keeps
-    presence-cache epochs usable against any server.  The RSTP/2
-    connection-layer ops (``HELLO``/``BATCH``/``GET_MANY``) are *not*
-    here: they are about framing, and only the fleet daemon speaks
-    them.
+    A handler returns ``(opcode, payload)`` for the single response
+    frame.  The connection-layer ops (``HELLO``/``BATCH``/``GET_MANY``)
+    are *not* here: they are about framing, and the daemon's event loop
+    answers them, keeping their counters on this object.
     """
 
-    def __init__(self, store: ChunkStore, node_id: str | None = None) -> None:
+    def __init__(
+        self,
+        store: ChunkStore,
+        node_id: Optional[str] = None,
+        replicas: list[tuple[str, int]] | None = None,
+        heartbeat_misses: int = 3,
+    ) -> None:
         self.store = store
         self.node_id = node_id
+        self.followers = [FollowerState(h, p) for h, p in (replicas or [])]
+        self.heartbeat_misses = heartbeat_misses
+        self.replication_failures = 0
         self._commit_lock = threading.Lock()
         self._started = time.monotonic()
         self.requests_served = 0
+        self.batches_handled = 0
+        self.batched_ops_handled = 0
+        self.chunks_streamed = 0
+        self.hellos = 0
         self._dispatch = {
             P.OP_PING: self._op_ping,
             P.OP_HAS_CHUNK: self._op_has_chunk,
@@ -199,11 +213,8 @@ class StoreOpHandlers:
                 generation=req.get("generation"),
                 verify_chunks=bool(req.get("check_chunks", True)),
             )
-        self._after_commit(manifest)
+        self._replicate(manifest)
         return P.OP_OK, P.encode_json({"generation": manifest.generation})
-
-    def _after_commit(self, manifest: Manifest) -> None:
-        """Hook: the threaded daemon replicates here; the base does not."""
 
     def _op_get_manifest(self, payload: bytes) -> tuple[int, bytes]:
         req = P.decode_json(payload)
@@ -257,128 +268,25 @@ class StoreOpHandlers:
             "objects": sum(1 for _ in self.store.iter_objects()),
             "vms": self.store.vm_ids(),
             "epoch": self.store.epoch,
+            "batches_handled": self.batches_handled,
+            "batched_ops_handled": self.batched_ops_handled,
+            "chunks_streamed": self.chunks_streamed,
+            "hellos": self.hellos,
+            "followers": [f.describe() for f in self.followers],
+            "replication_failures": self.replication_failures,
         }
         if self.node_id is not None:
             out["node_id"] = self.node_id
         return out
 
-
-class _Handler(socketserver.BaseRequestHandler):
-    """One client connection: a sequence of request frames."""
-
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        server: "StoreServer" = self.server.store_server  # type: ignore[attr-defined]
-        sock = self.request
-        while not server._stopping.is_set():
-            try:
-                frame = P.recv_frame(sock, allow_eof=True)
-            except (StoreProtocolError, OSError):
-                return
-            if frame is None:
-                return
-            op, payload = frame
-            try:
-                rop, rpayload = server.dispatch(op, payload)
-            except StoreError as e:
-                rop = P.OP_ERR
-                rpayload = P.encode_json(
-                    {"error": type(e).__name__, "message": str(e)}
-                )
-            except Exception as e:  # never let a handler kill the daemon
-                rop = P.OP_ERR
-                rpayload = P.encode_json(
-                    {"error": "StoreError", "message": f"internal: {e}"}
-                )
-            try:
-                P.send_frame(sock, rop, rpayload)
-            except OSError:
-                return
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class StoreServer(StoreOpHandlers):
-    """The daemon: a chunk store behind a TCP frame protocol."""
-
-    def __init__(
-        self,
-        store: ChunkStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        replicas: list[tuple[str, int]] | None = None,
-        heartbeat_interval: float = 2.0,
-        heartbeat_misses: int = 3,
-    ) -> None:
-        super().__init__(store)
-        self.followers = [FollowerState(h, p) for h, p in (replicas or [])]
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
-        self._tcp = _TCPServer((host, port), _Handler)
-        self._tcp.store_server = self  # type: ignore[attr-defined]
-        self._stopping = threading.Event()
-        self._serve_thread: threading.Thread | None = None
-        self._heartbeat_thread: threading.Thread | None = None
-        self.replication_failures = 0
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) — port is concrete even if 0 was asked."""
-        return self._tcp.server_address[:2]
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> tuple[str, int]:
-        """Serve in background threads; returns the bound address."""
-        self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, name="store-server", daemon=True
-        )
-        self._serve_thread.start()
-        if self.followers:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop, name="store-heartbeat", daemon=True
-            )
-            self._heartbeat_thread.start()
-        return self.address
-
-    def serve_forever(self) -> None:
-        """Blocking variant of :meth:`start` (the CLI daemon loop)."""
-        if self.followers:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop, name="store-heartbeat", daemon=True
-            )
-            self._heartbeat_thread.start()
-        try:
-            self._tcp.serve_forever()
-        finally:
-            self.stop()
-
-    def stop(self) -> None:
-        self._stopping.set()
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5)
-            self._serve_thread = None
-
     # -- replication -------------------------------------------------------
-
-    def _after_commit(self, manifest: Manifest) -> None:
-        self._replicate(manifest)
-
-    def stats(self) -> dict:
-        out = super().stats()
-        out["followers"] = [f.describe() for f in self.followers]
-        out["replication_failures"] = self.replication_failures
-        return out
 
     def _follower_client(self, follower: FollowerState):
         from repro.store.client import StoreClient
 
         # Replication retries little: the heartbeat loop owns failure
-        # detection; a slow follower must not stall the primary's reply.
+        # detection, and this budget bounds how long a slow follower can
+        # stall the loop thread (see the module docstring).
         return StoreClient(
             follower.host, follower.port,
             connect_timeout=2.0, io_timeout=10.0, retries=1, backoff=0.05,
@@ -393,23 +301,25 @@ class StoreServer(StoreOpHandlers):
                     # Ship every generation of this VM the follower lacks,
                     # not just the one that triggered us — this is what
                     # catches a recovered follower fully up.
-                    have = {
-                        g["generation"]
-                        for g in client.ls().get("vms", {}).get(
-                            manifest.vm_id, []
-                        )
-                    }
-                    for gen in self.store.generations(manifest.vm_id):
-                        if gen in have:
-                            continue
-                        self._replicate_one(
-                            client,
-                            follower,
-                            self.store.read_manifest(manifest.vm_id, gen),
-                        )
+                    self._ship_missing(
+                        client, follower, client.ls(), manifest.vm_id
+                    )
             except StoreError as e:
                 self.replication_failures += 1
                 self._mark_failure(follower, e)
+
+    def _ship_missing(
+        self, client, follower: FollowerState, listing: dict, vm_id: str
+    ) -> None:
+        """Replicate each generation of ``vm_id`` absent from ``listing``."""
+        have = {
+            g["generation"] for g in listing.get("vms", {}).get(vm_id, [])
+        }
+        for gen in self.store.generations(vm_id):
+            if gen not in have:
+                self._replicate_one(
+                    client, follower, self.store.read_manifest(vm_id, gen)
+                )
 
     def _replicate_one(self, client, follower: FollowerState,
                        manifest: Manifest) -> None:
@@ -441,15 +351,9 @@ class StoreServer(StoreOpHandlers):
         heartbeat revives the follower.
         """
         with self._follower_client(follower) as client:
-            listing = client.ls().get("vms", {})
+            listing = client.ls()
             for vm_id in self.store.vm_ids():
-                have = {g["generation"] for g in listing.get(vm_id, [])}
-                for gen in self.store.generations(vm_id):
-                    if gen in have:
-                        continue
-                    self._replicate_one(
-                        client, follower, self.store.read_manifest(vm_id, gen)
-                    )
+                self._ship_missing(client, follower, listing, vm_id)
 
     # -- heartbeats --------------------------------------------------------
 
@@ -487,7 +391,3 @@ class StoreServer(StoreOpHandlers):
                 follower.last_error = ""
             except StoreError as e:
                 self._mark_failure(follower, e)
-
-    def _heartbeat_loop(self) -> None:  # pragma: no cover - timing loop
-        while not self._stopping.wait(self.heartbeat_interval):
-            self.heartbeat_once()

@@ -158,9 +158,9 @@ class TestRestoreErrorContext:
 class TestStoreCLI:
     @pytest.fixture
     def service(self, tmp_path):
-        from repro.store import ChunkStore, StoreServer
+        from repro.store import ChunkStore, FleetNode
 
-        server = StoreServer(ChunkStore(str(tmp_path / "store")))
+        server = FleetNode(ChunkStore(str(tmp_path / "store")))
         host, port = server.start()
         yield server, f"{host}:{port}"
         server.stop()
@@ -195,11 +195,24 @@ class TestStoreCLI:
         assert main(["store", "gc", "--addr", addr]) == 0
         assert "removed 0" in capsys.readouterr().out
         assert main(["store", "stat", "--addr", addr]) == 0
-        assert json.loads(capsys.readouterr().out)["objects"] > 0
+        assert f"{addr} " in capsys.readouterr().out  # per-shard summary
+        assert main(["store", "stat", "--json", "--addr", addr]) == 0
+        stat = json.loads(capsys.readouterr().out)
+        assert stat["shards"][addr]["objects"] > 0
         assert main(["store", "audit", "--deep", "--addr", addr]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"]
-        assert report["checkpoints"]["app"]["platform"] == "rodrigo"
+        assert report["manifests"] == 1
+        assert report["shards"][addr]["objects"] > 0
+        # The per-node structural walk (`repro info --deep` validation of
+        # each vm's latest checkpoint) is still served to a node-level
+        # client over the wire.
+        from repro.store import StoreClient
+
+        server, _ = service
+        with StoreClient(*server.address) as node:
+            deep = node.audit(deep=True)
+        assert deep["checkpoints"]["app"]["platform"] == "rodrigo"
 
     def test_bad_addr_rejected(self, ckpt):
         with pytest.raises(SystemExit):
@@ -210,7 +223,7 @@ class TestHACLI:
     def test_ha_run_json(self, tmp_path, capsys):
         import json
 
-        from repro.store import ChunkStore, StoreServer
+        from repro.store import ChunkStore, FleetNode
 
         prog = tmp_path / "work.ml"
         prog.write_text("""
@@ -219,7 +232,7 @@ class TestHACLI:
             print_string "n=";;
             print_int !i
         """)
-        server = StoreServer(ChunkStore(str(tmp_path / "store")))
+        server = FleetNode(ChunkStore(str(tmp_path / "store")))
         host, port = server.start()
         try:
             rc = main(["ha", "run", str(prog), "--vm-id", "cli-ha",

@@ -13,7 +13,7 @@ from repro.cluster import (
     restart_cluster_from_store,
 )
 from repro.errors import CheckpointFormatError, StoreNotFoundError
-from repro.store import ChunkStore, StoreClient, StoreServer
+from repro.store import ChunkStore, FleetClient, FleetNode
 
 # Every node waits forever: nothing is ever sent.
 ALL_WAIT = """
@@ -46,9 +46,9 @@ let () =
 
 @pytest.fixture
 def service(tmp_path):
-    server = StoreServer(ChunkStore(str(tmp_path / "store")))
+    server = FleetNode(ChunkStore(str(tmp_path / "store")))
     host, port = server.start()
-    client = StoreClient(host, port, backoff=0.01)
+    client = FleetClient([(host, port)], backoff=0.01)
     yield server, client
     client.close()
     server.stop()

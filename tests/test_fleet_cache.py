@@ -155,7 +155,7 @@ class TestFleetCacheIntegration:
         client.put_checkpoint("vmp", payload_of(8))
         client._sync_epochs()
         # destructive op behind the client's back: external sweep
-        nodes[0].ops.store.sweep_keep(set())
+        nodes[0].store.sweep_keep(set())
         invalidated = client._sync_epochs()
         assert client.caches is not None
         node_addr = "%s:%d" % nodes[0].address
@@ -179,7 +179,7 @@ class TestFleetCacheIntegration:
                 # the race: every shard sweeps everything mid-upload,
                 # after the cache said "owner already has these chunks"
                 for node in nodes:
-                    node.ops.store.sweep_keep(set())
+                    node.store.sweep_keep(set())
             return real_commit(*args, **kwargs)
 
         client._commit = racing_commit
@@ -212,7 +212,7 @@ class TestFleetCacheIntegration:
             if not raced["done"]:
                 raced["done"] = True
                 for node in nodes:
-                    node.ops.store.sweep_keep(set())
+                    node.store.sweep_keep(set())
             return out
 
         client._commit = racing_commit

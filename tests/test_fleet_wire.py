@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.errors import StoreNotFoundError, StoreProtocolError
-from repro.store import ChunkStore, StoreClient, StoreServer
+from repro.store import ChunkStore, FleetNode, StoreClient
 from repro.store import protocol as P
 from repro.store.chunkstore import chunk_key
-from repro.store.fleet import FleetNode, FleetNodeClient
 from repro.store.fleet import wire as W
 
 
@@ -99,82 +100,56 @@ def fleet_node(tmp_path):
     node.stop()
 
 
-@pytest.fixture
-def v1_server(tmp_path):
-    srv = StoreServer(ChunkStore(str(tmp_path / "v1store")))
-    srv.start()
-    yield srv
-    srv.stop()
-
-
 class TestNegotiation:
     def test_fleet_client_vs_fleet_node_speaks_rstp2(self, fleet_node):
         host, port = fleet_node.address
-        with FleetNodeClient(host, port, backoff=0.01) as c:
-            assert c.speaks_rstp2
+        with StoreClient(host, port, backoff=0.01) as c:
+            assert c.negotiated is None  # nothing until the first request
+            assert c.ping()
             assert c.negotiated == P.RSTP2
             assert c.remote_node_id == "n0"
-            assert c.wire_rev == P.RSTP2
-
-    def test_fleet_client_vs_v1_daemon_downgrades(self, v1_server):
-        host, port = v1_server.address
-        with FleetNodeClient(host, port, backoff=0.01) as c:
-            assert not c.speaks_rstp2
-            assert c.negotiated == P.VERSION
-            assert c.wire_rev == P.VERSION
-            # the RSTP/2 surface still works, sequentially
-            data = b"v1-compat-chunk"
-            assert c.put_chunks([data]) == 1
-            found, missing = c.get_many([chunk_key(data), "ff" * 32])
-            assert found == {chunk_key(data): data}
-            assert missing == ["ff" * 32]
+        assert fleet_node.hellos == 1
 
     def test_v1_client_vs_fleet_node_works(self, fleet_node):
-        host, port = fleet_node.address
-        with StoreClient(host, port, backoff=0.01) as c:
-            assert c.ping()
-            assert c.put_chunk(b"old client, new daemon")
-            assert c.has_chunk(chunk_key(b"old client, new daemon"))
-
-    def test_batch_fallback_reports_per_op_errors(self, v1_server):
-        host, port = v1_server.address
-        with FleetNodeClient(host, port, backoff=0.01) as c:
-            digest = bytes.fromhex(chunk_key(b"present"))
-            c.put_chunk(b"present")
-            results = c.batch_call([
-                (P.OP_HAS_CHUNK, digest),
-                (P.OP_GET_CHUNK, bytes.fromhex("ab" * 32)),
-            ])
-            assert results[0][0] == P.OP_OK
-            assert results[1][0] == P.OP_ERR
-            err = P.decode_json(results[1][1])
-            assert err["error"] == "StoreNotFoundError"
+        """A raw revision-1 peer — no HELLO, revision-1 frames only — is
+        still served, and answered in revision-1 framing."""
+        data = b"old client, new daemon"
+        digest = bytes.fromhex(chunk_key(data))
+        with socket.create_connection(fleet_node.address, timeout=5) as sock:
+            for op, payload, want in (
+                (P.OP_PING, b"", b"pong"),
+                (P.OP_PUT_CHUNK, P.encode_chunk(digest, data), b"\x01"),
+                (P.OP_HAS_CHUNK, digest, b"\x01"),
+            ):
+                P.send_frame(sock, op, payload, P.VERSION)
+                assert P.CODEC.recv_frame(sock) == (P.VERSION, P.OP_OK, want)
+        assert fleet_node.hellos == 0
 
 
 class TestRstp2Ops:
     def test_batched_ops_share_one_frame(self, fleet_node):
         host, port = fleet_node.address
         chunks = [f"chunk-{i}".encode() for i in range(10)]
-        with FleetNodeClient(host, port, backoff=0.01) as c:
+        with StoreClient(host, port, backoff=0.01) as c:
             assert c.put_chunks(chunks) == 10
             assert c.put_chunks(chunks) == 0  # idempotent, all dedup
-        assert fleet_node.ops.batches_handled == 2
-        assert fleet_node.ops.batched_ops_handled == 20
+        assert fleet_node.batches_handled == 2
+        assert fleet_node.batched_ops_handled == 20
 
     def test_get_many_streams_and_names_missing(self, fleet_node):
         host, port = fleet_node.address
         chunks = [f"stream-{i}".encode() for i in range(5)]
         keys = [chunk_key(ch) for ch in chunks]
-        with FleetNodeClient(host, port, backoff=0.01) as c:
+        with StoreClient(host, port, backoff=0.01) as c:
             c.put_chunks(chunks)
             found, missing = c.get_many(keys + ["0" * 64])
             assert found == dict(zip(keys, chunks))
             assert missing == ["0" * 64]
-        assert fleet_node.ops.chunks_streamed == 5
+        assert fleet_node.chunks_streamed == 5
 
     def test_nested_batch_rejected_per_slot(self, fleet_node):
         host, port = fleet_node.address
-        with FleetNodeClient(host, port, backoff=0.01) as c:
+        with StoreClient(host, port, backoff=0.01) as c:
             results = c.batch_call([
                 (P.OP_PING, b""),
                 (P.OP_BATCH, W.encode_ops([])),
@@ -186,7 +161,7 @@ class TestRstp2Ops:
 
     def test_housekeeping_ops(self, fleet_node):
         host, port = fleet_node.address
-        with FleetNodeClient(host, port, backoff=0.01) as c:
+        with StoreClient(host, port, backoff=0.01) as c:
             assert c.epoch() == 0
             c.put_chunk(b"doomed")
             report = c.sweep([])
@@ -200,171 +175,3 @@ class TestRstp2Ops:
         generic = P.decode_json(W.error_payload(ValueError("boom")))
         assert generic["error"] == "StoreError"
         assert "boom" in generic["message"]
-
-
-# ---------------------------------------------------------------------------
-# Mid-conversation downgrade: the peer changes revision under the client
-# ---------------------------------------------------------------------------
-
-import socket
-import threading
-
-
-class _ForwardingPeer:
-    """Base: a listener whose later connections proxy to a v1 daemon."""
-
-    def __init__(self, v1_addr: tuple[str, int]) -> None:
-        self.v1_addr = v1_addr
-        self.connections = 0
-        self._listen = socket.socket()
-        self._listen.bind(("127.0.0.1", 0))
-        self._listen.listen(8)
-        self.address = self._listen.getsockname()
-        self._stop = threading.Event()
-        threading.Thread(target=self._serve, daemon=True).start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listen.accept()
-            except OSError:
-                return
-            self.connections += 1
-            handler = (
-                self._first if self.connections == 1 else self._forward
-            )
-            threading.Thread(
-                target=handler, args=(conn,), daemon=True
-            ).start()
-
-    def _first(self, conn: socket.socket) -> None:  # overridden
-        conn.close()
-
-    def _forward(self, conn: socket.socket) -> None:
-        up = socket.create_connection(self.v1_addr)
-
-        def pump(src, dst):
-            try:
-                while True:
-                    data = src.recv(65536)
-                    if not data:
-                        break
-                    dst.sendall(data)
-            except OSError:
-                pass
-            finally:
-                for s in (src, dst):
-                    try:
-                        s.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-
-        threading.Thread(target=pump, args=(up, conn), daemon=True).start()
-        pump(conn, up)
-
-    def close(self) -> None:
-        self._stop.set()
-        self._listen.close()
-
-
-class MidHelloDeathPeer(_ForwardingPeer):
-    """Reads half the HELLO frame header, then drops the connection."""
-
-    def _first(self, conn: socket.socket) -> None:
-        try:
-            conn.recv(8)
-        finally:
-            conn.close()
-
-
-class MidBatchDeathPeer(_ForwardingPeer):
-    """Negotiates RSTP/2, answers PINGs, then dies mid-frame in its
-    first BATCH response — the node was replaced by a rolled-back
-    revision-1 build while the client's session was live."""
-
-    def _first(self, conn: socket.socket) -> None:
-        try:
-            while True:
-                op, _payload = P.recv_frame(conn)
-                if op == P.OP_HELLO:
-                    P.send_frame(
-                        conn,
-                        P.OP_OK,
-                        P.encode_json(
-                            {"version": P.RSTP2, "node_id": "dying"}
-                        ),
-                        P.RSTP2,
-                    )
-                elif op == P.OP_PING:
-                    P.send_frame(conn, P.OP_OK, b"pong", P.RSTP2)
-                elif op == P.OP_BATCH:
-                    torn = P.encode_frame(P.OP_OK, b"x" * 64, P.RSTP2)
-                    conn.sendall(torn[: len(torn) // 2])
-                    return
-                else:
-                    return
-        except (OSError, StoreProtocolError):
-            pass
-        finally:
-            conn.close()
-
-
-class TestMidConversationDowngrade:
-    def test_peer_dies_mid_hello_client_lands_on_v1(self, v1_server):
-        """The very first negotiation is cut mid-HELLO; the retry
-        reaches a revision-1 daemon and the client settles on v1."""
-        peer = MidHelloDeathPeer(v1_server.address)
-        try:
-            with FleetNodeClient(
-                *peer.address, backoff=0.01, retries=4
-            ) as c:
-                assert not c.speaks_rstp2
-                assert c.negotiated == P.VERSION
-                assert c.retries_used >= 1
-                data = b"survived a mid-HELLO death"
-                assert c.put_chunks([data]) == 1
-                found, missing = c.get_many([chunk_key(data), "ee" * 32])
-                assert found == {chunk_key(data): data}
-                assert missing == ["ee" * 32]
-        finally:
-            peer.close()
-        assert peer.connections >= 2  # the kill, then the real session
-
-    def test_peer_dies_mid_batch_client_degrades_to_sequential(
-        self, v1_server
-    ):
-        """An RSTP/2 session loses its peer mid-BATCH; the reconnect
-        lands on a v1 daemon, and the in-flight batch_call completes
-        sequentially with per-op results in order."""
-        present = b"present before the death"
-        with StoreClient(*v1_server.address, backoff=0.01) as seeder:
-            seeder.put_chunk(present)
-        peer = MidBatchDeathPeer(v1_server.address)
-        try:
-            with FleetNodeClient(
-                *peer.address, backoff=0.01, retries=4
-            ) as c:
-                assert c.speaks_rstp2  # negotiated with the dying peer
-                fresh = b"lands through the v1 fallback"
-                results = c.batch_call([
-                    (P.OP_HAS_CHUNK, bytes.fromhex(chunk_key(present))),
-                    (
-                        P.OP_PUT_CHUNK,
-                        P.encode_chunk(
-                            bytes.fromhex(chunk_key(fresh)), fresh
-                        ),
-                    ),
-                    (P.OP_GET_CHUNK, bytes.fromhex("ab" * 32)),
-                ])
-                # The downgrade happened mid-call and stuck.
-                assert c.negotiated == P.VERSION
-                assert not c.speaks_rstp2
-                assert results[0] == (P.OP_OK, b"\x01")
-                assert results[1][0] == P.OP_OK
-                assert results[2][0] == P.OP_ERR
-                err = P.decode_json(results[2][1])
-                assert err["error"] == "StoreNotFoundError"
-                # The put really landed on the v1 daemon.
-                assert c.has_chunk(chunk_key(fresh))
-        finally:
-            peer.close()

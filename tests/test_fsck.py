@@ -16,7 +16,7 @@ from repro.checkpoint.fsck import (
 )
 from repro.checkpoint.reader import restart_vm
 from repro.metrics import INTEGRITY
-from repro.store import ChunkStore, StoreClient, StoreServer
+from repro.store import ChunkStore, FleetClient, FleetNode
 
 RODRIGO = get_platform("rodrigo")
 
@@ -155,10 +155,10 @@ class TestRepairFromLocalStore:
 class TestRepairViaDaemon:
     def test_client_source_end_to_end(self, replicated):
         path, data, store = replicated
-        server = StoreServer(store)
+        server = FleetNode(store)
         host, port = server.start()
         try:
-            with StoreClient(host, port, backoff=0.01) as client:
+            with FleetClient([(host, port)], backoff=0.01) as client:
                 damage_section(path, data)
                 report = fsck_checkpoint(
                     path, repair=True, source=ClientSource(client), vm_id="vm"

@@ -7,7 +7,7 @@ import pytest
 from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.arch.platforms import PLATFORMS
 from repro.errors import ReproError
-from repro.store import ChunkStore, HASupervisor, StoreClient, StoreServer
+from repro.store import ChunkStore, FleetClient, FleetNode, HASupervisor
 
 # Several checkpoint intervals of work; the total stays inside 31-bit
 # ints so migration across the 32-bit machines is lossless.
@@ -39,9 +39,9 @@ def expected(code):
 
 @pytest.fixture
 def service(tmp_path):
-    server = StoreServer(ChunkStore(str(tmp_path / "store")))
+    server = FleetNode(ChunkStore(str(tmp_path / "store")))
     host, port = server.start()
-    client = StoreClient(host, port, backoff=0.01)
+    client = FleetClient([(host, port)], backoff=0.01)
     yield server, client
     client.close()
     server.stop()

@@ -10,7 +10,7 @@ from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.arch.platforms import PLATFORMS
 from repro.metrics import REPLICATION
 from repro.replication import LiveHA
-from repro.store import ChunkStore, StoreServer
+from repro.store import ChunkStore, FleetNode
 
 # Enough work for ~7 replicated generations at the test cadence, with
 # output spread through the run so every fault window has bytes at
@@ -47,7 +47,7 @@ def expected(code):
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
-    server = StoreServer(
+    server = FleetNode(
         ChunkStore(str(tmp_path_factory.mktemp("live") / "store"))
     )
     server.start()

@@ -1,0 +1,157 @@
+"""The shared frame codec (``repro.net``) and the one-of-each guard.
+
+The property test runs over both codec instances — the store's RSTP and
+the replication channel's RPLC — and pins the contract the selectors
+daemon relies on: reading a byte stream frame by frame off a blocking
+socket and popping it incrementally off a buffer, under *any* split of
+the stream, yield the same frames and reject the same garbage with the
+protocol's own typed error.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.store
+from repro.errors import ReplicationProtocolError, StoreProtocolError
+from repro.net import HEADER, FrameCodec
+from repro.replication import wire as rplc
+from repro.store import protocol as rstp
+
+CODECS = {
+    "RSTP": (rstp.CODEC, StoreProtocolError),
+    "RPLC": (rplc.CODEC, ReplicationProtocolError),
+}
+
+
+class ChoppedSocket:
+    """``recv`` over a fixed byte string, cut at the given offsets."""
+
+    def __init__(self, data: bytes, cuts: list[int]) -> None:
+        bounds = [0, *sorted({c % (len(data) + 1) for c in cuts}), len(data)]
+        self._parts = [
+            data[a:b] for a, b in zip(bounds, bounds[1:]) if a != b
+        ]
+
+    def recv(self, n: int) -> bytes:
+        if not self._parts:
+            return b""  # EOF
+        part = self._parts[0]
+        self._parts[0] = part[n:]
+        if not self._parts[0]:
+            self._parts.pop(0)
+        return part[:n]
+
+
+def recv_all(codec: FrameCodec, sock) -> list:
+    frames = []
+    while (frame := codec.recv_frame(sock, allow_eof=True)) is not None:
+        frames.append(frame)
+    return frames
+
+
+def pop_all(codec: FrameCodec, sock) -> list:
+    frames, buf = [], bytearray()
+    while data := sock.recv(7):
+        buf += data
+        while (frame := codec.pop_frame(buf)) is not None:
+            frames.append(frame)
+    assert not buf, "a clean stream leaves no partial frame behind"
+    return frames
+
+
+frame_lists = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # index into the codec's revisions
+        st.integers(0, 255),
+        st.binary(max_size=200),
+    ),
+    max_size=8,
+)
+cut_lists = st.lists(st.integers(0, 4096), max_size=24)
+
+
+@pytest.mark.parametrize("name", CODECS)
+class TestFrameCodecProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(frames=frame_lists, cuts=cut_lists)
+    def test_blocking_and_incremental_readers_agree(self, name, frames, cuts):
+        codec, _error = CODECS[name]
+        want = [
+            (codec.versions[rev % len(codec.versions)], op, payload)
+            for rev, op, payload in frames
+        ]
+        stream = b"".join(
+            codec.encode_frame(op, payload, rev) for rev, op, payload in want
+        )
+        assert recv_all(codec, ChoppedSocket(stream, cuts)) == want
+        assert pop_all(codec, ChoppedSocket(stream, cuts)) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(payload=st.binary(max_size=64), cuts=cut_lists)
+    def test_garbage_raises_the_protocols_own_error(self, name, payload, cuts):
+        codec, error = CODECS[name]
+        good = codec.encode_frame(7, payload)
+        bad_rev = max(codec.versions) + 1
+        damaged = {
+            "magic": b"EVIL" + good[4:],
+            "version": good[:4] + bytes([bad_rev]) + good[5:],
+            "MAX_FRAME": HEADER.pack(
+                codec.magic, codec.versions[0], 7, codec.max_frame + 1
+            ),
+        }
+        for what, stream in damaged.items():
+            with pytest.raises(error, match=what):
+                recv_all(codec, ChoppedSocket(stream, cuts))
+            with pytest.raises(error, match=what):
+                pop_all(codec, ChoppedSocket(stream, cuts))
+        # Truncation: the blocking reader sees EOF mid-frame and raises;
+        # the incremental one just keeps waiting for the rest.
+        torn = good[: len(good) - 1]
+        with pytest.raises(error, match="mid-frame"):
+            recv_all(codec, ChoppedSocket(torn, cuts))
+        assert codec.pop_frame(bytearray(torn)) is None
+        with pytest.raises(error):
+            codec.encode_frame(7, b"", bad_rev)
+
+
+SRC = pathlib.Path(repro.store.__file__).resolve().parents[2]
+
+
+def _modules_matching(pattern: str) -> list[str]:
+    rx = re.compile(pattern, re.MULTILINE)
+    return sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if rx.search(path.read_text())
+    )
+
+
+class TestOneOfEach:
+    """Tier-1 guard: the duplicate wire/daemon paths stay deleted."""
+
+    def test_no_socketserver_under_src(self):
+        assert _modules_matching(r"^\s*(import|from)\s+socketserver\b") == []
+
+    def test_frame_plumbing_is_defined_once(self):
+        assert _modules_matching(r"def _recv_exact\(") == ["repro/net.py"]
+        assert _modules_matching(r'struct\.Struct\("<4sBBI"\)') == [
+            "repro/net.py"
+        ]
+
+    def test_store_exports_one_daemon_and_two_clients(self):
+        exported = {
+            name: getattr(repro.store, name) for name in repro.store.__all__
+        }
+        daemons = [
+            n
+            for n, obj in exported.items()
+            if hasattr(obj, "start") and hasattr(obj, "stop")
+        ]
+        clients = [n for n in exported if n.endswith("Client")]
+        assert daemons == ["FleetNode"]
+        assert sorted(clients) == ["FleetClient", "StoreClient"]

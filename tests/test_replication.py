@@ -25,14 +25,14 @@ from repro.replication import (
     StandbyServer,
 )
 from repro.replication import wire
-from repro.store import ChunkStore, StoreClient, StoreServer
+from repro.store import ChunkStore, FleetClient, FleetNode
 
 
 @pytest.fixture
 def store(tmp_path):
-    server = StoreServer(ChunkStore(str(tmp_path / "store")))
+    server = FleetNode(ChunkStore(str(tmp_path / "store")))
     host, port = server.start()
-    client = StoreClient(host, port, backoff=0.01)
+    client = FleetClient([(host, port)], backoff=0.01)
     yield client
     client.close()
     server.stop()

@@ -73,7 +73,7 @@ class TestFleetService:
         gen, stats = client.put_checkpoint("vmx", payload)
         assert stats.chunks_total >= 30
         # the chunks actually spread across shards
-        per_shard = [sum(1 for _ in n.ops.store.iter_objects())
+        per_shard = [sum(1 for _ in n.store.iter_objects())
                      for n in nodes]
         assert sum(per_shard) == stats.chunks_new
         assert sum(1 for c in per_shard if c > 0) >= 2, per_shard
@@ -206,7 +206,7 @@ class TestRebalance:
                              chunk_size=client.chunk_size)
         try:
             shrunk.rebalance()
-            assert sum(1 for _ in nodes[0].ops.store.iter_objects()) == 0
+            assert sum(1 for _ in nodes[0].store.iter_objects()) == 0
             assert shrunk.audit(deep=True)["ok"]
             got, _m = shrunk.get_checkpoint("vmdrain", gen)
             assert got == payload

@@ -1,7 +1,14 @@
-"""Tests for the store daemon, client retry, replication, heartbeats."""
+"""Tests for the store daemon, client retry, replication, heartbeats.
+
+One contract suite, both shard counts: every class that talks to a
+running store does so through ``FleetNode`` + ``FleetClient`` over
+``SHARDS`` daemons, and is run again over three by a subclass at the
+bottom of this file — a single-node store is a 1-shard fleet.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import threading
@@ -13,22 +20,43 @@ from repro.errors import (
     StoreNotFoundError,
     StoreProtocolError,
 )
-from repro.store import ChunkStore, StoreClient, StoreServer
+from repro.net import RetryPolicy
+from repro.store import ChunkStore, FleetClient, FleetNode, StoreClient
+from repro.store import protocol as P
 
 
 @pytest.fixture
-def server(tmp_path):
-    srv = StoreServer(ChunkStore(str(tmp_path / "primary")))
-    srv.start()
-    yield srv
-    srv.stop()
+def fleet(request, tmp_path):
+    """``SHARDS`` running daemons (1 unless the test class says more)."""
+    shards = getattr(request.cls, "SHARDS", 1)
+    nodes = [
+        FleetNode(ChunkStore(str(tmp_path / f"shard{i}")), node_id=f"n{i}")
+        for i in range(shards)
+    ]
+    for node in nodes:
+        node.start()
+    yield nodes
+    for node in nodes:
+        node.stop()
+
+
+def addrs(servers) -> list[tuple[str, int]]:
+    return [s.address for s in servers]
 
 
 @pytest.fixture
-def client(server):
-    host, port = server.address
-    with StoreClient(host, port, retries=2, backoff=0.01) as c:
+def client(fleet):
+    with FleetClient(addrs(fleet), retries=2, backoff=0.01) as c:
         yield c
+
+
+@contextlib.contextmanager
+def closing_all(things):
+    try:
+        yield things
+    finally:
+        for thing in things:
+            thing.close()
 
 
 class DroppingProxy:
@@ -91,6 +119,8 @@ class DroppingProxy:
 
 
 class TestDaemonRoundtrip:
+    SHARDS = 1
+
     def test_ping(self, client):
         assert client.ping()
 
@@ -135,16 +165,16 @@ class TestDaemonRoundtrip:
         assert "vm" in client.ls()["vms"]
         assert client.gc()["removed"] == 0
         stat = client.stat()
-        assert stat["requests_served"] > 0
+        assert len(stat["shards"]) == self.SHARDS
+        assert all(s["requests_served"] > 0 for s in stat["shards"].values())
         assert client.audit()["ok"]
 
-    def test_many_clients_concurrently(self, server):
-        host, port = server.address
+    def test_many_clients_concurrently(self, fleet):
         errors: list[Exception] = []
 
         def worker(i: int) -> None:
             try:
-                with StoreClient(host, port) as c:
+                with FleetClient(addrs(fleet)) as c:
                     payload = bytes([i]) * 50_000
                     c.put_checkpoint(f"vm{i}", payload)
                     back, _ = c.get_checkpoint(f"vm{i}")
@@ -162,77 +192,75 @@ class TestDaemonRoundtrip:
 
 
 class TestClientRetry:
-    def test_survives_one_dropped_connection(self, server, tmp_path):
+    SHARDS = 1
+
+    def test_survives_one_dropped_connection(self, fleet, tmp_path):
         """Acceptance: a put_checkpoint_file succeeds although the first
-        connection is torn down by the network."""
-        proxy = DroppingProxy(server.address, drop_first=1)
-        try:
+        connection to every shard is torn down by the network."""
+        proxies = [DroppingProxy(n.address, drop_first=1) for n in fleet]
+        with closing_all(proxies):
             src = tmp_path / "ck.bin"
             src.write_bytes(os.urandom(150_000))
-            with StoreClient(*proxy.address, retries=3, backoff=0.01) as c:
+            with FleetClient(addrs(proxies), retries=3, backoff=0.01) as c:
                 gen, _ = c.put_checkpoint_file("vm", str(src))
                 assert gen == 1
-                assert c.retries_used >= 1
+                assert c.retries_used >= self.SHARDS
                 back, _ = c.get_checkpoint("vm")
             assert back == src.read_bytes()
-        finally:
-            proxy.close()
 
-    def test_retried_upload_is_idempotent(self, server, tmp_path):
+    def test_retried_upload_is_idempotent(self, fleet):
         """A retry that re-sends the whole upload must not mint a second
         generation."""
-        proxy = DroppingProxy(server.address, drop_first=0)
-        try:
+        proxies = [DroppingProxy(n.address, drop_first=0) for n in fleet]
+        with closing_all(proxies):
             payload = os.urandom(100_000)
-            with StoreClient(*proxy.address, retries=3, backoff=0.01) as c:
+            with FleetClient(addrs(proxies), retries=3, backoff=0.01) as c:
                 c.put_checkpoint("vm", payload)
                 # simulate "reply lost, client retries the whole upload"
                 gen, stats = c.put_checkpoint("vm", payload)
             assert gen == 1
             assert stats.bytes_new == 0
-            assert server.store.generations("vm") == [1]
-        finally:
-            proxy.close()
+            assert [
+                g for n in fleet for g in n.store.generations("vm")
+            ] == [1]
 
     def test_gives_up_after_bounded_retries(self):
-        dead = socket.socket()
-        dead.bind(("127.0.0.1", 0))  # bound but never accepting
-        try:
-            host, port = dead.getsockname()
-            c = StoreClient(host, port, connect_timeout=0.2,
-                            retries=2, backoff=0.01)
+        dead = [socket.socket() for _ in range(self.SHARDS)]
+        with closing_all(dead):
+            for sock in dead:
+                sock.bind(("127.0.0.1", 0))  # bound but never accepting
+            c = FleetClient([s.getsockname() for s in dead],
+                            connect_timeout=0.2, retries=2, backoff=0.01)
             with pytest.raises(StoreConnectionError, match="3 attempt"):
                 c.ping()
-        finally:
-            dead.close()
 
     def test_garbage_response_raises_protocol_error(self):
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
+        listeners = [socket.socket() for _ in range(self.SHARDS)]
 
-        def answer_garbage():
+        def answer_garbage(listener):
             conn, _ = listener.accept()
             conn.recv(65536)
             conn.sendall(b"HTTP/1.1 200 OK\r\n\r\n")
             conn.close()
 
-        t = threading.Thread(target=answer_garbage, daemon=True)
-        t.start()
-        try:
-            host, port = listener.getsockname()
-            c = StoreClient(host, port, retries=0, io_timeout=2.0)
+        with closing_all(listeners):
+            for listener in listeners:
+                listener.bind(("127.0.0.1", 0))
+                listener.listen(1)
+                threading.Thread(
+                    target=answer_garbage, args=(listener,), daemon=True
+                ).start()
+            c = FleetClient([s.getsockname() for s in listeners],
+                            retries=0, io_timeout=2.0)
             with pytest.raises((StoreProtocolError, StoreConnectionError)):
                 c.ping()
-        finally:
-            listener.close()
 
 
 class TestReplication:
     def _pair(self, tmp_path):
-        follower = StoreServer(ChunkStore(str(tmp_path / "follower")))
+        follower = FleetNode(ChunkStore(str(tmp_path / "follower")))
         follower.start()
-        primary = StoreServer(
+        primary = FleetNode(
             ChunkStore(str(tmp_path / "primary")),
             replicas=[follower.address],
             heartbeat_interval=0.05,
@@ -244,7 +272,7 @@ class TestReplication:
         primary, follower = self._pair(tmp_path)
         try:
             payload = os.urandom(200_000)
-            with StoreClient(*primary.address) as c:
+            with FleetClient([primary.address]) as c:
                 gen, _ = c.put_checkpoint("vm", payload)
             back, m = follower.store.get_checkpoint("vm")
             assert back == payload
@@ -261,12 +289,12 @@ class TestReplication:
         try:
             follower.stop()  # the outage
             base = os.urandom(150_000)
-            with StoreClient(*primary.address) as c:
+            with FleetClient([primary.address]) as c:
                 c.put_checkpoint("vm", base)
                 assert primary.replication_failures >= 1
 
                 # follower comes back on the same address
-                follower2 = StoreServer(
+                follower2 = FleetNode(
                     ChunkStore(str(tmp_path / "follower")),
                     port=follower.address[1],
                 )
@@ -292,7 +320,7 @@ class TestReplication:
             assert not state.alive
             assert state.consecutive_failures >= primary.heartbeat_misses
             # replication now skips it without raising
-            with StoreClient(*primary.address) as c:
+            with FleetClient([primary.address]) as c:
                 gen, _ = c.put_checkpoint("vm", b"x" * 1000)
             assert gen == 1
         finally:
@@ -301,9 +329,9 @@ class TestReplication:
     def test_follower_state_in_stats(self, tmp_path):
         primary, follower = self._pair(tmp_path)
         try:
-            with StoreClient(*primary.address) as c:
+            with FleetClient([primary.address]) as c:
                 c.put_checkpoint("vm", b"y" * 1000)
-                stat = c.stat()
+                (stat,) = c.stat()["shards"].values()
             (f,) = stat["followers"]
             assert f["alive"] and f["manifests_replicated"] == 1
         finally:
@@ -314,49 +342,63 @@ class TestReplication:
 class MidFrameServer:
     """A fake store daemon that dies mid-response-frame.
 
-    For its first ``die_count`` connections it reads the request, sends
-    only ``reply_bytes`` bytes of a valid OP_OK response and slams the
-    connection shut — a daemon killed between ``write()`` and the frame
-    boundary.  Later connections answer PING properly.
+    It negotiates like the real one (``HELLO`` -> ``OK``, unless
+    ``hello`` overrides that answer) and answers every other request
+    ``OK pong`` — except that on its first ``die_count`` connections it
+    sends only ``reply_bytes`` bytes of that response and slams the
+    connection shut: a daemon killed between ``write()`` and the frame
+    boundary.  ``hello`` is the raw bytes to answer ``HELLO`` with (the
+    connection closes right after them).
     """
 
-    def __init__(self, reply_bytes: int, die_count: int = 1) -> None:
-        from repro.store import protocol as P
-
-        self._P = P
+    def __init__(self, reply_bytes: int = 0, die_count: int = 1,
+                 hello: bytes | None = None) -> None:
         self.reply_bytes = reply_bytes
         self.die_count = die_count
+        self.hello = hello
         self.connections = 0
         self._listen = socket.socket()
         self._listen.bind(("127.0.0.1", 0))
         self._listen.listen(8)
         self.address = self._listen.getsockname()
-        self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self) -> None:
-        P = self._P
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _ = self._listen.accept()
             except OSError:
                 return
             self.connections += 1
             try:
-                op, _payload = P.recv_frame(conn)
-                frame = P.encode_frame(P.OP_OK, b"pong")
-                if self.connections <= self.die_count:
-                    conn.sendall(frame[: self.reply_bytes])
-                else:
-                    conn.sendall(frame)
+                self._converse(conn, dying=self.connections <= self.die_count)
             except Exception:
                 pass
             finally:
                 conn.close()
 
+    def _converse(self, conn: socket.socket, dying: bool) -> None:
+        while True:
+            frame = P.recv_frame(conn, allow_eof=True)
+            if frame is None:
+                return
+            op, _payload = frame
+            if op == P.OP_HELLO:
+                if self.hello is not None:
+                    conn.sendall(self.hello)
+                    return
+                P.send_frame(
+                    conn, P.OP_OK, P.encode_json({"version": P.RSTP2})
+                )
+                continue
+            reply = P.encode_frame(P.OP_OK, b"pong", P.RSTP2)
+            if dying:
+                conn.sendall(reply[: self.reply_bytes])
+                return
+            conn.sendall(reply)
+
     def close(self) -> None:
-        self._stop.set()
         self._listen.close()
 
 
@@ -365,57 +407,86 @@ class TestClientMidFrameDeath:
     the client must retry on the typed mid-frame error and either recover
     or surface :class:`StoreConnectionError` — never hang or crash."""
 
+    SHARDS = 1
+
+    def _servers(self, **kwargs):
+        return closing_all(
+            [MidFrameServer(**kwargs) for _ in range(self.SHARDS)]
+        )
+
     def test_partial_header_then_recovery(self):
-        srv = MidFrameServer(reply_bytes=4)  # 4 of the 10 header bytes
-        try:
-            host, port = srv.address
-            with StoreClient(host, port, retries=2, backoff=0.01) as c:
+        # 4 of the 10 header bytes
+        with self._servers(reply_bytes=4) as servers:
+            with FleetClient(addrs(servers), retries=2, backoff=0.01) as c:
                 assert c.ping()
-                assert c.retries_used == 1
-                assert srv.connections == 2
-        finally:
-            srv.close()
+                assert c.retries_used == self.SHARDS
+                assert [s.connections for s in servers] == [2] * self.SHARDS
 
     def test_partial_payload_then_recovery(self):
         # Full header (length says 4) but only half the payload follows.
-        from repro.store import protocol as P
-
-        partial = P.HEADER.size + 2
-        srv = MidFrameServer(reply_bytes=partial)
-        try:
-            host, port = srv.address
-            with StoreClient(host, port, retries=2, backoff=0.01) as c:
+        with self._servers(reply_bytes=P.HEADER.size + 2) as servers:
+            with FleetClient(addrs(servers), retries=2, backoff=0.01) as c:
                 assert c.ping()
-                assert c.retries_used == 1
-        finally:
-            srv.close()
+                assert c.retries_used == self.SHARDS
 
     def test_persistent_mid_frame_death_is_typed(self):
-        srv = MidFrameServer(reply_bytes=4, die_count=100)
-        try:
-            host, port = srv.address
-            with StoreClient(host, port, retries=2, backoff=0.01) as c:
+        with self._servers(reply_bytes=4, die_count=100) as servers:
+            with FleetClient(addrs(servers), retries=2, backoff=0.01) as c:
                 with pytest.raises(StoreConnectionError, match="after 3"):
                     c.ping()
-                # One initial attempt + `retries` retries, no more.
-                assert srv.connections == 3
-        finally:
-            srv.close()
+                # One initial attempt + `retries` retries, no more (and
+                # the first dead shard ends the fleet-wide ping).
+                assert servers[0].connections == 3
 
     def test_zero_byte_response_then_recovery(self):
-        srv = MidFrameServer(reply_bytes=0)
-        try:
-            host, port = srv.address
-            with StoreClient(host, port, retries=2, backoff=0.01) as c:
+        with self._servers(reply_bytes=0) as servers:
+            with FleetClient(addrs(servers), retries=2, backoff=0.01) as c:
                 assert c.ping()
-        finally:
-            srv.close()
+
+
+class TestHelloHardening:
+    """A peer that botches the HELLO surfaces as a typed store error
+    through the one retry loop — never ``struct.error``/``TypeError``."""
+
+    SHARDS = 1
+
+    def _refused(self, hello: bytes, match: str):
+        servers = [MidFrameServer(hello=hello) for _ in range(self.SHARDS)]
+        with closing_all(servers):
+            node = StoreClient(*servers[0].address, retries=0)
+            with pytest.raises(StoreProtocolError, match=match):
+                node._connect()
+            with FleetClient(addrs(servers), retries=1, backoff=0.01) as c:
+                with pytest.raises(StoreConnectionError, match=match):
+                    c.ping()
+                # the refusal went through the retry loop: two attempts
+                assert servers[0].connections == 1 + 2
+
+    def test_hello_answered_by_err(self):
+        err = P.encode_json(
+            {"error": "StoreProtocolError", "message": "unknown opcode 0x10"}
+        )
+        self._refused(
+            P.encode_frame(P.OP_ERR, err),
+            match=r"peer 127\.0\.0\.1:\d+ refused HELLO \(unknown opcode",
+        )
+
+    def test_hello_answered_by_unexpected_opcode(self):
+        self._refused(
+            P.encode_frame(P.OP_CHUNK, b"\0" * 40, P.RSTP2),
+            match=r"refused HELLO \(opcode 0x82\)",
+        )
+
+    def test_hello_answered_by_mid_frame_hangup(self):
+        reply = P.encode_frame(P.OP_OK, P.encode_json({"version": P.RSTP2}))
+        self._refused(reply[: P.HEADER.size + 3], match="mid-frame")
 
 
 class TestPipelinedUpload:
-    """The producer/consumer upload pipeline: chunk reading + hashing
-    overlaps the network round-trips, with identical results to a
-    sequential put."""
+    """The windowed upload: chunk hashing, per-window presence queries
+    and batched puts, with results identical to a one-by-one put."""
+
+    SHARDS = 1
 
     def test_many_chunk_payload_roundtrips(self, client):
         payload = os.urandom(64 * 1024 * 40 + 17)  # 41 chunks, odd tail
@@ -423,7 +494,6 @@ class TestPipelinedUpload:
         assert stats.chunks_total == 41
         assert stats.bytes_total == len(payload)
         assert stats.chunks_new == stats.chunks_total
-        assert stats.overlap_seconds >= 0.0
         back, manifest = client.get_checkpoint("vm")
         assert back == payload
         assert manifest.payload_len == len(payload)
@@ -442,7 +512,7 @@ class TestPipelinedUpload:
             raise ValueError("disk fell off")
 
         with pytest.raises(ValueError, match="disk fell off"):
-            client._put_stream("vm", chunks(), None)
+            client._put_stream("vm", chunks, None)
         with pytest.raises(StoreNotFoundError):
             client.get_manifest("vm")
 
@@ -455,24 +525,19 @@ class TestPipelinedUpload:
         back, _ = client.get_checkpoint("vm")
         assert back == payload
 
-    def test_overlap_counter_accumulates(self, client):
-        from repro.metrics import DELTA
-
-        before = DELTA.upload_overlap_seconds
-        client.put_checkpoint("vm", os.urandom(64 * 1024 * 8))
-        assert DELTA.upload_overlap_seconds >= before
-
 
 class TestJitterBackoff:
     """Full-jitter retry backoff (PR 7 satellite): delays are uniform in
     [0, bounded exponential cap], seedable for tests, and the retry
     counts surface in the metrics registry."""
 
+    SHARDS = 1
+
     def test_delays_within_cap_and_seeded(self):
-        a = StoreClient("h", 1, backoff=0.1, backoff_max=1.0, jitter_seed=42)
-        b = StoreClient("h", 1, backoff=0.1, backoff_max=1.0, jitter_seed=42)
-        delays_a = [a._backoff_delay(n) for n in range(1, 8)]
-        delays_b = [b._backoff_delay(n) for n in range(1, 8)]
+        a = RetryPolicy(3, backoff=0.1, backoff_max=1.0, seed=42)
+        b = RetryPolicy(3, backoff=0.1, backoff_max=1.0, seed=42)
+        delays_a = [a.delay(n) for n in range(1, 8)]
+        delays_b = [b.delay(n) for n in range(1, 8)]
         assert delays_a == delays_b  # same seed, same schedule
         for attempt, delay in enumerate(delays_a, start=1):
             cap = min(0.1 * 2 ** (attempt - 1), 1.0)
@@ -481,30 +546,32 @@ class TestJitterBackoff:
     def test_distinct_seeds_desynchronize(self):
         # the point of jitter: two clients retrying the same outage must
         # not sleep identical schedules (thundering herd)
-        a = StoreClient("h", 1, backoff=0.1, jitter_seed=1)
-        b = StoreClient("h", 1, backoff=0.1, jitter_seed=2)
-        assert [a._backoff_delay(n) for n in range(1, 6)] != \
-               [b._backoff_delay(n) for n in range(1, 6)]
+        a = RetryPolicy(3, backoff=0.1, backoff_max=1.0, seed=1)
+        b = RetryPolicy(3, backoff=0.1, backoff_max=1.0, seed=2)
+        assert [a.delay(n) for n in range(1, 6)] != \
+               [b.delay(n) for n in range(1, 6)]
 
     def test_jitter_disabled_is_deterministic_cap(self):
-        c = StoreClient("h", 1, backoff=0.05, backoff_max=0.4, jitter=False)
-        assert [c._backoff_delay(n) for n in range(1, 6)] == \
+        c = RetryPolicy(3, backoff=0.05, backoff_max=0.4, jitter=False)
+        assert [c.delay(n) for n in range(1, 6)] == \
                [0.05, 0.1, 0.2, 0.4, 0.4]
 
-    def test_retries_surface_in_store_counters(self, server, tmp_path):
+    def test_retries_surface_in_store_counters(self, fleet):
         from repro.metrics import STORE
 
         STORE.reset()
-        proxy = DroppingProxy(server.address, drop_first=2)
+        proxies = [DroppingProxy(n.address, drop_first=2) for n in fleet]
         try:
-            with StoreClient(*proxy.address, retries=3, backoff=0.01,
-                             jitter_seed=7) as c:
+            with closing_all(proxies), \
+                    FleetClient(addrs(proxies), retries=3, backoff=0.01,
+                                jitter_seed=7) as c:
                 assert c.ping()
-                assert c.retries_used == 2
-            assert STORE.transport_retries == 2
-            assert STORE.as_dict() == {"transport_retries": 2}
+                assert c.retries_used == 2 * self.SHARDS
+            assert STORE.transport_retries == 2 * self.SHARDS
+            assert STORE.as_dict() == {
+                "transport_retries": 2 * self.SHARDS
+            }
         finally:
-            proxy.close()
             STORE.reset()
 
 
@@ -514,7 +581,7 @@ class TestFollowerReprobe:
     revives it triggers a full catch-up across *every* vm."""
 
     def _primary(self, tmp_path, follower_addr, misses=1):
-        primary = StoreServer(
+        primary = FleetNode(
             ChunkStore(str(tmp_path / "primary")),
             replicas=[follower_addr],
             heartbeat_interval=30.0,  # driven manually via heartbeat_once
@@ -524,7 +591,7 @@ class TestFollowerReprobe:
         return primary
 
     def test_dead_follower_is_reprobed(self, tmp_path):
-        follower = StoreServer(ChunkStore(str(tmp_path / "f")))
+        follower = FleetNode(ChunkStore(str(tmp_path / "f")))
         follower.start()
         primary = self._primary(tmp_path, follower.address)
         try:
@@ -543,7 +610,7 @@ class TestFollowerReprobe:
     def test_revival_triggers_full_catch_up(self, tmp_path):
         """Commit to vm-a AND vm-b while the follower is dead; revival
         must replay both — not just the vm that commits next."""
-        follower = StoreServer(ChunkStore(str(tmp_path / "f")))
+        follower = FleetNode(ChunkStore(str(tmp_path / "f")))
         follower.start()
         port = follower.address[1]
         primary = self._primary(tmp_path, follower.address)
@@ -551,11 +618,11 @@ class TestFollowerReprobe:
             follower.stop()
             primary.heartbeat_once()  # dead
             a, b = os.urandom(50_000), os.urandom(50_000)
-            with StoreClient(*primary.address) as c:
+            with FleetClient([primary.address]) as c:
                 c.put_checkpoint("vm-a", a)
                 c.put_checkpoint("vm-b", b)
             # an empty store rejoins on the same address (disk was lost)
-            follower2 = StoreServer(
+            follower2 = FleetNode(
                 ChunkStore(str(tmp_path / "f2")), port=port
             )
             follower2.start()
@@ -568,8 +635,9 @@ class TestFollowerReprobe:
                 assert follower2.store.get_checkpoint("vm-a")[0] == a
                 assert follower2.store.get_checkpoint("vm-b")[0] == b
                 # the counters are visible through stat()
-                with StoreClient(*primary.address) as c:
-                    (f,) = c.stat()["followers"]
+                with FleetClient([primary.address]) as c:
+                    (stat,) = c.stat()["shards"].values()
+                    (f,) = stat["followers"]
                 assert f["catchups"] == 1 and f["reprobes"] >= 1
             finally:
                 follower2.stop()
@@ -579,16 +647,16 @@ class TestFollowerReprobe:
     def test_failed_catch_up_remarks_dead(self, tmp_path):
         """If the catch-up replay itself fails the follower must not be
         declared alive with holes in its history."""
-        follower = StoreServer(ChunkStore(str(tmp_path / "f")))
+        follower = FleetNode(ChunkStore(str(tmp_path / "f")))
         follower.start()
         primary = self._primary(tmp_path, follower.address)
         try:
             follower.stop()
             primary.heartbeat_once()
-            with StoreClient(*primary.address) as c:
+            with FleetClient([primary.address]) as c:
                 c.put_checkpoint("vm", os.urandom(20_000))
             # revive, but sabotage the replay
-            follower2 = StoreServer(
+            follower2 = FleetNode(
                 ChunkStore(str(tmp_path / "f2")), port=follower.address[1]
             )
             follower2.start()
@@ -649,9 +717,9 @@ class TestHeartbeatClock:
     def test_heartbeat_stamps_monotonic_age(self, tmp_path, monkeypatch):
         import time as time_module
 
-        follower = StoreServer(ChunkStore(str(tmp_path / "f")))
+        follower = FleetNode(ChunkStore(str(tmp_path / "f")))
         follower.start()
-        primary = StoreServer(
+        primary = FleetNode(
             ChunkStore(str(tmp_path / "p")),
             replicas=[follower.address],
             heartbeat_interval=60.0,  # the test drives beats by hand
@@ -679,7 +747,9 @@ class TestFlakyTransportRetry:
     dropped request frames starve the response read, the client's retry
     loop reconnects, and every op still lands exactly once."""
 
-    def _flaky_client(self, server, monkeypatch, seed, drop):
+    SHARDS = 1
+
+    def _flaky_client(self, fleet, monkeypatch, seed, drop):
         from repro.faults.injectors import FlakySocket
 
         flakies = []
@@ -691,16 +761,16 @@ class TestFlakyTransportRetry:
             return fs
 
         monkeypatch.setattr(StoreClient, "_connect", connect_flaky)
-        client = StoreClient(
-            *server.address, retries=8, backoff=0.01, io_timeout=0.3
+        client = FleetClient(
+            addrs(fleet), retries=8, backoff=0.01, io_timeout=0.3
         )
         return client, flakies
 
-    def test_seeded_drops_are_healed_by_retry(self, server, monkeypatch):
+    def test_seeded_drops_are_healed_by_retry(self, fleet, monkeypatch):
         from repro.metrics import STORE
 
         client, flakies = self._flaky_client(
-            server, monkeypatch, seed=7, drop=0.25
+            fleet, monkeypatch, seed=7, drop=0.25
         )
         before = STORE.transport_retries
         try:
@@ -720,12 +790,12 @@ class TestFlakyTransportRetry:
         assert client.retries_used >= drops
         assert STORE.transport_retries - before >= drops
 
-    def test_flaky_run_is_deterministic_for_a_seed(self, server, monkeypatch):
+    def test_flaky_run_is_deterministic_for_a_seed(self, fleet, monkeypatch):
         """Same seed, same op sequence -> the injector misbehaves
         identically, so flaky-transport test failures replay exactly."""
         def run():
             client, flakies = self._flaky_client(
-                server, monkeypatch, seed=11, drop=0.3
+                fleet, monkeypatch, seed=11, drop=0.3
             )
             try:
                 for _ in range(5):
@@ -735,3 +805,36 @@ class TestFlakyTransportRetry:
             return [e for fs in flakies for e in fs.events]
 
         assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# The same contract over a 3-shard fleet
+# ---------------------------------------------------------------------------
+
+
+class TestDaemonRoundtripThreeShards(TestDaemonRoundtrip):
+    SHARDS = 3
+
+
+class TestClientRetryThreeShards(TestClientRetry):
+    SHARDS = 3
+
+
+class TestClientMidFrameDeathThreeShards(TestClientMidFrameDeath):
+    SHARDS = 3
+
+
+class TestHelloHardeningThreeShards(TestHelloHardening):
+    SHARDS = 3
+
+
+class TestPipelinedUploadThreeShards(TestPipelinedUpload):
+    SHARDS = 3
+
+
+class TestJitterBackoffThreeShards(TestJitterBackoff):
+    SHARDS = 3
+
+
+class TestFlakyTransportRetryThreeShards(TestFlakyTransportRetry):
+    SHARDS = 3
