@@ -18,7 +18,9 @@ control flow (calls, raises, thread switches, the C_CALL yield
 rewind) reference-identical by construction.  *Stateful* entries
 (``counts[i] == 0``: batched kernels and escape slots) communicate
 through the live ``pc``/``instructions``/``_countdown`` fields
-instead, and the loop synchronizes around them.
+instead — the loop writes them back before the call, and the entry
+accounts for what it executes with ``Interpreter._advance``, never
+past ``Interpreter._limit``.
 
 Three layers, all preserving canonical code-unit ``pc`` semantics:
 
@@ -31,9 +33,10 @@ Three layers, all preserving canonical code-unit ``pc`` semantics:
 * **Batched loop kernels** — counted loops over global int refs run N
   iterations per dispatch with numpy, bounded by the preemption
   countdown so quantum ticks and pending checkpoints keep firing at
-  loop back-edges.  Any surprise (non-int cell, aliased refs, value
-  near the boxed-int range) falls back to single-step execution, whose
-  semantics are exact.
+  loop back-edges, and by the instruction budget so a slice ends on
+  its exact instruction.  Any surprise (non-int cell, aliased refs,
+  value near the boxed-int range, a budget that ends mid-iteration)
+  falls back to single-step execution, whose semantics are exact.
 
 Every slot that is not a decodable instruction start carries an
 *escape* closure that performs one reference-style fetch/dispatch, so
@@ -76,9 +79,9 @@ class FastCode:
     ``counts[i]`` is the number of canonical instructions dispatching
     slot ``i`` represents (1 for singles, group size for
     superinstructions); 0 marks a *stateful* entry (batched kernel,
-    escape slot) that does its own accounting against the live
-    interpreter fields and leaves the next pc in ``Interpreter.pc``
-    instead of returning it.
+    escape slot, unbound slot) that does its own accounting against
+    the live interpreter fields and leaves the next pc in
+    ``Interpreter.pc`` instead of returning it.
     """
 
     __slots__ = ("handlers", "counts")
@@ -739,10 +742,7 @@ def _make_escape(I: "Interpreter"):
     per-instruction countdown/tick bookkeeping.
     """
     def h():
-        I._countdown -= 1
-        if I._countdown <= 0:
-            I._on_tick()
-        I.instructions += 1
+        I._advance(1)
         pc = I.pc
         op = I._units[pc]
         I.pc = pc + 1
@@ -921,33 +921,67 @@ class _BatchAbort(Exception):
     """Internal: this batch cannot be proven safe; single-step instead."""
 
 
-def _make_kernel(I: "Interpreter", plan: CountedLoopPlan):
-    """Bind a counted-loop plan into a batched kernel closure.
+def _batch_size(I: "Interpreter", total, iter_count: int) -> int:
+    """Full iterations one kernel dispatch may run (``total`` > 0 left).
 
-    The kernel sits at the loop head (its CHECK_SIGNALS safe point) and
-    runs ``m`` full iterations per dispatch, where ``m`` is bounded by
-    the remaining preemption countdown — so thread quanta, periodic
-    checkpoint polls and pending events observe the canonical
-    instruction stream at iteration granularity.  All accounting is in
-    canonical instruction counts; a checkpoint between batches is
-    bit-identical to the reference tier's state at the same head
-    boundary.
+    Up to the preemption countdown's worth — at least one, so quantum
+    ticks keep firing at loop back-edges — and never past the loop's
+    end or the instruction budget: a slice must end on its exact
+    instruction, so when the budget ends inside the next iteration the
+    batch aborts and the singles run up to it.
     """
-    mem = I._mem
-    v = I._values
-    vm = I.vm
+    m = I._countdown // iter_count or 1
+    if total is not None and total < m:
+        m = total
+    if m > _MAX_BATCH:
+        m = _MAX_BATCH
+    if I.instructions + m * iter_count > I._limit:
+        m = (I._limit - I.instructions) // iter_count
+        if m == 0:
+            raise _BatchAbort()
+    return m
+
+
+def _make_loop_edges(I: "Interpreter", plan):
+    """The two unbatched ways through a kernel's loop head."""
     fallthrough = plan.head + 1  # CHECK_SIGNALS is one unit
-    iter_count = plan.iter_count
     cond_count = plan.cond_count
 
     def fallback():
         # Execute just the CHECK_SIGNALS no-op; the singles take over
         # and control returns here at the next back-edge.
-        I._countdown -= 1
-        if I._countdown <= 0:
-            I._on_tick()
-        I.instructions += 1
+        I._advance(1)
         I.pc = fallthrough
+
+    def exit_pass():
+        # Final, failing pass of the condition.
+        if I._limit - I.instructions < cond_count:
+            return fallback()
+        I._advance(cond_count)
+        I.accu = _VAL_FALSE
+        I.pc = plan.exit
+
+    return fallback, exit_pass
+
+
+def _make_kernel(I: "Interpreter", plan: CountedLoopPlan):
+    """Bind a counted-loop plan into a batched kernel closure.
+
+    The kernel sits at the loop head (its CHECK_SIGNALS safe point) and
+    runs ``m`` full iterations per dispatch, where ``m`` is bounded by
+    the remaining preemption countdown and instruction budget
+    (:func:`_batch_size`) — so thread quanta, periodic checkpoint
+    polls and pending events observe the canonical instruction stream
+    at iteration granularity, and slices end exactly.  All accounting
+    is in canonical instruction counts; a checkpoint between batches
+    is bit-identical to the reference tier's state at the same head
+    boundary.
+    """
+    mem = I._mem
+    v = I._values
+    vm = I.vm
+    iter_count = plan.iter_count
+    fallback, exit_pass = _make_loop_edges(I, plan)
 
     def read_int_cell(gd, g):
         ref = mem.field(gd, g)
@@ -968,19 +1002,8 @@ def _make_kernel(I: "Interpreter", plan: CountedLoopPlan):
                 bound_ref, bound = None, plan.bound_const
             total = _iterations_left(c0, bound, plan.cmp_op, plan.step)
             if total == 0:
-                # Final, failing pass of the condition.
-                I._countdown -= cond_count
-                if I._countdown <= 0:
-                    I._on_tick()
-                I.instructions += cond_count
-                I.accu = _VAL_FALSE
-                I.pc = plan.exit
-                return
-            m = max(1, I._countdown // iter_count)
-            if total is not None and total < m:
-                m = total
-            if m > _MAX_BATCH:
-                m = _MAX_BATCH
+                return exit_pass()
+            m = _batch_size(I, total, iter_count)
             # Resolve every cell up front; abort on aliasing (two
             # globals naming one ref would interleave reads/writes in
             # ways the closed forms below do not model).
@@ -1056,11 +1079,7 @@ def _make_kernel(I: "Interpreter", plan: CountedLoopPlan):
         # Commit: one tagged store per updated cell.
         for g, final in finals.items():
             mem.set_field(cells[g][0], 0, v.val_int(final))
-        done = m * iter_count
-        I._countdown -= done
-        if I._countdown <= 0:
-            I._on_tick()
-        I.instructions += done
+        I._advance(m * iter_count)
         I.accu = _VAL_FALSE  # val_unit: the last body SETFIELD's result
         I.pc = plan.head
 
@@ -1108,9 +1127,7 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
     mask = arch.word_mask
     to_signed = arch.to_signed
     min_int, max_int = v.min_int, v.max_int
-    fallthrough = plan.head + 1
     iter_count = plan.iter_count
-    cond_count = plan.cond_count
     step = plan.step
     _, s_arr, s_idx, s_val = plan.store
 
@@ -1148,14 +1165,7 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
         elif op == int(Op.SUBINT) and lhs == cell:
             red_sign, red_term = -1, rhs
 
-    def fallback():
-        # Execute just the CHECK_SIGNALS no-op; the singles take over
-        # and control returns here at the next back-edge.
-        I._countdown -= 1
-        if I._countdown <= 0:
-            I._on_tick()
-        I.instructions += 1
-        I.pc = fallthrough
+    fallback, exit_pass = _make_loop_edges(I, plan)
 
     def kernel():
         stack = I.stack
@@ -1168,19 +1178,8 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
             bound = v.int_val(bw)
             total = _iterations_left(c0, bound, plan.cmp_op, step)
             if total == 0:
-                # Final, failing pass of the condition.
-                I._countdown -= cond_count
-                if I._countdown <= 0:
-                    I._on_tick()
-                I.instructions += cond_count
-                I.accu = _VAL_FALSE
-                I.pc = plan.exit
-                return
-            m = max(1, I._countdown // iter_count)
-            if total is not None and total < m:
-                m = total
-            if m > _MAX_BATCH:
-                m = _MAX_BATCH
+                return exit_pass()
+            m = _batch_size(I, total, iter_count)
             if abs(c0) + abs(step) * (m + 1) >= (1 << 62):
                 raise _BatchAbort()
             ks = c0 + step * np.arange(m, dtype=np.int64)
@@ -1396,11 +1395,7 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
             return fallback()
         # Commit the counter and the canonical accounting.
         stack.poke(0, v.val_int(counter_final))
-        done = m * iter_count
-        I._countdown -= done
-        if I._countdown <= 0:
-            I._on_tick()
-        I.instructions += done
+        I._advance(m * iter_count)
         I.accu = _VAL_FALSE  # val_unit: the trailing ASSIGN's result
         I.pc = plan.head
 
@@ -1420,11 +1415,12 @@ def build_fast_code(
     """Bind the image's decoded stream to this interpreter.
 
     Slots are bound *lazily*: every position starts as a shared
-    stateful entry that, on first execution, builds the real closure
-    for that slot (kernel, superinstruction, single, or escape),
-    installs it, and runs it.  Binding cost is therefore proportional
-    to the code actually executed, not to image size — short programs
-    pay for a handful of slots, long-running ones amortize everything.
+    stateful entry that, when execution first reaches it, builds the
+    real closure for that slot (kernel, superinstruction, single, or
+    escape) and installs it for the loop to dispatch.  Binding cost is
+    therefore proportional to the code actually executed, not to image
+    size — short programs pay for a handful of slots, long-running
+    ones amortize everything.
 
     ``fusion`` / ``kernels`` exist for differential testing: with both
     off the fast tier is pure operand-bound single dispatch.
@@ -1467,20 +1463,9 @@ def build_fast_code(
         counts[i] = 1
 
     def lazy():
-        # Stateful contract: the loop synchronized pc/instructions/
-        # _countdown before calling; execute the freshly bound slot
-        # under the same accounting a direct dispatch would have done.
-        i = I.pc
-        bind_slot(i)
-        k = counts[i]
-        if k == 0:
-            handlers[i]()
-            return
-        I._countdown -= k
-        if I._countdown <= 0:
-            I._on_tick()
-        I.instructions += k
-        I.pc = handlers[i]()
+        # A stateful entry that executes nothing: pc stays put, and the
+        # loop dispatches the freshly bound slot on its next turn.
+        bind_slot(I.pc)
 
     handlers.extend([lazy] * n)
     return FastCode(handlers, counts)

@@ -8,6 +8,7 @@ never capture a half-executed instruction (paper §3.1.2, Figure 3).
 
 from __future__ import annotations
 
+from math import inf
 from typing import Optional, TYPE_CHECKING
 
 from repro.bytecode.opcodes import Op
@@ -53,6 +54,9 @@ class Interpreter:
         #: the benchmark instruction counts).
         self.instructions = 0
         self._countdown = vm.sched.quantum
+        #: Value of ``instructions`` at which the current fast-tier
+        #: run() must return "budget" (``inf`` when unbudgeted).
+        self._limit: float = inf
         self._units = vm.code.units
         self._handlers = self._build_handlers()
         #: Lazily built fast-tier code (operand-bound closures); see
@@ -109,26 +113,22 @@ class Interpreter:
     def run(self, max_instructions: Optional[int] = None) -> str:
         """Run until STOP, exit(), or instruction budget exhaustion.
 
-        Returns ``"stopped"`` for STOP, ``"budget"`` when
-        ``max_instructions`` ran out, ``"yielded"`` when a primitive
-        suspended the whole VM (cluster recv on an empty mailbox).
-        ``exit`` raises
+        Returns ``"stopped"`` for STOP, ``"budget"`` when exactly
+        ``max_instructions`` instructions have executed, ``"yielded"``
+        when a primitive suspended the whole VM (cluster recv on an
+        empty mailbox).  ``exit`` raises
         :class:`~repro.interpreter.primitives.ExitProgram` to the caller
         (the VM façade turns it into a status).
 
         Dispatch tier selection (``VMConfig.dispatch``): the fast tier
-        handles the common case — unbudgeted, untraced runs.  Tracing
-        and instruction budgets need a per-instruction test, so those
-        runs take the reference loop, which is also the differential
-        oracle the fast tier is tested against (``"reference"`` forces
-        it unconditionally).
+        runs everything, budgeted slices included — the budget is one
+        more event on its horizon (see :meth:`_run_fast`).  Only tracing
+        needs a per-instruction hook, so traced runs take the reference
+        loop, which is also the differential oracle the fast tier is
+        tested against (``"reference"`` forces it unconditionally).
         """
-        if (
-            max_instructions is None
-            and self.trace_hook is None
-            and self.vm.config.dispatch == "fast"
-        ):
-            return self._run_fast()
+        if self.trace_hook is None and self.vm.config.dispatch == "fast":
+            return self._run_fast(max_instructions)
         return self._run_reference(max_instructions)
 
     def _run_reference(self, max_instructions: Optional[int] = None) -> str:
@@ -165,15 +165,33 @@ class Interpreter:
         except YieldNode:
             return "yielded"
 
-    def _run_fast(self) -> str:
+    def _run_fast(self, max_instructions: Optional[int] = None) -> str:
         """The fast tier: dispatch pre-bound closures by code-unit pc.
 
-        The loop keeps the instruction counter and preemption countdown
-        in locals, synchronizing with the canonical fields at every
-        safe-point interaction (pending events, quantum ticks, stateful
-        kernel entries) and on exit, so checkpoints and thread switches
-        observe exactly the state the reference loop would produce at
-        the same boundary.
+        The hot loop keeps one counter, the *event horizon* ``h``: the
+        number of instructions until the nearer of the next quantum
+        tick and the end of the budget (an unbudgeted run's limit is
+        infinite, so its horizon is just the countdown).  A dispatch of
+        ``n`` instructions that stays inside the horizon costs one
+        subtraction.  Anything else leaves the hot loop — a pending
+        event, a stateful entry (``counts[pc] == 0``), or a dispatch
+        that reaches the horizon — with ``instructions`` and
+        ``_countdown`` written back to the canonical fields, and is
+        resolved there, against those fields:
+
+        * a tick is due: :meth:`_advance` fires it exactly where the
+          reference loop would and the dispatch proceeds;
+        * fewer instructions remain than the dispatch represents (a
+          fused group straddling the budget, or a spent budget): the
+          remainder, less than one group, runs on the reference loop,
+          which ends the slice on the exact instruction and leaves
+          ``_countdown`` as the oracle would;
+        * a stateful entry accounts for itself through :meth:`_advance`
+          and never runs past ``_limit``.
+
+        So checkpoints, thread switches and slice boundaries observe
+        exactly the state the reference loop produces at the same
+        instruction count.
         """
         vm = self.vm
         pending = vm.pending
@@ -184,52 +202,67 @@ class Interpreter:
             fast = self._fast = build_fast_code(self)
         code = fast.handlers
         counts = fast.counts
-        countdown = self._countdown
-        insns = self.instructions
-        pc = self.pc
+        limit = self._limit = (
+            inf if max_instructions is None
+            else self.instructions + max_instructions
+        )
         try:
             while True:
-                if pending.any:
-                    self.instructions = insns
-                    self._countdown = countdown
-                    self.pc = pc
+                pc = self.pc
+                insns = self.instructions
+                countdown = self._countdown
+                h = limit - insns + 1
+                if countdown < h:
+                    h = countdown
+                insns_at_horizon = insns + h
+                tick_slack = countdown - h
+                try:
+                    while True:
+                        if pending.any:
+                            n = -1
+                            break
+                        n = counts[pc]
+                        if n == 0 or n >= h:
+                            break
+                        h -= n
+                        pc = code[pc]()
+                finally:
+                    # Generic closures keep self.pc current on the paths
+                    # that raise out of the loop; the counters live here.
+                    self.instructions = insns_at_horizon - h
+                    self._countdown = h + tick_slack
+                self.pc = pc
+                if n < 0:
                     if self._handle_pending():
                         return "stopped"
-                    pc = self.pc
-                    countdown = self._countdown
-                n = counts[pc]
+                    continue
+                if self.instructions + (n or 1) > limit:
+                    return self._run_reference(limit - self.instructions)
                 if n == 0:
                     # Stateful entry (batched loop kernel, escape slot,
-                    # lazy binder): it does its own canonical accounting
-                    # against the live fields, pc included.  Resync the
-                    # locals even if it raises (STOP, illegal opcode) so
-                    # the exit path below doesn't clobber its updates.
-                    self.instructions = insns
-                    self._countdown = countdown
-                    self.pc = pc
-                    try:
-                        code[pc]()
-                    finally:
-                        pc = self.pc
-                        insns = self.instructions
-                        countdown = self._countdown
-                    continue
-                countdown -= n
-                if countdown <= 0:
-                    self._countdown = countdown
-                    self._on_tick()
-                    countdown = self._countdown
-                insns += n
-                pc = code[pc]()
+                    # lazy binder): leaves the next pc in self.pc.
+                    code[pc]()
+                else:
+                    self._advance(n)
+                    self.pc = code[pc]()
         except _ProgramStop:
             return "stopped"
         except YieldNode:
             return "yielded"
-        finally:
-            # Generic/stateful closures keep self.pc current on the
-            # paths that exit the loop; the counters live here.
-            self.instructions = insns
-            self._countdown = countdown
+
+    def _advance(self, k: int) -> None:
+        """Account ``k`` canonical instructions about to execute: charge
+        the preemption countdown, firing the tick first when it falls
+        due, as the reference loop does per instruction, and count them
+        (which is what consumes the budget: ``_limit`` is absolute).
+
+        The one accounting site of the fast tier outside its hot loop;
+        callers ensure ``instructions + k <= _limit``.
+        """
+        self._countdown -= k
+        if self._countdown <= 0:
+            self._on_tick()
+        self.instructions += k
 
     def _on_tick(self) -> None:
         """Virtual timer tick: preemption and periodic checkpoint policy."""

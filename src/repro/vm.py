@@ -24,7 +24,7 @@ from typing import BinaryIO, Iterator, Mapping, Optional
 
 from repro.arch.platforms import Platform
 from repro.bytecode.image import CodeImage
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ReproError
 from repro.gc import GCController
 from repro.gc.roots import AreaSlot, AttrSlot, ListSlot, Slot, stack_slots
 from repro.interpreter.interpreter import Interpreter
@@ -292,7 +292,15 @@ class VirtualMachine:
     # -- running -------------------------------------------------------------------
 
     def run(self, max_instructions: Optional[int] = None) -> RunResult:
-        """Execute the program (or continue it, after a restart)."""
+        """Execute the program (or continue it, after a restart).
+
+        ``max_instructions`` bounds the slice exactly: ``0`` returns
+        ``"budget"`` at once, ``None`` runs unbounded, negative raises.
+        """
+        if max_instructions is not None and max_instructions < 0:
+            raise ReproError(
+                f"max_instructions must be >= 0, got {max_instructions}"
+            )
         try:
             status = self.interp.run(max_instructions)
             exit_code = 0

@@ -13,10 +13,17 @@ These tests pin the substitution down:
   between two members of a planned superinstruction) restores and
   completes correctly under the fast tier on an opposite-endianness,
   opposite-word-size platform — fused groups only exist at bind time,
-  never in checkpointed state.
+  never in checkpointed state;
+* ``run(max_instructions=N)`` slices end on exactly the Nth instruction
+  under the fast tier, with the reference tier's registers and
+  checkpoint bytes at every boundary — wherever the budget falls:
+  inside a fused group, a kernel batch, a loop's exit pass or a slot
+  the lazy binder has not visited yet.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +36,7 @@ from repro import (
 )
 from repro.bytecode.image import CodeImage
 from repro.bytecode.opcodes import Op
-from repro.errors import BytecodeError
+from repro.errors import BytecodeError, ReproError
 from repro.workloads import (
     insertion_sort_expected,
     insertion_sort_source,
@@ -94,9 +101,8 @@ CK_WORKLOADS = {
 
 
 def run_tier(src, platform_name, tier, ck_path=None):
-    """Run ``src`` under one dispatch tier; plain ``run()`` so the tier
-    selector actually honors the configuration (budgeted runs always
-    take the reference loop)."""
+    """Run ``src`` to completion under one dispatch tier, in one
+    unbudgeted ``run()`` (sliced runs: :class:`TestBudgetedFastTier`)."""
     code = compile_source(src)
     cfg = (
         dict(chkpt_filename=str(ck_path), chkpt_mode="blocking")
@@ -360,6 +366,241 @@ class TestStrideLoopKernels:
         )
 
 
+def boundary_state(vm):
+    """Everything a slice boundary exposes of a single-threaded VM."""
+    i = vm.interp
+    return (i.instructions, i.pc, i.trapsp, i.snapshot_registers())
+
+
+#: Counted loop over global refs, stride map, stride reduction, calls
+#: and fusible straight-line code in ~1500 instructions: small enough
+#: to record the reference tier's state after *every* instruction.
+SMALL = """
+let r = ref 0;;
+let s = ref 0;;
+while !r < 40 do (r := !r + 1; s := !s + 2) done;;
+let a = Array.make 24 0;;
+for i = 0 to 23 do a.(i) <- i * 3 done;;
+let t = Array.make 1 0;;
+for i = 0 to 23 do t.(0) <- t.(0) + a.(i) done;;
+let rec fib n = if n < 2 then n else fib (n - 1) + fib (n - 2);;
+print_int (!s + t.(0) + fib 6)
+"""
+SMALL_EXPECTED = b"916"
+
+
+class TestBudgetedFastTier:
+    """``run(max_instructions=N)`` on the fast tier is exact.
+
+    Every HA driver slices the run (``HASupervisor``, ``LiveHA``, the
+    cluster coordinator), so a slice boundary is where checkpoints are
+    taken: it must be the boundary the reference tier stops at, bit
+    for bit.
+    """
+
+    BUDGETS = [1, 2, 7, 1013, 7919, 50_000]
+    #: Checkpoint at every boundary, thinned for the tiny budgets to
+    #: one per this many instructions.
+    CK_SPACING = 1013
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("platform_name", PLATFORM_PAIR)
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_slices_match_reference(
+        self, name, platform_name, budget, tmp_path
+    ):
+        # Threads reach quantum ticks at different boundaries on the
+        # two tiers (see THREADS), so only the slice lengths and the
+        # output are comparable there.
+        single_threaded = name != "threads"
+        code = compile_source(WORKLOADS[name]())
+        paths = {
+            tier: tmp_path / f"{tier}.hckp" for tier in ("reference", "fast")
+        }
+        vms = {
+            tier: VirtualMachine(
+                get_platform(platform_name), code,
+                VMConfig(dispatch=tier, chkpt_filename=str(path),
+                         chkpt_mode="blocking"),
+            )
+            for tier, path in paths.items()
+        }
+        ck_every = -(-self.CK_SPACING // budget)
+        k = 0
+        while True:
+            results = {
+                tier: vm.run(max_instructions=budget)
+                for tier, vm in vms.items()
+            }
+            assert results["fast"].status == results["reference"].status
+            if results["fast"].status != "budget":
+                break
+            k += 1
+            assert results["fast"].instructions == k * budget
+            assert results["reference"].instructions == k * budget
+            if not single_threaded:
+                continue
+            assert boundary_state(vms["fast"]) == boundary_state(
+                vms["reference"]
+            )
+            if k % ck_every == 0:
+                for vm in vms.values():
+                    vm.perform_checkpoint()
+                assert (
+                    paths["fast"].read_bytes()
+                    == paths["reference"].read_bytes()
+                ), f"checkpoint differs at instruction {k * budget}"
+        assert results["fast"].status == "stopped"
+        assert results["fast"].stdout == results["reference"].stdout
+        assert results["fast"].instructions == results["reference"].instructions
+
+    # -- targeted boundaries --------------------------------------------------
+    #
+    # The reference tier single-steps SMALL once, recording its state
+    # after every instruction; a fresh fast-tier VM then runs a chosen
+    # slice sequence and must show the recorded state at each boundary.
+
+    @pytest.fixture(scope="class", params=PLATFORM_PAIR)
+    def small(self, request):
+        code = compile_source(SMALL)
+        vm = VirtualMachine(
+            get_platform(request.param), code,
+            VMConfig(dispatch="reference", chkpt_state="disable"),
+        )
+        states = [boundary_state(vm)]
+        while (result := vm.run(max_instructions=1)).status == "budget":
+            states.append(boundary_state(vm))
+        assert result.stdout == SMALL_EXPECTED
+
+        def arrivals(pc):
+            """Instruction counts at which the reference tier is about
+            to execute the instruction at ``pc``."""
+            return [c for c, state in enumerate(states) if state[1] == pc]
+
+        def fast_slices(budgets, vm=None, quantum=1000):
+            vm = vm or VirtualMachine(
+                get_platform(request.param), code,
+                VMConfig(dispatch="fast", chkpt_state="disable",
+                         quantum=quantum),
+            )
+            for budget in budgets:
+                before = vm.interp.instructions
+                assert vm.run(max_instructions=budget).status == "budget"
+                assert vm.interp.instructions == before + budget
+                assert boundary_state(vm) == states[before + budget]
+            return vm
+
+        def finish(vm):
+            result = vm.run()
+            assert result.status == "stopped"
+            assert result.stdout == SMALL_EXPECTED
+            assert result.instructions == len(states)  # STOP counts
+
+        return SimpleNamespace(
+            code=code, states=states, arrivals=arrivals,
+            fast_slices=fast_slices, finish=finish,
+        )
+
+    def test_every_cut_point(self, small):
+        """A slice boundary after each instruction of SMALL: ``period``
+        runs, each cutting at one residue class, under a quantum short
+        enough that ticks and budgets interleave.  The period exceeds
+        every loop's iteration length, so kernels meet every remaining
+        budget from nothing to several iterations."""
+        period = 97
+        last = len(small.states) - 1
+        for first in range(1, period + 1):
+            cuts = [first] + [period] * ((last - first) // period)
+            small.finish(small.fast_slices(cuts, quantum=61))
+
+    def _revisited_fused_group(self, small):
+        """A group the fast tier has bound as a superinstruction, and
+        the instruction count of the reference tier's second arrival."""
+        for g in small.code.decoded().groups:
+            at = small.arrivals(g.start)
+            if len(at) < 2:
+                continue
+            vm = small.fast_slices([at[1]])
+            if vm.interp._fast.counts[g.start] == g.count:
+                return g, at[1]
+        pytest.fail("no fused group is executed twice; test is vacuous")
+
+    def test_budget_ends_inside_fused_group(self, small):
+        g, at = self._revisited_fused_group(small)
+        for into in range(1, g.count):
+            vm = small.fast_slices([at, into])
+            assert vm.interp.pc == g.members[into]
+            small.finish(vm)
+
+    def test_budget_ends_on_unbound_slot(self, small):
+        """The slice stops in front of code the lazy binder never saw;
+        the next slice binds a group it may not run as a whole."""
+        g = next(
+            g for g in small.code.decoded().groups if small.arrivals(g.start)
+        )
+        vm = small.fast_slices([small.arrivals(g.start)[0]])
+        fast = vm.interp._fast
+        assert fast.counts[g.start] == 0
+        assert fast.handlers[g.start].__name__ == "lazy"
+        small.fast_slices([1], vm)
+        assert vm.interp.pc == g.members[1]
+        assert fast.counts[g.start] in (1, g.count)  # bound, not run whole
+        small.finish(vm)
+
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        """Record the batch size of every kernel dispatch."""
+        from repro.interpreter import dispatch
+
+        sizes = []
+        real = dispatch._batch_size
+
+        def spy(I, total, iter_count):
+            m = real(I, total, iter_count)
+            sizes.append(m)
+            return m
+
+        monkeypatch.setattr(dispatch, "_batch_size", spy)
+        return sizes
+
+    @staticmethod
+    def _loop_plans(small):
+        """The kernel plans SMALL executes (the prelude's never run)."""
+        plans = [
+            p for p in small.code.decoded().loops if small.arrivals(p.head)
+        ]
+        kinds = {type(p).__name__ for p in plans}
+        assert kinds == {"CountedLoopPlan", "StrideLoopPlan"}
+        return plans
+
+    def test_budget_ends_inside_kernel_batch(self, small, batch_sizes):
+        for plan in self._loop_plans(small):
+            head = small.arrivals(plan.head)[1]
+            # Three whole iterations fit the budget; the fourth does not.
+            vm = small.fast_slices([head])
+            del batch_sizes[:]
+            small.fast_slices([3 * plan.iter_count + 1], vm)
+            assert batch_sizes == [3]
+            assert vm.interp.pc == plan.head + 1
+            small.finish(vm)
+            # Less than one iteration left on arrival at the head.
+            vm = small.fast_slices([head])
+            del batch_sizes[:]
+            small.fast_slices([plan.iter_count - 1], vm)
+            assert batch_sizes == []
+            small.finish(vm)
+
+    def test_budget_ends_on_kernel_exit_pass(self, small, batch_sizes):
+        for plan in self._loop_plans(small):
+            last = small.arrivals(plan.head)[-1]
+            assert small.states[last + plan.cond_count][1] == plan.exit
+            small.finish(small.fast_slices([last, plan.cond_count - 1]))
+            vm = small.fast_slices([last, plan.cond_count])
+            assert vm.interp.pc == plan.exit
+            small.finish(vm)
+        assert batch_sizes  # the loops did run batched on the way there
+
+
 class TestTailOnlyFusion:
     """APPLY/GETVECTITEM/SETVECTITEM fuse only as group tails."""
 
@@ -405,17 +646,20 @@ class TestFastTierSemantics:
         assert messages["fast"] == messages["reference"]
         assert "illegal opcode 9999 at 0" in messages["fast"]
 
-    def test_budgeted_run_uses_reference_tier(self):
-        """An instruction budget must force the per-instruction loop."""
+    @pytest.mark.parametrize("tier", ["reference", "fast"])
+    def test_zero_and_negative_budgets(self, tier):
         code = compile_source(LOOP)
         vm = VirtualMachine(
             get_platform("rodrigo"), code,
-            VMConfig(dispatch="fast", chkpt_state="disable"),
+            VMConfig(dispatch=tier, chkpt_state="disable"),
         )
-        result = vm.run(max_instructions=7)
-        assert result.status == "budget"
-        assert result.instructions == 7
-        assert vm.interp._fast is None  # fast code never got built
+        for _ in range(2):
+            result = vm.run(max_instructions=0)
+            assert (result.status, result.instructions) == ("budget", 0)
+        with pytest.raises(ReproError, match="max_instructions"):
+            vm.run(max_instructions=-1)
+        assert vm.interp.instructions == 0
+        assert vm.run().stdout == b"5000/10000"
 
     def test_trace_hook_forces_reference_tier(self):
         from repro.tracing import InstructionTracer

@@ -8,6 +8,12 @@ from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.arch.platforms import PLATFORMS
 from repro.errors import ReproError
 from repro.store import ChunkStore, FleetClient, FleetNode, HASupervisor
+from repro.workloads import (
+    insertion_sort_expected,
+    insertion_sort_source,
+    matmul_expected,
+    matmul_source,
+)
 
 # Several checkpoint intervals of work; the total stays inside 31-bit
 # ints so migration across the 32-bit machines is lossless.
@@ -279,3 +285,49 @@ class TestIncrementalHA:
         assert report.completed
         assert report.stdout == expected
         assert report.restarts + report.cold_restarts == 3
+
+
+class TestDispatchTierDifferential:
+    """The supervisor slices every run, so the slices now execute on
+    the fast dispatch tier.  Same seed, either tier: the same faults
+    strike at the same instructions, the same generations are uploaded
+    and their chunk keys — content hashes of the checkpoint bytes — are
+    equal, i.e. the checkpoints are bit-identical."""
+
+    WORKLOADS = {
+        "matmul": (matmul_source(16, checkpoint=False), matmul_expected(16)),
+        "sort": (
+            insertion_sort_source(150, checkpoint=False),
+            insertion_sort_expected(150),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_fast_and_reference_tiers_agree(self, name, service):
+        server, client = service
+        source, expected = self.WORKLOADS[name]
+        code = compile_source(source)
+        reports, chunk_keys = {}, {}
+        for tier in ("reference", "fast"):
+            vm_id = f"ha-tier-{tier}"
+            reports[tier] = HASupervisor(
+                code, client, vm_id,
+                checkpoint_every=7_919,
+                fault_budgets=(20_000, 45_000),
+                max_faults=2,
+                seed=2002,
+                config=VMConfig(dispatch=tier),
+            ).run()
+            chunk_keys[tier] = [
+                server.store.read_manifest(vm_id, gen).chunks
+                for gen in server.store.generations(vm_id)
+            ]
+        fast, ref = reports["fast"], reports["reference"]
+        assert fast.completed and ref.completed
+        assert fast.stdout == ref.stdout == expected
+        assert fast.faults_injected == ref.faults_injected == 2
+        assert fast.generations == ref.generations
+        assert len(fast.generations) > 4
+        assert fast.work_lost_instructions == ref.work_lost_instructions
+        assert fast.platforms_visited == ref.platforms_visited
+        assert chunk_keys["fast"] == chunk_keys["reference"]

@@ -10,6 +10,7 @@ protocol's own typed error.
 
 from __future__ import annotations
 
+import inspect
 import pathlib
 import re
 
@@ -142,6 +143,20 @@ class TestOneOfEach:
         assert _modules_matching(r'struct\.Struct\("<4sBBI"\)') == [
             "repro/net.py"
         ]
+
+    def test_fast_tier_instruction_accounting_is_defined_once(self):
+        """The fast dispatch tier charges the preemption countdown in
+        ``Interpreter._advance`` and nowhere else; the one other
+        decrement in the package is the oracle loop's own."""
+        from repro.interpreter.interpreter import Interpreter
+
+        assert _modules_matching(r"_countdown -=") == [
+            "repro/interpreter/interpreter.py"
+        ]
+        source = (SRC / "repro/interpreter/interpreter.py").read_text()
+        assert source.count("_countdown -=") == 2
+        for site in (Interpreter._advance, Interpreter._run_reference):
+            assert inspect.getsource(site).count("_countdown -=") == 1
 
     def test_store_exports_one_daemon_and_two_clients(self):
         exported = {
