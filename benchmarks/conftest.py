@@ -94,13 +94,38 @@ def get_report(report_registry):
     return _get
 
 
+def _merge_record(old: dict, new: dict) -> dict:
+    """``old`` updated with ``new``, dict values merged key by key."""
+    for key, value in new.items():
+        if isinstance(value, dict) and isinstance(old.get(key), dict):
+            _merge_record(old[key], value)
+        else:
+            old[key] = value
+    return old
+
+
+def write_bench_records(records: dict, results_dir: str) -> None:
+    """Merge each stem's record into ``<results_dir>/<stem>.json``.
+
+    A session records only the keys its tests touched (one size, one
+    target, one benchmark module of several feeding a stem); what the
+    file already holds under other keys stays.
+    """
+    os.makedirs(results_dir, exist_ok=True)
+    for stem, data in records.items():
+        path = os.path.join(results_dir, f"{stem}.json")
+        try:
+            with open(path) as f:
+                data = _merge_record(json.load(f), data)
+        except (FileNotFoundError, json.JSONDecodeError):
+            pass
+        with open(path, "w") as f:
+            json.dump(data, f, indent=2, sort_keys=True)
+            f.write("\n")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if _BENCH:
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        for stem, data in _BENCH.items():
-            with open(os.path.join(RESULTS_DIR, f"{stem}.json"), "w") as f:
-                json.dump(data, f, indent=2, sort_keys=True)
-                f.write("\n")
+    write_bench_records(_BENCH, RESULTS_DIR)
     if not _REPORTS:
         return
     os.makedirs(RESULTS_DIR, exist_ok=True)

@@ -8,11 +8,27 @@ resolves only the framing and the non-heap sections (a few KB), and
 leaves the heap payload (~99.8% of a big checkpoint) on disk behind
 chunk slices until first touch.  This bench gates that claim:
 
-* TTFO at the largest size at least ``MIN_TTFO_SPEEDUP``x faster than
-  eager (target ~5x — the old whole-file floor capped it at ~2.5-3x),
+* TTFO at the largest size at most ``MAX_TTFO_OVER_SAME_ARCH`` of an
+  eager *same-architecture* restart of the same file (rodrigo ->
+  rodrigo: whole-file read + CRC + parse + chunk adoption, no
+  conversion) — the lazy path crosses endianness and word size and is
+  still off the application's critical path well before a homogeneous
+  restart would be,
 * completed lazy restore within ``MAX_COMPLETION_RATIO``x of eager,
 * the deferral is real: most of the file's bytes are deferred at
   restart and the demand path reads only a small fraction.
+
+The TTFO gate used to be a ratio over the eager rodrigo -> ultra64
+restart (>= 4x, typical 6-7x).  That denominator is the cross-word-size
+rebuild, which PR 14 made ~2.4x faster (25 -> 10.5 ms at 640k words,
+now level with the same-arch restart): the ratio fell to 2.6-3.1x with
+lazy's own floor where it was (3.4-3.6 ms, parent and change measured
+alternately).  The same-arch restart is the floor no eager restart gets
+under, so it is the denominator that only moves when the deferred work
+itself does.  At 0.6 the gate admits a lazy floor of ~6 ms here; the
+4x-over-eager gate admitted 6.2 ms (8.6 ms on the machine state its
+record was taken in).  ``ttfo_speedup`` (over eager ultra64) is still
+recorded.
 
 Interleaved min-of-N, rodrigo -> ultra64 (endianness *and* word size),
 recorded in ``results/BENCH_lazy_sections.json``.
@@ -33,8 +49,10 @@ CHUNK_WORDS = 32 * 1024
 
 ROUNDS = 5
 
-#: CI gate on time-to-first-output at the largest size (target: ~5x).
-MIN_TTFO_SPEEDUP = 4.0
+#: CI gate on time-to-first-output at the largest size: lazy
+#: rodrigo -> ultra64 TTFO over an eager rodrigo -> rodrigo restart
+#: (typical 0.33-0.45, before and after PR 14).
+MAX_TTFO_OVER_SAME_ARCH = 0.6
 
 #: Completed (drained + late-verified) lazy restore may cost at most
 #: this much more than eager.
@@ -61,9 +79,9 @@ print_int (first !keep)
 """
 
 
-def _restart(code, path: str, lazy: bool):
+def _restart(code, path: str, lazy: bool, target: str = "ultra64"):
     return restart_vm(
-        get_platform("ultra64"), code, path,
+        get_platform(target), code, path,
         VMConfig(chunk_words=CHUNK_WORDS, lazy_restore=lazy),
     )
 
@@ -87,11 +105,13 @@ def test_lazy_sections_ttfo(size, tmp_path, benchmark, get_report,
         lambda: _restart(code, path, lazy=True), rounds=1, iterations=1
     )
 
-    for lazy in (True, False):  # warm both paths once
+    for lazy in (True, False):  # warm every path once
         _restart(code, path, lazy)
+    _restart(code, path, False, "rodrigo")
 
     best = {}
     best_completion = {}
+    same_arch = float("inf")
     ledger = None
     expected = None
     for _ in range(ROUNDS):
@@ -128,9 +148,12 @@ def test_lazy_sections_ttfo(size, tmp_path, benchmark, get_report,
                 best_completion.get(lazy, float("inf")),
                 stats.completion_seconds,
             )
+        _, stats = _restart(code, path, False, "rodrigo")
+        same_arch = min(same_arch, stats.total_seconds)
 
     eager, lazy_stats = best[False], best[True]
     ttfo_speedup = eager.total_seconds / lazy_stats.total_seconds
+    over_same_arch = lazy_stats.total_seconds / same_arch
     completion_ratio = best_completion[True] / best_completion[False]
 
     entry = bench_json("BENCH_lazy_sections").setdefault("sizes", {})
@@ -140,7 +163,9 @@ def test_lazy_sections_ttfo(size, tmp_path, benchmark, get_report,
         lazy_ttfo_ms=round(lazy_stats.total_seconds * 1e3, 3),
         eager_completed_ms=round(best_completion[False] * 1e3, 3),
         lazy_completed_ms=round(best_completion[True] * 1e3, 3),
+        same_arch_eager_ms=round(same_arch * 1e3, 3),
         ttfo_speedup=round(ttfo_speedup, 3),
+        ttfo_over_same_arch=round(over_same_arch, 3),
         completion_ratio=round(completion_ratio, 3),
     )
 
@@ -156,10 +181,12 @@ def test_lazy_sections_ttfo(size, tmp_path, benchmark, get_report,
 
     if size == SIZES_WORDS[-1]:
         rep.note(
-            f"TTFO {ttfo_speedup:.2f}x faster lazy (min of {ROUNDS} "
+            f"TTFO {ttfo_speedup:.2f}x faster lazy, "
+            f"{over_same_arch:.2f} of an eager same-arch restart "
+            f"({same_arch * 1e3:.1f} ms; min of {ROUNDS} "
             f"interleaved rounds); completed {completion_ratio:.2f}x "
             f"eager; {ledger['bytes_deferred']}/{file_bytes} bytes "
             f"deferred at restart"
         )
-        assert ttfo_speedup >= MIN_TTFO_SPEEDUP
+        assert over_same_arch <= MAX_TTFO_OVER_SAME_ARCH
         assert completion_ratio <= MAX_COMPLETION_RATIO

@@ -19,9 +19,30 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.architecture import Architecture, Endianness
+from repro.errors import CheckpointFormatError
 from repro.memory.floats import FloatCodec
 from repro.memory.strings import StringCodec
 from repro.memory.values import ValueCodec
+
+
+def ragged_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``[starts[k], starts[k] + lens[k])``.
+
+    The standard repeat/cumsum trick; every ``lens[k]`` must be > 0.
+    """
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    if total == lens.size * int(lens[0]) and (lens == lens[0]).all():
+        # Equal-sized blocks (cons cells, boxed floats, array rows,
+        # strings of one length): one broadcast add.
+        return (starts[:, None] + np.arange(int(lens[0]))).reshape(-1)
+    steps = np.ones(total, dtype=np.int64)
+    cum = np.cumsum(lens)
+    steps[0] = starts[0]
+    if starts.size > 1:
+        steps[cum[:-1]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
+    return np.cumsum(steps)
 
 
 class ValueConverter:
@@ -81,11 +102,9 @@ class ValueConverter:
         if self.src.bits == 64:  # 64 -> 32: truncate (sign kept mod 2**32)
             return arr & np.uint64(0xFFFFFFFF)
         # 32 -> 64: sign-extend from bit 31.
-        out = arr.copy()
-        out[(arr & np.uint64(0x80000000)) != 0] |= np.uint64(
-            0xFFFFFFFF00000000
+        return (
+            arr.astype(np.uint32).view(np.int32).astype(np.int64).view(np.uint64)
         )
-        return out
 
     def convert_raw_many(self, words: list[int]) -> list[int]:
         """Batch :meth:`convert_raw` over a list of words."""
@@ -97,31 +116,94 @@ class ValueConverter:
     def convert_immediate_array(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`convert_immediate` over a ``uint64`` array.
 
-        Every element must be an immediate (LSB set); non-immediates in
-        the input are the caller's bug, not detected here.
+        ``Val_int(Int_val(w))`` of an odd word is that word's own signed
+        value at the new width — the tag bit survives truncation and
+        sign extension alike — so this is :meth:`convert_raw_array`.
+        Non-immediates in the input are the caller's business.
         """
-        if self.src.bits == self.dst.bits:
-            return arr
-        if self.src.bits == 64:
-            n = arr.view(np.int64) >> 1  # arithmetic shift = Int_val
-        else:
-            n = arr.astype(np.uint32).view(np.int32).astype(np.int64) >> 1
-        boxed = ((n << 1) | 1).view(np.uint64)
-        return boxed & np.uint64(self.dst.word_mask)
+        return self.convert_raw_array(arr)
 
     def repack_string_array(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized same-word-size string repack (endian swap).
 
         The payload's byte *sequence* is the invariant, so with equal
-        word sizes each word's bytes simply reverse.  Cross-word-size
-        strings go through the scalar :meth:`repack_string` (the word
-        count changes, which this in-place kernel cannot express).
+        word sizes each word's bytes simply reverse.  When the word
+        size differs the word count changes too:
+        :meth:`repack_string_batch`.
         """
         if not self.endian_differs:
             return arr
         if self.src.word_bytes == 8:
             return arr.byteswap()
         return arr.astype(np.uint32).byteswap().astype(np.uint64)
+
+    def string_byte_lengths(
+        self,
+        last_words: np.ndarray,
+        sizes: np.ndarray,
+        addrs: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Byte lengths of source string blocks of ``sizes`` words, read
+        from the pad count in the final byte of each block's last word.
+
+        A pad count no well-formed string can carry (it is always below
+        the word size) is a damaged block: :class:`CheckpointFormatError`
+        naming the block by ``addrs`` (its source address) when given,
+        by its position in the batch otherwise.
+        """
+        wb = self.src.word_bytes
+        shift = 8 * (wb - 1) if self.src.endianness is Endianness.LITTLE else 0
+        pad = ((last_words >> np.uint64(shift)) & np.uint64(0xFF)).astype(
+            np.int64
+        )
+        bad = np.flatnonzero(pad >= wb)
+        if bad.size:
+            k = int(bad[0])
+            where = f"#{k} of the batch" if addrs is None else (
+                f"at source address {int(addrs[k]):#x}"
+            )
+            raise CheckpointFormatError(
+                f"string block {where} ({int(sizes[k])} words) carries pad "
+                f"byte {int(pad[k])}, impossible with {wb}-byte words",
+                section="heap",
+            )
+        return sizes * wb - 1 - pad
+
+    def repack_string_batch(
+        self, words: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Batch :meth:`repack_string` across word sizes.
+
+        ``words`` holds string payloads back to back, ``sizes[k] >= 1``
+        source words each; returns the repacked payloads back to back
+        (``blen // dst_word_bytes + 1`` target words each).
+
+        Each block's bytes are copied between the two memory-order byte
+        images in 4-byte units: the units covering the data, which
+        always fit either block because both reserve a byte past it.
+        On the 32-bit side those are all of the block's units, so only
+        the 64-bit side is indexed.  Whatever rode along behind the
+        data in the last unit is zeroed, then the pad count goes into
+        the block's final byte.
+        """
+        src_wb, dst_wb = self.src.word_bytes, self.dst.word_bytes
+        ends = np.cumsum(sizes)
+        blen = self.string_byte_lengths(words[ends - 1], sizes)
+        nsz = blen // dst_wb + 1
+        dst_at = (np.cumsum(nsz) - nsz) * (dst_wb // 4)
+        units = blen // 4 + 1
+        src = words.astype(self.src.numpy_dtype).view(np.uint32)
+        if src_wb == 4:
+            out = np.zeros(int(nsz.sum()) * 2, dtype=np.uint32)
+            out[ragged_indices(dst_at, units)] = src
+        else:
+            out = src[ragged_indices((ends - sizes) * 2, units)]
+        out_bytes = out.view(np.uint8)
+        out_bytes.reshape(-1, 4)[dst_at + blen // 4] *= (
+            np.arange(4) < (blen % 4)[:, None]
+        )
+        out_bytes[4 * dst_at + nsz * dst_wb - 1] = nsz * dst_wb - 1 - blen
+        return out.view(self.dst.numpy_dtype).astype(np.uint64)
 
     def repack_double_array(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized same-word-size double repack (endian swap).

@@ -35,11 +35,10 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from repro.arch.architecture import Endianness
 from repro.arch.platforms import Platform
 from repro.bytecode.image import CodeImage
 from repro.checkpoint.commit import generation_chain, recover_commit
-from repro.checkpoint.convert import ValueConverter
+from repro.checkpoint.convert import ValueConverter, ragged_indices
 from repro.checkpoint.format import (
     VMSnapshot,
     annotate_restore_error,
@@ -345,7 +344,7 @@ def _restart_vm(
     vm.gc.disabled = True
     try:
         _fresh_heap(vm)
-        relocation: Optional[dict[int, int]] = None
+        relocation = None
         rebuild_ctx = None
         positions: Optional[list[np.ndarray]] = None
         if converter.word_size_differs:
@@ -380,9 +379,11 @@ def _restart_vm(
                             sources,
                         )
                     else:
-                        _fix_rebuilt_heap_vec(
-                            vm, rebuild_ctx, mapper, converter
-                        )
+                        for d, area in enumerate(rebuild_ctx.areas):
+                            _fix_rebuilt_heap_vec(
+                                rebuild_ctx, mapper, converter, d,
+                                area.peek_staged(),
+                            )
                 else:
                     _fix_rebuilt_heap(vm, snap, relocation, fix, converter)
                     vm.mem.heap.rebuild_freelist()
@@ -618,22 +619,6 @@ def _fix_rebuilt_heap(
 # ---------------------------------------------------------------------------
 
 
-def _ragged_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Flat indices of the runs ``[starts[k], starts[k] + lens[k])``.
-
-    The standard repeat/cumsum trick; every ``lens[k]`` must be > 0.
-    """
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    steps = np.ones(total, dtype=np.int64)
-    cum = np.cumsum(lens)
-    steps[0] = starts[0]
-    if starts.size > 1:
-        steps[cum[:-1]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
-    return np.cumsum(steps)
-
-
 def _gather_words(ws, idx: np.ndarray) -> np.ndarray:
     """The words of one saved chunk at ``idx``.
 
@@ -731,7 +716,7 @@ def _fix_chunk_pointers_vec(
             arr[lp[nz]] = np.where(ok, mapped, np.uint64(0))
     scan = (~blue) & (tags < np.uint64(NO_SCAN_TAG)) & (sizes > 0)
     if scan.any():
-        idx = _ragged_indices(p[scan] + 1, sizes[scan])
+        idx = ragged_indices(p[scan] + 1, sizes[scan])
         vals = arr[idx]
         even = (vals & np.uint64(1)) == 0
         if even.any():
@@ -779,11 +764,11 @@ def _repack_chunk_payloads_vec(
     nonblue = colors != Color.BLUE.value
     strs = nonblue & (tags == np.uint64(STRING_TAG)) & (sizes > 0)
     if strs.any():
-        idx = _ragged_indices(p[strs] + 1, sizes[strs])
+        idx = ragged_indices(p[strs] + 1, sizes[strs])
         arr[idx] = converter.repack_string_array(arr[idx])
     dbls = nonblue & (tags == np.uint64(DOUBLE_TAG)) & (sizes > 0)
     if dbls.any():
-        idx = _ragged_indices(p[dbls] + 1, sizes[dbls])
+        idx = ragged_indices(p[dbls] + 1, sizes[dbls])
         arr[idx] = converter.repack_double_array(arr[idx])
 
 
@@ -815,7 +800,7 @@ class LazyRestoreState:
 
     The :class:`AddressMapper` is captured for the thunks' lifetime —
     safe because it is content-independent and time-invariant: heap
-    relocation is a static dict, stacks are high-anchored (growth never
+    relocation is a static table, stacks are high-anchored (growth never
     moves the high end the mapper compares against), and the code /
     atoms / C-globals boundaries never move after restart.
     """
@@ -964,31 +949,20 @@ def _attach_rebuild_thunks(
     stats: RestartStats,
     sources: Optional[list] = None,
 ) -> None:
-    """Cross-word-size lazy restore: defer pass C payload filling and
-    the field fix-up per rebuilt chunk.
+    """Cross-word-size lazy restore: defer the payload passes per
+    rebuilt chunk.
 
     Headers, placement, the freelist and the relocation table were all
     built eagerly (they are O(#blocks) and other subsystems read them
-    pre-conversion); a thunk only fills and fixes the payload words of
-    the blocks placed in its own chunk.
+    pre-conversion); a thunk runs the two passes the eager restore runs
+    over every chunk, on its own chunk only.
     """
-    heap = vm.mem.heap
     state = LazyRestoreState(stats, mapper, sources)
-    for d in range(len(ctx.dst_bases)):
-        area = heap.chunks[ctx.chunk_offset + d].area
+    for d, area in enumerate(ctx.areas):
 
         def convert(arr, d=d):
-            _fill_rebuilt_payloads(
-                ctx.per_chunk,
-                ctx.all_dst,
-                ctx.block_dchunk,
-                ctx.dst_arrs,
-                ctx.dst_bases,
-                ctx.dst_wb,
-                converter,
-                only_chunk=d,
-            )
-            _fix_rebuilt_heap_vec(vm, ctx, mapper, converter, only_chunk=d)
+            _fill_rebuilt_payloads(ctx, converter, d, arr)
+            _fix_rebuilt_heap_vec(ctx, mapper, converter, d, arr)
 
         area.defer_conversion(state.wrap(convert, area.label))
         state.register(area)
@@ -997,26 +971,32 @@ def _attach_rebuild_thunks(
 
 @dataclass
 class _RebuildContext:
-    """What the cross-word-size rebuild hands to its fix-up pass."""
+    """What the cross-word-size rebuild hands to its payload passes.
 
-    relocation: dict[int, int]
-    #: Scannable rebuilt blocks: dst block addresses and payload sizes.
-    scan_addrs: np.ndarray
-    scan_sizes: np.ndarray
-    #: Geometry of the rebuilt chunks, frozen at rebuild time.  Lazily
-    #: deferred fix-ups can run after ``alloc`` has appended fresh
-    #: chunks to ``heap.chunks``, so the pass must never re-derive
-    #: these from the live heap.
-    dst_bases: np.ndarray = None
-    chunk_offset: int = 0
-    dst_wb: int = 0
-    #: Deferred payload state (``--lazy-restore`` only): the classified
-    #: source blocks and target arrays that pass C would have filled
-    #: eagerly.  ``None`` after an eager rebuild.
-    per_chunk: Optional[list] = None
-    all_dst: Optional[np.ndarray] = None
-    block_dchunk: Optional[np.ndarray] = None
-    dst_arrs: Optional[list] = None
+    The block arrays hold one entry per live source block, in source
+    order (chunk by chunk, ascending address).  Geometry is frozen at
+    rebuild time: a lazily deferred pass can run after ``alloc`` has
+    appended fresh chunks to the live heap, and eager and lazy runs must
+    write the same words to stay bit-identical.
+    """
+
+    #: ``(source blocks, target blocks)`` for the address mapper.
+    relocation: tuple[np.ndarray, np.ndarray]
+    #: Saved chunk images (deferred chunk slices under lazy restore).
+    sources: list
+    #: First block number of each source chunk, then the block count.
+    src_first: np.ndarray
+    #: Payload start (word index in its source chunk) and word count.
+    src_pos: np.ndarray
+    src_size: np.ndarray
+    tags: np.ndarray
+    #: Payload start (word index in its rebuilt chunk) and word count.
+    dst_pos: np.ndarray
+    dst_size: np.ndarray
+    #: The rebuilt chunks' areas, and the block numbers placed in each
+    #: (ascending): the unit of payload conversion.
+    areas: list
+    by_chunk: list
 
 
 def _rebuild_heap_vec(
@@ -1031,23 +1011,20 @@ def _rebuild_heap_vec(
 
     Replicates the scalar path bit for bit: block *placement* replays
     the first-fit allocator against a lightweight freelist model (same
-    carve rules, same chunk-growth points), while the payload copies and
-    conversions run as bulk numpy gathers/scatters grouped by the block
-    classes the v2 index records.
+    carve rules, same chunk-growth points), while the payloads are
+    converted on their way from the saved chunks into the rebuilt ones,
+    one rebuilt chunk at a time — non-scannable classes here (or, with
+    ``defer``, in the chunk's first-touch thunk), scannable fields once
+    the address mapper exists (:func:`_fix_rebuilt_heap_vec`).
     """
-    src_arch = snap.arch
-    src_wb = src_arch.word_bytes
+    src_wb = snap.arch.word_bytes
     dst_arch = vm.platform.arch
     dst_wb = dst_arch.word_bytes
     heap = vm.mem.heap
 
-    # -- pass A: per-chunk live-block metadata -----------------------------
-    per_chunk = []
-    str_shift = np.uint64(
-        8 * (src_wb - 1)
-        if src_arch.endianness is Endianness.LITTLE
-        else 0
-    )
+    # -- pass A: live-block metadata ---------------------------------------
+    src_first = [0]
+    pos_l, size_l, tag_l, nsz_l, addr_l = [], [], [], [], []
     with timer.kernel("classify"):
         for (src_base, arr), pos in zip(snap.heap_chunks, positions):
             p = pos.astype(np.int64)
@@ -1056,231 +1033,241 @@ def _rebuild_heap_vec(
             colors = (hds >> np.uint64(8)) & np.uint64(3)
             tags = (hds & np.uint64(0xFF)).astype(np.int64)
             live = (colors != Color.BLUE.value) & (sizes > 0)
-            lp = p[live]
+            lp = p[live] + 1
             lsz = sizes[live]
             ltag = tags[live]
+            addrs = np.uint64(src_base) + lp.astype(np.uint64) * np.uint64(
+                src_wb
+            )
             nsz = lsz.copy()
             is_str = ltag == STRING_TAG
             if is_str.any():
-                last = _gather_words(arr, lp[is_str] + lsz[is_str])
-                pad = ((last >> str_shift) & np.uint64(0xFF)).astype(np.int64)
-                blen = lsz[is_str] * src_wb - 1 - pad
+                last = _gather_words(arr, lp[is_str] + lsz[is_str] - 1)
+                blen = converter.string_byte_lengths(
+                    last, lsz[is_str], addrs[is_str]
+                )
                 nsz[is_str] = blen // dst_wb + 1
             is_dbl = ltag == DOUBLE_TAG
-            if is_dbl.any():
-                nsz[is_dbl] = lsz[is_dbl] * src_wb // dst_wb
-            src_blocks = (
-                np.uint64(src_base) + (lp + 1).astype(np.uint64) * np.uint64(src_wb)
-            )
-            per_chunk.append((arr, lp, lsz, ltag, nsz, src_blocks))
+            nsz[is_dbl] = lsz[is_dbl] * src_wb // dst_wb
+            src_first.append(src_first[-1] + int(lp.size))
+            pos_l.append(lp)
+            size_l.append(lsz)
+            tag_l.append(ltag)
+            nsz_l.append(nsz)
+            addr_l.append(addrs)
 
-    all_nsz = (
-        np.concatenate([m[4] for m in per_chunk])
-        if per_chunk
-        else np.empty(0, dtype=np.int64)
-    )
-    all_tags = (
-        np.concatenate([m[3] for m in per_chunk])
-        if per_chunk
-        else np.empty(0, dtype=np.int64)
-    )
-    all_src = (
-        np.concatenate([m[5] for m in per_chunk])
-        if per_chunk
-        else np.empty(0, dtype=np.uint64)
-    )
+    def cat(parts: list, dtype=np.int64) -> np.ndarray:
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    tags = cat(tag_l)
+    dst_size = cat(nsz_l)
 
     # -- pass B: replay first-fit placement --------------------------------
     with timer.kernel("placement"):
-        dst_blocks, chunks_out, freelist, fragments = _simulate_first_fit(
-            heap, all_nsz.tolist(), dst_wb
+        dst_blocks, chunks_out, freelist = _simulate_first_fit(
+            heap, dst_size, dst_wb
         )
-    all_dst = np.asarray(dst_blocks, dtype=np.uint64)
-    relocation = dict(zip(all_src.tolist(), dst_blocks))
+    relocation = (cat(addr_l, np.uint64), dst_blocks)
 
-    # -- pass C: build the target chunk images -----------------------------
-    dst_arrs = [np.zeros(n_words, dtype=np.uint64) for _, n_words in chunks_out]
+    # -- pass C: the rebuilt chunks: headers, freelist remnants ------------
     dst_bases = np.asarray([b for b, _ in chunks_out], dtype=np.uint64)
-    hdr_vals = (all_nsz.astype(np.uint64) << np.uint64(10)) | all_tags.astype(
+    dchunk = np.searchsorted(dst_bases, dst_blocks, side="right") - 1
+    dst_pos = ((dst_blocks - dst_bases[dchunk]) // np.uint64(dst_wb)).astype(
+        np.int64
+    )
+    headers = (dst_size.astype(np.uint64) << np.uint64(10)) | tags.astype(
         np.uint64
     )
-    dchunk = (
-        np.searchsorted(dst_bases, all_dst, side="right").astype(np.int64) - 1
-    )
-    hidx = ((all_dst - dst_bases[dchunk]) // np.uint64(dst_wb)).astype(
-        np.int64
-    ) - 1
-    for d, dst in enumerate(dst_arrs):
-        m = dchunk == d
-        dst[hidx[m]] = hdr_vals[m]
-    # White zero-size fragment headers encode as 0: already zeroed.
-    del fragments
-
-    # Scannable blocks keep their word count across the rebuild (only
-    # strings and doubles re-pack), so the fix-up geometry falls straight
-    # out of the placement data, in global block order.
-    scan_mask = all_tags < NO_SCAN_TAG
-    ctx = _RebuildContext(
-        relocation=relocation,
-        scan_addrs=all_dst[scan_mask],
-        scan_sizes=all_nsz[scan_mask],
-        dst_bases=dst_bases,
-        chunk_offset=len(heap.chunks),
-        dst_wb=dst_wb,
-    )
-    if defer:
-        # Lazy restore: leave the payload words zeroed; the per-chunk
-        # first-touch thunks run _fill_rebuilt_payloads restricted to
-        # their own chunk (see _attach_rebuild_thunks).
-        ctx.per_chunk = per_chunk
-        ctx.all_dst = all_dst
-        ctx.block_dchunk = dchunk
-        ctx.dst_arrs = dst_arrs
-    else:
-        with timer.kernel("payloads"):
-            _fill_rebuilt_payloads(
-                per_chunk,
-                all_dst,
-                dchunk,
-                dst_arrs,
-                dst_bases,
-                dst_wb,
-                converter,
-            )
-
-    # -- pass D: freelist remnants + adoption ------------------------------
-    blues = sorted(addr for addr, _size in freelist)
-    size_by_addr = {addr: size for addr, size in freelist}
-    for i, addr in enumerate(blues):
-        d = int(np.searchsorted(dst_bases, np.uint64(addr), "right") - 1)
-        off = (addr - int(dst_bases[d])) // dst_wb
-        dst_arrs[d][off - 1] = np.uint64(
-            (size_by_addr[addr] << 10) | (Color.BLUE.value << 8)
-        )
-        nxt = blues[i + 1] if i + 1 < len(blues) else 0
-        dst_arrs[d][off] = np.uint64(nxt)
-    for (base, n_words), dst in zip(chunks_out, dst_arrs):
+    order = np.argsort(dchunk, kind="stable")
+    cuts = np.searchsorted(dchunk[order], np.arange(len(chunks_out) + 1))
+    by_chunk = [
+        order[a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
+    ]
+    # The rebuild never frees a block, so each chunk's free run only
+    # ever shrinks from its tail and keeps its header at word 0: at the
+    # end that word heads a blue remnant (linked in address order), or
+    # is the white zero-size fragment (encoded 0) or a block header an
+    # exact fit left there.
+    remnants = sorted(freelist)
+    next_free = [addr for addr, _ in remnants[1:]] + [0]
+    remnant_of = {
+        addr - dst_wb: (size, nxt)
+        for (addr, size), nxt in zip(remnants, next_free)
+    }
+    areas = []
+    for (base, n_words), ids in zip(chunks_out, by_chunk):
+        words = np.zeros(n_words, dtype=np.uint64)
+        header_map = np.zeros(n_words, dtype=np.uint8)
+        header_map[0] = 1
+        words[dst_pos[ids] - 1] = headers[ids]
+        header_map[dst_pos[ids] - 1] = 1
+        if base in remnant_of:
+            size, nxt = remnant_of[base]
+            words[0] = (size << 10) | (Color.BLUE.value << 8)
+            words[1] = nxt
         area = MemoryArea.from_staged(
             AreaKind.HEAP_CHUNK,
             base,
-            dst,
+            words,
             dst_arch,
             label=f"heap-chunk-{len(heap.chunks)}",
         )
-        heap.adopt_chunk(area, header_map=None)
-    _install_rebuilt_header_maps(
-        heap, chunks_out, dchunk, hidx, freelist, dst_bases, dst_wb
+        heap.adopt_chunk(area, header_map=bytearray(header_map))
+        areas.append(area)
+    heap.freelist_head = remnants[0][0] if remnants else 0
+    heap.allocated_words += int((dst_size + 1).sum())
+
+    ctx = _RebuildContext(
+        relocation=relocation,
+        sources=[arr for _, arr in snap.heap_chunks],
+        src_first=np.asarray(src_first, dtype=np.int64),
+        src_pos=cat(pos_l),
+        src_size=cat(size_l),
+        tags=tags,
+        dst_pos=dst_pos,
+        dst_size=dst_size,
+        areas=areas,
+        by_chunk=by_chunk,
     )
-    heap.freelist_head = blues[0] if blues else 0
-    heap.allocated_words += int((all_nsz + 1).sum())
+    if not defer:
+        with timer.kernel("payloads"):
+            for d, area in enumerate(areas):
+                _fill_rebuilt_payloads(
+                    ctx, converter, d, area.peek_staged(), timer
+                )
     return ctx
 
 
-def _fill_rebuilt_payloads(
-    per_chunk: list,
-    all_dst: np.ndarray,
-    block_dchunk: np.ndarray,
-    dst_arrs: list,
-    dst_bases: np.ndarray,
-    dst_wb: int,
-    converter: ValueConverter,
-    only_chunk: Optional[int] = None,
-) -> None:
-    """Pass C payload copies: gather each class of source block payload
-    and scatter it (converted) into the rebuilt chunk images.
+#: Payload runs at least this long move as slices; shorter ones share
+#: one index array (a 4096-word row costs one memcpy, a cons cell must
+#: not cost a Python iteration).  Measured moving 256k words there and
+#: back: the index array costs 1.1-2.3 ms whatever the run length
+#: (equal-length runs, the cheap broadcast case), slices 2.9 ms at
+#: 64-word runs, 1.5 at 128, 0.9 at 256, 0.34 at 4096 — they win from
+#: ~190 words up.  Slicing Figure 12's 64-word strings costs 9.0 ms
+#: where indexing them costs 5.5.
+_SLICE_WORDS = 256
 
-    ``only_chunk`` restricts the work to blocks placed in one target
-    chunk — the lazy-restore thunks use this, and because every kernel
-    here is per-block (raw copies, elementwise converts, per-block
-    string/double repacks), the restricted runs produce bit-identical
-    words to one eager full pass.
+
+def _move_runs(
+    packed: np.ndarray,
+    arr: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    n_sliced: int,
+    gather: bool,
+) -> None:
+    """Move the runs ``arr[starts[k] :][: lens[k]]`` to (``gather``) or
+    from ``packed``, which holds them back to back: the first
+    ``n_sliced`` runs as slices, the rest through one index array."""
+    at = 0
+    for s, n in zip(starts[:n_sliced].tolist(), lens[:n_sliced].tolist()):
+        if gather:
+            packed[at : at + n] = arr[s : s + n]
+        else:
+            arr[s : s + n] = packed[at : at + n]
+        at += n
+    if n_sliced < lens.size:
+        idx = ragged_indices(starts[n_sliced:], lens[n_sliced:])
+        if gather:
+            packed[at:] = arr[idx]
+        else:
+            arr[idx] = packed[at:]
+
+
+def _rebuilt_groups(ctx: _RebuildContext, d: int):
+    """Split the blocks placed in rebuilt chunk ``d`` by source chunk.
+
+    Yields ``(saved chunk words, block numbers, their tags)`` for each
+    source chunk that owns any of them; a deferred chunk slice
+    materializes only here, once a block actually needs its bytes.
+    """
+    ids = ctx.by_chunk[d]
+    cuts = np.searchsorted(ids, ctx.src_first).tolist()
+    for source, a, b in zip(ctx.sources, cuts[:-1], cuts[1:]):
+        if a < b:
+            part = ids[a:b]
+            yield np.asarray(source), part, ctx.tags[part]
+
+
+def _convert_rebuilt_runs(
+    ctx: _RebuildContext,
+    arr: np.ndarray,
+    blocks: np.ndarray,
+    convert,
+    out: np.ndarray,
+) -> None:
+    """Gather the payloads of ``blocks`` from the saved chunk ``arr``,
+    ``convert(words, sizes)`` them back to back, scatter the result
+    into the rebuilt chunk ``out``."""
+    if blocks.size == 0:
+        return
+    # Conversion is per block, so the order is free: long runs first.
+    long = ctx.src_size[blocks] >= _SLICE_WORDS
+    n_long = int(np.count_nonzero(long))
+    if 0 < n_long < blocks.size:
+        blocks = np.concatenate((blocks[long], blocks[~long]))
+    sizes = ctx.src_size[blocks]
+    vals = np.empty(int(sizes.sum()), dtype=np.uint64)
+    _move_runs(vals, arr, ctx.src_pos[blocks], sizes, n_long, gather=True)
+    vals = convert(vals, sizes)
+    _move_runs(
+        vals, out, ctx.dst_pos[blocks], ctx.dst_size[blocks], n_long,
+        gather=False,
+    )
+
+
+def _fill_rebuilt_payloads(
+    ctx: _RebuildContext,
+    converter: ValueConverter,
+    d: int,
+    out: np.ndarray,
+    timer: Optional[PhaseTimer] = None,
+) -> None:
+    """Payloads of the non-scannable blocks of rebuilt chunk ``d``, into
+    its words ``out``: opaque words re-extended, doubles and strings
+    re-packed into their new word counts.
+
+    The eager restore runs this over every chunk, a lazy thunk on its
+    own chunk at first touch; every kernel is per block, so touch order
+    cannot change a word.
     """
 
-    def scatter(group_dst, group_nsz, vals):
-        """Scatter per-block ``vals`` runs to the target chunk arrays."""
-        gchunk = (
-            np.searchsorted(dst_bases, group_dst, side="right").astype(
-                np.int64
-            )
-            - 1
-        )
-        val_starts = np.cumsum(group_nsz) - group_nsz
-        for d, dst in enumerate(dst_arrs):
-            m = gchunk == d
-            if not m.any():
-                continue
-            off = ((group_dst[m] - dst_bases[d]) // np.uint64(dst_wb)).astype(
-                np.int64
-            )
-            di = _ragged_indices(off, group_nsz[m])
-            vi = _ragged_indices(val_starts[m], group_nsz[m])
-            dst[di] = vals[vi]
+    def opaque(words, _sizes):
+        return converter.convert_raw_array(words)
 
-    foff = 0
-    for arr, lp, lsz, ltag, nsz, _src_blocks in per_chunk:
-        nblocks = int(lp.size)
-        dsts = all_dst[foff : foff + nblocks]
-        dch = block_dchunk[foff : foff + nblocks]
-        foff += nblocks
-        if only_chunk is None:
-            sel = np.ones(nblocks, dtype=bool)
-        else:
-            sel = dch == only_chunk
-            if not sel.any():
-                continue
-        # Materialize a deferred chunk slice only once a block placed in
-        # the requested target chunk actually needs its payload bytes.
-        arr = np.asarray(arr)
-        is_str = (ltag == STRING_TAG) & sel
-        is_dbl = (ltag == DOUBLE_TAG) & sel
-        is_opq = (
-            (ltag >= NO_SCAN_TAG)
-            & (ltag != STRING_TAG)
-            & (ltag != DOUBLE_TAG)
-            & sel
+    def double(words, _sizes):
+        return converter.double_words_from_patterns(
+            converter.double_pattern_array(words)
         )
-        is_scan = (ltag < NO_SCAN_TAG) & sel
-        if is_scan.any():
-            vals = arr[_ragged_indices(lp[is_scan] + 1, lsz[is_scan])]
-            scatter(dsts[is_scan], nsz[is_scan], vals)
-        if is_opq.any():
-            vals = converter.convert_raw_array(
-                arr[_ragged_indices(lp[is_opq] + 1, lsz[is_opq])]
+
+    for arr, part, tags in _rebuilt_groups(ctx, d):
+        is_str = tags == STRING_TAG
+        is_dbl = tags == DOUBLE_TAG
+        is_opq = (tags >= NO_SCAN_TAG) & ~is_str & ~is_dbl
+        _convert_rebuilt_runs(ctx, arr, part[is_opq], opaque, out)
+        _convert_rebuilt_runs(ctx, arr, part[is_dbl], double, out)
+        with _maybe_kernel(timer, "strings"):
+            _convert_rebuilt_runs(
+                ctx, arr, part[is_str], converter.repack_string_batch, out
             )
-            scatter(dsts[is_opq], nsz[is_opq], vals)
-        if is_dbl.any():
-            vals = converter.double_words_from_patterns(
-                converter.double_pattern_array(
-                    arr[_ragged_indices(lp[is_dbl] + 1, lsz[is_dbl])]
-                )
-            )
-            scatter(dsts[is_dbl], nsz[is_dbl], vals)
-        if is_str.any():
-            # Strings change word counts irregularly; repack one by
-            # one through the codecs (a small minority of the heap).
-            for k in np.flatnonzero(is_str):
-                payload = arr[lp[k] + 1 : lp[k] + 1 + lsz[k]].tolist()
-                new = converter.repack_string(payload)
-                addr = int(dsts[k])
-                d = int(
-                    np.searchsorted(dst_bases, np.uint64(addr), "right") - 1
-                )
-                off = (addr - int(dst_bases[d])) // dst_wb
-                dst_arrs[d][off : off + len(new)] = np.asarray(
-                    new, dtype=np.uint64
-                )
 
 
 def _simulate_first_fit(
-    heap: Heap, sizes: list[int], dst_wb: int
-) -> tuple[list[int], list[tuple[int, int]], list[list[int]], list[int]]:
+    heap: Heap, sizes: np.ndarray, dst_wb: int
+) -> tuple[np.ndarray, list[tuple[int, int]], list[list[int]]]:
     """Replay :meth:`Heap.alloc` placement without touching memory.
 
-    Returns ``(block_addrs, chunks, freelist, fragments)`` where
-    ``chunks`` is ``(base, n_words)`` per created chunk, ``freelist``
-    the surviving ``[block_addr, size]`` entries and ``fragments`` the
-    header addresses of zero-size white fragments.  The model mirrors
-    ``_try_alloc`` exactly: first fit, tail carving, head-pushed chunks.
+    Returns ``(block_addrs, chunks, freelist)`` where ``chunks`` is
+    ``(base, n_words)`` per created chunk and ``freelist`` the surviving
+    ``[block_addr, size]`` entries.  The model mirrors ``_try_alloc``
+    exactly: first fit, tail carving, head-pushed chunks.
+
+    A restart starts from an empty freelist, so its entries are the
+    created chunks' single free runs and nearly every block carves from
+    the tail of the one its predecessor carved from: placement is a
+    cumulative sum per run, and only the block that starts a run
+    replays the allocator's scan.
     """
     page_words = PAGE_SIZE // dst_wb
     chunk_words = heap.chunk_words
@@ -1289,8 +1276,8 @@ def _simulate_first_fit(
     slot = heap._next_chunk_slot
     freelist: list[list[int]] = []
     chunks: list[tuple[int, int]] = []
-    fragments: list[int] = []
-    blocks: list[int] = []
+    blocks = np.empty(sizes.size, dtype=np.int64)
+    need = np.cumsum(sizes + 1)
 
     def add_chunk(min_words: int) -> None:
         nonlocal slot
@@ -1306,111 +1293,67 @@ def _simulate_first_fit(
         chunks.append((base, n_words))
         freelist.insert(0, [base + dst_wb, n_words - 1])
 
-    for wosize in sizes:
-        placed = None
-        while placed is None:
-            for k, ent in enumerate(freelist):
-                addr, size = ent
-                if size == wosize:
-                    freelist.pop(k)
-                    placed = addr
-                    break
-                if size == wosize + 1:
-                    freelist.pop(k)
-                    fragments.append(addr - dst_wb)
-                    placed = addr + dst_wb
-                    break
-                if size >= wosize + 2:
-                    remaining = size - wosize - 1
-                    ent[1] = remaining
-                    placed = addr + (remaining + 1) * dst_wb
-                    break
-            if placed is None:
-                add_chunk(wosize + 1)
-        blocks.append(placed)
-    return blocks, chunks, freelist, fragments
-
-
-def _install_rebuilt_header_maps(
-    heap: Heap,
-    chunks_out: list[tuple[int, int]],
-    dchunk: np.ndarray,
-    hidx: np.ndarray,
-    freelist: list[list[int]],
-    dst_bases: np.ndarray,
-    dst_wb: int,
-) -> None:
-    """Build each rebuilt chunk's header bitmap from the placement data.
-
-    Word 0 of every chunk is always a header: the rebuild never frees a
-    block, so every free block (and hence every fragment or blue remnant
-    it turns into) keeps its header at its chunk's first word, while
-    allocations carve from free-block tails (covered by ``hidx``).
-    """
-    maps = [np.zeros(n_words, dtype=np.uint8) for _, n_words in chunks_out]
-    for d, hm in enumerate(maps):
-        hm[hidx[dchunk == d]] = 1
-        hm[0] = 1
-    for addr, _size in freelist:
-        d = int(np.searchsorted(dst_bases, np.uint64(addr), "right") - 1)
-        maps[d][(addr - int(dst_bases[d])) // dst_wb - 1] = 1
-    start = len(heap.chunks) - len(chunks_out)
-    for i, hm in enumerate(maps):
-        heap.chunks[start + i].header_map = bytearray(hm.tobytes())
+    i = 0
+    while i < sizes.size:
+        wosize = int(sizes[i])
+        # The allocator's scan: the first entry the block fits.
+        for k, (addr, size) in enumerate(freelist):
+            if size >= wosize:
+                break
+        else:
+            add_chunk(wosize + 1)
+            continue
+        if size <= wosize + 1:
+            # Exact fit, or one word over: the bare header left behind
+            # stays a white zero-size fragment.
+            freelist.pop(k)
+            blocks[i] = addr + (size - wosize) * dst_wb
+            i += 1
+            continue
+        # Tail carving.  The blocks that follow carve from the same
+        # entry while it keeps a word to spare (carving block j leaves
+        # size - used[j]) and the entries before it stay too small.
+        before = int(need[i - 1]) if i else 0
+        end = int(np.searchsorted(need, before + size - 1, side="right"))
+        if k:
+            skipped = max(ent[1] for ent in freelist[:k])
+            fits_earlier = np.flatnonzero(sizes[i + 1 : end] <= skipped)
+            if fits_earlier.size:
+                end = i + 1 + int(fits_earlier[0])
+        used = need[i:end] - before
+        blocks[i:end] = addr + (size - used + 1) * dst_wb
+        freelist[k][1] = size - int(used[-1])
+        i = end
+    return blocks.astype(np.uint64), chunks, freelist
 
 
 def _fix_rebuilt_heap_vec(
-    vm: VirtualMachine,
     ctx: _RebuildContext,
     mapper: AddressMapper,
     converter: ValueConverter,
-    only_chunk: Optional[int] = None,
+    d: int,
+    out: np.ndarray,
 ) -> None:
-    """Vectorized :func:`_fix_rebuilt_heap`: convert every field of every
-    rebuilt scannable block (immediates re-boxed, pointers remapped,
-    dangling words neutralized to unit).
+    """Vectorized :func:`_fix_rebuilt_heap`: convert every field of the
+    scannable blocks of rebuilt chunk ``d`` on its way into ``out``
+    (immediates re-boxed, pointers remapped, dangling words neutralized
+    to unit); the counterpart of :func:`_fill_rebuilt_payloads`."""
+    unit = np.uint64(converter.dst_values.val_unit)
 
-    Geometry comes from the rebuild context, never the live heap: a
-    lazily deferred run (``only_chunk`` set, from a first-touch thunk)
-    can fire after ``alloc`` has appended fresh chunks, and eager and
-    lazy runs must index the same chunks to stay bit-identical.
-    """
-    heap = vm.mem.heap
-    unit = np.uint64(vm.mem.values.val_unit)
-    dst_wb = ctx.dst_wb
-    dst_bases = ctx.dst_bases
-    if ctx.scan_addrs.size == 0:
-        return
-    gchunk = (
-        np.searchsorted(dst_bases, ctx.scan_addrs, side="right").astype(
-            np.int64
-        )
-        - 1
-    )
-    for d in range(len(dst_bases)):
-        if only_chunk is not None and d != only_chunk:
-            continue
-        m = gchunk == d
-        if not m.any():
-            continue
-        arr = heap.chunks[ctx.chunk_offset + d].area.peek_staged()
-        off = (
-            (ctx.scan_addrs[m] - dst_bases[d]) // np.uint64(dst_wb)
-        ).astype(np.int64)
-        idx = _ragged_indices(off, ctx.scan_sizes[m])
-        w = arr[idx]
-        out = np.empty_like(w)
-        odd = (w & np.uint64(1)) == 1
-        if odd.any():
-            out[odd] = converter.convert_immediate_array(w[odd])
-        even = ~odd
-        if even.any():
-            ptrs = w[even]
+    def fix(words, _sizes):
+        # Re-box everything, then overwrite the (even) pointer words.
+        fixed = converter.convert_immediate_array(words)
+        even = np.flatnonzero((words & np.uint64(1)) == 0)
+        if even.size:
+            ptrs = words[even]
             mapped, ok = mapper.map_many(ptrs)
-            out[even] = np.where(
+            fixed[even] = np.where(
                 ok, mapped, np.where(ptrs == 0, np.uint64(0), unit)
             )
-        arr[idx] = out
+        return fixed
+
+    for arr, part, tags in _rebuilt_groups(ctx, d):
+        _convert_rebuilt_runs(ctx, arr, part[tags < NO_SCAN_TAG], fix, out)
 
 
 # ---------------------------------------------------------------------------

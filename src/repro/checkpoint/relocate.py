@@ -43,12 +43,26 @@ class AddressMapper:
         self,
         snap: VMSnapshot,
         vm: "VirtualMachine",
-        heap_relocation: Optional[dict[int, int]] = None,
+        heap_relocation: Optional[
+            dict[int, int] | tuple[np.ndarray, np.ndarray]
+        ] = None,
     ) -> None:
         self.vm = vm
         self.src_wb = snap.arch.word_bytes
         self.dst_wb = vm.platform.arch.word_bytes
-        #: Block-exact relocation table (word-size-changing restarts).
+        if isinstance(heap_relocation, dict):  # the scalar rebuild's
+            n = len(heap_relocation)
+            heap_relocation = (
+                np.fromiter(heap_relocation.keys(), dtype=np.uint64, count=n),
+                np.fromiter(heap_relocation.values(), dtype=np.uint64, count=n),
+            )
+        if heap_relocation is not None:
+            keys, vals = heap_relocation
+            order = np.argsort(keys)
+            heap_relocation = (keys[order], vals[order])
+        #: Block-exact relocation table (word-size-changing restarts):
+        #: ``(source blocks, target blocks)``, two ``uint64`` arrays with
+        #: the source blocks ascending.
         self.heap_relocation = heap_relocation
         #: Source areas sorted by base for binary search.
         self._areas: list[AreaRecord] = sorted(
@@ -131,13 +145,14 @@ class AddressMapper:
 
     def _map_heap(self, addr: int, area: AreaRecord) -> Optional[int]:
         if self.heap_relocation is not None:
-            target = self.heap_relocation.get(addr)
-            if target is None:
-                # A pointer held by a dead (unreachable) block whose
-                # referent was on the freelist and therefore not rebuilt.
-                self._misses += 1
-                return None
-            return target
+            keys, vals = self.heap_relocation
+            i = int(keys.searchsorted(np.uint64(addr)))
+            if i < keys.size and keys[i] == addr:
+                return int(vals[i])
+            # A pointer held by a dead (unreachable) block whose
+            # referent was on the freelist and therefore not rebuilt.
+            self._misses += 1
+            return None
         return self._heap_chunk_targets[area.base] + (addr - area.base)
 
     @property
@@ -194,17 +209,7 @@ class AddressMapper:
                 rows[i] = _ROW_BAD
         reloc_keys = reloc_vals = None
         if self.heap_relocation is not None:
-            reloc_keys = np.fromiter(
-                self.heap_relocation.keys(), dtype=np.uint64,
-                count=len(self.heap_relocation),
-            )
-            reloc_vals = np.fromiter(
-                self.heap_relocation.values(), dtype=np.uint64,
-                count=len(self.heap_relocation),
-            )
-            order = np.argsort(reloc_keys)
-            reloc_keys = reloc_keys[order]
-            reloc_vals = reloc_vals[order]
+            reloc_keys, reloc_vals = self.heap_relocation
         self._tables = (bases, ends, rows, A, d, s, reloc_keys, reloc_vals)
         return self._tables
 

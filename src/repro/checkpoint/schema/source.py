@@ -119,18 +119,21 @@ class ChunkSlice:
             return np.empty(0, dtype=np.uint64)
         src = self._source
         wb = src.arch.word_bytes
-        uniq = np.unique(idx)
+        uniq = idx if (np.diff(idx) > 0).all() else np.unique(idx)
         bounds = np.flatnonzero(np.diff(uniq) > _GATHER_SLACK) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [uniq.size]))
-        out = np.empty(uniq.size, dtype=np.uint64)
-        for a, b in zip(starts, ends):
-            lo = int(uniq[a])
-            hi = int(uniq[b - 1]) + 1
-            raw = src._read(self._offset + lo * wb, (hi - lo) * wb)
-            span = np.frombuffer(raw, dtype=src._dtype).astype(np.uint64)
-            out[a:b] = span[uniq[a:b] - lo]
-        return out[np.searchsorted(uniq, idx)]
+        lo = uniq[np.concatenate(([0], bounds))]
+        n = uniq[np.concatenate((bounds - 1, [uniq.size - 1]))] + 1 - lo
+        spans = np.frombuffer(
+            b"".join(
+                src._read(self._offset + a * wb, k * wb)
+                for a, k in zip(lo.tolist(), n.tolist())
+            ),
+            dtype=src._dtype,
+        )
+        # Where each run's first word landed in ``spans``.
+        run = np.searchsorted(lo, uniq, side="right") - 1
+        out = spans[uniq - lo[run] + (np.cumsum(n) - n)[run]].astype(np.uint64)
+        return out if uniq is idx else out[np.searchsorted(uniq, idx)]
 
     def tolist(self) -> list:
         return self.materialize().tolist()
