@@ -22,9 +22,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 _REPORTS: "OrderedDict[str, dict]" = OrderedDict()
 
 #: Machine-readable benchmark records, keyed by output file stem
-#: (``BENCH_checkpoint`` -> ``results/BENCH_checkpoint.json``).  The
-#: vectorized-vs-scalar acceptance numbers live here so a driver can
-#: check them without scraping the text reports.
+#: (``BENCH_checkpoint`` -> ``results/BENCH_checkpoint.json``), so a
+#: driver can check them without scraping the text reports.
 _BENCH: "OrderedDict[str, dict]" = OrderedDict()
 
 

@@ -4,11 +4,11 @@ The paper: "During restart, the substantial parts are restoring the
 heap and fixing pointer values inside it ... these substantial parts
 take more than 90 percent of restart."
 
-Both the vectorized reader and the ``--no-vectorize`` scalar reference
-restore the same file, interleaved min-of-N, so the comparison sees the
-same disk cache and machine noise.  The PR's acceptance number — the
-largest restart at least 3x faster end-to-end vectorized — is asserted
-here and recorded in ``results/BENCH_restart.json``.
+The same file is restored min-of-N; the breakdown is recorded in
+``results/BENCH_restart.json`` under the key ``"vectorized"`` — the
+production path's name from when a scalar reference was measured beside
+it (those records stay in the file's history; the path they measured
+lives on as ``tests/oracle``).
 """
 
 from __future__ import annotations
@@ -16,25 +16,15 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import make_checkpoint
-from repro import VMConfig, get_platform, restart_vm
+from repro import get_platform, restart_vm
 from repro.workloads import alloc_source
 
 SIZES_WORDS = [64 * 1024, 256 * 1024, 640 * 1024]
 
 HEAP_PHASES = ("heap_restore", "heap_rebuild", "pointer_fix", "read_file")
 
-#: Interleaved measurement rounds per path (min is reported).
+#: Measurement rounds (min is reported).
 ROUNDS = 5
-
-#: Acceptance floor for the vectorized restart at the largest size.
-MIN_SPEEDUP = 3.0
-
-
-def _restart(code, path: str, vectorize: bool):
-    vm, stats = restart_vm(
-        get_platform("rodrigo"), code, path, VMConfig(vectorize=vectorize)
-    )
-    return stats
 
 
 @pytest.mark.parametrize("size", SIZES_WORDS)
@@ -43,70 +33,47 @@ def test_restart_phase_breakdown(size, tmp_path, benchmark, get_report,
     rep = get_report(
         "Figure 14",
         "restart time breakdown vs checkpointed data size (rodrigo->rodrigo)",
-        ["path", "ckpt MB", "total ms", "heap restore+fix %", "stack %",
-         "other %"],
+        ["ckpt MB", "total ms", "heap restore+fix %", "stack %", "other %"],
     )
     path = str(tmp_path / "bd.hckp")
     code, vm = make_checkpoint(alloc_source(size), path)
     file_mb = vm.last_checkpoint_stats.file_bytes / 1e6
 
     def restart():
-        return restart_vm(get_platform("rodrigo"), code, path)
+        return restart_vm(get_platform("rodrigo"), code, path)[1]
 
-    benchmark.pedantic(restart, rounds=1, iterations=1)
+    benchmark.pedantic(restart, rounds=1, iterations=1)  # also warms
+    stats = min(
+        (restart() for _ in range(ROUNDS)), key=lambda st: st.phases.total
+    )
 
-    best = {}
-    for vectorize in (True, False):  # warm both paths once
-        _restart(code, path, vectorize)
-    for _ in range(ROUNDS):
-        for vectorize in (True, False):
-            stats = _restart(code, path, vectorize)
-            prev = best.get(vectorize)
-            if prev is None or stats.phases.total < prev.phases.total:
-                best[vectorize] = stats
-
+    fractions = stats.phases.fractions()
+    heap = sum(fractions.get(p, 0.0) for p in HEAP_PHASES)
+    stack = fractions.get("stack_restore", 0.0) + fractions.get(
+        "threads", 0.0
+    )
+    rep.row(
+        f"{file_mb:.2f}",
+        f"{stats.phases.total * 1e3:.1f}",
+        f"{100 * heap:.1f}",
+        f"{100 * stack:.1f}",
+        f"{100 * (1.0 - heap - stack):.1f}",
+    )
     record = bench_json("BENCH_restart").setdefault("sizes", {})
-    entry = record.setdefault(str(size), {})
-    for vectorize in (False, True):
-        stats = best[vectorize]
-        fractions = stats.phases.fractions()
-        heap = sum(fractions.get(p, 0.0) for p in HEAP_PHASES)
-        stack = fractions.get("stack_restore", 0.0) + fractions.get(
-            "threads", 0.0
-        )
-        other = 1.0 - heap - stack
-        label = "vectorized" if vectorize else "scalar"
-        rep.row(
-            label,
-            f"{file_mb:.2f}",
-            f"{stats.phases.total * 1e3:.1f}",
-            f"{100 * heap:.1f}",
-            f"{100 * stack:.1f}",
-            f"{100 * other:.1f}",
-        )
-        entry[label] = {
-            "total_ms": round(stats.phases.total * 1e3, 3),
-            "phases_ms": {
-                k: round(v * 1e3, 3)
-                for k, v in stats.phases.seconds.items()
-            },
-            "kernels_ms": {
-                k: round(v * 1e3, 3)
-                for k, v in stats.phases.kernel_seconds.items()
-            },
-        }
-        # The paper's shape: heap restore + pointer fixing dominate.
-        assert heap > 0.7
-
-    speedup = best[False].phases.total / best[True].phases.total
-    entry["restart_speedup"] = round(speedup, 3)
+    record.setdefault(str(size), {})["vectorized"] = {
+        "total_ms": round(stats.phases.total * 1e3, 3),
+        "phases_ms": {
+            k: round(v * 1e3, 3) for k, v in stats.phases.seconds.items()
+        },
+        "kernels_ms": {
+            k: round(v * 1e3, 3)
+            for k, v in stats.phases.kernel_seconds.items()
+        },
+    }
+    # The paper's shape: heap restore + pointer fixing dominate.
+    assert heap > 0.7
     if size == SIZES_WORDS[-1]:
         rep.note(
             "paper shape: restoring the heap and fixing its pointers take "
             "more than 90% of restart"
         )
-        rep.note(
-            f"vectorized restart at {size} words: {speedup:.2f}x faster "
-            f"than the scalar reference (min of {ROUNDS} interleaved rounds)"
-        )
-        assert speedup >= MIN_SPEEDUP

@@ -12,7 +12,7 @@ exits non-zero when it finds one outside the schema package.
 
 A second check guards the section-handle refactor the same way: the
 whole-body parse/verify primitives (``_parse_checkpoint``,
-``_verify_v3_payload``, ``_parse_body`` ...) are implementation details
+``_parse_body`` ...) are implementation details
 of :class:`repro.checkpoint.schema.SnapshotSource` and the format
 module that hosts them.  Every other consumer must go through
 ``SnapshotSource`` / ``read_checkpoint`` so reads stay section-scoped
@@ -38,7 +38,7 @@ SRC = ROOT / "src"
 ALLOWED = SRC / "repro" / "checkpoint" / "schema"
 
 _CMP = r"(?:==|!=|<=|>=|<|>)"
-_NAME = r"(?:format_version|chkpt_format|version)"
+_NAME = r"(?:format_version|version)"
 # name <op> literal, or literal <op> name — either spelling of a ladder.
 LADDER = re.compile(
     rf"\b{_NAME}\s*{_CMP}\s*\d|\b\d\s*{_CMP}\s*{_NAME}\b"
@@ -49,8 +49,7 @@ LADDER = re.compile(
 #: the format module.  Callers elsewhere must use SnapshotSource (or the
 #: read_checkpoint / load_snapshot_chain wrappers built on it).
 WHOLE_BODY = re.compile(
-    r"\b(?:_parse_checkpoint|_verify_v3_payload|_parse_body"
-    r"|_parse_body_sections|_locate_parse_end)\s*\("
+    r"\b(?:_parse_checkpoint|_parse_body|_locate_parse_end)\s*\("
 )
 
 #: Files allowed to call the whole-body primitives: the schema package

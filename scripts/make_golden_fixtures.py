@@ -1,11 +1,15 @@
 #!/usr/bin/env python
 """Generate the golden checkpoint fixtures under tests/fixtures/golden/.
 
-The fixtures pin the exact bytes the checkpoint writer produces for
-every format version (v1-v3 fulls, a v4 delta chain) on every simulated
-platform.  They were generated from the pre-schema-registry writer and
-are the proof obligation of the registry refactor: the schema-driven
-writer must reproduce them bit for bit (tests/test_schema.py compares).
+The fixtures pin the exact bytes of every format version (v1-v3 fulls,
+a v4 delta chain) on every simulated platform.  They were generated
+from the pre-schema-registry writer and are the proof obligation of
+every refactor since: the current code must reproduce them bit for bit
+(tests/test_schema.py compares).  The writer emits v3 fulls and v4
+deltas only; the v1/v2 files are the v3 capture re-stamped, and the
+index-less ``full_v3_scalar.hckp`` comes from the word-at-a-time oracle
+writer under ``tests/oracle`` — the files the retired ``--format`` and
+``--no-vectorize`` writers produced.
 
 Regenerate (only when the format itself legitimately changes) with:
 
@@ -17,18 +21,19 @@ host-specific paths and the fixtures are reproducible everywhere.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(REPO, "src"), REPO]
 
 from repro.arch.platforms import PLATFORMS  # noqa: E402
 from repro.minilang import compile_source  # noqa: E402
 from repro.vm import VMConfig, VirtualMachine  # noqa: E402
+from tests import oracle  # noqa: E402
 
 #: One checkpoint mid-computation; the state spans a cons list, an
 #: array, a string, a float, and a closure-carrying deep stack.
@@ -71,24 +76,22 @@ print_int (sum keep + arr.(5));;
 print_newline ();;
 """
 
-#: Full-checkpoint format versions the writer can emit.
-FULL_VERSIONS = (1, 2, 3)
+#: Older full-checkpoint format versions readers must keep restoring.
+OLD_VERSIONS = (1, 2)
 
 
-def run_full(platform_name: str, path: str, version: int,
-             vectorize: bool = True) -> bytes:
+def run_full(platform_name: str, path: str, scalar: bool = False) -> bytes:
     """Run FULL_PROGRAM with one blocking checkpoint; returns stdout."""
     code = compile_source(FULL_PROGRAM)
     vm = VirtualMachine(
         PLATFORMS[platform_name],
         code,
-        VMConfig(
-            chkpt_filename=path,
-            chkpt_mode="blocking",
-            chkpt_format=version,
-            vectorize=vectorize,
-        ),
+        VMConfig(chkpt_filename=path, chkpt_mode="blocking"),
     )
+    if scalar:
+        vm.perform_checkpoint = functools.partial(
+            oracle.write_checkpoint, vm, path
+        )
     result = vm.run(max_instructions=20_000_000)
     assert result.status == "stopped" and vm.checkpoints_taken == 1
     return result.stdout
@@ -120,15 +123,17 @@ def generate(root: str) -> dict:
         pdir = os.path.join(root, name)
         os.makedirs(pdir, exist_ok=True)
         entry: dict = {"files": {}, "stdout": {}}
-        for version in FULL_VERSIONS:
+        v3 = os.path.join(pdir, "full_v3.hckp")
+        entry["stdout"]["full"] = run_full(name, v3).decode()
+        entry["files"]["full_v3.hckp"] = _sha(v3)
+        for version in OLD_VERSIONS:
             path = os.path.join(pdir, f"full_v{version}.hckp")
-            out = run_full(name, path, version)
+            oracle.restamp(v3, path, version)
             entry["files"][f"full_v{version}.hckp"] = _sha(path)
-            entry["stdout"]["full"] = out.decode()
-        # The scalar reference writer (no block-extent index, list-backed
-        # serialization) must also stay byte-stable.
+        # The word-at-a-time writer (no block-extent index, list-backed
+        # capture) must also stay byte-stable.
         path = os.path.join(pdir, "full_v3_scalar.hckp")
-        run_full(name, path, 3, vectorize=False)
+        run_full(name, path, scalar=True)
         entry["files"]["full_v3_scalar.hckp"] = _sha(path)
         head = os.path.join(pdir, "delta.hckp")
         out = run_delta_chain(name, head)

@@ -20,8 +20,6 @@ import numpy as np
 
 from repro.arch.architecture import Architecture, Endianness
 from repro.errors import CheckpointFormatError
-from repro.memory.floats import FloatCodec
-from repro.memory.strings import StringCodec
 from repro.memory.values import ValueCodec
 
 
@@ -53,10 +51,6 @@ class ValueConverter:
         self.dst = dst
         self.src_values = ValueCodec(src)
         self.dst_values = ValueCodec(dst)
-        self._src_strings = StringCodec(src)
-        self._dst_strings = StringCodec(dst)
-        self._src_floats = FloatCodec(src)
-        self._dst_floats = FloatCodec(dst)
 
     @property
     def endian_differs(self) -> bool:
@@ -93,7 +87,7 @@ class ValueConverter:
             return word
         return self.dst.to_unsigned(self.src.to_signed(word))
 
-    # -- batch conversions (vectorized fast path) -----------------------------
+    # -- batch conversions ----------------------------------------------------
 
     def convert_raw_array(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`convert_raw` over a ``uint64`` array."""
@@ -105,13 +99,6 @@ class ValueConverter:
         return (
             arr.astype(np.uint32).view(np.int32).astype(np.int64).view(np.uint64)
         )
-
-    def convert_raw_many(self, words: list[int]) -> list[int]:
-        """Batch :meth:`convert_raw` over a list of words."""
-        if self.src.bits == self.dst.bits:
-            return list(words)
-        arr = np.asarray(words, dtype=np.uint64)
-        return self.convert_raw_array(arr).tolist()
 
     def convert_immediate_array(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`convert_immediate` over a ``uint64`` array.
@@ -172,7 +159,10 @@ class ValueConverter:
     def repack_string_batch(
         self, words: np.ndarray, sizes: np.ndarray
     ) -> np.ndarray:
-        """Batch :meth:`repack_string` across word sizes.
+        """Re-pack string payloads across word sizes.
+
+        The byte *sequence* of each string is the invariant; the word
+        values (and here the word counts) change.
 
         ``words`` holds string payloads back to back, ``sizes[k] >= 1``
         source words each; returns the repacked payloads back to back
@@ -246,28 +236,3 @@ class ValueConverter:
         else:
             out[0::2], out[1::2] = hi, lo
         return out
-
-    # -- payload conversions -------------------------------------------------------
-
-    def repack_string(self, words: list[int]) -> list[int]:
-        """Re-pack a string payload for the target architecture.
-
-        The byte *sequence* is the invariant; the word values change
-        whenever endianness or word size differ.
-        """
-        return self._dst_strings.encode(self._src_strings.decode(words))
-
-    def repack_double(self, words: list[int]) -> list[int]:
-        """Re-encode an IEEE double payload for the target architecture."""
-        return self._dst_floats.encode(self._src_floats.decode(words))
-
-    def string_target_words(self, words: list[int]) -> int:
-        """Target payload size in words of a repacked string."""
-        return self._dst_strings.words_needed(
-            self._src_strings.byte_length(words)
-        )
-
-    @property
-    def double_target_words(self) -> int:
-        """Target payload size in words of a double block."""
-        return self._dst_floats.words_per_double

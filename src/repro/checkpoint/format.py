@@ -15,8 +15,8 @@ Layout (sections in the order of the paper's §4.1 steps 5-13):
 7.  heap chunks, dumped raw in native representation (paper step 8)
 7b. block-extent index (format v2 only, optional): per chunk, the
     delta-coded word positions of every block header plus a one-byte
-    class per block, so restart can vectorize per block class without
-    re-discovering headers word-by-word
+    class per block, so restart can convert each block class in bulk
+    without re-discovering headers word-by-word
 8.  atom table dump (paper step 9)
 9.  C-global area dump + registered root indices
 10. per-thread records: registers (paper step 7), scheduling state and
@@ -113,8 +113,9 @@ class DeltaChunkRecord:
 
     base: int
     n_words: int
-    #: ``(start_word, words)`` runs, ascending and non-overlapping; the
-    #: vectorized paths store numpy arrays in the ``words`` slot.
+    #: ``(start_word, words)`` runs, ascending and non-overlapping;
+    #: ``words`` is a numpy array (a list only between a background
+    #: capture and the writer thread's unboxing).
     regions: list
 
 
@@ -214,8 +215,10 @@ class VMSnapshot:
     freelist_head: int
     global_data: int
     allocated_words: int
-    heap_chunks: list[tuple[int, list[int]]]  # (base, words); the
-    # vectorized paths store numpy arrays in the ``words`` slot instead
+    #: ``(base, words)`` per chunk; ``words`` is a ``uint64`` array or a
+    #: deferred ``ChunkSlice`` once parsed (a list only between a
+    #: background capture and the writer thread's unboxing).
+    heap_chunks: list[tuple[int, object]]
     atom_words: list[int]
     cglobal_words: list[int]
     cglobal_roots: list[int]
@@ -223,7 +226,7 @@ class VMSnapshot:
     channels: list[ChannelRecord]
     #: Format-v2 block-extent index: one ``(positions, classes)`` pair
     #: per heap chunk (uint32 header word-indices, uint8 CLASS_* codes),
-    #: or None when the file carries no index (v1, or scalar writer).
+    #: or None when the file carries no index (v1, or an older writer).
     chunk_index: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     #: The verified v3 section table (None for v1/v2 files).
     sections: Optional[list[SectionEntry]] = None
@@ -298,27 +301,18 @@ class SectionWriter:
         self.buf.write(self.arch.word_to_bytes(w))
 
     def words(self, ws) -> None:
-        """A word array in native representation (vectorized).
+        """A word array in native representation.
 
         Accepts a list of ints or a numpy array; an array already in the
         architecture's native dtype is written without any copy/convert.
         """
         self.u64(len(ws))
-        if isinstance(ws, np.ndarray):
-            if ws.dtype == self._dtype:
-                # Buffer protocol: no intermediate bytes copy.
-                self.buf.write(
-                    ws.data if ws.flags.c_contiguous else ws.tobytes()
-                )
-                return
-            arr = ws.astype(np.uint64) & np.uint64(self.arch.word_mask)
-            self.buf.write(arr.astype(self._dtype).data)
+        if isinstance(ws, np.ndarray) and ws.dtype == self._dtype:
+            # Buffer protocol: no intermediate bytes copy.
+            self.buf.write(ws.data if ws.flags.c_contiguous else ws.tobytes())
             return
-        # List input: the scalar reference encoding, kept byte-for-byte
-        # and copy-for-copy as-is so ``--no-vectorize`` measures the
-        # unoptimized baseline the vectorized path is compared against.
         arr = np.asarray(ws, dtype=np.uint64) & np.uint64(self.arch.word_mask)
-        self.buf.write(arr.astype(self._dtype).tobytes())
+        self.buf.write(arr.astype(self._dtype).data)
 
     def getvalue(self) -> bytes:
         return self.buf.getvalue()
@@ -423,32 +417,12 @@ def _encode_integrity_trailer(view, extents) -> tuple[bytes, bytes]:
     return blob + struct.pack("<I", len(blob)), sha
 
 
-def serialize_snapshot(snap: VMSnapshot) -> bytes:
-    """Serialize a snapshot into the on-disk checkpoint format.
-
-    This is the scalar reference tail: materialize the body, checksum
-    it, concatenate the trailer.  Both copies are deliberate — they are
-    part of the unoptimized baseline ``--no-vectorize`` measures.
-    """
-    profile = FormatProfile.for_snapshot(snap)
-    w = profile.write_body(snap)
-    body = w.getvalue()
-    if profile.integrity_trailer:
-        trailer, sha = _encode_integrity_trailer(
-            body, w.section_extents(len(body))
-        )
-        body += trailer
-        snap.body_sha256 = sha
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return body + CHECKPOINT_END + struct.pack("<I", crc)
-
-
 def serialize_snapshot_writer(snap: VMSnapshot) -> "SectionWriter":
     """Serialize a snapshot; returns the filled :class:`SectionWriter`.
 
-    The vectorized tail: the CRCs run over the live buffer view and the
-    trailer is appended in place, so callers streaming straight to a
-    file (``w.buf.getbuffer()``) never copy the multi-megabyte body.
+    The CRCs run over the live buffer view and the trailer is appended
+    in place, so callers streaming straight to a file
+    (``w.buf.getbuffer()``) never copy the multi-megabyte body.
     """
     profile = FormatProfile.for_snapshot(snap)
     w = profile.write_body(snap)
@@ -464,6 +438,11 @@ def serialize_snapshot_writer(snap: VMSnapshot) -> "SectionWriter":
         crc = zlib.crc32(view) & 0xFFFFFFFF
     w.raw(CHECKPOINT_END + struct.pack("<I", crc))
     return w
+
+
+def serialize_snapshot(snap: VMSnapshot) -> bytes:
+    """The on-disk checkpoint image of a snapshot, as ``bytes``."""
+    return serialize_snapshot_writer(snap).getvalue()
 
 
 def detect_format_version(path: str) -> Optional[int]:
@@ -507,57 +486,44 @@ def annotate_restore_error(exc: Exception, path: str) -> Exception:
     return err
 
 
-def read_checkpoint(path: str, raw_arrays: bool = False) -> VMSnapshot:
+def read_checkpoint(path: str) -> VMSnapshot:
     """Read and validate a checkpoint file; detect its architecture.
 
-    A v2 reader accepts v1 files (they simply carry no block-extent
-    index).  With ``raw_arrays`` the bulk word sections (heap chunks and
-    thread stacks) are returned as numpy ``uint64`` arrays instead of
-    Python lists, for the vectorized restart path.
+    Every format version reads (v1 files simply carry no block-extent
+    index).  The bulk word sections — heap chunks, delta regions and
+    thread stacks — come back as numpy ``uint64`` arrays.
 
     Any :class:`~repro.errors.CheckpointFormatError` raised here carries
     the file path and the format version its magic claims.
     """
     try:
-        src = SnapshotSource.open(path, raw_arrays=raw_arrays)
+        src = SnapshotSource.open(path)
         return src.resolve_all()
     except CheckpointFormatError as e:
         INTEGRITY.integrity_failures += 1
         raise annotate_restore_error(e, path) from e
 
 
-def _parse_checkpoint(data: bytes, raw_arrays: bool = False) -> VMSnapshot:
-    if len(data) < len(CHECKPOINT_MAGIC) + len(CHECKPOINT_END) + 4:
-        raise CheckpointFormatError(
-            f"checkpoint file too small ({len(data)} byte(s)): truncated "
-            f"in section 'header'",
-            section="header",
-            offset=len(data),
+def _parse_checkpoint(data: bytes) -> VMSnapshot:
+    """Verify and parse a file without a section table (v1/v2, or an
+    unknown magic): one CRC over everything, one sequential parse.
+
+    :class:`SnapshotSource` has already checked the size and the end
+    signature.
+    """
+    payload = data[:-12]
+    (crc,) = struct.unpack("<I", data[-4:])
+    actual = zlib.crc32(payload) & 0xFFFFFFFF
+    if actual != crc:
+        raise CheckpointIntegrityError(
+            "checkpoint CRC mismatch (corrupt file)",
+            section="file",
+            offset=0,
+            length=len(payload),
+            expected=crc,
+            actual=actual,
         )
-    payload, end = data[:-12], data[-12:]
-    if end[:8] != CHECKPOINT_END:
-        _raise_truncation(data)
-    (crc,) = struct.unpack("<I", end[8:])
-    profile = FormatProfile.for_magic(data[: FormatProfile.magic_len()], None)
-    sections: Optional[list[SectionEntry]] = None
-    body_sha: Optional[bytes] = None
-    if profile is not None and profile.integrity_trailer:
-        body, sections, body_sha = _verify_v3_payload(payload, crc)
-    else:
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise CheckpointIntegrityError(
-                "checkpoint CRC mismatch (corrupt file)",
-                section="file",
-                offset=0,
-                length=len(payload),
-                expected=crc,
-                actual=zlib.crc32(payload) & 0xFFFFFFFF,
-            )
-        body = payload
-    snap = _parse_body(SectionReader(body), raw_arrays)
-    snap.sections = sections
-    snap.body_sha256 = body_sha
-    return snap
+    return _parse_body(SectionReader(payload))
 
 
 def _raise_truncation(data: bytes) -> None:
@@ -580,122 +546,13 @@ def _raise_truncation(data: bytes) -> None:
 def _locate_parse_end(data: bytes) -> tuple[str, int]:
     r = SectionReader(data)
     try:
-        _parse_body(r, raw_arrays=False)
+        _parse_body(r)
     except CheckpointFormatError as e:
         return e.section or r.section, e.offset if e.offset is not None else r.off
     except Exception:  # pragma: no cover - defensive; _parse_body wraps
         return r.section, r.off
     # The whole body parsed: the cut lies in the trailer region.
     return "trailer", r.off
-
-
-def _verify_v3_payload(
-    payload: bytes, end_crc: int
-) -> tuple[bytes, list[SectionEntry], bytes]:
-    """Locate and check the v3 integrity trailer; verify the body.
-
-    Verification order: per-section CRC32s first (cheap, and a mismatch
-    names the exact damaged section for fsck), then the whole-body
-    SHA-256, then the end-of-file CRC that also covers the trailer
-    bytes themselves.
-    """
-    min_trailer = len(TRAILER_MAGIC) + 4 + 32
-    if len(payload) < min_trailer + 4:
-        raise CheckpointIntegrityError(
-            "v3 integrity trailer missing (file too small)",
-            section="trailer",
-            offset=len(payload),
-        )
-    (tlen,) = struct.unpack("<I", payload[-4:])
-    tstart = len(payload) - 4 - tlen
-    if (
-        tlen < min_trailer
-        or tstart < len(CHECKPOINT_MAGIC)
-        or payload[tstart : tstart + len(TRAILER_MAGIC)] != TRAILER_MAGIC
-    ):
-        raise CheckpointIntegrityError(
-            "v3 integrity trailer is missing or corrupt",
-            section="trailer",
-            offset=max(tstart, 0),
-            length=min(tlen + 4, len(payload)),
-        )
-    body = payload[:tstart]
-    tr = SectionReader(payload[tstart:-4])
-    tr.begin("trailer")
-    try:
-        tr._take(len(TRAILER_MAGIC))
-        n = tr.u32()
-        if n > 256:
-            raise CheckpointFormatError(
-                f"implausible section count {n}", section="trailer"
-            )
-        entries = []
-        for _ in range(n):
-            name = tr.str_lp()
-            off, length, crc32v = struct.unpack("<QQI", tr._take(20))
-            entries.append(SectionEntry(name, off, length, crc32v))
-        sha = tr._take(32)
-    except CheckpointFormatError as e:
-        raise CheckpointIntegrityError(
-            f"v3 section table unreadable: {e}",
-            section="trailer",
-            offset=tstart,
-            length=tlen + 4,
-        ) from e
-    # The table must tile the body exactly — gaps or overlaps would let
-    # corruption hide between sections.
-    pos = 0
-    for ent in entries:
-        if ent.offset != pos or ent.end > len(body):
-            raise CheckpointIntegrityError(
-                f"v3 section table does not tile the body (section "
-                f"'{ent.name}' claims bytes {ent.offset}..{ent.end})",
-                section="trailer",
-                offset=tstart,
-                length=tlen + 4,
-            )
-        pos = ent.end
-    if pos != len(body):
-        raise CheckpointIntegrityError(
-            f"v3 section table covers {pos} of {len(body)} body byte(s)",
-            section="trailer",
-            offset=tstart,
-            length=tlen + 4,
-        )
-    for ent in entries:
-        actual = zlib.crc32(payload[ent.offset : ent.end]) & 0xFFFFFFFF
-        if actual != ent.crc32:
-            raise CheckpointIntegrityError(
-                f"section '{ent.name}' CRC mismatch at bytes "
-                f"{ent.offset}..{ent.end} (expected {ent.crc32:#010x}, "
-                f"got {actual:#010x})",
-                section=ent.name,
-                offset=ent.offset,
-                length=ent.length,
-                expected=ent.crc32,
-                actual=actual,
-            )
-    actual_sha = hashlib.sha256(body).digest()
-    if actual_sha != sha:
-        raise CheckpointIntegrityError(
-            f"whole-file SHA-256 mismatch (expected {sha.hex()[:16]}..., "
-            f"got {actual_sha.hex()[:16]}...)",
-            section="file",
-            offset=0,
-            length=len(body),
-            expected=sha.hex(),
-            actual=actual_sha.hex(),
-        )
-    if zlib.crc32(payload) & 0xFFFFFFFF != end_crc:
-        raise CheckpointIntegrityError(
-            "end-of-file CRC mismatch (trailer bytes corrupt)",
-            section="trailer",
-            offset=tstart,
-            length=tlen + 4,
-            expected=end_crc,
-            actual=zlib.crc32(payload) & 0xFFFFFFFF,
-        )
-    return body, entries, sha
 
 
 def read_section_table(data: bytes) -> Optional[list[SectionEntry]]:
@@ -708,30 +565,16 @@ def read_section_table(data: bytes) -> Optional[list[SectionEntry]]:
     profile = FormatProfile.for_magic(data[: FormatProfile.magic_len()], None)
     if profile is None or not profile.integrity_trailer:
         return None
-    if len(data) < 12 or data[-12:-4] != CHECKPOINT_END:
-        return None
-    try:
-        payload = data[:-12]
-        (tlen,) = struct.unpack("<I", payload[-4:])
-        tstart = len(payload) - 4 - tlen
-        if tstart < 0 or payload[tstart : tstart + 8] != TRAILER_MAGIC:
-            return None
-        tr = SectionReader(payload[tstart:-4])
-        tr.begin("trailer")
-        tr._take(len(TRAILER_MAGIC))
-        entries = []
-        for _ in range(tr.u32()):
-            name = tr.str_lp()
-            off, length, crc32v = struct.unpack("<QQI", tr._take(20))
-            entries.append(SectionEntry(name, off, length, crc32v))
-        return entries
-    except (CheckpointFormatError, struct.error, UnicodeDecodeError):
-        return None
+    src = SnapshotSource.from_bytes(data, tolerant=True)
+    return src.section_entries() if src.handles is not None else None
 
 
-def _parse_body(r: SectionReader, raw_arrays: bool = False) -> VMSnapshot:
+def _parse_body(r: SectionReader) -> VMSnapshot:
     try:
-        return _parse_body_sections(r, raw_arrays)
+        r.begin("header")
+        magic = r.data[r.off : r.off + FormatProfile.magic_len()]
+        profile = FormatProfile.for_magic(magic)  # raises the typed bad-magic
+        return profile.parse_body(r)
     except CheckpointFormatError:
         raise
     except (ValueError, struct.error, UnicodeDecodeError, IndexError,
@@ -747,19 +590,12 @@ def _parse_body(r: SectionReader, raw_arrays: bool = False) -> VMSnapshot:
         ) from e
 
 
-def _parse_body_sections(r: SectionReader, raw_arrays: bool) -> VMSnapshot:
-    r.begin("header")
-    magic = r.data[r.off : r.off + FormatProfile.magic_len()]
-    profile = FormatProfile.for_magic(magic)  # raises the typed bad-magic
-    return profile.parse_body(r, raw_arrays)
-
-
 # ---------------------------------------------------------------------------
 # Delta-chain reconstruction (format v4)
 # ---------------------------------------------------------------------------
 
 
-def merge_delta_chain(chain: list[VMSnapshot], raw_arrays: bool = False) -> VMSnapshot:
+def merge_delta_chain(chain: list[VMSnapshot]) -> VMSnapshot:
     """Reconstruct a full snapshot from a base + ordered deltas.
 
     ``chain`` is ordered base-first: element 0 must be a full (non-delta)
@@ -843,10 +679,7 @@ def merge_delta_chain(chain: list[VMSnapshot], raw_arrays: bool = False) -> VMSn
         # saving machine (compaction) and are dropped here too.
         state = current
     head = chain[-1]
-    heap_chunks: list[tuple[int, object]] = [
-        (rec.base, state[rec.base] if raw_arrays else state[rec.base].tolist())
-        for rec in head.delta.chunks
-    ]
+    heap_chunks = [(rec.base, state[rec.base]) for rec in head.delta.chunks]
     atom_words = base.atom_words
     cglobal_words = base.cglobal_words
     cglobal_roots = base.cglobal_roots

@@ -169,6 +169,8 @@ def inspect_snapshot(snap: VMSnapshot) -> InspectionReport:
         if a.kind == "code":
             code_end = a.base + a.n_words * 4
     for ci, (base, words) in enumerate(snap.heap_chunks):
+        # The walk below is word-at-a-time: unbox the chunk once.
+        words = words.tolist()
         report.heap_words += len(words)
         walk_positions: list[int] = []
         i = 0
@@ -223,7 +225,7 @@ def inspect_snapshot(snap: VMSnapshot) -> InspectionReport:
             i += 1 + size
         if snap.chunk_index is not None:
             # The v2 index must agree with the discovery walk exactly —
-            # a vectorized restart trusts it without re-walking.
+            # restart trusts it without re-walking.
             indexed = [int(p) for p in snap.chunk_index[ci][0]]
             if indexed != walk_positions:
                 report.problems.append(
@@ -245,7 +247,7 @@ def inspect_snapshot(snap: VMSnapshot) -> InspectionReport:
             report.problems.append(
                 f"thread {t.tid}: PC {pc:#x} is not a code address"
             )
-        for k, w in enumerate(t.stack_words):
+        for k, w in enumerate(t.stack_words.tolist()):
             if w & 1:
                 continue
             if w == 0:

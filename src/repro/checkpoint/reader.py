@@ -139,9 +139,7 @@ def next_generation_path(path: str) -> str:
     return candidate
 
 
-def load_snapshot_chain(
-    path: str, raw_arrays: bool = False, defer: bool = False
-) -> VMSnapshot:
+def load_snapshot_chain(path: str, defer: bool = False) -> VMSnapshot:
     """Read ``path``, reconstructing through its delta chain if needed.
 
     A full (v1-v3) checkpoint is returned as-is.  A v4 delta walks the
@@ -164,9 +162,9 @@ def load_snapshot_chain(
 
     def read_link(p: str) -> VMSnapshot:
         if not defer:
-            return read_checkpoint(p, raw_arrays=raw_arrays)
+            return read_checkpoint(p)
         try:
-            src = SnapshotSource.open(p, raw_arrays=raw_arrays, defer=True)
+            src = SnapshotSource.open(p, defer=True)
         except CheckpointFormatError as e:
             INTEGRITY.integrity_failures += 1
             raise annotate_restore_error(e, p) from e
@@ -203,7 +201,7 @@ def load_snapshot_chain(
             ) from e
     chain.reverse()
     try:
-        merged = merge_delta_chain(chain, raw_arrays=raw_arrays)
+        merged = merge_delta_chain(chain)
     except CheckpointIntegrityError as e:
         INTEGRITY.integrity_failures += 1
         raise annotate_restore_error(e, path) from e
@@ -317,18 +315,14 @@ def _restart_vm(
 ) -> tuple[VirtualMachine, RestartStats]:
     stats = RestartStats()
     timer = stats.phases
-    vectorize = config.vectorize if config is not None else True
-    # Lazy first-touch restore rides the staged numpy arrays, so it
-    # requires the vectorized path; the scalar reference stays eager.
     lazy = bool(config.lazy_restore) if config is not None else False
-    lazy = lazy and vectorize
     # Steps 1-4: read and validate (reconstructing through a v4 delta
     # chain when the head is incremental).  Under lazy restore the
     # links open deferred: roots/threads/registers come from
     # eagerly-resolved sections while heap payload bytes stay on disk
     # behind chunk slices until their first-touch thunks fire.
     with timer.phase("read_file"):
-        snap = load_snapshot_chain(path, raw_arrays=vectorize, defer=lazy)
+        snap = load_snapshot_chain(path, defer=lazy)
     sources = getattr(snap, "_sources", []) if lazy else []
     if snap.header.code_digest != code.digest():
         raise RestartError(
@@ -346,24 +340,17 @@ def _restart_vm(
         _fresh_heap(vm)
         relocation = None
         rebuild_ctx = None
-        positions: Optional[list[np.ndarray]] = None
         if converter.word_size_differs:
             with timer.phase("heap_rebuild"):
-                if vectorize:
-                    positions = _chunk_positions(snap, timer)
-                    rebuild_ctx = _rebuild_heap_vec(
-                        vm, snap, converter, positions, timer, defer=lazy
-                    )
-                    relocation = rebuild_ctx.relocation
-                else:
-                    relocation = _rebuild_heap(vm, snap, converter)
+                positions = _chunk_positions(snap, timer)
+                rebuild_ctx = _rebuild_heap(
+                    vm, snap, converter, positions, timer, defer=lazy
+                )
+                relocation = rebuild_ctx.relocation
         else:
             with timer.phase("heap_restore"):
-                if vectorize:
-                    positions = _chunk_positions(snap, timer)
-                    _restore_heap_chunks_vec(vm, snap, positions)
-                else:
-                    _restore_heap_chunks(vm, snap)
+                positions = _chunk_positions(snap, timer)
+                _restore_heap_chunks(vm, snap, positions)
         # Threads and their stacks must exist before the mapper so stack
         # addresses resolve (step 8 before 9, safely: no thread runs yet).
         with timer.phase("threads"):
@@ -372,21 +359,16 @@ def _restart_vm(
         fix = _value_fixer(vm, mapper, converter)
         if converter.word_size_differs:
             with timer.phase("pointer_fix"):
-                if vectorize:
-                    if lazy:
-                        _attach_rebuild_thunks(
-                            vm, rebuild_ctx, mapper, converter, stats,
-                            sources,
-                        )
-                    else:
-                        for d, area in enumerate(rebuild_ctx.areas):
-                            _fix_rebuilt_heap_vec(
-                                rebuild_ctx, mapper, converter, d,
-                                area.peek_staged(),
-                            )
+                if lazy:
+                    _attach_rebuild_thunks(
+                        vm, rebuild_ctx, mapper, converter, stats, sources
+                    )
                 else:
-                    _fix_rebuilt_heap(vm, snap, relocation, fix, converter)
-                    vm.mem.heap.rebuild_freelist()
+                    for d, area in enumerate(rebuild_ctx.areas):
+                        _fix_rebuilt_heap(
+                            rebuild_ctx, mapper, converter, d,
+                            area.peek_staged(),
+                        )
         else:
             if lazy:
                 # Defer pointer fixing and payload repacking per chunk:
@@ -398,16 +380,10 @@ def _restart_vm(
                     )
             else:
                 with timer.phase("pointer_fix"):
-                    if vectorize:
-                        _fix_heap_pointers_vec(vm, mapper, positions, timer)
-                    else:
-                        _fix_heap_pointers(vm, mapper)
+                    _fix_heap_pointers(vm, mapper, positions, timer)
                 if converter.endian_differs:
                     with timer.phase("convert_payloads"):
-                        if vectorize:
-                            _repack_heap_payloads_vec(vm, converter, positions)
-                        else:
-                            _repack_heap_payloads(vm, converter)
+                        _repack_heap_payloads(vm, converter, positions)
             with timer.phase("freelist"):
                 head = snap.freelist_head
                 vm.mem.heap.freelist_head = (
@@ -420,7 +396,8 @@ def _restart_vm(
             vm.global_data = gd
             _restore_cglobals(vm, snap, fix, converter)
         with timer.phase("stack_restore"):
-            _fix_threads(vm, snap, mapper, fix, converter, vectorize)
+            _fix_thread_stacks(vm, snap, mapper, converter)
+            _fix_thread_registers(vm, snap, mapper, fix)
         with timer.phase("registers"):
             _restore_current(vm, snap, mapper)
         with timer.phase("channels"):
@@ -463,159 +440,8 @@ def _fresh_heap(vm: VirtualMachine) -> None:
     )
 
 
-def _restore_heap_chunks(vm: VirtualMachine, snap: VMSnapshot) -> None:
-    """Same-word-size path: re-instantiate chunks with the saved image.
-
-    The block layout — including BLUE free blocks and the freelist links
-    threaded through them — is preserved verbatim, which is why the
-    paper can dump chunks raw (step 8) and still find the freelist after
-    restart.
-    """
-    layout = vm.platform.layout
-    arch = vm.platform.arch
-    for slot, (src_base, words) in enumerate(snap.heap_chunks):
-        base = layout.heap_base + slot * layout.chunk_stride
-        if len(words) * arch.word_bytes > layout.chunk_stride:
-            raise RestartError("checkpointed chunk exceeds platform stride")
-        area = MemoryArea(
-            AreaKind.HEAP_CHUNK, base, len(words), arch,
-            label=f"heap-chunk-{slot}",
-        )
-        area.words = list(words)
-        vm.mem.heap.adopt_chunk(area)
-
-
-def _fix_heap_pointers(vm: VirtualMachine, mapper: AddressMapper) -> None:
-    """Paper Figure 7: walk every chunk, fix pointers in scannable
-    blocks, and fix freelist links in BLUE blocks.
-
-    Also normalizes mid-cycle GC colors (GRAY/BLACK -> WHITE): the
-    interrupted incremental major cycle is abandoned and will simply
-    restart from its beginning — safe, because marking starts from roots.
-    """
-    mem = vm.mem
-    headers = mem.headers
-    values = mem.values
-    wb = mem.arch.word_bytes
-    for chunk in mem.heap.chunks:
-        words = chunk.area.words
-        i = 0
-        n = len(words)
-        while i < n:
-            hd = words[i]
-            size = headers.size(hd)
-            color = headers.color(hd)
-            tag = headers.tag(hd)
-            if color is Color.BLUE:
-                if size >= 1:
-                    link = words[i + 1]
-                    if link:
-                        words[i + 1] = mapper.map(link) or 0
-            else:
-                if color in (Color.GRAY, Color.BLACK):
-                    words[i] = headers.with_color(hd, Color.WHITE)
-                if tag < 251:  # No_scan_tag
-                    for j in range(i + 1, i + 1 + size):
-                        w = words[j]
-                        if values.is_block(w):
-                            mapped = mapper.map(w)
-                            if mapped is not None:
-                                words[j] = mapped
-            i += 1 + size
-
-
-def _repack_heap_payloads(vm: VirtualMachine, converter: ValueConverter) -> None:
-    """Endianness-only conversion of byte-oriented payloads.
-
-    The tag field of each header is what makes this possible: strings
-    keep their byte order (word values swap), doubles are re-encoded as
-    8-byte IEEE units.
-    """
-    mem = vm.mem
-    headers = mem.headers
-    for chunk in mem.heap.chunks:
-        words = chunk.area.words
-        i = 0
-        n = len(words)
-        while i < n:
-            hd = words[i]
-            size = headers.size(hd)
-            if headers.color(hd) is not Color.BLUE:
-                tag = headers.tag(hd)
-                if tag == STRING_TAG:
-                    words[i + 1 : i + 1 + size] = converter.repack_string(
-                        words[i + 1 : i + 1 + size]
-                    )
-                elif tag == DOUBLE_TAG:
-                    words[i + 1 : i + 1 + size] = converter.repack_double(
-                        words[i + 1 : i + 1 + size]
-                    )
-            i += 1 + size
-
-
-def _rebuild_heap(
-    vm: VirtualMachine, snap: VMSnapshot, converter: ValueConverter
-) -> dict[int, int]:
-    """Cross-word-size path: re-encode every non-free block.
-
-    Strings and doubles change their word counts, so block addresses
-    shift — a full relocation table (old block pointer -> new block
-    pointer) is built for the pointer-fixing pass.  Free (BLUE) blocks
-    are dropped; the target allocator lays the heap out afresh.
-    """
-    src_arch = snap.arch
-    src_headers = HeaderCodec(src_arch)
-    src_wb = src_arch.word_bytes
-    relocation: dict[int, int] = {}
-    heap = vm.mem.heap
-    for src_base, words in snap.heap_chunks:
-        i = 0
-        n = len(words)
-        while i < n:
-            hd = words[i]
-            size = src_headers.size(hd)
-            color = src_headers.color(hd)
-            tag = src_headers.tag(hd)
-            src_block = src_base + (i + 1) * src_wb
-            if color is not Color.BLUE and size > 0:
-                payload = words[i + 1 : i + 1 + size]
-                if tag == STRING_TAG:
-                    new_payload = converter.repack_string(payload)
-                elif tag == DOUBLE_TAG:
-                    new_payload = converter.repack_double(payload)
-                elif tag >= 251:  # opaque no-scan data
-                    new_payload = converter.convert_raw_many(payload)
-                else:
-                    # Scannable: copy raw now, fix in the second pass.
-                    new_payload = list(payload)
-                block = heap.alloc(len(new_payload), tag, Color.WHITE)
-                for j, w in enumerate(new_payload):
-                    heap.set_field(block, j, w)
-                relocation[src_block] = block
-            i += 1 + size
-    return relocation
-
-
-def _fix_rebuilt_heap(
-    vm: VirtualMachine,
-    snap: VMSnapshot,
-    relocation: dict[int, int],
-    fix,
-    converter: ValueConverter,
-) -> None:
-    """Second pass over rebuilt scannable blocks: convert every field."""
-    mem = vm.mem
-    headers = mem.headers
-    for block in relocation.values():
-        hd = mem.header_of(block)
-        if headers.tag(hd) < 251:
-            size = headers.size(hd)
-            for j in range(size):
-                mem.heap.set_field(block, j, fix(mem.heap.field(block, j)))
-
-
 # ---------------------------------------------------------------------------
-# Vectorized heap restoration (the numpy fast path)
+# Heap restoration kernels
 # ---------------------------------------------------------------------------
 
 
@@ -634,8 +460,8 @@ def _gather_words(ws, idx: np.ndarray) -> np.ndarray:
 def _chunk_positions(snap: VMSnapshot, timer: PhaseTimer) -> list[np.ndarray]:
     """Block-header word positions of every saved chunk.
 
-    Format-v2 files with an index answer this directly; otherwise (v1
-    files, or a scalar writer that omitted the index) one word-at-a-time
+    Files with a block-extent index answer this directly; otherwise (v1
+    files, or an older writer that omitted the index) one word-at-a-time
     discovery walk over the saved image recovers the positions.
     """
     if snap.chunk_index is not None:
@@ -658,7 +484,7 @@ def _chunk_positions(snap: VMSnapshot, timer: PhaseTimer) -> list[np.ndarray]:
     return out
 
 
-def _restore_heap_chunks_vec(
+def _restore_heap_chunks(
     vm: VirtualMachine, snap: VMSnapshot, positions: list[np.ndarray]
 ) -> None:
     """Same-word-size path, staged: adopt chunks backed by numpy arrays.
@@ -683,7 +509,7 @@ def _restore_heap_chunks_vec(
         vm.mem.heap.adopt_chunk(area, header_map=bytearray(hm.tobytes()))
 
 
-def _fix_chunk_pointers_vec(
+def _fix_chunk_pointers(
     arr: np.ndarray,
     pos: np.ndarray,
     mapper: AddressMapper,
@@ -740,19 +566,25 @@ def _maybe_kernel(timer: Optional[PhaseTimer], name: str):
     return contextlib.nullcontext()
 
 
-def _fix_heap_pointers_vec(
+def _fix_heap_pointers(
     vm: VirtualMachine,
     mapper: AddressMapper,
     positions: list[np.ndarray],
     timer: PhaseTimer,
 ) -> None:
-    """Vectorized :func:`_fix_heap_pointers`: classify every payload word
-    of every scannable block by its LSB and map the pointers in bulk."""
+    """Paper Figure 7: fix the pointers in scannable blocks and the
+    freelist links in BLUE blocks of every chunk — every payload word
+    classified by its LSB, the pointers mapped in bulk.
+
+    Also normalizes mid-cycle GC colors (GRAY/BLACK -> WHITE): the
+    interrupted incremental major cycle is abandoned and will simply
+    restart from its beginning — safe, because marking starts from roots.
+    """
     for chunk, pos in zip(vm.mem.heap.chunks, positions):
-        _fix_chunk_pointers_vec(chunk.area.peek_staged(), pos, mapper, timer)
+        _fix_chunk_pointers(chunk.area.peek_staged(), pos, mapper, timer)
 
 
-def _repack_chunk_payloads_vec(
+def _repack_chunk_payloads(
     arr: np.ndarray, pos: np.ndarray, converter: ValueConverter
 ) -> None:
     """Endianness payload repack for one staged chunk (shared kernel)."""
@@ -772,14 +604,19 @@ def _repack_chunk_payloads_vec(
         arr[idx] = converter.repack_double_array(arr[idx])
 
 
-def _repack_heap_payloads_vec(
+def _repack_heap_payloads(
     vm: VirtualMachine,
     converter: ValueConverter,
     positions: list[np.ndarray],
 ) -> None:
-    """Vectorized :func:`_repack_heap_payloads` (endianness-only)."""
+    """Endianness-only conversion of byte-oriented payloads.
+
+    The tag field of each header is what makes this possible: strings
+    keep their byte order (word values swap), doubles are re-encoded as
+    8-byte IEEE units.
+    """
     for chunk, pos in zip(vm.mem.heap.chunks, positions):
-        _repack_chunk_payloads_vec(chunk.area.peek_staged(), pos, converter)
+        _repack_chunk_payloads(chunk.area.peek_staged(), pos, converter)
 
 
 # ---------------------------------------------------------------------------
@@ -932,9 +769,9 @@ def _attach_chunk_thunks(
         area = chunk.area
 
         def convert(arr, pos=pos):
-            _fix_chunk_pointers_vec(arr, pos, mapper)
+            _fix_chunk_pointers(arr, pos, mapper)
             if endian:
-                _repack_chunk_payloads_vec(arr, pos, converter)
+                _repack_chunk_payloads(arr, pos, converter)
 
         area.defer_conversion(state.wrap(convert, area.label))
         state.register(area)
@@ -962,7 +799,7 @@ def _attach_rebuild_thunks(
 
         def convert(arr, d=d):
             _fill_rebuilt_payloads(ctx, converter, d, arr)
-            _fix_rebuilt_heap_vec(ctx, mapper, converter, d, arr)
+            _fix_rebuilt_heap(ctx, mapper, converter, d, arr)
 
         area.defer_conversion(state.wrap(convert, area.label))
         state.register(area)
@@ -999,7 +836,7 @@ class _RebuildContext:
     by_chunk: list
 
 
-def _rebuild_heap_vec(
+def _rebuild_heap(
     vm: VirtualMachine,
     snap: VMSnapshot,
     converter: ValueConverter,
@@ -1007,15 +844,19 @@ def _rebuild_heap_vec(
     timer: PhaseTimer,
     defer: bool = False,
 ) -> _RebuildContext:
-    """Vectorized :func:`_rebuild_heap`.
+    """Cross-word-size path: re-encode every non-free block.
 
-    Replicates the scalar path bit for bit: block *placement* replays
-    the first-fit allocator against a lightweight freelist model (same
-    carve rules, same chunk-growth points), while the payloads are
+    Strings and doubles change their word counts, so block addresses
+    shift — a full relocation table (old block pointer -> new block
+    pointer) is built for the pointer-fixing pass.  Free (BLUE) blocks
+    are dropped and the heap is laid out afresh, exactly as allocating
+    the live blocks one by one in source order would: block *placement*
+    replays the first-fit allocator against a lightweight freelist model
+    (same carve rules, same chunk-growth points), while the payloads are
     converted on their way from the saved chunks into the rebuilt ones,
     one rebuilt chunk at a time — non-scannable classes here (or, with
     ``defer``, in the chunk's first-touch thunk), scannable fields once
-    the address mapper exists (:func:`_fix_rebuilt_heap_vec`).
+    the address mapper exists (:func:`_fix_rebuilt_heap`).
     """
     src_wb = snap.arch.word_bytes
     dst_arch = vm.platform.arch
@@ -1327,17 +1168,17 @@ def _simulate_first_fit(
     return blocks.astype(np.uint64), chunks, freelist
 
 
-def _fix_rebuilt_heap_vec(
+def _fix_rebuilt_heap(
     ctx: _RebuildContext,
     mapper: AddressMapper,
     converter: ValueConverter,
     d: int,
     out: np.ndarray,
 ) -> None:
-    """Vectorized :func:`_fix_rebuilt_heap`: convert every field of the
-    scannable blocks of rebuilt chunk ``d`` on its way into ``out``
-    (immediates re-boxed, pointers remapped, dangling words neutralized
-    to unit); the counterpart of :func:`_fill_rebuilt_payloads`."""
+    """Convert every field of the scannable blocks of rebuilt chunk
+    ``d`` on its way into ``out`` (immediates re-boxed, pointers
+    remapped, dangling words neutralized to unit); the counterpart of
+    :func:`_fill_rebuilt_payloads`."""
     unit = np.uint64(converter.dst_values.val_unit)
 
     def fix(words, _sizes):
@@ -1417,26 +1258,26 @@ def _restore_threads_raw(vm: VirtualMachine, snap: VMSnapshot) -> None:
         stack.sp = stack.stack_high - used * vm.mem.arch.word_bytes
 
 
-def _fix_threads(
+def _fix_thread_stacks(
     vm: VirtualMachine,
     snap: VMSnapshot,
     mapper: AddressMapper,
-    fix,
     converter: ValueConverter,
-    vectorize: bool = False,
 ) -> None:
-    """Fix every thread's stack words, registers and scheduling state."""
+    """Fix the used stack words of every thread."""
     values = vm.mem.values
     for rec in snap.threads:
-        thread = vm.sched.threads[rec.tid]
-        stack = thread.stack
+        stack = vm.sched.threads[rec.tid].stack
         first = (stack.sp - stack.area.base) // vm.mem.arch.word_bytes
-        words = stack.area.words
-        if vectorize:
-            _fix_stack_words_vec(words, first, mapper, converter, values)
-        else:
-            for k in range(first, len(words)):
-                words[k] = fix(words[k])
+        _fix_stack_words(stack.area.words, first, mapper, converter, values)
+
+
+def _fix_thread_registers(
+    vm: VirtualMachine, snap: VMSnapshot, mapper: AddressMapper, fix
+) -> None:
+    """Fix every thread's registers and scheduling state."""
+    for rec in snap.threads:
+        thread = vm.sched.threads[rec.tid]
         thread.state = ThreadState(rec.state)
         thread.block_kind = BlockKind(rec.block_kind)
         if thread.block_kind is BlockKind.JOIN:
@@ -1461,10 +1302,10 @@ def _fix_threads(
         thread.pc = (pc_addr - vm.code_base) // 4
 
 
-def _fix_stack_words_vec(
+def _fix_stack_words(
     words: list, first: int, mapper: AddressMapper, converter, values
 ) -> None:
-    """Vectorized stack fix: the inner loop of :func:`_fix_threads`.
+    """The inner loop of :func:`_fix_thread_stacks`.
 
     Replicates ``_value_fixer`` element-wise: immediates are converted,
     pointers remapped, and unmapped non-null even words neutralized to

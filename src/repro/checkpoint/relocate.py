@@ -43,19 +43,11 @@ class AddressMapper:
         self,
         snap: VMSnapshot,
         vm: "VirtualMachine",
-        heap_relocation: Optional[
-            dict[int, int] | tuple[np.ndarray, np.ndarray]
-        ] = None,
+        heap_relocation: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.vm = vm
         self.src_wb = snap.arch.word_bytes
         self.dst_wb = vm.platform.arch.word_bytes
-        if isinstance(heap_relocation, dict):  # the scalar rebuild's
-            n = len(heap_relocation)
-            heap_relocation = (
-                np.fromiter(heap_relocation.keys(), dtype=np.uint64, count=n),
-                np.fromiter(heap_relocation.values(), dtype=np.uint64, count=n),
-            )
         if heap_relocation is not None:
             keys, vals = heap_relocation
             order = np.argsort(keys)

@@ -153,11 +153,9 @@ class FormatProfile:
             codec.encode(w, snap, self)
         return w
 
-    def parse_body(
-        self, r: "SectionReader", raw_arrays: bool = False
-    ) -> "VMSnapshot":
+    def parse_body(self, r: "SectionReader") -> "VMSnapshot":
         """Decode every section of this profile from ``r``."""
-        b = registry.SnapshotBuilder(raw_arrays)
+        b = registry.SnapshotBuilder()
         for codec in self.codecs:
             r.begin(codec.name)
             codec.decode(r, b, self)

@@ -139,8 +139,7 @@ def all_codecs() -> dict[str, SectionCodec]:
 class SnapshotBuilder:
     """Mutable decode context threaded through the section codecs."""
 
-    def __init__(self, raw_arrays: bool = False) -> None:
-        self.raw_arrays = raw_arrays
+    def __init__(self) -> None:
         # header
         self.word_bytes = 0
         self.endianness = None

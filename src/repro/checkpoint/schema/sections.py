@@ -202,16 +202,12 @@ class HeapSection(SectionCodec):
                 regions = []
                 for _ in range(r.u32()):
                     start = r.u64()
-                    regions.append(
-                        (start, r.words_array() if b.raw_arrays else r.words())
-                    )
+                    regions.append((start, r.words_array()))
                 b.delta_chunks.append(DeltaChunkRecord(base, n_words, regions))
         else:
             for _ in range(n_chunks):
                 base = r.word()
-                b.heap_chunks.append(
-                    (base, r.words_array() if b.raw_arrays else r.words())
-                )
+                b.heap_chunks.append((base, r.words_array()))
 
     def layout(self, profile):
         rows = [("n_chunks", "u32", "mapped heap chunks")]
@@ -259,7 +255,7 @@ class IndexSection(SectionCodec):
 
     def layout(self, profile):
         return [
-            ("present", "u8", "0 = no index (scalar writer)"),
+            ("present", "u8", "0 = no index (older writers)"),
             ("count", "u32", "per chunk: block header count"),
             ("deltas", "lp-bytes", "u8 position deltas, 0xFF = escape"),
             ("escapes", "u32 + <u4[]", "positions whose delta >= 0xFF"),
@@ -376,7 +372,7 @@ class ThreadsSection(SectionCodec):
             stack_base = r.word()
             stack_high = r.word()
             capacity_words = r.u64()
-            stack_words = r.words_array() if b.raw_arrays else r.words()
+            stack_words = r.words_array()
             b.threads.append(
                 ThreadRecord(
                     tid, state, block_kind, blocked_on, pending_mutex,

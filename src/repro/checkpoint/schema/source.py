@@ -212,13 +212,12 @@ class SnapshotSource:
     """
 
     def __init__(self, path: Optional[str], data: Optional[bytes],
-                 fd: Optional[int], size: int, raw_arrays: bool,
-                 defer: bool, tolerant: bool) -> None:
+                 fd: Optional[int], size: int, defer: bool,
+                 tolerant: bool) -> None:
         self.path = path
         self._data = data
         self._fd = fd
         self.size = size
-        self.raw_arrays = raw_arrays
         self._defer = defer
         self.profile: Optional[FormatProfile] = None
         self.handles: Optional[list[SectionHandle]] = None
@@ -255,21 +254,20 @@ class SnapshotSource:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def open(cls, path: str, raw_arrays: bool = False, defer: bool = False,
+    def open(cls, path: str, defer: bool = False,
              tolerant: bool = False) -> "SnapshotSource":
         if defer:
             fd = os.open(path, os.O_RDONLY)
             size = os.fstat(fd).st_size
-            return cls(path, None, fd, size, raw_arrays, True, tolerant)
+            return cls(path, None, fd, size, True, tolerant)
         with open(path, "rb") as f:
             data = f.read()
-        return cls(path, data, None, len(data), raw_arrays, False, tolerant)
+        return cls(path, data, None, len(data), False, tolerant)
 
     @classmethod
-    def from_bytes(cls, data: bytes, raw_arrays: bool = False,
+    def from_bytes(cls, data: bytes,
                    tolerant: bool = False) -> "SnapshotSource":
-        return cls(None, bytes(data), None, len(data), raw_arrays, False,
-                   tolerant)
+        return cls(None, bytes(data), None, len(data), False, tolerant)
 
     # -- raw IO --------------------------------------------------------------
 
@@ -282,6 +280,7 @@ class SnapshotSource:
     def _whole(self) -> bytes:
         if self._data is None:
             self._data = os.pread(self._fd, self.size, 0)
+            self.bytes_read = self.size
         return self._data
 
     def close(self) -> None:
@@ -315,33 +314,26 @@ class SnapshotSource:
         if self.profile is None or not self.profile.integrity_trailer:
             # No section table (v1/v2, or unknown magic): the classic
             # whole-file read + CRC + parse is the only access path.
-            self.snapshot = fmt._parse_checkpoint(self._whole(),
-                                                  self.raw_arrays)
+            self.snapshot = fmt._parse_checkpoint(self._whole())
             self.fully_verified = True
             self._release_backing()
             return
         self._open_trailer(fmt)
         expected = tuple(c.name for c in self.profile.codecs)
-        if tuple(h.name for h in self.handles) != expected:
-            # A table whose rows do not match the profile's body order
-            # cannot drive per-section parsing; fall back to the
-            # sequential whole-body path (still fully verified).
-            self._aligned = False
+        self._aligned = tuple(h.name for h in self.handles) == expected
         if self._defer:
             if not self._aligned:
-                self.snapshot = fmt._parse_checkpoint(self._whole(),
-                                                      self.raw_arrays)
-                self.fully_verified = True
-                self._release_backing()
+                self._resolve_unaligned()
                 return
             self._resolve_sections(defer_heap=not self.profile.delta)
             self._build()
 
     def _open_trailer(self, fmt) -> None:
-        """Locate and structurally validate the v3 integrity trailer.
+        """Locate and structurally validate the v3 integrity trailer —
+        the one parser of its section table.
 
-        Checks (and error messages) mirror the eager verifier exactly;
-        only the CRC/SHA *content* checks are deferred to the handles.
+        Only structure is checked here; the CRC/SHA *content* checks
+        belong to the handles and :meth:`finish_verification`.
         """
         payload_len = self.size - 12
         min_trailer = len(fmt.TRAILER_MAGIC) + 4 + 32
@@ -487,7 +479,7 @@ class SnapshotSource:
     def _resolve_sections(self, defer_heap: bool) -> None:
         fmt = _fmt()
         if self._builder is None:
-            self._builder = registry.SnapshotBuilder(self.raw_arrays)
+            self._builder = registry.SnapshotBuilder()
         b = self._builder
         codecs = self.profile.codecs
         while self._next_parse < len(codecs):
@@ -569,16 +561,33 @@ class SnapshotSource:
                 offset=cursor,
             )
 
-    def _build(self) -> None:
-        fmt = _fmt()
-        snap = self._builder.build(self.profile)
-        snap.sections = [
-            fmt.SectionEntry(h.name, h.offset, h.length, h.crc32)
-            for h in self.handles
-        ]
+    def section_entries(self) -> list:
+        """The section table as plain :class:`SectionEntry` rows."""
+        entry = _fmt().SectionEntry
+        return [entry(h.name, h.offset, h.length, h.crc32)
+                for h in self.handles]
+
+    def _adopt(self, snap) -> None:
+        snap.sections = self.section_entries()
         snap.body_sha256 = self.recorded_sha
         snap._source = self
         self.snapshot = snap
+
+    def _build(self) -> None:
+        self._adopt(self._builder.build(self.profile))
+
+    def _resolve_unaligned(self) -> None:
+        """A table whose rows do not match the profile's body order
+        cannot drive per-section parsing: verify everything through the
+        handles (same order, same errors), then parse the verified body
+        sequentially."""
+        fmt = _fmt()
+        body = self._whole()[: self.body_len]
+        self.finish_verification()
+        self._adopt(fmt._parse_body(fmt.SectionReader(body)))
+        for h in self.handles:
+            h.resolved = True
+        self._release_backing()
 
     def resolve_all(self):
         """Resolve every handle immediately: the eager mode.
@@ -593,12 +602,8 @@ class SnapshotSource:
         if self.snapshot is not None and self._slices_pending == 0 \
                 and self.fully_verified:
             return self.snapshot
-        fmt = _fmt()
         if not self._aligned:
-            self.snapshot = fmt._parse_checkpoint(self._whole(),
-                                                  self.raw_arrays)
-            self.fully_verified = True
-            self._release_backing()
+            self._resolve_unaligned()
             return self.snapshot
         self.finish_verification()
         self._resolve_sections(defer_heap=False)

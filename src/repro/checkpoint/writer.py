@@ -48,7 +48,6 @@ from repro.checkpoint.format import (
     RegisterRecord,
     ThreadRecord,
     VMSnapshot,
-    serialize_snapshot,
     serialize_snapshot_writer,
 )
 from repro.checkpoint.schema import FormatProfile
@@ -200,14 +199,13 @@ def build_snapshot(
                 AreaRecord("code", "code", vm.code_base, len(vm.code.units))
             )
 
-        # Step 8: dump the major heap (copy now; encode later).  The
-        # vectorized path also captures each chunk's block-header
-        # positions inside the blocking window (the header maps keep
-        # changing once the application resumes); the per-block classes
-        # derive from the copied words later, outside the window.
-        vectorize = vm.config.vectorize
+        # Step 8: dump the major heap (copy now; encode later).  Each
+        # chunk's block-header positions are captured inside the
+        # blocking window too (the header maps keep changing once the
+        # application resumes); the per-block classes derive from the
+        # copied words later, outside the window.
         wb = vm.platform.arch.word_bytes
-        chunk_positions: Optional[list[np.ndarray]] = None
+        chunk_positions: list[np.ndarray] = []
         chunk_headers: Optional[list[np.ndarray]] = None
         heap_chunks: list = []
         delta_chunks: list[DeltaChunkRecord] = []
@@ -219,16 +217,14 @@ def build_snapshot(
                 with timer.kernel("dirty_copy"):
                     for c in vm.mem.heap.chunks:
                         runs = dirty.chunk_runs(c.base, c.n_words)
-                        staged = (
-                            c.area.peek_staged() if vectorize else None
-                        )
+                        staged = c.area.peek_staged()
                         regions = []
                         for start, n in runs:
                             if staged is not None:
                                 regions.append(
                                     (start, staged[start : start + n].copy())
                                 )
-                            elif vectorize and not defer_unbox:
+                            elif not defer_unbox:
                                 regions.append((
                                     start,
                                     _unbox_words(
@@ -242,33 +238,30 @@ def build_snapshot(
                         delta_chunks.append(
                             DeltaChunkRecord(c.base, c.n_words, regions)
                         )
-                if vectorize:
-                    # The block-extent index covers the reconstructed
-                    # heap, so header positions *and values* must be
-                    # captured in the window (the mutator keeps
-                    # rewriting headers once it resumes).
-                    chunk_positions = []
-                    chunk_headers = []
-                    with timer.kernel("block_positions"):
-                        for c in vm.mem.heap.chunks:
-                            pos = vm.mem.heap.block_positions(c)
-                            chunk_positions.append(pos)
-                            staged = c.area.peek_staged()
-                            if staged is not None:
-                                chunk_headers.append(
-                                    staged[pos].astype(np.uint64)
+                # The block-extent index covers the reconstructed heap,
+                # so header positions *and values* must be captured in
+                # the window (the mutator keeps rewriting headers once
+                # it resumes).
+                chunk_headers = []
+                with timer.kernel("block_positions"):
+                    for c in vm.mem.heap.chunks:
+                        pos = vm.mem.heap.block_positions(c)
+                        chunk_positions.append(pos)
+                        staged = c.area.peek_staged()
+                        if staged is not None:
+                            chunk_headers.append(
+                                staged[pos].astype(np.uint64)
+                            )
+                        else:
+                            ws = c.area.words
+                            chunk_headers.append(
+                                np.fromiter(
+                                    (ws[i] for i in pos.tolist()),
+                                    dtype=np.uint64,
+                                    count=int(pos.size),
                                 )
-                            else:
-                                ws = c.area.words
-                                chunk_headers.append(
-                                    np.fromiter(
-                                        (ws[i] for i in pos.tolist()),
-                                        dtype=np.uint64,
-                                        count=int(pos.size),
-                                    )
-                                )
-            elif vectorize:
-                chunk_positions = []
+                            )
+            else:
                 with timer.kernel("unbox"):
                     for c in vm.mem.heap.chunks:
                         staged = c.area.peek_staged()
@@ -285,10 +278,6 @@ def build_snapshot(
                         chunk_positions.append(
                             vm.mem.heap.block_positions(c)
                         )
-            else:
-                heap_chunks = [
-                    (c.base, list(c.area.words)) for c in vm.mem.heap.chunks
-                ]
             heap_words = sum(c.n_words for c in vm.mem.heap.chunks)
 
         # Step 9: globals + atoms.  A delta omits the atom table (static
@@ -350,7 +339,7 @@ def build_snapshot(
             format_version=(
                 FormatProfile.delta_profile().version
                 if delta_mode
-                else vm.config.chkpt_format
+                else FormatProfile.newest_full().version
             ),
             word_bytes=vm.platform.arch.word_bytes,
             endianness=vm.platform.arch.endianness,
@@ -425,7 +414,7 @@ def _classify_blocks(arr: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def _finalize_snapshot(snap: VMSnapshot) -> None:
-    """Normalize a vectorized snapshot for serialization.
+    """Normalize a captured snapshot for serialization.
 
     Runs on the writer thread in background mode (the snapshot's copies
     are private by then): unboxes any chunk still held as a list and
@@ -490,27 +479,13 @@ def write_snapshot(
     checkpoint (or generation chain, with ``retain > 0``) intact
     (paper §4.1).
     """
-    vectorized = getattr(snap, "_chunk_positions", None) is not None or (
-        snap.chunk_index is not None
-    )
     with timer.phase("serialize"):
         _finalize_snapshot(snap)
-        if vectorized:
-            w = serialize_snapshot_writer(snap)
-            view = w.buf.getbuffer()
-        else:
-            # Scalar reference path: seed-equivalent serialization with
-            # its body copies intact (this is the baseline the
-            # vectorized path is benchmarked against).
-            view = serialize_snapshot(snap)
-    try:
-        n_bytes = atomic_commit(
+        w = serialize_snapshot_writer(snap)
+    with w.buf.getbuffer() as view:
+        return atomic_commit(
             path, view, retain=retain, hooks=hooks, timer=timer
         )
-    finally:
-        if vectorized:
-            view.release()
-    return n_bytes
 
 
 class CheckpointWriter:
@@ -555,7 +530,6 @@ class CheckpointWriter:
         next_depth = vm.delta_depth + 1
         try_delta = (
             cfg.chkpt_incremental
-            and FormatProfile.for_version(cfg.chkpt_format).delta_base_capable
             and vm.delta_parent_sha is not None
             and vm.delta_parent_path == path
             and retain >= next_depth

@@ -61,14 +61,10 @@ def _config_from(args: argparse.Namespace) -> VMConfig:
         cfg.chkpt_interval = args.interval
     if getattr(args, "mode", None):
         cfg.chkpt_mode = args.mode
-    if getattr(args, "no_vectorize", False):
-        cfg.vectorize = False
     if getattr(args, "lazy_restore", False):
         cfg.lazy_restore = True
     if getattr(args, "dispatch", None):
         cfg.dispatch = args.dispatch
-    if getattr(args, "format", None):
-        cfg.chkpt_format = int(args.format.lstrip("v"))
     if getattr(args, "retain", None) is not None:
         cfg.chkpt_retain = args.retain
     if getattr(args, "incremental", False):
@@ -611,18 +607,6 @@ def cmd_ha_live(args: argparse.Namespace) -> int:
     return 0 if report.completed else 1
 
 
-def _writable_formats() -> list[str]:
-    """``--format`` choices, from the schema: every full-capable profile.
-
-    Delta profiles are excluded — they are selected by ``--incremental``,
-    not by naming a version.
-    """
-    from repro.checkpoint.schema import FormatProfile
-
-    full = [p.version for p in FormatProfile.all() if not p.delta]
-    return [f"v{v}" for v in full] + [str(v) for v in full]
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -868,21 +852,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--interval", type=float,
                         help="periodic checkpoint interval in seconds")
         sp.add_argument("--mode", choices=["auto", "background", "blocking"])
-        sp.add_argument("--no-vectorize", action="store_true",
-                        help="use the scalar reference C/R paths "
-                             "(CHKPT_VECTORIZE=0)")
         sp.add_argument("--lazy-restore", action="store_true",
                         help="convert restored heap chunks lazily on "
                              "first touch instead of during restart "
-                             "(CHKPT_LAZY; needs the vectorized path)")
+                             "(CHKPT_LAZY)")
         sp.add_argument("--dispatch", choices=["fast", "reference"],
                         default=None,
                         help="interpreter dispatch tier (CHKPT_DISPATCH; "
                              "default fast; reference = the canonical "
                              "fetch/decode/execute oracle loop)")
-        sp.add_argument("--format", choices=_writable_formats(),
-                        help="checkpoint format version to write "
-                             "(CHKPT_FORMAT; default v3)")
         sp.add_argument("--retain", type=int, default=None, metavar="N",
                         help="keep N previous checkpoint generations as "
                              "path.1..path.N (CHKPT_RETAIN)")

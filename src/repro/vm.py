@@ -63,21 +63,12 @@ class VMConfig:
     stack_words: int = DEFAULT_STACK_WORDS
     #: Thread preemption quantum in instructions.
     quantum: int = 1000
-    #: ``CHKPT_VECTORIZE``: use the numpy fast path for the checkpoint
-    #: and restart hot loops.  ``False`` selects the word-at-a-time
-    #: scalar reference implementation (kept for differential testing).
-    vectorize: bool = True
     #: ``CHKPT_DISPATCH``: interpreter dispatch tier.  ``"fast"`` (the
     #: default) runs decode-once closures with superinstruction fusion
     #: and batched loop kernels; ``"reference"`` keeps the canonical
-    #: fetch/decode/execute loop as the differential oracle (the
-    #: ``vectorize`` / ``--no-vectorize`` precedent, applied to
-    #: execution).  Both tiers produce bit-identical checkpoints.
+    #: fetch/decode/execute loop as the differential oracle.  Both
+    #: tiers produce bit-identical checkpoints.
     dispatch: str = "fast"
-    #: ``CHKPT_FORMAT``: checkpoint file format version to write (1, 2,
-    #: or 3).  3 adds the per-section CRC32 + SHA-256 integrity trailer;
-    #: 2 is the escape hatch for readers that predate it.
-    chkpt_format: int = 3
     #: ``CHKPT_RETAIN``: how many previous checkpoint generations to keep
     #: as ``path.1`` ... ``path.N`` (0 = overwrite, the paper's single
     #: checkpoint file).  Restores fall back along this chain when the
@@ -101,8 +92,7 @@ class VMConfig:
     #: ``CHKPT_LAZY``: convert restored heap chunks lazily on first
     #: touch instead of eagerly during restart, cutting blocking
     #: time-to-first-output; a background drainer finishes the rest
-    #: between interpreter quanta.  Requires ``vectorize`` (the scalar
-    #: reference restore stays eager).
+    #: between interpreter quanta.
     lazy_restore: bool = False
     #: Commit hook override (fault injection); ``None`` = real syscalls.
     commit_hooks: Optional[object] = None
@@ -117,17 +107,14 @@ class VMConfig:
         cfg.chkpt_filename = environ.get("CHKPT_FILENAME", cfg.chkpt_filename)
         raw = environ.get("CHKPT_INTERVAL")
         if raw is not None:
-            interval = float(raw)
-            cfg.chkpt_interval = None if interval < 0 else interval
-        vec = environ.get("CHKPT_VECTORIZE")
-        if vec is not None:
-            cfg.vectorize = vec.strip().lower() not in ("0", "false", "no", "off")
+            try:
+                interval = float(raw)
+                cfg.chkpt_interval = None if interval < 0 else interval
+            except ValueError:
+                pass
         tier = environ.get("CHKPT_DISPATCH")
         if tier is not None and tier.strip().lower() in ("fast", "reference"):
             cfg.dispatch = tier.strip().lower()
-        fmt = environ.get("CHKPT_FORMAT")
-        if fmt is not None and fmt.strip().lstrip("v") in ("1", "2", "3"):
-            cfg.chkpt_format = int(fmt.strip().lstrip("v"))
         raw = environ.get("CHKPT_RETAIN")
         if raw is not None and raw.strip().isdigit():
             cfg.chkpt_retain = int(raw.strip())

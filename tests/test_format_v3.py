@@ -19,6 +19,7 @@ from repro.checkpoint.format import (
 from repro.checkpoint.inspect import describe_snapshot, inspect_snapshot
 from repro.checkpoint.reader import restart_vm
 from repro.errors import CheckpointFormatError, CheckpointIntegrityError
+from tests import oracle
 
 RODRIGO = get_platform("rodrigo")
 
@@ -51,11 +52,13 @@ def make_checkpoint(tmp_path, fmt: int = 3, platform=RODRIGO) -> tuple[str, byte
     vm = VirtualMachine(
         platform,
         code,
-        VMConfig(chkpt_filename=path, chkpt_mode="blocking", chkpt_format=fmt),
+        VMConfig(chkpt_filename=path, chkpt_mode="blocking"),
         stdout=io.BytesIO(),
     )
     result = vm.run(max_instructions=20_000_000)
     assert result.status == "stopped" and vm.checkpoints_taken == 1
+    if fmt != 3:  # no writer emits these any more; readers must keep up
+        oracle.restamp(path, path, version=fmt)
     with open(path, "rb") as f:
         return path, f.read()
 
@@ -182,6 +185,6 @@ class TestEscapeHatchAndBackCompat:
         assert desc["integrity_verified"] is False
 
     def test_format_env_parsing(self):
-        assert VMConfig.from_env({"CHKPT_FORMAT": "v2"}).chkpt_format == 2
-        assert VMConfig.from_env({"CHKPT_FORMAT": "3"}).chkpt_format == 3
+        # The format is not a knob: writers emit the newest profile.
+        assert VMConfig.from_env({"CHKPT_FORMAT": "v2"}) == VMConfig()
         assert VMConfig.from_env({"CHKPT_RETAIN": "2"}).chkpt_retain == 2

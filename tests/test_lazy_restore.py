@@ -296,21 +296,6 @@ def test_lazy_restart_defers_sections_then_verifies(target, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_lazy_requires_vectorized_path(tmp_path):
-    """``--lazy-restore --no-vectorize`` degrades to an eager restore."""
-    code = compile_source(PROGRAM)
-    path = str(tmp_path / "c.hckp")
-    origin_out = _checkpoint(code, path)
-    vm, st = restart_vm(
-        get_platform("csd"), code, path,
-        VMConfig(lazy_restore=True, vectorize=False),
-    )
-    assert not st.lazy
-    assert vm.lazy_restore is None
-    out = vm.run(max_instructions=10_000_000)
-    assert out.stdout == origin_out.stdout
-
-
 def test_lazy_env_knob():
     assert VMConfig.from_env({"CHKPT_LAZY": "1"}).lazy_restore
     assert not VMConfig.from_env({"CHKPT_LAZY": "off"}).lazy_restore

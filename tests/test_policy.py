@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import pathlib
+import re
 import time
 
 import pytest
@@ -45,10 +48,20 @@ class TestVMConfigFromEnv:
     def test_interval_parsed(self):
         cfg = VMConfig.from_env({"CHKPT_INTERVAL": "0.5"})
         assert cfg.chkpt_interval == 0.5
+        # Garbage is ignored, like every other numeric knob.
+        assert VMConfig.from_env({"CHKPT_INTERVAL": "soon"}).chkpt_interval is None
 
     def test_unknown_state_ignored(self):
         cfg = VMConfig.from_env({"CHKPT_STATE": "bogus"})
         assert cfg.chkpt_state == "enable"
+
+    def test_readme_knob_table_lists_every_env_knob(self):
+        read = re.findall(
+            r'environ\.get\(\s*"(CHKPT_\w+)"', inspect.getsource(VMConfig.from_env)
+        )
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        rows = re.findall(r"^\| `(CHKPT_\w+)` \|", readme.read_text(), re.M)
+        assert rows == read and len(rows) == 10
 
 
 class TestCheckpointPolicy:

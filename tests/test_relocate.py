@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import VirtualMachine, VMConfig, compile_source, get_platform
@@ -18,7 +19,8 @@ SP2148 = get_platform("sp2148")
 def snapshot_and_vm(tmp_path):
     """A real checkpoint from rodrigo plus a fresh same-arch VM whose
     heap was restored, so chunk counts line up."""
-    from repro.checkpoint.reader import _fresh_heap, _restore_heap_chunks
+    from repro.checkpoint.reader import _fresh_heap
+    from tests.oracle import _restore_heap_chunks
 
     path = str(tmp_path / "m.hckp")
     code = compile_source('let l = [1; 2];; let s = "x";; checkpoint ();; print_int 1')
@@ -27,6 +29,7 @@ def snapshot_and_vm(tmp_path):
     )
     origin.run(max_instructions=100_000)
     snap = read_checkpoint(path)
+    snap.heap_chunks = [(b, ws.tolist()) for b, ws in snap.heap_chunks]
     target = VirtualMachine(get_platform("pc8"), code, VMConfig(chkpt_state="disable"))
     _fresh_heap(target)
     _restore_heap_chunks(target, snap)
@@ -97,7 +100,10 @@ class TestAddressMapper:
     def test_relocation_table_path(self, snapshot_and_vm):
         snap, vm = snapshot_and_vm
         src_base, _ = snap.heap_chunks[0]
-        relocation = {src_base + 4: 0x12345678}
+        relocation = (
+            np.asarray([src_base + 4], dtype=np.uint64),
+            np.asarray([0x12345678], dtype=np.uint64),
+        )
         mapper = AddressMapper(snap, vm, heap_relocation=relocation)
         assert mapper.map(src_base + 4) == 0x12345678
         # A heap address missing from the table is a dangling pointer.

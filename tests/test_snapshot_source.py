@@ -18,15 +18,25 @@ Proof obligations for the deferred-section refactor:
   :class:`~repro.errors.CheckpointIntegrityError` the eager verifier
   raises, never a raw ``struct.error``/``KeyError``/numpy crash,
   no matter how late the touch happens.
+* **Unaligned tables** — a CRC-valid table whose rows do not match the
+  profile's body order is verified through the same handles and parsed
+  sequentially: bit-identical restores, truthful deferral counters,
+  damage named by section.
 * **Reporting** — ``describe_checkpoint`` / ``repro info --json``
   carry the section-resolution report and the RESTART counters.
+* **One of each** — one v3-trailer parser, no scalar/format knobs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
+import re
+import struct
+import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -48,6 +58,8 @@ from repro.errors import (
     CheckpointIntegrityError,
 )
 from repro.metrics import RESTART
+from tests.test_net import _modules_matching
+from tests.test_vectorized_cr import restored_fingerprint
 
 REPO = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 GOLDEN = os.path.join(REPO, "tests", "fixtures", "golden")
@@ -208,8 +220,8 @@ def test_chain_defer_reads_only_needed_parent_sections(tmp_path):
         if os.path.exists(p)
     )
 
-    eager = load_snapshot_chain(path, raw_arrays=True)
-    merged = load_snapshot_chain(path, raw_arrays=True, defer=True)
+    eager = load_snapshot_chain(path)
+    merged = load_snapshot_chain(path, defer=True)
     sources = merged._sources
     assert sources, "deferred chain load must track its sources"
     read = sum(s.stats()["bytes_read"] for s in sources)
@@ -330,6 +342,107 @@ def test_truncated_deferred_payload_is_typed(tmp_path):
             slice_.materialize()
     finally:
         src.close()
+
+
+# ---------------------------------------------------------------------------
+# Unaligned section tables: verified by handle, parsed sequentially
+# ---------------------------------------------------------------------------
+
+
+def _seal(payload: bytes) -> bytes:
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    return payload + b"HCKPEND!" + struct.pack("<I", crc)
+
+
+def _rename_heap_row(data: bytes) -> bytes:
+    """``heap`` -> ``haep`` in the section table, end CRC recomputed:
+    every checksum still holds, but the rows no longer name the
+    profile's body order."""
+    payload = data[:-12]
+    (tlen,) = struct.unpack("<I", payload[-4:])
+    table = payload.index(b"\x04\x00\x00\x00heap", len(payload) - 4 - tlen)
+    return _seal(payload[: table + 4] + b"haep" + payload[table + 8 :])
+
+
+def test_unaligned_table_restores_bit_identically(tmp_path):
+    fixture = os.path.join(GOLDEN, "rodrigo", "full_v3.hckp")
+    with open(fixture, "rb") as f:
+        renamed = _rename_heap_row(f.read())
+    path = str(tmp_path / "renamed.hckp")
+    with open(path, "wb") as f:
+        f.write(renamed)
+    src = SnapshotSource.from_bytes(renamed)
+    assert not src._aligned
+    assert "haep" in [h.name for h in src.handles]
+
+    code = compile_source(MANIFEST["programs"]["full"])
+    ultra64 = get_platform("ultra64")
+    want, _ = restart_vm(ultra64, code, fixture)
+    eager, st_e = restart_vm(ultra64, code, path)
+    lazy, st_l = restart_vm(ultra64, code, path, VMConfig(lazy_restore=True))
+    assert not st_e.lazy and st_l.lazy
+    # The whole file was read and verified up front: nothing is deferred.
+    assert st_l.sections_deferred == 0 and st_l.bytes_deferred == 0
+    assert st_l.bytes_verified == sum(h.length for h in src.handles)
+    lazy.finish_lazy_restore()
+    fp = restored_fingerprint(want)
+    assert restored_fingerprint(eager) == fp
+    assert restored_fingerprint(lazy) == fp
+    for vm in (eager, lazy):
+        assert (
+            vm.run().stdout.decode()
+            == MANIFEST["platforms"]["rodrigo"]["stdout"]["full"]
+        )
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_unaligned_table_payload_flip_names_the_section(tmp_path, lazy):
+    with open(os.path.join(GOLDEN, "rodrigo", "full_v3.hckp"), "rb") as f:
+        renamed = bytearray(_rename_heap_row(f.read()))
+    row = next(
+        h for h in SnapshotSource.from_bytes(bytes(renamed)).handles
+        if h.name == "haep"
+    )
+    renamed[row.offset + row.length // 2] ^= 0x40
+    path = str(tmp_path / "flipped.hckp")
+    with open(path, "wb") as f:
+        f.write(_seal(bytes(renamed[:-12])))
+    code = compile_source(MANIFEST["programs"]["full"])
+    with pytest.raises(CheckpointIntegrityError) as exc_info:
+        restart_vm(
+            get_platform("ultra64"), code, path, VMConfig(lazy_restore=lazy)
+        )
+    err = exc_info.value
+    assert err.section == "haep" and "section 'haep' CRC mismatch" in str(err)
+    assert err.path == path and err.offset == row.offset
+
+
+# ---------------------------------------------------------------------------
+# One of each
+# ---------------------------------------------------------------------------
+
+
+class TestOneOfEach:
+    """Tier-1 guard: the scalar fork, its knobs and the spare trailer
+    parsers stay deleted (the oracle lives under ``tests/oracle``)."""
+
+    @pytest.mark.parametrize(
+        "identifier",
+        [r"\bvectorize\b", "raw_arrays", "chkpt_format", "_verify_v3_payload"],
+    )
+    def test_retired_identifiers_stay_out_of_src(self, identifier):
+        assert _modules_matching(identifier) == []
+
+    def test_one_function_unpacks_trailer_rows(self):
+        """Section-table rows are ``<QQI``: one function packs them,
+        one — ``SnapshotSource._open_trailer`` — unpacks them."""
+        unpack = r'unpack\(\s*"<QQI"'
+        assert _modules_matching(unpack) == [
+            "repro/checkpoint/schema/source.py"
+        ]
+        for scope in (sys.modules[SnapshotSource.__module__],
+                      SnapshotSource._open_trailer):
+            assert len(re.findall(unpack, inspect.getsource(scope))) == 1
 
 
 # ---------------------------------------------------------------------------

