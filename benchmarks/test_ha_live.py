@@ -16,12 +16,20 @@ frontier and land on the *same* heterogeneous platform.
 Acceptance gate (recorded in ``results/BENCH_ha_live.json``): warm
 takeover p50 at least ``MIN_TAKEOVER_SPEEDUP``x faster than cold
 restore p50.
+
+Staying warm has its own price, paid once per generation between
+receipt and ack: commit the file locally, then apply it to the resident
+VM.  The second test prices that step per delta on the same heap — the
+standby folding the delta in place against a standby made to restore
+its whole chain for every generation — and gates in-place at no more
+than ``MAX_APPLY_RATIO`` of the re-restore.
 """
 
 from __future__ import annotations
 
 import base64
 import statistics
+import time
 
 from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.checkpoint.format import detect_format_version
@@ -42,6 +50,9 @@ ROW_WORDS = 4096
 WARM_ROUNDS = 10
 COLD_ROUNDS = 5
 MIN_TAKEOVER_SPEEDUP = 5.0
+
+APPLY_PHASES = 14
+MAX_APPLY_RATIO = 1 / 3
 
 VM_ID = "bench-ha-live"
 
@@ -224,4 +235,82 @@ def test_warm_takeover_beats_cold_restore(tmp_path, get_report, bench_json):
     assert speedup >= MIN_TAKEOVER_SPEEDUP, (
         f"warm takeover only {speedup:.1f}x faster than cold restore "
         f"(floor {MIN_TAKEOVER_SPEEDUP}x)"
+    )
+
+
+
+def test_in_place_apply_beats_re_restoring_the_chain(
+        tmp_path, get_report, bench_json):
+    code = compile_source(churn_source(HEAP_WORDS, MUTATION_PCT, APPLY_PHASES))
+
+    def standby(name: str) -> StandbyServer:
+        path = str(tmp_path / f"{name}.hckp")
+        return StandbyServer(
+            code, "ultra64", node_id=name, chain_path=path,
+            config=_config(path),
+        )
+
+    folding, restoring = standby("folding"), standby("restoring")
+    primary_path = str(tmp_path / "primary.hckp")
+    vm = VirtualMachine(get_platform("rodrigo"), code, _config(primary_path))
+    tailer = CommitTailer(vm, primary_path)
+    in_place, re_restore = [], []
+    for budget in [BUILD_BUDGET] + [PHASE_BUDGET] * (APPLY_PHASES + 2):
+        if vm.run(max_instructions=budget).status in ("stopped", "exited"):
+            break
+        rec = tailer.capture()
+        folded = folding.applied_in_place
+        t0 = time.perf_counter()
+        folding._splice(rec)
+        t1 = time.perf_counter()
+        restoring.image = None  # nothing to fold into: restore the chain
+        restoring._splice(rec)
+        t2 = time.perf_counter()
+        if folding.applied_in_place > folded:
+            in_place.append(t1 - t0)
+            re_restore.append(t2 - t1)
+    assert restoring.applied_in_place == 0
+    assert len(in_place) >= 8, f"only {len(in_place)} deltas folded in place"
+    # Same frontier either way: both resident VMs finish the program.
+    rows = HEAP_WORDS // ROW_WORDS
+    for sb in (folding, restoring):
+        assert sb.resident_vm.run().status in ("stopped", "exited")
+        assert sb.resident_vm.channels.stdout_bytes() == (
+            f"{APPLY_PHASES} {rows}".encode()
+        )
+
+    ratio = _p50(in_place) / _p50(re_restore)
+    rep = get_report(
+        "HA live apply",
+        "standby apply per delta: fold in place vs re-restore the chain "
+        f"({HEAP_WORDS // 1024}k words, {MUTATION_PCT}% mutation, "
+        "rodrigo -> ultra64; local commit included)",
+        ["path", "p50 ms", "p95 ms"],
+    )
+    rep.row("in place", f"{_p50(in_place) * 1e3:.2f}",
+            f"{_p95(in_place) * 1e3:.2f}")
+    rep.row("re-restore", f"{_p50(re_restore) * 1e3:.2f}",
+            f"{_p95(re_restore) * 1e3:.2f}")
+    rep.note(
+        f"in place = {ratio:.2f} of re-restore over {len(in_place)} deltas; "
+        f"ceiling {MAX_APPLY_RATIO:.2f}"
+    )
+    bench_json("BENCH_ha_live").update({
+        "apply_ms": {
+            "deltas": len(in_place),
+            "in_place": {
+                "p50": round(_p50(in_place) * 1e3, 3),
+                "p95": round(_p95(in_place) * 1e3, 3),
+            },
+            "re_restore": {
+                "p50": round(_p50(re_restore) * 1e3, 3),
+                "p95": round(_p95(re_restore) * 1e3, 3),
+            },
+            "ratio": round(ratio, 3),
+            "max_ratio": round(MAX_APPLY_RATIO, 3),
+        },
+    })
+    assert ratio <= MAX_APPLY_RATIO, (
+        f"in-place apply is {ratio:.2f} of a re-restore "
+        f"(ceiling {MAX_APPLY_RATIO:.2f})"
     )

@@ -595,6 +595,31 @@ def _parse_body(r: SectionReader) -> VMSnapshot:
 # ---------------------------------------------------------------------------
 
 
+def check_delta_parent(info: DeltaInfo, parent_sha: Optional[bytes]) -> None:
+    """The chain binding: a delta applies only on top of the generation
+    whose body SHA-256 its header records."""
+    if parent_sha is None or info.parent_sha256 != parent_sha:
+        have = parent_sha.hex()[:16] if parent_sha else "unknown"
+        raise CheckpointIntegrityError(
+            f"delta parent hash mismatch: delta binds to "
+            f"{info.parent_sha256.hex()[:16]}... but the preceding "
+            f"generation's body is {have}...",
+            section="header",
+            expected=info.parent_sha256.hex(),
+            actual=parent_sha.hex() if parent_sha else None,
+        )
+
+
+def check_delta_region(start: int, n_words: int, chunk_words: int) -> None:
+    """A dirty region must lie inside the chunk it patches."""
+    if start + n_words > chunk_words:
+        raise CheckpointIntegrityError(
+            f"delta region [{start}, {start + n_words}) "
+            f"overruns chunk of {chunk_words} word(s)",
+            section="heap",
+        )
+
+
 def merge_delta_chain(chain: list[VMSnapshot]) -> VMSnapshot:
     """Reconstruct a full snapshot from a base + ordered deltas.
 
@@ -643,16 +668,7 @@ def merge_delta_chain(chain: list[VMSnapshot]) -> VMSnapshot:
             raise CheckpointFormatError(
                 "full checkpoint in the middle of a delta chain"
             )
-        if prev.body_sha256 is None or info.parent_sha256 != prev.body_sha256:
-            have = prev.body_sha256.hex()[:16] if prev.body_sha256 else "unknown"
-            raise CheckpointIntegrityError(
-                f"delta parent hash mismatch: delta binds to "
-                f"{info.parent_sha256.hex()[:16]}... but the preceding "
-                f"generation's body is {have}...",
-                section="header",
-                expected=info.parent_sha256.hex(),
-                actual=prev.body_sha256.hex() if prev.body_sha256 else None,
-            )
+        check_delta_parent(info, prev.body_sha256)
         current: dict[int, object] = {}
         for rec in info.chunks:
             arr = state.get(rec.base)
@@ -667,12 +683,7 @@ def merge_delta_chain(chain: list[VMSnapshot]) -> VMSnapshot:
                 arr = arr.materialize().copy()
             for start, words in rec.regions:
                 wa = np.asarray(words, dtype=np.uint64)
-                if start + wa.size > arr.size:
-                    raise CheckpointIntegrityError(
-                        f"delta region [{start}, {start + wa.size}) "
-                        f"overruns chunk of {arr.size} word(s)",
-                        section="heap",
-                    )
+                check_delta_region(start, wa.size, arr.size)
                 arr[start : start + wa.size] = wa
             current[rec.base] = arr
         # Chunks absent from this delta's records were unmapped on the

@@ -35,6 +35,7 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
+from repro.arch.architecture import Architecture
 from repro.arch.platforms import Platform
 from repro.bytecode.image import CodeImage
 from repro.checkpoint.commit import generation_chain, recover_commit
@@ -42,6 +43,8 @@ from repro.checkpoint.convert import ValueConverter, ragged_indices
 from repro.checkpoint.format import (
     VMSnapshot,
     annotate_restore_error,
+    check_delta_parent,
+    check_delta_region,
     merge_delta_chain,
     read_checkpoint,
 )
@@ -103,6 +106,13 @@ class RestartStats:
     sections_deferred: int = 0
     bytes_verified: int = 0
     bytes_deferred: int = 0
+    #: What an eager restore leaves behind for a caller that keeps the
+    #: VM warm instead of running it (the standby): the source image
+    #: and conversion tables a later delta folds into this VM through.
+    #: ``None`` after a lazy restore.  It dies with these stats.
+    image: Optional["ResidentImage"] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def total_seconds(self) -> float:
@@ -324,7 +334,8 @@ def _restart_vm(
     with timer.phase("read_file"):
         snap = load_snapshot_chain(path, defer=lazy)
     sources = getattr(snap, "_sources", []) if lazy else []
-    if snap.header.code_digest != code.digest():
+    code_digest = code.digest()
+    if snap.header.code_digest != code_digest:
         raise RestartError(
             "checkpoint was taken from a different program (digest mismatch)"
         )
@@ -356,7 +367,6 @@ def _restart_vm(
         with timer.phase("threads"):
             _restore_threads_raw(vm, snap)
         mapper = AddressMapper(snap, vm, relocation)
-        fix = _value_fixer(vm, mapper, converter)
         if converter.word_size_differs:
             with timer.phase("pointer_fix"):
                 if lazy:
@@ -389,27 +399,27 @@ def _restart_vm(
                 vm.mem.heap.freelist_head = (
                     mapper.map(head) or 0 if head else 0
                 )
-        with timer.phase("globals"):
-            gd = mapper.map(snap.global_data)
-            if gd is None:
-                raise RestartError("global_data pointer does not map")
-            vm.global_data = gd
-            _restore_cglobals(vm, snap, fix, converter)
-        with timer.phase("stack_restore"):
-            _fix_thread_stacks(vm, snap, mapper, converter)
-            _fix_thread_registers(vm, snap, mapper, fix)
-        with timer.phase("registers"):
-            _restore_current(vm, snap, mapper)
-        with timer.phase("channels"):
-            vm.channels.restore(snap.channels)
+        _restore_roots(vm, snap, mapper, converter, timer)
         stats.dangling_pointers = mapper.dangling_pointers
     finally:
         vm.gc.disabled = False
     vm.restarted = True
     vm.mem.heap.allocated_words = 0
-    if snap.header.multithreaded:
-        vm.sched.ever_multithreaded = True
-    if lazy:
+    if not lazy:
+        stats.image = ResidentImage(
+            vm=vm,
+            code_digest=code_digest,
+            path=path,
+            src_arch=snap.arch,
+            head_sha=snap.body_sha256,
+            chunks=[(base, len(ws)) for base, ws in snap.heap_chunks],
+            positions=positions,
+            sources=rebuild_ctx.sources if rebuild_ctx else None,
+            converter=converter,
+            mapper=mapper,
+            rebuild=rebuild_ctx,
+        )
+    else:
         RESTART.lazy_restores += 1
         for src in sources:
             rep = src.stats()
@@ -419,6 +429,37 @@ def _restart_vm(
         RESTART.sections_deferred += stats.sections_deferred
         RESTART.bytes_deferred += stats.bytes_deferred
     return vm, stats
+
+
+def _restore_roots(
+    vm: VirtualMachine,
+    snap: VMSnapshot,
+    mapper: AddressMapper,
+    converter: ValueConverter,
+    timer: PhaseTimer,
+    cglobals: bool = True,
+) -> None:
+    """Steps 6-8 and 10 once the heap and the mapper stand: globals,
+    stacks, registers, the current thread, channels — everything a
+    generation carries outside the heap.  ``cglobals`` is False for a
+    delta that omitted the (untouched) C-global dump."""
+    fix = _value_fixer(vm, mapper, converter)
+    with timer.phase("globals"):
+        gd = mapper.map(snap.global_data)
+        if gd is None:
+            raise RestartError("global_data pointer does not map")
+        vm.global_data = gd
+        if cglobals:
+            _restore_cglobals(vm, snap, fix, converter)
+    with timer.phase("stack_restore"):
+        _fix_thread_stacks(vm, snap, mapper, converter)
+        _fix_thread_registers(vm, snap, mapper, fix)
+    with timer.phase("registers"):
+        _restore_current(vm, snap, mapper)
+    with timer.phase("channels"):
+        vm.channels.restore(snap.channels)
+    if snap.header.multithreaded:
+        vm.sched.ever_multithreaded = True
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +868,9 @@ class _RebuildContext:
     src_pos: np.ndarray
     src_size: np.ndarray
     tags: np.ndarray
-    #: Payload start (word index in its rebuilt chunk) and word count.
+    #: Rebuilt chunk number, payload start (word index in that chunk)
+    #: and word count.
+    dst_chunk: np.ndarray
     dst_pos: np.ndarray
     dst_size: np.ndarray
     #: The rebuilt chunks' areas, and the block numbers placed in each
@@ -965,6 +1008,7 @@ def _rebuild_heap(
         src_pos=cat(pos_l),
         src_size=cat(size_l),
         tags=tags,
+        dst_chunk=dchunk,
         dst_pos=dst_pos,
         dst_size=dst_size,
         areas=areas,
@@ -1016,14 +1060,18 @@ def _move_runs(
             arr[idx] = packed[at:]
 
 
-def _rebuilt_groups(ctx: _RebuildContext, d: int):
-    """Split the blocks placed in rebuilt chunk ``d`` by source chunk.
+def _rebuilt_groups(
+    ctx: _RebuildContext, d: int, ids: Optional[np.ndarray] = None
+):
+    """Split the blocks placed in rebuilt chunk ``d`` — all of them, or
+    the ascending subset ``ids`` — by source chunk.
 
     Yields ``(saved chunk words, block numbers, their tags)`` for each
     source chunk that owns any of them; a deferred chunk slice
     materializes only here, once a block actually needs its bytes.
     """
-    ids = ctx.by_chunk[d]
+    if ids is None:
+        ids = ctx.by_chunk[d]
     cuts = np.searchsorted(ids, ctx.src_first).tolist()
     for source, a, b in zip(ctx.sources, cuts[:-1], cuts[1:]):
         if a < b:
@@ -1064,14 +1112,16 @@ def _fill_rebuilt_payloads(
     d: int,
     out: np.ndarray,
     timer: Optional[PhaseTimer] = None,
+    ids: Optional[np.ndarray] = None,
 ) -> None:
     """Payloads of the non-scannable blocks of rebuilt chunk ``d``, into
     its words ``out``: opaque words re-extended, doubles and strings
     re-packed into their new word counts.
 
     The eager restore runs this over every chunk, a lazy thunk on its
-    own chunk at first touch; every kernel is per block, so touch order
-    cannot change a word.
+    own chunk at first touch, an in-place delta apply on the blocks
+    ``ids`` a dirty run touched; every kernel is per block, so neither
+    order nor subset can change a word.
     """
 
     def opaque(words, _sizes):
@@ -1082,7 +1132,7 @@ def _fill_rebuilt_payloads(
             converter.double_pattern_array(words)
         )
 
-    for arr, part, tags in _rebuilt_groups(ctx, d):
+    for arr, part, tags in _rebuilt_groups(ctx, d, ids):
         is_str = tags == STRING_TAG
         is_dbl = tags == DOUBLE_TAG
         is_opq = (tags >= NO_SCAN_TAG) & ~is_str & ~is_dbl
@@ -1174,11 +1224,12 @@ def _fix_rebuilt_heap(
     converter: ValueConverter,
     d: int,
     out: np.ndarray,
+    ids: Optional[np.ndarray] = None,
 ) -> None:
     """Convert every field of the scannable blocks of rebuilt chunk
-    ``d`` on its way into ``out`` (immediates re-boxed, pointers
-    remapped, dangling words neutralized to unit); the counterpart of
-    :func:`_fill_rebuilt_payloads`."""
+    ``d`` (or of its blocks ``ids``) on its way into ``out`` (immediates
+    re-boxed, pointers remapped, dangling words neutralized to unit);
+    the counterpart of :func:`_fill_rebuilt_payloads`."""
     unit = np.uint64(converter.dst_values.val_unit)
 
     def fix(words, _sizes):
@@ -1193,7 +1244,7 @@ def _fix_rebuilt_heap(
             )
         return fixed
 
-    for arr, part, tags in _rebuilt_groups(ctx, d):
+    for arr, part, tags in _rebuilt_groups(ctx, d, ids):
         _convert_rebuilt_runs(ctx, arr, part[tags < NO_SCAN_TAG], fix, out)
 
 
@@ -1228,7 +1279,8 @@ def _value_fixer(vm: VirtualMachine, mapper: AddressMapper, converter: ValueConv
 
 
 def _restore_threads_raw(vm: VirtualMachine, snap: VMSnapshot) -> None:
-    """Create every thread with its stack contents copied raw.
+    """Create every thread the VM lacks (all but the main one, on a
+    fresh VM) and copy each one's stack contents in raw.
 
     No thread may run until all are restored (paper §3.2.3); nothing
     runs here at all — the interpreter resumes only after restart
@@ -1236,9 +1288,8 @@ def _restore_threads_raw(vm: VirtualMachine, snap: VMSnapshot) -> None:
     """
     unit = vm.mem.values.val_unit
     for rec in snap.threads:
-        if rec.tid == 0:
-            thread = vm.sched.threads[0]
-        else:
+        thread = vm.sched.threads.get(rec.tid)
+        if thread is None:
             stack = vm.sched.new_stack(f"thread-stack-{rec.tid}")
             thread = VMThread(rec.tid, stack, unit)
             vm.sched.adopt(thread)
@@ -1357,3 +1408,266 @@ def _restore_cglobals(vm: VirtualMachine, snap: VMSnapshot, fix, converter) -> N
             cg.area.words[idx] = converter.convert_raw(w)
     cg.root_indices = sorted(roots)
     cg._next = len(snap.cglobal_words)
+
+
+# ---------------------------------------------------------------------------
+# The resident image: folding a delta into a restored VM in place
+# ---------------------------------------------------------------------------
+
+
+def _same_block_shape(new: np.ndarray, old: np.ndarray) -> bool:
+    """Whether rewritten headers kept size, tag and blue-ness (a GC
+    color that moved between white, gray and black moves no block)."""
+    blue = np.uint64(Color.BLUE.value)
+    return bool(
+        (((new ^ old) & ~np.uint64(0x300)) == 0).all()
+        and (
+            (((new >> np.uint64(8)) & np.uint64(3)) == blue)
+            == (((old >> np.uint64(8)) & np.uint64(3)) == blue)
+        ).all()
+    )
+
+
+def _spliced_words(
+    src: np.ndarray, regions: list, idx: np.ndarray
+) -> np.ndarray:
+    """``src[idx]`` as it will read once ``regions`` are spliced in."""
+    out = src[idx]
+    for start, words in regions:
+        hit = (idx >= start) & (idx < start + len(words))
+        if hit.any():
+            out[hit] = words[idx[hit] - start]
+    return out
+
+
+@dataclass(repr=False, eq=False)
+class _DeltaPlan:
+    """A verified delta and the blocks its dirty runs touch."""
+
+    snap: VMSnapshot
+    #: ``(chunk number, block numbers)`` per chunk with dirty regions:
+    #: indices into the chunk's header positions at equal word sizes,
+    #: live-block numbers of the rebuild tables across them.
+    touched: list
+
+
+@dataclass(repr=False, eq=False)
+class ResidentImage:
+    """What an eager restore knows that a later delta can reuse.
+
+    The restored VM ``vm`` as long as nothing has run it or unstaged its
+    heap, the saved-representation chunk images ``sources`` it was
+    converted from, their block-header ``positions``, and the conversion
+    state (value converter, address mapper and — across word sizes —
+    the rebuild tables).  One operation: :meth:`plan_delta` verifies an
+    arriving delta file and decides whether it folds in place;
+    :meth:`apply` folds it — splicing the dirty regions into the source
+    image and re-converting the blocks they touch, whole, with the
+    kernels the restore itself ran, then restoring the generation's
+    non-heap state — at a cost proportional to the dirty set, leaving
+    the VM word for word what a cold restore of the same chain builds.
+    """
+
+    vm: VirtualMachine
+    code_digest: bytes
+    #: The chain head the VM was restored from.
+    path: str
+    src_arch: Architecture
+    #: Body SHA-256 of the generation the VM stands at (``None`` when
+    #: its file recorded none): what the next delta must bind to.
+    head_sha: Optional[bytes]
+    #: ``(base, n_words)`` of every saved chunk.
+    chunks: list
+    positions: list
+    #: Across word sizes the rebuild read these and left them whole.  A
+    #: same-word-size restore converts the parsed chunks where they lie
+    #: — keeping a copy would tax every cold restore — so here they are
+    #: ``None`` until the first delta that could fold needs them, and
+    #: then read back from ``path``.
+    sources: Optional[list]
+    converter: ValueConverter
+    mapper: AddressMapper
+    rebuild: Optional[_RebuildContext]
+
+    def _staged(self) -> Optional[list]:
+        """The VM's heap chunk arrays, or None once any was unstaged."""
+        arrs = [c.area.peek_staged() for c in self.vm.mem.heap.chunks]
+        return None if any(a is None for a in arrs) else arrs
+
+    def _load_sources(self) -> None:
+        """Read the saved chunk images back from the chain the VM was
+        restored from (verified again, as every read of the chain is);
+        the head on disk must still be the generation the VM stands at."""
+        snap = load_snapshot_chain(self.path)
+        if snap.body_sha256 != self.head_sha:
+            raise RestartError(
+                f"{self.path} no longer holds the generation the "
+                f"resident VM was restored from"
+            )
+        self.sources = [ws for _, ws in snap.heap_chunks]
+
+    def plan_delta(self, data: bytes) -> tuple[Optional[_DeltaPlan], str]:
+        """Verify one arriving delta file; decide whether it folds in
+        place.  Returns ``(plan, "")``, or ``(None, reason)`` when the
+        generation needs a full restore of its chain.
+
+        Every check a chain restore makes on this link is made here, on
+        the bytes: section CRCs, body SHA-256 and end CRC, the code
+        digest, the parent binding against the held head, region
+        bounds.  A damaged or misbound file raises the same typed
+        :class:`~repro.errors.RestartError`.  The VM and the image stay
+        as they are.
+        """
+        try:
+            snap = SnapshotSource.from_bytes(data).resolve_all()
+        except CheckpointFormatError:
+            INTEGRITY.integrity_failures += 1
+            raise
+        info = snap.delta
+        if info is None:
+            return None, "full"
+        if snap.header.code_digest != self.code_digest:
+            raise RestartError(
+                "checkpoint was taken from a different program "
+                "(digest mismatch)"
+            )
+        check_delta_parent(info, self.head_sha)
+        heap_areas = sorted(
+            (a.base, a.n_words)
+            for a in snap.boundaries
+            if a.kind == AreaKind.HEAP_CHUNK.value
+        )
+        index = snap.chunk_index
+        if (
+            snap.arch != self.src_arch
+            or [(r.base, r.n_words) for r in info.chunks] != self.chunks
+            or heap_areas != sorted(self.chunks)
+            or index is None
+            or len(index) != len(self.positions)
+            or any(
+                not np.array_equal(pos, held)
+                for (pos, _), held in zip(index, self.positions)
+            )
+            or {t.tid for t in snap.threads} != set(self.vm.sched.threads)
+        ):
+            return None, "layout"
+        if self._staged() is None:
+            return None, "unstaged"
+        if self.sources is None:
+            self._load_sources()
+        touched = []
+        for c, rec in enumerate(info.chunks):
+            if not rec.regions:
+                continue
+            for start, words in rec.regions:
+                check_delta_region(start, len(words), rec.n_words)
+            blocks = self._touched_blocks(c, rec.regions)
+            if blocks is None:
+                return None, "layout"
+            touched.append((c, blocks))
+        return _DeltaPlan(snap, touched), ""
+
+    def _touched_blocks(self, c: int, regions: list) -> Optional[np.ndarray]:
+        """The blocks of chunk ``c`` whose header or payload a dirty
+        region overlaps; None when a region reshapes one."""
+        pos = self.positions[c]
+        src = self.sources[c]
+        spans = []
+        for start, words in regions:
+            end = start + len(words)
+            heads = pos[
+                np.searchsorted(pos, start) : np.searchsorted(pos, end)
+            ].astype(np.int64)
+            if not _same_block_shape(words[heads - start], src[heads]):
+                return None
+            # Blocks tile the chunk: from the one holding the region's
+            # first word through the one holding its last.
+            first = int(np.searchsorted(pos, start, side="right")) - 1
+            last = int(np.searchsorted(pos, end - 1, side="right"))
+            spans.append(np.arange(first, last))
+        blocks = np.unique(np.concatenate(spans))
+        ctx = self.rebuild
+        if ctx is None:
+            return blocks
+        # Across word sizes only live blocks were rebuilt, and a string
+        # rewritten in place must still fill the words it was given.
+        lo, hi = int(ctx.src_first[c]), int(ctx.src_first[c + 1])
+        live_heads = ctx.src_pos[lo:hi] - 1
+        heads = pos[blocks].astype(np.int64)
+        at = np.searchsorted(live_heads, heads)
+        ok = at < live_heads.size
+        ok[ok] = live_heads[at[ok]] == heads[ok]
+        live = lo + at[ok]
+        strs = live[ctx.tags[live] == STRING_TAG]
+        if strs.size:
+            last_words = _spliced_words(
+                src, regions, ctx.src_pos[strs] + ctx.src_size[strs] - 1
+            )
+            blen = self.converter.string_byte_lengths(
+                last_words, ctx.src_size[strs], ctx.relocation[0][strs]
+            )
+            dst_wb = self.converter.dst.word_bytes
+            if not np.array_equal(blen // dst_wb + 1, ctx.dst_size[strs]):
+                return None
+        return live
+
+    def apply(self, plan: _DeltaPlan) -> None:
+        """Fold a planned delta into the VM.  A failure part-way leaves
+        the VM torn: the caller restores its chain afresh."""
+        snap = plan.snap
+        vm = self.vm
+        staged = self._staged()
+        vm.gc.disabled = True
+        try:
+            for rec, src in zip(snap.delta.chunks, self.sources):
+                for start, words in rec.regions:
+                    src[start : start + len(words)] = words
+            for thread in vm.sched.threads.values():
+                thread.stack.reset()
+            _restore_threads_raw(vm, snap)
+            self.mapper.refresh(snap)
+            if self.rebuild is not None:
+                self._reconvert_rebuilt(plan.touched)
+            else:
+                for c, blocks in plan.touched:
+                    self._reconvert_chunk(c, blocks, staged[c])
+                head = snap.freelist_head
+                vm.mem.heap.freelist_head = (
+                    self.mapper.map(head) or 0 if head else 0
+                )
+            _restore_roots(
+                vm, snap, self.mapper, self.converter, PhaseTimer(),
+                cglobals=snap.delta.has_cglobals,
+            )
+        finally:
+            vm.gc.disabled = False
+        self.head_sha = snap.body_sha256
+
+    def _reconvert_chunk(
+        self, c: int, blocks: np.ndarray, arr: np.ndarray
+    ) -> None:
+        """Same word size: the touched blocks' saved words go into the
+        staged chunk whole, then through the restore's own passes."""
+        src = self.sources[c]
+        pos = self.positions[c][blocks].astype(np.int64)
+        idx = ragged_indices(
+            pos, (src[pos] >> np.uint64(10)).astype(np.int64) + 1
+        )
+        arr[idx] = src[idx]
+        _fix_chunk_pointers(arr, pos, self.mapper)
+        if self.converter.endian_differs:
+            _repack_chunk_payloads(arr, pos, self.converter)
+
+    def _reconvert_rebuilt(self, touched: list) -> None:
+        """Across word sizes: the touched live blocks convert again on
+        their way from the saved chunks into the rebuilt ones."""
+        ctx = self.rebuild
+        if not touched:
+            return
+        blocks = np.concatenate([b for _, b in touched])
+        chunk_of = ctx.dst_chunk[blocks]
+        for d in np.unique(chunk_of).tolist():
+            ids = blocks[chunk_of == d]
+            out = ctx.areas[d].peek_staged()
+            _fill_rebuilt_payloads(ctx, self.converter, d, out, ids=ids)
+            _fix_rebuilt_heap(ctx, self.mapper, self.converter, d, out, ids=ids)

@@ -56,11 +56,6 @@ class AddressMapper:
         #: ``(source blocks, target blocks)``, two ``uint64`` arrays with
         #: the source blocks ascending.
         self.heap_relocation = heap_relocation
-        #: Source areas sorted by base for binary search.
-        self._areas: list[AreaRecord] = sorted(
-            snap.boundaries, key=lambda a: a.base
-        )
-        self._bases = [a.base for a in self._areas]
         # Target resolution tables.
         self._heap_chunk_targets: dict[int, int] = {}
         src_chunk_bases = [base for base, _ in snap.heap_chunks]
@@ -72,16 +67,33 @@ class AddressMapper:
                 )
             for src_base, chunk in zip(src_chunk_bases, dst_chunks):
                 self._heap_chunk_targets[src_base] = chunk.base
+        self._misses = 0
+        self.refresh(snap)
+
+    def refresh(self, snap: VMSnapshot) -> None:
+        """(Re)derive everything but the heap tables from ``snap``.
+
+        The saved boundaries, the stack anchors and the code end belong
+        to one generation — a stack that grew moved its low boundary —
+        while the heap half (chunk targets, the relocation table) holds
+        as long as the block layout does.  The in-place delta apply
+        refreshes a long-lived mapper with each arriving generation;
+        the VM's threads must already be that generation's.
+        """
+        #: Source areas sorted by base for binary search.
+        self._areas: list[AreaRecord] = sorted(
+            snap.boundaries, key=lambda a: a.base
+        )
+        self._bases = [a.base for a in self._areas]
         # Thread stacks: label -> (source high, target high).
         self._stack_highs: dict[str, tuple[int, int]] = {}
         by_label = {a.label: a for a in snap.boundaries}
-        for tid, t in vm.sched.threads.items():
+        for tid, t in self.vm.sched.threads.items():
             label = t.stack.label
             src = by_label.get(label)
             if src is not None:
                 src_high = src.base + src.n_words * self.src_wb
                 self._stack_highs[label] = (src_high, t.stack.stack_high)
-        self._misses = 0
         self._tables = None  # lazy vectorized mapping tables (map_many)
         code_rec = next((a for a in snap.boundaries if a.kind == "code"), None)
         #: One-past-the-end code address: a thread that ran off the end

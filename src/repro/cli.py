@@ -597,9 +597,16 @@ def cmd_ha_live(args: argparse.Namespace) -> int:
             if report.takeover_seconds is not None
             else ""
         )
+        rebuilt = (
+            f", last for '{report.last_rebuild_reason}'"
+            if report.generations_rebuilt
+            else ""
+        )
         print(f"[ha live: schedule {report.schedule}, "
               f"{report.generations_shipped} generation(s) replicated "
-              f"{report.primary_platform} -> {report.standby_platform}, "
+              f"{report.primary_platform} -> {report.standby_platform} "
+              f"({report.generations_applied_in_place} folded in place, "
+              f"{report.generations_rebuilt} rebuilt{rebuilt}), "
               f"{report.promotions} promotion(s), "
               f"{report.fenced_demotions} fenced demotion(s)"
               f"{takeover}]",

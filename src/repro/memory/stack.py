@@ -37,6 +37,7 @@ class VMStack:
         self._wshift = arch.word_bytes.bit_length() - 1
         self._base = base
         self.max_words = max_words
+        self._initial_words = n_words
         self.label = label
         self._bind_area(MemoryArea(kind, base, n_words, arch, label=label))
         space.map(self.area)
@@ -136,6 +137,17 @@ class VMStack:
         """The live words, from top of stack to bottom."""
         first = (self.sp - self.area.base) // self._wb
         return self.area.words[first:]
+
+    def reset(self) -> None:
+        """Back to the stack a fresh VM starts with: empty, zeroed, at
+        its initial capacity (a restart that reuses this VM refills it
+        exactly as it would fill a new one)."""
+        self.sp = self.stack_high
+        if self.area.n_words != self._initial_words:
+            self.replace_capacity(self._initial_words)
+        else:
+            self._words[:] = [0] * self._initial_words
+        self.realloc_count = 0
 
     # -- growth ------------------------------------------------------------------
 

@@ -384,8 +384,14 @@ class ReplicationCounters:
 
     #: Committed generations shipped to the standby.
     generations_sent: int = 0
-    #: Generations the standby spliced into its resident VM.
+    #: Generations the standby spliced into its resident VM — folded in
+    #: place (a delta that moved no block) or by restoring its chain
+    #: afresh, and why the last one needed that ("full", "layout",
+    #: "lazy", ...): the fast path's hit rate, read from the system.
     generations_applied: int = 0
+    generations_applied_in_place: int = 0
+    generations_rebuilt: int = 0
+    last_rebuild_reason: str = ""
     #: Checkpoint payload bytes shipped (files + carried stdout).
     bytes_sent: int = 0
     #: Acknowledgements received by the primary.
@@ -411,6 +417,9 @@ class ReplicationCounters:
         return {
             "generations_sent": self.generations_sent,
             "generations_applied": self.generations_applied,
+            "generations_applied_in_place": self.generations_applied_in_place,
+            "generations_rebuilt": self.generations_rebuilt,
+            "last_rebuild_reason": self.last_rebuild_reason,
             "bytes_sent": self.bytes_sent,
             "acks": self.acks,
             "retransmits": self.retransmits,
@@ -426,12 +435,17 @@ class ReplicationCounters:
     def delta_since(self, snapshot: dict) -> dict:
         """Counter movement since an :meth:`as_dict` snapshot."""
         return {
-            k: v - snapshot.get(k, 0) for k, v in self.as_dict().items()
+            k: v - snapshot.get(k, 0)
+            for k, v in self.as_dict().items()
+            if isinstance(v, int)
         }
 
     def reset(self) -> None:
         self.generations_sent = 0
         self.generations_applied = 0
+        self.generations_applied_in_place = 0
+        self.generations_rebuilt = 0
+        self.last_rebuild_reason = ""
         self.bytes_sent = 0
         self.acks = 0
         self.retransmits = 0

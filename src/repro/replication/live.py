@@ -87,6 +87,12 @@ class LiveReport:
     fault_style: str = ""
     generations_shipped: int = 0
     generations_discarded: int = 0
+    #: How the standby applied what it received: folded into the
+    #: resident VM in place, or by restoring its chain afresh (and why
+    #: the last time) — the fast path's hit rate on this program.
+    generations_applied_in_place: int = 0
+    generations_rebuilt: int = 0
+    last_rebuild_reason: str = ""
     promotions: int = 0
     fenced_demotions: int = 0
     #: Bytes the old primary produced but the gate never released
@@ -111,6 +117,9 @@ class LiveReport:
             "fault_style": self.fault_style,
             "generations_shipped": self.generations_shipped,
             "generations_discarded": self.generations_discarded,
+            "generations_applied_in_place": self.generations_applied_in_place,
+            "generations_rebuilt": self.generations_rebuilt,
+            "last_rebuild_reason": self.last_rebuild_reason,
             "promotions": self.promotions,
             "fenced_demotions": self.fenced_demotions,
             "held_discarded_bytes": self.held_discarded_bytes,
@@ -277,6 +286,10 @@ class LiveHA:
             )
             report.promotions = 1 if standby.promoted_event.is_set() else 0
             report.takeover_seconds = standby.takeover_seconds
+            state = standby.describe()
+            report.generations_applied_in_place = state["applied_in_place"]
+            report.generations_rebuilt = state["rebuilt"]
+            report.last_rebuild_reason = state["last_rebuild_reason"]
             report.lease_history = [
                 (c.epoch, c.holder, c.valid)
                 for c in primary_lease.history()

@@ -3,12 +3,20 @@
 One TCP listener, one primary at a time.  Every GEN frame is verified
 (wire digest, sequence contiguity), durably committed into the
 standby's *local* generation chain through the same atomic-commit
-protocol the primary used, and then spliced into a **resident VM** by
-restoring the chain head — full heterogeneous conversion included, so
-the resident VM already lives on the standby's platform (different
-endianness, different word size) before any failover happens.  Only
-then is the ACK sent: an acked generation is takeover-ready by
-definition, which is what lets the primary release stdout up to it.
+protocol the primary used, and then spliced into a **resident VM** —
+full heterogeneous conversion included, so the resident VM already
+lives on the standby's platform (different endianness, different word
+size) before any failover happens.  Only then is the ACK sent: an
+acked generation is takeover-ready by definition, which is what lets
+the primary release stdout up to it.
+
+Splicing costs what changed, not what exists.  Next to the resident VM
+the standby keeps the :class:`~repro.checkpoint.reader.ResidentImage`
+its last restore left behind; a delta that binds to the held head and
+moves no block is verified once from the arriving bytes and folded into
+the resident VM in place.  Anything else — a full generation, a layout
+change, a lazily restored image — restores the local chain afresh,
+which re-verifies every link it reads from disk.
 
 Failure detection rides the channel itself: any frame resets the miss
 counter; ``heartbeat_misses`` consecutive quiet windows (or an abrupt
@@ -24,6 +32,7 @@ frontier.
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -31,8 +40,9 @@ from typing import Optional
 
 from repro.arch.platforms import Platform, get_platform
 from repro.checkpoint.commit import atomic_commit
-from repro.checkpoint.reader import restart_vm
+from repro.checkpoint.reader import MAX_DELTA_CHAIN, ResidentImage, restart_vm
 from repro.errors import (
+    CheckpointError,
     LeaseLostError,
     ReplicationError,
     ReplicationProtocolError,
@@ -43,9 +53,9 @@ from repro.replication import wire
 from repro.replication.lease import EpochLease
 from repro.vm import VMConfig, VirtualMachine
 
-#: Generations kept in the standby's local chain — comfortably above the
-#: deepest delta chain the writer produces (``chkpt_full_every`` bounds
-#: it), so the head is always restorable from local files alone.
+#: Generations kept in the standby's local chain.  A head that is a
+#: delta deeper than this keeps its whole chain regardless: the head
+#: must always be restorable from local files alone.
 DEFAULT_RETAIN = 24
 
 
@@ -82,6 +92,16 @@ class StandbyServer:
         self.applied_instructions = 0
         self.last_body_sha = ""
         self.resident_vm: Optional[VirtualMachine] = None
+        #: What the restore that built ``resident_vm`` left behind for
+        #: folding the next delta in place (None: nothing restored yet,
+        #: or a lazy restore).
+        self.image: Optional[ResidentImage] = None
+        self.applied_in_place = 0
+        self.rebuilt = 0
+        #: Why the last generation was restored afresh instead of folded
+        #: in place: "full", "layout", "lazy", "depth", "unstaged",
+        #: "no-image", "apply-failed" ("" while none was).
+        self.last_rebuild_reason = ""
         self.prefill = b""
         self.primary_node: Optional[str] = None
         self.primary_epoch = 0
@@ -236,28 +256,81 @@ class StandbyServer:
     def _splice(self, rec: wire.GenRecord) -> None:
         """Commit the generation locally and fold it into the resident VM.
 
-        The local commit uses the same journal/rotate/rename protocol as
+        One decision (:meth:`_plan`): a delta the held image can take is
+        folded in place, everything else restores the local chain.  The
+        arriving delta is verified before anything is written; the
+        local commit uses the same journal/rotate/rename protocol as
         the primary's checkpoint, so the standby's chain is itself
-        crash-consistent; the restore then re-verifies every chain
-        binding and converts to the standby's architecture.  Apply
-        happens *before* the ack — the output rule depends on it.
+        crash-consistent; apply happens *before* the ack — the output
+        rule depends on it.  A generation that cannot be committed or
+        applied leaves the standby where it was.
         """
-        atomic_commit(self.chain_path, rec.data, retain=self.retain)
+        plan, reason = self._plan(rec)
+        # Never rotate away a generation the new head still needs.
+        keep = max(self.retain, rec.chain_depth)
         try:
-            vm, _stats = restart_vm(
+            atomic_commit(self.chain_path, rec.data, retain=keep)
+        except CheckpointError as e:
+            raise ReplicationError(
+                f"standby could not commit generation {rec.seq}: {e}"
+            ) from e
+        _drop_generations_past(self.chain_path, keep)
+        with self._lock:
+            if self.promoted_event.is_set():
+                raise ReplicationError(
+                    f"generation {rec.seq} arrived after promotion"
+                )
+            if plan is not None:
+                try:
+                    self.image.apply(plan)
+                except Exception:
+                    # Whatever stopped it, the resident VM is torn and
+                    # must not be acked or promoted; its chain is whole.
+                    self.resident_vm = self.image = None
+                    plan, reason = None, "apply-failed"
+            if plan is None:
+                self._rebuild(rec)
+                self.rebuilt += 1
+                self.last_rebuild_reason = reason
+                REPLICATION.generations_rebuilt += 1
+                REPLICATION.last_rebuild_reason = reason
+            else:
+                self.applied_in_place += 1
+                REPLICATION.generations_applied_in_place += 1
+            self.prefill = rec.stdout
+            self.applied_seq = rec.seq
+            self.applied_instructions = rec.instructions
+            self.last_body_sha = rec.body_sha256
+        REPLICATION.generations_applied += 1
+
+    def _plan(self, rec: wire.GenRecord) -> tuple[Optional[object], str]:
+        """``(plan, "")`` to fold ``rec`` in place, or ``(None, why not)``."""
+        if rec.kind != "delta":
+            return None, "full"
+        if self.image is None:
+            lazy = self.config is not None and self.config.lazy_restore
+            return None, "lazy" if lazy else "no-image"
+        if rec.chain_depth > MAX_DELTA_CHAIN:
+            return None, "depth"  # the restore refuses it, loudly
+        try:
+            return self.image.plan_delta(rec.data)
+        except RestartError as e:
+            raise ReplicationError(
+                f"generation {rec.seq} failed to splice: {e}"
+            ) from e
+
+    def _rebuild(self, rec: wire.GenRecord) -> None:
+        """Restore the local chain head: a new resident VM and image."""
+        try:
+            vm, stats = restart_vm(
                 self.platform, self.code, self.chain_path, self.config
             )
         except RestartError as e:
             raise ReplicationError(
                 f"generation {rec.seq} failed to splice: {e}"
             ) from e
-        with self._lock:
-            self.resident_vm = vm
-            self.prefill = rec.stdout
-            self.applied_seq = rec.seq
-            self.applied_instructions = rec.instructions
-            self.last_body_sha = rec.body_sha256
-        REPLICATION.generations_applied += 1
+        self.resident_vm = vm
+        self.image = stats.image
 
     # -- failure detection and promotion -----------------------------------
 
@@ -296,8 +369,11 @@ class StandbyServer:
         self.lease.check(self.epoch)
         self.takeover_seconds = time.perf_counter() - t0
         REPLICATION.promotions += 1
-        self.promoted_event.set()
         with self._lock:
+            # Under the lock: no generation is half-folded into the VM
+            # being handed over, and none will be folded into it later.
+            self.promoted_event.set()
+            self.image = None
             vm = self.resident_vm
             if self.prefill:
                 vm.channels._stdout.write(self.prefill)
@@ -318,6 +394,9 @@ class StandbyServer:
                 "platform": self.platform.name,
                 "applied_seq": self.applied_seq,
                 "applied_instructions": self.applied_instructions,
+                "applied_in_place": self.applied_in_place,
+                "rebuilt": self.rebuilt,
+                "last_rebuild_reason": self.last_rebuild_reason,
                 "chain_head_sha": self.last_body_sha,
                 "primary": self.primary_node,
                 "suspect": self.suspect_event.is_set(),
@@ -326,3 +405,15 @@ class StandbyServer:
                 "epoch": self.epoch,
                 "takeover_seconds": self.takeover_seconds,
             }
+
+
+def _drop_generations_past(path: str, keep: int) -> None:
+    """Unlink ``path.N`` for ``N > keep``: what a deeper chain left
+    behind once the head no longer needs it."""
+    n = keep + 1
+    try:
+        while os.path.exists(f"{path}.{n}"):
+            os.unlink(f"{path}.{n}")
+            n += 1
+    except OSError:
+        pass  # a leftover file costs space, not correctness

@@ -26,6 +26,62 @@ from repro.memory.layout import AreaKind, MemoryArea
 from repro.memory.strings import StringCodec
 from repro.vm import VirtualMachine
 
+def _area_words(area) -> list[int]:
+    staged = area.peek_staged()
+    if staged is not None:
+        return [int(w) for w in staged]
+    return list(area.words)
+
+
+def fingerprint(vm: VirtualMachine, header_maps: bool = False) -> dict:
+    """Everything restart rebuilds, as plain comparable data.
+
+    ``header_maps`` adds each chunk's header map: comparable between
+    two production restores only (the oracle's same-word-size path
+    leaves them to the discovery walk).
+    """
+    heap = vm.mem.heap
+    threads = {}
+    for tid in sorted(vm.sched.threads):
+        t = vm.sched.threads[tid]
+        threads[tid] = (
+            t.state.value,
+            t.block_kind.value,
+            t.blocked_on,
+            t.pending_mutex,
+            t.result,
+            t.accu,
+            t.env,
+            t.pc,
+            t.extra_args,
+            t.trapsp,
+            t.stack.sp,
+            t.stack.n_words,
+            list(t.stack.used_slice()),
+        )
+    interp = vm.interp
+    return {
+        "chunks": [(c.base, _area_words(c.area)) for c in heap.chunks],
+        "header_maps": [
+            bytes(c.header_map) for c in heap.chunks
+        ] if header_maps else None,
+        "freelist_head": heap.freelist_head,
+        "allocated_words": heap.allocated_words,
+        "global_data": vm.global_data,
+        "cglobals": list(
+            vm.mem.cglobals.area.words[: vm.mem.cglobals.used_words]
+        ),
+        "cglobal_roots": list(vm.mem.cglobals.root_indices),
+        "threads": threads,
+        "current": vm.sched.current.tid,
+        "registers": (
+            interp.accu, interp.env, interp.pc, interp.extra_args,
+            interp.trapsp,
+        ),
+        "multithreaded": vm.sched.ever_multithreaded,
+    }
+
+
 def write_checkpoint(vm, path: str) -> None:
     """Stand-in for ``vm.perform_checkpoint``: every chunk copied as a
     Python list at the safe point, serialized without an index."""

@@ -9,6 +9,13 @@ even across endianness and word-size changes.
 (Outputs here are small, so the stdout buffer never flushes before the
 checkpoint; buffered output travels with the checkpoint and the
 restarted run therefore replays the *full* output.)
+
+The same random programs, cut at random instruction counts into a
+sequence of incremental generations, drive the warm standby: after
+every generation its resident VM — folded in place or restored afresh —
+equals a cold restore and the word-at-a-time oracle's restore of the
+standby's own chain (``tests/test_standby_inplace.py`` holds the
+deterministic cases and the :class:`Replica` driver).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from repro import (
     get_platform,
     restart_vm,
 )
+from tests.test_standby_inplace import Replica, reference_run
 
 PLATFORM_NAMES = ["rodrigo", "csd", "sp2148", "ultra64"]
 
@@ -42,6 +50,7 @@ STATEMENTS = [
     "let tmp = Array.make {arrn} ({k}) in r := !r + tmp.({i} mod {arrn})",
     "if !r mod 2 = 0 then r := !r + 1 else arr.(0) <- arr.(0) + 1",
     "for q = 1 to {i} + 1 do r := !r + q done",
+    "buf.[{i} + {arrn}] <- '{c}'",
 ]
 
 PRELUDE = """
@@ -50,6 +59,7 @@ let arr = Array.make 8 0;;
 let lst = ref [];;
 let fl = ref 1.5;;
 let s = ref "a";;
+let buf = String.make 14 'b';;
 """
 
 DIGEST = """
@@ -59,14 +69,12 @@ print_string " [";;
 for i = 0 to 7 do begin print_int arr.(i); print_string ";" end done;;
 print_string "] ";;
 print_int (suml !lst);;
-print_string (" " ^ !s ^ " ");;
+print_string (" " ^ !s ^ " " ^ buf ^ " ");;
 print_float !fl
 """
 
 
-@st.composite
-def program_with_checkpoint(draw):
-    n = draw(st.integers(2, 10))
+def random_statements(draw, n: int) -> list[str]:
     stmts = []
     for _ in range(n):
         template = draw(st.sampled_from(STATEMENTS))
@@ -78,6 +86,13 @@ def program_with_checkpoint(draw):
             arrn=draw(st.integers(1, 6)),
         )
         stmts.append(stmt)
+    return stmts
+
+
+@st.composite
+def program_with_checkpoint(draw):
+    n = draw(st.integers(2, 10))
+    stmts = random_statements(draw, n)
     cut = draw(st.integers(0, n))
     body = ";;\n".join(stmts[:cut] + ["checkpoint ()"] + stmts[cut:])
     origin = draw(st.sampled_from(PLATFORM_NAMES))
@@ -121,3 +136,37 @@ def test_checkpoint_restart_is_transparent(tmp_path_factory, case):
     assert second.status == "stopped"
     assert second.stdout == ref.stdout
     vm2.mem.heap.check_integrity()
+
+
+@st.composite
+def program_with_generations(draw):
+    """A longer random program, the instruction counts at which its
+    primary checkpoints, the dirty-region size, and the platforms."""
+    stmts = random_statements(draw, draw(st.integers(4, 16)))
+    budgets = draw(st.lists(st.integers(3, 90), min_size=2, max_size=8))
+    region_words = draw(st.sampled_from([16, 128, 1024]))
+    origin = draw(st.sampled_from(PLATFORM_NAMES))
+    target = draw(st.sampled_from(PLATFORM_NAMES))
+    src = PRELUDE + ";;\n".join(stmts) + ";;\n" + DIGEST
+    return src, budgets, region_words, origin, target
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(program_with_generations())
+def test_standby_resident_vm_equals_cold_restart(tmp_path_factory, case):
+    src, budgets, region_words, origin, target = case
+    code = compile_source(src)
+    rep = Replica(
+        code, origin, target, tmp_path_factory.mktemp("standby"),
+        primary={"chkpt_region_words": region_words},
+    )
+    for budget in budgets:
+        if rep.ship(budget) is None:
+            break
+        rep.check()
+    if rep.last is not None:
+        rep.finish(reference_run(code, origin))

@@ -66,41 +66,7 @@ print_float !fl
 # ---------------------------------------------------------------------------
 
 
-def _area_words(area) -> list[int]:
-    staged = area.peek_staged()
-    if staged is not None:
-        return [int(w) for w in staged]
-    return list(area.words)
-
-
-def restored_fingerprint(vm: VirtualMachine) -> dict:
-    """Everything restart rebuilds, as plain comparable data."""
-    heap = vm.mem.heap
-    threads = {}
-    for tid in sorted(vm.sched.threads):
-        t = vm.sched.threads[tid]
-        threads[tid] = (
-            t.state.value,
-            t.accu,
-            t.env,
-            t.extra_args,
-            t.trapsp,
-            t.stack.sp,
-            list(t.stack.used_slice()),
-        )
-    return {
-        "chunks": [
-            (c.base, _area_words(c.area)) for c in heap.chunks
-        ],
-        "freelist_head": heap.freelist_head,
-        "allocated_words": heap.allocated_words,
-        "global_data": vm.global_data,
-        "cglobals": list(
-            vm.mem.cglobals.area.words[: vm.mem.cglobals.used_words]
-        ),
-        "cglobal_roots": list(vm.mem.cglobals.root_indices),
-        "threads": threads,
-    }
+restored_fingerprint = oracle.fingerprint
 
 
 def checkpointed_run(code, origin: str, path: str, scalar: bool = False):
