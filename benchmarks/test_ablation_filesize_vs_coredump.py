@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import make_checkpoint
-from repro import HomogeneousCheckpointer
 from repro.workloads import alloc_source
+from tests.homogeneous import HomogeneousCheckpointer
 
 SIZES_WORDS = [32 * 1024, 128 * 1024, 512 * 1024]
 

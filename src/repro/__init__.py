@@ -38,7 +38,6 @@ from repro.bytecode import CodeImage, disassemble
 from repro.checkpoint import (
     CheckpointStats,
     CheckpointWriter,
-    HomogeneousCheckpointer,
     RestartStats,
     read_checkpoint,
     restart_vm,
@@ -68,7 +67,6 @@ __all__ = [
     "disassemble",
     "CheckpointStats",
     "CheckpointWriter",
-    "HomogeneousCheckpointer",
     "RestartStats",
     "read_checkpoint",
     "restart_vm",

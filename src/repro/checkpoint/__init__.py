@@ -13,8 +13,10 @@
   pointer adjustment, GC-guided heap fixing with the collector disabled.
 * :mod:`repro.checkpoint.convert` / :mod:`relocate` — value conversion
   and address mapping machinery.
-* :mod:`repro.checkpoint.homogeneous` — the core-dump-style baseline
-  the paper compares against.
+
+The core-dump-style baseline the paper compares against is not part of
+the package: it lives beside its tests and its ablation benchmark, in
+``tests/homogeneous.py``.
 """
 
 from repro.checkpoint.commit import (
@@ -45,7 +47,6 @@ from repro.checkpoint.reader import (
     restart_vm_with_fallback,
 )
 from repro.checkpoint.fsck import fsck_checkpoint
-from repro.checkpoint.homogeneous import HomogeneousCheckpointer
 
 __all__ = [
     "CheckpointHeader",
@@ -72,5 +73,4 @@ __all__ = [
     "restart_vm_with_fallback",
     "fsck_checkpoint",
     "RestartStats",
-    "HomogeneousCheckpointer",
 ]

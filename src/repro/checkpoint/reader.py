@@ -23,6 +23,16 @@ Steps, mapped onto this implementation:
     (§3.2.2).
 10. Restore channels (reopen files, seek to saved positions).
 11. Close and hand the VM back, ready to continue from the safe point.
+
+Heap conversion (the payload half of step 5, and step 9) has one owner
+and one schedule.  The heap stage returns a per-chunk converter —
+:class:`_ChunkConverter` at equal word sizes, :class:`_RebuildContext`
+across them — whose single entry is ``convert(chunk, words,
+blocks=None)``, and every chunk is staged behind a thunk that calls it.
+An eager restart drains the thunks before it returns; a lazy one
+(``CHKPT_LAZY``) leaves them to first touch; the warm standby's in-place
+fold (:class:`ResidentImage`) calls the same ``convert`` with the blocks
+a delta touched.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import BinaryIO, Optional
 
 import numpy as np
@@ -46,7 +57,6 @@ from repro.checkpoint.format import (
     check_delta_parent,
     check_delta_region,
     merge_delta_chain,
-    read_checkpoint,
 )
 from repro.checkpoint.relocate import AddressMapper
 from repro.checkpoint.schema import SnapshotSource
@@ -165,16 +175,16 @@ def load_snapshot_chain(path: str, defer: bool = False) -> VMSnapshot:
     :class:`~repro.checkpoint.schema.SnapshotSource`: heap payloads stay
     on disk behind chunk slices, delta splicing reads only the parent
     chunks the dirty set touches, and the open sources ride along on the
-    returned snapshot's ``_sources`` attribute so the lazy-restore drain
-    can finish their verification later.
+    returned snapshot's ``_sources`` (empty otherwise: nothing is owed)
+    so the lazy-restore drain can finish their verification later.
     """
     sources: list[SnapshotSource] = []
 
     def read_link(p: str) -> VMSnapshot:
-        if not defer:
-            return read_checkpoint(p)
         try:
-            src = SnapshotSource.open(p, defer=True)
+            src = SnapshotSource.open(p, defer=defer)
+            if not defer:
+                return src.resolve_all()
         except CheckpointFormatError as e:
             INTEGRITY.integrity_failures += 1
             raise annotate_restore_error(e, p) from e
@@ -333,7 +343,6 @@ def _restart_vm(
     # behind chunk slices until their first-touch thunks fire.
     with timer.phase("read_file"):
         snap = load_snapshot_chain(path, defer=lazy)
-    sources = getattr(snap, "_sources", []) if lazy else []
     code_digest = code.digest()
     if snap.header.code_digest != code_digest:
         raise RestartError(
@@ -349,85 +358,49 @@ def _restart_vm(
     vm.gc.disabled = True
     try:
         _fresh_heap(vm)
-        relocation = None
-        rebuild_ctx = None
         if converter.word_size_differs:
-            with timer.phase("heap_rebuild"):
-                positions = _chunk_positions(snap, timer)
-                rebuild_ctx = _rebuild_heap(
-                    vm, snap, converter, positions, timer, defer=lazy
-                )
-                relocation = rebuild_ctx.relocation
+            stage, stage_phase = _rebuild_heap, "heap_rebuild"
         else:
-            with timer.phase("heap_restore"):
-                positions = _chunk_positions(snap, timer)
-                _restore_heap_chunks(vm, snap, positions)
+            stage, stage_phase = _restore_heap_chunks, "heap_restore"
+        with timer.phase(stage_phase):
+            positions = _chunk_positions(snap, timer)
+            conversion = stage(vm, snap, converter, positions, timer)
         # Threads and their stacks must exist before the mapper so stack
         # addresses resolve (step 8 before 9, safely: no thread runs yet).
         with timer.phase("threads"):
             _restore_threads_raw(vm, snap)
-        mapper = AddressMapper(snap, vm, relocation)
-        if converter.word_size_differs:
-            with timer.phase("pointer_fix"):
-                if lazy:
-                    _attach_rebuild_thunks(
-                        vm, rebuild_ctx, mapper, converter, stats, sources
-                    )
-                else:
-                    for d, area in enumerate(rebuild_ctx.areas):
-                        _fix_rebuilt_heap(
-                            rebuild_ctx, mapper, converter, d,
-                            area.peek_staged(),
-                        )
+        mapper = conversion.mapper = AddressMapper(
+            snap, vm, conversion.relocation
+        )
+        # Step 9, one schedule: every chunk gets its conversion thunk;
+        # a lazy restore leaves them to first touch, an eager one runs
+        # them all here — so a conversion that fails is typed alike.
+        with timer.phase("pointer_fix"):
+            state = LazyRestoreState(stats, mapper, snap._sources)
+            for c, chunk in enumerate(vm.mem.heap.chunks):
+                state.attach(chunk.area, partial(conversion.convert, c))
+        if lazy:
+            state.install(vm)
         else:
-            if lazy:
-                # Defer pointer fixing and payload repacking per chunk:
-                # the thunks run the same kernels the eager branch below
-                # runs, restricted to one chunk, on first touch.
-                with timer.phase("pointer_fix"):
-                    _attach_chunk_thunks(
-                        vm, mapper, converter, positions, stats, sources
-                    )
-            else:
-                with timer.phase("pointer_fix"):
-                    _fix_heap_pointers(vm, mapper, positions, timer)
-                if converter.endian_differs:
-                    with timer.phase("convert_payloads"):
-                        _repack_heap_payloads(vm, converter, positions)
-            with timer.phase("freelist"):
-                head = snap.freelist_head
-                vm.mem.heap.freelist_head = (
-                    mapper.map(head) or 0 if head else 0
-                )
+            state.finish()
+            stats.image = ResidentImage(
+                vm=vm,
+                code_digest=code_digest,
+                path=path,
+                src_arch=snap.arch,
+                head_sha=snap.body_sha256,
+                chunks=[(base, len(ws)) for base, ws in snap.heap_chunks],
+                conversion=conversion,
+            )
+        # What converts from here on — a late thunk, a folded delta —
+        # is not this restart's time.
+        conversion.timer = PhaseTimer()
         _restore_roots(vm, snap, mapper, converter, timer)
         stats.dangling_pointers = mapper.dangling_pointers
     finally:
         vm.gc.disabled = False
     vm.restarted = True
     vm.mem.heap.allocated_words = 0
-    if not lazy:
-        stats.image = ResidentImage(
-            vm=vm,
-            code_digest=code_digest,
-            path=path,
-            src_arch=snap.arch,
-            head_sha=snap.body_sha256,
-            chunks=[(base, len(ws)) for base, ws in snap.heap_chunks],
-            positions=positions,
-            sources=rebuild_ctx.sources if rebuild_ctx else None,
-            converter=converter,
-            mapper=mapper,
-            rebuild=rebuild_ctx,
-        )
-    else:
-        RESTART.lazy_restores += 1
-        for src in sources:
-            rep = src.stats()
-            stats.sections_deferred += rep["unresolved"] or 0
-            stats.bytes_verified += rep["bytes_verified"]
-            stats.bytes_deferred += rep["bytes_deferred"]
-        RESTART.sections_deferred += stats.sections_deferred
-        RESTART.bytes_deferred += stats.bytes_deferred
     return vm, stats
 
 
@@ -439,10 +412,15 @@ def _restore_roots(
     timer: PhaseTimer,
     cglobals: bool = True,
 ) -> None:
-    """Steps 6-8 and 10 once the heap and the mapper stand: globals,
-    stacks, registers, the current thread, channels — everything a
-    generation carries outside the heap.  ``cglobals`` is False for a
-    delta that omitted the (untouched) C-global dump."""
+    """Steps 6-8 and 10 once the heap and the mapper stand: the
+    freelist head (at equal word sizes; a rebuild lays out its own),
+    globals, stacks, registers, the current thread, channels —
+    everything a generation carries outside the heap.  ``cglobals`` is
+    False for a delta that omitted the (untouched) C-global dump."""
+    if not converter.word_size_differs:
+        with timer.phase("freelist"):
+            head = snap.freelist_head
+            vm.mem.heap.freelist_head = mapper.map(head) or 0 if head else 0
     fix = _value_fixer(vm, mapper, converter)
     with timer.phase("globals"):
         gd = mapper.map(snap.global_data)
@@ -506,6 +484,15 @@ def _chunk_positions(snap: VMSnapshot, timer: PhaseTimer) -> list[np.ndarray]:
     discovery walk over the saved image recovers the positions.
     """
     if snap.chunk_index is not None:
+        # Every kernel indexes its chunk with these: a position the
+        # chunk does not have stops here, before any payload is read.
+        for (_, words), (pos, _) in zip(snap.heap_chunks, snap.chunk_index):
+            if pos.size and int(pos.max()) >= len(words):
+                raise CheckpointFormatError(
+                    f"block-extent index places a header at word "
+                    f"{int(pos.max())} of a {len(words)}-word heap chunk",
+                    section="index",
+                )
         return [pos for pos, _ in snap.chunk_index]
     src_headers = HeaderCodec(snap.arch)
     out = []
@@ -525,13 +512,64 @@ def _chunk_positions(snap: VMSnapshot, timer: PhaseTimer) -> list[np.ndarray]:
     return out
 
 
+@dataclass(eq=False)
+class _ChunkConverter:
+    """Heap conversion at equal word sizes, one staged chunk at a time.
+
+    The saved chunks were adopted where they lay, so blocks keep their
+    positions and a chunk converts in place: pointers fixed, then —
+    across endiannesses — byte-oriented payloads repacked.  Per-chunk
+    work is independent, which is what lets one :meth:`convert` serve
+    the eager drain, a first touch in any order and a folded delta and
+    still leave the same words.
+    """
+
+    converter: ValueConverter
+    #: Block-header word positions of every chunk.
+    positions: list
+    #: Where kernel time goes: the restart's phases while it drains,
+    #: a scratch timer once it has returned.
+    timer: PhaseTimer
+    #: Set once the threads (whose stacks it resolves) exist.
+    mapper: Optional[AddressMapper] = None
+    #: The saved chunk images, for a fold to re-convert from.  They were
+    #: converted where they lay — keeping a copy would tax every cold
+    #: restore — so ``None`` until the first delta that could fold needs
+    #: them, when :class:`ResidentImage` reads them back from its path.
+    sources: Optional[list] = None
+    #: No block moves.
+    relocation = None
+
+    def convert(self, chunk: int, words: np.ndarray, blocks=None) -> None:
+        """Convert staged chunk ``chunk`` in place — or only ``blocks``
+        (indices into its header positions), copied in afresh from the
+        saved image, whole, before the passes run over them."""
+        pos = self.positions[chunk]
+        if blocks is not None:
+            src = self.sources[chunk]
+            pos = pos[blocks].astype(np.int64)
+            idx = ragged_indices(
+                pos, (src[pos] >> np.uint64(10)).astype(np.int64) + 1
+            )
+            words[idx] = src[idx]
+        with self.timer.phase("pointer_fix"):
+            _fix_chunk_pointers(words, pos, self.mapper, self.timer)
+        if self.converter.endian_differs:
+            with self.timer.phase("convert_payloads"):
+                _repack_chunk_payloads(words, pos, self.converter)
+
+
 def _restore_heap_chunks(
-    vm: VirtualMachine, snap: VMSnapshot, positions: list[np.ndarray]
-) -> None:
+    vm: VirtualMachine,
+    snap: VMSnapshot,
+    converter: ValueConverter,
+    positions: list[np.ndarray],
+    timer: PhaseTimer,
+) -> _ChunkConverter:
     """Same-word-size path, staged: adopt chunks backed by numpy arrays.
 
     The word lists materialize lazily (first GC or interpreter access);
-    the pointer-fixing kernels below operate on the staged arrays
+    the returned converter's kernels operate on the staged arrays
     directly, so a restart never unboxes words it does not touch.
     """
     layout = vm.platform.layout
@@ -548,18 +586,23 @@ def _restore_heap_chunks(
         hm = np.zeros(arr.size, dtype=np.uint8)
         hm[pos.astype(np.int64)] = 1
         vm.mem.heap.adopt_chunk(area, header_map=bytearray(hm.tobytes()))
+    return _ChunkConverter(converter, positions, timer)
 
 
 def _fix_chunk_pointers(
     arr: np.ndarray,
     pos: np.ndarray,
     mapper: AddressMapper,
-    timer: Optional[PhaseTimer] = None,
+    timer: PhaseTimer,
 ) -> None:
-    """Pointer fixing for one staged chunk (same-word-size restores).
+    """Paper Figure 7 for one staged chunk (same-word-size restores):
+    fix the pointers in scannable blocks and the freelist links in BLUE
+    blocks — every payload word classified by its LSB, the pointers
+    mapped in bulk.
 
-    The single kernel both the eager pass and the lazy first-touch
-    thunks run — sharing it is what makes lazy == eager bit-identical.
+    Also normalizes mid-cycle GC colors (GRAY/BLACK -> WHITE): the
+    interrupted incremental major cycle is abandoned and will simply
+    restart from its beginning — safe, because marking starts from roots.
     """
     p = pos.astype(np.int64)
     hds = arr[p]
@@ -578,7 +621,7 @@ def _fix_chunk_pointers(
         links = arr[lp]
         nz = links != 0
         if nz.any():
-            with _maybe_kernel(timer, "map_many"):
+            with timer.kernel("map_many"):
                 mapped, ok = mapper.map_many(links[nz])
             arr[lp[nz]] = np.where(ok, mapped, np.uint64(0))
     scan = (~blue) & (tags < np.uint64(NO_SCAN_TAG)) & (sizes > 0)
@@ -588,47 +631,21 @@ def _fix_chunk_pointers(
         even = (vals & np.uint64(1)) == 0
         if even.any():
             ptrs = vals[even]
-            with _maybe_kernel(timer, "map_many"):
+            with timer.kernel("map_many"):
                 mapped, ok = mapper.map_many(ptrs)
             arr[idx[even]] = np.where(ok, mapped, ptrs)
-
-
-def _maybe_kernel(timer: Optional[PhaseTimer], name: str):
-    """``timer.kernel(name)`` or a no-op when no timer is in scope.
-
-    Lazy thunks run after the restart's phase timer has been reported,
-    so their kernels are accounted in ``RestartStats.lazy_seconds``
-    instead.
-    """
-    if timer is not None:
-        return timer.kernel(name)
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
-def _fix_heap_pointers(
-    vm: VirtualMachine,
-    mapper: AddressMapper,
-    positions: list[np.ndarray],
-    timer: PhaseTimer,
-) -> None:
-    """Paper Figure 7: fix the pointers in scannable blocks and the
-    freelist links in BLUE blocks of every chunk — every payload word
-    classified by its LSB, the pointers mapped in bulk.
-
-    Also normalizes mid-cycle GC colors (GRAY/BLACK -> WHITE): the
-    interrupted incremental major cycle is abandoned and will simply
-    restart from its beginning — safe, because marking starts from roots.
-    """
-    for chunk, pos in zip(vm.mem.heap.chunks, positions):
-        _fix_chunk_pointers(chunk.area.peek_staged(), pos, mapper, timer)
 
 
 def _repack_chunk_payloads(
     arr: np.ndarray, pos: np.ndarray, converter: ValueConverter
 ) -> None:
-    """Endianness payload repack for one staged chunk (shared kernel)."""
+    """Endianness-only conversion of one staged chunk's byte-oriented
+    payloads.
+
+    The tag field of each header is what makes this possible: strings
+    keep their byte order (word values swap), doubles are re-encoded as
+    8-byte IEEE units.
+    """
     p = pos.astype(np.int64)
     hds = arr[p]
     sizes = (hds >> np.uint64(10)).astype(np.int64)
@@ -645,36 +662,24 @@ def _repack_chunk_payloads(
         arr[idx] = converter.repack_double_array(arr[idx])
 
 
-def _repack_heap_payloads(
-    vm: VirtualMachine,
-    converter: ValueConverter,
-    positions: list[np.ndarray],
-) -> None:
-    """Endianness-only conversion of byte-oriented payloads.
-
-    The tag field of each header is what makes this possible: strings
-    keep their byte order (word values swap), doubles are re-encoded as
-    8-byte IEEE units.
-    """
-    for chunk, pos in zip(vm.mem.heap.chunks, positions):
-        _repack_chunk_payloads(chunk.area.peek_staged(), pos, converter)
-
-
 # ---------------------------------------------------------------------------
-# Lazy first-touch restore
+# The conversion schedule: thunks, drained now or at first touch
 # ---------------------------------------------------------------------------
 
 
 class LazyRestoreState:
-    """Tracks deferred heap conversion after a ``--lazy-restore`` restart.
+    """The heap-conversion schedule of one restart.
 
-    Installed on ``vm.lazy_restore`` by the attach functions below.
-    Each staged heap chunk carries a first-touch thunk (see
-    :meth:`MemoryArea.ensure_converted`); this object additionally lets
-    the interpreter drain one chunk per scheduler tick in the
-    background (:meth:`drain_one`) and lets the checkpoint writer force
-    full conversion before dumping (:meth:`finish`), so a checkpoint
-    taken mid-lazy-restore commits bit-identically to an eager one.
+    Every restored heap chunk is staged with a conversion thunk (see
+    :meth:`MemoryArea.ensure_converted`) built by :meth:`wrap`.  An
+    eager restart runs them all before it returns (:meth:`finish`) and
+    drops this object.  A ``--lazy-restore`` restart leaves it on
+    ``vm.lazy_restore`` instead (:meth:`install`): chunks then convert
+    at first touch, the interpreter drains one chunk per scheduler tick
+    in the background (:meth:`drain_one`), and the checkpoint writer
+    forces full conversion before dumping (:meth:`finish`), so a
+    checkpoint taken mid-lazy-restore commits bit-identically to an
+    eager one.
 
     The :class:`AddressMapper` is captured for the thunks' lifetime —
     safe because it is content-independent and time-invariant: heap
@@ -684,10 +689,7 @@ class LazyRestoreState:
     """
 
     def __init__(
-        self,
-        stats: RestartStats,
-        mapper: AddressMapper,
-        sources: Optional[list] = None,
+        self, stats: RestartStats, mapper: AddressMapper, sources: list
     ) -> None:
         self.stats = stats
         self.mapper = mapper
@@ -695,20 +697,36 @@ class LazyRestoreState:
         #: Deferred :class:`SnapshotSource` objects whose section
         #: verification (CRCs, whole-body SHA-256, end CRC) is still
         #: incomplete; the drain finishes them after the last chunk.
-        self.sources: list = list(sources) if sources else []
-        stats.lazy = True
+        self.sources: list = list(sources)
 
-    def register(self, area: MemoryArea) -> None:
-        """Track one staged area whose thunk has just been attached."""
+    def attach(self, area: MemoryArea, convert) -> None:
+        """Give one staged area its thunk, and track it."""
+        area.defer_conversion(self.wrap(convert, area.label))
         self._pending.append(area)
-        self.stats.lazy_chunks_total += 1
+
+    def install(self, vm: VirtualMachine) -> None:
+        """Hand the pending thunks to ``vm`` instead of running them:
+        the restart returns lazy, and ``stats`` says what it deferred."""
+        st = self.stats
+        st.lazy = True
+        st.lazy_chunks_total = len(self._pending)
+        for src in self.sources:
+            rep = src.stats()
+            st.sections_deferred += rep["unresolved"] or 0
+            st.bytes_verified += rep["bytes_verified"]
+            st.bytes_deferred += rep["bytes_deferred"]
+        RESTART.lazy_restores += 1
+        RESTART.sections_deferred += st.sections_deferred
+        RESTART.bytes_deferred += st.bytes_deferred
+        vm.lazy_restore = self
 
     def wrap(self, convert, label: str):
         """Build the thunk: run ``convert``, account time, type errors.
 
         Conversion failures surface as :class:`CheckpointIntegrityError`
-        even when the thunk fires arbitrarily late — a corrupt chunk
-        must not escape as a random numpy/index crash mid-execution.
+        whether the thunk runs inside the restart or fires arbitrarily
+        late — a corrupt chunk must not escape as a random numpy/index
+        crash, past the generation fallback or mid-execution.
         """
 
         def thunk(arr) -> None:
@@ -718,19 +736,20 @@ class LazyRestoreState:
             except CheckpointError:
                 raise
             except Exception as exc:
+                when = "lazy conversion" if self.stats.lazy else "conversion"
                 raise CheckpointIntegrityError(
-                    f"lazy conversion of {label} failed: {exc}",
+                    f"{when} of {label} failed: {exc}",
                     section="heap",
                 ) from exc
-            self._note(time.perf_counter() - t0)
+            st = self.stats
+            # The lazy_* fields count work deferred past the restart's
+            # return; an eager drain is timed by the restart's phases.
+            if st.lazy:
+                st.lazy_chunks_converted += 1
+                st.lazy_seconds += time.perf_counter() - t0
+                st.dangling_pointers = self.mapper.dangling_pointers
 
         return thunk
-
-    def _note(self, dt: float) -> None:
-        st = self.stats
-        st.lazy_chunks_converted += 1
-        st.lazy_seconds += dt
-        st.dangling_pointers = self.mapper.dangling_pointers
 
     @property
     def pending(self) -> int:
@@ -784,72 +803,16 @@ class LazyRestoreState:
 
     def finish(self) -> None:
         """Convert every remaining chunk and finish deferred section
-        verification (checkpoint writer barrier)."""
+        verification (the eager restart's drain; the checkpoint
+        writer's barrier)."""
         while self.drain_one():
             pass
 
 
-def _attach_chunk_thunks(
-    vm: VirtualMachine,
-    mapper: AddressMapper,
-    converter: ValueConverter,
-    positions: list[np.ndarray],
-    stats: RestartStats,
-    sources: Optional[list] = None,
-) -> None:
-    """Same-word-size lazy restore: defer pointer fixing (and, across
-    endiannesses, payload repacking) per chunk to first touch.
-
-    Each thunk runs exactly the kernels the eager pass runs, restricted
-    to its own chunk — per-chunk work is independent, so the result is
-    bit-identical to an eager restore regardless of touch order.
-    """
-    state = LazyRestoreState(stats, mapper, sources)
-    endian = converter.endian_differs
-    for chunk, pos in zip(vm.mem.heap.chunks, positions):
-        area = chunk.area
-
-        def convert(arr, pos=pos):
-            _fix_chunk_pointers(arr, pos, mapper)
-            if endian:
-                _repack_chunk_payloads(arr, pos, converter)
-
-        area.defer_conversion(state.wrap(convert, area.label))
-        state.register(area)
-    vm.lazy_restore = state
-
-
-def _attach_rebuild_thunks(
-    vm: VirtualMachine,
-    ctx: "_RebuildContext",
-    mapper: AddressMapper,
-    converter: ValueConverter,
-    stats: RestartStats,
-    sources: Optional[list] = None,
-) -> None:
-    """Cross-word-size lazy restore: defer the payload passes per
-    rebuilt chunk.
-
-    Headers, placement, the freelist and the relocation table were all
-    built eagerly (they are O(#blocks) and other subsystems read them
-    pre-conversion); a thunk runs the two passes the eager restore runs
-    over every chunk, on its own chunk only.
-    """
-    state = LazyRestoreState(stats, mapper, sources)
-    for d, area in enumerate(ctx.areas):
-
-        def convert(arr, d=d):
-            _fill_rebuilt_payloads(ctx, converter, d, arr)
-            _fix_rebuilt_heap(ctx, mapper, converter, d, arr)
-
-        area.defer_conversion(state.wrap(convert, area.label))
-        state.register(area)
-    vm.lazy_restore = state
-
-
-@dataclass
+@dataclass(eq=False)
 class _RebuildContext:
-    """What the cross-word-size rebuild hands to its payload passes.
+    """Heap conversion across word sizes: what the rebuild hands to its
+    payload passes, one rebuilt chunk at a time.
 
     The block arrays hold one entry per live source block, in source
     order (chunk by chunk, ascending address).  Geometry is frozen at
@@ -858,9 +821,15 @@ class _RebuildContext:
     write the same words to stay bit-identical.
     """
 
+    converter: ValueConverter
+    #: Block-header word positions of every source chunk.
+    positions: list
+    #: Where kernel time goes (see :class:`_ChunkConverter`).
+    timer: PhaseTimer
     #: ``(source blocks, target blocks)`` for the address mapper.
     relocation: tuple[np.ndarray, np.ndarray]
-    #: Saved chunk images (deferred chunk slices under lazy restore).
+    #: Saved chunk images (deferred chunk slices under lazy restore),
+    #: read from and left whole: a fold re-converts from them.
     sources: list
     #: First block number of each source chunk, then the block count.
     src_first: np.ndarray
@@ -873,10 +842,23 @@ class _RebuildContext:
     dst_chunk: np.ndarray
     dst_pos: np.ndarray
     dst_size: np.ndarray
-    #: The rebuilt chunks' areas, and the block numbers placed in each
-    #: (ascending): the unit of payload conversion.
-    areas: list
+    #: The block numbers placed in each rebuilt chunk (ascending): the
+    #: unit of payload conversion.
     by_chunk: list
+    #: Set once the threads (whose stacks it resolves) exist.
+    mapper: Optional[AddressMapper] = None
+
+    def convert(self, chunk: int, words: np.ndarray, blocks=None) -> None:
+        """Fill rebuilt chunk ``chunk`` from the saved image — or only
+        its live blocks ``blocks`` (ascending block numbers).  Headers,
+        placement, the freelist and the relocation table stand since
+        :func:`_rebuild_heap`; every kernel here is per block, so
+        neither order nor subset can change a word."""
+        timer = self.timer
+        with timer.phase("heap_rebuild"), timer.kernel("payloads"):
+            _fill_rebuilt_payloads(self, chunk, words, blocks)
+        with timer.phase("pointer_fix"):
+            _fix_rebuilt_heap(self, chunk, words, blocks)
 
 
 def _rebuild_heap(
@@ -885,7 +867,6 @@ def _rebuild_heap(
     converter: ValueConverter,
     positions: list[np.ndarray],
     timer: PhaseTimer,
-    defer: bool = False,
 ) -> _RebuildContext:
     """Cross-word-size path: re-encode every non-free block.
 
@@ -897,9 +878,8 @@ def _rebuild_heap(
     replays the first-fit allocator against a lightweight freelist model
     (same carve rules, same chunk-growth points), while the payloads are
     converted on their way from the saved chunks into the rebuilt ones,
-    one rebuilt chunk at a time — non-scannable classes here (or, with
-    ``defer``, in the chunk's first-touch thunk), scannable fields once
-    the address mapper exists (:func:`_fix_rebuilt_heap`).
+    one rebuilt chunk at a time, by the returned context's
+    :meth:`~_RebuildContext.convert`.
     """
     src_wb = snap.arch.word_bytes
     dst_arch = vm.platform.arch
@@ -919,6 +899,14 @@ def _rebuild_heap(
             live = (colors != Color.BLUE.value) & (sizes > 0)
             lp = p[live] + 1
             lsz = sizes[live]
+            if lp.size and int((lp + lsz).max()) > len(arr):
+                # Placement below trusts these sizes; the payload
+                # passes would only find out mid-copy.
+                raise CheckpointFormatError(
+                    "a heap block header claims words past the end of "
+                    "its chunk",
+                    section="heap",
+                )
             ltag = tags[live]
             addrs = np.uint64(src_base) + lp.astype(np.uint64) * np.uint64(
                 src_wb
@@ -978,7 +966,6 @@ def _rebuild_heap(
         addr - dst_wb: (size, nxt)
         for (addr, size), nxt in zip(remnants, next_free)
     }
-    areas = []
     for (base, n_words), ids in zip(chunks_out, by_chunk):
         words = np.zeros(n_words, dtype=np.uint64)
         header_map = np.zeros(n_words, dtype=np.uint8)
@@ -997,11 +984,13 @@ def _rebuild_heap(
             label=f"heap-chunk-{len(heap.chunks)}",
         )
         heap.adopt_chunk(area, header_map=bytearray(header_map))
-        areas.append(area)
     heap.freelist_head = remnants[0][0] if remnants else 0
     heap.allocated_words += int((dst_size + 1).sum())
 
-    ctx = _RebuildContext(
+    return _RebuildContext(
+        converter=converter,
+        positions=positions,
+        timer=timer,
         relocation=relocation,
         sources=[arr for _, arr in snap.heap_chunks],
         src_first=np.asarray(src_first, dtype=np.int64),
@@ -1011,16 +1000,8 @@ def _rebuild_heap(
         dst_chunk=dchunk,
         dst_pos=dst_pos,
         dst_size=dst_size,
-        areas=areas,
         by_chunk=by_chunk,
     )
-    if not defer:
-        with timer.kernel("payloads"):
-            for d, area in enumerate(areas):
-                _fill_rebuilt_payloads(
-                    ctx, converter, d, area.peek_staged(), timer
-                )
-    return ctx
 
 
 #: Payload runs at least this long move as slices; shorter ones share
@@ -1108,21 +1089,15 @@ def _convert_rebuilt_runs(
 
 def _fill_rebuilt_payloads(
     ctx: _RebuildContext,
-    converter: ValueConverter,
     d: int,
     out: np.ndarray,
-    timer: Optional[PhaseTimer] = None,
     ids: Optional[np.ndarray] = None,
 ) -> None:
-    """Payloads of the non-scannable blocks of rebuilt chunk ``d``, into
-    its words ``out``: opaque words re-extended, doubles and strings
-    re-packed into their new word counts.
-
-    The eager restore runs this over every chunk, a lazy thunk on its
-    own chunk at first touch, an in-place delta apply on the blocks
-    ``ids`` a dirty run touched; every kernel is per block, so neither
-    order nor subset can change a word.
-    """
+    """Payloads of the non-scannable blocks of rebuilt chunk ``d`` (or
+    of its blocks ``ids``), into its words ``out``: opaque words
+    re-extended, doubles and strings re-packed into their new word
+    counts."""
+    converter = ctx.converter
 
     def opaque(words, _sizes):
         return converter.convert_raw_array(words)
@@ -1138,7 +1113,7 @@ def _fill_rebuilt_payloads(
         is_opq = (tags >= NO_SCAN_TAG) & ~is_str & ~is_dbl
         _convert_rebuilt_runs(ctx, arr, part[is_opq], opaque, out)
         _convert_rebuilt_runs(ctx, arr, part[is_dbl], double, out)
-        with _maybe_kernel(timer, "strings"):
+        with ctx.timer.kernel("strings"):
             _convert_rebuilt_runs(
                 ctx, arr, part[is_str], converter.repack_string_batch, out
             )
@@ -1220,8 +1195,6 @@ def _simulate_first_fit(
 
 def _fix_rebuilt_heap(
     ctx: _RebuildContext,
-    mapper: AddressMapper,
-    converter: ValueConverter,
     d: int,
     out: np.ndarray,
     ids: Optional[np.ndarray] = None,
@@ -1230,6 +1203,7 @@ def _fix_rebuilt_heap(
     ``d`` (or of its blocks ``ids``) on its way into ``out`` (immediates
     re-boxed, pointers remapped, dangling words neutralized to unit);
     the counterpart of :func:`_fill_rebuilt_payloads`."""
+    converter, mapper = ctx.converter, ctx.mapper
     unit = np.uint64(converter.dst_values.val_unit)
 
     def fix(words, _sizes):
@@ -1445,9 +1419,10 @@ class _DeltaPlan:
     """A verified delta and the blocks its dirty runs touch."""
 
     snap: VMSnapshot
-    #: ``(chunk number, block numbers)`` per chunk with dirty regions:
-    #: indices into the chunk's header positions at equal word sizes,
-    #: live-block numbers of the rebuild tables across them.
+    #: ``(chunk, blocks)`` per VM heap chunk to re-convert, as the
+    #: restore's converter takes them: indices into the chunk's header
+    #: positions at equal word sizes, live-block numbers placed in that
+    #: rebuilt chunk across them.
     touched: list
 
 
@@ -1456,14 +1431,14 @@ class ResidentImage:
     """What an eager restore knows that a later delta can reuse.
 
     The restored VM ``vm`` as long as nothing has run it or unstaged its
-    heap, the saved-representation chunk images ``sources`` it was
-    converted from, their block-header ``positions``, and the conversion
-    state (value converter, address mapper and — across word sizes —
-    the rebuild tables).  One operation: :meth:`plan_delta` verifies an
-    arriving delta file and decides whether it folds in place;
-    :meth:`apply` folds it — splicing the dirty regions into the source
-    image and re-converting the blocks they touch, whole, with the
-    kernels the restore itself ran, then restoring the generation's
+    heap, and the per-chunk converter the restore drained — which holds
+    the saved-representation chunk images the VM was converted from,
+    their block-header positions, the value converter, the address
+    mapper and (across word sizes) the rebuild tables.  One operation:
+    :meth:`plan_delta` verifies an arriving delta file and decides
+    whether it folds in place; :meth:`apply` folds it — splicing the
+    dirty regions into the source image and calling that same converter
+    on the blocks they touch, whole, then restoring the generation's
     non-heap state — at a cost proportional to the dirty set, leaving
     the VM word for word what a cold restore of the same chain builds.
     """
@@ -1478,16 +1453,13 @@ class ResidentImage:
     head_sha: Optional[bytes]
     #: ``(base, n_words)`` of every saved chunk.
     chunks: list
-    positions: list
-    #: Across word sizes the rebuild read these and left them whole.  A
-    #: same-word-size restore converts the parsed chunks where they lie
-    #: — keeping a copy would tax every cold restore — so here they are
-    #: ``None`` until the first delta that could fold needs them, and
-    #: then read back from ``path``.
-    sources: Optional[list]
-    converter: ValueConverter
-    mapper: AddressMapper
-    rebuild: Optional[_RebuildContext]
+    #: The restore's per-chunk converter.
+    conversion: _ChunkConverter | _RebuildContext
+
+    @property
+    def sources(self) -> Optional[list]:
+        """The saved chunk images the converter re-converts from."""
+        return self.conversion.sources
 
     def _staged(self) -> Optional[list]:
         """The VM's heap chunk arrays, or None once any was unstaged."""
@@ -1504,7 +1476,7 @@ class ResidentImage:
                 f"{self.path} no longer holds the generation the "
                 f"resident VM was restored from"
             )
-        self.sources = [ws for _, ws in snap.heap_chunks]
+        self.conversion.sources = [ws for _, ws in snap.heap_chunks]
 
     def plan_delta(self, data: bytes) -> tuple[Optional[_DeltaPlan], str]:
         """Verify one arriving delta file; decide whether it folds in
@@ -1538,22 +1510,23 @@ class ResidentImage:
             if a.kind == AreaKind.HEAP_CHUNK.value
         )
         index = snap.chunk_index
+        conv = self.conversion
         if (
             snap.arch != self.src_arch
             or [(r.base, r.n_words) for r in info.chunks] != self.chunks
             or heap_areas != sorted(self.chunks)
             or index is None
-            or len(index) != len(self.positions)
+            or len(index) != len(conv.positions)
             or any(
                 not np.array_equal(pos, held)
-                for (pos, _), held in zip(index, self.positions)
+                for (pos, _), held in zip(index, conv.positions)
             )
             or {t.tid for t in snap.threads} != set(self.vm.sched.threads)
         ):
             return None, "layout"
         if self._staged() is None:
             return None, "unstaged"
-        if self.sources is None:
+        if conv.sources is None:
             self._load_sources()
         touched = []
         for c, rec in enumerate(info.chunks):
@@ -1565,13 +1538,23 @@ class ResidentImage:
             if blocks is None:
                 return None, "layout"
             touched.append((c, blocks))
+        if conv.converter.word_size_differs and touched:
+            # Live blocks convert in the rebuilt chunk that holds them,
+            # whichever saved chunk they came from.
+            blocks = np.concatenate([b for _, b in touched])
+            chunk_of = conv.dst_chunk[blocks]
+            touched = [
+                (d, blocks[chunk_of == d])
+                for d in np.unique(chunk_of).tolist()
+            ]
         return _DeltaPlan(snap, touched), ""
 
     def _touched_blocks(self, c: int, regions: list) -> Optional[np.ndarray]:
-        """The blocks of chunk ``c`` whose header or payload a dirty
-        region overlaps; None when a region reshapes one."""
-        pos = self.positions[c]
-        src = self.sources[c]
+        """The blocks of saved chunk ``c`` whose header or payload a
+        dirty region overlaps; None when a region reshapes one."""
+        ctx = self.conversion
+        pos = ctx.positions[c]
+        src = ctx.sources[c]
         spans = []
         for start, words in regions:
             end = start + len(words)
@@ -1586,8 +1569,7 @@ class ResidentImage:
             last = int(np.searchsorted(pos, end - 1, side="right"))
             spans.append(np.arange(first, last))
         blocks = np.unique(np.concatenate(spans))
-        ctx = self.rebuild
-        if ctx is None:
+        if not ctx.converter.word_size_differs:
             return blocks
         # Across word sizes only live blocks were rebuilt, and a string
         # rewritten in place must still fill the words it was given.
@@ -1603,10 +1585,10 @@ class ResidentImage:
             last_words = _spliced_words(
                 src, regions, ctx.src_pos[strs] + ctx.src_size[strs] - 1
             )
-            blen = self.converter.string_byte_lengths(
+            blen = ctx.converter.string_byte_lengths(
                 last_words, ctx.src_size[strs], ctx.relocation[0][strs]
             )
-            dst_wb = self.converter.dst.word_bytes
+            dst_wb = ctx.converter.dst.word_bytes
             if not np.array_equal(blen // dst_wb + 1, ctx.dst_size[strs]):
                 return None
         return live
@@ -1616,58 +1598,23 @@ class ResidentImage:
         the VM torn: the caller restores its chain afresh."""
         snap = plan.snap
         vm = self.vm
+        conv = self.conversion
         staged = self._staged()
         vm.gc.disabled = True
         try:
-            for rec, src in zip(snap.delta.chunks, self.sources):
+            for rec, src in zip(snap.delta.chunks, conv.sources):
                 for start, words in rec.regions:
                     src[start : start + len(words)] = words
             for thread in vm.sched.threads.values():
                 thread.stack.reset()
             _restore_threads_raw(vm, snap)
-            self.mapper.refresh(snap)
-            if self.rebuild is not None:
-                self._reconvert_rebuilt(plan.touched)
-            else:
-                for c, blocks in plan.touched:
-                    self._reconvert_chunk(c, blocks, staged[c])
-                head = snap.freelist_head
-                vm.mem.heap.freelist_head = (
-                    self.mapper.map(head) or 0 if head else 0
-                )
+            conv.mapper.refresh(snap)
+            for c, blocks in plan.touched:
+                conv.convert(c, staged[c], blocks)
             _restore_roots(
-                vm, snap, self.mapper, self.converter, PhaseTimer(),
+                vm, snap, conv.mapper, conv.converter, conv.timer,
                 cglobals=snap.delta.has_cglobals,
             )
         finally:
             vm.gc.disabled = False
         self.head_sha = snap.body_sha256
-
-    def _reconvert_chunk(
-        self, c: int, blocks: np.ndarray, arr: np.ndarray
-    ) -> None:
-        """Same word size: the touched blocks' saved words go into the
-        staged chunk whole, then through the restore's own passes."""
-        src = self.sources[c]
-        pos = self.positions[c][blocks].astype(np.int64)
-        idx = ragged_indices(
-            pos, (src[pos] >> np.uint64(10)).astype(np.int64) + 1
-        )
-        arr[idx] = src[idx]
-        _fix_chunk_pointers(arr, pos, self.mapper)
-        if self.converter.endian_differs:
-            _repack_chunk_payloads(arr, pos, self.converter)
-
-    def _reconvert_rebuilt(self, touched: list) -> None:
-        """Across word sizes: the touched live blocks convert again on
-        their way from the saved chunks into the rebuilt ones."""
-        ctx = self.rebuild
-        if not touched:
-            return
-        blocks = np.concatenate([b for _, b in touched])
-        chunk_of = ctx.dst_chunk[blocks]
-        for d in np.unique(chunk_of).tolist():
-            ids = blocks[chunk_of == d]
-            out = ctx.areas[d].peek_staged()
-            _fill_rebuilt_payloads(ctx, self.converter, d, out, ids=ids)
-            _fix_rebuilt_heap(ctx, self.mapper, self.converter, d, out, ids=ids)

@@ -18,7 +18,7 @@ Commands::
     python -m repro store serve --root /var/ckpt --port 7420
     python -m repro store put|get|ls|gc|stat|audit --addr host:port ...
     python -m repro store fleet serve --root /var/fleet --shards 3
-    python -m repro store fleet stat|rebalance|audit --addr a:p,b:p,c:p
+    python -m repro store fleet rebalance --addr a:p,b:p,c:p
     python -m repro ha run prog.ml --addr host:port --vm-id myapp
 
 A comma-separated ``--addr`` list makes every store/ha command route
@@ -786,20 +786,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "port+i (0 = ephemeral)")
     fl_serve.set_defaults(fn=cmd_store_fleet_serve)
 
-    fl_stat = flsub.add_parser("stat", help="fleet statistics as JSON")
-    store_common(fl_stat)
-    fl_stat.set_defaults(fn=cmd_store_stat, json=True)
-
     fl_reb = flsub.add_parser(
         "rebalance", help="move manifests/chunks to their ring owners")
     store_common(fl_reb)
     fl_reb.set_defaults(fn=cmd_store_fleet_rebalance)
-
-    fl_audit = flsub.add_parser("audit", help="verify fleet-wide integrity")
-    fl_audit.add_argument("--deep", action="store_true",
-                          help="also validate reassembled checkpoints")
-    store_common(fl_audit)
-    fl_audit.set_defaults(fn=cmd_store_audit)
 
     ha = sub.add_parser("ha", help="high-availability supervision")
     hasub = ha.add_subparsers(dest="ha_command", required=True)

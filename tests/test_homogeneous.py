@@ -7,13 +7,13 @@ import os
 import pytest
 
 from repro import (
-    HomogeneousCheckpointer,
     VirtualMachine,
     VMConfig,
     compile_source,
     get_platform,
 )
 from repro.errors import IncompatibleCheckpointError
+from tests.homogeneous import HomogeneousCheckpointer
 
 RODRIGO = get_platform("rodrigo")
 CSD = get_platform("csd")

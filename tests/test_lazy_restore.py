@@ -13,10 +13,14 @@ eager one:
   touch, the rest still raw — commits bit-identically to a checkpoint
   taken after an eager restore,
 * a corrupt chunk whose thunk fires arbitrarily late surfaces as a
-  typed :class:`CheckpointIntegrityError`, never a raw numpy crash.
+  typed :class:`CheckpointIntegrityError`, never a raw numpy crash —
+  and, eager being the same thunks drained inside the restart, so does
+  one whose thunk fires there, in time for the generation fallback.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -24,10 +28,14 @@ from repro import (
     VirtualMachine,
     VMConfig,
     compile_source,
+    errors,
     get_platform,
     restart_vm,
 )
-from repro.errors import CheckpointIntegrityError
+from repro.checkpoint.format import read_checkpoint, serialize_snapshot
+from repro.checkpoint.reader import restart_vm_with_fallback
+from repro.errors import CheckpointFormatError, CheckpointIntegrityError
+from repro.metrics import INTEGRITY
 
 #: rodrigo is the 32-bit little-endian origin; the targets cover the
 #: four conversion pairings: nothing / endianness / word size / both.
@@ -252,6 +260,66 @@ def test_corrupt_chunk_late_thunk_raises_typed_error(target, tmp_path):
         vm_l.mem.space.load(chunk.base + vm_l.platform.arch.word_bytes)
     assert exc_info.value.section == "heap"
     assert "lazy conversion" in str(exc_info.value)
+
+
+def _damage(path: str, section: str) -> None:
+    """Make a checkpoint lie about its heap and re-seal every checksum,
+    so only the conversion itself can notice."""
+    snap = read_checkpoint(path)
+    if section == "heap":
+        # Word 0 is always a header: white, tag 0, twice the chunk.
+        _, words = snap.heap_chunks[0]
+        words[0] = (2 * words.size) << 10
+    else:
+        snap.chunk_index[0][0][-1] = 10_000_000
+    with open(path, "wb") as f:
+        f.write(serialize_snapshot(snap))
+    read_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "section,lazy", [("heap", False), ("index", False), ("index", True)]
+)
+@pytest.mark.parametrize("target", ["rodrigo", "csd", "ultra64"])
+def test_corrupt_chunk_is_typed_in_time_for_the_fallback(
+        target, section, lazy, tmp_path):
+    """An eager restore drains the same thunks before it returns, so
+    the same damage is the same typed error — raised while the previous
+    generation can still take over.  (A wild index position is refused
+    before any thunk exists, on either schedule.)"""
+    code = compile_source(
+        MULTI_CHUNK_PROGRAM.replace("checkpoint ();;", "checkpoint ();;" * 2)
+    )
+    path = str(tmp_path / "c.hckp")
+    vm = VirtualMachine(
+        get_platform(ORIGIN), code,
+        VMConfig(chunk_words=SMALL_CHUNKS, chkpt_filename=path,
+                 chkpt_mode="blocking", chkpt_retain=1),
+    )
+    origin_out = vm.run(max_instructions=10_000_000)
+    assert vm.checkpoints_taken == 2
+    _damage(path, section)
+
+    cfg = VMConfig(
+        chunk_words=SMALL_CHUNKS, lazy_restore=lazy, chkpt_state="disable"
+    )
+    before = INTEGRITY.fallback_restores
+    vm_r, stats = restart_vm_with_fallback(
+        get_platform(target), code, path, cfg
+    )
+    assert stats.restored_path == path + ".1"
+    failed = stats.fallback_failures[0]
+    assert issubclass(
+        getattr(errors, failed["error_type"]), CheckpointFormatError
+    )
+    assert failed["section"] == section
+    assert INTEGRITY.fallback_restores == before + 1
+    assert vm_r.run(max_instructions=10_000_000).stdout == origin_out.stdout
+
+    os.remove(path + ".1")
+    with pytest.raises(CheckpointFormatError) as exc_info:
+        restart_vm_with_fallback(get_platform(target), code, path, cfg)
+    assert exc_info.value.section == section
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from repro.errors import (
     CheckpointIntegrityError,
 )
 from repro.metrics import RESTART
-from tests.test_net import _modules_matching
+from tests.test_net import SRC, _modules_matching
 from tests.test_vectorized_cr import restored_fingerprint
 
 REPO = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
@@ -423,15 +423,37 @@ def test_unaligned_table_payload_flip_names_the_section(tmp_path, lazy):
 
 
 class TestOneOfEach:
-    """Tier-1 guard: the scalar fork, its knobs and the spare trailer
-    parsers stay deleted (the oracle lives under ``tests/oracle``)."""
+    """Tier-1 guard: the scalar fork, its knobs, the spare trailer
+    parsers and the eager / lazy / fold heap-conversion drivers stay
+    deleted (the oracle lives under ``tests/oracle``)."""
 
     @pytest.mark.parametrize(
         "identifier",
-        [r"\bvectorize\b", "raw_arrays", "chkpt_format", "_verify_v3_payload"],
+        [
+            r"\bvectorize\b", "raw_arrays", "chkpt_format", "_verify_v3_payload",
+            "_fix_heap_pointers", "_repack_heap_payloads",
+            "_attach_chunk_thunks", "_attach_rebuild_thunks", "_maybe_kernel",
+            "_reconvert_chunk", "_reconvert_rebuilt",
+        ],
     )
     def test_retired_identifiers_stay_out_of_src(self, identifier):
         assert _modules_matching(identifier) == []
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            "_fix_chunk_pointers", "_repack_chunk_payloads",
+            "_fill_rebuilt_payloads", "_fix_rebuilt_heap",
+        ],
+    )
+    def test_each_heap_kernel_has_one_call_site(self, kernel):
+        """Its ``def`` and the per-chunk converter's call: eager drain,
+        first touch and the standby's fold all go through ``convert``."""
+        uses = sum(
+            len(re.findall(rf"\b{kernel}\(", path.read_text()))
+            for path in SRC.rglob("*.py")
+        )
+        assert uses == 2
 
     def test_one_function_unpacks_trailer_rows(self):
         """Section-table rows are ``<QQI``: one function packs them,

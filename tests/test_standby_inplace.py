@@ -266,7 +266,7 @@ def test_a_cold_restore_pays_nothing_for_the_image(mixed, tmp_path):
         n for _, n in rep.standby.image.chunks
     ]
     _, stats = restart_vm(get_platform("ultra64"), mixed, rep.standby_path)
-    assert stats.image.sources is stats.image.rebuild.sources
+    assert stats.image.sources is stats.image.conversion.sources
 
 
 def test_counters_and_describe_report_the_hit_rate(mixed, tmp_path):

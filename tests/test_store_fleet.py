@@ -222,7 +222,7 @@ class TestFleetCLI:
         client.put_checkpoint("vmcli", b"cli" * 5000)
         addr = addr_str(addrs)
 
-        assert main(["store", "fleet", "stat", "--addr", addr]) == 0
+        assert main(["store", "stat", "--json", "--addr", addr]) == 0
         stat = json.loads(capsys.readouterr().out)
         assert set(stat["shards"]) == set(addr.split(","))
         assert sum(stat["ring"]["ownership"].values()) == pytest.approx(1.0)
@@ -231,8 +231,7 @@ class TestFleetCLI:
         assert main(["store", "fleet", "rebalance", "--addr", addr]) == 0
         assert "rebalance:" in capsys.readouterr().out
 
-        assert main(["store", "fleet", "audit", "--deep",
-                     "--addr", addr]) == 0
+        assert main(["store", "audit", "--deep", "--addr", addr]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] and report["manifests"] >= 1
 
