@@ -27,12 +27,10 @@ than ``MAX_APPLY_RATIO`` of the re-restore.
 
 from __future__ import annotations
 
-import base64
 import statistics
 import time
 
 from repro import VMConfig, VirtualMachine, compile_source, get_platform
-from repro.checkpoint.format import detect_format_version
 from repro.replication import (
     CommitTailer,
     EpochLease,
@@ -41,6 +39,7 @@ from repro.replication import (
     cold_restore_from_store,
 )
 from repro.store import ChunkStore, FleetClient, FleetNode
+from repro.store.ha import manifest_meta
 
 HEAP_WORDS = 640 * 1024
 MUTATION_PCT = 5
@@ -112,21 +111,6 @@ def _config(path: str) -> VMConfig:
     )
 
 
-def _mirror(client: FleetClient, rec, path: str) -> None:
-    meta = {
-        "platform": "rodrigo",
-        "instructions": rec.instructions,
-        "stdout_b64": base64.b64encode(rec.stdout).decode(),
-        "kind": rec.kind,
-        "body_sha256": rec.body_sha256,
-        "format_version": detect_format_version(path),
-    }
-    if rec.kind == "delta":
-        meta["parent_sha256"] = rec.parent_sha256
-        meta["chain_depth"] = rec.chain_depth
-    client.put_checkpoint(VM_ID, rec.data, meta=meta)
-
-
 def test_warm_takeover_beats_cold_restore(tmp_path, get_report, bench_json):
     code = compile_source(churn_source(HEAP_WORDS, MUTATION_PCT, PHASES))
     store = FleetNode(ChunkStore(str(tmp_path / "store")))
@@ -161,7 +145,10 @@ def test_warm_takeover_beats_cold_restore(tmp_path, get_report, bench_json):
             if result.status in ("stopped", "exited"):
                 break
             rec = tailer.capture()
-            _mirror(client, rec, primary_path)
+            client.put_checkpoint(
+                VM_ID, rec.data,
+                meta=manifest_meta(rec, get_platform("rodrigo")),
+            )
             sender.ship(rec)
             gens += 1
             deltas += rec.kind == "delta"

@@ -143,8 +143,11 @@ PLATFORMS: dict[str, Platform] = {
 }
 
 
-def get_platform(name: str) -> Platform:
-    """Look up a platform by its Table 1 machine name."""
+def get_platform(name: str | Platform) -> Platform:
+    """Look up a platform by its Table 1 machine name (a
+    :class:`Platform` passes through, so callers take either)."""
+    if isinstance(name, Platform):
+        return name
     try:
         return PLATFORMS[name]
     except KeyError:

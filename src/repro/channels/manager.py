@@ -86,6 +86,16 @@ class ChannelManager:
             return self._stdout.getvalue()
         raise ChannelError("stdout is not an in-memory sink")
 
+    def prefill_stdout(self, data: bytes) -> None:
+        """Put what a predecessor already printed into this VM's sink.
+
+        The other half of "flush before checkpoint": the checkpoint
+        carries an empty output buffer and the cumulative output rides
+        beside it, so a restored VM's sink starts from that output and
+        the final stream is bit-identical to an uninterrupted run.
+        """
+        self._stdout.write(data)
+
     # -- opening -------------------------------------------------------------
 
     def open_out(self, path: str) -> int:

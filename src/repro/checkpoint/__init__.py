@@ -13,6 +13,8 @@
   pointer adjustment, GC-guided heap fixing with the collector disabled.
 * :mod:`repro.checkpoint.convert` / :mod:`relocate` — value conversion
   and address mapping machinery.
+* :mod:`repro.checkpoint.generation` — the capture both HA planes share:
+  one committed checkpoint packaged as a ``GenRecord``.
 
 The core-dump-style baseline the paper compares against is not part of
 the package: it lives beside its tests and its ablation benchmark, in

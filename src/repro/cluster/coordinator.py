@@ -75,8 +75,7 @@ class Cluster:
         self.nodes: list[ClusterNode] = []
         self._base_config = config or VMConfig(chkpt_state="disable")
         for rank, p in enumerate(platforms):
-            platform = get_platform(p) if isinstance(p, str) else p
-            vm = VirtualMachine(platform, code, self._node_config())
+            vm = VirtualMachine(get_platform(p), code, self._node_config())
             node = ClusterNode(rank, vm)
             node.bind(self)
             self.nodes.append(node)
@@ -253,8 +252,7 @@ def restart_cluster(
         (n_msgs,) = struct.unpack_from("<I", data, off)
         off += 4
         mailbox = deque(take_lp() for _ in range(n_msgs))
-        p = platforms[rank]
-        platform = get_platform(p) if isinstance(p, str) else p
+        platform = get_platform(platforms[rank])
         if ckpt_name:
             vm, _ = restart_vm(
                 platform, code, os.path.join(directory, ckpt_name)
@@ -264,7 +262,7 @@ def restart_cluster(
             vm = VirtualMachine(platform, code, VMConfig(chkpt_state="disable"))
         # Replay the output produced before the checkpoint, so the
         # cumulative per-node stdout survives the restart.
-        vm.channels._stdout.write(stdout_bytes)
+        vm.channels.prefill_stdout(stdout_bytes)
         node = ClusterNode(rank, vm)
         node.mailbox = mailbox
         node.state = "runnable" if state == "waiting" and mailbox else state

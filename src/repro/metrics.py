@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar
 
 
 class PhaseTimer:
@@ -101,12 +102,50 @@ class PhaseTimer:
 
 
 # ---------------------------------------------------------------------------
+# Process-wide counters
+# ---------------------------------------------------------------------------
+
+
+class _Counters:
+    """What every counter dataclass below does, derived from its fields.
+
+    Numeric fields are counters (or gauges) that move; anything else —
+    :attr:`IntegrityCounters.last_fallback`,
+    :attr:`ReplicationCounters.last_rebuild_reason` — is a point-in-time
+    diagnosis, reported and reset but never differenced.
+    """
+
+    #: Read-only properties :meth:`as_dict` reports beside the fields.
+    DERIVED: ClassVar[tuple[str, ...]] = ()
+
+    def as_dict(self) -> dict:
+        doc = {}
+        for name in [f.name for f in fields(self)] + list(self.DERIVED):
+            value = getattr(self, name)
+            doc[name] = dict(value) if isinstance(value, dict) else value
+        return doc
+
+    def delta_since(self, snapshot: dict) -> dict:
+        """Counter movement since an :meth:`as_dict` snapshot."""
+        return {
+            f.name: getattr(self, f.name) - snapshot.get(f.name, 0)
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), (int, float))
+        }
+
+    def reset(self) -> None:
+        for f in fields(self):
+            fresh = f.default_factory() if f.default is MISSING else f.default
+            setattr(self, f.name, fresh)
+
+
+# ---------------------------------------------------------------------------
 # Integrity accounting
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class IntegrityCounters:
+class IntegrityCounters(_Counters):
     """Process-wide counts of integrity events on the checkpoint path.
 
     A restore that survives corruption by walking a generation chain, or
@@ -131,34 +170,6 @@ class IntegrityCounters:
     #: restored.  Empty until a fallback happens.
     last_fallback: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "integrity_failures": self.integrity_failures,
-            "fallback_restores": self.fallback_restores,
-            "sections_repaired": self.sections_repaired,
-            "background_checkpoint_failures": self.background_checkpoint_failures,
-            "last_fallback": dict(self.last_fallback),
-        }
-
-    def delta_since(self, snapshot: dict) -> dict:
-        """Counter movement since an :meth:`as_dict` snapshot.
-
-        Only numeric counters move; diagnostic payloads like
-        :attr:`last_fallback` are point-in-time state, not deltas.
-        """
-        return {
-            k: v - snapshot.get(k, 0)
-            for k, v in self.as_dict().items()
-            if isinstance(v, (int, float))
-        }
-
-    def reset(self) -> None:
-        self.integrity_failures = 0
-        self.fallback_restores = 0
-        self.sections_repaired = 0
-        self.background_checkpoint_failures = 0
-        self.last_fallback = {}
-
 
 #: The module-level instance everything increments (GIL-atomic int adds).
 INTEGRITY = IntegrityCounters()
@@ -170,7 +181,7 @@ INTEGRITY = IntegrityCounters()
 
 
 @dataclass
-class RestartCounters:
+class RestartCounters(_Counters):
     """Process-wide counters for deferred (lazy) restarts.
 
     A lazy restart defers most of the file's bytes — read, CRC, parse —
@@ -193,28 +204,6 @@ class RestartCounters:
     #: surfaced as the typed late CheckpointIntegrityError.
     late_failures: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "lazy_restores": self.lazy_restores,
-            "sections_deferred": self.sections_deferred,
-            "bytes_deferred": self.bytes_deferred,
-            "late_verifications": self.late_verifications,
-            "late_failures": self.late_failures,
-        }
-
-    def delta_since(self, snapshot: dict) -> dict:
-        """Counter movement since an :meth:`as_dict` snapshot."""
-        return {
-            k: v - snapshot.get(k, 0) for k, v in self.as_dict().items()
-        }
-
-    def reset(self) -> None:
-        self.lazy_restores = 0
-        self.sections_deferred = 0
-        self.bytes_deferred = 0
-        self.late_verifications = 0
-        self.late_failures = 0
-
 
 #: The module-level instance the lazy restart path increments.
 RESTART = RestartCounters()
@@ -226,7 +215,7 @@ RESTART = RestartCounters()
 
 
 @dataclass
-class DeltaCounters:
+class DeltaCounters(_Counters):
     """Process-wide counts for incremental (delta) checkpointing.
 
     ``repro info --json`` reports these so an operator can see whether
@@ -243,20 +232,6 @@ class DeltaCounters:
     #: (heap words * word size minus the delta file size, clamped at 0).
     delta_bytes_saved: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "checkpoints_full": self.checkpoints_full,
-            "checkpoints_delta": self.checkpoints_delta,
-            "dirty_regions": self.dirty_regions,
-            "delta_bytes_saved": self.delta_bytes_saved,
-        }
-
-    def reset(self) -> None:
-        self.checkpoints_full = 0
-        self.checkpoints_delta = 0
-        self.dirty_regions = 0
-        self.delta_bytes_saved = 0
-
 
 #: The module-level instance the writer increments.
 DELTA = DeltaCounters()
@@ -268,7 +243,7 @@ DELTA = DeltaCounters()
 
 
 @dataclass
-class StoreCounters:
+class StoreCounters(_Counters):
     """Process-wide store-client transport accounting.
 
     ``repro info --json`` reports these; a climbing retry count with a
@@ -279,12 +254,6 @@ class StoreCounters:
     #: Requests that needed at least one transport-level retry
     #: (summed across every client in this process).
     transport_retries: int = 0
-
-    def as_dict(self) -> dict:
-        return {"transport_retries": self.transport_retries}
-
-    def reset(self) -> None:
-        self.transport_retries = 0
 
 
 #: The module-level instance every StoreClient increments.
@@ -297,7 +266,7 @@ STORE = StoreCounters()
 
 
 @dataclass
-class FleetCounters:
+class FleetCounters(_Counters):
     """Process-wide counters for the sharded store fleet client.
 
     The interesting ratios: ``batched_ops / batches_sent`` says how much
@@ -328,37 +297,12 @@ class FleetCounters:
     #: Chunks found on a non-owner shard during reads (pre-rebalance).
     misplaced_fetches: int = 0
 
+    DERIVED = ("cache_hit_rate",)
+
     @property
     def cache_hit_rate(self) -> float:
         looked = self.cache_hits + self.cache_misses
         return self.cache_hits / looked if looked else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "batches_sent": self.batches_sent,
-            "batched_ops": self.batched_ops,
-            "streamed_chunks": self.streamed_chunks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_invalidations": self.cache_invalidations,
-            "cache_hit_rate": self.cache_hit_rate,
-            "stale_cache_retries": self.stale_cache_retries,
-            "rebalance_moves": self.rebalance_moves,
-            "manifest_moves": self.manifest_moves,
-            "misplaced_fetches": self.misplaced_fetches,
-        }
-
-    def reset(self) -> None:
-        self.batches_sent = 0
-        self.batched_ops = 0
-        self.streamed_chunks = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_invalidations = 0
-        self.stale_cache_retries = 0
-        self.rebalance_moves = 0
-        self.manifest_moves = 0
-        self.misplaced_fetches = 0
 
 
 #: The module-level instance the fleet client and cache increment.
@@ -371,7 +315,7 @@ FLEET = FleetCounters()
 
 
 @dataclass
-class ReplicationCounters:
+class ReplicationCounters(_Counters):
     """Process-wide counters for warm-standby continuous replication.
 
     The gauges (:attr:`lag_generations`, :attr:`lag_bytes`,
@@ -412,50 +356,6 @@ class ReplicationCounters:
     promotions: int = 0
     #: Nodes that observed a higher epoch and fenced themselves.
     fenced_demotions: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "generations_sent": self.generations_sent,
-            "generations_applied": self.generations_applied,
-            "generations_applied_in_place": self.generations_applied_in_place,
-            "generations_rebuilt": self.generations_rebuilt,
-            "last_rebuild_reason": self.last_rebuild_reason,
-            "bytes_sent": self.bytes_sent,
-            "acks": self.acks,
-            "retransmits": self.retransmits,
-            "duplicates_dropped": self.duplicates_dropped,
-            "heartbeats_missed": self.heartbeats_missed,
-            "lag_generations": self.lag_generations,
-            "lag_bytes": self.lag_bytes,
-            "output_held_bytes": self.output_held_bytes,
-            "promotions": self.promotions,
-            "fenced_demotions": self.fenced_demotions,
-        }
-
-    def delta_since(self, snapshot: dict) -> dict:
-        """Counter movement since an :meth:`as_dict` snapshot."""
-        return {
-            k: v - snapshot.get(k, 0)
-            for k, v in self.as_dict().items()
-            if isinstance(v, int)
-        }
-
-    def reset(self) -> None:
-        self.generations_sent = 0
-        self.generations_applied = 0
-        self.generations_applied_in_place = 0
-        self.generations_rebuilt = 0
-        self.last_rebuild_reason = ""
-        self.bytes_sent = 0
-        self.acks = 0
-        self.retransmits = 0
-        self.duplicates_dropped = 0
-        self.heartbeats_missed = 0
-        self.lag_generations = 0
-        self.lag_bytes = 0
-        self.output_held_bytes = 0
-        self.promotions = 0
-        self.fenced_demotions = 0
 
 
 #: The module-level instance the replication channel increments.

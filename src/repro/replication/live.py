@@ -46,8 +46,7 @@ from typing import Optional
 from repro.arch.platforms import Platform, get_platform
 from repro.bytecode.image import CodeImage
 from repro.checkpoint.commit import COMMIT_POINTS
-from repro.checkpoint.format import detect_format_version
-from repro.checkpoint.reader import restart_vm
+from repro.checkpoint.generation import CommitTailer, GenRecord
 from repro.errors import (
     LeaseLostError,
     ReplicationError,
@@ -60,13 +59,20 @@ from repro.replication.channel import ReplicationSender
 from repro.replication.gate import OutputGate
 from repro.replication.lease import EpochLease
 from repro.replication.standby import StandbyServer
-from repro.replication.tailer import CommitTailer
-from repro.replication.wire import GenRecord
 from repro.store.fleet.client import FleetClient
-from repro.store.ha import fetch_chain, restart_candidates
+from repro.store.ha import (
+    manifest_meta,
+    protected_config,
+    restart_candidates,
+    restore_from_store,
+)
 from repro.vm import VMConfig, VirtualMachine
 
-import base64
+# Not called here any more, but benchmarks/e2e/spans.py (frozen) installs
+# its reader and store.get probes on these two names *of this module*;
+# without them a traced run warns "probe ... unavailable".
+from repro.checkpoint.reader import restart_vm  # noqa: F401
+from repro.store.ha import fetch_chain  # noqa: F401
 
 #: Fault schedules the driver understands.
 SCHEDULES = ("none", "crash", "partition")
@@ -109,24 +115,8 @@ class LiveReport:
 
     def as_dict(self) -> dict:
         return {
-            "completed": self.completed,
-            "exit_code": self.exit_code,
+            **vars(self),
             "client_stdout": self.client_stdout.decode(errors="replace"),
-            "schedule": self.schedule,
-            "fault_slice": self.fault_slice,
-            "fault_style": self.fault_style,
-            "generations_shipped": self.generations_shipped,
-            "generations_discarded": self.generations_discarded,
-            "generations_applied_in_place": self.generations_applied_in_place,
-            "generations_rebuilt": self.generations_rebuilt,
-            "last_rebuild_reason": self.last_rebuild_reason,
-            "promotions": self.promotions,
-            "fenced_demotions": self.fenced_demotions,
-            "held_discarded_bytes": self.held_discarded_bytes,
-            "takeover_seconds": self.takeover_seconds,
-            "primary_platform": self.primary_platform,
-            "standby_platform": self.standby_platform,
-            "epochs": self.epochs,
             "lease_history": [list(t) for t in self.lease_history],
         }
 
@@ -160,19 +150,11 @@ class LiveHA:
         self.code = code
         self.store_addr = store_addr
         self.vm_id = vm_id
-        self.primary_platform = (
-            get_platform(primary_platform)
-            if isinstance(primary_platform, str)
-            else primary_platform
-        )
+        self.primary_platform = get_platform(primary_platform)
         if standby_platform is None:
             # Deterministic default: the first fully-heterogeneous peer.
             standby_platform = restart_candidates(self.primary_platform)[0]
-        self.standby_platform = (
-            get_platform(standby_platform)
-            if isinstance(standby_platform, str)
-            else standby_platform
-        )
+        self.standby_platform = get_platform(standby_platform)
         self.checkpoint_every = checkpoint_every
         self.schedule = schedule
         self.seed = seed
@@ -194,34 +176,12 @@ class LiveHA:
     # -- configuration helpers ---------------------------------------------
 
     def _config(self, path: str) -> VMConfig:
-        base = self._base_config
-        cfg = VMConfig() if base is None else VMConfig(**vars(base))
-        cfg.chkpt_state = "enable"
-        cfg.chkpt_filename = path
-        cfg.chkpt_mode = "blocking"  # the tailer reads the committed file
-        cfg.chkpt_interval = None  # the driver owns the cadence
+        cfg = protected_config(self._base_config, path)
         # Delta replication is the point: after the first full
         # checkpoint, each shipped generation carries only dirty runs.
         cfg.chkpt_incremental = True
         cfg.chkpt_retain = max(cfg.chkpt_retain, 8)
         return cfg
-
-    def _mirror(self, client: FleetClient, rec: GenRecord, path: str) -> None:
-        """Upload the generation to the store the way the crash-restart
-        supervisor would — the cold-restore baseline the benchmark
-        measures warm takeover against."""
-        meta = {
-            "platform": self.primary_platform.name,
-            "instructions": rec.instructions,
-            "stdout_b64": base64.b64encode(rec.stdout).decode(),
-            "kind": rec.kind,
-            "body_sha256": rec.body_sha256,
-            "format_version": detect_format_version(path),
-        }
-        if rec.kind == "delta":
-            meta["parent_sha256"] = rec.parent_sha256
-            meta["chain_depth"] = rec.chain_depth
-        client.put_checkpoint(self.vm_id, rec.data, meta=meta)
 
     # -- the run ------------------------------------------------------------
 
@@ -376,7 +336,12 @@ class LiveHA:
                 return
 
             if self.mirror_to_store:
-                self._mirror(client, rec, path)
+                # The cold-restore baseline the benchmark measures warm
+                # takeover against: what the supervisor would upload.
+                client.put_checkpoint(
+                    self.vm_id, rec.data,
+                    meta=manifest_meta(rec, self.primary_platform),
+                )
             try:
                 sender.ship(rec)
             except StandbyUnreachableError:
@@ -531,16 +496,11 @@ def cold_restore_from_store(
     path: str,
     config: Optional[VMConfig] = None,
 ) -> tuple[VirtualMachine, float]:
-    """The baseline a warm standby competes with: download the newest
-    generation (and its delta parents) from the store, splice, restore,
-    prefill.  Returns the restored VM and the elapsed seconds."""
-    platform = (
-        get_platform(platform) if isinstance(platform, str) else platform
-    )
+    """The baseline a warm standby competes with: the supervisor's
+    :func:`~repro.store.ha.restore_from_store`, timed.  Returns the
+    restored VM and the elapsed seconds."""
     t0 = time.perf_counter()
-    manifest = fetch_chain(client, vm_id, path)
-    vm, _stats = restart_vm(platform, code, path, config)
-    prefill = base64.b64decode(manifest.meta.get("stdout_b64", ""))
-    if prefill:
-        vm.channels._stdout.write(prefill)
+    vm, _skipped = restore_from_store(
+        client, vm_id, code, platform, path, config
+    )
     return vm, time.perf_counter() - t0

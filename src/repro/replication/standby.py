@@ -76,9 +76,7 @@ class StandbyServer:
         retain: int = DEFAULT_RETAIN,
     ) -> None:
         self.code = code
-        self.platform = (
-            get_platform(platform) if isinstance(platform, str) else platform
-        )
+        self.platform = get_platform(platform)
         self.node_id = node_id
         self.chain_path = chain_path
         self.lease = lease
@@ -375,8 +373,7 @@ class StandbyServer:
             self.promoted_event.set()
             self.image = None
             vm = self.resident_vm
-            if self.prefill:
-                vm.channels._stdout.write(self.prefill)
+            vm.channels.prefill_stdout(self.prefill)
         return vm
 
     # -- introspection -----------------------------------------------------

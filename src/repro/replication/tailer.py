@@ -1,119 +1,10 @@
 """The primary-side tailer: committed generations become GEN records.
 
-The tailer sits between the VM's checkpoint machinery and the
-replication channel.  It drives each checkpoint through the existing
-atomic-commit protocol with a :class:`TailHooks` observer riding the
-commit points, and only packages a generation for shipping once the
-``committed`` point was actually reached — a crash injected anywhere
-inside the protocol (the PR 3 fault windows) leaves nothing half-shipped,
-because nothing is shipped at all.
-
-What gets packaged is exactly what landed on disk: the committed file
-bytes, its chain identity (``body_sha256`` for the next delta to bind
-to, ``parent_sha256`` it bound to), and the cumulative stdout at the
-safe point — the flush-before-checkpoint trick, so the file itself
-carries an empty output buffer and the standby prefills its sink
-instead of replaying writes.
+The capture itself is shared with the crash-restart supervisor and lives
+in :mod:`repro.checkpoint.generation`; this module keeps its name in the
+replication package's layout.
 """
 
-from __future__ import annotations
+from repro.checkpoint.generation import CommitTailer, TailHooks
 
-from typing import Optional
-
-from repro.checkpoint.commit import CommitHooks
-from repro.checkpoint.format import detect_format_version
-from repro.errors import ReplicationError
-from repro.replication.wire import GenRecord
-
-
-class TailHooks(CommitHooks):
-    """Observe the commit protocol, optionally wrapping inner hooks.
-
-    Composes: fault injectors (``CrashHooks`` and friends) still work
-    when the tailer is active — their behavior passes through, and the
-    tailer's record of reached points tells whether the commit made it
-    to the end.
-    """
-
-    def __init__(self, inner: Optional[CommitHooks] = None) -> None:
-        self.inner = inner
-        self.reached: list[str] = []
-
-    def point(self, name: str) -> None:
-        self.reached.append(name)
-        if self.inner is not None:
-            self.inner.point(name)
-
-    def fsync(self, fd: int) -> None:
-        if self.inner is not None:
-            self.inner.fsync(fd)
-        else:
-            super().fsync(fd)
-
-    def replace(self, src: str, dst: str) -> None:
-        if self.inner is not None:
-            self.inner.replace(src, dst)
-        else:
-            super().replace(src, dst)
-
-    @property
-    def committed(self) -> bool:
-        return "committed" in self.reached
-
-
-class CommitTailer:
-    """Turns each committed checkpoint of one VM into a GenRecord."""
-
-    def __init__(self, vm, path: str) -> None:
-        self.vm = vm
-        self.path = path
-        self.seq = 0
-
-    def capture(self, inner_hooks: Optional[CommitHooks] = None) -> GenRecord:
-        """Checkpoint now and package the committed generation.
-
-        ``inner_hooks`` lets a fault schedule crash the commit protocol
-        mid-write; the crash propagates (like a real power cut) and no
-        record is produced.  Raises :class:`ReplicationError` if the
-        commit protocol finished without reaching its ``committed``
-        point — a torn commit must never reach the wire.
-        """
-        vm = self.vm
-        # Flush first: the file carries an empty output buffer, the
-        # record the cumulative output (the coordinator's prefill trick).
-        vm.channels.stdout.flush()
-        stdout_so_far = vm.channels.stdout_bytes()
-        parent_sha = vm.delta_parent_sha  # what a delta will bind to
-        hooks = TailHooks(inner_hooks)
-        saved_hooks = vm.config.commit_hooks
-        vm.config.commit_hooks = hooks
-        try:
-            vm.perform_checkpoint()
-        finally:
-            vm.config.commit_hooks = saved_hooks
-        if not hooks.committed:
-            raise ReplicationError(
-                f"checkpoint of {self.path} never reached its commit "
-                f"point; refusing to replicate a torn generation"
-            )
-        stats = vm.last_checkpoint_stats
-        with open(self.path, "rb") as f:
-            data = f.read()
-        self.seq += 1
-        kind = stats.kind if stats is not None else "full"
-        body_sha = vm.delta_parent_sha  # the writer just updated it
-        return GenRecord(
-            seq=self.seq,
-            kind=kind,
-            body_sha256=body_sha.hex() if body_sha else "",
-            parent_sha256=(
-                parent_sha.hex() if (kind == "delta" and parent_sha) else ""
-            ),
-            chain_depth=(
-                stats.chain_depth if (stats and kind == "delta") else 0
-            ),
-            format_version=detect_format_version(self.path),
-            instructions=vm.interp.instructions,
-            stdout=stdout_so_far,
-            data=data,
-        )
+__all__ = ["CommitTailer", "TailHooks"]

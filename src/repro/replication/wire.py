@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
 
+from repro.checkpoint.generation import GenRecord  # re-exported
 from repro.errors import ReplicationProtocolError
 from repro.net import HEADER, FrameCodec  # HEADER is re-exported
 
@@ -70,32 +69,6 @@ OP_NAMES = {
 }
 
 _GEN_HEAD = struct.Struct("<I")  # length of the JSON meta block
-
-
-@dataclass(frozen=True)
-class GenRecord:
-    """One committed checkpoint generation, ready to ship.
-
-    ``data`` is the committed file byte-for-byte; ``stdout`` is the
-    cumulative program output at the safe point the generation was
-    taken (the file itself carries an empty output buffer — the
-    flush-before-checkpoint trick the HA supervisor already uses).
-    """
-
-    seq: int
-    kind: str  # "full" | "delta"
-    body_sha256: str  # what the *next* delta will bind to
-    parent_sha256: str  # "" for a full
-    chain_depth: int
-    format_version: Optional[int]
-    instructions: int
-    stdout: bytes = field(repr=False)
-    data: bytes = field(repr=False)
-
-    @property
-    def data_sha256(self) -> str:
-        return hashlib.sha256(self.data).hexdigest()
-
 
 encode_frame = CODEC.encode_frame
 send_frame = CODEC.send_frame

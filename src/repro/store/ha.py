@@ -32,7 +32,7 @@ from typing import Optional
 from repro.arch.platforms import PLATFORMS, Platform, get_platform
 from repro.bytecode.image import CodeImage
 from repro.checkpoint.commit import COMMIT_POINTS, recover_commit
-from repro.checkpoint.format import detect_format_version
+from repro.checkpoint.generation import CommitTailer, GenRecord
 from repro.checkpoint.reader import restart_vm
 from repro.checkpoint.schema import FormatProfile
 from repro.errors import ReproError, RestartError, StoreNotFoundError
@@ -85,6 +85,10 @@ def find_generation_by_sha(
     return None
 
 
+def _phase(timer: Optional[PhaseTimer], name: str):
+    return timer.phase(name) if timer is not None else contextlib.nullcontext()
+
+
 def fetch_chain(
     client: FleetClient,
     vm_id: str,
@@ -97,12 +101,7 @@ def fetch_chain(
     rotation would, so the chain reader finds them.  This is the
     cold-restore download path that warm standby replication exists to
     beat."""
-    phase = (
-        timer.phase("restart_download")
-        if timer is not None
-        else contextlib.nullcontext()
-    )
-    with phase:
+    with _phase(timer, "restart_download"):
         manifest = client.get_checkpoint_file(
             vm_id, ckpt_path, generation=generation
         )
@@ -128,6 +127,102 @@ def fetch_chain(
                 vm_id, f"{ckpt_path}.{depth}", generation=parent_gen
             )
     return manifest
+
+
+def manifest_meta(rec: GenRecord, platform: Platform) -> dict:
+    """The store-manifest meta of one protected generation — the only
+    writer of the schema tabulated in docs/STORE.md."""
+    fmt = rec.format_version
+    meta = {
+        "platform": platform.name,
+        "instructions": rec.instructions,
+        # Flush-before-checkpoint: the file carries an empty output
+        # buffer and the manifest the cumulative output, so a restart
+        # prefills the fresh sink instead of replaying writes.
+        "stdout_b64": base64.b64encode(rec.stdout).decode(),
+        # Chain identity: a delta restart locates its parents in the
+        # store by matching parent_sha256 against older generations'
+        # body_sha256.
+        "kind": rec.kind,
+        "body_sha256": rec.body_sha256,
+        # Schema identity: what the uploaded file claims to be, so
+        # fsck and auditors know the layout without fetching it.
+        "format_version": fmt,
+        "integrity_trailer": (
+            FormatProfile.for_version(fmt).integrity_trailer
+            if fmt is not None
+            else False
+        ),
+    }
+    if rec.kind == "delta":
+        meta["chain_depth"] = rec.chain_depth
+        meta["parent_sha256"] = rec.parent_sha256
+    return meta
+
+
+def protected_config(base: Optional[VMConfig], path: str) -> VMConfig:
+    """A copy of ``base`` whose checkpoints a protection driver owns."""
+    cfg = VMConfig() if base is None else VMConfig(**vars(base))
+    cfg.chkpt_state = "enable"
+    cfg.chkpt_filename = path
+    cfg.chkpt_mode = "blocking"  # the capture reads the committed file
+    cfg.chkpt_interval = None  # the driver owns the cadence
+    return cfg
+
+
+def restore_from_store(
+    client: FleetClient,
+    vm_id: str,
+    code: CodeImage,
+    platform: Platform | str,
+    path: str,
+    config: Optional[VMConfig] = None,
+    timer: Optional[PhaseTimer] = None,
+) -> tuple[VirtualMachine, int]:
+    """Recover the newest restorable generation of ``vm_id`` onto
+    ``platform``: download the head and its delta parents to ``path``,
+    restore, prefill stdout.  Returns the VM and how many damaged store
+    generations were skipped to get there.
+
+    Store generations are walked newest-first until one restores: a
+    damaged latest generation degrades the recovery, never kills it.
+    Raises :class:`~repro.errors.StoreNotFoundError` when nothing was
+    ever stored, and the last tried generation's own
+    :class:`~repro.errors.RestartError` when none restores.
+    """
+    platform = get_platform(platform)
+    # A mid-write crash leaves journal/tmp debris (and possibly a torn
+    # head) at the local path; resolve it the way a rebooted machine
+    # would before the store download overwrites the file.
+    recover_commit(path)
+    manifest = fetch_chain(client, vm_id, path, timer=timer)
+    older: Optional[list[int]] = None
+    skipped = 0
+    while True:
+        try:
+            with _phase(timer, "restart_rebuild"):
+                vm, _stats = restart_vm(platform, code, path, config)
+            break
+        except RestartError:
+            if older is None:
+                listing = client.ls()["vms"].get(vm_id, [])
+                older = sorted(
+                    g["generation"]
+                    for g in listing
+                    if g["generation"] < manifest.generation
+                )
+            if not older:
+                raise
+            skipped += 1
+            manifest = fetch_chain(
+                client, vm_id, path, generation=older.pop(), timer=timer
+            )
+    if skipped:
+        INTEGRITY.fallback_restores += 1
+    vm.channels.prefill_stdout(
+        base64.b64decode(manifest.meta.get("stdout_b64", ""))
+    )
+    return vm, skipped
 
 
 @dataclass
@@ -158,24 +253,15 @@ class HAReport:
 
     def as_dict(self) -> dict:
         """JSON-able summary (the CLI's ``repro ha run --json``)."""
-        return {
-            "completed": self.completed,
-            "exit_code": self.exit_code,
+        doc = {
+            **vars(self),
             "stdout": self.stdout.decode(errors="replace"),
-            "faults_injected": self.faults_injected,
-            "midwrite_faults": self.midwrite_faults,
-            "fallback_restores": self.fallback_restores,
-            "checkpoints": self.checkpoints,
-            "restarts": self.restarts,
-            "cold_restarts": self.cold_restarts,
-            "generations": self.generations,
-            "platforms_visited": self.platforms_visited,
-            "work_lost_instructions": self.work_lost_instructions,
-            "restart_latencies": self.restart_latencies,
             "dedup_ratio": self.upload_stats.dedup_ratio,
             "phases": self.phases.as_dict(),
             "integrity": dict(self.integrity),
         }
+        del doc["upload_stats"]
+        return doc
 
 
 class HASupervisor:
@@ -203,11 +289,7 @@ class HASupervisor:
         self.code = code
         self.client = client
         self.vm_id = vm_id
-        self.start_platform = (
-            get_platform(start_platform)
-            if isinstance(start_platform, str)
-            else start_platform
-        )
+        self.start_platform = get_platform(start_platform)
         self.checkpoint_every = checkpoint_every
         self.fault_budgets = fault_budgets
         self.max_faults = max_faults
@@ -218,18 +300,6 @@ class HASupervisor:
         self._base_config = config
 
     # -- pieces ------------------------------------------------------------
-
-    def _config(self, path: str) -> VMConfig:
-        base = self._base_config
-        cfg = VMConfig() if base is None else VMConfig(**vars(base))
-        cfg.chkpt_state = "enable"
-        cfg.chkpt_filename = path
-        cfg.chkpt_mode = "blocking"  # the upload needs the committed file
-        cfg.chkpt_interval = None  # the supervisor owns the cadence
-        return cfg
-
-    def _restart_candidates(self, current: Platform) -> list[str]:
-        return restart_candidates(current, self.require_hetero)
 
     def _next_fault(self, report: HAReport) -> Optional[int]:
         if report.faults_injected >= self.max_faults:
@@ -262,8 +332,9 @@ class HASupervisor:
         self, report: HAReport, timer: PhaseTimer, ckpt_path: str
     ) -> HAReport:
         platform = self.start_platform
-        config = self._config(ckpt_path)
+        config = protected_config(self._base_config, ckpt_path)
         vm = VirtualMachine(platform, self.code, config)
+        tailer = CommitTailer(vm, ckpt_path)
         report.platforms_visited.append(platform.name)
 
         since_restart = 0  # instructions executed since (re)start
@@ -298,11 +369,9 @@ class HASupervisor:
                 midwrite_point = self._rng.choice(COMMIT_POINTS[:-1])
 
             if not crash_after:
-                survived = self._checkpoint_and_upload(
-                    report, timer, vm, ckpt_path, platform,
-                    crash_point=midwrite_point,
-                )
-                if survived:
+                if self._protect(
+                    report, timer, tailer, platform, midwrite_point
+                ):
                     since_checkpoint = 0
                     continue
                 # The machine died mid-checkpoint-write: the crash window
@@ -313,104 +382,56 @@ class HASupervisor:
             # work since the last upload with it.
             report.faults_injected += 1
             report.work_lost_instructions += since_checkpoint
-            vm = None
+            vm = tailer = None
             t0 = time.perf_counter()
-            vm, platform, prefill = self._restart(
+            vm, platform = self._restart(
                 report, timer, ckpt_path, platform, config
             )
             report.restart_latencies.append(time.perf_counter() - t0)
             report.platforms_visited.append(platform.name)
-            if prefill:
-                vm.channels._stdout.write(prefill)
+            tailer = CommitTailer(vm, ckpt_path)
             since_restart = 0
             since_checkpoint = 0
             next_fault = self._next_fault(report)
         raise ReproError("HA supervision exceeded max_slices")
 
-    def _checkpoint_and_upload(
+    def _protect(
         self,
         report: HAReport,
         timer: PhaseTimer,
-        vm: VirtualMachine,
-        ckpt_path: str,
+        tailer: CommitTailer,
         platform: Platform,
         crash_point: Optional[str] = None,
     ) -> bool:
-        """Checkpoint + upload; returns False if the machine "died".
+        """One protection cycle — capture, mirror to the store; returns
+        False if the machine "died".
 
         With ``crash_point`` set, a simulated crash strikes the commit
         protocol at that step — the checkpoint file is left in whatever
         torn/half-rotated state a real power cut would leave, nothing is
         uploaded, and the caller treats it as a fault.
         """
-        # Flush first (the coordinator's trick): the checkpoint carries an
-        # empty output buffer and the manifest the cumulative output, so a
-        # restart prefills the fresh sink instead of replaying writes.
-        vm.channels.stdout.flush()
-        stdout_so_far = vm.channels.stdout_bytes()
-        parent_sha = vm.delta_parent_sha  # what a delta would bind to
         try:
-            vm.config.commit_hooks = (
-                CrashHooks(crash_point) if crash_point else None
-            )
             with timer.phase("checkpoint"):
-                vm.perform_checkpoint()
+                meta = manifest_meta(
+                    tailer.capture(
+                        CrashHooks(crash_point) if crash_point else None
+                    ),
+                    platform,
+                )
         except SimulatedCrashError:
             return False
-        finally:
-            vm.config.commit_hooks = None
-        stats = vm.last_checkpoint_stats
-        fmt_version = detect_format_version(ckpt_path)
-        profile = (
-            FormatProfile.for_version(fmt_version)
-            if fmt_version is not None
-            else None
-        )
-        meta = {
-            "platform": platform.name,
-            "instructions": vm.interp.instructions,
-            "stdout_b64": base64.b64encode(stdout_so_far).decode(),
-            # Chain identity: a delta restart locates its parents in the
-            # store by matching parent_sha256 against older generations'
-            # body_sha256 (blocking mode, so the sha is committed here).
-            "kind": stats.kind if stats is not None else "full",
-            "body_sha256": (
-                vm.delta_parent_sha.hex() if vm.delta_parent_sha else ""
-            ),
-            # Schema identity: what the uploaded file claims to be, so
-            # fsck and auditors know the layout without fetching it.
-            "format_version": fmt_version,
-            "integrity_trailer": (
-                profile.integrity_trailer if profile is not None else False
-            ),
-        }
-        if meta["kind"] == "delta":
-            meta["chain_depth"] = stats.chain_depth
-            meta["parent_sha256"] = parent_sha.hex() if parent_sha else ""
+        # The committed file is the record's data (blocking mode).  It is
+        # streamed from disk and the record let go, so a multi-megabyte
+        # generation is not held in memory through its own upload.
         with timer.phase("upload"):
             generation, stats = self.client.put_checkpoint_file(
-                self.vm_id, ckpt_path, meta=meta
+                self.vm_id, tailer.path, meta=meta
             )
         report.checkpoints += 1
         report.generations.append(generation)
         report.upload_stats.merge(stats)
         return True
-
-    def _find_generation_by_sha(
-        self, body_sha: str, below: int
-    ) -> Optional[int]:
-        return find_generation_by_sha(self.client, self.vm_id, body_sha, below)
-
-    def _fetch_chain(
-        self,
-        timer: PhaseTimer,
-        ckpt_path: str,
-        generation: Optional[int] = None,
-    ) -> Manifest:
-        return fetch_chain(
-            self.client, self.vm_id, ckpt_path,
-            generation=generation, timer=timer,
-        )
 
     def _restart(
         self,
@@ -419,47 +440,21 @@ class HASupervisor:
         ckpt_path: str,
         crashed_platform: Platform,
         config: VMConfig,
-    ) -> tuple[VirtualMachine, Platform, bytes]:
+    ) -> tuple[VirtualMachine, Platform]:
         target = get_platform(
-            self._rng.choice(self._restart_candidates(crashed_platform))
+            self._rng.choice(
+                restart_candidates(crashed_platform, self.require_hetero)
+            )
         )
-        # A mid-write crash leaves journal/tmp debris (and possibly a torn
-        # head) at the local path; resolve it the way a rebooted machine
-        # would before the store download overwrites the file.
-        recover_commit(ckpt_path)
         try:
-            manifest = self._fetch_chain(timer, ckpt_path)
+            vm, skipped = restore_from_store(
+                self.client, self.vm_id, self.code, target, ckpt_path,
+                config, timer,
+            )
         except StoreNotFoundError:
             # Crashed before the first checkpoint landed: cold start.
             report.cold_restarts += 1
-            vm = VirtualMachine(target, self.code, config)
-            return vm, target, b""
-        # Walk store generations newest-first until one restores: a
-        # damaged latest generation degrades the restart, never kills it.
-        older: Optional[list[int]] = None
-        while True:
-            try:
-                with timer.phase("restart_rebuild"):
-                    vm, _stats = restart_vm(
-                        target, self.code, ckpt_path, config
-                    )
-                break
-            except RestartError:
-                if older is None:
-                    listing = self.client.ls()["vms"].get(self.vm_id, [])
-                    older = sorted(
-                        g["generation"]
-                        for g in listing
-                        if g["generation"] < manifest.generation
-                    )
-                if not older:
-                    raise
-                manifest = self._fetch_chain(
-                    timer, ckpt_path, generation=older.pop()
-                )
-        if older is not None:
-            report.fallback_restores += 1
-            INTEGRITY.fallback_restores += 1
+            return VirtualMachine(target, self.code, config), target
+        report.fallback_restores += bool(skipped)
         report.restarts += 1
-        prefill = base64.b64decode(manifest.meta.get("stdout_b64", ""))
-        return vm, target, prefill
+        return vm, target

@@ -2,18 +2,31 @@
 
 from __future__ import annotations
 
+import inspect
+import re
+
 import pytest
 
 from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.arch.platforms import PLATFORMS
-from repro.errors import ReproError
+from repro.channels.manager import ChannelManager
+from repro.errors import CheckpointIntegrityError, ReproError
+from repro.metrics import INTEGRITY
+from repro.replication import CommitTailer, LiveHA, cold_restore_from_store
 from repro.store import ChunkStore, FleetClient, FleetNode, HASupervisor
+from repro.store.ha import (
+    manifest_meta,
+    protected_config,
+    restart_candidates,
+    restore_from_store,
+)
 from repro.workloads import (
     insertion_sort_expected,
     insertion_sort_source,
     matmul_expected,
     matmul_source,
 )
+from tests.test_net import SRC, _modules_matching
 
 # Several checkpoint intervals of work; the total stays inside 31-bit
 # ints so migration across the 32-bit machines is lossless.
@@ -160,14 +173,12 @@ class TestHAFailover:
         with pytest.raises(ReproError):
             HASupervisor(code, client, "bad", checkpoint_every=0)
 
-    def test_restart_candidates_force_heterogeneity(self, code, service):
-        _, client = service
-        sup = HASupervisor(code, client, "cand")
+    def test_restart_candidates_force_heterogeneity(self):
         for name in PLATFORMS:
-            for cand in sup._restart_candidates(PLATFORMS[name]):
+            for cand in restart_candidates(PLATFORMS[name]):
                 assert cand != name
         # from 32LE rodrigo, only fully-different machines qualify
-        cands = sup._restart_candidates(PLATFORMS["rodrigo"])
+        cands = restart_candidates(PLATFORMS["rodrigo"])
         assert all(hetero("rodrigo", c) for c in cands)
 
 
@@ -285,6 +296,175 @@ class TestIncrementalHA:
         assert report.completed
         assert report.stdout == expected
         assert report.restarts + report.cold_restarts == 3
+
+
+class DamagedUpload:
+    """A store client whose ``nth`` checkpoint upload lands in the store
+    with one byte flipped — a generation the store holds faithfully and
+    no restore can use."""
+
+    def __init__(self, inner: FleetClient, nth: int) -> None:
+        self._inner = inner
+        self._left = nth
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def put_checkpoint(self, vm_id, payload, meta=None):
+        self._left -= 1
+        if self._left == 0:
+            mid = len(payload) // 2
+            flipped = bytes([payload[mid] ^ 0xFF])
+            payload = payload[:mid] + flipped + payload[mid + 1:]
+        return self._inner.put_checkpoint(vm_id, payload, meta=meta)
+
+    def put_checkpoint_file(self, vm_id, path, meta=None):
+        with open(path, "rb") as f:
+            return self.put_checkpoint(vm_id, f.read(), meta=meta)
+
+
+class TestDamagedHeadFallsBack:
+    """Both recoveries share one store-generation walk: a damaged newest
+    generation lands the restore on the previous one; with no older
+    generation the head's own typed error comes out."""
+
+    EVERY = 20_000
+
+    def _recover(self, how, code, client, tmp_path, generations, damaged):
+        """Protect ``generations`` generations (the ``damaged``-th one
+        corrupt), lose the machine, recover; returns the final stdout."""
+        client = DamagedUpload(client, damaged)
+        if how == "supervisor":
+            crash = self.EVERY * generations + self.EVERY // 2
+            report = HASupervisor(
+                code, client, "ha-damaged",
+                checkpoint_every=self.EVERY,
+                fault_budgets=(crash, crash),
+                max_faults=1,
+                seed=5,
+            ).run()
+            assert report.restarts == 1
+            assert report.fallback_restores == 1
+            assert report.integrity["fallback_restores"] == 1
+            return report.stdout
+        path = str(tmp_path / "origin.hckp")
+        platform = get_platform("rodrigo")
+        vm = VirtualMachine(platform, code, protected_config(None, path))
+        tailer = CommitTailer(vm, path)
+        for _ in range(generations):
+            vm.run(max_instructions=self.EVERY)
+            rec = tailer.capture()
+            client.put_checkpoint(
+                "ha-damaged", rec.data, meta=manifest_meta(rec, platform)
+            )
+        restored, seconds = cold_restore_from_store(
+            client, "ha-damaged", code, "ultra64",
+            str(tmp_path / "restore.hckp"),
+        )
+        assert seconds > 0
+        return restored.run().stdout
+
+    @pytest.mark.parametrize("how", ["supervisor", "cold"])
+    def test_lands_on_previous_generation(
+        self, how, code, expected, service, tmp_path
+    ):
+        _, client = service
+        before = INTEGRITY.fallback_restores
+        stdout = self._recover(how, code, client, tmp_path, 3, damaged=3)
+        assert stdout == expected
+        assert INTEGRITY.fallback_restores == before + 1
+
+    @pytest.mark.parametrize("how", ["supervisor", "cold"])
+    def test_no_older_generation_raises_the_heads_error(
+        self, how, code, service, tmp_path
+    ):
+        _, client = service
+        before = INTEGRITY.fallback_restores
+        with pytest.raises(CheckpointIntegrityError):
+            self._recover(how, code, client, tmp_path, 1, damaged=1)
+        assert INTEGRITY.fallback_restores == before
+
+
+def test_both_planes_write_the_same_manifest_schema(code, service):
+    """The cold supervisor and the warm driver's store mirror go through
+    one ``manifest_meta``: per generation kind, the same meta keys."""
+    server, client = service
+    HASupervisor(
+        code, client, "schema-cold",
+        checkpoint_every=15_000,
+        max_faults=0,
+        config=VMConfig(chkpt_incremental=True, chkpt_retain=8),
+    ).run()
+    report = LiveHA(
+        code, server.address, "schema-warm",
+        checkpoint_every=15_000,
+        schedule="none",
+        mirror_to_store=True,
+    ).run()
+    assert report.completed
+
+    def keys_by_kind(vm_id):
+        out = {}
+        for gen in server.store.generations(vm_id):
+            meta = server.store.read_manifest(vm_id, gen).meta
+            out.setdefault(meta["kind"], set()).add(frozenset(meta))
+        return out
+
+    cold, warm = keys_by_kind("schema-cold"), keys_by_kind("schema-warm")
+    assert set(cold) == set(warm) == {"full", "delta"}
+    assert cold == warm
+    assert all(len(shapes) == 1 for shapes in cold.values())
+
+
+class TestOneOfEach:
+    """Tier-1 guard: the hand-copied protect/recover pieces stay deleted
+    — one capture, one manifest-meta writer, one prefill reader, one
+    store-generation walk, one stdout-prefill method."""
+
+    def test_manifest_schema_has_one_writer_and_one_reader(self):
+        assert _modules_matching(r'"stdout_b64"') == ["repro/store/ha.py"]
+        source = (SRC / "repro/store/ha.py").read_text()
+        assert source.count('"stdout_b64"') == 2
+        assert inspect.getsource(manifest_meta).count('"stdout_b64":') == 1
+        assert (
+            inspect.getsource(restore_from_store).count('.get("stdout_b64"')
+            == 1
+        )
+
+    def test_stdout_sink_is_touched_only_by_the_channel_manager(self):
+        assert _modules_matching(r"\b_stdout\b") == [
+            "repro/channels/manager.py"
+        ]
+        assert _modules_matching(r"\.prefill_stdout\(") == [
+            "repro/cluster/coordinator.py",
+            "repro/replication/standby.py",
+            "repro/store/ha.py",
+        ]
+        assert inspect.getsource(ChannelManager.prefill_stdout).count(
+            "_stdout.write("
+        ) == 1
+
+    def test_commit_hooks_are_swapped_only_by_the_capture(self):
+        assert _modules_matching(r"\.commit_hooks\s*=[^=]") == [
+            "repro/checkpoint/generation.py"
+        ]
+        capture = inspect.getsource(CommitTailer.capture)
+        assert capture.count(".commit_hooks = ") == 2  # install, restore
+        assert capture.count(".perform_checkpoint()") == 1
+
+    def test_store_generations_are_walked_in_one_place(self):
+        """``fetch_chain(..., generation=...)`` — re-fetching an older
+        generation after the head failed — is the walk's signature."""
+        assert _modules_matching(r"fetch_chain\([^)]*generation=") == [
+            "repro/store/ha.py"
+        ]
+        source = (SRC / "repro/store/ha.py").read_text()
+        assert len(re.findall(r"\bfetch_chain\(", source)) == 3  # def + 2
+        assert inspect.getsource(restore_from_store).count("fetch_chain(") == 2
+        assert _modules_matching(r"\brestore_from_store\(") == [
+            "repro/replication/live.py",
+            "repro/store/ha.py",
+        ]
 
 
 class TestDispatchTierDifferential:
