@@ -9,7 +9,7 @@ workload runs against the one store path, at both shard counts:
   ``repro store serve`` runs;
 * **3 shards**: three ``FleetNode`` daemons behind one ``FleetClient``.
 
-Either way RSTP/2 BATCH frames carry all of a shard's puts in one round
+Either way RSTP BATCH frames carry all of a shard's puts in one round
 trip, and the presence cache answers unchanged chunks with no round
 trip at all.
 
@@ -210,7 +210,7 @@ def test_fleet_throughput(tmp_path, bench_json, get_report):
         "simulated_rtt_ms": RTT_MS,
     }
     for shards, arm in arms.items():
-        rep.row(f"RSTP/2 {shards}-shard fleet", arm["throughput_mib_s"],
+        rep.row(f"RSTP {shards}-shard fleet", arm["throughput_mib_s"],
                 arm["p50_ms"], arm["p95_ms"], arm["p99_ms"])
         doc[f"fleet_{shards}_shard"] = arm
         assert arm["uploads"] == N_WORKERS * GENERATIONS

@@ -386,10 +386,13 @@ def cmd_faults_fuzz(args: argparse.Namespace) -> int:
 
 
 def _parse_addr(addr: str) -> tuple[str, int]:
-    host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"repro: bad --addr {addr!r} (expected host:port)")
-    return host, int(port)
+    from repro.errors import StoreError
+    from repro.store.client import parse_addr
+
+    try:
+        return parse_addr(addr)
+    except StoreError as e:
+        raise SystemExit(f"repro: {e}") from None
 
 
 def _store_client(args: argparse.Namespace):

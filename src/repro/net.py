@@ -7,9 +7,9 @@ Every protocol in this repo frames its messages the same way::
     +-------+---------+--------+------------+---------------+
        4B       u8       u8    little-endian    <length>
 
-A :class:`FrameCodec` binds that layout to one protocol — its magic, the
-revisions it accepts, its payload bound and the typed error it raises —
-and reads frames two ways: blocking (:meth:`FrameCodec.recv_frame`, for
+A :class:`FrameCodec` binds that layout to one protocol — its magic, its
+one version byte, its payload bound and the typed error it raises — and
+reads frames two ways: blocking (:meth:`FrameCodec.recv_frame`, for
 clients and thread-per-peer servers) and incremental
 (:meth:`FrameCodec.pop_frame`, for a selectors loop that cannot block).
 Both go through the same header validation, so they accept and reject
@@ -44,52 +44,42 @@ class FrameCodec:
     def __init__(
         self,
         magic: bytes,
-        versions: tuple[int, ...],
+        version: int,
         max_frame: int,
         error: type[Exception],
     ) -> None:
         self.magic = magic
-        self.versions = versions
+        self.version = version
         self.max_frame = max_frame
         self.error = error
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_frame(
-        self, op: int, payload: bytes = b"", wire_rev: Optional[int] = None
-    ) -> bytes:
+    def encode_frame(self, op: int, payload: bytes = b"") -> bytes:
         """One complete frame, ready for ``sendall``."""
-        if wire_rev is None:
-            wire_rev = self.versions[0]
         if len(payload) > self.max_frame:
             raise self.error(
                 f"frame payload of {len(payload)} bytes exceeds MAX_FRAME"
             )
-        if wire_rev not in self.versions:
-            raise self.error(f"unsupported protocol version {wire_rev}")
-        return HEADER.pack(self.magic, wire_rev, op, len(payload)) + payload
+        return HEADER.pack(self.magic, self.version, op, len(payload)) + payload
 
     def send_frame(
-        self,
-        sock: socket.socket,
-        op: int,
-        payload: bytes = b"",
-        wire_rev: Optional[int] = None,
+        self, sock: socket.socket, op: int, payload: bytes = b""
     ) -> None:
-        sock.sendall(self.encode_frame(op, payload, wire_rev))
+        sock.sendall(self.encode_frame(op, payload))
 
     # -- decoding ----------------------------------------------------------
 
-    def _parse_header(self, head) -> tuple[int, int, int]:
-        """Validate one header; returns ``(wire_rev, opcode, length)``."""
-        magic, wire_rev, op, length = HEADER.unpack_from(head)
+    def _parse_header(self, head) -> tuple[int, int]:
+        """Validate one header; returns ``(opcode, length)``."""
+        magic, version, op, length = HEADER.unpack_from(head)
         if magic != self.magic:
             raise self.error(f"bad frame magic {magic!r}")
-        if wire_rev not in self.versions:
-            raise self.error(f"unsupported protocol version {wire_rev}")
+        if version != self.version:
+            raise self.error(f"unsupported protocol version {version}")
         if length > self.max_frame:
             raise self.error(f"frame length {length} exceeds MAX_FRAME")
-        return wire_rev, op, length
+        return op, length
 
     def _recv_exact(
         self, sock: socket.socket, n: int, allow_eof: bool = False
@@ -111,8 +101,8 @@ class FrameCodec:
 
     def recv_frame(
         self, sock: socket.socket, allow_eof: bool = False
-    ) -> Optional[tuple[int, int, bytes]]:
-        """Block for one frame: ``(wire_rev, opcode, payload)``.
+    ) -> Optional[tuple[int, bytes]]:
+        """Block for one frame: ``(opcode, payload)``.
 
         ``None`` on a clean EOF at a frame boundary when ``allow_eof``.
         A socket timeout propagates as :class:`socket.timeout` — the
@@ -121,34 +111,27 @@ class FrameCodec:
         head = self._recv_exact(sock, HEADER.size, allow_eof=allow_eof)
         if head is None:
             return None
-        wire_rev, op, length = self._parse_header(head)
+        op, length = self._parse_header(head)
         payload = self._recv_exact(sock, length) if length else b""
-        return wire_rev, op, payload
+        return op, payload
 
-    def recv_message(
-        self, sock: socket.socket, allow_eof: bool = False
-    ) -> Optional[tuple[int, bytes]]:
-        """:meth:`recv_frame` minus the revision: ``(opcode, payload)``."""
-        frame = self.recv_frame(sock, allow_eof)
-        return None if frame is None else frame[1:]
-
-    def pop_frame(self, buf: bytearray) -> Optional[tuple[int, int, bytes]]:
+    def pop_frame(self, buf: bytearray) -> Optional[tuple[int, bytes]]:
         """Pop one complete frame off a connection buffer, if present.
 
-        Returns ``(wire_rev, opcode, payload)`` and consumes the bytes,
+        Returns ``(opcode, payload)`` and consumes the bytes,
         or ``None`` when the buffer does not yet hold a whole frame.
         Garbage raises the protocol's error — the caller drops the
         connection, exactly like the blocking reader.
         """
         if len(buf) < HEADER.size:
             return None
-        wire_rev, op, length = self._parse_header(buf)
+        op, length = self._parse_header(buf)
         end = HEADER.size + length
         if len(buf) < end:
             return None
         payload = bytes(buf[HEADER.size : end])
         del buf[:end]
-        return wire_rev, op, payload
+        return op, payload
 
     # -- JSON payloads -----------------------------------------------------
 

@@ -48,7 +48,7 @@ VERSION = 1
 #: any workload this VM runs fits far below this.
 MAX_FRAME = 256 * 1024 * 1024
 
-CODEC = FrameCodec(MAGIC, (VERSION,), MAX_FRAME, ReplicationProtocolError)
+CODEC = FrameCodec(MAGIC, VERSION, MAX_FRAME, ReplicationProtocolError)
 
 OP_HELLO = 0x01
 OP_GEN = 0x02
@@ -72,7 +72,7 @@ _GEN_HEAD = struct.Struct("<I")  # length of the JSON meta block
 
 encode_frame = CODEC.encode_frame
 send_frame = CODEC.send_frame
-recv_frame = CODEC.recv_message
+recv_frame = CODEC.recv_frame
 encode_json = CODEC.encode_json
 decode_json = CODEC.decode_json
 

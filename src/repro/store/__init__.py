@@ -9,16 +9,17 @@ provides:
   keyed by SHA-256 and zlib-compressed, with a generation manifest per
   VM.  Successive periodic checkpoints dedup unchanged heap/stack
   chunks.
-- :class:`~repro.store.fleet.aserver.FleetNode` — the one daemon: a
-  selectors event loop serving the chunk store over RSTP (framed by the
-  shared :mod:`repro.net` codec), with N-way replication to follower
-  stores and heartbeat liveness tracking.  One daemon is a single-node
+- :class:`~repro.store.server.FleetNode` — the one daemon: a selectors
+  event loop serving the chunk store over RSTP
+  (:mod:`repro.store.protocol`, framed by the shared :mod:`repro.net`
+  codec), with N-way replication to follower stores and heartbeat
+  liveness tracking.  One daemon is a single-node
   store; several are the shards of a consistent-hash fleet.
 - :class:`~repro.store.fleet.client.FleetClient` — the one checkpoint
   client: chunked dedup uploads, streamed verified downloads, per-key
   routing across 1..N shards with client-side presence caching.  It
   holds one :class:`~repro.store.client.StoreClient` per node — the
-  persistent RSTP/2 connection with configurable timeouts and bounded
+  persistent RSTP connection with configurable timeouts and bounded
   full-jitter retries.
 - :class:`~repro.store.ha.HASupervisor` — runs a workload VM with
   periodic checkpoints pushed to the store, injects faults, and
@@ -27,20 +28,16 @@ provides:
 """
 
 from repro.store.chunkstore import ChunkStore, Manifest, PutStats
-
-# The fleet package must load before repro.store.client: the client
-# imports repro.store.fleet.wire, whose package pulls the client back in.
-from repro.store.fleet import FleetClient, FleetNode  # isort: skip
-from repro.store.client import StoreClient  # isort: skip
+from repro.store.client import StoreClient
+from repro.store.fleet.client import FleetClient
 from repro.store.ha import HAReport, HASupervisor
-from repro.store.server import StoreOpHandlers
+from repro.store.server import FleetNode
 
 __all__ = [
     "ChunkStore",
     "Manifest",
     "PutStats",
     "StoreClient",
-    "StoreOpHandlers",
     "FleetClient",
     "FleetNode",
     "HAReport",

@@ -2,8 +2,8 @@
 
 One persistent TCP connection to one store daemon, re-established
 transparently when it drops.  Every connection opens with a ``HELLO``
-that negotiates RSTP/2; every request then goes through the one retry
-loop (:class:`repro.net.RetryPolicy`: bounded attempts, full-jitter
+handshake; every request then goes through the one retry loop
+(:class:`repro.net.RetryPolicy`: bounded attempts, full-jitter
 exponential backoff) on transport failure.  Application errors reported
 by the daemon (``ERR`` frames) are *not* retried — they are re-raised as
 the matching :class:`~repro.errors.StoreError` subclass.
@@ -34,7 +34,6 @@ from repro.metrics import FLEET, STORE
 from repro.net import RetryPolicy
 from repro.store import protocol as P
 from repro.store.chunkstore import DEFAULT_CHUNK_SIZE, Manifest, chunk_key
-from repro.store.fleet import wire as W
 
 T = TypeVar("T")
 
@@ -73,6 +72,14 @@ def unwrap_reply(rop: int, rpayload: bytes) -> bytes:
     return rpayload
 
 
+def parse_addr(addr: str) -> tuple[str, int]:
+    """``"host:port"`` as ``(host, port)``."""
+    host, _, port = addr.rpartition(":")
+    if not host or not port.isdigit():
+        raise StoreError(f"bad store address {addr!r} (expected host:port)")
+    return host, int(port)
+
+
 def batched(seq: list, size: int) -> Iterator[list]:
     for i in range(0, len(seq), size):
         yield seq[i : i + size]
@@ -91,7 +98,6 @@ class StoreClient:
         backoff: float = 0.05,
         backoff_max: float = 1.0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        jitter: bool = True,
         jitter_seed: Optional[int] = None,
     ) -> None:
         self.host = host
@@ -99,12 +105,8 @@ class StoreClient:
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.chunk_size = chunk_size
-        self._retry = RetryPolicy(
-            retries, backoff, backoff_max, jitter=jitter, seed=jitter_seed
-        )
-        #: Protocol revision agreed with the daemon (set on connect); it
-        #: is stamped on every request after the HELLO.
-        self.negotiated: Optional[int] = None
+        self._retry = RetryPolicy(retries, backoff, backoff_max, seed=jitter_seed)
+        #: The daemon's ``node_id``, learned from its HELLO answer.
         self.remote_node_id: Optional[str] = None
         self._sock: Optional[socket.socket] = None
         #: Transport failures survived via retry (observability + tests).
@@ -113,17 +115,13 @@ class StoreClient:
     # -- connection management ---------------------------------------------
 
     def _connect(self) -> socket.socket:
-        """Open the connection and negotiate RSTP/2 on it."""
+        """Open the connection and shake hands on it."""
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.connect_timeout
         )
         try:
             sock.settimeout(self.io_timeout)
-            # HELLO travels in revision-1 framing: the one header every
-            # revision of the daemon can parse.
-            P.send_frame(
-                sock, P.OP_HELLO, P.encode_json({"max_version": P.RSTP2})
-            )
+            P.send_frame(sock, P.OP_HELLO)
             op, payload = P.recv_frame(sock)
             if op != P.OP_OK:
                 detail = (
@@ -133,19 +131,17 @@ class StoreClient:
                 )
                 raise StoreProtocolError(
                     f"peer {self.host}:{self.port} refused HELLO ({detail}); "
-                    f"it does not speak RSTP/2"
+                    f"it is not a store daemon"
                 )
             info = P.decode_json(payload)
-            agreed = info.get("version") if isinstance(info, dict) else None
-            if agreed not in P.SUPPORTED_VERSIONS:
+            if not isinstance(info, dict):
                 raise StoreProtocolError(
-                    f"peer {self.host}:{self.port} agreed on unsupported "
-                    f"protocol version {agreed!r}"
+                    f"peer {self.host}:{self.port} answered HELLO with "
+                    f"a malformed payload"
                 )
         except BaseException:
             sock.close()
             raise
-        self.negotiated = agreed
         self.remote_node_id = info.get("node_id")
         return sock
 
@@ -170,7 +166,7 @@ class StoreClient:
         """Send one request and ``read`` its answer off the socket.
 
         The one retry loop: a transport failure anywhere in connect,
-        negotiate, send or read drops the connection and tries again on
+        handshake, send or read drops the connection and tries again on
         a fresh one, within the retry policy's budget.
         """
 
@@ -178,7 +174,7 @@ class StoreClient:
             try:
                 if self._sock is None:
                     self._sock = self._connect()
-                P.send_frame(self._sock, op, payload, self.negotiated)
+                P.send_frame(self._sock, op, payload)
                 return read(self._sock)
             except _TRANSPORT_ERRORS:
                 self.close()
@@ -296,8 +292,8 @@ class StoreClient:
         not fail the batch.
         """
         results: list[tuple[int, bytes]] = []
-        for group in batched(items, W.MAX_BATCH_OPS):
-            sub = W.decode_ops(self._call(P.OP_BATCH, W.encode_ops(group)))
+        for group in batched(items, P.MAX_BATCH_OPS):
+            sub = P.decode_ops(self._call(P.OP_BATCH, P.encode_ops(group)))
             if len(sub) != len(group):
                 raise StoreProtocolError("BATCH answer count mismatch")
             FLEET.batches_sent += 1
@@ -324,7 +320,7 @@ class StoreClient:
         """
         out: dict[str, bytes] = {}
         missing: list[str] = []
-        for group in batched(list(dict.fromkeys(keys)), W.MAX_GET_MANY):
+        for group in batched(list(dict.fromkeys(keys)), P.MAX_GET_MANY):
             got, miss = self._get_many_stream(group)
             out.update(got)
             missing.extend(miss)

@@ -1,13 +1,8 @@
-"""The sharded checkpoint-store fleet.
+"""Client-side sharding of the checkpoint store.
 
-Scales the single-node store out to N shards:
+Scales the single-node store out to N shards, each one the same
+:class:`~repro.store.server.FleetNode` daemon (re-exported here):
 
-- :mod:`~repro.store.fleet.wire` — the RSTP/2 payload codecs (frame
-  batching, streamed chunk responses, version negotiation) layered on
-  the shared frame format;
-- :class:`~repro.store.fleet.aserver.FleetNode` — the store daemon: a
-  selectors event loop multiplexing every connection, one per shard (a
-  single-node store is a 1-shard fleet);
 - :class:`~repro.store.fleet.ring.HashRing` — deterministic
   consistent-hash placement of chunk keys and manifests across shards,
   with bounded movement on join/leave;
@@ -19,10 +14,10 @@ Scales the single-node store out to N shards:
   streamed downloads, fleet-wide gc/rebalance/audit.
 """
 
-from repro.store.fleet.aserver import FleetNode
 from repro.store.fleet.cache import PresenceCache
 from repro.store.fleet.client import FleetClient
 from repro.store.fleet.ring import HashRing
+from repro.store.server import FleetNode
 
 __all__ = [
     "FleetNode",

@@ -38,7 +38,7 @@ from repro.store.chunkstore import (
     PutStats,
     chunk_key,
 )
-from repro.store.client import StoreClient, batched
+from repro.store.client import StoreClient, batched, parse_addr
 from repro.store.fleet.cache import PresenceCache
 from repro.store.fleet.ring import DEFAULT_VNODES, HashRing
 
@@ -47,7 +47,7 @@ from repro.store.fleet.ring import DEFAULT_VNODES, HashRing
 _FLEET_WINDOW = 128
 
 #: Chunk positions fetched per download window (split per owner node,
-#: each node request capped by wire.MAX_GET_MANY).
+#: each node request capped by protocol.MAX_GET_MANY).
 _DOWNLOAD_WINDOW = 256
 
 
@@ -72,10 +72,7 @@ class FleetClient:
             raise StoreError("a fleet client needs at least one node address")
         self.nodes: dict[str, StoreClient] = {}
         for addr in addrs:
-            if isinstance(addr, str):
-                host, _, port = addr.rpartition(":")
-                addr = (host, int(port))
-            host, port = addr
+            host, port = parse_addr(addr) if isinstance(addr, str) else addr
             self.nodes[f"{host}:{port}"] = StoreClient(
                 host,
                 port,

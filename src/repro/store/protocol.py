@@ -7,48 +7,68 @@ Every message is one frame::
     +------+---------+--------+-----------+---------------+
       4B       u8       u8      little-endian   <length>
 
+The framing is the shared :class:`repro.net.FrameCodec` bound to one
+``VERSION``: a frame carrying any other version byte is rejected with
+the same typed :class:`~repro.errors.StoreProtocolError` as bad magic.
+
 Requests carry an operation opcode; the server answers every request
-with exactly one ``OK`` or ``ERR`` frame.  Chunk payloads are raw
-(uncompressed) bytes prefixed by their 32-byte SHA-256, so both sides
-can verify content addresses on the wire; structured payloads (manifest
+with exactly one ``OK`` or ``ERR`` frame — except ``GET_MANY``, whose
+answer is a stream (below).  Chunk payloads are raw (uncompressed)
+bytes prefixed by their 32-byte SHA-256, so both sides can verify
+content addresses on the wire; structured payloads (manifest
 operations, listings, stats) are UTF-8 JSON.
 
 Uploads and downloads stream one chunk per frame — neither side ever
 holds more than ``MAX_FRAME`` bytes of a checkpoint in a single message.
 
-RSTP/2
-------
+``HELLO``
+    The connection handshake: an optional JSON object up; ``OK
+    {"node_id": ..., "epoch": e}`` down.  Any other answer means the
+    peer is not a store daemon — a protocol error on the client.
 
-Revision 2 keeps the frame layout byte-for-byte and adds opcodes on
-top: ``HELLO`` (version negotiation), ``BATCH`` (many sub-operations in
-one round trip), ``GET_MANY`` (a streamed multi-chunk response:
-``CHUNK`` frames followed by one ``END``), plus the fleet housekeeping
-ops (``EPOCH``/``DEL_MANIFEST``/``SWEEP``).  Negotiation is one round
-trip: a client sends ``HELLO`` in revision-1 framing and the daemon
-answers ``OK`` with the agreed revision; any other answer is a protocol
-error.  The daemon echoes each request's revision, so a raw revision-1
-peer that never says ``HELLO`` is still served.  Frame codecs for the
-new payloads live in :mod:`repro.store.fleet.wire`; the framing itself
-is the shared :class:`repro.net.FrameCodec`.
+``BATCH``
+    Many sub-operations in one frame, one round trip.  The payload is a
+    u32 count followed by ``count`` sub-frames of ``u8 opcode / u32
+    length / payload``.  The response is an ``OK`` frame whose payload
+    uses the same encoding — one ``OK``/``ERR`` sub-frame per
+    sub-operation, in order.  Sub-operation failures therefore do not
+    fail the batch: callers check each slot.
+
+``GET_MANY``
+    A digest list up; a *stream* down — one ``CHUNK`` frame per present
+    chunk, terminated by an ``END`` frame whose JSON carries the keys
+    that were missing.  The daemon queues the whole answer on the
+    connection's output buffer before its loop writes any of it, so it
+    holds up to ``MAX_GET_MANY`` chunks per request (512 x 64 KiB =
+    32 MiB at the default chunk size); the client never holds more than
+    the window it asked for.
 """
 
 from __future__ import annotations
 
-from repro.errors import StoreProtocolError
+import struct
+
+from repro.errors import StoreError, StoreProtocolError
 from repro.net import HEADER, FrameCodec  # HEADER is re-exported
 
 MAGIC = b"RSTP"
-VERSION = 1
-#: Protocol revision 2 ("RSTP/2"): same frame layout, batched and
-#: streamed opcodes on top, negotiated per connection via ``OP_HELLO``.
-RSTP2 = 2
-SUPPORTED_VERSIONS = (VERSION, RSTP2)
+#: The one revision, stamped on every frame (2 is the byte every request
+#: and reply after the handshake has always carried).
+VERSION = 2
 
 #: Upper bound on one frame's payload; protects both sides from a
 #: corrupt or hostile length prefix.
 MAX_FRAME = 64 * 1024 * 1024
 
-CODEC = FrameCodec(MAGIC, SUPPORTED_VERSIONS, MAX_FRAME, StoreProtocolError)
+#: Most sub-operations one BATCH frame may carry; bounds server-side
+#: work per round trip the same way MAX_FRAME bounds memory.
+MAX_BATCH_OPS = 256
+
+#: Most digests one GET_MANY request may carry; with the chunk size it
+#: bounds what the daemon queues for one answer.
+MAX_GET_MANY = 512
+
+CODEC = FrameCodec(MAGIC, VERSION, MAX_FRAME, StoreProtocolError)
 
 # Request opcodes.
 OP_PING = 0x01
@@ -62,8 +82,6 @@ OP_GC = 0x08
 OP_STAT = 0x09
 OP_AUDIT = 0x0A
 OP_HAS_MANY = 0x0B
-
-# RSTP/2 request opcodes.
 OP_HELLO = 0x10
 OP_BATCH = 0x11
 OP_GET_MANY = 0x12
@@ -74,8 +92,8 @@ OP_SWEEP = 0x15
 # Response opcodes.
 OP_OK = 0x80
 OP_ERR = 0x81
-# RSTP/2 streamed-response opcodes: a GET_MANY answer is zero or more
-# CHUNK frames terminated by exactly one END frame.
+# Streamed-response opcodes: a GET_MANY answer is zero or more CHUNK
+# frames terminated by exactly one END frame.
 OP_CHUNK = 0x82
 OP_END = 0x83
 
@@ -106,7 +124,7 @@ OP_NAMES = {
 
 encode_frame = CODEC.encode_frame
 send_frame = CODEC.send_frame
-recv_frame = CODEC.recv_message
+recv_frame = CODEC.recv_frame
 pop_frame = CODEC.pop_frame
 encode_json = CODEC.encode_json
 decode_json = CODEC.decode_json
@@ -123,3 +141,78 @@ def decode_chunk(payload: bytes) -> tuple[bytes, bytes]:
     if len(payload) < 32:
         raise StoreProtocolError("chunk payload shorter than its digest")
     return payload[:32], payload[32:]
+
+
+def decode_request(op: int, payload: bytes, **required: type) -> dict:
+    """A JSON-object request with its ``required`` fields type-checked.
+
+    An empty payload is the empty object.  Whatever else a damaged or
+    hostile peer sends answers ``malformed <OP>: ...`` — never a raw
+    ``KeyError``/``TypeError`` out of the handler.
+    """
+    req = decode_json(payload) if payload else {}
+    if not isinstance(req, dict):
+        raise StoreProtocolError(
+            f"malformed {OP_NAMES[op]}: payload is not a JSON object"
+        )
+    for name, kind in required.items():
+        if not isinstance(req.get(name), kind):
+            raise StoreProtocolError(
+                f"malformed {OP_NAMES[op]}: {name!r} must be {kind.__name__}"
+            )
+    return req
+
+
+def error_payload(exc: Exception) -> bytes:
+    """The ERR-frame JSON for one exception."""
+    if isinstance(exc, StoreError):
+        return encode_json({"error": type(exc).__name__, "message": str(exc)})
+    return encode_json({"error": "StoreError", "message": f"internal: {exc}"})
+
+
+_SUB_HEADER = struct.Struct("<BI")
+_COUNT = struct.Struct("<I")
+
+
+def encode_ops(items: list[tuple[int, bytes]]) -> bytes:
+    """Pack (opcode, payload) pairs into one BATCH payload."""
+    if len(items) > MAX_BATCH_OPS:
+        raise StoreProtocolError(
+            f"batch of {len(items)} exceeds MAX_BATCH_OPS ({MAX_BATCH_OPS})"
+        )
+    out = bytearray(_COUNT.pack(len(items)))
+    for op, payload in items:
+        out += _SUB_HEADER.pack(op, len(payload))
+        out += payload
+    if len(out) > MAX_FRAME:
+        raise StoreProtocolError("batch payload exceeds MAX_FRAME")
+    return bytes(out)
+
+
+def decode_ops(payload: bytes) -> list[tuple[int, bytes]]:
+    """Inverse of :func:`encode_ops`; validates counts and lengths."""
+    if len(payload) < _COUNT.size:
+        raise StoreProtocolError("batch payload shorter than its count")
+    (count,) = _COUNT.unpack_from(payload)
+    if count > MAX_BATCH_OPS:
+        raise StoreProtocolError(
+            f"batch of {count} exceeds MAX_BATCH_OPS ({MAX_BATCH_OPS})"
+        )
+    off = _COUNT.size
+    items: list[tuple[int, bytes]] = []
+    for _ in range(count):
+        try:
+            op, length = _SUB_HEADER.unpack_from(payload, off)
+        except struct.error as e:
+            raise StoreProtocolError(f"truncated batch sub-frame: {e}") from e
+        off += _SUB_HEADER.size
+        sub = payload[off : off + length]
+        if len(sub) != length:
+            raise StoreProtocolError("truncated batch sub-frame payload")
+        off += length
+        items.append((op, sub))
+    if off != len(payload):
+        raise StoreProtocolError(
+            f"{len(payload) - off} trailing bytes after batch sub-frames"
+        )
+    return items

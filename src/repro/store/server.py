@@ -1,12 +1,27 @@
-"""The store daemon's operations: every RSTP op, plus follower replication.
+"""The store daemon: every RSTP op behind one selectors event loop.
 
-:class:`StoreOpHandlers` answers every store operation against one
-:class:`~repro.store.chunkstore.ChunkStore`, transport-free, in the
-spirit of "checkpointing as a service": workload VMs push periodic
-checkpoints here, restart supervisors pull the latest manifest from
-here.  The one daemon — the selectors-based
-:class:`~repro.store.fleet.aserver.FleetNode` — is these handlers behind
-an event loop.
+:class:`FleetNode` answers every store operation against one
+:class:`~repro.store.chunkstore.ChunkStore`, in the spirit of
+"checkpointing as a service": workload VMs push periodic checkpoints
+here, restart supervisors pull the latest manifest from here.
+
+At fleet scale — hundreds of supervisors holding persistent sockets — a
+thread per connection is hundreds of mostly-idle threads.  The daemon
+multiplexes every connection on one ``selectors`` loop instead:
+non-blocking sockets, per-connection in/out byte buffers, frames popped
+incrementally by :func:`~repro.store.protocol.pop_frame`.  The store
+work itself is byte-shuffling and hashing, so one loop thread keeps up
+with many clients and the accept path never queues behind a slow
+handler.  A single-node store is this same daemon as a 1-shard fleet.
+
+Every opcode is one entry of one table.  A handler returns the frames
+of its answer: one ``OK`` for most, and for the connection-layer ops
+
+- ``HELLO``    — the handshake: this node's identity and epoch;
+- ``BATCH``    — each sub-operation through the same table, one ``OK``
+  frame whose payload carries the per-sub-op results;
+- ``GET_MANY`` — one ``CHUNK`` frame per present key, then one ``END``
+  frame naming the missing ones.
 
 Replication
 -----------
@@ -39,14 +54,35 @@ again.
 
 from __future__ import annotations
 
+import selectors
+import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.errors import StoreError, StoreProtocolError
 from repro.store import protocol as P
 from repro.store.chunkstore import ChunkStore, Manifest, chunk_key
+from repro.store.client import StoreClient
+
+#: recv() size per readable event.
+_RECV_SIZE = 256 * 1024
+
+#: Ops a BATCH may not carry: no nesting, no streams inside a
+#: single-frame answer, no handshake mid-connection.
+_NOT_BATCHABLE = (P.OP_BATCH, P.OP_GET_MANY, P.OP_HELLO)
+
+#: One response frame: ``(opcode, payload)``.
+Frame = tuple[int, bytes]
+
+
+def _ok(payload: bytes = b"") -> list[Frame]:
+    return [(P.OP_OK, payload)]
+
+
+def _ok_json(obj) -> list[Frame]:
+    return _ok(P.encode_json(obj))
 
 
 @dataclass
@@ -100,25 +136,34 @@ class FollowerState:
         }
 
 
-class StoreOpHandlers:
-    """Every RSTP operation against one chunk store, transport-free.
+class _Conn:
+    """One multiplexed client connection."""
 
-    A handler returns ``(opcode, payload)`` for the single response
-    frame.  The connection-layer ops (``HELLO``/``BATCH``/``GET_MANY``)
-    are *not* here: they are about framing, and the daemon's event loop
-    answers them, keeping their counters on this object.
-    """
+    __slots__ = ("sock", "inbuf", "outbuf")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+
+
+class FleetNode:
+    """The daemon: a chunk store behind a selectors event loop."""
 
     def __init__(
         self,
         store: ChunkStore,
+        host: str = "127.0.0.1",
+        port: int = 0,
         node_id: Optional[str] = None,
         replicas: list[tuple[str, int]] | None = None,
+        heartbeat_interval: float = 2.0,
         heartbeat_misses: int = 3,
     ) -> None:
         self.store = store
         self.node_id = node_id
         self.followers = [FollowerState(h, p) for h, p in (replicas or [])]
+        self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
         self.replication_failures = 0
         self._commit_lock = threading.Lock()
@@ -128,7 +173,8 @@ class StoreOpHandlers:
         self.batched_ops_handled = 0
         self.chunks_streamed = 0
         self.hellos = 0
-        self._dispatch = {
+        self.connections_accepted = 0
+        self._ops = {
             P.OP_PING: self._op_ping,
             P.OP_HAS_CHUNK: self._op_has_chunk,
             P.OP_HAS_MANY: self._op_has_many,
@@ -140,22 +186,192 @@ class StoreOpHandlers:
             P.OP_GC: self._op_gc,
             P.OP_STAT: self._op_stat,
             P.OP_AUDIT: self._op_audit,
+            P.OP_HELLO: self._op_hello,
+            P.OP_BATCH: self._op_batch,
+            P.OP_GET_MANY: self._op_get_many,
             P.OP_EPOCH: self._op_epoch,
             P.OP_DEL_MANIFEST: self._op_del_manifest,
             P.OP_SWEEP: self._op_sweep,
         }
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind((host, port))
+        self._listener.listen(128)
+        self._listener.setblocking(False)
+        #: The bound (host, port) — concrete even if port 0 was asked,
+        #: and still readable after :meth:`stop`.
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        # A socketpair wakes the select() so stop() does not have to
+        # wait out the poll timeout.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._listener, selectors.EVENT_READ, "accept")
+        self._sel.register(self._wake_r, selectors.EVENT_READ, "wake")
+        self._conns: dict[socket.socket, _Conn] = {}
+        self._stopping = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def start(self) -> tuple[str, int]:
+        """Run the event loop in a background thread; returns the address."""
+        if self.followers:
+            threading.Thread(
+                target=self._heartbeat_loop, name="store-heartbeat", daemon=True
+            ).start()
+        self._thread = threading.Thread(
+            target=self._loop, name="fleet-node", daemon=True
+        )
+        self._thread.start()
+        return self.address
+
+    def _heartbeat_loop(self) -> None:  # pragma: no cover - timing loop
+        while not self._stopping.wait(self.heartbeat_interval):
+            self.heartbeat_once()
+
+    def stop(self) -> None:
+        self._stopping.set()
+        try:
+            self._wake_w.send(b"x")
+        except OSError:
+            pass
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+            self._thread = None
+        else:
+            self._teardown()
+
+    def _teardown(self) -> None:
+        for sock in list(self._conns):
+            self._drop(sock)
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            try:
+                self._sel.unregister(sock)
+            except (KeyError, ValueError):
+                pass
+            try:
+                sock.close()
+            except OSError:
+                pass
+        self._sel.close()
+
+    # -- event loop --------------------------------------------------------
+
+    def _loop(self) -> None:
+        try:
+            while not self._stopping.is_set():
+                for key, mask in self._sel.select(timeout=0.5):
+                    if key.data == "accept":
+                        self._accept()
+                    elif key.data == "wake":
+                        try:
+                            self._wake_r.recv(4096)
+                        except OSError:
+                            pass
+                    else:
+                        conn: _Conn = key.data
+                        if mask & selectors.EVENT_READ:
+                            self._readable(conn)
+                        if (
+                            conn.sock in self._conns
+                            and mask & selectors.EVENT_WRITE
+                        ):
+                            self._writable(conn)
+        finally:
+            self._teardown()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _addr = self._listener.accept()
+            except OSError:  # BlockingIOError: the backlog is drained
+                return
+            sock.setblocking(False)
+            conn = _Conn(sock)
+            self._conns[sock] = conn
+            self._sel.register(sock, selectors.EVENT_READ, conn)
+            self.connections_accepted += 1
+
+    def _drop(self, sock: socket.socket) -> None:
+        self._conns.pop(sock, None)
+        try:
+            self._sel.unregister(sock)
+        except (KeyError, ValueError):
+            pass
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+    def _interest(self, conn: _Conn) -> None:
+        events = selectors.EVENT_READ
+        if conn.outbuf:
+            events |= selectors.EVENT_WRITE
+        try:
+            self._sel.modify(conn.sock, events, conn)
+        except (KeyError, ValueError):
+            pass
+
+    def _readable(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(_RECV_SIZE)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._drop(conn.sock)
+            return
+        if not data:
+            self._drop(conn.sock)
+            return
+        conn.inbuf += data
+        while True:
+            try:
+                frame = P.pop_frame(conn.inbuf)
+            except StoreProtocolError:
+                # Garbage framing: drop the connection.
+                self._drop(conn.sock)
+                return
+            if frame is None:
+                break
+            self._handle(conn, *frame)
+        self._interest(conn)
+
+    def _writable(self, conn: _Conn) -> None:
+        try:
+            sent = conn.sock.send(conn.outbuf)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._drop(conn.sock)
+            return
+        del conn.outbuf[:sent]
+        self._interest(conn)
 
     # -- request dispatch --------------------------------------------------
 
-    def dispatch(self, op: int, payload: bytes) -> tuple[int, bytes]:
-        handler = self._dispatch.get(op)
+    def _handle(self, conn: _Conn, op: int, payload: bytes) -> None:
+        try:
+            for rop, rpayload in self.dispatch(op, payload):
+                conn.outbuf += P.encode_frame(rop, rpayload)
+        except Exception as e:  # never let a handler kill the loop
+            conn.outbuf += P.encode_frame(P.OP_ERR, P.error_payload(e))
+
+    def dispatch(self, op: int, payload: bytes) -> Iterable[Frame]:
+        """The frames answering one request, through the one op table."""
+        handler = self._ops.get(op)
         if handler is None:
             raise StoreProtocolError(f"unknown opcode 0x{op:02x}")
         self.requests_served += 1
         return handler(payload)
 
-    def _op_ping(self, _payload: bytes) -> tuple[int, bytes]:
-        return P.OP_OK, b"pong"
+    def _op_ping(self, _payload: bytes) -> list[Frame]:
+        return _ok(b"pong")
+
+    def _op_hello(self, payload: bytes) -> list[Frame]:
+        P.decode_request(P.OP_HELLO, payload)
+        self.hellos += 1
+        return _ok_json({"node_id": self.node_id, "epoch": self.store.epoch})
 
     @staticmethod
     def _digest(payload: bytes) -> str:
@@ -169,97 +385,128 @@ class StoreOpHandlers:
             raise StoreProtocolError(f"{what} payload is not whole digests")
         return [payload[i : i + 32].hex() for i in range(0, len(payload), 32)]
 
-    def _op_has_chunk(self, payload: bytes) -> tuple[int, bytes]:
+    def _op_has_chunk(self, payload: bytes) -> list[Frame]:
         key = self._digest(payload)
-        return P.OP_OK, bytes([1 if self.store.has_object(key) else 0])
+        return _ok(bytes([1 if self.store.has_object(key) else 0]))
 
-    def _op_has_many(self, payload: bytes) -> tuple[int, bytes]:
+    def _op_has_many(self, payload: bytes) -> list[Frame]:
         out = bytearray()
         for key in self._digests(payload, "HAS_MANY"):
             out.append(1 if self.store.has_object(key) else 0)
-        return P.OP_OK, bytes(out)
+        return _ok(bytes(out))
 
-    def _op_put_chunk(self, payload: bytes) -> tuple[int, bytes]:
+    def _op_put_chunk(self, payload: bytes) -> list[Frame]:
         key_raw, data = P.decode_chunk(payload)
         if chunk_key(data) != key_raw.hex():
             raise StoreProtocolError(
                 "chunk content does not match its declared digest"
             )
         _, was_new = self.store.put_object(data)
-        return P.OP_OK, bytes([1 if was_new else 0])
+        return _ok(bytes([1 if was_new else 0]))
 
-    def _op_get_chunk(self, payload: bytes) -> tuple[int, bytes]:
+    def _op_get_chunk(self, payload: bytes) -> list[Frame]:
         key = self._digest(payload)
         data = self.store.get_object(key)
-        return P.OP_OK, P.encode_chunk(payload, data)
+        return _ok(P.encode_chunk(payload, data))
 
-    def _op_put_manifest(self, payload: bytes) -> tuple[int, bytes]:
-        req = P.decode_json(payload)
-        try:
-            vm_id = req["vm_id"]
-            chunks = list(req["chunks"])
-            payload_len = int(req["payload_len"])
-            payload_sha256 = req["payload_sha256"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise StoreProtocolError(f"malformed PUT_MANIFEST: {e}") from e
+    def _op_get_many(self, payload: bytes) -> Iterable[Frame]:
+        keys = self._digests(payload, "GET_MANY")
+        if len(keys) > P.MAX_GET_MANY:
+            raise StoreProtocolError(
+                f"GET_MANY of {len(keys)} exceeds MAX_GET_MANY "
+                f"({P.MAX_GET_MANY})"
+            )
+        missing: list[str] = []
+        for key in keys:
+            try:
+                data = self.store.get_object(key)
+            except StoreError:
+                missing.append(key)
+                continue
+            self.chunks_streamed += 1
+            yield P.OP_CHUNK, P.encode_chunk(bytes.fromhex(key), data)
+        yield P.OP_END, P.encode_json(
+            {"count": len(keys) - len(missing), "missing": missing}
+        )
+
+    def _op_batch(self, payload: bytes) -> list[Frame]:
+        items = P.decode_ops(payload)
+        results: list[Frame] = []
+        for sub_op, sub_payload in items:
+            try:
+                if sub_op in _NOT_BATCHABLE:
+                    raise StoreProtocolError(
+                        f"opcode {P.OP_NAMES[sub_op]} not allowed inside BATCH"
+                    )
+                results.extend(self.dispatch(sub_op, sub_payload))
+            except Exception as e:  # one bad sub-op must not fail the batch
+                results.append((P.OP_ERR, P.error_payload(e)))
+        self.batches_handled += 1
+        self.batched_ops_handled += len(items)
+        return _ok(P.encode_ops(results))
+
+    def _op_put_manifest(self, payload: bytes) -> list[Frame]:
+        req = P.decode_request(
+            P.OP_PUT_MANIFEST, payload,
+            vm_id=str, chunks=list, payload_len=int, payload_sha256=str,
+        )
         with self._commit_lock:
             manifest = self.store.commit_manifest(
-                vm_id,
-                chunks,
-                payload_len=payload_len,
-                payload_sha256=payload_sha256,
+                req["vm_id"],
+                req["chunks"],
+                payload_len=req["payload_len"],
+                payload_sha256=req["payload_sha256"],
                 meta=req.get("meta"),
                 chunk_size=req.get("chunk_size"),
                 generation=req.get("generation"),
                 verify_chunks=bool(req.get("check_chunks", True)),
             )
         self._replicate(manifest)
-        return P.OP_OK, P.encode_json({"generation": manifest.generation})
+        return _ok_json({"generation": manifest.generation})
 
-    def _op_get_manifest(self, payload: bytes) -> tuple[int, bytes]:
-        req = P.decode_json(payload)
+    def _op_get_manifest(self, payload: bytes) -> list[Frame]:
+        req = P.decode_request(P.OP_GET_MANIFEST, payload, vm_id=str)
         manifest = self.store.read_manifest(
             req["vm_id"], req.get("generation")
         )
-        return P.OP_OK, manifest.to_json().encode()
+        return _ok(manifest.to_json().encode())
 
-    def _op_ls(self, _payload: bytes) -> tuple[int, bytes]:
-        return P.OP_OK, P.encode_json(self.store.ls())
+    def _op_ls(self, _payload: bytes) -> list[Frame]:
+        return _ok_json(self.store.ls())
 
-    def _op_gc(self, _payload: bytes) -> tuple[int, bytes]:
-        return P.OP_OK, P.encode_json(self.store.gc())
+    def _op_gc(self, _payload: bytes) -> list[Frame]:
+        return _ok_json(self.store.gc())
 
-    def _op_stat(self, _payload: bytes) -> tuple[int, bytes]:
-        return P.OP_OK, P.encode_json(self.stats())
+    def _op_stat(self, _payload: bytes) -> list[Frame]:
+        return _ok_json(self.stats())
 
-    def _op_audit(self, payload: bytes) -> tuple[int, bytes]:
-        req = P.decode_json(payload) if payload else {}
-        return P.OP_OK, P.encode_json(
+    def _op_audit(self, payload: bytes) -> list[Frame]:
+        req = P.decode_request(P.OP_AUDIT, payload)
+        return _ok_json(
             self.store.audit(
                 deep=bool(req.get("deep")),
                 check_refs=bool(req.get("check_refs", True)),
             )
         )
 
-    def _op_epoch(self, _payload: bytes) -> tuple[int, bytes]:
-        return P.OP_OK, P.encode_json({"epoch": self.store.epoch})
+    def _op_epoch(self, _payload: bytes) -> list[Frame]:
+        return _ok_json({"epoch": self.store.epoch})
 
-    def _op_del_manifest(self, payload: bytes) -> tuple[int, bytes]:
-        req = P.decode_json(payload)
-        try:
-            vm_id = req["vm_id"]
-            generation = int(req["generation"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise StoreProtocolError(f"malformed DEL_MANIFEST: {e}") from e
+    def _op_del_manifest(self, payload: bytes) -> list[Frame]:
+        req = P.decode_request(
+            P.OP_DEL_MANIFEST, payload, vm_id=str, generation=int
+        )
         with self._commit_lock:
-            deleted = self.store.delete_manifest(vm_id, generation)
-        return P.OP_OK, P.encode_json({"deleted": deleted})
+            deleted = self.store.delete_manifest(
+                req["vm_id"], req["generation"]
+            )
+        return _ok_json({"deleted": deleted})
 
-    def _op_sweep(self, payload: bytes) -> tuple[int, bytes]:
+    def _op_sweep(self, payload: bytes) -> list[Frame]:
         keep = set(self._digests(payload, "SWEEP"))
         with self._commit_lock:
             report = self.store.sweep_keep(keep)
-        return P.OP_OK, P.encode_json(report)
+        return _ok_json(report)
 
     def stats(self) -> dict:
         out = {
@@ -281,9 +528,7 @@ class StoreOpHandlers:
 
     # -- replication -------------------------------------------------------
 
-    def _follower_client(self, follower: FollowerState):
-        from repro.store.client import StoreClient
-
+    def _follower_client(self, follower: FollowerState) -> StoreClient:
         # Replication retries little: the heartbeat loop owns failure
         # detection, and this budget bounds how long a slow follower can
         # stall the loop thread (see the module docstring).

@@ -215,8 +215,15 @@ class TestStoreCLI:
         assert deep["checkpoints"]["app"]["platform"] == "rodrigo"
 
     def test_bad_addr_rejected(self, ckpt):
-        with pytest.raises(SystemExit):
-            main(["store", "ls", "--addr", "nonsense"])
+        from repro.errors import StoreError
+        from repro.store import FleetClient
+
+        for addr in ("nonsense", "host:abc", ":7440"):
+            with pytest.raises(SystemExit, match="bad store address"):
+                main(["store", "ls", "--addr", addr])
+            # the one parser: the client names the address, typed
+            with pytest.raises(StoreError, match=repr(addr)):
+                FleetClient([addr])
 
 
 class TestHACLI:

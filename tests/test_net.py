@@ -66,12 +66,7 @@ def pop_all(codec: FrameCodec, sock) -> list:
 
 
 frame_lists = st.lists(
-    st.tuples(
-        st.integers(0, 1),  # index into the codec's revisions
-        st.integers(0, 255),
-        st.binary(max_size=200),
-    ),
-    max_size=8,
+    st.tuples(st.integers(0, 255), st.binary(max_size=200)), max_size=8
 )
 cut_lists = st.lists(st.integers(0, 4096), max_size=24)
 
@@ -82,27 +77,22 @@ class TestFrameCodecProperty:
     @given(frames=frame_lists, cuts=cut_lists)
     def test_blocking_and_incremental_readers_agree(self, name, frames, cuts):
         codec, _error = CODECS[name]
-        want = [
-            (codec.versions[rev % len(codec.versions)], op, payload)
-            for rev, op, payload in frames
-        ]
         stream = b"".join(
-            codec.encode_frame(op, payload, rev) for rev, op, payload in want
+            codec.encode_frame(op, payload) for op, payload in frames
         )
-        assert recv_all(codec, ChoppedSocket(stream, cuts)) == want
-        assert pop_all(codec, ChoppedSocket(stream, cuts)) == want
+        assert recv_all(codec, ChoppedSocket(stream, cuts)) == frames
+        assert pop_all(codec, ChoppedSocket(stream, cuts)) == frames
 
     @settings(max_examples=30, deadline=None)
     @given(payload=st.binary(max_size=64), cuts=cut_lists)
     def test_garbage_raises_the_protocols_own_error(self, name, payload, cuts):
         codec, error = CODECS[name]
         good = codec.encode_frame(7, payload)
-        bad_rev = max(codec.versions) + 1
         damaged = {
             "magic": b"EVIL" + good[4:],
-            "version": good[:4] + bytes([bad_rev]) + good[5:],
+            "version": good[:4] + bytes([codec.version ^ 3]) + good[5:],
             "MAX_FRAME": HEADER.pack(
-                codec.magic, codec.versions[0], 7, codec.max_frame + 1
+                codec.magic, codec.version, 7, codec.max_frame + 1
             ),
         }
         for what, stream in damaged.items():
@@ -116,8 +106,6 @@ class TestFrameCodecProperty:
         with pytest.raises(error, match="mid-frame"):
             recv_all(codec, ChoppedSocket(torn, cuts))
         assert codec.pop_frame(bytearray(torn)) is None
-        with pytest.raises(error):
-            codec.encode_frame(7, b"", bad_rev)
 
 
 SRC = pathlib.Path(repro.store.__file__).resolve().parents[2]
@@ -170,3 +158,40 @@ class TestOneOfEach:
         clients = [n for n in exported if n.endswith("Client")]
         assert daemons == ["FleetNode"]
         assert sorted(clients) == ["FleetClient", "StoreClient"]
+
+    def test_store_stack_is_one_of_each(self):
+        """One wire revision, one protocol module, one daemon class, one
+        request validator, one ``host:port`` parser."""
+        assert _modules_matching(
+            r"wire_rev|SUPPORTED_VERSIONS|RSTP2|recv_message|StoreOpHandlers"
+        ) == []
+        for definition in (
+            r"def decode_ops\(", r"def error_payload\(",
+            r"def decode_request\(", r"^VERSION = ",
+        ):
+            assert [
+                m for m in _modules_matching(definition)
+                if m.startswith("repro/store/")
+            ] == ["repro/store/protocol.py"], definition
+        assert _modules_matching(r'rpartition\(":"\)') == [
+            "repro/store/client.py"
+        ]
+        store = SRC / "repro/store"
+        daemons = [
+            (path.name, re.match(r"\w+", cls).group())
+            for path in sorted(store.rglob("*.py"))
+            for cls in re.split(r"^class ", path.read_text(), flags=re.M)[1:]
+            if "    def start(" in cls and "    def stop(" in cls
+        ]
+        assert daemons == [("server.py", "FleetNode")]
+        # The import graph is a DAG: no load-order pins, no imports
+        # deferred into a function body to dodge a cycle.
+        assert [
+            m for m in _modules_matching(
+                r"isort: *skip|^[ \t]+(from|import) repro\.store"
+            )
+            if m.startswith("repro/store/")
+        ] == []
+        assert sorted(p.stem for p in (store / "fleet").glob("*.py")) == [
+            "__init__", "cache", "client", "ring"
+        ]

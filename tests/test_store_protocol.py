@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+import re
 import socket
 import struct
 
@@ -126,3 +128,11 @@ class TestPayloadHelpers:
         assert len(ops) == len(set(ops))
         for op in ops:
             assert op in P.OP_NAMES
+
+    def test_store_doc_opcode_table_matches_op_names(self):
+        doc = pathlib.Path(__file__).parents[1] / "docs" / "STORE.md"
+        rows = re.findall(
+            r"^\| (0x[0-9A-F]{2}) +\| `(\w+)` +\|", doc.read_text(), re.M
+        )
+        assert {int(code, 16): name for code, name in rows} == P.OP_NAMES
+        assert len(rows) == len(P.OP_NAMES)

@@ -169,6 +169,45 @@ class TestDaemonRoundtrip:
         assert all(s["requests_served"] > 0 for s in stat["shards"].values())
         assert client.audit()["ok"]
 
+    @pytest.mark.parametrize(
+        "op, request_json",
+        [
+            (P.OP_GET_MANIFEST, {}),
+            (P.OP_GET_MANIFEST, [1]),
+            (P.OP_GET_MANIFEST, {"vm_id": 5}),
+            (P.OP_AUDIT, [1]),
+            (P.OP_HELLO, [1]),
+            (P.OP_PUT_MANIFEST, {}),
+            (P.OP_DEL_MANIFEST, []),
+        ],
+    )
+    def test_malformed_request_is_a_typed_error(self, fleet, op, request_json):
+        """Damaged JSON in a request answers ``StoreProtocolError:
+        malformed <OP>`` — never ``internal: KeyError`` — and the
+        connection keeps serving."""
+        for node in fleet:
+            with socket.create_connection(node.address, timeout=5) as sock:
+                P.send_frame(sock, op, P.encode_json(request_json))
+                rop, rpayload = P.recv_frame(sock)
+                assert rop == P.OP_ERR
+                err = P.decode_json(rpayload)
+                assert err["error"] == "StoreProtocolError"
+                assert err["message"].startswith(
+                    f"malformed {P.OP_NAMES[op]}: "
+                )
+                P.send_frame(sock, P.OP_PING)
+                assert P.recv_frame(sock) == (P.OP_OK, b"pong")
+
+    def test_wrong_version_byte_drops_the_connection(self, fleet):
+        """One wire revision: a frame stamped with any other version is
+        garbage framing to the daemon, exactly like bad magic."""
+        frame = bytearray(P.encode_frame(P.OP_PING))
+        frame[4] = P.VERSION - 1
+        for node in fleet:
+            with socket.create_connection(node.address, timeout=5) as sock:
+                sock.sendall(frame)
+                assert sock.recv(1) == b""  # hung up, no reply
+
     def test_many_clients_concurrently(self, fleet):
         errors: list[Exception] = []
 
@@ -342,7 +381,7 @@ class TestReplication:
 class MidFrameServer:
     """A fake store daemon that dies mid-response-frame.
 
-    It negotiates like the real one (``HELLO`` -> ``OK``, unless
+    It shakes hands like the real one (``HELLO`` -> ``OK``, unless
     ``hello`` overrides that answer) and answers every other request
     ``OK pong`` — except that on its first ``die_count`` connections it
     sends only ``reply_bytes`` bytes of that response and slams the
@@ -388,11 +427,9 @@ class MidFrameServer:
                 if self.hello is not None:
                     conn.sendall(self.hello)
                     return
-                P.send_frame(
-                    conn, P.OP_OK, P.encode_json({"version": P.RSTP2})
-                )
+                P.send_frame(conn, P.OP_OK, P.encode_json({}))
                 continue
-            reply = P.encode_frame(P.OP_OK, b"pong", P.RSTP2)
+            reply = P.encode_frame(P.OP_OK, b"pong")
             if dying:
                 conn.sendall(reply[: self.reply_bytes])
                 return
@@ -473,13 +510,18 @@ class TestHelloHardening:
 
     def test_hello_answered_by_unexpected_opcode(self):
         self._refused(
-            P.encode_frame(P.OP_CHUNK, b"\0" * 40, P.RSTP2),
+            P.encode_frame(P.OP_CHUNK, b"\0" * 40),
             match=r"refused HELLO \(opcode 0x82\)",
         )
 
     def test_hello_answered_by_mid_frame_hangup(self):
-        reply = P.encode_frame(P.OP_OK, P.encode_json({"version": P.RSTP2}))
+        reply = P.encode_frame(P.OP_OK, P.encode_json({"node_id": "n0"}))
         self._refused(reply[: P.HEADER.size + 3], match="mid-frame")
+
+    def test_hello_answered_in_another_wire_version(self):
+        reply = bytearray(P.encode_frame(P.OP_OK, P.encode_json({})))
+        reply[4] = P.VERSION + 1
+        self._refused(bytes(reply), match="unsupported protocol version")
 
 
 class TestPipelinedUpload:
