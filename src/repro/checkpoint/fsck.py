@@ -82,7 +82,7 @@ def verify_checkpoint_bytes(data: bytes) -> list[dict]:
         # The section table survived: probe every handle's extent
         # individually — each failing CRC is one repairable range.
         for s in src.handles:
-            actual = s.crc_actual()
+            actual = src.section_crc(s)
             if actual != s.crc32:
                 problems.append(
                     {

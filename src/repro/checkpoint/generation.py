@@ -34,7 +34,11 @@ class GenRecord:
 
     ``data`` is the committed file byte-for-byte; ``stdout`` is the
     cumulative program output at the safe point the generation was
-    taken.
+    taken.  A record decoded off the wire holds its bytes.  A captured
+    one holds a reader instead and opens the file at the first use of
+    ``data`` — the warm plane ships and mirrors them, the cold plane
+    uploads the file itself and never asks — and refuses once a later
+    capture has replaced that file.
     """
 
     seq: int
@@ -50,6 +54,27 @@ class GenRecord:
     @property
     def data_sha256(self) -> str:
         return hashlib.sha256(self.data).hexdigest()
+
+
+class _Payload:
+    """``GenRecord.data``: the bytes, or a zero-argument reader that is
+    called (once) the first time they are asked for."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return self
+        value = rec.__dict__["data"]
+        if callable(value):
+            value = rec.__dict__["data"] = value()
+        return value
+
+    def __set__(self, rec, value) -> None:
+        rec.__dict__["data"] = value
+
+
+# Installed after the dataclass is built, so ``data`` stays an ordinary
+# required field of its constructor (and of ``dataclasses.replace``).
+GenRecord.data = _Payload()
 
 
 class TailHooks(CommitHooks):
@@ -86,6 +111,9 @@ class CommitTailer:
         self.vm = vm
         self.path = path
         self.seq = 0
+        #: Checkpoints started at ``path``: whichever a record was cut
+        #: from, the next one (even a torn one) ends its claim on the file.
+        self._writes = 0
 
     def capture(self, inner_hooks: Optional[CommitHooks] = None) -> GenRecord:
         """Checkpoint now and package the committed generation.
@@ -105,6 +133,7 @@ class CommitTailer:
         hooks = TailHooks(inner_hooks)
         saved_hooks = vm.config.commit_hooks
         vm.config.commit_hooks = hooks
+        self._writes += 1
         try:
             vm.perform_checkpoint()
         finally:
@@ -115,9 +144,18 @@ class CommitTailer:
                 f"point; refusing to protect a torn generation"
             )
         stats = vm.last_checkpoint_stats
-        with open(self.path, "rb") as f:
-            data = f.read()
         self.seq += 1
+        seq, write = self.seq, self._writes
+
+        def committed_file() -> bytes:
+            if self._writes != write:
+                raise ReplicationError(
+                    f"generation {seq} of {self.path} was not read before "
+                    f"a later checkpoint replaced its file"
+                )
+            with open(self.path, "rb") as f:
+                return f.read()
+
         kind = stats.kind if stats is not None else "full"
         body_sha = vm.delta_parent_sha  # the writer just updated it
         return GenRecord(
@@ -133,5 +171,5 @@ class CommitTailer:
             format_version=detect_format_version(self.path),
             instructions=vm.interp.instructions,
             stdout=stdout_so_far,
-            data=data,
+            data=committed_file,
         )

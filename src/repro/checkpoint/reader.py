@@ -37,6 +37,7 @@ a delta touched.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from collections import deque
@@ -193,6 +194,10 @@ def load_snapshot_chain(path: str, defer: bool = False) -> VMSnapshot:
 
     snap = read_link(path)
     if snap.delta is None:
+        if sources:
+            # The source keeps the snapshot it built; the list it rides
+            # on goes on a copy, or the two would hold each other.
+            snap = copy.copy(snap)
         snap._sources = sources
         return snap
     chain = [snap]
@@ -457,6 +462,7 @@ def _fresh_heap(vm: VirtualMachine) -> None:
         layout.chunk_stride,
         chunk_words=vm.mem.heap.chunk_words,
     )
+    vm.mem.heap.attach_dirty(vm.mem.dirty)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +673,47 @@ def _repack_chunk_payloads(
 # ---------------------------------------------------------------------------
 
 
+def _conversion_thunk(convert, label: str, stats: RestartStats, mapper):
+    """The thunk a staged area carries: run ``convert``, account time,
+    type errors.
+
+    Conversion failures surface as :class:`CheckpointIntegrityError`
+    whether the thunk runs inside the restart or fires arbitrarily
+    late — a corrupt chunk must not escape as a random numpy/index
+    crash, past the generation fallback or mid-execution.
+
+    It sits inside the VM's own memory (the area holds it until it
+    fires), so it must reach nothing that reaches that memory back: not
+    the :class:`LazyRestoreState` tracking the area, not the VM.
+    """
+
+    def thunk(arr) -> None:
+        t0 = time.perf_counter()
+        try:
+            convert(arr)
+        except CheckpointError:
+            raise
+        except Exception as exc:
+            when = "lazy conversion" if stats.lazy else "conversion"
+            raise CheckpointIntegrityError(
+                f"{when} of {label} failed: {exc}",
+                section="heap",
+            ) from exc
+        # The lazy_* fields count work deferred past the restart's
+        # return; an eager drain is timed by the restart's phases.
+        if stats.lazy:
+            stats.lazy_chunks_converted += 1
+            stats.lazy_seconds += time.perf_counter() - t0
+            stats.dangling_pointers = mapper.dangling_pointers
+
+    return thunk
+
+
 class LazyRestoreState:
     """The heap-conversion schedule of one restart.
 
     Every restored heap chunk is staged with a conversion thunk (see
-    :meth:`MemoryArea.ensure_converted`) built by :meth:`wrap`.  An
+    :meth:`MemoryArea.ensure_converted`) given it by :meth:`attach`.  An
     eager restart runs them all before it returns (:meth:`finish`) and
     drops this object.  A ``--lazy-restore`` restart leaves it on
     ``vm.lazy_restore`` instead (:meth:`install`): chunks then convert
@@ -701,7 +743,9 @@ class LazyRestoreState:
 
     def attach(self, area: MemoryArea, convert) -> None:
         """Give one staged area its thunk, and track it."""
-        area.defer_conversion(self.wrap(convert, area.label))
+        area.defer_conversion(
+            _conversion_thunk(convert, area.label, self.stats, self.mapper)
+        )
         self._pending.append(area)
 
     def install(self, vm: VirtualMachine) -> None:
@@ -719,37 +763,6 @@ class LazyRestoreState:
         RESTART.sections_deferred += st.sections_deferred
         RESTART.bytes_deferred += st.bytes_deferred
         vm.lazy_restore = self
-
-    def wrap(self, convert, label: str):
-        """Build the thunk: run ``convert``, account time, type errors.
-
-        Conversion failures surface as :class:`CheckpointIntegrityError`
-        whether the thunk runs inside the restart or fires arbitrarily
-        late — a corrupt chunk must not escape as a random numpy/index
-        crash, past the generation fallback or mid-execution.
-        """
-
-        def thunk(arr) -> None:
-            t0 = time.perf_counter()
-            try:
-                convert(arr)
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                when = "lazy conversion" if self.stats.lazy else "conversion"
-                raise CheckpointIntegrityError(
-                    f"{when} of {label} failed: {exc}",
-                    section="heap",
-                ) from exc
-            st = self.stats
-            # The lazy_* fields count work deferred past the restart's
-            # return; an eager drain is timed by the restart's phases.
-            if st.lazy:
-                st.lazy_chunks_converted += 1
-                st.lazy_seconds += time.perf_counter() - t0
-                st.dangling_pointers = self.mapper.dangling_pointers
-
-        return thunk
 
     @property
     def pending(self) -> int:
@@ -1608,7 +1621,7 @@ class ResidentImage:
             for thread in vm.sched.threads.values():
                 thread.stack.reset()
             _restore_threads_raw(vm, snap)
-            conv.mapper.refresh(snap)
+            conv.mapper.refresh(snap, vm.sched.threads)
             for c, blocks in plan.touched:
                 conv.convert(c, staged[c], blocks)
             _restore_roots(

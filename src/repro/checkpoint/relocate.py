@@ -37,7 +37,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class AddressMapper:
-    """Maps source-machine addresses to target-machine addresses."""
+    """Maps source-machine addresses to target-machine addresses.
+
+    Built from the target ``vm`` but keeps only the addresses it maps
+    to (and the atom table), never the VM or its address space: a lazy
+    restart's conversion thunks hold the mapper from inside the heap
+    chunks they will convert.
+    """
 
     def __init__(
         self,
@@ -45,9 +51,12 @@ class AddressMapper:
         vm: "VirtualMachine",
         heap_relocation: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        self.vm = vm
         self.src_wb = snap.arch.word_bytes
         self.dst_wb = vm.platform.arch.word_bytes
+        self._dst_code_base = vm.code_base
+        self._dst_code_end = vm.code_end
+        self._dst_atoms = vm.mem.atoms
+        self._dst_cglobal_base = vm.mem.cglobals.area.base
         if heap_relocation is not None:
             keys, vals = heap_relocation
             order = np.argsort(keys)
@@ -68,10 +77,11 @@ class AddressMapper:
             for src_base, chunk in zip(src_chunk_bases, dst_chunks):
                 self._heap_chunk_targets[src_base] = chunk.base
         self._misses = 0
-        self.refresh(snap)
+        self.refresh(snap, vm.sched.threads)
 
-    def refresh(self, snap: VMSnapshot) -> None:
-        """(Re)derive everything but the heap tables from ``snap``.
+    def refresh(self, snap: VMSnapshot, threads: dict) -> None:
+        """(Re)derive everything but the heap tables from ``snap`` and
+        the target VM's ``threads``.
 
         The saved boundaries, the stack anchors and the code end belong
         to one generation — a stack that grew moved its low boundary —
@@ -88,7 +98,7 @@ class AddressMapper:
         # Thread stacks: label -> (source high, target high).
         self._stack_highs: dict[str, tuple[int, int]] = {}
         by_label = {a.label: a for a in snap.boundaries}
-        for tid, t in self.vm.sched.threads.items():
+        for t in threads.values():
             label = t.stack.label
             src = by_label.get(label)
             if src is not None:
@@ -116,7 +126,7 @@ class AddressMapper:
     def map(self, addr: int) -> Optional[int]:
         """Adjust one pointer; ``None`` if it lies in no saved area."""
         if addr == self._code_end:
-            return self.vm.code_base + 4 * len(self.vm.code.units)
+            return self._dst_code_end
         area = self.source_area(addr)
         if area is None:
             return None
@@ -125,13 +135,13 @@ class AddressMapper:
             return self._map_heap(addr, area)
         if kind == "code":
             unit = (addr - area.base) // 4
-            return self.vm.code_base + 4 * unit
+            return self._dst_code_base + 4 * unit
         if kind == AreaKind.ATOMS.value:
             tag = (addr - area.base) // self.src_wb - 1
-            return self.vm.mem.atoms.atom(tag)
+            return self._dst_atoms.atom(tag)
         if kind == AreaKind.C_GLOBALS.value:
             slot = (addr - area.base) // self.src_wb
-            return self.vm.mem.cglobals.area.base + slot * self.dst_wb
+            return self._dst_cglobal_base + slot * self.dst_wb
         if kind in (AreaKind.STACK.value, AreaKind.THREAD_STACK.value):
             highs = self._stack_highs.get(area.label)
             if highs is None:
@@ -185,7 +195,6 @@ class AddressMapper:
         A = np.zeros(n, dtype=np.uint64)
         d = np.ones(n, dtype=np.uint64)
         s = np.ones(n, dtype=np.uint64)
-        vm = self.vm
         src_wb, dst_wb = self.src_wb, self.dst_wb
         for i, area in enumerate(self._areas):
             bases[i] = area.base
@@ -197,11 +206,11 @@ class AddressMapper:
                 else:
                     A[i] = self._heap_chunk_targets[area.base]
             elif kind == "code":
-                A[i], d[i], s[i] = vm.code_base, 4, 4
+                A[i], d[i], s[i] = self._dst_code_base, 4, 4
             elif kind == AreaKind.ATOMS.value:
-                A[i], d[i], s[i] = vm.mem.atoms.area.base, src_wb, dst_wb
+                A[i], d[i], s[i] = self._dst_atoms.area.base, src_wb, dst_wb
             elif kind == AreaKind.C_GLOBALS.value:
-                A[i], d[i], s[i] = vm.mem.cglobals.area.base, src_wb, dst_wb
+                A[i], d[i], s[i] = self._dst_cglobal_base, src_wb, dst_wb
             elif kind in (AreaKind.STACK.value, AreaKind.THREAD_STACK.value):
                 highs = self._stack_highs.get(area.label)
                 if highs is None:
@@ -230,7 +239,7 @@ class AddressMapper:
         if self._code_end is not None:
             ce = addrs == np.uint64(self._code_end)
             if ce.any():
-                mapped[ce] = self.vm.code_base + 4 * len(self.vm.code.units)
+                mapped[ce] = self._dst_code_end
                 ok[ce] = True
         else:
             ce = np.zeros(addrs.shape, dtype=bool)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import weakref
 import zlib
 from typing import Optional
 
@@ -63,6 +64,68 @@ def _fmt():
     return _format_mod
 
 
+class _Backing:
+    """Where a source's bytes live — an in-memory image or a pinned file
+    descriptor — and what still keeps the descriptor open: unfinished
+    verification, chunk slices not yet read.
+
+    Shared by the :class:`SnapshotSource` and the :class:`ChunkSlice`
+    objects it hands out.  A slice reads through this and not through
+    the source: the source holds the snapshot that holds the slice.
+    """
+
+    __slots__ = ("data", "fd", "size", "bytes_read", "verified",
+                 "slices_pending", "sliced_handles", "_close_fd",
+                 "__weakref__")
+
+    def __init__(self, data: Optional[bytes], fd: Optional[int],
+                 size: int) -> None:
+        self.data = data
+        self.fd = fd
+        self.size = size
+        self.bytes_read = size if data is not None else 0
+        #: Every section CRC, the body SHA-256 and the end CRC checked.
+        self.verified = False
+        self.slices_pending = 0
+        #: Section handles that count as resolved once the last slice
+        #: has been read (the heap's).
+        self.sliced_handles: list = []
+        # Closes the descriptor if the last holder drops this still open.
+        self._close_fd = (
+            weakref.finalize(self, os.close, fd) if fd is not None else None
+        )
+
+    def read(self, off: int, n: int) -> bytes:
+        if self.data is not None:
+            return self.data[off : off + n]
+        self.bytes_read += n
+        return os.pread(self.fd, n, off)
+
+    def whole(self) -> bytes:
+        if self.data is None:
+            self.data = os.pread(self.fd, self.size, 0)
+            self.bytes_read = self.size
+        return self.data
+
+    def close(self) -> None:
+        if self.fd is not None:
+            self.fd = None
+            self._close_fd()
+
+    def release(self) -> None:
+        """Drop the fd once nothing can ask for more reads."""
+        if self.verified and self.slices_pending == 0:
+            self.close()
+
+    def slice_materialized(self) -> None:
+        if self.slices_pending > 0:
+            self.slices_pending -= 1
+            if self.slices_pending == 0:
+                for h in self.sliced_handles:
+                    h.resolved = True
+                self.release()
+
+
 class ChunkSlice:
     """One heap chunk's payload, unread until touched.
 
@@ -73,11 +136,13 @@ class ChunkSlice:
     needs (block headers, string last-words) with run coalescing.
     """
 
-    __slots__ = ("base", "n_words", "_source", "_offset", "_arr")
+    __slots__ = ("base", "n_words", "_backing", "_dtype", "_offset", "_arr")
 
-    def __init__(self, source: "SnapshotSource", base: int, n_words: int,
-                 offset: int) -> None:
-        self._source = source
+    def __init__(self, backing: _Backing, dtype: np.dtype, base: int,
+                 n_words: int, offset: int) -> None:
+        self._backing = backing
+        #: The words as stored: source word size and byte order.
+        self._dtype = dtype
         self.base = base
         self.n_words = n_words
         self._offset = offset
@@ -93,9 +158,8 @@ class ChunkSlice:
     def materialize(self) -> np.ndarray:
         """Read, decode, and cache the full payload (uint64)."""
         if self._arr is None:
-            src = self._source
-            wb = src.arch.word_bytes
-            raw = src._read(self._offset, self.n_words * wb)
+            wb = self._dtype.itemsize
+            raw = self._backing.read(self._offset, self.n_words * wb)
             if len(raw) != self.n_words * wb:
                 raise CheckpointIntegrityError(
                     f"heap chunk payload truncated: needed "
@@ -105,8 +169,8 @@ class ChunkSlice:
                     offset=self._offset,
                     length=self.n_words * wb,
                 )
-            self._arr = np.frombuffer(raw, dtype=src._dtype).astype(np.uint64)
-            src._note_slice_materialized()
+            self._arr = np.frombuffer(raw, dtype=self._dtype).astype(np.uint64)
+            self._backing.slice_materialized()
         return self._arr
 
     def gather(self, idx) -> np.ndarray:
@@ -117,18 +181,18 @@ class ChunkSlice:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return np.empty(0, dtype=np.uint64)
-        src = self._source
-        wb = src.arch.word_bytes
+        read = self._backing.read
+        wb = self._dtype.itemsize
         uniq = idx if (np.diff(idx) > 0).all() else np.unique(idx)
         bounds = np.flatnonzero(np.diff(uniq) > _GATHER_SLACK) + 1
         lo = uniq[np.concatenate(([0], bounds))]
         n = uniq[np.concatenate((bounds - 1, [uniq.size - 1]))] + 1 - lo
         spans = np.frombuffer(
             b"".join(
-                src._read(self._offset + a * wb, k * wb)
+                read(self._offset + a * wb, k * wb)
                 for a, k in zip(lo.tolist(), n.tolist())
             ),
-            dtype=src._dtype,
+            dtype=self._dtype,
         )
         # Where each run's first word landed in ``spans``.
         run = np.searchsorted(lo, uniq, side="right") - 1
@@ -152,14 +216,15 @@ class ChunkSlice:
 
 
 class SectionHandle:
-    """One body section: named byte extent + lazy read/verify/parse."""
+    """One body section: a named byte extent and how far its lazy
+    read/verify/parse has come.  A plain record — the bytes are read
+    through the :class:`SnapshotSource` that lists it
+    (:meth:`SnapshotSource.read_section`), which it does not refer to."""
 
-    __slots__ = ("source", "name", "offset", "length", "crc32",
-                 "verified", "resolved")
+    __slots__ = ("name", "offset", "length", "crc32", "verified", "resolved")
 
-    def __init__(self, source: "SnapshotSource", name: str, offset: int,
-                 length: int, crc32: int) -> None:
-        self.source = source
+    def __init__(self, name: str, offset: int, length: int,
+                 crc32: int) -> None:
         self.name = name
         self.offset = offset
         self.length = length
@@ -172,32 +237,6 @@ class SectionHandle:
     @property
     def end(self) -> int:
         return self.offset + self.length
-
-    def read(self) -> bytes:
-        """The section's bytes, CRC-verified on first call."""
-        data = self.source._read(self.offset, self.length)
-        if not self.verified:
-            actual = zlib.crc32(data) & 0xFFFFFFFF
-            if actual != self.crc32:
-                raise CheckpointIntegrityError(
-                    f"section '{self.name}' CRC mismatch at bytes "
-                    f"{self.offset}..{self.end} (expected "
-                    f"{self.crc32:#010x}, got {actual:#010x})",
-                    section=self.name,
-                    offset=self.offset,
-                    length=self.length,
-                    expected=self.crc32,
-                    actual=actual,
-                )
-            self.verified = True
-            self.source._feed(self.offset, data)
-        return data
-
-    def crc_actual(self) -> int:
-        """The CRC32 of the section bytes as stored (no verify, no
-        state change) — fsck's damage probe."""
-        data = self.source._read(self.offset, self.length)
-        return zlib.crc32(data) & 0xFFFFFFFF
 
 
 class SnapshotSource:
@@ -215,8 +254,7 @@ class SnapshotSource:
                  fd: Optional[int], size: int, defer: bool,
                  tolerant: bool) -> None:
         self.path = path
-        self._data = data
-        self._fd = fd
+        self._backing = _Backing(data, fd, size)
         self.size = size
         self._defer = defer
         self.profile: Optional[FormatProfile] = None
@@ -233,12 +271,9 @@ class SnapshotSource:
         self._crc = 0
         self._frontier = 0
         self._pending_feed: dict[int, bytes] = {}
-        self.fully_verified = False
-        self.bytes_read = size if data is not None else 0
         self._builder: Optional[registry.SnapshotBuilder] = None
         self._next_parse = 0
         self._aligned = True
-        self._slices_pending = 0
         self._open_error: Optional[CheckpointFormatError] = None
         try:
             self._open()
@@ -272,27 +307,56 @@ class SnapshotSource:
     # -- raw IO --------------------------------------------------------------
 
     def _read(self, off: int, n: int) -> bytes:
-        if self._data is not None:
-            return self._data[off : off + n]
-        self.bytes_read += n
-        return os.pread(self._fd, n, off)
+        return self._backing.read(off, n)
 
     def _whole(self) -> bytes:
-        if self._data is None:
-            self._data = os.pread(self._fd, self.size, 0)
-            self.bytes_read = self.size
-        return self._data
+        return self._backing.whole()
 
     def close(self) -> None:
-        fd, self._fd = self._fd, None
-        if fd is not None:
-            os.close(fd)
+        self._backing.close()
 
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+    @property
+    def _fd(self) -> Optional[int]:
+        return self._backing.fd
+
+    @property
+    def bytes_read(self) -> int:
+        return self._backing.bytes_read
+
+    @property
+    def fully_verified(self) -> bool:
+        """Every section CRC, the whole-body SHA-256 and the
+        end-of-file CRC have been checked."""
+        return self._backing.verified
+
+    @fully_verified.setter
+    def fully_verified(self, done: bool) -> None:
+        self._backing.verified = done
+
+    def read_section(self, h: SectionHandle) -> bytes:
+        """The section's bytes, CRC-verified on first call."""
+        data = self._read(h.offset, h.length)
+        if not h.verified:
+            actual = zlib.crc32(data) & 0xFFFFFFFF
+            if actual != h.crc32:
+                raise CheckpointIntegrityError(
+                    f"section '{h.name}' CRC mismatch at bytes "
+                    f"{h.offset}..{h.end} (expected "
+                    f"{h.crc32:#010x}, got {actual:#010x})",
+                    section=h.name,
+                    offset=h.offset,
+                    length=h.length,
+                    expected=h.crc32,
+                    actual=actual,
+                )
+            h.verified = True
+            self._feed(h.offset, data)
+        return data
+
+    def section_crc(self, h: SectionHandle) -> int:
+        """The CRC32 of the section bytes as stored (no verify, no
+        state change) — fsck's damage probe."""
+        return zlib.crc32(self._read(h.offset, h.length)) & 0xFFFFFFFF
 
     # -- open-time resolution ------------------------------------------------
 
@@ -399,15 +463,13 @@ class SnapshotSource:
             )
         self.recorded_sha = sha
         self.handles = [
-            SectionHandle(self, name, off, length, crc32v)
+            SectionHandle(name, off, length, crc32v)
             for name, off, length, crc32v in entries
         ]
 
     def _release_backing(self) -> None:
         """Drop the fd once nothing can ask for more reads."""
-        if (self._fd is not None and self.fully_verified
-                and self._slices_pending == 0):
-            self.close()
+        self._backing.release()
 
     # -- verification accumulator --------------------------------------------
 
@@ -461,20 +523,10 @@ class SnapshotSource:
             return
         for h in self.handles:
             if not h.verified:
-                h.read()
+                self.read_section(h)
         self._finalize_digests()
 
     # -- parsing -------------------------------------------------------------
-
-    def _note_slice_materialized(self) -> None:
-        if self._slices_pending > 0:
-            self._slices_pending -= 1
-            if self._slices_pending == 0:
-                if self.handles is not None:
-                    for h in self.handles:
-                        if h.name == "heap":
-                            h.resolved = True
-                self._release_backing()
 
     def _resolve_sections(self, defer_heap: bool) -> None:
         fmt = _fmt()
@@ -490,7 +542,7 @@ class SnapshotSource:
                 self._parse_heap_deferred(h, b)
                 self._next_parse = i + 1
                 continue
-            data = h.read()
+            data = self.read_section(h)
             r = fmt.SectionReader(data, arch=self.arch)
             r.base = h.offset
             r.begin(codec.name)
@@ -538,6 +590,7 @@ class SnapshotSource:
             raise trunc(4, h.offset)
         (n_chunks,) = struct.unpack("<I", self._read(h.offset, 4))
         b.n_chunks = n_chunks
+        self._backing.sliced_handles.append(h)
         cursor = h.offset + 4
         for _ in range(n_chunks):
             if cursor + wb + 8 > end:
@@ -549,9 +602,10 @@ class SnapshotSource:
             if payload_off + count * wb > end:
                 raise trunc(count * wb, payload_off)
             b.heap_chunks.append(
-                (base, ChunkSlice(self, base, count, payload_off))
+                (base, ChunkSlice(self._backing, self._dtype, base, count,
+                                   payload_off))
             )
-            self._slices_pending += 1
+            self._backing.slices_pending += 1
             cursor = payload_off + count * wb
         if cursor != end:
             raise CheckpointFormatError(
@@ -570,7 +624,6 @@ class SnapshotSource:
     def _adopt(self, snap) -> None:
         snap.sections = self.section_entries()
         snap.body_sha256 = self.recorded_sha
-        snap._source = self
         self.snapshot = snap
 
     def _build(self) -> None:
@@ -599,8 +652,8 @@ class SnapshotSource:
         """
         if self._open_error is not None:
             raise self._open_error
-        if self.snapshot is not None and self._slices_pending == 0 \
-                and self.fully_verified:
+        if self.snapshot is not None and self.fully_verified \
+                and self._backing.slices_pending == 0:
             return self.snapshot
         if not self._aligned:
             self._resolve_unaligned()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 import zlib
 from collections import deque
 from typing import Optional, Sequence
@@ -23,21 +24,24 @@ class ClusterDeadlock(ReproError):
 
 
 class _Binding:
-    """The per-VM view of the cluster (what the prims talk to)."""
+    """The per-VM view of the cluster (what the prims talk to).
+
+    The cluster owns its nodes' VMs, so a VM refers to it weakly.
+    """
 
     def __init__(self, cluster: "Cluster", rank: int) -> None:
-        self._cluster = cluster
+        self._cluster = weakref.ref(cluster)
         self.rank = rank
 
     @property
     def size(self) -> int:
-        return len(self._cluster.nodes)
+        return len(self._cluster().nodes)
 
     def send(self, dest: int, payload: bytes) -> None:
-        self._cluster.deliver(self.rank, dest, payload)
+        self._cluster().deliver(self.rank, dest, payload)
 
     def recv(self) -> Optional[bytes]:
-        mailbox = self._cluster.nodes[self.rank].mailbox
+        mailbox = self._cluster().nodes[self.rank].mailbox
         if mailbox:
             return mailbox.popleft()
         return None

@@ -48,7 +48,7 @@ class GCController:
         #: this while memory is being rebuilt (paper §3.2.2: "during
         #: restart the garbage collector should not work").
         self.disabled = False
-        mem.minor_gc_hook = self.minor_collection
+        mem.attach_collector(self)
 
     # -- entry points -----------------------------------------------------------
 

@@ -15,23 +15,13 @@ allocating mutator via the :class:`~repro.gc.controller.GCController`.
 
 from __future__ import annotations
 
-import enum
-
 from repro.gc.roots import RootProvider
 from repro.memory.blocks import Color
 from repro.memory.heap import NULL
-from repro.memory.manager import MemoryManager
+from repro.memory.manager import MemoryManager, Phase
 
 #: Default capacity of the gray-value stack before the heap turns impure.
 DEFAULT_GRAYVALS_LIMIT = 2048
-
-
-class Phase(enum.Enum):
-    """Major collector phase."""
-
-    IDLE = "idle"
-    MARK = "mark"
-    SWEEP = "sweep"
 
 
 class MajorCollector:
@@ -45,7 +35,6 @@ class MajorCollector:
     ) -> None:
         self.mem = mem
         self.roots = roots
-        self.phase = Phase.IDLE
         #: Stack of gray block pointers (paper §2.4.1, ``grayvals``).
         self.grayvals: list[int] = []
         self.grayvals_limit = grayvals_limit
@@ -63,9 +52,18 @@ class MajorCollector:
         self.mark_slices = 0
         self.sweep_slices = 0
         self.words_swept_free = 0
-        mem.major_gc = self
 
     # -- state predicates ----------------------------------------------------
+
+    @property
+    def phase(self) -> Phase:
+        """Where the cycle stands; stored on the memory manager, whose
+        write barrier and major allocator test it."""
+        return self.mem.major_phase
+
+    @phase.setter
+    def phase(self, phase: Phase) -> None:
+        self.mem.major_phase = phase
 
     @property
     def is_marking(self) -> bool:

@@ -271,13 +271,12 @@ def _f_pushatom(I, e, nxt):
 def _f_getglobal(I, e, nxt):
     n = e.raw[0]
     mem = I._mem
-    vm = I.vm
     if nxt is None:
         def h():
-            I.accu = mem.field(vm.global_data, n)
+            I.accu = mem.field(I.global_data, n)
     else:
         def h():
-            I.accu = mem.field(vm.global_data, n)
+            I.accu = mem.field(I.global_data, n)
             return nxt
     return h
 
@@ -285,15 +284,14 @@ def _f_getglobal(I, e, nxt):
 def _f_pushgetglobal(I, e, nxt):
     n = e.raw[0]
     mem = I._mem
-    vm = I.vm
     if nxt is None:
         def h():
             I.stack.push(I.accu)
-            I.accu = mem.field(vm.global_data, n)
+            I.accu = mem.field(I.global_data, n)
     else:
         def h():
             I.stack.push(I.accu)
-            I.accu = mem.field(vm.global_data, n)
+            I.accu = mem.field(I.global_data, n)
             return nxt
     return h
 
@@ -301,14 +299,13 @@ def _f_pushgetglobal(I, e, nxt):
 def _f_setglobal(I, e, nxt):
     n = e.raw[0]
     mem = I._mem
-    vm = I.vm
     if nxt is None:
         def h():
-            mem.set_field(vm.global_data, n, I.accu)
+            mem.set_field(I.global_data, n, I.accu)
             I.accu = _VAL_FALSE
     else:
         def h():
-            mem.set_field(vm.global_data, n, I.accu)
+            mem.set_field(I.global_data, n, I.accu)
             I.accu = _VAL_FALSE
             return nxt
     return h
@@ -552,7 +549,7 @@ def _f_makeblock(I, e, nxt):
 
 
 def _f_strlit(I, e, nxt):
-    data = I.vm.code.string_literals[e.raw[0]]
+    data = I._code.string_literals[e.raw[0]]
     mem = I._mem
     if nxt is None:
         def h():
@@ -565,7 +562,7 @@ def _f_strlit(I, e, nxt):
 
 
 def _f_floatlit(I, e, nxt):
-    x = I.vm.code.float_literals[e.raw[0]]
+    x = I._code.float_literals[e.raw[0]]
     mem = I._mem
     if nxt is None:
         def h():
@@ -746,11 +743,11 @@ def _make_escape(I: "Interpreter"):
         pc = I.pc
         op = I._units[pc]
         I.pc = pc + 1
-        table = I._handlers
+        table = I._HANDLERS
         handler = table[op] if 0 <= op < len(table) else None
         if handler is None:
             raise BytecodeError(f"illegal opcode {op} at {pc}")
-        handler()
+        handler(I)
     return h
 
 
@@ -810,11 +807,10 @@ def _sf_constint_push_getglobal(I, members):
     n = members[2].raw[0]
     nxt = members[2].next
     mem = I._mem
-    vm = I.vm
 
     def h():
         I.stack.push(val)  # CONSTINT overwrote accu, PUSH pushed it
-        I.accu = mem.field(vm.global_data, n)
+        I.accu = mem.field(I.global_data, n)
         return nxt
     return h
 
@@ -979,7 +975,6 @@ def _make_kernel(I: "Interpreter", plan: CountedLoopPlan):
     """
     mem = I._mem
     v = I._values
-    vm = I.vm
     iter_count = plan.iter_count
     fallback, exit_pass = _make_loop_edges(I, plan)
 
@@ -993,7 +988,7 @@ def _make_kernel(I: "Interpreter", plan: CountedLoopPlan):
         return ref, v.int_val(cell)
 
     def kernel():
-        gd = vm.global_data
+        gd = I.global_data
         try:
             counter_ref, c0 = read_int_cell(gd, plan.counter)
             if plan.bound_global is not None:
@@ -1091,6 +1086,13 @@ def _make_kernel(I: "Interpreter", plan: CountedLoopPlan):
 # ---------------------------------------------------------------------------
 
 
+def _loop_invariant(e) -> bool:
+    """True if the expression tree ``e`` never reads the loop counter."""
+    if e == ("slot", 0):
+        return False
+    return all(_loop_invariant(x) for x in e[1:] if isinstance(x, tuple))
+
+
 def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
     """Bind an array-stride loop plan into a numpy-batched kernel.
 
@@ -1119,7 +1121,6 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
     """
     mem = I._mem
     v = I._values
-    vm = I.vm
     space = mem.space
     arch = mem.arch
     wb = arch.word_bytes
@@ -1142,11 +1143,6 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
             a = np.asarray(seq, dtype=np.int64)
             return np.where(a >= half, a - full, a)
 
-    def invariant(e) -> bool:
-        if e == ("slot", 0):
-            return False
-        return all(invariant(x) for x in e[1:] if isinstance(x, tuple))
-
     # Reduction shape: the stored cell is loop-invariant and the value
     # is that same cell plus/minus a term (ADDINT commutes; SUBINT only
     # with the cell on the left).
@@ -1154,7 +1150,7 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
     red_sign = 0
     if (
         isinstance(s_val, tuple) and s_val[0] == "bin"
-        and invariant(s_arr) and invariant(s_idx)
+        and _loop_invariant(s_arr) and _loop_invariant(s_idx)
     ):
         cell = ("elem", s_arr, s_idx)
         op, lhs, rhs = s_val[1], s_val[2], s_val[3]
@@ -1184,7 +1180,7 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
                 raise _BatchAbort()
             ks = c0 + step * np.arange(m, dtype=np.int64)
             counter_words = (ks << 1) | 1
-            gd = vm.global_data
+            gd = I.global_data
             gd_signed = to_signed(gd)
             read_blocks = set()    # block addresses the batch read
             scalar_reads = set()   # exact cell addresses of scalar loads
@@ -1393,6 +1389,11 @@ def _make_stride_kernel(I: "Interpreter", plan: StrideLoopPlan):
             counter_final = c0 + m * step
         except (_BatchAbort, IndexError, MemoryError_):
             return fallback()
+        finally:
+            # ``ev`` is recursive, so it refers to itself: unhook it, or
+            # every batch leaves a cycle behind that holds this frame's
+            # arrays — and, through ``mem``, the whole heap.
+            ev = None
         # Commit the counter and the canonical accounting.
         stack.poke(0, v.val_int(counter_final))
         I._advance(m * iter_count)
@@ -1425,7 +1426,7 @@ def build_fast_code(
     ``fusion`` / ``kernels`` exist for differential testing: with both
     off the fast tier is pure operand-bound single dispatch.
     """
-    decoded = I.vm.code.decoded()
+    decoded = I._code.decoded()
     n = decoded.n_units
     entries = decoded.entries
     group_at = {}
@@ -1437,10 +1438,9 @@ def build_fast_code(
         for plan in decoded.loops:
             kernel_at[plan.head] = plan
     escape = _make_escape(I)
-    handlers: list = []
-    counts = [0] * n  # unbound slots take the stateful path
 
-    def bind_slot(i):
+    def bind_slot(fast, i):
+        handlers = fast.handlers
         plan = kernel_at.get(i)
         if plan is not None:
             if isinstance(plan, CountedLoopPlan):
@@ -1457,15 +1457,17 @@ def build_fast_code(
             fused = _make_fused(I, [entries[j] for j in g.members])
             if fused is not None:
                 handlers[i] = fused
-                counts[i] = g.count
+                fast.counts[i] = g.count
                 return
         handlers[i] = _make_single(I, e)
-        counts[i] = 1
+        fast.counts[i] = 1
 
     def lazy():
         # A stateful entry that executes nothing: pc stays put, and the
-        # loop dispatches the freshly bound slot on its next turn.
-        bind_slot(I.pc)
+        # loop dispatches the freshly bound slot on its next turn.  The
+        # table is reached through the VM that keeps it — this closure
+        # sits in it, and closing over it would make it a cycle.
+        bind_slot(I.vm.fast_code, I.pc)
 
-    handlers.extend([lazy] * n)
-    return FastCode(handlers, counts)
+    # Unbound slots take the stateful path (count 0).
+    return FastCode([lazy] * n, [0] * n)

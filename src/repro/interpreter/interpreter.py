@@ -32,13 +32,28 @@ class _ProgramStop(Exception):
 
 
 class Interpreter:
-    """Executes byte-code on behalf of the current VM thread."""
+    """Executes byte-code on behalf of the current VM thread.
+
+    The VM owns its interpreter, never the reverse: the constructor
+    takes from ``vm`` the parts the instructions work on (memory, code,
+    scheduler, pending set) and keeps no reference to ``vm`` itself, so
+    a dropped VM is not held alive through its interpreter.  The few
+    places that need the whole VM — a primitive's first argument, the
+    checkpoint and lazy-restore calls at a safe point — use :attr:`vm`,
+    which :meth:`run` binds for exactly the duration of the call.
+    """
 
     def __init__(self, vm: "VirtualMachine") -> None:
-        self.vm = vm
+        #: The VM being run; bound by :meth:`run`, ``None`` outside it.
+        self.vm: Optional["VirtualMachine"] = None
         mem = vm.mem
         self._values = mem.values
         self._mem = mem
+        self._code = vm.code
+        self._code_base = vm.code_base
+        self._sched = vm.sched
+        self._pending = vm.pending
+        self._mutexes = vm.mutexes
         self._wb = mem.arch.word_bytes
         self._word_mask = mem.arch.word_mask
         self._shift_mask = mem.arch.bits - 1
@@ -49,6 +64,10 @@ class Interpreter:
         self.extra_args: int = 0
         #: Innermost trap-frame address (0 = no handler installed).
         self.trapsp: int = 0
+        #: The program's global-data block (an ordinary major-heap block,
+        #: like OCaml's ``global_data``): a register like the others, and
+        #: a GC root.
+        self.global_data: int = 0
         self.stack = vm.sched.current.stack if vm.sched.current else None
         #: Total instructions dispatched (drives the preemption timer and
         #: the benchmark instruction counts).
@@ -58,10 +77,6 @@ class Interpreter:
         #: run() must return "budget" (``inf`` when unbudgeted).
         self._limit: float = inf
         self._units = vm.code.units
-        self._handlers = self._build_handlers()
-        #: Lazily built fast-tier code (operand-bound closures); see
-        #: :mod:`repro.interpreter.dispatch`.
-        self._fast = None
         #: Optional per-instruction hook ``fn(interp, pc, op)`` — install
         #: before run(); see :mod:`repro.tracing`.
         self.trace_hook = None
@@ -70,12 +85,12 @@ class Interpreter:
 
     def code_addr(self, index: int) -> int:
         """Code unit index -> code address value."""
-        return self.vm.code_base + 4 * index
+        return self._code_base + 4 * index
 
     def code_index(self, addr: int) -> int:
         """Code address value -> code unit index."""
-        idx, rem = divmod(addr - self.vm.code_base, 4)
-        if rem or not 0 <= idx < len(self.vm.code.units):
+        idx, rem = divmod(addr - self._code_base, 4)
+        if rem or not 0 <= idx < len(self._units):
             raise VMRuntimeError(f"bad code address {addr:#x}")
         return idx
 
@@ -110,8 +125,10 @@ class Interpreter:
 
     # -- main loop ------------------------------------------------------------------
 
-    def run(self, max_instructions: Optional[int] = None) -> str:
-        """Run until STOP, exit(), or instruction budget exhaustion.
+    def run(
+        self, vm: "VirtualMachine", max_instructions: Optional[int] = None
+    ) -> str:
+        """Run ``vm`` until STOP, exit(), or instruction budget exhaustion.
 
         Returns ``"stopped"`` for STOP, ``"budget"`` when exactly
         ``max_instructions`` instructions have executed, ``"yielded"``
@@ -127,16 +144,19 @@ class Interpreter:
         loop, which is also the differential oracle the fast tier is
         tested against (``"reference"`` forces it unconditionally).
         """
-        if self.trace_hook is None and self.vm.config.dispatch == "fast":
-            return self._run_fast(max_instructions)
-        return self._run_reference(max_instructions)
+        self.vm = vm
+        try:
+            if self.trace_hook is None and vm.config.dispatch == "fast":
+                return self._run_fast(max_instructions)
+            return self._run_reference(max_instructions)
+        finally:
+            self.vm = None
 
     def _run_reference(self, max_instructions: Optional[int] = None) -> str:
         """The canonical fetch/decode/execute loop (the oracle tier)."""
-        vm = self.vm
-        units = vm.code.units
-        pending = vm.pending
-        handlers = self._handlers
+        units = self._units
+        pending = self._pending
+        handlers = self._HANDLERS
         n_handlers = len(handlers)
         budget = max_instructions if max_instructions is not None else -1
         try:
@@ -159,7 +179,7 @@ class Interpreter:
                 handler = handlers[op] if 0 <= op < n_handlers else None
                 if handler is None:
                     raise BytecodeError(f"illegal opcode {op} at {self.pc - 1}")
-                handler()
+                handler(self)
         except _ProgramStop:
             return "stopped"
         except YieldNode:
@@ -194,12 +214,14 @@ class Interpreter:
         instruction count.
         """
         vm = self.vm
-        pending = vm.pending
-        fast = self._fast
+        pending = self._pending
+        # The bound closures close over this interpreter, so the VM
+        # keeps them, not the interpreter they would form a cycle with.
+        fast = vm.fast_code
         if fast is None:
             from repro.interpreter.dispatch import build_fast_code
 
-            fast = self._fast = build_fast_code(self)
+            fast = vm.fast_code = build_fast_code(self)
         code = fast.handlers
         counts = fast.counts
         limit = self._limit = (
@@ -267,11 +289,12 @@ class Interpreter:
     def _on_tick(self) -> None:
         """Virtual timer tick: preemption and periodic checkpoint policy."""
         vm = self.vm
-        self._countdown = vm.sched.quantum
-        if vm.sched.timer_enabled and vm.sched.ever_multithreaded:
-            runnable = sum(1 for t in vm.sched.threads.values() if t.is_runnable)
+        sched = self._sched
+        self._countdown = sched.quantum
+        if sched.timer_enabled and sched.ever_multithreaded:
+            runnable = sum(1 for t in sched.threads.values() if t.is_runnable)
             if runnable > 1:
-                vm.pending.request_reschedule()
+                self._pending.request_reschedule()
         if vm.lazy_restore is not None:
             # Background drain: one deferred chunk per quantum, so a
             # lazy restore completes even if the workload never touches
@@ -284,14 +307,13 @@ class Interpreter:
 
         Returns True when the interpreter should stop.
         """
-        vm = self.vm
-        pending = vm.pending
+        pending = self._pending
         if pending.stop:
             pending.clear_stop()
             return True
         if pending.checkpoint:
             pending.clear_checkpoint()
-            vm.perform_checkpoint()
+            self.vm.perform_checkpoint()
         if pending.reschedule:
             pending.clear_reschedule()
             self._switch_thread()
@@ -299,8 +321,7 @@ class Interpreter:
 
     def _switch_thread(self) -> None:
         """Round-robin context switch at a safe point."""
-        vm = self.vm
-        sched = vm.sched
+        sched = self._sched
         current = sched.current
         if current is not None:
             self.save_to_thread(current)
@@ -312,7 +333,7 @@ class Interpreter:
                 )
             if self._values.is_block(t.pending_mutex):
                 # Schedule-time mutex acquisition (see threads.sync).
-                if not vm.mutexes.acquire_for_resume(t):
+                if not self._mutexes.acquire_for_resume(t):
                     sched.current = t  # advance round-robin fairness
                     continue
             sched.current = t
@@ -322,18 +343,10 @@ class Interpreter:
 
     def _finish_thread(self, result: int) -> None:
         """The current thread's body returned: finish it and switch."""
-        sched = self.vm.sched
+        sched = self._sched
         t = sched.current
         sched.finish(t, result)
         self._switch_thread()
-
-    # -- dispatch table -----------------------------------------------------------------
-
-    def _build_handlers(self):
-        table: list = [None] * 128
-        for op in Op:
-            table[int(op)] = getattr(self, f"_op_{op.name.lower()}")
-        return table
 
     # -- fetch helpers ---------------------------------------------------------------
 
@@ -343,7 +356,7 @@ class Interpreter:
         return u
 
     def _fetch_signed(self) -> int:
-        u = self.vm.code.signed_unit(self.pc)
+        u = self._code.signed_unit(self.pc)
         self.pc += 1
         return u
 
@@ -353,18 +366,18 @@ class Interpreter:
         raise _ProgramStop()
 
     def _op_branch(self) -> None:
-        ofs = self.vm.code.signed_unit(self.pc)
+        ofs = self._code.signed_unit(self.pc)
         self.pc += ofs
 
     def _op_branchif(self) -> None:
         if self.accu != self._values.val_false:
-            self.pc += self.vm.code.signed_unit(self.pc)
+            self.pc += self._code.signed_unit(self.pc)
         else:
             self.pc += 1
 
     def _op_branchifnot(self) -> None:
         if self.accu == self._values.val_false:
-            self.pc += self.vm.code.signed_unit(self.pc)
+            self.pc += self._code.signed_unit(self.pc)
         else:
             self.pc += 1
 
@@ -422,21 +435,21 @@ class Interpreter:
         self.accu = self._mem.atoms.atom(self._fetch())
 
     def _op_getglobal(self) -> None:
-        self.accu = self._mem.field(self.vm.global_data, self._fetch())
+        self.accu = self._mem.field(self.global_data, self._fetch())
 
     def _op_pushgetglobal(self) -> None:
         self.stack.push(self.accu)
-        self.accu = self._mem.field(self.vm.global_data, self._fetch())
+        self.accu = self._mem.field(self.global_data, self._fetch())
 
     def _op_setglobal(self) -> None:
-        self._mem.set_field(self.vm.global_data, self._fetch(), self.accu)
+        self._mem.set_field(self.global_data, self._fetch(), self.accu)
         self.accu = self._values.val_unit
 
     # -- exceptions ----------------------------------------------------------------------------
 
     def _op_pushtrap(self) -> None:
         """Install a trap frame: handler pc, previous trapsp, env, extra."""
-        ofs = self.vm.code.signed_unit(self.pc)
+        ofs = self._code.signed_unit(self.pc)
         handler = self.pc + ofs
         self.pc += 1
         stack = self.stack
@@ -508,7 +521,7 @@ class Interpreter:
     # -- application ---------------------------------------------------------------------------
 
     def _op_push_retaddr(self) -> None:
-        ofs = self.vm.code.signed_unit(self.pc)
+        ofs = self._code.signed_unit(self.pc)
         target = self.pc + ofs
         self.pc += 1
         self.stack.push(self._values.val_int(self.extra_args))
@@ -582,7 +595,7 @@ class Interpreter:
 
     def _op_closure(self) -> None:
         nvars = self._fetch()
-        ofs = self.vm.code.signed_unit(self.pc)
+        ofs = self._code.signed_unit(self.pc)
         target = self.pc + ofs
         self.pc += 1
         if nvars > 0:
@@ -752,11 +765,11 @@ class Interpreter:
     # -- literal pools -----------------------------------------------------------------------------
 
     def _op_strlit(self) -> None:
-        data = self.vm.code.string_literals[self._fetch()]
+        data = self._code.string_literals[self._fetch()]
         self.accu = self._mem.make_string(data)
 
     def _op_floatlit(self) -> None:
-        x = self.vm.code.float_literals[self._fetch()]
+        x = self._code.float_literals[self._fetch()]
         self.accu = self._mem.make_float(x)
 
     # -- foreign calls -----------------------------------------------------------------------------
@@ -798,4 +811,15 @@ class Interpreter:
         if thrown is not None:
             return self.do_raise(thrown)
         if blocked:
-            vm.pending.request_reschedule()
+            self._pending.request_reschedule()
+
+
+#: The reference tier's dispatch table, opcode -> unbound handler: one
+#: per class, called as ``handler(interp)``.  (A per-instance table of
+#: bound methods would be a reference cycle through every interpreter.)
+Interpreter._HANDLERS = [None] * 128
+for _op in Op:
+    Interpreter._HANDLERS[int(_op)] = getattr(
+        Interpreter, f"_op_{_op.name.lower()}"
+    )
+del _op

@@ -9,7 +9,9 @@ and floats.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import enum
+import weakref
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.arch.architecture import Architecture
 from repro.arch.platforms import Platform
@@ -29,6 +31,17 @@ from repro.memory.layout import AddressSpace
 from repro.memory.minor_heap import MAX_YOUNG_WOSIZE, MinorHeap
 from repro.memory.strings import StringCodec
 from repro.memory.values import ValueCodec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gc.controller import GCController
+
+
+class Phase(enum.Enum):
+    """Major collector phase."""
+
+    IDLE = "idle"
+    MARK = "mark"
+    SWEEP = "sweep"
 
 
 class MemoryManager:
@@ -82,11 +95,21 @@ class MemoryManager:
 
         #: Field addresses in the major heap holding young pointers.
         self.reftable: set[int] = set()
-        #: Called when the minor heap is full; must free space (minor GC).
-        self.minor_gc_hook: Optional[Callable[[], None]] = None
-        #: Consulted for the mark-phase deletion barrier and allocation
-        #: color; set by the GC once constructed.
-        self.major_gc = None
+        #: The major collector's phase, kept here because the mutator
+        #: reads it on every barrier and major allocation: the collector
+        #: itself is only asked (below) while a cycle is under way.
+        self.major_phase = Phase.IDLE
+        #: The collector working on this memory (:meth:`attach_collector`),
+        #: weakly: it holds this manager, and both belong to the VM.
+        #: Called, it answers the collector, or None (none attached).
+        self._collector: Callable[[], Optional["GCController"]] = (
+            lambda: None
+        )
+
+    def attach_collector(self, gc: "GCController") -> None:
+        """Name the collector that a full minor heap, the mark-phase
+        deletion barrier and the allocation color call into."""
+        self._collector = weakref.ref(gc)
 
     # -- classification --------------------------------------------------------
 
@@ -121,11 +144,12 @@ class MemoryManager:
         """Allocate in the young generation, running a minor GC if full."""
         block = self.minor.try_alloc(wosize, tag)
         if block is None:
-            if self.minor_gc_hook is None:
+            gc = self._collector()
+            if gc is None:
                 raise VMRuntimeError(
-                    "minor heap exhausted and no GC hook installed"
+                    "minor heap exhausted and no collector attached"
                 )
-            self.minor_gc_hook()
+            gc.minor_collection()
             block = self.minor.try_alloc(wosize, tag)
             if block is None:
                 raise VMRuntimeError(
@@ -140,8 +164,8 @@ class MemoryManager:
         (black while marking, phase-dependent while sweeping).
         """
         block = self.heap.alloc(wosize, tag, Color.WHITE)
-        if self.major_gc is not None:
-            color = self.major_gc.allocation_color(block)
+        if self.major_phase is not Phase.IDLE:
+            color = self._collector().major.allocation_color(block)
             if color is not Color.WHITE:
                 hd = self.heap.load_header(block)
                 self.heap.store_header(
@@ -179,9 +203,8 @@ class MemoryManager:
         in_major = self.heap.is_in_heap(addr)
         if in_major:
             self._dirty_add(addr >> self._dirty_shift)
-            if self.major_gc is not None and self.major_gc.is_marking:
-                old = self.space.load(addr)
-                self.major_gc.darken(old)
+            if self.major_phase is Phase.MARK:
+                self._collector().major.darken(self.space.load(addr))
         self.space.store(addr, value)
         if in_major and self.is_young(value):
             self.reftable.add(addr)

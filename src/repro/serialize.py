@@ -89,7 +89,12 @@ def extern_value(mem: MemoryManager, root: int) -> bytes:
         for i in range(size):
             emit(mem.field(v, i))
 
-    emit(root)
+    try:
+        emit(root)
+    finally:
+        # A recursive closure refers to itself: unhook it, or it — and
+        # ``mem``, which it closes over — lingers as cyclic garbage.
+        emit = None
     return bytes(out)
 
 
@@ -158,7 +163,10 @@ def intern_value(mem: MemoryManager, data: bytes) -> int:
             return block
         raise MarshalError(f"unknown marshal tag {code:#x}")
 
-    root = read()
+    try:
+        root = read()
+    finally:
+        read = None  # as in extern_value: break the closure's self-reference
     if pos != len(data):
         raise MarshalError("trailing bytes after marshaled value")
     return root

@@ -274,9 +274,13 @@ class ChunkStore:
     def has_object(self, key: str) -> bool:
         return os.path.exists(self._object_path(key))
 
-    def put_object(self, data: bytes) -> tuple[str, bool]:
-        """Store one chunk; returns ``(key, was_new)``."""
-        key = chunk_key(data)
+    def put_object(
+        self, data: bytes, key: Optional[str] = None
+    ) -> tuple[str, bool]:
+        """Store one chunk; returns ``(key, was_new)``.  ``key`` is its
+        content address when the caller has just computed it."""
+        if key is None:
+            key = chunk_key(data)
         path = self._object_path(key)
         if os.path.exists(path):
             return key, False

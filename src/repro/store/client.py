@@ -301,11 +301,19 @@ class StoreClient:
             results.extend(sub)
         return results
 
-    def put_chunks(self, chunks: list[bytes]) -> int:
-        """Batched content-addressed puts; returns how many were new."""
+    def put_chunks(
+        self, chunks: list[bytes], keys: Optional[list[str]] = None
+    ) -> int:
+        """Batched content-addressed puts; returns how many were new.
+
+        ``keys`` are the chunks' content addresses when the caller has
+        already hashed them (the server checks each one regardless).
+        """
+        if keys is None:
+            keys = [chunk_key(c) for c in chunks]
         ops = [
-            (P.OP_PUT_CHUNK, P.encode_chunk(bytes.fromhex(chunk_key(c)), c))
-            for c in chunks
+            (P.OP_PUT_CHUNK, P.encode_chunk(bytes.fromhex(k), c))
+            for k, c in zip(keys, chunks)
         ]
         return sum(
             unwrap_reply(rop, rpayload) == b"\x01"

@@ -256,7 +256,10 @@ class FleetClient:
             if not present.get(key, False)
         ]
         if to_put:
-            client.put_chunks([chunk for _key, chunk in to_put])
+            client.put_chunks(
+                [chunk for _key, chunk in to_put],
+                keys=[key for key, _chunk in to_put],
+            )
             for _key, chunk in to_put:
                 stats.chunks_new += 1
                 stats.bytes_new += len(chunk)
@@ -398,9 +401,17 @@ class FleetClient:
         return payload, manifest
 
     def get_checkpoint_file(
-        self, vm_id: str, path: str, generation: Optional[int] = None
+        self,
+        vm_id: str,
+        path: str,
+        generation: Optional[int] = None,
+        manifest: Optional[Manifest] = None,
     ) -> Manifest:
-        manifest = self.get_manifest(vm_id, generation)
+        """Download one generation to ``path``, verified; a caller that
+        already holds its ``manifest`` passes it instead of having it
+        fetched again."""
+        if manifest is None:
+            manifest = self.get_manifest(vm_id, generation)
         payload_sha = hashlib.sha256()
         written = 0
         with open(path, "wb") as f:

@@ -67,22 +67,37 @@ def restart_candidates(
     return names
 
 
-def find_generation_by_sha(
-    client: FleetClient, vm_id: str, body_sha: str, below: int
-) -> Optional[int]:
-    """The newest store generation under ``below`` whose meta records the
-    given body SHA-256, or None if no upload carries it."""
-    if not body_sha:
+def find_parent(
+    client: FleetClient, vm_id: str, child: Manifest, listing: dict
+) -> Optional[Manifest]:
+    """The manifest of the generation the delta ``child`` binds to: the
+    newest one under it whose meta records ``child``'s parent SHA-256,
+    or None if no upload carries it.
+
+    A delta's parent is nearly always the upload just before it, so that
+    one manifest is fetched and checked first.  Only when it is some
+    other generation is the store listed — a listing reads every
+    manifest the store retains — and then once per fetch: ``listing``
+    (an empty dict to begin with) keeps it for the rest of the walk.
+    """
+    parent_sha = child.meta.get("parent_sha256", "")
+    if not parent_sha:
         return None
-    listing = client.ls()["vms"].get(vm_id, [])
-    for gen in sorted(
-        (g["generation"] for g in listing if g["generation"] < below),
-        reverse=True,
-    ):
-        meta = client.get_manifest(vm_id, gen).meta
-        if meta.get("body_sha256") == body_sha:
-            return gen
-    return None
+    try:
+        previous = client.get_manifest(vm_id, child.generation - 1)
+    except StoreNotFoundError:
+        previous = None
+    if previous is not None and previous.meta.get("body_sha256") == parent_sha:
+        return previous
+    if vm_id not in listing:
+        listing[vm_id] = client.ls()["vms"].get(vm_id, [])
+    older = [
+        g["generation"]
+        for g in listing[vm_id]
+        if g["generation"] < child.generation - 1
+        and g["meta"].get("body_sha256") == parent_sha
+    ]
+    return client.get_manifest(vm_id, max(older)) if older else None
 
 
 def _phase(timer: Optional[PhaseTimer], name: str):
@@ -113,18 +128,16 @@ def fetch_chain(
             i += 1
         m = manifest
         depth = 0
+        listing: dict = {}
         while m.meta.get("kind") == "delta":
-            parent_gen = find_generation_by_sha(
-                client, vm_id, m.meta.get("parent_sha256", ""),
-                below=m.generation,
-            )
-            if parent_gen is None:
+            m = find_parent(client, vm_id, m, listing)
+            if m is None:
                 # Unresolvable parent: leave the chain truncated; the
                 # restore raises and the generation-walk falls back.
                 break
             depth += 1
-            m = client.get_checkpoint_file(
-                vm_id, f"{ckpt_path}.{depth}", generation=parent_gen
+            client.get_checkpoint_file(
+                vm_id, f"{ckpt_path}.{depth}", manifest=m
             )
     return manifest
 
@@ -379,10 +392,11 @@ class HASupervisor:
                 report.midwrite_faults += 1
 
             # The fault: the machine dies here, taking the VM and any
-            # work since the last upload with it.
+            # work since the last upload with it — every name for it, so
+            # its heap is gone before the restart builds the next one.
             report.faults_injected += 1
             report.work_lost_instructions += since_checkpoint
-            vm = tailer = None
+            vm = tailer = result = None
             t0 = time.perf_counter()
             vm, platform = self._restart(
                 report, timer, ckpt_path, platform, config
@@ -422,8 +436,8 @@ class HASupervisor:
         except SimulatedCrashError:
             return False
         # The committed file is the record's data (blocking mode).  It is
-        # streamed from disk and the record let go, so a multi-megabyte
-        # generation is not held in memory through its own upload.
+        # streamed from disk and the record, which never read it, let go:
+        # a multi-megabyte generation is at no point held in memory whole.
         with timer.phase("upload"):
             generation, stats = self.client.put_checkpoint_file(
                 self.vm_id, tailer.path, meta=meta

@@ -397,11 +397,12 @@ class FleetNode:
 
     def _op_put_chunk(self, payload: bytes) -> list[Frame]:
         key_raw, data = P.decode_chunk(payload)
-        if chunk_key(data) != key_raw.hex():
+        key = chunk_key(data)
+        if key != key_raw.hex():
             raise StoreProtocolError(
                 "chunk content does not match its declared digest"
             )
-        _, was_new = self.store.put_object(data)
+        _, was_new = self.store.put_object(data, key)
         return _ok(bytes([1 if was_new else 0]))
 
     def _op_get_chunk(self, payload: bytes) -> list[Frame]:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, Mapping, Optional
+from typing import BinaryIO, Mapping, Optional
 
 from repro.arch.platforms import Platform
 from repro.bytecode.image import CodeImage
 from repro.errors import CheckpointError, ReproError
 from repro.gc import GCController
-from repro.gc.roots import AreaSlot, AttrSlot, ListSlot, Slot, stack_slots
+from repro.gc.roots import MutatorRoots
 from repro.interpreter.interpreter import Interpreter
 from repro.interpreter.primitives import (
     ExitProgram,
@@ -159,7 +159,14 @@ class RunResult:
 
 
 class VirtualMachine:
-    """One OCVM-style virtual machine on a simulated platform."""
+    """One OCVM-style virtual machine on a simulated platform.
+
+    The VM owns its parts as a tree: nothing reachable from it refers
+    back to it (or to its own owner) strongly, so dropping the last
+    outside reference frees the heap chunks, stacks and staged arrays
+    at once, by reference count — no ``close()``, no cycle collector
+    (DESIGN.md §5).
+    """
 
     def __init__(
         self,
@@ -178,7 +185,6 @@ class VirtualMachine:
             chunk_words=self.config.chunk_words,
             region_words=self.config.chkpt_region_words,
         )
-        self.gc = GCController(self.mem, self)
         self.pending = PendingSet()
         self.channels = ChannelManager(stdout=stdout, stdin=stdin)
         self.primitives: PrimitiveTable = STANDARD_PRIMITIVES
@@ -216,13 +222,20 @@ class VirtualMachine:
         self.mutexes = MutexOps(self.mem, self.sched)
         self.condvars = CondvarOps(self.mem, self.sched, self.mutexes)
 
-        #: The program's global-data block (an ordinary major-heap block,
-        #: like OCaml's ``global_data``).
+        self.interp = Interpreter(self)
+        #: Fast-tier code bound to ``interp`` (operand-bound closures,
+        #: built at the first fast run; :mod:`repro.interpreter.dispatch`).
+        self.fast_code = None
+        self.gc = GCController(
+            self.mem,
+            MutatorRoots(
+                self.interp, self.sched, self.mem.cglobals, self.temp_roots
+            ),
+        )
         self.global_data = self.mem.alloc_shr(max(1, code.n_globals), 0)
         for i in range(max(1, code.n_globals)):
             self.mem.init_field(self.global_data, i, self.mem.values.val_unit)
 
-        self.interp = Interpreter(self)
         #: Statistics from checkpoints taken by this VM.
         self.checkpoints_taken = 0
         self.last_checkpoint_stats = None
@@ -246,29 +259,15 @@ class VirtualMachine:
         #: of a message-passing cluster; None for standalone VMs.
         self.cluster = None
 
-    # -- GC root enumeration (RootProvider) ---------------------------------
+    @property
+    def global_data(self) -> int:
+        """The program's global-data block: the interpreter's register
+        of that name, where the instructions and the collectors use it."""
+        return self.interp.global_data
 
-    def iter_roots(self) -> Iterator[Slot]:
-        """Every mutator root: registers, thread state, stacks, globals."""
-        interp = self.interp
-        yield AttrSlot(interp, "accu")
-        yield AttrSlot(interp, "env")
-        yield AttrSlot(self, "global_data")
-        current = self.sched.current
-        for t in self.sched.threads.values():
-            if t is not current:
-                yield AttrSlot(t, "accu")
-                yield AttrSlot(t, "env")
-            if t.blocked_on_is_value:
-                yield AttrSlot(t, "blocked_on")
-            yield AttrSlot(t, "pending_mutex")
-            yield AttrSlot(t, "result")
-            yield from stack_slots(t.stack.area, t.stack.sp)
-        area = self.mem.cglobals.area
-        for idx in self.mem.cglobals.root_indices:
-            yield AreaSlot(area, idx)
-        for i in range(len(self.temp_roots)):
-            yield ListSlot(self.temp_roots, i)
+    @global_data.setter
+    def global_data(self, block: int) -> None:
+        self.interp.global_data = block
 
     # -- code helpers -----------------------------------------------------------
 
@@ -289,7 +288,7 @@ class VirtualMachine:
                 f"max_instructions must be >= 0, got {max_instructions}"
             )
         try:
-            status = self.interp.run(max_instructions)
+            status = self.interp.run(self, max_instructions)
             exit_code = 0
         except ExitProgram as e:
             status = "exited"

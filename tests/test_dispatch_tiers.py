@@ -162,7 +162,7 @@ class TestDifferential:
                 get_platform("rodrigo"), code,
                 VMConfig(dispatch="fast", chkpt_state="disable"),
             )
-            vm.interp._fast = build_fast_code(
+            vm.fast_code = build_fast_code(
                 vm.interp, fusion=fusion, kernels=kernels
             )
             result = vm.run()
@@ -521,7 +521,7 @@ class TestBudgetedFastTier:
             if len(at) < 2:
                 continue
             vm = small.fast_slices([at[1]])
-            if vm.interp._fast.counts[g.start] == g.count:
+            if vm.fast_code.counts[g.start] == g.count:
                 return g, at[1]
         pytest.fail("no fused group is executed twice; test is vacuous")
 
@@ -539,7 +539,7 @@ class TestBudgetedFastTier:
             g for g in small.code.decoded().groups if small.arrivals(g.start)
         )
         vm = small.fast_slices([small.arrivals(g.start)[0]])
-        fast = vm.interp._fast
+        fast = vm.fast_code
         assert fast.counts[g.start] == 0
         assert fast.handlers[g.start].__name__ == "lazy"
         small.fast_slices([1], vm)
@@ -674,7 +674,7 @@ class TestFastTierSemantics:
         result = vm.run()
         assert result.status == "stopped"
         assert tracer.total == result.instructions
-        assert vm.interp._fast is None
+        assert vm.fast_code is None
 
     def test_hot_pairs_counts_consecutive_opcodes(self):
         from repro.tracing import InstructionTracer

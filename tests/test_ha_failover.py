@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
+import os
 import re
 
 import pytest
@@ -10,16 +12,28 @@ import pytest
 from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.arch.platforms import PLATFORMS
 from repro.channels.manager import ChannelManager
-from repro.errors import CheckpointIntegrityError, ReproError
+from repro.errors import (
+    CheckpointIntegrityError,
+    ReplicationError,
+    ReproError,
+)
 from repro.metrics import INTEGRITY
-from repro.replication import CommitTailer, LiveHA, cold_restore_from_store
+from repro.replication import (
+    CommitTailer,
+    GenRecord,
+    LiveHA,
+    cold_restore_from_store,
+)
 from repro.store import ChunkStore, FleetClient, FleetNode, HASupervisor
+from repro.store.client import StoreClient
 from repro.store.ha import (
+    fetch_chain,
     manifest_meta,
     protected_config,
     restart_candidates,
     restore_from_store,
 )
+from repro.store import protocol as P
 from repro.workloads import (
     insertion_sort_expected,
     insertion_sort_source,
@@ -383,6 +397,183 @@ class TestDamagedHeadFallsBack:
         with pytest.raises(CheckpointIntegrityError):
             self._recover(how, code, client, tmp_path, 1, damaged=1)
         assert INTEGRITY.fallback_restores == before
+
+
+class TestChainFetch:
+    """What fetching a delta chain asks of the store: each generation's
+    manifest once and its chunks once, and a listing — which reads every
+    manifest the store retains — only when a parent is not the upload
+    just before its child, and then once."""
+
+    DEPTH = 4
+
+    @pytest.fixture
+    def records(self, code, tmp_path):
+        """One full and ``DEPTH`` deltas of one run, as captured."""
+        path = str(tmp_path / "origin.hckp")
+        config = protected_config(
+            VMConfig(
+                chkpt_incremental=True, chkpt_retain=8, chkpt_full_every=0
+            ),
+            path,
+        )
+        vm = VirtualMachine(get_platform("rodrigo"), code, config)
+        tailer = CommitTailer(vm, path)
+        out = []
+        for _ in range(self.DEPTH + 1):
+            vm.run(max_instructions=6_000)
+            rec = tailer.capture()
+            out.append((rec, rec.data))
+        assert [r.kind for r, _ in out] == ["full"] + ["delta"] * self.DEPTH
+        assert out[-1][0].chain_depth == self.DEPTH
+        return out
+
+    @pytest.fixture
+    def exchanges(self, monkeypatch):
+        """Every request/reply the client makes, by opcode."""
+        seen: list[int] = []
+        call, stream = StoreClient._call, StoreClient._get_many_stream
+
+        def counted_call(client, op, payload=b""):
+            seen.append(op)
+            return call(client, op, payload)
+
+        def counted_stream(client, keys):
+            seen.append(P.OP_GET_MANY)
+            return stream(client, keys)
+
+        monkeypatch.setattr(StoreClient, "_call", counted_call)
+        monkeypatch.setattr(StoreClient, "_get_many_stream", counted_stream)
+        return seen
+
+    @staticmethod
+    def _upload(client, rec, data, vm_id="chain"):
+        generation, _stats = client.put_checkpoint(
+            vm_id, data, meta=manifest_meta(rec, get_platform("rodrigo"))
+        )
+        return generation
+
+    @staticmethod
+    def _fetched(path, depth):
+        files = [path] + [f"{path}.{i}" for i in range(1, depth + 1)]
+        out = []
+        for name in files:
+            with open(name, "rb") as f:
+                out.append(f.read())
+        return out
+
+    def test_two_exchanges_per_generation_and_no_listing(
+        self, records, service, tmp_path, exchanges
+    ):
+        _, client = service
+        for rec, data in records:
+            self._upload(client, rec, data)
+        del exchanges[:]
+        path = str(tmp_path / "restore.hckp")
+        manifest = fetch_chain(client, "chain", path)
+        assert manifest.generation == self.DEPTH + 1
+        assert len(exchanges) <= 2 + 2 * self.DEPTH
+        assert P.OP_LS not in exchanges
+        assert exchanges.count(P.OP_GET_MANIFEST) == self.DEPTH + 1
+        # Newest first, down to the full base — byte for byte.
+        assert self._fetched(path, self.DEPTH) == [
+            data for _rec, data in reversed(records)
+        ]
+        assert not os.path.exists(f"{path}.{self.DEPTH + 1}")
+
+    def test_parent_further_back_costs_one_listing_per_fetch(
+        self, records, service, tmp_path, exchanges
+    ):
+        """Unrelated uploads sit between two links of the chain: each
+        time the guess misses, but the store is listed once."""
+        _, client = service
+        stray, stray_data = records[0]
+        for i, (rec, data) in enumerate(records):
+            self._upload(client, rec, data)
+            if i in (1, 2):
+                meta = manifest_meta(stray, get_platform("rodrigo"))
+                meta["body_sha256"] = f"{i:064x}"
+                client.put_checkpoint("chain", stray_data + b"\0" * i,
+                                      meta=meta)
+        del exchanges[:]
+        path = str(tmp_path / "restore.hckp")
+        fetch_chain(client, "chain", path)
+        assert exchanges.count(P.OP_LS) == 1
+        assert self._fetched(path, self.DEPTH) == [
+            data for _rec, data in reversed(records)
+        ]
+
+    def test_unresolvable_parent_truncates_and_the_walk_falls_back(
+        self, code, expected, records, service, tmp_path
+    ):
+        """A head whose parent was never uploaded: the chain is left
+        truncated, its restore fails typed, and recovery lands on the
+        generation before it."""
+        _, client = service
+        (full, full_data), _skipped, (orphan, orphan_data) = records[:3]
+        self._upload(client, full, full_data)
+        self._upload(client, orphan, orphan_data)
+        path = str(tmp_path / "restore.hckp")
+        head = fetch_chain(client, "chain", path)
+        assert head.meta["kind"] == "delta"
+        assert not os.path.exists(path + ".1")
+        before = INTEGRITY.fallback_restores
+        vm, skipped = restore_from_store(
+            client, "chain", code, "ultra64", path
+        )
+        assert skipped == 1
+        assert INTEGRITY.fallback_restores == before + 1
+        assert vm.run().stdout == expected
+
+
+def test_cold_plane_never_reads_the_generation_it_uploads(
+        code, service, monkeypatch):
+    """The supervisor uploads the committed file from disk; the record
+    of its capture must not have read that file into memory as well."""
+    _, client = service
+    payload_reads = []
+    descriptor = GenRecord.__dict__["data"]
+
+    class Watched(type(descriptor)):
+        def __get__(self, rec, owner=None):
+            if rec is not None:
+                payload_reads.append(rec.seq)
+            return super().__get__(rec, owner)
+
+    monkeypatch.setattr(GenRecord, "data", Watched())
+    report = HASupervisor(
+        code, client, "cold-payload",
+        checkpoint_every=15_000,
+        fault_budgets=(30_000, 80_000),
+        max_faults=1,
+        seed=7,
+    ).run()
+    assert report.completed and report.checkpoints >= 2
+    assert payload_reads == []
+
+
+def test_captured_payload_is_read_on_demand_and_never_stale(code, tmp_path):
+    path = str(tmp_path / "origin.hckp")
+    vm = VirtualMachine(
+        get_platform("rodrigo"), code, protected_config(None, path)
+    )
+    tailer = CommitTailer(vm, path)
+    vm.run(max_instructions=10_000)
+    first = tailer.capture()
+    with open(path, "rb") as f:
+        on_disk = f.read()
+    assert first.data == on_disk and first.data is first.data
+    assert first.data_sha256 == hashlib.sha256(on_disk).hexdigest()
+    vm.run(max_instructions=10_000)
+    unread = tailer.capture()
+    vm.run(max_instructions=10_000)
+    latest = tailer.capture()
+    # Read in time, a payload stays with its record; not read before the
+    # next capture replaced the file, it is gone — never another's bytes.
+    assert first.data == on_disk
+    with pytest.raises(ReplicationError, match="replaced its file"):
+        unread.data
+    assert latest.data != on_disk
 
 
 def test_both_planes_write_the_same_manifest_schema(code, service):

@@ -227,6 +227,77 @@ def test_every_generation_in_chain_restores(tmp_path):
     assert len(set(outputs)) == 1
 
 
+# Allocation-heavy after the checkpoint: a quiet block of long-lived
+# rows, then a stream of small short-lived arrays — the allocator carves
+# free blocks and relinks the freelist in regions the mutator itself
+# never writes.
+_ALLOCATING = """
+let base = ref [];;
+let () = for i = 1 to 60 do base := Array.make 200 i :: !base done;;
+let keep = ref [];;
+let n = ref 0;;
+while !n < 3000 do
+  n := !n + 1;
+  keep := (Array.make (5 + !n mod 9) !n) :: !keep;
+  (if !n mod 40 = 0 then keep := []);
+  ()
+done;;
+print_int (List.length !keep + List.length !base)
+"""
+
+
+@pytest.mark.parametrize("target", ["rodrigo", "ultra64"])
+def test_deltas_of_a_restarted_vm_carry_the_allocators_writes(
+        target, tmp_path):
+    """A VM that was itself restored keeps taking deltas (every HA
+    successor does).  Its heap was replaced during the restore; the new
+    one must feed the same dirty-region set, or header and freelist
+    writes drop out of every later delta.  At each generation the chain
+    must restore to what a full checkpoint of the same state restores
+    to."""
+    def config(name, incremental=True):
+        return VMConfig(
+            chkpt_filename=str(tmp_path / name), chkpt_mode="blocking",
+            chkpt_incremental=incremental, chkpt_retain=8,
+            chkpt_full_every=0, minor_words=256, chunk_words=4096,
+        )
+
+    code = compile_source(_ALLOCATING)
+    origin = VirtualMachine(get_platform("rodrigo"), code, config("a.hckp"))
+    assert origin.run(max_instructions=12_000).status == "budget"
+    origin.perform_checkpoint()
+    vm, _ = restart_vm(
+        get_platform(target), code, str(tmp_path / "a.hckp"),
+        config("chain.hckp"),
+    )
+    assert vm.mem.heap.dirty_regions is vm.mem.dirty.regions
+    kinds = []
+    for _ in range(5):
+        assert vm.run(max_instructions=2_500).status == "budget"
+        vm.perform_checkpoint()
+        kinds.append(vm.last_checkpoint_stats.kind)
+        # The same state once more, as a full, beside the chain.
+        chain_state = (vm.delta_parent_sha, vm.delta_parent_path,
+                       vm.delta_depth)
+        vm.config.chkpt_filename = str(tmp_path / "full.hckp")
+        vm.config.chkpt_incremental = False
+        vm.perform_checkpoint()
+        vm.config.chkpt_filename = str(tmp_path / "chain.hckp")
+        vm.config.chkpt_incremental = True
+        vm.delta_parent_sha, vm.delta_parent_path, vm.delta_depth = (
+            chain_state
+        )
+        restored = [
+            restart_vm(get_platform(target), code, str(tmp_path / name),
+                       VMConfig(chkpt_state="disable"))[0]
+            for name in ("chain.hckp", "full.hckp")
+        ]
+        assert restored_fingerprint(restored[0]) == restored_fingerprint(
+            restored[1]
+        )
+    assert kinds == ["full"] + ["delta"] * 4
+
+
 # ---------------------------------------------------------------------------
 # Older formats keep restoring
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro import VMConfig, VirtualMachine, compile_source, get_platform
-from repro.errors import StoreNotFoundError
+from repro.errors import StoreNotFoundError, StoreProtocolError
 from repro.metrics import FLEET
 from repro.store import ChunkStore, HASupervisor
 from repro.store.fleet import FleetClient, FleetNode
@@ -80,6 +80,43 @@ class TestFleetService:
         got, manifest = client.get_checkpoint("vmx", gen)
         assert got == payload
         assert manifest.payload_len == len(payload)
+
+    def test_put_hashes_each_new_chunk_once_per_side(
+        self, fleet3, monkeypatch
+    ):
+        """The uploader addresses each chunk once and the shard checks
+        the declared address once; neither hashes it again on the way to
+        the wire or to disk.  (The shards run in this process, so both
+        sides are counted here.)"""
+        import repro.store.chunkstore as chunkstore
+        import repro.store.client as store_client
+        import repro.store.fleet.client as fleet_client
+        import repro.store.server as server
+
+        real = chunkstore.chunk_key
+        hashed = {}
+
+        def counting_for(name):
+            def chunk_key(data):
+                hashed[name] = hashed.get(name, 0) + 1
+                return real(data)
+            return chunk_key
+
+        for module in (fleet_client, store_client, server, chunkstore):
+            monkeypatch.setattr(
+                module, "chunk_key", counting_for(module.__name__)
+            )
+        _nodes, _addrs, client = fleet3
+        n = 38
+        _gen, stats = client.put_checkpoint("vmh", distinct_payload(n))
+        assert stats.chunks_new == stats.chunks_total == n
+        assert hashed == {fleet_client.__name__: n, server.__name__: n}
+        # A corrupt put is still refused where it always was.
+        bad = store_client.P.encode_chunk(bytes(32), b"not what it says")
+        with pytest.raises(StoreProtocolError, match="declared digest"):
+            client.nodes[sorted(client.nodes)[0]]._call(
+                store_client.P.OP_PUT_CHUNK, bad
+            )
 
     def test_ls_merges_shards(self, fleet3):
         _nodes, _addrs, client = fleet3
