@@ -23,6 +23,13 @@ VM.  The second test prices that step per delta on the same heap — the
 standby folding the delta in place against a standby made to restore
 its whole chain for every generation — and gates in-place at no more
 than ``MAX_APPLY_RATIO`` of the re-restore.
+
+"O(lease claim)" also has to mean *not* O(store): every lease read is a
+listing scoped to the lease id, so a promotion must cost the same in a
+store that other VMs have filled.  The third test promotes against an
+otherwise empty store and against one holding ``UNRELATED_GENERATIONS``
+generations of other VMs, and gates the ratio of the two p50s at
+``MAX_TAKEOVER_GROWTH`` (a whole-store listing per lease read gave 25-30).
 """
 
 from __future__ import annotations
@@ -48,7 +55,14 @@ ROW_WORDS = 4096
 
 WARM_ROUNDS = 10
 COLD_ROUNDS = 5
-MIN_TAKEOVER_SPEEDUP = 5.0
+#: Six runs on the tree that scoped the lease reads: 13.4-30.0x (takeover
+#: 1.3-2.6 ms against a 35-40 ms cold restore); it read 12.75x at 4.0 ms
+#: when every lease read listed the store.
+MIN_TAKEOVER_SPEEDUP = 10.0
+
+UNRELATED_GENERATIONS = 400
+UNRELATED_TENANTS = 40
+MAX_TAKEOVER_GROWTH = 2.0
 
 APPLY_PHASES = 14
 MAX_APPLY_RATIO = 1 / 3
@@ -224,6 +238,85 @@ def test_warm_takeover_beats_cold_restore(tmp_path, get_report, bench_json):
         f"(floor {MIN_TAKEOVER_SPEEDUP}x)"
     )
 
+
+
+def test_takeover_is_flat_in_store_size(tmp_path, get_report, bench_json):
+    code = compile_source(churn_source(4 * ROW_WORDS, MUTATION_PCT, 1))
+    store = FleetNode(ChunkStore(str(tmp_path / "store")))
+    store.start()
+    client = FleetClient([store.address], backoff=0.01)
+    primary_path = str(tmp_path / "primary.hckp")
+    vm = VirtualMachine(get_platform("rodrigo"), code, _config(primary_path))
+    tailer = CommitTailer(vm, primary_path)
+    vm.run(max_instructions=BUILD_BUDGET)
+    rec = tailer.capture()
+
+    def takeovers(vm_id: str) -> list[float]:
+        # A fresh standby and lease per arm: round k of either arm folds
+        # a lease history of k - 1 claims, so only the store differs.
+        path = str(tmp_path / f"{vm_id}.hckp")
+        standby = StandbyServer(
+            code, "ultra64", node_id=vm_id, chain_path=path,
+            lease=EpochLease(client, vm_id, vm_id), config=_config(path),
+        )
+        standby._splice(rec)
+        out = []
+        for _ in range(WARM_ROUNDS):
+            standby.promote()
+            out.append(standby.takeover_seconds)
+        return out
+
+    try:
+        alone = takeovers("alone")
+        for i in range(UNRELATED_GENERATIONS):
+            store.store.put_checkpoint(
+                f"tenant-{i % UNRELATED_TENANTS}",
+                i.to_bytes(4, "little") * 512,
+                meta={"kind": "full", "platform": "rodrigo", "seq": i},
+            )
+        listing = client.ls()
+        assert sum(
+            len(gens) for vm_id, gens in listing["vms"].items()
+            if vm_id.startswith("tenant-")
+        ) == UNRELATED_GENERATIONS
+        crowded = takeovers("crowded")
+    finally:
+        client.close()
+        store.stop()
+
+    growth = _p50(crowded) / _p50(alone)
+    rep = get_report(
+        "HA live takeover vs store size",
+        "warm takeover (lease read, claim, fencing probe) against what "
+        "other VMs have stored",
+        ["unrelated generations", "p50 ms", "p95 ms"],
+    )
+    rep.row("0", f"{_p50(alone) * 1e3:.2f}", f"{_p95(alone) * 1e3:.2f}")
+    rep.row(str(UNRELATED_GENERATIONS), f"{_p50(crowded) * 1e3:.2f}",
+            f"{_p95(crowded) * 1e3:.2f}")
+    rep.note(
+        f"{UNRELATED_GENERATIONS} unrelated generations cost {growth:.2f}x "
+        f"an empty store; ceiling {MAX_TAKEOVER_GROWTH:.1f}x"
+    )
+    bench_json("BENCH_ha_live").update({
+        "takeover_ms_by_store_generations": {
+            "0": {
+                "p50": round(_p50(alone) * 1e3, 3),
+                "p95": round(_p95(alone) * 1e3, 3),
+            },
+            str(UNRELATED_GENERATIONS): {
+                "p50": round(_p50(crowded) * 1e3, 3),
+                "p95": round(_p95(crowded) * 1e3, 3),
+            },
+            "ratio": round(growth, 2),
+            "max_ratio": MAX_TAKEOVER_GROWTH,
+        },
+    })
+    assert growth <= MAX_TAKEOVER_GROWTH, (
+        f"takeover with {UNRELATED_GENERATIONS} unrelated generations "
+        f"stored is {growth:.1f}x an empty store "
+        f"(ceiling {MAX_TAKEOVER_GROWTH}x)"
+    )
 
 
 def test_in_place_apply_beats_re_restoring_the_chain(

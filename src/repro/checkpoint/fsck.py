@@ -63,7 +63,7 @@ class ClientSource:
         return self.client.get_chunk(key)
 
     def generations(self, vm_id: str) -> list[int]:
-        listing = self.client.ls().get("vms", {}).get(vm_id, [])
+        listing = self.client.ls(vm_id).get("vms", {}).get(vm_id, [])
         return sorted(g["generation"] for g in listing)
 
 

@@ -26,6 +26,13 @@ valid claim IS its assigned generation:
 Claims carry a per-node nonce in the payload so the store's
 identical-payload dedup (a retry convenience for checkpoints) can never
 collapse two distinct claims into one generation.
+
+Every observation is one listing *scoped to the lease id*
+(``client.ls(lease_id)``): the store opens the lease's own claim
+records and nothing else, so reading, claiming and fencing cost the same
+whatever other VMs have stored.  The one term that still grows is the
+lease's own history — one record per claim, i.e. per failover —
+which :meth:`EpochLease.history` folds whole on every read.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.errors import LeaseLostError
+from repro.errors import LeaseLostError, ReplicationError
 
 #: Suffix appended to the workload's vm id to name its lease object.
 LEASE_SUFFIX = ".lease"
@@ -79,14 +86,24 @@ class EpochLease:
         valid iff its recorded expectation equals the epoch of the
         newest valid claim before it.  Any node reading the store
         computes the same answer — there is no ambiguity to split a
-        brain over.
+        brain over.  A claim record the fold cannot read (damaged meta)
+        raises :class:`~repro.errors.ReplicationError`.
         """
-        listing = self.client.ls()["vms"].get(self.lease_id, [])
+        listing = self.client.ls(self.lease_id)["vms"].get(self.lease_id, [])
         claims = []
         valid_head = 0
         for entry in sorted(listing, key=lambda g: g["generation"]):
             meta = entry.get("meta", {})
-            expected = int(meta.get("expected_epoch", -1))
+            try:
+                expected = int(meta.get("expected_epoch", -1))
+            except (AttributeError, TypeError, ValueError):
+                # Not ours to judge valid or invalid: either answer
+                # could change who holds the lease.
+                raise ReplicationError(
+                    f"lease {self.lease_id!r} generation "
+                    f"{entry['generation']}: damaged claim record "
+                    f"(meta {meta!r})"
+                ) from None
             valid = expected == valid_head
             if valid:
                 valid_head = entry["generation"]

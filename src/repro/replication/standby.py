@@ -351,7 +351,11 @@ class StandbyServer:
         node already took a higher epoch) raises
         :class:`~repro.errors.LeaseLostError` and must stay down.  The
         un-acked tail is applied first — under the synchronous apply
-        discipline it is always empty, making takeover O(lease claim).
+        discipline it is always empty, making takeover O(lease claim):
+        three reads of the lease's own claim history (observe, confirm
+        the claim, fencing probe) and one put, each a listing scoped to
+        the lease id, so its cost does not depend on what else the
+        store holds.
         """
         if self.lease is None:
             raise ReplicationError("no lease configured; cannot promote")

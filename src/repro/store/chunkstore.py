@@ -350,18 +350,24 @@ class ChunkStore:
         return sorted(out)
 
     def read_manifest(self, vm_id: str, generation: Optional[int] = None) -> Manifest:
+        # A named generation is opened directly; the directory is only
+        # scanned to find the latest one, or to word the error.
+        gen = generation
+        if gen is None:
+            gens = self.generations(vm_id)
+            gen = gens[-1] if gens else None
+        if gen is not None:
+            try:
+                with open(self._manifest_path(vm_id, gen), encoding="utf-8") as f:
+                    return Manifest.from_json(f.read())
+            except FileNotFoundError:
+                pass
         gens = self.generations(vm_id)
         if not gens:
             raise StoreNotFoundError(f"no checkpoints stored for vm {vm_id!r}")
-        gen = generation if generation is not None else gens[-1]
-        path = self._manifest_path(vm_id, gen)
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                return Manifest.from_json(f.read())
-        except FileNotFoundError:
-            raise StoreNotFoundError(
-                f"vm {vm_id!r} has no generation {gen} (has {gens})"
-            ) from None
+        raise StoreNotFoundError(
+            f"vm {vm_id!r} has no generation {gen} (has {gens})"
+        )
 
     def write_manifest(self, manifest: Manifest) -> None:
         path = self._manifest_path(manifest.vm_id, manifest.generation)
@@ -516,13 +522,25 @@ class ChunkStore:
 
     # -- housekeeping ------------------------------------------------------
 
-    def ls(self) -> dict:
-        """Machine-readable listing: every vm, its generations, sizes."""
+    def ls(self, vm_id: Optional[str] = None) -> dict:
+        """Machine-readable listing: every vm, its generations, sizes.
+
+        With ``vm_id`` the listing is scoped to that one vm — the same
+        per-generation entries, absent if nothing is stored for it — and
+        costs that vm's manifests only: no other vm is opened and the
+        ``objects`` count (a walk of every chunk) is left out.
+
+        No lock is taken, so a generation pruned or deleted between the
+        directory scan and its read is skipped, not an error.
+        """
         vms = {}
-        for vm_id in self.vm_ids():
+        for vm in self.vm_ids() if vm_id is None else [_check_vm_id(vm_id)]:
             gens = []
-            for gen in self.generations(vm_id):
-                m = self.read_manifest(vm_id, gen)
+            for gen in self.generations(vm):
+                try:
+                    m = self.read_manifest(vm, gen)
+                except StoreNotFoundError:
+                    continue
                 gens.append(
                     {
                         "generation": m.generation,
@@ -532,7 +550,10 @@ class ChunkStore:
                         "meta": m.meta,
                     }
                 )
-            vms[vm_id] = gens
+            if gens:
+                vms[vm] = gens
+        if vm_id is not None:
+            return {"vms": vms}
         return {"vms": vms, "objects": sum(1 for _ in self.iter_objects())}
 
     def prune(self, vm_id: str, keep_last: int) -> list[int]:

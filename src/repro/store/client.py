@@ -266,8 +266,11 @@ class StoreClient:
             self._call(P.OP_GET_MANIFEST, P.encode_json(req)).decode()
         )
 
-    def ls(self) -> dict:
-        return P.decode_json(self._call(P.OP_LS))
+    def ls(self, vm_id: Optional[str] = None) -> dict:
+        """The daemon's listing; scoped to one vm when ``vm_id`` is given
+        (an empty request payload means everything)."""
+        payload = b"" if vm_id is None else P.encode_json({"vm_id": vm_id})
+        return P.decode_json(self._call(P.OP_LS, payload))
 
     def stat(self) -> dict:
         return P.decode_json(self._call(P.OP_STAT))

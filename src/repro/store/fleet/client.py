@@ -437,24 +437,30 @@ class FleetClient:
 
     # -- listings and stats ------------------------------------------------
 
-    def ls(self) -> dict:
-        """Merged listing across every shard (generations deduped)."""
+    def ls(self, vm_id: Optional[str] = None) -> dict:
+        """Merged listing across every shard (generations deduped).
+
+        Scoped to ``vm_id`` it still asks every shard — before a
+        rebalance one vm's generations can sit on two of them — but each
+        shard reads that vm's manifests only, and no ``objects`` count
+        comes back.
+        """
         vms: dict[str, dict[int, dict]] = {}
         objects = 0
         for _node, client in sorted(self.nodes.items()):
-            listing = client.ls()
+            listing = client.ls(vm_id)
             objects += int(listing.get("objects", 0))
-            for vm_id, gens in listing.get("vms", {}).items():
-                merged = vms.setdefault(vm_id, {})
+            for vm, gens in listing.get("vms", {}).items():
+                merged = vms.setdefault(vm, {})
                 for g in gens:
                     merged.setdefault(int(g["generation"]), g)
-        return {
-            "vms": {
-                vm_id: [by_gen[g] for g in sorted(by_gen)]
-                for vm_id, by_gen in sorted(vms.items())
-            },
-            "objects": objects,
+        merged_vms = {
+            vm: [by_gen[g] for g in sorted(by_gen)]
+            for vm, by_gen in sorted(vms.items())
         }
+        if vm_id is not None:
+            return {"vms": merged_vms}
+        return {"vms": merged_vms, "objects": objects}
 
     def fleet_stat(self) -> dict:
         """Per-shard stats, ring ownership, and this process's caches."""

@@ -76,9 +76,10 @@ def find_parent(
 
     A delta's parent is nearly always the upload just before it, so that
     one manifest is fetched and checked first.  Only when it is some
-    other generation is the store listed — a listing reads every
-    manifest the store retains — and then once per fetch: ``listing``
-    (an empty dict to begin with) keeps it for the rest of the walk.
+    other generation are this vm's generations listed — a scoped
+    listing reads every manifest the store retains for ``vm_id`` — and
+    then once per fetch: ``listing`` (an empty dict to begin with)
+    keeps it for the rest of the walk.
     """
     parent_sha = child.meta.get("parent_sha256", "")
     if not parent_sha:
@@ -90,7 +91,7 @@ def find_parent(
     if previous is not None and previous.meta.get("body_sha256") == parent_sha:
         return previous
     if vm_id not in listing:
-        listing[vm_id] = client.ls()["vms"].get(vm_id, [])
+        listing[vm_id] = client.ls(vm_id)["vms"].get(vm_id, [])
     older = [
         g["generation"]
         for g in listing[vm_id]
@@ -218,7 +219,7 @@ def restore_from_store(
             break
         except RestartError:
             if older is None:
-                listing = client.ls()["vms"].get(vm_id, [])
+                listing = client.ls(vm_id)["vms"].get(vm_id, [])
                 older = sorted(
                     g["generation"]
                     for g in listing

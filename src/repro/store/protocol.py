@@ -47,6 +47,7 @@ holds more than ``MAX_FRAME`` bytes of a checkpoint in a single message.
 from __future__ import annotations
 
 import struct
+from typing import Optional
 
 from repro.errors import StoreError, StoreProtocolError
 from repro.net import HEADER, FrameCodec  # HEADER is re-exported
@@ -143,8 +144,15 @@ def decode_chunk(payload: bytes) -> tuple[bytes, bytes]:
     return payload[:32], payload[32:]
 
 
-def decode_request(op: int, payload: bytes, **required: type) -> dict:
-    """A JSON-object request with its ``required`` fields type-checked.
+def decode_request(
+    op: int,
+    payload: bytes,
+    *,
+    optional: Optional[dict[str, type]] = None,
+    **required: type,
+) -> dict:
+    """A JSON-object request with its ``required`` fields, and whichever
+    of its ``optional`` fields it carries, type-checked.
 
     An empty payload is the empty object.  Whatever else a damaged or
     hostile peer sends answers ``malformed <OP>: ...`` — never a raw
@@ -155,7 +163,9 @@ def decode_request(op: int, payload: bytes, **required: type) -> dict:
         raise StoreProtocolError(
             f"malformed {OP_NAMES[op]}: payload is not a JSON object"
         )
-    for name, kind in required.items():
+    checks = list(required.items())
+    checks += [(n, k) for n, k in (optional or {}).items() if n in req]
+    for name, kind in checks:
         if not isinstance(req.get(name), kind):
             raise StoreProtocolError(
                 f"malformed {OP_NAMES[op]}: {name!r} must be {kind.__name__}"

@@ -472,8 +472,9 @@ class FleetNode:
         )
         return _ok(manifest.to_json().encode())
 
-    def _op_ls(self, _payload: bytes) -> list[Frame]:
-        return _ok_json(self.store.ls())
+    def _op_ls(self, payload: bytes) -> list[Frame]:
+        req = P.decode_request(P.OP_LS, payload, optional={"vm_id": str})
+        return _ok_json(self.store.ls(req.get("vm_id")))
 
     def _op_gc(self, _payload: bytes) -> list[Frame]:
         return _ok_json(self.store.gc())
@@ -546,9 +547,12 @@ class FleetNode:
                 with self._follower_client(follower) as client:
                     # Ship every generation of this VM the follower lacks,
                     # not just the one that triggered us — this is what
-                    # catches a recovered follower fully up.
+                    # catches a recovered follower fully up.  Only this
+                    # VM is listed: a commit must not cost the follower
+                    # a read of its whole store.
+                    vm_id = manifest.vm_id
                     self._ship_missing(
-                        client, follower, client.ls(), manifest.vm_id
+                        client, follower, client.ls(vm_id), vm_id
                     )
             except StoreError as e:
                 self.replication_failures += 1

@@ -20,8 +20,10 @@ from repro.errors import (
 from repro.metrics import INTEGRITY
 from repro.replication import (
     CommitTailer,
+    EpochLease,
     GenRecord,
     LiveHA,
+    StandbyServer,
     cold_restore_from_store,
 )
 from repro.store import ChunkStore, FleetClient, FleetNode, HASupervisor
@@ -399,11 +401,37 @@ class TestDamagedHeadFallsBack:
         assert INTEGRITY.fallback_restores == before
 
 
+@pytest.fixture
+def wire_log(monkeypatch):
+    """Every exchange any ``StoreClient`` makes — the supervisor's, a
+    lease's, a daemon's follower link — as ``(opcode, request payload,
+    reply)``."""
+    seen: list[tuple[int, bytes, object]] = []
+    exchange = StoreClient._exchange
+
+    def logged(client, op, payload, read):
+        reply = exchange(client, op, payload, read)
+        seen.append((op, payload, reply))
+        return reply
+
+    monkeypatch.setattr(StoreClient, "_exchange", logged)
+    return seen
+
+
+def _ls_requests(wire_log) -> list[dict]:
+    """The request object of every ``LS`` sent (``{}`` = the whole store)."""
+    return [
+        P.decode_json(payload) if payload else {}
+        for op, payload, _reply in wire_log
+        if op == P.OP_LS
+    ]
+
+
 class TestChainFetch:
     """What fetching a delta chain asks of the store: each generation's
-    manifest once and its chunks once, and a listing — which reads every
-    manifest the store retains — only when a parent is not the upload
-    just before its child, and then once."""
+    manifest once and its chunks once, and a listing — scoped to the vm,
+    it reads every manifest the store retains for it — only when a
+    parent is not the upload just before its child, and then once."""
 
     DEPTH = 4
 
@@ -482,10 +510,11 @@ class TestChainFetch:
         assert not os.path.exists(f"{path}.{self.DEPTH + 1}")
 
     def test_parent_further_back_costs_one_listing_per_fetch(
-        self, records, service, tmp_path, exchanges
+        self, records, service, tmp_path, exchanges, wire_log
     ):
         """Unrelated uploads sit between two links of the chain: each
-        time the guess misses, but the store is listed once."""
+        time the guess misses, but the vm's generations are listed once
+        — and only that vm's."""
         _, client = service
         stray, stray_data = records[0]
         for i, (rec, data) in enumerate(records):
@@ -497,14 +526,16 @@ class TestChainFetch:
                                       meta=meta)
         del exchanges[:]
         path = str(tmp_path / "restore.hckp")
+        del wire_log[:]
         fetch_chain(client, "chain", path)
         assert exchanges.count(P.OP_LS) == 1
+        assert _ls_requests(wire_log) == [{"vm_id": "chain"}]
         assert self._fetched(path, self.DEPTH) == [
             data for _rec, data in reversed(records)
         ]
 
     def test_unresolvable_parent_truncates_and_the_walk_falls_back(
-        self, code, expected, records, service, tmp_path
+        self, code, expected, records, service, tmp_path, wire_log
     ):
         """A head whose parent was never uploaded: the chain is left
         truncated, its restore fails typed, and recovery lands on the
@@ -524,6 +555,88 @@ class TestChainFetch:
         assert skipped == 1
         assert INTEGRITY.fallback_restores == before + 1
         assert vm.run().stdout == expected
+        # The orphan's parent hunt and the newest-first walk each listed
+        # this vm's generations, never the store.
+        listed = _ls_requests(wire_log)
+        assert listed and all(req == {"vm_id": "chain"} for req in listed)
+
+
+class TestListingsAreScoped:
+    """A caller that wants one vm's generations asks the store for one
+    vm's generations: what failover and a follower commit cost does not
+    depend on what other vms have stored."""
+
+    UNRELATED = 200
+
+    @staticmethod
+    def _promotable(code, client, tmp_path, name):
+        """A standby for vm ``name`` holding one applied generation."""
+        path = str(tmp_path / f"{name}-primary.hckp")
+        vm = VirtualMachine(
+            get_platform("rodrigo"), code, protected_config(None, path)
+        )
+        tailer = CommitTailer(vm, path)
+        vm.run(max_instructions=6_000)
+        standby = StandbyServer(
+            code, "ultra64", node_id=name,
+            chain_path=str(tmp_path / f"{name}.hckp"),
+            lease=EpochLease(client, name, name),
+        )
+        standby._splice(tailer.capture())
+        return standby
+
+    @staticmethod
+    def _reply_bytes(wire_log) -> int:
+        return sum(len(reply[1]) for _op, _payload, reply in wire_log)
+
+    def test_promotion_costs_the_same_in_a_full_store(
+        self, code, service, tmp_path, wire_log
+    ):
+        server, client = service
+        quiet = self._promotable(code, client, tmp_path, "quiet")
+        busy = self._promotable(code, client, tmp_path, "busy")
+        del wire_log[:]
+        quiet.promote()
+        empty_store = list(wire_log)
+        for i in range(self.UNRELATED):
+            server.store.put_checkpoint(
+                f"tenant{i % 20}", b"gen %d" % i, meta={"kind": "full"}
+            )
+        assert len(client.ls()["vms"]) == 20 + 1  # the tenants + one lease
+        del wire_log[:]
+        busy.promote()
+        full_store = list(wire_log)
+        assert (quiet.epoch, busy.epoch) == (1, 1)
+        # Same exchanges, opcode for opcode: observe, claim, confirm, probe.
+        assert [op for op, *_ in full_store] == [op for op, *_ in empty_store]
+        assert _ls_requests(empty_store) == [{"vm_id": "quiet.lease"}] * 3
+        assert _ls_requests(full_store) == [{"vm_id": "busy.lease"}] * 3
+        # ... and the same bytes back, give or take a timestamp's digits:
+        # one unrelated generation's entry alone is larger than the slack.
+        assert abs(
+            self._reply_bytes(full_store) - self._reply_bytes(empty_store)
+        ) <= 64
+
+    def test_follower_commit_lists_only_the_committed_vm(
+        self, tmp_path, wire_log
+    ):
+        follower = FleetNode(ChunkStore(str(tmp_path / "follower")))
+        follower.start()
+        primary = FleetNode(
+            ChunkStore(str(tmp_path / "primary")),
+            replicas=[follower.address],
+        )
+        primary.start()
+        try:
+            with FleetClient([primary.address], backoff=0.01) as client:
+                client.put_checkpoint("elsewhere", b"other tenant")
+                del wire_log[:]
+                client.put_checkpoint("vm", b"generation one")
+            assert follower.store.generations("vm") == [1]
+        finally:
+            primary.stop()
+            follower.stop()
+        assert _ls_requests(wire_log) == [{"vm_id": "vm"}]
 
 
 def test_cold_plane_never_reads_the_generation_it_uploads(
@@ -656,6 +769,19 @@ class TestOneOfEach:
             "repro/replication/live.py",
             "repro/store/ha.py",
         ]
+
+    def test_only_whole_store_jobs_list_the_whole_store(self):
+        """An argument-less ``.ls()`` reads every manifest of every vm
+        and walks every chunk: housekeeping (``repro store ls``, fleet
+        gc / rebalance / audit, a revived follower's catch-up) may; the
+        lease, the restore paths, fsck and a follower commit may not."""
+        assert _modules_matching(r"\.ls\(\)") == [
+            "repro/cli.py",
+            "repro/store/fleet/client.py",
+            "repro/store/server.py",
+        ]
+        assert ".ls()" not in inspect.getsource(FleetNode._replicate)
+        assert ".ls()" in inspect.getsource(FleetNode._catch_up)
 
 
 class TestDispatchTierDifferential:

@@ -25,6 +25,7 @@ from repro.replication import (
     StandbyServer,
 )
 from repro.replication import wire
+from repro.replication.lease import LeaseClaim, LeaseState
 from repro.store import ChunkStore, FleetClient, FleetNode
 
 
@@ -209,6 +210,90 @@ class TestEpochLease:
         assert lease.claim(expected=0) == 1
         assert lease.claim(expected=1) == 2
         assert lease.claim(expected=2) == 3
+
+    def test_history_matches_the_whole_store_fold(self, store):
+        """The scoped read changes what a lease read costs, not what it
+        answers: over a recorded history — valid, stale-expectation and
+        interleaved claims from two nodes, other vms' uploads between
+        them — it is the fold the unscoped listing gave."""
+        a = EpochLease(store, "wl", "node-a")
+        b = EpochLease(store, "wl", "node-b")
+        assert a.claim(expected=0) == 1
+        store.put_checkpoint("wl", b"a checkpoint", meta={"kind": "full"})
+        with pytest.raises(LeaseLostError):
+            b.claim(expected=0)  # stale: epoch 2, invalid
+        assert b.claim(expected=1) == 3  # the takeover
+        store.put_checkpoint("other.lease", b"x", meta={"expected_epoch": 0})
+        with pytest.raises(LeaseLostError) as lost:
+            a.claim(expected=1)  # a slept through it: epoch 4, invalid
+        assert (lost.value.epoch, lost.value.holder) == (3, "node-b")
+        assert a.claim(expected=3) == 5
+        expected = [
+            LeaseClaim(epoch=1, holder="node-a", expected=0, valid=True),
+            LeaseClaim(epoch=2, holder="node-b", expected=0, valid=False),
+            LeaseClaim(epoch=3, holder="node-b", expected=1, valid=True),
+            LeaseClaim(epoch=4, holder="node-a", expected=1, valid=False),
+            LeaseClaim(epoch=5, holder="node-a", expected=3, valid=True),
+        ]
+        assert a.history() == b.history() == expected
+        assert _whole_store_fold(store, "wl.lease") == expected
+        assert a.read() == LeaseState(epoch=5, holder="node-a")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"meta": None},
+            {"meta": {"holder": "node-b", "expected_epoch": "x"}},
+        ],
+        ids=["meta-null", "expected-not-a-number"],
+    )
+    def test_damaged_claim_record_is_a_typed_error(self, damage):
+        """A record the fold cannot read is neither a valid nor an
+        invalid claim — either guess could change who holds the lease —
+        so every read of the lease refuses, typed, naming the record."""
+        good = {"generation": 1,
+                "meta": {"holder": "node-a", "expected_epoch": 0}}
+        client = _ListingOnly({"wl.lease": [good, {"generation": 2, **damage}]})
+        lease = EpochLease(client, "wl", "node-a")
+        for read in (lease.history, lease.read, lambda: lease.check(1)):
+            with pytest.raises(ReplicationError) as e:
+                read()
+            assert type(e.value) is ReplicationError
+            assert "'wl.lease' generation 2" in str(e.value)
+        assert client.asked == ["wl.lease"] * 3
+
+
+class _ListingOnly:
+    """A store client that can only list — all a lease read needs."""
+
+    def __init__(self, vms: dict) -> None:
+        self.vms = vms
+        self.asked: list = []
+
+    def ls(self, vm_id=None) -> dict:
+        self.asked.append(vm_id)
+        return {"vms": {k: v for k, v in self.vms.items() if vm_id in (None, k)}}
+
+
+def _whole_store_fold(client, lease_id: str) -> list[LeaseClaim]:
+    """``EpochLease.history`` as it read before listings could be scoped."""
+    claims, valid_head = [], 0
+    listing = client.ls()["vms"].get(lease_id, [])
+    for entry in sorted(listing, key=lambda g: g["generation"]):
+        meta = entry.get("meta", {})
+        expected = int(meta.get("expected_epoch", -1))
+        valid = expected == valid_head
+        if valid:
+            valid_head = entry["generation"]
+        claims.append(
+            LeaseClaim(
+                epoch=entry["generation"],
+                holder=str(meta.get("holder", "")),
+                expected=expected,
+                valid=valid,
+            )
+        )
+    return claims
 
 
 WORKLOAD = """

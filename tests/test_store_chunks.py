@@ -146,6 +146,58 @@ class TestMaintenance:
         assert [g["generation"] for g in listing["vms"]["a"]] == [1, 2]
         assert listing["vms"]["b"][0]["meta"] == {"platform": "csd"}
 
+    def test_ls_scoped_to_one_vm_reads_only_that_vm(self, store, monkeypatch):
+        store.put_checkpoint("a", b"1" * 1000)
+        store.put_checkpoint("a", b"2" * 1000)
+        store.put_checkpoint("b", b"3" * 1000)
+        whole = store.ls()
+        read, opened = ChunkStore.read_manifest, []
+
+        def watched(self, vm_id, generation=None):
+            opened.append((vm_id, generation))
+            return read(self, vm_id, generation)
+
+        monkeypatch.setattr(ChunkStore, "read_manifest", watched)
+        monkeypatch.setattr(
+            ChunkStore, "iter_objects",
+            lambda self: pytest.fail("a scoped listing walked the objects"),
+        )
+        assert store.ls("a") == {"vms": {"a": whole["vms"]["a"]}}
+        assert opened == [("a", 1), ("a", 2)]
+        assert store.ls("nobody") == {"vms": {}}
+        with pytest.raises(StoreError, match="invalid vm id"):
+            store.ls("../escape")
+
+    @pytest.mark.parametrize("scope", [None, "a"])
+    def test_ls_skips_a_generation_that_vanishes_under_it(
+        self, store, monkeypatch, scope
+    ):
+        """``ls`` takes no lock: a prune or DEL_MANIFEST can land between
+        its directory scan and a manifest read.  That generation is left
+        out; the listing (and any lease read riding on it) survives."""
+        for i in range(3):
+            store.put_checkpoint("a", bytes([i]) * 1000)
+        store.put_checkpoint("b", b"b" * 1000)
+        read = ChunkStore.read_manifest
+
+        def racing(self, vm_id, generation=None):
+            if (vm_id, generation) == ("a", 2):
+                self.delete_manifest("a", 2)  # the concurrent prune
+            return read(self, vm_id, generation)
+
+        monkeypatch.setattr(ChunkStore, "read_manifest", racing)
+        listing = store.ls(scope)
+        assert [g["generation"] for g in listing["vms"]["a"]] == [1, 3]
+        assert ("b" in listing["vms"]) == (scope is None)
+
+    def test_read_manifest_errors_name_what_is_stored(self, store):
+        with pytest.raises(StoreNotFoundError, match="no checkpoints stored"):
+            store.read_manifest("vm", 1)
+        store.put_checkpoint("vm", b"x" * 100)
+        with pytest.raises(StoreNotFoundError, match=r"no generation 7 \(has \[1\]\)"):
+            store.read_manifest("vm", 7)
+        assert store.read_manifest("vm").generation == 1
+
     def test_prune_and_gc(self, store):
         for i in range(4):
             store.put_checkpoint("vm", os.urandom(100_000))

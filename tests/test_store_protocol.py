@@ -136,3 +136,18 @@ class TestPayloadHelpers:
         )
         assert {int(code, 16): name for code, name in rows} == P.OP_NAMES
         assert len(rows) == len(P.OP_NAMES)
+        (ls_row,) = re.findall(r"^\| 0x07 .*$", doc.read_text(), re.M)
+        assert "`{vm_id?}`" in ls_row and "JSON listing" in ls_row
+
+    def test_optional_request_field_is_checked_only_when_sent(self):
+        ls = dict(optional={"vm_id": str})
+        assert P.decode_request(P.OP_LS, b"", **ls) == {}
+        assert P.decode_request(P.OP_LS, b"{}", **ls) == {}
+        assert P.decode_request(
+            P.OP_LS, P.encode_json({"vm_id": "a"}), **ls
+        ) == {"vm_id": "a"}
+        for bad in (5, None, ["a"]):
+            with pytest.raises(
+                StoreProtocolError, match="malformed LS: 'vm_id' must be str"
+            ):
+                P.decode_request(P.OP_LS, P.encode_json({"vm_id": bad}), **ls)

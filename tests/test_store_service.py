@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import (
     StoreConnectionError,
+    StoreError,
     StoreNotFoundError,
     StoreProtocolError,
 )
@@ -169,6 +170,57 @@ class TestDaemonRoundtrip:
         assert all(s["requests_served"] > 0 for s in stat["shards"].values())
         assert client.audit()["ok"]
 
+    def test_scoped_ls_is_the_unscoped_entry_for_that_vm(self, client):
+        for vm, count in (("vm", 3), ("other", 2), ("vm.lease", 1)):
+            for i in range(count):
+                client.put_checkpoint(vm, os.urandom(5_000), meta={"i": i})
+        everything = client.ls()
+        assert "objects" in everything
+        for vm in ("vm", "other", "vm.lease"):
+            assert client.ls(vm) == {"vms": {vm: everything["vms"][vm]}}
+        assert [g["generation"] for g in client.ls("vm")["vms"]["vm"]] == [
+            1, 2, 3,
+        ]
+
+    def test_scoped_ls_merges_generations_split_across_shards(self, client):
+        """Before a rebalance one vm's manifests can sit on two shards;
+        the scoped listing asks every shard, as the whole one does."""
+        client.put_checkpoint("vm", os.urandom(5_000), meta={"gen": 1})
+        client.put_checkpoint("bystander", os.urandom(5_000))
+        first = client.get_manifest("vm", 1)
+        owner = client.manifest_node("vm")
+        stray = next((n for n in sorted(client.nodes) if n != owner), owner)
+        client.nodes[stray].put_manifest(
+            "vm", list(first.chunks),
+            payload_len=first.payload_len,
+            payload_sha256=first.payload_sha256,
+            meta={"gen": 2}, generation=2, check_chunks=False,
+        )
+        scoped = client.ls("vm")
+        assert scoped == {"vms": {"vm": client.ls()["vms"]["vm"]}}
+        assert [g["meta"] for g in scoped["vms"]["vm"]] == [
+            {"gen": 1}, {"gen": 2},
+        ]
+        client.rebalance()  # re-commits the stray one: a new `created`
+
+        def stable(listing):
+            return [
+                {k: v for k, v in g.items() if k != "created"}
+                for g in listing["vms"]["vm"]
+            ]
+
+        assert stable(client.ls("vm")) == stable(scoped)
+
+    def test_scoped_ls_of_an_unknown_vm_is_empty(self, client):
+        client.put_checkpoint("vm", os.urandom(5_000))
+        assert client.ls("ghost") == {"vms": {}}
+
+    def test_scoped_ls_rejects_a_bad_vm_id_typed(self, client):
+        with pytest.raises(StoreError, match="invalid vm id") as e:
+            client.ls("../escape")
+        assert type(e.value) is StoreError
+        assert client.retries_used == 0
+
     @pytest.mark.parametrize(
         "op, request_json",
         [
@@ -176,6 +228,9 @@ class TestDaemonRoundtrip:
             (P.OP_GET_MANIFEST, [1]),
             (P.OP_GET_MANIFEST, {"vm_id": 5}),
             (P.OP_AUDIT, [1]),
+            (P.OP_LS, [1]),
+            (P.OP_LS, {"vm_id": 5}),
+            (P.OP_LS, {"vm_id": None}),
             (P.OP_HELLO, [1]),
             (P.OP_PUT_MANIFEST, {}),
             (P.OP_DEL_MANIFEST, []),
