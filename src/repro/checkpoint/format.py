@@ -49,7 +49,7 @@ import numpy as np
 from repro.arch.architecture import Architecture, Endianness
 from repro.channels.manager import ChannelRecord
 from repro.checkpoint.schema import FormatProfile
-from repro.checkpoint.schema.source import ChunkSlice, SnapshotSource
+from repro.checkpoint.schema.source import SnapshotSource
 from repro.errors import CheckpointFormatError, CheckpointIntegrityError
 from repro.metrics import INTEGRITY
 
@@ -318,6 +318,9 @@ class SectionWriter:
         return self.buf.getvalue()
 
 
+_U8, _U32, _U64, _I64 = (struct.Struct(f) for f in ("<B", "<I", "<Q", "<q"))
+
+
 class SectionReader:
     """Mirror of :class:`SectionWriter`."""
 
@@ -329,8 +332,11 @@ class SectionReader:
         #: carry file offsets; 0 for whole-body readers, where reader
         #: offsets and file offsets already coincide.
         self.base = 0
-        self.arch = arch
-        self._dtype = np.dtype(arch.numpy_dtype) if arch else None
+        self.arch = None
+        self._dtype = None
+        self._word: Optional[struct.Struct] = None
+        if arch is not None:
+            self.set_arch(arch)
         #: The section the parser is currently inside, for error reports.
         self.section = "header"
 
@@ -340,31 +346,38 @@ class SectionReader:
     def set_arch(self, arch: Architecture) -> None:
         self.arch = arch
         self._dtype = np.dtype(arch.numpy_dtype)
+        size = "I" if arch.word_bytes == 4 else "Q"
+        self._word = struct.Struct(arch.endianness.numpy_prefix + size)
 
-    def _take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
+    def _skip(self, n: int) -> int:
+        """Step over ``n`` bytes; returns the offset they start at."""
+        off = self.off
+        if off + n > len(self.data):
             raise CheckpointFormatError(
                 f"truncated checkpoint file: section '{self.section}' "
-                f"needs {n} byte(s) at offset {self.base + self.off} but "
-                f"only {len(self.data) - self.off} remain",
+                f"needs {n} byte(s) at offset {self.base + off} but "
+                f"only {len(self.data) - off} remain",
                 section=self.section,
-                offset=self.base + self.off,
+                offset=self.base + off,
             )
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
+        self.off = off + n
+        return off
+
+    def _take(self, n: int) -> bytes:
+        off = self._skip(n)
+        return self.data[off : off + n]
 
     def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+        return _U8.unpack_from(self.data, self._skip(1))[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return _U32.unpack_from(self.data, self._skip(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return _U64.unpack_from(self.data, self._skip(8))[0]
 
     def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
+        return _I64.unpack_from(self.data, self._skip(8))[0]
 
     def bytes_lp(self) -> bytes:
         return self._take(self.u32())
@@ -373,7 +386,8 @@ class SectionReader:
         return self.bytes_lp().decode()
 
     def word(self) -> int:
-        return self.arch.word_from_bytes(self._take(self.arch.word_bytes))
+        word = self._word
+        return word.unpack_from(self.data, self._skip(word.size))[0]
 
     def words(self) -> list[int]:
         return self.words_array().tolist()
@@ -445,6 +459,11 @@ def serialize_snapshot(snap: VMSnapshot) -> bytes:
     return serialize_snapshot_writer(snap).getvalue()
 
 
+def _magic_version(magic: bytes) -> Optional[int]:
+    profile = FormatProfile.for_magic(magic[: FormatProfile.magic_len()], None)
+    return profile.version if profile is not None else None
+
+
 def detect_format_version(path: str) -> Optional[int]:
     """The format version a file's magic claims, or None if unreadable."""
     try:
@@ -452,11 +471,12 @@ def detect_format_version(path: str) -> Optional[int]:
             magic = f.read(FormatProfile.magic_len())
     except OSError:
         return None
-    profile = FormatProfile.for_magic(magic, None)
-    return profile.version if profile is not None else None
+    return _magic_version(magic)
 
 
-def annotate_restore_error(exc: Exception, path: str) -> Exception:
+def annotate_restore_error(
+    exc: Exception, path: str, data: Optional[bytes] = None
+) -> Exception:
     """Attach file path, format version, and section to a restore error.
 
     Re-raising a failed restore without saying *which* file (a periodic
@@ -465,11 +485,14 @@ def annotate_restore_error(exc: Exception, path: str) -> Exception:
     every error leaving this module or the restart path is annotated
     exactly once (marked via the ``path`` attribute).  The structured
     context also lands on the :class:`~repro.errors.CheckpointError`
-    ``path``/``format_version``/``section`` attributes.
+    ``path``/``format_version``/``section`` attributes.  A checkpoint
+    held in memory passes its ``data`` and names itself with ``path``.
     """
     if getattr(exc, "path", None) is not None:
         return exc
-    version = detect_format_version(path)
+    version = (
+        detect_format_version(path) if data is None else _magic_version(data)
+    )
     vnote = (
         f"format v{version}"
         if version is not None
@@ -595,6 +618,12 @@ def _parse_body(r: SectionReader) -> VMSnapshot:
 # ---------------------------------------------------------------------------
 
 
+#: What :func:`merge_delta_chain` takes from a chain's *parents* — the
+#: delta header and heap regions, the base's heap, atoms and C-globals
+#: where a link carries them; everything else comes from the head.
+SPLICE_SECTIONS = frozenset({"header", "heap", "atoms", "cglobals"})
+
+
 def check_delta_parent(info: DeltaInfo, parent_sha: Optional[bytes]) -> None:
     """The chain binding: a delta applies only on top of the generation
     whose body SHA-256 its header records."""
@@ -650,18 +679,13 @@ def merge_delta_chain(chain: list[VMSnapshot]) -> VMSnapshot:
         )
     if len(chain) == 1:
         return base
-    # A lazily-opened base contributes ChunkSlice payloads; they stay
-    # unread unless a delta actually splices bytes into (or reshapes)
-    # that chunk, so splicing a chain reads only the parent sections the
-    # dirty set touches.  Eager inputs keep the copy-up-front semantics.
-    state: dict[int, object] = {
-        cbase: (
-            words
-            if isinstance(words, ChunkSlice)
-            else np.asarray(words, dtype=np.uint64).copy()
-        )
-        for cbase, words in base.heap_chunks
-    }
+    # A base chunk is copied only when a delta first splices into it;
+    # an untouched one passes through as the base holds it.  A lazily
+    # opened base contributes ChunkSlice payloads, so splicing a chain
+    # reads only the parent chunks the dirty set touches.
+    state: dict[int, object] = dict(base.heap_chunks)
+    #: Chunks whose array this merge allocated, written in place since.
+    owned: set[int] = set()
     for prev, snap in zip(chain, chain[1:]):
         info = snap.delta
         if info is None:
@@ -677,10 +701,12 @@ def merge_delta_chain(chain: list[VMSnapshot]) -> VMSnapshot:
                 # changed): it was freshly mapped, so its regions cover
                 # every meaningful word.
                 arr = np.zeros(rec.n_words, dtype=np.uint64)
-            elif rec.regions and isinstance(arr, ChunkSlice):
-                # First dirty write into a lazy parent chunk: now (and
-                # only now) its payload bytes are worth reading.
-                arr = arr.materialize().copy()
+                owned.add(rec.base)
+            elif rec.regions and rec.base not in owned:
+                # First dirty write into an inherited chunk: copy it now
+                # (a lazy parent's payload bytes are read only now).
+                arr = np.array(arr, dtype=np.uint64)
+                owned.add(rec.base)
             for start, words in rec.regions:
                 wa = np.asarray(words, dtype=np.uint64)
                 check_delta_region(start, wa.size, arr.size)

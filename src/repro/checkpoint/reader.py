@@ -43,7 +43,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import BinaryIO, Optional
+from typing import BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from repro.bytecode.image import CodeImage
 from repro.checkpoint.commit import generation_chain, recover_commit
 from repro.checkpoint.convert import ValueConverter, ragged_indices
 from repro.checkpoint.format import (
+    SPLICE_SECTIONS,
     VMSnapshot,
     annotate_restore_error,
     check_delta_parent,
@@ -160,39 +161,102 @@ def next_generation_path(path: str) -> str:
     return candidate
 
 
-def load_snapshot_chain(path: str, defer: bool = False) -> VMSnapshot:
-    """Read ``path``, reconstructing through its delta chain if needed.
+@dataclass(frozen=True, eq=False)
+class ChainLink:
+    """One generation of a checkpoint chain held in memory — bytes a
+    store download verified against their manifest — and the name a
+    restore error gives it (there is no file to name).
 
-    A full (v1-v3) checkpoint is returned as-is.  A v4 delta walks the
-    generation chain (``path.1``, ``path.2``, ...) until a full base is
+    A restore reads its chain from a checkpoint path, whose parents sit
+    at ``path.1``, ``path.2``, ... as local rotation leaves them, or
+    from a sequence of these, head first, newest to oldest.
+    """
+
+    name: str
+    data: bytes = field(repr=False)
+
+
+def _head_of(
+    source: str | Sequence[ChainLink],
+) -> tuple[str, Optional[bytes]]:
+    """The name errors give ``source``'s head, and its bytes if held."""
+    if isinstance(source, str):
+        return source, None
+    if not source:
+        raise RestartError("an empty chain has no generation to restore")
+    return source[0].name, source[0].data
+
+
+def _chain_links(source: str | Sequence[ChainLink]) -> Iterator[tuple]:
+    """``(name, bytes or None, opener)`` per link, head first.
+
+    The two producers of a chain: the local rotation walk (unbounded —
+    a missing parent file fails its open) and links already in memory.
+    ``opener(defer=, decode=)`` returns the link's :class:`SnapshotSource`.
+    """
+    if isinstance(source, str):
+        current = source
+        while True:
+            yield current, None, partial(SnapshotSource.open, current)
+            current = next_generation_path(current)
+    for link in source:
+        opener = partial(
+            SnapshotSource.from_bytes, link.data, name=link.name
+        )
+        yield link.name, link.data, opener
+
+
+def load_snapshot_chain(
+    source: str | Sequence[ChainLink], defer: bool = False
+) -> VMSnapshot:
+    """Read a checkpoint, reconstructing through its delta chain if needed.
+
+    ``source`` is where the chain is read: a checkpoint path, whose
+    parents sit at ``path.1``, ``path.2``, ... as local rotation leaves
+    them, or the links themselves in memory, head first.  The two are
+    read and spliced the same way.  A full (v1-v3) checkpoint is
+    returned as-is.  A v4 delta reads parents until a full base is
     found, validates each parent-SHA binding, and splices the dirty
-    regions newest-last into a merged full snapshot.  Any break in the
-    chain — a missing generation, a parent-hash mismatch, a chain deeper
-    than :data:`MAX_DELTA_CHAIN` — raises a typed
-    :class:`~repro.errors.CheckpointIntegrityError`, which the caller's
-    generation fallback treats like any other damaged head.
+    regions newest-last into a merged full snapshot.
+    A parent is verified whole — every section CRC, the body SHA-256
+    and the end CRC — but decoded only for :data:`SPLICE_SECTIONS`.
+    Any break in the chain — a missing generation, a parent-hash
+    mismatch, a chain deeper than :data:`MAX_DELTA_CHAIN` — raises a
+    typed :class:`~repro.errors.CheckpointIntegrityError`, which the
+    caller's generation fallback treats like any other damaged head.
 
     With ``defer`` every link opens through a lazily-resolving
     :class:`~repro.checkpoint.schema.SnapshotSource`: heap payloads stay
-    on disk behind chunk slices, delta splicing reads only the parent
-    chunks the dirty set touches, and the open sources ride along on the
-    returned snapshot's ``_sources`` (empty otherwise: nothing is owed)
-    so the lazy-restore drain can finish their verification later.
+    behind chunk slices (on disk, or over the held bytes), delta
+    splicing reads only the parent chunks the dirty set touches, and
+    the open sources ride along on the returned snapshot's ``_sources``
+    (empty otherwise: nothing is owed) so the lazy-restore drain can
+    finish their verification later.
     """
+    head_name, head_data = _head_of(source)
     sources: list[SnapshotSource] = []
 
-    def read_link(p: str) -> VMSnapshot:
+    def read_link(link, decode=None) -> VMSnapshot:
+        name, data, opener = link
         try:
-            src = SnapshotSource.open(p, defer=defer)
+            src = opener(defer=defer, decode=decode)
             if not defer:
                 return src.resolve_all()
         except CheckpointFormatError as e:
             INTEGRITY.integrity_failures += 1
-            raise annotate_restore_error(e, p) from e
+            raise annotate_restore_error(e, name, data) from e
         sources.append(src)
         return src.snapshot
 
-    snap = read_link(path)
+    def broken(why: str) -> CheckpointIntegrityError:
+        return annotate_restore_error(
+            CheckpointIntegrityError(why, section="header"),
+            head_name,
+            head_data,
+        )
+
+    links = _chain_links(source)
+    snap = read_link(next(links))
     if snap.delta is None:
         if sources:
             # The source keeps the snapshot it built; the list it rides
@@ -201,35 +265,31 @@ def load_snapshot_chain(path: str, defer: bool = False) -> VMSnapshot:
         snap._sources = sources
         return snap
     chain = [snap]
-    current = path
     while chain[-1].delta is not None:
         if len(chain) > MAX_DELTA_CHAIN:
-            raise annotate_restore_error(
-                CheckpointIntegrityError(
-                    f"delta chain deeper than {MAX_DELTA_CHAIN} "
-                    f"generations (corrupt chain header?)",
-                    section="header",
-                ),
-                path,
+            raise broken(
+                f"delta chain deeper than {MAX_DELTA_CHAIN} "
+                f"generations (corrupt chain header?)"
             )
-        current = next_generation_path(current)
+        link = next(links, None)
+        if link is None:
+            raise broken(
+                f"delta chain broken: the parent of link {len(chain)} "
+                f"was not fetched"
+            )
         try:
-            chain.append(read_link(current))
+            chain.append(read_link(link, decode=SPLICE_SECTIONS))
         except OSError as e:
-            raise annotate_restore_error(
-                CheckpointIntegrityError(
-                    f"delta chain broken: parent generation "
-                    f"{current} unreadable: {e}",
-                    section="header",
-                ),
-                path,
+            raise broken(
+                f"delta chain broken: parent generation "
+                f"{link[0]} unreadable: {e}"
             ) from e
     chain.reverse()
     try:
         merged = merge_delta_chain(chain)
     except CheckpointIntegrityError as e:
         INTEGRITY.integrity_failures += 1
-        raise annotate_restore_error(e, path) from e
+        raise annotate_restore_error(e, head_name, head_data) from e
     merged._sources = sources
     return merged
 
@@ -237,25 +297,27 @@ def load_snapshot_chain(path: str, defer: bool = False) -> VMSnapshot:
 def restart_vm(
     platform: Platform,
     code: CodeImage,
-    path: str,
+    source: str | Sequence[ChainLink],
     config: Optional[VMConfig] = None,
     stdout: Optional[BinaryIO] = None,
     stdin: Optional[BinaryIO] = None,
 ) -> tuple[VirtualMachine, RestartStats]:
-    """Restore a VM on ``platform`` from the checkpoint at ``path``.
+    """Restore a VM on ``platform`` from the checkpoint at ``source`` —
+    a path, or a chain's links held in memory.
 
     ``code`` must be the same program image the checkpoint was taken
     from (verified by digest).  Returns the VM, ready for ``run()`` to
     continue from the checkpointed safe point.
 
     A failed restore raises :class:`~repro.errors.RestartError` carrying
-    the checkpoint path and its detected format version.
+    the checkpoint's path (or link name) and its format version.
     """
+    name, data = _head_of(source)
     try:
-        vm, stats = _restart_vm(platform, code, path, config, stdout, stdin)
+        vm, stats = _restart_vm(platform, code, source, config, stdout, stdin)
     except RestartError as e:
-        raise annotate_restore_error(e, path) from e
-    stats.restored_path = path
+        raise annotate_restore_error(e, name, data) from e
+    stats.restored_path = name
     return vm, stats
 
 
@@ -333,7 +395,7 @@ def restart_vm_with_fallback(
 def _restart_vm(
     platform: Platform,
     code: CodeImage,
-    path: str,
+    source: str | Sequence[ChainLink],
     config: Optional[VMConfig],
     stdout: Optional[BinaryIO],
     stdin: Optional[BinaryIO],
@@ -344,10 +406,11 @@ def _restart_vm(
     # Steps 1-4: read and validate (reconstructing through a v4 delta
     # chain when the head is incremental).  Under lazy restore the
     # links open deferred: roots/threads/registers come from
-    # eagerly-resolved sections while heap payload bytes stay on disk
-    # behind chunk slices until their first-touch thunks fire.
+    # eagerly-resolved sections while heap payload bytes stay where the
+    # link lies (disk or memory) behind chunk slices until their
+    # first-touch thunks fire.
     with timer.phase("read_file"):
-        snap = load_snapshot_chain(path, defer=lazy)
+        snap = load_snapshot_chain(source, defer=lazy)
     code_digest = code.digest()
     if snap.header.code_digest != code_digest:
         raise RestartError(
@@ -358,11 +421,13 @@ def _restart_vm(
     stats.converted_word_size = converter.word_size_differs
     stats.heap_words = sum(len(ws) for _, ws in snap.heap_chunks)
 
-    vm = VirtualMachine(platform, code, config=config, stdout=stdout, stdin=stdin)
+    # No bootstrap heap or global block: the checkpoint brings both.
+    vm = VirtualMachine(
+        platform, code, config=config, stdout=stdout, stdin=stdin, boot=False
+    )
     # The collector must not run while memory is inconsistent (§3.2.2).
     vm.gc.disabled = True
     try:
-        _fresh_heap(vm)
         if converter.word_size_differs:
             stage, stage_phase = _rebuild_heap, "heap_rebuild"
         else:
@@ -391,7 +456,7 @@ def _restart_vm(
             stats.image = ResidentImage(
                 vm=vm,
                 code_digest=code_digest,
-                path=path,
+                source=source,
                 src_arch=snap.arch,
                 head_sha=snap.body_sha256,
                 chunks=[(base, len(ws)) for base, ws in snap.heap_chunks],
@@ -443,26 +508,6 @@ def _restore_roots(
         vm.channels.restore(snap.channels)
     if snap.header.multithreaded:
         vm.sched.ever_multithreaded = True
-
-
-# ---------------------------------------------------------------------------
-# Heap restoration
-# ---------------------------------------------------------------------------
-
-
-def _fresh_heap(vm: VirtualMachine) -> None:
-    """Discard the fresh VM's bootstrap heap entirely."""
-    for chunk in list(vm.mem.heap.chunks):
-        vm.mem.space.unmap(chunk.area)
-    layout = vm.platform.layout
-    vm.mem.heap = Heap(
-        vm.mem.space,
-        vm.platform.arch,
-        layout.heap_base,
-        layout.chunk_stride,
-        chunk_words=vm.mem.heap.chunk_words,
-    )
-    vm.mem.heap.attach_dirty(vm.mem.dirty)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +586,7 @@ class _ChunkConverter:
     #: The saved chunk images, for a fold to re-convert from.  They were
     #: converted where they lay — keeping a copy would tax every cold
     #: restore — so ``None`` until the first delta that could fold needs
-    #: them, when :class:`ResidentImage` reads them back from its path.
+    #: them, when :class:`ResidentImage` reads them back from its chain.
     sources: Optional[list] = None
     #: No block moves.
     relocation = None
@@ -806,7 +851,9 @@ class LazyRestoreState:
                 INTEGRITY.integrity_failures += 1
                 RESTART.late_failures += 1
                 if src.path is not None:
-                    raise annotate_restore_error(e, src.path) from e
+                    raise annotate_restore_error(
+                        e, src.path, src.data
+                    ) from e
                 raise
             self.stats.lazy_seconds += time.perf_counter() - t0
             RESTART.late_verifications += 1
@@ -1458,8 +1505,8 @@ class ResidentImage:
 
     vm: VirtualMachine
     code_digest: bytes
-    #: The chain head the VM was restored from.
-    path: str
+    #: The chain the VM was restored from.
+    source: str | Sequence[ChainLink]
     src_arch: Architecture
     #: Body SHA-256 of the generation the VM stands at (``None`` when
     #: its file recorded none): what the next delta must bind to.
@@ -1482,12 +1529,12 @@ class ResidentImage:
     def _load_sources(self) -> None:
         """Read the saved chunk images back from the chain the VM was
         restored from (verified again, as every read of the chain is);
-        the head on disk must still be the generation the VM stands at."""
-        snap = load_snapshot_chain(self.path)
+        its head must still be the generation the VM stands at."""
+        snap = load_snapshot_chain(self.source)
         if snap.body_sha256 != self.head_sha:
             raise RestartError(
-                f"{self.path} no longer holds the generation the "
-                f"resident VM was restored from"
+                f"{_head_of(self.source)[0]} no longer holds the "
+                f"generation the resident VM was restored from"
             )
         self.conversion.sources = [ws for _, ws in snap.heap_chunks]
 

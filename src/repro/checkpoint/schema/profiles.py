@@ -15,6 +15,7 @@ codecs — no other module changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from repro.checkpoint.schema import registry
@@ -58,7 +59,7 @@ class FormatProfile:
 
     # -- registry composition -----------------------------------------------
 
-    @property
+    @cached_property
     def codecs(self) -> tuple:
         """The section codecs of this profile, in body order."""
         return tuple(registry.get(n) for n in self.section_names)

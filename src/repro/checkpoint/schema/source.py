@@ -246,17 +246,23 @@ class SnapshotSource:
     ``open(path, defer=True)`` keeps a file descriptor and reads
     sections on demand via ``os.pread`` (safe across the atomic-commit
     rename: the fd pins the inode).  ``from_bytes`` wraps an in-memory
-    image (fsck).  ``tolerant=True`` stashes open-time structural
-    errors instead of raising, for damage-probing callers.
+    image (fsck, a chain fetched from the store); with ``defer`` its
+    heap payloads stay behind chunk slices over those bytes.
+    ``tolerant=True`` stashes open-time structural errors instead of
+    raising, for damage-probing callers.  ``decode`` names the sections
+    to parse (default: all); the others are still read and verified but
+    never decoded — a chain parent needs only what the splice takes.
     """
 
     def __init__(self, path: Optional[str], data: Optional[bytes],
                  fd: Optional[int], size: int, defer: bool,
-                 tolerant: bool) -> None:
+                 tolerant: bool,
+                 decode: Optional[frozenset] = None) -> None:
         self.path = path
         self._backing = _Backing(data, fd, size)
         self.size = size
         self._defer = defer
+        self._decode = decode
         self.profile: Optional[FormatProfile] = None
         self.handles: Optional[list[SectionHandle]] = None
         self.snapshot = None
@@ -289,20 +295,23 @@ class SnapshotSource:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def open(cls, path: str, defer: bool = False,
-             tolerant: bool = False) -> "SnapshotSource":
+    def open(cls, path: str, defer: bool = False, tolerant: bool = False,
+             decode: Optional[frozenset] = None) -> "SnapshotSource":
         if defer:
             fd = os.open(path, os.O_RDONLY)
             size = os.fstat(fd).st_size
-            return cls(path, None, fd, size, True, tolerant)
+            return cls(path, None, fd, size, True, tolerant, decode)
         with open(path, "rb") as f:
             data = f.read()
-        return cls(path, data, None, len(data), False, tolerant)
+        return cls(path, data, None, len(data), False, tolerant, decode)
 
     @classmethod
-    def from_bytes(cls, data: bytes,
-                   tolerant: bool = False) -> "SnapshotSource":
-        return cls(None, bytes(data), None, len(data), False, tolerant)
+    def from_bytes(cls, data: bytes, tolerant: bool = False,
+                   defer: bool = False, decode: Optional[frozenset] = None,
+                   name: Optional[str] = None) -> "SnapshotSource":
+        """An in-memory image; ``name`` stands in for its path in errors."""
+        return cls(name, bytes(data), None, len(data), defer, tolerant,
+                   decode)
 
     # -- raw IO --------------------------------------------------------------
 
@@ -314,6 +323,11 @@ class SnapshotSource:
 
     def close(self) -> None:
         self._backing.close()
+
+    @property
+    def data(self) -> Optional[bytes]:
+        """The whole image, when it is held in memory."""
+        return self._backing.data
 
     @property
     def _fd(self) -> Optional[int]:
@@ -383,8 +397,9 @@ class SnapshotSource:
             self._release_backing()
             return
         self._open_trailer(fmt)
-        expected = tuple(c.name for c in self.profile.codecs)
-        self._aligned = tuple(h.name for h in self.handles) == expected
+        self._aligned = (
+            tuple(h.name for h in self.handles) == self.profile.section_names
+        )
         if self._defer:
             if not self._aligned:
                 self._resolve_unaligned()
@@ -435,7 +450,7 @@ class SnapshotSource:
                 off, length, crc32v = struct.unpack("<QQI", tr._take(20))
                 entries.append((name, off, length, crc32v))
             sha = tr._take(32)
-        except CheckpointFormatError as e:
+        except (CheckpointFormatError, UnicodeDecodeError) as e:
             raise CheckpointIntegrityError(
                 f"v3 section table unreadable: {e}",
                 section="trailer",
@@ -538,6 +553,12 @@ class SnapshotSource:
             i = self._next_parse
             codec = codecs[i]
             h = self.handles[i]
+            if self._decode is not None and codec.name not in self._decode:
+                if not h.verified:
+                    self.read_section(h)
+                h.resolved = True
+                self._next_parse = i + 1
+                continue
             if codec.name == "heap" and defer_heap:
                 self._parse_heap_deferred(h, b)
                 self._next_parse = i + 1

@@ -559,6 +559,9 @@ def cmd_ha_run(args: argparse.Namespace) -> int:
             fault_budgets=(args.fault_min, args.fault_max),
             max_faults=args.max_faults,
             seed=args.seed,
+            # CHKPT_* knobs reach the protected VM; the supervisor still
+            # owns its file, mode, cadence and delta policy.
+            config=VMConfig.from_env(os.environ),
         )
         report = supervisor.run()
     if args.json:
@@ -568,7 +571,10 @@ def cmd_ha_run(args: argparse.Namespace) -> int:
         sys.stdout.buffer.flush()
         print(f"[ha: {report.faults_injected} fault(s), "
               f"{report.restarts} restart(s), "
-              f"{report.checkpoints} checkpoint(s), "
+              f"{report.checkpoints} checkpoint(s) "
+              f"({report.full_checkpoints} full, "
+              f"{report.delta_checkpoints} delta), "
+              f"restored chain depths {report.restart_chain_depths}, "
               f"platforms {' -> '.join(report.platforms_visited)}]",
               file=sys.stderr)
     return 0 if report.completed else 1
@@ -588,6 +594,7 @@ def cmd_ha_live(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         schedule=args.fault,
         seed=args.seed,
+        config=VMConfig.from_env(os.environ),
     )
     report = ha.run()
     if args.json:

@@ -32,8 +32,10 @@ class AtomTable:
         self.area = MemoryArea(
             AreaKind.ATOMS, base, ATOM_COUNT + 1, arch, label="atom-table"
         )
-        for t in range(ATOM_COUNT):
-            self.area.words[t] = headers.make(t, Color.WHITE, 0)
+        # The tag is the header's low field: entry t is the empty white
+        # header with t or'd in.
+        white = headers.make(0, Color.WHITE, 0)
+        self.area.words[:ATOM_COUNT] = [white | t for t in range(ATOM_COUNT)]
         space.map(self.area)
 
     def atom(self, tag: int) -> int:

@@ -173,16 +173,6 @@ class LiveHA:
         self._rng = random.Random(seed)
         self._base_config = config
 
-    # -- configuration helpers ---------------------------------------------
-
-    def _config(self, path: str) -> VMConfig:
-        cfg = protected_config(self._base_config, path)
-        # Delta replication is the point: after the first full
-        # checkpoint, each shipped generation carries only dirty runs.
-        cfg.chkpt_incremental = True
-        cfg.chkpt_retain = max(cfg.chkpt_retain, 8)
-        return cfg
-
     # -- the run ------------------------------------------------------------
 
     def run(self) -> LiveReport:
@@ -206,7 +196,7 @@ class LiveHA:
             node_id="standby",
             chain_path=standby_path,
             lease=standby_lease,
-            config=self._config(standby_path),
+            config=protected_config(self._base_config, standby_path),
             heartbeat_timeout=self.heartbeat_timeout,
             heartbeat_misses=self.heartbeat_misses,
             auto_promote=True,
@@ -279,7 +269,9 @@ class LiveHA:
         path: str,
     ) -> None:
         vm = VirtualMachine(
-            self.primary_platform, self.code, self._config(path)
+            self.primary_platform,
+            self.code,
+            protected_config(self._base_config, path),
         )
         gate = OutputGate()
         tailer = CommitTailer(vm, path)
@@ -500,7 +492,7 @@ def cold_restore_from_store(
     :func:`~repro.store.ha.restore_from_store`, timed.  Returns the
     restored VM and the elapsed seconds."""
     t0 = time.perf_counter()
-    vm, _skipped = restore_from_store(
+    vm, _skipped, _depth = restore_from_store(
         client, vm_id, code, platform, path, config
     )
     return vm, time.perf_counter() - t0

@@ -162,7 +162,7 @@ class Manifest:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "Manifest":
+    def from_json(cls, text: str | bytes) -> "Manifest":
         try:
             d = json.loads(text)
             return cls(
@@ -350,6 +350,13 @@ class ChunkStore:
         return sorted(out)
 
     def read_manifest(self, vm_id: str, generation: Optional[int] = None) -> Manifest:
+        return Manifest.from_json(self.read_manifest_bytes(vm_id, generation))
+
+    def read_manifest_bytes(
+        self, vm_id: str, generation: Optional[int] = None
+    ) -> bytes:
+        """One generation's manifest (the latest by default) as stored —
+        what ``GET_MANIFEST`` answers; whoever reads it parses it."""
         # A named generation is opened directly; the directory is only
         # scanned to find the latest one, or to word the error.
         gen = generation
@@ -358,8 +365,8 @@ class ChunkStore:
             gen = gens[-1] if gens else None
         if gen is not None:
             try:
-                with open(self._manifest_path(vm_id, gen), encoding="utf-8") as f:
-                    return Manifest.from_json(f.read())
+                with open(self._manifest_path(vm_id, gen), "rb") as f:
+                    return f.read()
             except FileNotFoundError:
                 pass
         gens = self.generations(vm_id)

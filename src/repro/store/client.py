@@ -263,8 +263,26 @@ class StoreClient:
         if generation is not None:
             req["generation"] = generation
         return Manifest.from_json(
-            self._call(P.OP_GET_MANIFEST, P.encode_json(req)).decode()
+            self._call(P.OP_GET_MANIFEST, P.encode_json(req))
         )
+
+    def get_manifests(
+        self, vm_id: str, generations: list[int]
+    ) -> list[Optional[Manifest]]:
+        """Several generations' manifests in one ``BATCH``; ``None`` for
+        a generation this daemon does not hold."""
+        replies = self.batch_call([
+            (P.OP_GET_MANIFEST,
+             P.encode_json({"vm_id": vm_id, "generation": g}))
+            for g in generations
+        ])
+        out: list[Optional[Manifest]] = []
+        for rop, rpayload in replies:
+            try:
+                out.append(Manifest.from_json(unwrap_reply(rop, rpayload)))
+            except StoreNotFoundError:
+                out.append(None)
+        return out
 
     def ls(self, vm_id: Optional[str] = None) -> dict:
         """The daemon's listing; scoped to one vm when ``vm_id`` is given

@@ -27,6 +27,7 @@ is safe to repeat.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -361,6 +362,21 @@ class FleetClient:
                 last = e
         raise last  # type: ignore[misc]
 
+    def get_manifests(
+        self, vm_id: str, generations: list[int]
+    ) -> list[Optional[Manifest]]:
+        """Several generations' manifests, asked of the vm's owner shard
+        in one ``BATCH``; ``None`` where no shard holds one."""
+        owner = self.ring.manifest_node(vm_id)
+        found = self.nodes[owner].get_manifests(vm_id, generations)
+        if len(self.nodes) > 1:
+            # Pre-rebalance, a generation may still sit on another shard.
+            for i, (g, m) in enumerate(zip(generations, found)):
+                if m is None:
+                    with contextlib.suppress(StoreNotFoundError):
+                        found[i] = self.get_manifest(vm_id, g)
+        return found
+
     def _hunt_chunk(self, key: str, exclude: str) -> bytes:
         """Last-resort read of a chunk that is not on its owner shard."""
         for node in sorted(self.nodes):
@@ -387,31 +403,33 @@ class FleetClient:
                 out[key] = self._hunt_chunk(key, exclude=node)
         return out
 
+    def get_payloads(
+        self, vm_id: str, manifests: list[Manifest]
+    ) -> list[bytes]:
+        """Each generation's payload, in memory and verified against its
+        manifest; the chunks of all of them are fetched together — one
+        ``GET_MANY`` per shard up to ``MAX_GET_MANY`` distinct keys."""
+        data = self._fetch_keys({k for m in manifests for k in m.chunks})
+        payloads = []
+        for m in manifests:
+            payload = b"".join([data[key] for key in m.chunks])
+            self._verify_payload(vm_id, m, len(payload),
+                                 hashlib.sha256(payload).hexdigest())
+            payloads.append(payload)
+        return payloads
+
     def get_checkpoint(
         self, vm_id: str, generation: Optional[int] = None
     ) -> tuple[bytes, Manifest]:
         manifest = self.get_manifest(vm_id, generation)
-        parts: list[bytes] = []
-        for window in batched(list(manifest.chunks), _DOWNLOAD_WINDOW):
-            data = self._fetch_keys(window)
-            parts.extend(data[key] for key in window)
-        payload = b"".join(parts)
-        self._verify_payload(vm_id, manifest, len(payload),
-                             hashlib.sha256(payload).hexdigest())
-        return payload, manifest
+        return self.get_payloads(vm_id, [manifest])[0], manifest
 
     def get_checkpoint_file(
-        self,
-        vm_id: str,
-        path: str,
-        generation: Optional[int] = None,
-        manifest: Optional[Manifest] = None,
+        self, vm_id: str, path: str, generation: Optional[int] = None
     ) -> Manifest:
-        """Download one generation to ``path``, verified; a caller that
-        already holds its ``manifest`` passes it instead of having it
-        fetched again."""
-        if manifest is None:
-            manifest = self.get_manifest(vm_id, generation)
+        """Download one generation to ``path``, verified, a window of
+        chunks at a time: the payload is never in memory whole."""
+        manifest = self.get_manifest(vm_id, generation)
         payload_sha = hashlib.sha256()
         written = 0
         with open(path, "wb") as f:

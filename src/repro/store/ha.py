@@ -33,7 +33,7 @@ from repro.arch.platforms import PLATFORMS, Platform, get_platform
 from repro.bytecode.image import CodeImage
 from repro.checkpoint.commit import COMMIT_POINTS, recover_commit
 from repro.checkpoint.generation import CommitTailer, GenRecord
-from repro.checkpoint.reader import restart_vm
+from repro.checkpoint.reader import MAX_DELTA_CHAIN, ChainLink, restart_vm
 from repro.checkpoint.schema import FormatProfile
 from repro.errors import ReproError, RestartError, StoreNotFoundError
 from repro.faults.injectors import CrashHooks, SimulatedCrashError
@@ -68,26 +68,39 @@ def restart_candidates(
 
 
 def find_parent(
-    client: FleetClient, vm_id: str, child: Manifest, listing: dict
+    client: FleetClient,
+    vm_id: str,
+    child: Manifest,
+    listing: dict,
+    known: Optional[dict] = None,
 ) -> Optional[Manifest]:
     """The manifest of the generation the delta ``child`` binds to: the
     newest one under it whose meta records ``child``'s parent SHA-256,
     or None if no upload carries it.
 
     A delta's parent is nearly always the upload just before it, so that
-    one manifest is fetched and checked first.  Only when it is some
-    other generation are this vm's generations listed — a scoped
-    listing reads every manifest the store retains for ``vm_id`` — and
-    then once per fetch: ``listing`` (an empty dict to begin with)
-    keeps it for the rest of the walk.
+    one manifest is checked first.  Only when it is some other
+    generation are this vm's generations listed — a scoped listing reads
+    every manifest the store retains for ``vm_id`` — and then once per
+    fetch: ``listing`` (an empty dict to begin with) keeps it for the
+    rest of the walk.  ``known`` maps generations the caller has already
+    asked for to their manifests (``None``: not stored); those are not
+    fetched again.
     """
     parent_sha = child.meta.get("parent_sha256", "")
     if not parent_sha:
         return None
-    try:
-        previous = client.get_manifest(vm_id, child.generation - 1)
-    except StoreNotFoundError:
-        previous = None
+    known = {} if known is None else known
+
+    def manifest(generation: int) -> Optional[Manifest]:
+        if generation not in known:
+            try:
+                known[generation] = client.get_manifest(vm_id, generation)
+            except StoreNotFoundError:
+                known[generation] = None
+        return known[generation]
+
+    previous = manifest(child.generation - 1)
     if previous is not None and previous.meta.get("body_sha256") == parent_sha:
         return previous
     if vm_id not in listing:
@@ -98,49 +111,66 @@ def find_parent(
         if g["generation"] < child.generation - 1
         and g["meta"].get("body_sha256") == parent_sha
     ]
-    return client.get_manifest(vm_id, max(older)) if older else None
+    return manifest(max(older)) if older else None
 
 
 def _phase(timer: Optional[PhaseTimer], name: str):
     return timer.phase(name) if timer is not None else contextlib.nullcontext()
 
 
+def _chain_manifests(
+    client: FleetClient, vm_id: str, head: Manifest
+) -> list[Manifest]:
+    """``head`` and the parents its chain binds to, newest first.
+
+    A delta's ``chain_depth`` says how many parents it has, and they are
+    nearly always the uploads just before it: generations g-1 ... g-d
+    are asked for in one batch, and each is taken only when its
+    ``body_sha256`` is its child's ``parent_sha256``.  A link that does
+    not bind falls back to :func:`find_parent`'s listing.  An
+    unresolvable parent leaves the chain truncated; its restore then
+    fails typed and the generation walk falls back.
+    """
+    depth = head.meta.get("chain_depth", 0)
+    if head.meta.get("kind") != "delta" or not isinstance(depth, int):
+        depth = 0
+    depth = max(0, min(depth, MAX_DELTA_CHAIN, head.generation - 1))
+    wanted = [head.generation - i for i in range(1, depth + 1)]
+    known = dict(zip(wanted, client.get_manifests(vm_id, wanted)))
+    chain = [head]
+    listing: dict = {}
+    while (
+        chain[-1].meta.get("kind") == "delta"
+        and len(chain) <= MAX_DELTA_CHAIN
+    ):
+        parent = find_parent(client, vm_id, chain[-1], listing, known)
+        if parent is None:
+            break
+        chain.append(parent)
+    return chain
+
+
 def fetch_chain(
     client: FleetClient,
     vm_id: str,
-    ckpt_path: str,
     generation: Optional[int] = None,
     timer: Optional[PhaseTimer] = None,
-) -> Manifest:
+) -> tuple[Manifest, list[ChainLink]]:
     """Download one head generation and, when it is a delta, the parents
-    it binds to — laid out at ``path.1``, ``path.2``, ... the way local
-    rotation would, so the chain reader finds them.  This is the
-    cold-restore download path that warm standby replication exists to
-    beat."""
+    it binds to — into memory, each payload verified against its
+    manifest: the head's manifest, the parents' in one batch, and the
+    chunks of every link together.  Returns the head's manifest and the
+    links, head first, for :func:`~repro.checkpoint.reader.restart_vm`.
+    Nothing is written to disk.  This is the cold-restore download path
+    that warm standby replication exists to beat."""
     with _phase(timer, "restart_download"):
-        manifest = client.get_checkpoint_file(
-            vm_id, ckpt_path, generation=generation
-        )
-        # Stale numbered generations from a previous restart would be
-        # mistaken for chain parents; clear them first.
-        i = 1
-        while os.path.exists(f"{ckpt_path}.{i}"):
-            os.unlink(f"{ckpt_path}.{i}")
-            i += 1
-        m = manifest
-        depth = 0
-        listing: dict = {}
-        while m.meta.get("kind") == "delta":
-            m = find_parent(client, vm_id, m, listing)
-            if m is None:
-                # Unresolvable parent: leave the chain truncated; the
-                # restore raises and the generation-walk falls back.
-                break
-            depth += 1
-            client.get_checkpoint_file(
-                vm_id, f"{ckpt_path}.{depth}", manifest=m
-            )
-    return manifest
+        head = client.get_manifest(vm_id, generation)
+        manifests = _chain_manifests(client, vm_id, head)
+        payloads = client.get_payloads(vm_id, manifests)
+    return head, [
+        ChainLink(f"vm {vm_id!r} generation {m.generation}", payload)
+        for m, payload in zip(manifests, payloads)
+    ]
 
 
 def manifest_meta(rec: GenRecord, platform: Platform) -> dict:
@@ -175,12 +205,22 @@ def manifest_meta(rec: GenRecord, platform: Platform) -> dict:
 
 
 def protected_config(base: Optional[VMConfig], path: str) -> VMConfig:
-    """A copy of ``base`` whose checkpoints a protection driver owns."""
+    """A copy of ``base`` whose checkpoints a protection driver owns —
+    the one protection policy of both HA planes.
+
+    After each first full, a generation carries only the dirty regions
+    since its parent (a v4 delta); ``base``'s ``chkpt_full_every`` and
+    ``chkpt_dirty_threshold`` still decide when one goes full again
+    (``CHKPT_FULL_EVERY=1``: every one).
+    """
     cfg = VMConfig() if base is None else VMConfig(**vars(base))
     cfg.chkpt_state = "enable"
     cfg.chkpt_filename = path
     cfg.chkpt_mode = "blocking"  # the capture reads the committed file
     cfg.chkpt_interval = None  # the driver owns the cadence
+    cfg.chkpt_incremental = True
+    # A delta's base must survive local rotation (the writer's rule).
+    cfg.chkpt_retain = max(cfg.chkpt_retain, 8)
     return cfg
 
 
@@ -192,30 +232,33 @@ def restore_from_store(
     path: str,
     config: Optional[VMConfig] = None,
     timer: Optional[PhaseTimer] = None,
-) -> tuple[VirtualMachine, int]:
+) -> tuple[VirtualMachine, int, int]:
     """Recover the newest restorable generation of ``vm_id`` onto
-    ``platform``: download the head and its delta parents to ``path``,
-    restore, prefill stdout.  Returns the VM and how many damaged store
-    generations were skipped to get there.
+    ``platform``: download the head and its delta parents into memory,
+    restore, prefill stdout.  Returns the VM, how many damaged store
+    generations were skipped to get there, and the depth of the chain
+    it restored (0: a full; d: a delta and d parents).
 
-    Store generations are walked newest-first until one restores: a
-    damaged latest generation degrades the recovery, never kills it.
-    Raises :class:`~repro.errors.StoreNotFoundError` when nothing was
-    ever stored, and the last tried generation's own
+    ``path`` is where the restored VM will checkpoint: commit debris a
+    crash left there is resolved first.  Store generations are walked
+    newest-first until one restores: a damaged latest generation
+    degrades the recovery, never kills it.  Raises
+    :class:`~repro.errors.StoreNotFoundError` when nothing was ever
+    stored, and the last tried generation's own
     :class:`~repro.errors.RestartError` when none restores.
     """
     platform = get_platform(platform)
     # A mid-write crash leaves journal/tmp debris (and possibly a torn
     # head) at the local path; resolve it the way a rebooted machine
-    # would before the store download overwrites the file.
+    # would before the restored VM commits there.
     recover_commit(path)
-    manifest = fetch_chain(client, vm_id, path, timer=timer)
+    manifest, links = fetch_chain(client, vm_id, timer=timer)
     older: Optional[list[int]] = None
     skipped = 0
     while True:
         try:
             with _phase(timer, "restart_rebuild"):
-                vm, _stats = restart_vm(platform, code, path, config)
+                vm, _stats = restart_vm(platform, code, links, config)
             break
         except RestartError:
             if older is None:
@@ -228,15 +271,15 @@ def restore_from_store(
             if not older:
                 raise
             skipped += 1
-            manifest = fetch_chain(
-                client, vm_id, path, generation=older.pop(), timer=timer
+            manifest, links = fetch_chain(
+                client, vm_id, generation=older.pop(), timer=timer
             )
     if skipped:
         INTEGRITY.fallback_restores += 1
     vm.channels.prefill_stdout(
         base64.b64decode(manifest.meta.get("stdout_b64", ""))
     )
-    return vm, skipped
+    return vm, skipped, len(links) - 1
 
 
 @dataclass
@@ -254,8 +297,14 @@ class HAReport:
     #: generations before succeeding.
     fallback_restores: int = 0
     checkpoints: int = 0
+    #: Of ``checkpoints``, how many were full and how many v4 deltas.
+    full_checkpoints: int = 0
+    delta_checkpoints: int = 0
     restarts: int = 0
     cold_restarts: int = 0
+    #: Per warm restart, the depth of the chain it restored: 0 for a
+    #: full, d for a delta fetched with its d parents.
+    restart_chain_depths: list[int] = field(default_factory=list)
     generations: list[int] = field(default_factory=list)
     platforms_visited: list[str] = field(default_factory=list)
     work_lost_instructions: int = 0
@@ -444,6 +493,10 @@ class HASupervisor:
                 self.vm_id, tailer.path, meta=meta
             )
         report.checkpoints += 1
+        if meta["kind"] == "delta":
+            report.delta_checkpoints += 1
+        else:
+            report.full_checkpoints += 1
         report.generations.append(generation)
         report.upload_stats.merge(stats)
         return True
@@ -462,7 +515,7 @@ class HASupervisor:
             )
         )
         try:
-            vm, skipped = restore_from_store(
+            vm, skipped, depth = restore_from_store(
                 self.client, self.vm_id, self.code, target, ckpt_path,
                 config, timer,
             )
@@ -472,4 +525,5 @@ class HASupervisor:
             return VirtualMachine(target, self.code, config), target
         report.fallback_restores += bool(skipped)
         report.restarts += 1
+        report.restart_chain_depths.append(depth)
         return vm, target

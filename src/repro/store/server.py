@@ -467,10 +467,9 @@ class FleetNode:
 
     def _op_get_manifest(self, payload: bytes) -> list[Frame]:
         req = P.decode_request(P.OP_GET_MANIFEST, payload, vm_id=str)
-        manifest = self.store.read_manifest(
-            req["vm_id"], req.get("generation")
+        return _ok(
+            self.store.read_manifest_bytes(req["vm_id"], req.get("generation"))
         )
-        return _ok(manifest.to_json().encode())
 
     def _op_ls(self, payload: bytes) -> list[Frame]:
         req = P.decode_request(P.OP_LS, payload, optional={"vm_id": str})

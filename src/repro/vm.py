@@ -166,6 +166,9 @@ class VirtualMachine:
     outside reference frees the heap chunks, stacks and staged arrays
     at once, by reference count — no ``close()``, no cycle collector
     (DESIGN.md §5).
+
+    ``boot=False`` leaves the major heap empty and ``global_data`` unset:
+    the shell a restart fills with the heap and globals it carries.
     """
 
     def __init__(
@@ -175,6 +178,8 @@ class VirtualMachine:
         config: Optional[VMConfig] = None,
         stdout: Optional[BinaryIO] = None,
         stdin: Optional[BinaryIO] = None,
+        *,
+        boot: bool = True,
     ) -> None:
         self.platform = platform
         self.code = code
@@ -232,9 +237,13 @@ class VirtualMachine:
                 self.interp, self.sched, self.mem.cglobals, self.temp_roots
             ),
         )
-        self.global_data = self.mem.alloc_shr(max(1, code.n_globals), 0)
-        for i in range(max(1, code.n_globals)):
-            self.mem.init_field(self.global_data, i, self.mem.values.val_unit)
+        if boot:
+            n_globals = max(1, code.n_globals)
+            self.global_data = self.mem.alloc_shr(n_globals, 0)
+            for i in range(n_globals):
+                self.mem.init_field(
+                    self.global_data, i, self.mem.values.val_unit
+                )
 
         #: Statistics from checkpoints taken by this VM.
         self.checkpoints_taken = 0

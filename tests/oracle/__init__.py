@@ -107,10 +107,9 @@ def restart_vm(platform, code, path, config=None) -> VirtualMachine:
     snap = reader.load_snapshot_chain(path)
     snap.heap_chunks = [(b, ws.tolist()) for b, ws in snap.heap_chunks]
     converter = ValueConverter(snap.arch, platform.arch)
-    vm = VirtualMachine(platform, code, config=config)
+    vm = VirtualMachine(platform, code, config=config, boot=False)
     vm.gc.disabled = True
     try:
-        reader._fresh_heap(vm)
         relocation = None
         if converter.word_size_differs:
             table = _rebuild_heap(vm, snap, converter)

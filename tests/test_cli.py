@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -227,9 +228,8 @@ class TestStoreCLI:
 
 
 class TestHACLI:
-    def test_ha_run_json(self, tmp_path, capsys):
-        import json
-
+    @staticmethod
+    def _ha_run(tmp_path, *flags: str) -> int:
         from repro.store import ChunkStore, FleetNode
 
         prog = tmp_path / "work.ml"
@@ -242,19 +242,91 @@ class TestHACLI:
         server = FleetNode(ChunkStore(str(tmp_path / "store")))
         host, port = server.start()
         try:
-            rc = main(["ha", "run", str(prog), "--vm-id", "cli-ha",
-                       "--addr", f"{host}:{port}",
-                       "--checkpoint-every", "10000",
-                       "--fault-min", "15000", "--fault-max", "40000",
-                       "--max-faults", "1", "--json"])
+            return main(["ha", "run", str(prog), "--vm-id", "cli-ha",
+                         "--addr", f"{host}:{port}",
+                         "--checkpoint-every", "5000",
+                         "--fault-min", "15000", "--fault-max", "40000",
+                         "--max-faults", "1", *flags])
         finally:
             server.stop()
-        assert rc == 0
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        """The environment with no ``CHKPT_*`` knob set."""
+        for name in list(os.environ):
+            if name.startswith("CHKPT_"):
+                monkeypatch.delenv(name)
+        return monkeypatch
+
+    def test_ha_run_json(self, tmp_path, capsys, env):
+        import json
+
+        assert self._ha_run(tmp_path, "--json") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["completed"]
         assert doc["stdout"] == "n=20000"
         assert doc["faults_injected"] == 1
         assert len(doc["platforms_visited"]) >= 2
+        # Deltas after each first full, and the chain each restart read.
+        assert doc["full_checkpoints"] and doc["delta_checkpoints"]
+        assert doc["full_checkpoints"] + doc["delta_checkpoints"] == (
+            doc["checkpoints"]
+        )
+        assert len(doc["restart_chain_depths"]) == doc["restarts"]
+
+    def test_ha_run_honours_chkpt_knobs(self, tmp_path, capsys, env):
+        import json
+
+        env.setenv("CHKPT_FULL_EVERY", "1")
+        assert self._ha_run(tmp_path, "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["completed"] and doc["checkpoints"]
+        assert doc["delta_checkpoints"] == 0
+        assert doc["full_checkpoints"] == doc["checkpoints"]
+        assert set(doc["restart_chain_depths"]) <= {0}
+
+    @pytest.mark.parametrize("full_every", [None, "1"])
+    def test_ha_live_honours_chkpt_knobs(
+        self, tmp_path, capsys, env, full_every
+    ):
+        import json
+
+        from repro.store import ChunkStore, FleetNode
+
+        if full_every is not None:
+            env.setenv("CHKPT_FULL_EVERY", full_every)
+        prog = tmp_path / "work.ml"
+        prog.write_text("""
+            let i = ref 0;;
+            while !i < 20000 do i := !i + 1 done;;
+            print_int !i
+        """)
+        server = FleetNode(ChunkStore(str(tmp_path / "store")))
+        host, port = server.start()
+        try:
+            rc = main(["ha", "live", str(prog), "--vm-id", "cli-live",
+                       "--addr", f"{host}:{port}", "--fault", "none",
+                       "--checkpoint-every", "4000", "--json"])
+        finally:
+            server.stop()
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["client_stdout"] == "20000"
+        assert doc["generations_shipped"] >= 3
+        if full_every is None:  # deltas fold into the standby in place
+            assert doc["generations_applied_in_place"] > 0
+        else:  # every generation full: each one is a rebuild
+            assert doc["generations_applied_in_place"] == 0
+            assert doc["last_rebuild_reason"] == "full"
+
+    def test_ha_run_summary_line(self, tmp_path, capsys, env):
+        assert self._ha_run(tmp_path) == 0
+        out, err = capsys.readouterr()
+        assert out == "n=20000"
+        assert re.search(
+            r"checkpoint\(s\) \(\d+ full, \d+ delta\), "
+            r"restored chain depths \[\d+\]", err
+        ), err
 
 
 class TestFsckCLI:

@@ -145,6 +145,20 @@ class TestV3Detection:
         with pytest.raises(CheckpointFormatError):
             read_checkpoint(path)
 
+    def test_undecodable_section_name_is_typed(self, tmp_path):
+        """A table row whose name is no longer UTF-8 is a damaged
+        trailer like any other — never a raw decode error, which no
+        generation fallback would catch."""
+        path, data = make_checkpoint(tmp_path)
+        name_at = data.rindex(TRAILER_MAGIC) + len(TRAILER_MAGIC) + 4 + 4
+        buf = bytearray(data)
+        buf[name_at] = 0xC3  # a lead byte followed by ASCII
+        with open(path, "wb") as f:
+            f.write(bytes(buf))
+        with pytest.raises(CheckpointIntegrityError) as exc:
+            read_checkpoint(path)
+        assert exc.value.section == "trailer"
+
     def test_mutation_counts_toward_integrity_metric(self, tmp_path):
         from repro.metrics import INTEGRITY
 

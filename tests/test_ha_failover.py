@@ -6,12 +6,16 @@ import hashlib
 import inspect
 import os
 import re
+import struct
+import zlib
 
 import pytest
 
 from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.arch.platforms import PLATFORMS
 from repro.channels.manager import ChannelManager
+from repro.checkpoint.format import TRAILER_MAGIC, read_section_table
+from repro.checkpoint.reader import ChainLink, restart_vm
 from repro.errors import (
     CheckpointIntegrityError,
     ReplicationError,
@@ -29,6 +33,7 @@ from repro.replication import (
 from repro.store import ChunkStore, FleetClient, FleetNode, HASupervisor
 from repro.store.client import StoreClient
 from repro.store.ha import (
+    HAReport,
     fetch_chain,
     manifest_meta,
     protected_config,
@@ -42,6 +47,7 @@ from repro.workloads import (
     matmul_expected,
     matmul_source,
 )
+from tests.oracle import fingerprint
 from tests.test_net import SRC, _modules_matching
 
 # Several checkpoint intervals of work; the total stays inside 31-bit
@@ -116,7 +122,7 @@ class TestHAFailover:
         assert report.upload_stats.dedup_ratio > 2.0
 
     def test_metrics_are_populated(self, code, service):
-        _, client = service
+        server, client = service
         report = HASupervisor(
             code, client, "ha-metrics",
             checkpoint_every=15_000,
@@ -133,13 +139,34 @@ class TestHAFailover:
         for phase in ("run", "checkpoint", "upload", "restart_download",
                       "restart_rebuild"):
             assert phase in phases, f"phase {phase!r} missing"
-        # dedup across the periodic checkpoints of a slowly-moving heap
-        # (each migration re-encodes the heap natively, resetting the
-        # chunk population — so the bound here is looser than the
-        # single-platform one asserted elsewhere)
-        assert report.upload_stats.dedup_ratio > 1.5
+        assert report.full_checkpoints + report.delta_checkpoints == (
+            report.checkpoints
+        )
+        assert report.full_checkpoints and report.delta_checkpoints
+        assert len(report.restart_chain_depths) == report.restarts
+        # A delta carries only what changed since its parent: on this
+        # slowly-moving heap every delta upload is smaller than every
+        # full one, whichever platform either was taken on.
+        sizes: dict[str, list[int]] = {"full": [], "delta": []}
+        for gen in server.store.generations("ha-metrics"):
+            m = server.store.read_manifest("ha-metrics", gen)
+            sizes[m.meta["kind"]].append(m.payload_len)
+        assert len(sizes["delta"]) == report.delta_checkpoints
+        assert max(sizes["delta"]) < min(sizes["full"])
         doc = report.as_dict()
-        assert doc["completed"] and doc["dedup_ratio"] > 1.5
+        assert doc["completed"] and doc["dedup_ratio"] >= 1.0
+
+    def test_report_dict_keys(self):
+        """``as_dict`` is ``vars`` plus the derived ``dedup_ratio``: a
+        field added to the report is a key added to ``--json``."""
+        assert set(HAReport().as_dict()) == {
+            "completed", "exit_code", "stdout", "faults_injected",
+            "midwrite_faults", "fallback_restores", "checkpoints",
+            "full_checkpoints", "delta_checkpoints", "restarts",
+            "cold_restarts", "restart_chain_depths", "generations",
+            "platforms_visited", "work_lost_instructions",
+            "restart_latencies", "phases", "integrity", "dedup_ratio",
+        }
 
     def test_fault_before_first_checkpoint_cold_starts(self, code, expected,
                                                        service):
@@ -428,10 +455,11 @@ def _ls_requests(wire_log) -> list[dict]:
 
 
 class TestChainFetch:
-    """What fetching a delta chain asks of the store: each generation's
-    manifest once and its chunks once, and a listing — scoped to the vm,
-    it reads every manifest the store retains for it — only when a
-    parent is not the upload just before its child, and then once."""
+    """What fetching a delta chain asks of the store: the head's
+    manifest, its parents' manifests in one batch, every link's chunks
+    together — and a listing, scoped to the vm, only when a parent is not
+    the upload just before its child, and then once.  The links stay in
+    memory: nothing is written where the restored VM will checkpoint."""
 
     DEPTH = 4
 
@@ -439,12 +467,7 @@ class TestChainFetch:
     def records(self, code, tmp_path):
         """One full and ``DEPTH`` deltas of one run, as captured."""
         path = str(tmp_path / "origin.hckp")
-        config = protected_config(
-            VMConfig(
-                chkpt_incremental=True, chkpt_retain=8, chkpt_full_every=0
-            ),
-            path,
-        )
+        config = protected_config(VMConfig(chkpt_full_every=0), path)
         vm = VirtualMachine(get_platform("rodrigo"), code, config)
         tailer = CommitTailer(vm, path)
         out = []
@@ -481,36 +504,44 @@ class TestChainFetch:
         )
         return generation
 
-    @staticmethod
-    def _fetched(path, depth):
-        files = [path] + [f"{path}.{i}" for i in range(1, depth + 1)]
-        out = []
-        for name in files:
-            with open(name, "rb") as f:
-                out.append(f.read())
-        return out
-
-    def test_two_exchanges_per_generation_and_no_listing(
-        self, records, service, tmp_path, exchanges
+    def test_three_exchanges_per_chain_and_no_listing(
+        self, code, expected, records, service, tmp_path, exchanges
     ):
         _, client = service
         for rec, data in records:
             self._upload(client, rec, data)
         del exchanges[:]
-        path = str(tmp_path / "restore.hckp")
-        manifest = fetch_chain(client, "chain", path)
-        assert manifest.generation == self.DEPTH + 1
-        assert len(exchanges) <= 2 + 2 * self.DEPTH
-        assert P.OP_LS not in exchanges
-        assert exchanges.count(P.OP_GET_MANIFEST) == self.DEPTH + 1
-        # Newest first, down to the full base — byte for byte.
-        assert self._fetched(path, self.DEPTH) == [
+        head, links = fetch_chain(client, "chain")
+        assert head.generation == self.DEPTH + 1
+        assert exchanges == [P.OP_GET_MANIFEST, P.OP_BATCH, P.OP_GET_MANY]
+        # Newest first, down to the full base — byte for byte, named.
+        assert [link.data for link in links] == [
             data for _rec, data in reversed(records)
         ]
-        assert not os.path.exists(f"{path}.{self.DEPTH + 1}")
+        assert [link.name for link in links] == [
+            f"vm 'chain' generation {g}"
+            for g in range(self.DEPTH + 1, 0, -1)
+        ]
+        # A full head costs its manifest and its chunks.
+        del exchanges[:]
+        _head, (full,) = fetch_chain(client, "chain", generation=1)
+        assert exchanges == [P.OP_GET_MANIFEST, P.OP_GET_MANY]
+        assert full.data == records[0][1]
+        # The whole recovery: the same three exchanges, and nothing at
+        # the path the restored VM will checkpoint to, numbered or not.
+        del exchanges[:]
+        local = tmp_path / "restore"
+        local.mkdir()
+        vm, skipped, depth = restore_from_store(
+            client, "chain", code, "ultra64", str(local / "restore.hckp")
+        )
+        assert (skipped, depth) == (0, self.DEPTH)
+        assert exchanges == [P.OP_GET_MANIFEST, P.OP_BATCH, P.OP_GET_MANY]
+        assert os.listdir(local) == []
+        assert vm.run().stdout == expected
 
     def test_parent_further_back_costs_one_listing_per_fetch(
-        self, records, service, tmp_path, exchanges, wire_log
+        self, records, service, exchanges, wire_log
     ):
         """Unrelated uploads sit between two links of the chain: each
         time the guess misses, but the vm's generations are listed once
@@ -525,12 +556,12 @@ class TestChainFetch:
                 client.put_checkpoint("chain", stray_data + b"\0" * i,
                                       meta=meta)
         del exchanges[:]
-        path = str(tmp_path / "restore.hckp")
         del wire_log[:]
-        fetch_chain(client, "chain", path)
+        _head, links = fetch_chain(client, "chain")
         assert exchanges.count(P.OP_LS) == 1
+        assert exchanges.count(P.OP_GET_MANY) == 1
         assert _ls_requests(wire_log) == [{"vm_id": "chain"}]
-        assert self._fetched(path, self.DEPTH) == [
+        assert [link.data for link in links] == [
             data for _rec, data in reversed(records)
         ]
 
@@ -544,21 +575,175 @@ class TestChainFetch:
         (full, full_data), _skipped, (orphan, orphan_data) = records[:3]
         self._upload(client, full, full_data)
         self._upload(client, orphan, orphan_data)
-        path = str(tmp_path / "restore.hckp")
-        head = fetch_chain(client, "chain", path)
+        head, links = fetch_chain(client, "chain")
         assert head.meta["kind"] == "delta"
-        assert not os.path.exists(path + ".1")
+        assert len(links) == 1
+        with pytest.raises(CheckpointIntegrityError, match="not fetched"):
+            restart_vm(get_platform("ultra64"), code, links)
         before = INTEGRITY.fallback_restores
-        vm, skipped = restore_from_store(
-            client, "chain", code, "ultra64", path
+        vm, skipped, depth = restore_from_store(
+            client, "chain", code, "ultra64", str(tmp_path / "restore.hckp")
         )
-        assert skipped == 1
+        assert (skipped, depth) == (1, 0)
         assert INTEGRITY.fallback_restores == before + 1
         assert vm.run().stdout == expected
         # The orphan's parent hunt and the newest-first walk each listed
         # this vm's generations, never the store.
         listed = _ls_requests(wire_log)
         assert listed and all(req == {"vm_id": "chain"} for req in listed)
+
+    @pytest.mark.parametrize("damaged, section", [
+        (0, "heap"), (0, "threads"), (2, "heap"), (2, "channels"),
+    ], ids=["base-heap", "base-threads", "mid-delta-heap",
+            "mid-delta-channels"])
+    def test_damaged_parent_is_typed_and_the_walk_falls_back(
+        self, damaged, section, code, expected, records, service, tmp_path
+    ):
+        """A byte flipped in a stored parent — the chain's full base, or
+        a delta in its middle; in a section the splice decodes, or in
+        one it only verifies — is a typed error naming the vm, the
+        generation and the section; the newest-first walk then lands on
+        the newest generation whose chain does not pass through it."""
+        _, client = service
+        # An older, independent full for the walk to land on if every
+        # link of the chain is unusable.
+        path = str(tmp_path / "older.hckp")
+        vm = VirtualMachine(
+            get_platform("rodrigo"), code, protected_config(None, path)
+        )
+        vm.run(max_instructions=3_000)
+        older = CommitTailer(vm, path).capture()
+        self._upload(client, older, older.data)
+        for i, (rec, data) in enumerate(records):
+            if i == damaged:
+                (row,) = [r for r in read_section_table(data)
+                          if r.name == section]
+                at = row.offset + row.length // 2
+                data = data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+            self._upload(client, rec, data)
+        bad_gen = damaged + 2
+        _head, links = fetch_chain(client, "chain")
+        with pytest.raises(CheckpointIntegrityError) as info:
+            restart_vm(get_platform("ultra64"), code, links)
+        err = info.value
+        assert err.section == section
+        assert f"vm 'chain' generation {bad_gen}:" in str(err)
+        assert f"section '{section}'" in str(err)
+        before = INTEGRITY.fallback_restores
+        vm, skipped, depth = restore_from_store(
+            client, "chain", code, "ultra64", str(tmp_path / "restore.hckp")
+        )
+        # Every generation from the head down to the damaged one fails.
+        assert skipped == self.DEPTH + 2 - bad_gen + 1
+        assert depth == max(bad_gen - 3, 0)
+        assert INTEGRITY.fallback_restores == before + 1
+        assert vm.run().stdout == expected
+
+    def test_parent_is_verified_whole_not_only_where_decoded(
+        self, code, records
+    ):
+        """A parent whose damaged section carries a re-sealed CRC (and
+        end CRC) passes every per-section check; only the body SHA-256
+        can tell — and a parent's is checked too."""
+        data = bytearray(records[2][1])
+        tlen = struct.unpack_from("<I", data, len(data) - 16)[0]
+        at = len(data) - 16 - tlen + len(TRAILER_MAGIC) + 4
+        for _ in range(struct.unpack_from("<I", data, at - 4)[0]):
+            (n,) = struct.unpack_from("<I", data, at)
+            name = data[at + 4 : at + 4 + n].decode()
+            off, length = struct.unpack_from("<QQ", data, at + 4 + n)
+            crc_at = at + 4 + n + 16
+            at = crc_at + 4
+            if name == "threads":
+                data[off + length // 2] ^= 0xFF
+                struct.pack_into("<I", data, crc_at,
+                                 zlib.crc32(data[off : off + length]))
+        struct.pack_into("<I", data, len(data) - 4,
+                         zlib.crc32(data[: len(data) - 12]))
+        chain = [records[3][1], bytes(data), records[1][1], records[0][1]]
+        links = [ChainLink(f"link {i}", d) for i, d in enumerate(chain)]
+        with pytest.raises(CheckpointIntegrityError, match="SHA-256") as e:
+            restart_vm(get_platform("ultra64"), code, links)
+        assert e.value.section == "file"
+        assert "link 1:" in str(e.value)
+
+    def test_lazy_restore_defers_its_heap_over_the_fetched_bytes(
+        self, code, expected, records, service, tmp_path
+    ):
+        _, client = service
+        for rec, data in records:
+            self._upload(client, rec, data)
+        local = tmp_path / "restore"
+        local.mkdir()
+        vm, _skipped, depth = restore_from_store(
+            client, "chain", code, "ultra64", str(local / "restore.hckp"),
+            config=VMConfig(lazy_restore=True),
+        )
+        assert depth == self.DEPTH
+        state = vm.lazy_restore
+        assert state is not None and state.pending > 0
+        assert state.sources and all(
+            src.data is not None and src._fd is None for src in state.sources
+        )
+        assert vm.run().stdout == expected
+        assert os.listdir(local) == []
+
+
+class TestColdChainEqualsFull:
+    """The cold plane's "chain == full" invariant: every generation a
+    supervised delta run stored restores — from its chain, fetched into
+    memory — to exactly the VM a full checkpoint taken at the same
+    instruction restores to, in both heterogeneous directions; and the
+    same links laid out as local rotation files restore to it too."""
+
+    def test_every_generation_restores_like_a_full(self, service, tmp_path):
+        server, client = service
+        code = compile_source(insertion_sort_source(150, checkpoint=False))
+        runs = {}
+        for vm_id, config in (
+            ("as-deltas", None),
+            ("as-fulls", VMConfig(chkpt_full_every=1)),
+        ):
+            runs[vm_id] = HASupervisor(
+                code, client, vm_id,
+                checkpoint_every=7_919,
+                fault_budgets=(20_000, 45_000),
+                max_faults=2,
+                seed=2002,
+                config=config,
+            ).run()
+        deltas, fulls = runs["as-deltas"], runs["as-fulls"]
+        assert deltas.delta_checkpoints and not fulls.delta_checkpoints
+        assert deltas.generations == fulls.generations
+        assert deltas.platforms_visited == fulls.platforms_visited
+        directions = set()
+        for g in deltas.generations:
+            meta = server.store.read_manifest("as-deltas", g).meta
+            full_meta = server.store.read_manifest("as-fulls", g).meta
+            assert full_meta["kind"] == "full"
+            assert meta["instructions"] == full_meta["instructions"]
+            source = PLATFORMS[meta["platform"]]
+            target = get_platform(
+                "ultra64" if source.arch.word_bytes == 4 else "rodrigo"
+            )
+            directions.add((source.arch.word_bytes, target.arch.word_bytes))
+            _head, links = fetch_chain(client, "as-deltas", generation=g)
+            _head, full = fetch_chain(client, "as-fulls", generation=g)
+            local = tmp_path / f"gen{g}"
+            local.mkdir()
+            for i, link in enumerate(links):
+                (local / ("head.hckp" + (f".{i}" if i else ""))).write_bytes(
+                    link.data
+                )
+            restored = [
+                restart_vm(target, code, chain)[0]
+                for chain in (links, full, str(local / "head.hckp"))
+            ]
+            prints = [fingerprint(vm, header_maps=True) for vm in restored]
+            assert prints[0] == prints[1] == prints[2], f"generation {g}"
+            ends = [vm.run() for vm in restored]
+            assert len({(r.stdout, r.instructions) for r in ends}) == 1
+        assert directions == {(4, 8), (8, 4)}
 
 
 class TestListingsAreScoped:
@@ -769,6 +954,19 @@ class TestOneOfEach:
             "repro/replication/live.py",
             "repro/store/ha.py",
         ]
+
+    def test_one_protection_policy(self):
+        """Both planes' protected VMs are configured by
+        ``protected_config`` alone — the warm driver has no copy."""
+        assert not hasattr(LiveHA, "_config")
+        assert _modules_matching(r"\bprotected_config\(") == [
+            "repro/replication/live.py",
+            "repro/store/ha.py",
+        ]
+        config = protected_config(VMConfig(chkpt_retain=2), "p.hckp")
+        assert config.chkpt_incremental and config.chkpt_retain == 8
+        assert config.chkpt_mode == "blocking"
+        assert config.chkpt_interval is None
 
     def test_only_whole_store_jobs_list_the_whole_store(self):
         """An argument-less ``.ls()`` reads every manifest of every vm

@@ -158,3 +158,39 @@ class TestCGlobalsAcrossRestart:
             assert vm2.mem.values.int_val(vm2.mem.field(restored, 0)) == 99
             # The raw (non-root) slot is carried over verbatim.
             assert cg.area.words[1] == 0xAB
+
+    def test_registered_roots_survive_a_delta_chain(self, tmp_path):
+        """Deltas that never touch the C-globals omit them; a restore
+        takes them from the chain's base — from rotation files or from
+        links held in memory alike."""
+        from repro.checkpoint.format import read_checkpoint
+        from repro.checkpoint.reader import ChainLink
+
+        path = str(tmp_path / "cg.hckp")
+        code = compile_source(
+            "let r = ref 0;; checkpoint ();; r := 1;; checkpoint ();; "
+            "r := 2;; checkpoint ();; print_int !r"
+        )
+        vm = VirtualMachine(
+            RODRIGO, code,
+            VMConfig(chkpt_filename=path, chkpt_mode="blocking",
+                     chkpt_incremental=True, chkpt_retain=8),
+        )
+        slot = vm.mem.cglobals.alloc_slot()
+        vm.mem.cglobals.store(
+            slot, vm.mem.make_block(0, [vm.mem.values.val_int(99)])
+        )
+        vm.run(max_instructions=100_000)
+        files = [path, path + ".1", path + ".2"]
+        head = read_checkpoint(path).delta
+        assert head.chain_depth == 2 and not head.has_cglobals
+        links = [
+            ChainLink(name, pathlib.Path(name).read_bytes()) for name in files
+        ]
+        for source in (path, links):
+            vm2, _ = restart_vm(get_platform("sp2148"), code, source)
+            cg = vm2.mem.cglobals
+            assert cg.used_words == 1
+            restored = cg.load(cg.root_addresses()[0])
+            assert vm2.mem.values.int_val(vm2.mem.field(restored, 0)) == 99
+            assert vm2.run().stdout == b"2"

@@ -19,7 +19,6 @@ SP2148 = get_platform("sp2148")
 def snapshot_and_vm(tmp_path):
     """A real checkpoint from rodrigo plus a fresh same-arch VM whose
     heap was restored, so chunk counts line up."""
-    from repro.checkpoint.reader import _fresh_heap
     from tests.oracle import _restore_heap_chunks
 
     path = str(tmp_path / "m.hckp")
@@ -30,8 +29,9 @@ def snapshot_and_vm(tmp_path):
     origin.run(max_instructions=100_000)
     snap = read_checkpoint(path)
     snap.heap_chunks = [(b, ws.tolist()) for b, ws in snap.heap_chunks]
-    target = VirtualMachine(get_platform("pc8"), code, VMConfig(chkpt_state="disable"))
-    _fresh_heap(target)
+    target = VirtualMachine(
+        get_platform("pc8"), code, VMConfig(chkpt_state="disable"), boot=False
+    )
     _restore_heap_chunks(target, snap)
     return snap, target
 

@@ -18,6 +18,7 @@ import pytest
 from repro.errors import (
     StoreConnectionError,
     StoreError,
+    StoreIntegrityError,
     StoreNotFoundError,
     StoreProtocolError,
 )
@@ -155,6 +156,37 @@ class TestDaemonRoundtrip:
         client.put_checkpoint("vm", b"")
         back, _ = client.get_checkpoint("vm")
         assert back == b""
+
+    def test_named_generations_in_one_batch(self, client):
+        for i in range(3):
+            client.put_checkpoint("vm", os.urandom(5_000), meta={"i": i})
+        got = client.get_manifests("vm", [3, 1, 7])
+        assert got[0] == client.get_manifest("vm", 3)
+        assert got[1] == client.get_manifest("vm", 1)
+        assert got[2] is None
+        payloads = client.get_payloads("vm", got[:2])
+        assert payloads == [
+            client.get_checkpoint("vm", g)[0] for g in (3, 1)
+        ]
+
+    @pytest.mark.parametrize("stored", [b"{not json", b"\xff\xfe\x00junk"])
+    def test_damaged_manifest_file_is_a_typed_error(self, fleet, client,
+                                                    stored):
+        """The daemon serves a manifest as stored; the reader's parse is
+        what rejects a damaged one — typed, never a raw decode error."""
+        client.put_checkpoint("vm", os.urandom(5_000))
+        owner = client.manifest_node("vm")
+        node = next(
+            n for n in fleet if f"{n.address[0]}:{n.address[1]}" == owner
+        )
+        with open(node.store._manifest_path("vm", 1), "wb") as f:
+            f.write(stored)
+        for read in (lambda: client.get_manifest("vm", 1),
+                     lambda: client.get_manifests("vm", [1])):
+            with pytest.raises(StoreIntegrityError, match="malformed"):
+                read()
+        with pytest.raises(StoreIntegrityError, match="malformed"):
+            node.store.read_manifest("vm", 1)
 
     def test_application_errors_not_retried(self, client):
         with pytest.raises(StoreNotFoundError):

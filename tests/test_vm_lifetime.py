@@ -313,9 +313,9 @@ def test_crashed_vm_is_gone_before_the_supervisor_restores(
 
     def restore(*args, **kwargs):
         alive_at_restore.append(sum(r() is not None for r in made))
-        vm, skipped = real_restore(*args, **kwargs)
+        vm, skipped, depth = real_restore(*args, **kwargs)
         made.append(weakref.ref(vm))
-        return vm, skipped
+        return vm, skipped, depth
 
     monkeypatch.setattr(ha, "VirtualMachine", Recorded)
     monkeypatch.setattr(ha, "restore_from_store", restore)
