@@ -163,9 +163,10 @@ def next_generation_path(path: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class ChainLink:
-    """One generation of a checkpoint chain held in memory — bytes a
-    store download verified against their manifest — and the name a
-    restore error gives it (there is no file to name).
+    """One generation of a checkpoint chain held in memory — the buffer
+    a store download assembled and verified against its manifest, read
+    in place — and the name a restore error gives it (there is no file
+    to name).
 
     A restore reads its chain from a checkpoint path, whose parents sit
     at ``path.1``, ``path.2``, ... as local rotation leaves them, or

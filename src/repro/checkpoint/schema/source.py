@@ -75,12 +75,18 @@ class _Backing:
     """
 
     __slots__ = ("data", "fd", "size", "bytes_read", "verified",
-                 "slices_pending", "sliced_handles", "_close_fd",
+                 "slices_pending", "sliced_handles", "_close_fd", "_view",
                  "__weakref__")
 
-    def __init__(self, data: Optional[bytes], fd: Optional[int],
-                 size: int) -> None:
+    def __init__(self, data, fd: Optional[int], size: int) -> None:
         self.data = data
+        # An image held in another buffer (a store download assembled in
+        # place, a received frame) is read through a view, so every read
+        # still hands out bytes.
+        self._view = (
+            None if data is None or isinstance(data, bytes)
+            else memoryview(data).toreadonly()
+        )
         self.fd = fd
         self.size = size
         self.bytes_read = size if data is not None else 0
@@ -96,12 +102,16 @@ class _Backing:
         )
 
     def read(self, off: int, n: int) -> bytes:
+        if self._view is not None:
+            return bytes(self._view[off : off + n])
         if self.data is not None:
             return self.data[off : off + n]
         self.bytes_read += n
         return os.pread(self.fd, n, off)
 
     def whole(self) -> bytes:
+        if self._view is not None:
+            return bytes(self._view)
         if self.data is None:
             self.data = os.pread(self.fd, self.size, 0)
             self.bytes_read = self.size
@@ -309,9 +319,9 @@ class SnapshotSource:
     def from_bytes(cls, data: bytes, tolerant: bool = False,
                    defer: bool = False, decode: Optional[frozenset] = None,
                    name: Optional[str] = None) -> "SnapshotSource":
-        """An in-memory image; ``name`` stands in for its path in errors."""
-        return cls(name, bytes(data), None, len(data), defer, tolerant,
-                   decode)
+        """An in-memory image in any byte buffer, held as it is (not
+        copied); ``name`` stands in for its path in errors."""
+        return cls(name, data, None, len(data), defer, tolerant, decode)
 
     # -- raw IO --------------------------------------------------------------
 

@@ -15,8 +15,9 @@ Three families:
   socket and damage the *message* stream the way a congested or
   partitioned network would: dropped, delayed, duplicated, and
   reordered sends, plus a switchable blackhole partition.  Both the
-  store protocol and the replication channel write one frame per
-  ``sendall`` call, so frame-level faults fall out of call-level ones.
+  store protocol and the replication channel write one frame per send
+  call — ``sendall``, or one scatter ``sendmsg`` for a big frame — so
+  frame-level faults fall out of call-level ones.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ class TornRenameHooks(CommitHooks):
 class FlakySocket:
     """A seedable lossy wrapper around a connected socket.
 
-    Every ``sendall`` call — one protocol frame, for both RSTP and the
-    replication channel — is independently subjected to:
+    Every ``sendall`` or ``sendmsg`` call — one protocol frame, for both
+    RSTP and the replication channel — is independently subjected to:
 
     * ``drop`` — silently discarded (the peer never sees it),
     * ``duplicate`` — sent twice back to back,
@@ -132,8 +133,9 @@ class FlakySocket:
     starve (the caller's socket timeout is how a partition is *felt*),
     with no FIN/RST — exactly what a yanked cable looks like.
 
-    Everything else (``recv``, ``settimeout``, ``close``, ...) passes
-    through, so a ``FlakySocket`` drops in anywhere a socket is used.
+    Reads (``recv``, ``recv_into``) are only starved by a partition;
+    everything else (``settimeout``, ``close``, ...) passes through, so
+    a ``FlakySocket`` drops in anywhere a socket is used.
     """
 
     def __init__(
@@ -207,28 +209,43 @@ class FlakySocket:
         self._sock.sendall(data)
         self._flush_held()
 
+    def sendmsg(self, buffers) -> int:
+        """A scatter send is one frame: dropped, duplicated, held back
+        or delayed whole, exactly like one ``sendall``."""
+        data = b"".join(buffers)
+        self.sendall(data)
+        return len(data)
+
     def _flush_held(self) -> None:
         if self._held is not None:
             held, self._held = self._held, None
             self.events.append("release-held")
             self._sock.sendall(held)
 
+    def _await_link(self) -> None:
+        """Starve the reader while partitioned, the way a dead link
+        would: honor the socket timeout instead of returning EOF."""
+        if not self._partitioned.is_set():
+            return
+        timeout = self._sock.gettimeout()
+        if timeout is None:
+            while self._partitioned.is_set():
+                time.sleep(0.01)
+            return
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if not self._partitioned.is_set():
+                return
+            time.sleep(0.005)
+        raise socket.timeout("partitioned")
+
     def recv(self, n: int) -> bytes:
-        if self._partitioned.is_set():
-            # Starve the reader the way a dead link would: honor the
-            # socket timeout instead of returning EOF.
-            timeout = self._sock.gettimeout()
-            if timeout is None:
-                while self._partitioned.is_set():
-                    time.sleep(0.01)
-                return self._sock.recv(n)
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                if not self._partitioned.is_set():
-                    return self._sock.recv(n)
-                time.sleep(0.005)
-            raise socket.timeout("partitioned")
+        self._await_link()
         return self._sock.recv(n)
+
+    def recv_into(self, buffer, nbytes: int = 0) -> int:
+        self._await_link()
+        return self._sock.recv_into(buffer, nbytes)
 
     # -- passthrough -------------------------------------------------------
 

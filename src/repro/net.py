@@ -11,10 +11,18 @@ A :class:`FrameCodec` binds that layout to one protocol — its magic, its
 one version byte, its payload bound and the typed error it raises — and
 reads frames two ways: blocking (:meth:`FrameCodec.recv_frame`, for
 clients and thread-per-peer servers) and incremental
-(:meth:`FrameCodec.pop_frame`, for a selectors loop that cannot block).
-Both go through the same header validation, so they accept and reject
-exactly the same byte streams.  The store's RSTP and the replication
-channel's RPLC are the two instances.
+(:class:`FrameBuffer`, for a selectors loop that cannot block).  Both go
+through the same header validation, so they accept and reject exactly
+the same byte streams.  The store's RSTP and the replication channel's
+RPLC are the two instances.
+
+A frame's bytes are copied at most once on each side.  A payload may be
+sent as a list of buffers — a header and its parts go out in one
+scatter ``sendmsg``, never joined — and a frame of :data:`BIG_FRAME`
+bytes or more is received with ``recv_into`` straight into a
+``bytearray`` of its length, which is the payload handed back.  Smaller
+frames stay on plain ``recv``: at that size the extra buffer costs more
+than the copy it saves.
 
 :class:`RetryPolicy` is the one connect/send/receive retry loop: bounded
 attempts with *full-jitter* exponential backoff — attempt ``n`` sleeps a
@@ -37,6 +45,25 @@ T = TypeVar("T")
 
 HEADER = struct.Struct("<4sBBI")
 
+#: Frames whose payload is at least this long are sent as scatter lists
+#: and received in place (see the module docstring).
+BIG_FRAME = 64 * 1024
+
+#: One non-blocking read of a :class:`FrameBuffer` between big frames.
+_RECV_SIZE = 256 * 1024
+
+
+def _sendmsg_all(sock, parts: list) -> None:
+    """Send ``parts`` back to back: one ``sendmsg`` when the kernel takes
+    them all, ``sendall`` for whatever it left."""
+    sent = sock.sendmsg(parts)
+    for part in parts:
+        if sent >= len(part):
+            sent -= len(part)
+            continue
+        sock.sendall(memoryview(part)[sent:])
+        sent = 0
+
 
 class FrameCodec:
     """The frame layout bound to one protocol's constants and error type."""
@@ -55,18 +82,33 @@ class FrameCodec:
 
     # -- encoding ----------------------------------------------------------
 
+    def header(self, op: int, length: int) -> bytes:
+        """The header of a frame whose payload is ``length`` bytes."""
+        if length > self.max_frame:
+            raise self.error(
+                f"frame payload of {length} bytes exceeds MAX_FRAME"
+            )
+        return HEADER.pack(self.magic, self.version, op, length)
+
     def encode_frame(self, op: int, payload: bytes = b"") -> bytes:
         """One complete frame, ready for ``sendall``."""
-        if len(payload) > self.max_frame:
-            raise self.error(
-                f"frame payload of {len(payload)} bytes exceeds MAX_FRAME"
-            )
-        return HEADER.pack(self.magic, self.version, op, len(payload)) + payload
+        return self.header(op, len(payload)) + payload
 
     def send_frame(
-        self, sock: socket.socket, op: int, payload: bytes = b""
+        self, sock: socket.socket, op: int, payload: bytes | list = b""
     ) -> None:
-        sock.sendall(self.encode_frame(op, payload))
+        """Send one frame.  ``payload`` is one buffer, or a list of them
+        that together are the payload — a big one goes out as one scatter
+        send, its parts never joined."""
+        if not isinstance(payload, list):
+            sock.sendall(self.encode_frame(op, payload))
+            return
+        length = sum(map(len, payload))
+        head = self.header(op, length)
+        if length < BIG_FRAME:
+            sock.sendall(head + b"".join(payload))
+        else:
+            _sendmsg_all(sock, [head, *payload])
 
     # -- decoding ----------------------------------------------------------
 
@@ -81,10 +123,15 @@ class FrameCodec:
             raise self.error(f"frame length {length} exceeds MAX_FRAME")
         return op, length
 
+    def _closed(self, got: int, n: int) -> Exception:
+        return self.error(f"connection closed mid-frame ({got}/{n} bytes)")
+
     def _recv_exact(
         self, sock: socket.socket, n: int, allow_eof: bool = False
-    ) -> Optional[bytes]:
-        buf = bytearray()
+    ) -> Optional[bytes | bytearray]:
+        if n >= BIG_FRAME:
+            return self._recv_into(sock, n)
+        buf = b""
         while len(buf) < n:
             try:
                 part = sock.recv(n - len(buf))
@@ -93,20 +140,35 @@ class FrameCodec:
             if not part:
                 if allow_eof and not buf:
                     return None
-                raise self.error(
-                    f"connection closed mid-frame ({len(buf)}/{n} bytes)"
-                )
-            buf += part
-        return bytes(buf)
+                raise self._closed(len(buf), n)
+            buf += part  # the first part is taken as it is
+        return buf
+
+    def _recv_into(self, sock: socket.socket, n: int) -> bytearray:
+        """``n`` bytes, read straight into a buffer of that length."""
+        buf = bytearray(n)
+        got = 0
+        with memoryview(buf) as view:
+            while got < n:
+                try:
+                    k = sock.recv_into(view[got:])
+                except ConnectionResetError:
+                    k = 0
+                if not k:
+                    raise self._closed(got, n)
+                got += k
+        return buf
 
     def recv_frame(
         self, sock: socket.socket, allow_eof: bool = False
-    ) -> Optional[tuple[int, bytes]]:
+    ) -> Optional[tuple[int, bytes | bytearray]]:
         """Block for one frame: ``(opcode, payload)``.
 
-        ``None`` on a clean EOF at a frame boundary when ``allow_eof``.
-        A socket timeout propagates as :class:`socket.timeout` — the
-        replication failure detectors are built on exactly that signal.
+        A payload of :data:`BIG_FRAME` bytes or more is the
+        ``bytearray`` it was received into.  ``None`` on a clean EOF at
+        a frame boundary when ``allow_eof``.  A socket timeout
+        propagates as :class:`socket.timeout` — the replication failure
+        detectors are built on exactly that signal.
         """
         head = self._recv_exact(sock, HEADER.size, allow_eof=allow_eof)
         if head is None:
@@ -118,10 +180,11 @@ class FrameCodec:
     def pop_frame(self, buf: bytearray) -> Optional[tuple[int, bytes]]:
         """Pop one complete frame off a connection buffer, if present.
 
-        Returns ``(opcode, payload)`` and consumes the bytes,
-        or ``None`` when the buffer does not yet hold a whole frame.
-        Garbage raises the protocol's error — the caller drops the
-        connection, exactly like the blocking reader.
+        Returns ``(opcode, payload)`` and consumes the bytes — the
+        payload copied out once — or ``None`` when the buffer does not
+        yet hold a whole frame.  Garbage raises the protocol's error —
+        the caller drops the connection, exactly like the blocking
+        reader.
         """
         if len(buf) < HEADER.size:
             return None
@@ -129,7 +192,8 @@ class FrameCodec:
         end = HEADER.size + length
         if len(buf) < end:
             return None
-        payload = bytes(buf[HEADER.size : end])
+        with memoryview(buf) as view:
+            payload = bytes(view[HEADER.size : end])
         del buf[:end]
         return op, payload
 
@@ -140,10 +204,68 @@ class FrameCodec:
         return json.dumps(obj, sort_keys=True).encode()
 
     def decode_json(self, payload: bytes):
+        """``payload`` may be any buffer: bytes, a received bytearray, or
+        a memoryview slice of one."""
         try:
-            return json.loads(payload.decode())
+            return json.loads(str(payload, "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise self.error(f"malformed JSON payload: {e}") from e
+
+
+class FrameBuffer:
+    """One connection's incoming frames, for a selectors loop.
+
+    :meth:`fill` does one non-blocking read; :meth:`pop` hands back each
+    complete frame as ``(opcode, payload)``.  Frames are read in bulk
+    and popped off one shared buffer (:meth:`FrameCodec.pop_frame`, one
+    copy each) — except that once the header of a :data:`BIG_FRAME`
+    payload is in without the rest, the rest is read with ``recv_into``
+    straight into a ``bytearray`` of its length: the payload
+    :meth:`pop` returns, never copied.
+    """
+
+    __slots__ = ("codec", "buf", "big", "got", "op")
+
+    def __init__(self, codec: FrameCodec) -> None:
+        self.codec = codec
+        self.buf = bytearray()
+        #: The big frame being read in place, ``got`` bytes of it so far.
+        self.big: Optional[bytearray] = None
+        self.got = 0
+        self.op = 0
+
+    def fill(self, sock: socket.socket) -> bool:
+        """One read off a non-blocking socket; False at end of stream.
+        ``BlockingIOError`` and any other ``OSError`` propagate."""
+        if self.big is None:
+            data = sock.recv(_RECV_SIZE)
+            self.buf += data
+            return bool(data)
+        with memoryview(self.big) as view:
+            n = sock.recv_into(view[self.got:])
+        self.got += n
+        return bool(n)
+
+    def pop(self) -> Optional[tuple[int, bytes | bytearray]]:
+        """The next complete frame, or None; garbage raises the codec's
+        error."""
+        if self.big is None:
+            frame = self.codec.pop_frame(self.buf)
+            if frame is not None or len(self.buf) < HEADER.size:
+                return frame
+            op, length = self.codec._parse_header(self.buf)
+            if length < BIG_FRAME:
+                return None
+            # Start the frame with what the bulk read already holds.
+            self.op, self.big = op, bytearray(length)
+            self.got = min(length, len(self.buf) - HEADER.size)
+            end = HEADER.size + self.got
+            self.big[: self.got] = memoryview(self.buf)[HEADER.size:end]
+            del self.buf[:end]
+        if self.got < len(self.big):
+            return None
+        frame, self.big = (self.op, self.big), None
+        return frame
 
 
 class RetryPolicy:

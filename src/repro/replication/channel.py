@@ -112,17 +112,18 @@ class ReplicationSender:
         :class:`StandbyUnreachableError` after the retransmit budget is
         spent with no covering ack.
         """
-        payload = wire.encode_gen(rec)
+        parts = wire.gen_parts(rec)
+        size = sum(map(len, parts))
         self.sock.settimeout(self.ack_timeout)
         attempts = 0
         while True:
             try:
-                wire.send_frame(self.sock, wire.OP_GEN, payload)
+                wire.send_frame(self.sock, wire.OP_GEN, parts)
                 if attempts == 0:
                     self.sent_seq = max(self.sent_seq, rec.seq)
-                    self._unacked_bytes += len(payload)
+                    self._unacked_bytes += size
                     REPLICATION.generations_sent += 1
-                    REPLICATION.bytes_sent += len(payload)
+                    REPLICATION.bytes_sent += size
                 else:
                     REPLICATION.retransmits += 1
                 self._gauge()

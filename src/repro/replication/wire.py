@@ -1,10 +1,12 @@
 """The replication channel wire protocol: acked, length-prefixed frames.
 
 Same frame layout as the store's RSTP (the shared
-:class:`repro.net.FrameCodec`: one ``sendall`` per frame, a fixed header
-carrying magic/version/opcode/length) but a separate protocol: the
-replication channel is a long-lived, ordered, *stateful* stream between
-exactly two nodes, not a request/response service.
+:class:`repro.net.FrameCodec`: one send per frame — a ``GEN`` as one
+scatter send of its header and parts, received in place and parsed by
+views — and a fixed header carrying magic/version/opcode/length) but a
+separate protocol: the replication channel is a long-lived, ordered,
+*stateful* stream between exactly two nodes, not a request/response
+service.
 
 ::
 
@@ -77,8 +79,10 @@ encode_json = CODEC.encode_json
 decode_json = CODEC.decode_json
 
 
-def encode_gen(rec: GenRecord) -> bytes:
-    """GEN payload: u32 meta length, JSON meta, file bytes, stdout bytes."""
+def gen_parts(rec: GenRecord) -> list:
+    """A GEN payload as the buffers it is made of — the u32 meta length
+    with the JSON meta, the file bytes, the stdout bytes — for one
+    scatter send; the file bytes are not copied."""
     meta = encode_json(
         {
             "seq": rec.seq,
@@ -93,15 +97,23 @@ def encode_gen(rec: GenRecord) -> bytes:
             "stdout_len": len(rec.stdout),
         }
     )
-    return _GEN_HEAD.pack(len(meta)) + meta + rec.data + rec.stdout
+    return [_GEN_HEAD.pack(len(meta)) + meta, rec.data, rec.stdout]
+
+
+def encode_gen(rec: GenRecord) -> bytes:
+    """GEN payload: u32 meta length, JSON meta, file bytes, stdout bytes."""
+    return b"".join(gen_parts(rec))
 
 
 def decode_gen(payload: bytes) -> GenRecord:
-    """Parse and *verify* a GEN payload (lengths and file digest)."""
+    """Parse and *verify* a GEN payload (lengths and file digest).
+
+    The record's ``data`` is a read-only view of ``payload`` — the
+    buffer a big frame was received into — not a copy of it."""
     if len(payload) < _GEN_HEAD.size:
         raise ReplicationProtocolError("GEN payload shorter than its header")
     (meta_len,) = _GEN_HEAD.unpack_from(payload)
-    body = payload[_GEN_HEAD.size:]
+    body = memoryview(payload).toreadonly()[_GEN_HEAD.size:]
     if meta_len > len(body):
         raise ReplicationProtocolError("GEN meta length overruns payload")
     meta = decode_json(body[:meta_len])
@@ -133,7 +145,7 @@ def decode_gen(payload: bytes) -> GenRecord:
         chain_depth=int(meta.get("chain_depth", 0)),
         format_version=int(fmt) if fmt is not None else None,
         instructions=int(meta.get("instructions", 0)),
-        stdout=stdout,
+        stdout=bytes(stdout),
         data=data,
     )
 

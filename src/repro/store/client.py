@@ -120,6 +120,9 @@ class StoreClient:
             (self.host, self.port), timeout=self.connect_timeout
         )
         try:
+            # Each request is one write and waits for its answer: Nagle
+            # would hold back the tail of any write the kernel splits.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.io_timeout)
             P.send_frame(sock, P.OP_HELLO)
             op, payload = P.recv_frame(sock)
@@ -161,13 +164,16 @@ class StoreClient:
     # -- request core ------------------------------------------------------
 
     def _exchange(
-        self, op: int, payload: bytes, read: Callable[[socket.socket], T]
+        self, op: int, payload: bytes | list,
+        read: Callable[[socket.socket], T],
     ) -> T:
         """Send one request and ``read`` its answer off the socket.
 
-        The one retry loop: a transport failure anywhere in connect,
-        handshake, send or read drops the connection and tries again on
-        a fresh one, within the retry policy's budget.
+        ``payload`` is one buffer or the list of them that make it up
+        (:meth:`~repro.net.FrameCodec.send_frame`).  The one retry loop:
+        a transport failure anywhere in connect, handshake, send or read
+        drops the connection and tries again on a fresh one, within the
+        retry policy's budget.
         """
 
         def attempt() -> T:
@@ -176,7 +182,9 @@ class StoreClient:
                     self._sock = self._connect()
                 P.send_frame(self._sock, op, payload)
                 return read(self._sock)
-            except _TRANSPORT_ERRORS:
+            except BaseException:
+                # Whatever stopped the exchange, the stream is no longer
+                # at a frame boundary this side knows.
                 self.close()
                 raise
 
@@ -194,7 +202,7 @@ class StoreClient:
             ),
         )
 
-    def _call(self, op: int, payload: bytes = b"") -> bytes:
+    def _call(self, op: int, payload: bytes | list = b"") -> bytes:
         """One request/response exchange; returns the ``OK`` payload."""
         rop, rpayload = self._exchange(op, payload, P.recv_frame)
         if rop not in (P.OP_OK, P.OP_ERR):
@@ -218,7 +226,7 @@ class StoreClient:
 
     def put_chunk(self, data: bytes) -> str:
         key = chunk_key(data)
-        self._call(P.OP_PUT_CHUNK, P.encode_chunk(bytes.fromhex(key), data))
+        self._call(P.OP_PUT_CHUNK, P.chunk_parts(bytes.fromhex(key), data))
         return key
 
     def get_chunk(self, key: str) -> bytes:
@@ -228,7 +236,7 @@ class StoreClient:
             raise StoreIntegrityError(
                 f"chunk {key[:16]}... failed verification after download"
             )
-        return data
+        return bytes(data)
 
     def put_manifest(
         self,
@@ -303,29 +311,30 @@ class StoreClient:
 
     # -- batched and streamed operations ------------------------------------
 
-    def batch_call(
-        self, items: list[tuple[int, bytes]]
-    ) -> list[tuple[int, bytes]]:
+    def batch_call(self, items: list[tuple]) -> list[tuple[int, bytes]]:
         """Run many sub-operations; one round trip per MAX_BATCH_OPS.
 
-        Returns one ``(opcode, payload)`` per item, in order — callers
-        unwrap each with :func:`unwrap_reply`, so one failed sub-op does
-        not fail the batch.
+        Each item is ``(opcode, *payload parts)``; each frame is sent as
+        its parts (:func:`~repro.store.protocol.batch_parts`), never
+        joined.  Returns one ``(opcode, payload)`` per item, in order —
+        callers unwrap each with :func:`unwrap_reply`, so one failed
+        sub-op does not fail the batch.
         """
         results: list[tuple[int, bytes]] = []
         for group in batched(items, P.MAX_BATCH_OPS):
-            sub = P.decode_ops(self._call(P.OP_BATCH, P.encode_ops(group)))
+            sub = P.decode_ops(self._call(P.OP_BATCH, P.batch_parts(group)))
             if len(sub) != len(group):
                 raise StoreProtocolError("BATCH answer count mismatch")
             FLEET.batches_sent += 1
             FLEET.batched_ops += len(group)
-            results.extend(sub)
+            results.extend((op, bytes(payload)) for op, payload in sub)
         return results
 
     def put_chunks(
         self, chunks: list[bytes], keys: Optional[list[str]] = None
-    ) -> int:
-        """Batched content-addressed puts; returns how many were new.
+    ) -> list[bool]:
+        """Batched content-addressed puts; per chunk, whether the daemon
+        stored it new (False: it already held it).
 
         ``keys`` are the chunks' content addresses when the caller has
         already hashed them (the server checks each one regardless).
@@ -333,36 +342,37 @@ class StoreClient:
         if keys is None:
             keys = [chunk_key(c) for c in chunks]
         ops = [
-            (P.OP_PUT_CHUNK, P.encode_chunk(bytes.fromhex(k), c))
+            (P.OP_PUT_CHUNK, *P.chunk_parts(bytes.fromhex(k), c))
             for k, c in zip(keys, chunks)
         ]
-        return sum(
+        return [
             unwrap_reply(rop, rpayload) == b"\x01"
             for rop, rpayload in self.batch_call(ops)
-        )
+        ]
 
-    def get_many(self, keys: list[str]) -> tuple[dict[str, bytes], list[str]]:
-        """Fetch many chunks; returns ``(found, missing)``.
+    def get_many(
+        self, keys: list[str], sink: Callable[[str, memoryview], None]
+    ) -> list[str]:
+        """Stream many chunks into ``sink(key, data)``; returns the keys
+        the daemon does not hold.
 
         One streamed request per MAX_GET_MANY keys; every chunk is
-        verified against its content address.
+        verified against its content address before ``sink`` sees it.
+        ``data`` is a view of the frame it arrived in: copy what you
+        keep.  A retried request may hand ``sink`` a key again.
         """
-        out: dict[str, bytes] = {}
         missing: list[str] = []
         for group in batched(list(dict.fromkeys(keys)), P.MAX_GET_MANY):
-            got, miss = self._get_many_stream(group)
-            out.update(got)
-            missing.extend(miss)
-        return out, missing
+            missing.extend(self._get_many_stream(group, sink))
+        return missing
 
     def _get_many_stream(
-        self, keys: list[str]
-    ) -> tuple[dict[str, bytes], list[str]]:
+        self, keys: list[str], sink: Callable[[str, memoryview], None]
+    ) -> list[str]:
         """One GET_MANY exchange: CHUNK frames, then END."""
         wanted = set(keys)
 
         def read_stream(sock: socket.socket):
-            got: dict[str, bytes] = {}
             while True:
                 op, rpayload = P.recv_frame(sock)
                 if op == P.OP_CHUNK:
@@ -372,23 +382,23 @@ class StoreClient:
                         raise StoreProtocolError(
                             f"streamed chunk {key[:16]}... fails verification"
                         )
-                    got[key] = data
+                    sink(key, data)
                     FLEET.streamed_chunks += 1
                 elif op == P.OP_END:
-                    return got, P.decode_json(rpayload)
+                    return True, P.decode_json(rpayload)
                 elif op == P.OP_ERR:
-                    return None, rpayload
+                    return False, rpayload
                 else:
                     raise StoreProtocolError(
                         f"unexpected stream opcode 0x{op:02x}"
                     )
 
-        got, end = self._exchange(
+        ended, end = self._exchange(
             P.OP_GET_MANY, b"".join(bytes.fromhex(k) for k in keys), read_stream
         )
-        if got is None:
+        if not ended:
             raise _remote_error(end)
-        return got, [k for k in end.get("missing", []) if k in wanted]
+        return [k for k in end.get("missing", []) if k in wanted]
 
     # -- housekeeping ops ---------------------------------------------------
 

@@ -39,17 +39,15 @@ from repro.store.chunkstore import (
     PutStats,
     chunk_key,
 )
-from repro.store.client import StoreClient, batched, parse_addr
+from repro.store import protocol as P
+from repro.store.client import StoreClient, parse_addr
 from repro.store.fleet.cache import PresenceCache
 from repro.store.fleet.ring import DEFAULT_VNODES, HashRing
 
-#: Per-node pending chunks before one presence-query + batched-put
-#: round trip (bounds buffered upload memory per shard).
-_FLEET_WINDOW = 128
-
-#: Chunk positions fetched per download window (split per owner node,
-#: each node request capped by protocol.MAX_GET_MANY).
-_DOWNLOAD_WINDOW = 256
+#: Chunk bytes an upload buffers per shard before one presence query and
+#: one batched put (capped at ``MAX_BATCH_OPS`` chunks, so one ``BATCH``),
+#: and a file download assembles before writing them out.
+_WINDOW_BYTES = 1 << 20
 
 
 class FleetClient:
@@ -157,10 +155,11 @@ class FleetClient:
     def put_checkpoint(
         self, vm_id: str, payload: bytes, meta: Optional[dict] = None
     ) -> tuple[int, PutStats]:
-        def make_iter() -> Iterator[bytes]:
+        def make_iter() -> Iterator[memoryview]:
             cs = self.chunk_size
-            for i in range(0, len(payload), cs):
-                yield payload[i : i + cs]
+            view = memoryview(payload).toreadonly()
+            for i in range(0, len(view), cs):
+                yield view[i : i + cs]
 
         return self._put_stream(vm_id, make_iter, meta)
 
@@ -186,7 +185,10 @@ class FleetClient:
         """Sharded dedup upload with the epoch-bracket staleness guard.
 
         ``make_iter`` must produce a *fresh* chunk iterator per call —
-        the rare stale-cache recovery pass re-reads the source.
+        the rare stale-cache recovery pass re-reads the source.  Each
+        shard's window is flushed once it holds ``_WINDOW_BYTES`` and
+        let go before the source is read further, so an upload holds
+        about one window per shard of what it reads.
         """
 
         def source() -> Iterator[bytes]:
@@ -205,6 +207,7 @@ class FleetClient:
         seen: set[str] = set()
         # node -> [(key, chunk, cached_answer)] with cached in (False, None)
         pending: dict[str, list[tuple[str, bytes, Optional[bool]]]] = {}
+        pending_bytes: dict[str, int] = {}
         for chunk in source():
             key = chunk_key(chunk)
             payload_sha.update(chunk)
@@ -223,8 +226,14 @@ class FleetClient:
             )
             if cached is True:
                 continue  # the cache says the owner already has it
-            pending.setdefault(node, []).append((key, chunk, cached))
-            if len(pending[node]) >= _FLEET_WINDOW:
+            window = pending.setdefault(node, [])
+            window.append((key, chunk, cached))
+            pending_bytes[node] = pending_bytes.get(node, 0) + len(chunk)
+            if (
+                pending_bytes[node] >= _WINDOW_BYTES
+                or len(window) >= P.MAX_BATCH_OPS
+            ):
+                del pending_bytes[node]
                 self._flush_window(node, pending.pop(node), stats)
         for node, items in sorted(pending.items()):
             self._flush_window(node, items, stats)
@@ -241,7 +250,11 @@ class FleetClient:
         items: list[tuple[str, bytes, Optional[bool]]],
         stats: PutStats,
     ) -> None:
-        """One presence round trip + one batched-put round trip."""
+        """One presence round trip + one batched-put round trip.
+
+        What counts as new is what the daemon answers it stored new: a
+        chunk another client put after this one heard "absent" is not.
+        """
         client = self.nodes[node]
         unknown = [key for key, _chunk, cached in items if cached is None]
         # A cached negative answer means: skip the query, go straight to
@@ -257,13 +270,14 @@ class FleetClient:
             if not present.get(key, False)
         ]
         if to_put:
-            client.put_chunks(
+            stored_new = client.put_chunks(
                 [chunk for _key, chunk in to_put],
                 keys=[key for key, _chunk in to_put],
             )
-            for _key, chunk in to_put:
-                stats.chunks_new += 1
-                stats.bytes_new += len(chunk)
+            for (_key, chunk), new in zip(to_put, stored_new):
+                if new:
+                    stats.chunks_new += 1
+                    stats.bytes_new += len(chunk)
         if self.caches is not None:
             self.caches[node].note_present([key for key, _c, _a in items])
 
@@ -392,35 +406,68 @@ class FleetClient:
 
     def get_chunk(self, key: str) -> bytes:
         """One verified chunk, from its owner shard or wherever it is."""
-        return self._fetch_keys([key])[key]
+        got: dict[str, bytes] = {}
+        self._fetch([key], lambda k, data: got.update({k: bytes(data)}))
+        return got[key]
 
-    def _fetch_keys(self, keys: Iterable[str]) -> dict[str, bytes]:
-        out: dict[str, bytes] = {}
+    def _fetch(
+        self, keys: Iterable[str], sink: Callable[[str, memoryview], None]
+    ) -> None:
+        """Stream each key's verified bytes into ``sink(key, data)``: one
+        ``GET_MANY`` per owner shard; a chunk its owner lacks is hunted
+        on the others."""
         for node, group in self._group_by_owner(set(keys)).items():
-            got, missing = self.nodes[node].get_many(sorted(group))
-            out.update(got)
-            for key in missing:
-                out[key] = self._hunt_chunk(key, exclude=node)
-        return out
+            for key in self.nodes[node].get_many(sorted(group), sink):
+                sink(key, self._hunt_chunk(key, exclude=node))
+
+    def _assemble(
+        self, vm_id: str, spans: list[tuple[Manifest, int, int]]
+    ) -> list[bytearray]:
+        """Chunks ``[a, b)`` of each manifest, fetched together and
+        copied, as each arrives, into one buffer per span preallocated
+        at its size — each chunk at the offset its position and the
+        manifest's chunk size give it."""
+        buffers: list[bytearray] = []
+        slots: dict[str, list[memoryview]] = {}
+        for m, a, b in spans:
+            cs = m.chunk_size
+            buf = bytearray(max(0, min(b * cs, m.payload_len) - a * cs))
+            view = memoryview(buf)
+            for i, key in enumerate(m.chunks[a:b]):
+                slots.setdefault(key, []).append(view[i * cs : (i + 1) * cs])
+            buffers.append(buf)
+
+        def place(key: str, data) -> None:
+            for slot in slots[key]:
+                if len(slot) != len(data):
+                    raise StoreIntegrityError(
+                        f"vm {vm_id!r}: chunk {key[:16]}... does not fit "
+                        f"its place in the manifest; downloaded payload "
+                        f"fails verification"
+                    )
+                slot[:] = data
+
+        self._fetch(slots, place)
+        return buffers
 
     def get_payloads(
         self, vm_id: str, manifests: list[Manifest]
-    ) -> list[bytes]:
+    ) -> list[bytearray]:
         """Each generation's payload, in memory and verified against its
         manifest; the chunks of all of them are fetched together — one
-        ``GET_MANY`` per shard up to ``MAX_GET_MANY`` distinct keys."""
-        data = self._fetch_keys({k for m in manifests for k in m.chunks})
-        payloads = []
-        for m in manifests:
-            payload = b"".join([data[key] for key in m.chunks])
+        ``GET_MANY`` per shard up to ``MAX_GET_MANY`` distinct keys — and
+        each payload is the buffer it was assembled in."""
+        payloads = self._assemble(
+            vm_id, [(m, 0, len(m.chunks)) for m in manifests]
+        )
+        for m, payload in zip(manifests, payloads):
             self._verify_payload(vm_id, m, len(payload),
                                  hashlib.sha256(payload).hexdigest())
-            payloads.append(payload)
         return payloads
 
     def get_checkpoint(
         self, vm_id: str, generation: Optional[int] = None
-    ) -> tuple[bytes, Manifest]:
+    ) -> tuple[bytearray, Manifest]:
         manifest = self.get_manifest(vm_id, generation)
         return self.get_payloads(vm_id, [manifest])[0], manifest
 
@@ -430,16 +477,15 @@ class FleetClient:
         """Download one generation to ``path``, verified, a window of
         chunks at a time: the payload is never in memory whole."""
         manifest = self.get_manifest(vm_id, generation)
+        per = max(1, _WINDOW_BYTES // max(1, manifest.chunk_size))
         payload_sha = hashlib.sha256()
         written = 0
         with open(path, "wb") as f:
-            for window in batched(list(manifest.chunks), _DOWNLOAD_WINDOW):
-                data = self._fetch_keys(window)
-                for key in window:
-                    chunk = data[key]
-                    payload_sha.update(chunk)
-                    written += len(chunk)
-                    f.write(chunk)
+            for a in range(0, len(manifest.chunks), per):
+                (window,) = self._assemble(vm_id, [(manifest, a, a + per)])
+                payload_sha.update(window)
+                written += len(window)
+                f.write(window)
         self._verify_payload(vm_id, manifest, written, payload_sha.hexdigest())
         return manifest
 

@@ -18,8 +18,16 @@ bytes prefixed by their 32-byte SHA-256, so both sides can verify
 content addresses on the wire; structured payloads (manifest
 operations, listings, stats) are UTF-8 JSON.
 
-Uploads and downloads stream one chunk per frame — neither side ever
-holds more than ``MAX_FRAME`` bytes of a checkpoint in a single message.
+A checkpoint crosses the wire a window at a time: an upload sends each
+shard at most 1 MiB of chunks per ``BATCH`` frame, a download streams
+one chunk per ``CHUNK`` frame.  Each side copies a byte at most once: a
+``BATCH`` is sent as a scatter list of its sub-frame headers and the
+chunk buffers themselves (:func:`batch_parts`, :func:`chunk_parts`), a
+big frame is received into a buffer of its length, and
+:func:`decode_ops` / :func:`decode_chunk` hand back ``memoryview``
+slices of it, which hashing and compression consume in place.  The
+bytes on the wire are exactly those of the joined encoders
+(:func:`encode_ops`, :func:`encode_chunk`).
 
 ``HELLO``
     The connection handshake: an optional JSON object up; ``OK
@@ -37,17 +45,19 @@ holds more than ``MAX_FRAME`` bytes of a checkpoint in a single message.
 ``GET_MANY``
     A digest list up; a *stream* down — one ``CHUNK`` frame per present
     chunk, terminated by an ``END`` frame whose JSON carries the keys
-    that were missing.  The daemon queues the whole answer on the
-    connection's output buffer before its loop writes any of it, so it
-    holds up to ``MAX_GET_MANY`` chunks per request (512 x 64 KiB =
-    32 MiB at the default chunk size); the client never holds more than
-    the window it asked for.
+    that were missing.  The daemon pumps the answer: it reads the next
+    chunk and queues its frame only while the connection's output
+    buffer is under a 512 KiB watermark, and holds that connection's
+    later requests until the stream has ended.  So one answer costs the
+    daemon about one watermark of memory at any size up to
+    ``MAX_GET_MANY`` chunks, and the client assembles what it asked for
+    in place as the frames arrive.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import StoreError, StoreProtocolError
 from repro.net import HEADER, FrameCodec  # HEADER is re-exported
@@ -65,8 +75,7 @@ MAX_FRAME = 64 * 1024 * 1024
 #: work per round trip the same way MAX_FRAME bounds memory.
 MAX_BATCH_OPS = 256
 
-#: Most digests one GET_MANY request may carry; with the chunk size it
-#: bounds what the daemon queues for one answer.
+#: Most digests one GET_MANY request may carry.
 MAX_GET_MANY = 512
 
 CODEC = FrameCodec(MAGIC, VERSION, MAX_FRAME, StoreProtocolError)
@@ -131,17 +140,25 @@ encode_json = CODEC.encode_json
 decode_json = CODEC.decode_json
 
 
-def encode_chunk(key_raw: bytes, data: bytes) -> bytes:
-    """A chunk frame payload: 32-byte digest then the raw chunk bytes."""
+def chunk_parts(key_raw: bytes, data: bytes) -> list:
+    """A chunk frame payload as its two buffers: the 32-byte digest, then
+    the raw chunk bytes (uncopied)."""
     if len(key_raw) != 32:
         raise StoreProtocolError("chunk key must be a 32-byte SHA-256 digest")
-    return key_raw + data
+    return [key_raw, data]
 
 
-def decode_chunk(payload: bytes) -> tuple[bytes, bytes]:
+def encode_chunk(key_raw: bytes, data: bytes) -> bytes:
+    """:func:`chunk_parts` joined: one chunk frame payload."""
+    return b"".join(chunk_parts(key_raw, data))
+
+
+def decode_chunk(payload: bytes) -> tuple[memoryview, memoryview]:
+    """``(digest, chunk bytes)`` as read-only views of ``payload``."""
     if len(payload) < 32:
         raise StoreProtocolError("chunk payload shorter than its digest")
-    return payload[:32], payload[32:]
+    view = memoryview(payload).toreadonly()
+    return view[:32], view[32:]
 
 
 def decode_request(
@@ -184,23 +201,34 @@ _SUB_HEADER = struct.Struct("<BI")
 _COUNT = struct.Struct("<I")
 
 
-def encode_ops(items: list[tuple[int, bytes]]) -> bytes:
-    """Pack (opcode, payload) pairs into one BATCH payload."""
+def batch_parts(items: Sequence[tuple]) -> list:
+    """One BATCH payload as the list of buffers it is made of: the count,
+    then per item ``(opcode, *payload parts)`` its sub-frame header and
+    its parts, uncopied — for a scatter send."""
     if len(items) > MAX_BATCH_OPS:
         raise StoreProtocolError(
             f"batch of {len(items)} exceeds MAX_BATCH_OPS ({MAX_BATCH_OPS})"
         )
-    out = bytearray(_COUNT.pack(len(items)))
-    for op, payload in items:
-        out += _SUB_HEADER.pack(op, len(payload))
-        out += payload
-    if len(out) > MAX_FRAME:
+    parts: list = [_COUNT.pack(len(items))]
+    total = _COUNT.size
+    for op, *payload in items:
+        length = sum(map(len, payload))
+        parts.append(_SUB_HEADER.pack(op, length))
+        parts += payload
+        total += _SUB_HEADER.size + length
+    if total > MAX_FRAME:
         raise StoreProtocolError("batch payload exceeds MAX_FRAME")
-    return bytes(out)
+    return parts
 
 
-def decode_ops(payload: bytes) -> list[tuple[int, bytes]]:
-    """Inverse of :func:`encode_ops`; validates counts and lengths."""
+def encode_ops(items: Sequence[tuple]) -> bytes:
+    """:func:`batch_parts` joined: one BATCH payload."""
+    return b"".join(batch_parts(items))
+
+
+def decode_ops(payload: bytes) -> list[tuple[int, memoryview]]:
+    """Inverse of :func:`encode_ops`; validates counts and lengths.
+    Each sub-payload is a read-only view of ``payload``."""
     if len(payload) < _COUNT.size:
         raise StoreProtocolError("batch payload shorter than its count")
     (count,) = _COUNT.unpack_from(payload)
@@ -208,15 +236,16 @@ def decode_ops(payload: bytes) -> list[tuple[int, bytes]]:
         raise StoreProtocolError(
             f"batch of {count} exceeds MAX_BATCH_OPS ({MAX_BATCH_OPS})"
         )
+    view = memoryview(payload).toreadonly()
     off = _COUNT.size
-    items: list[tuple[int, bytes]] = []
+    items: list[tuple[int, memoryview]] = []
     for _ in range(count):
         try:
-            op, length = _SUB_HEADER.unpack_from(payload, off)
+            op, length = _SUB_HEADER.unpack_from(view, off)
         except struct.error as e:
             raise StoreProtocolError(f"truncated batch sub-frame: {e}") from e
         off += _SUB_HEADER.size
-        sub = payload[off : off + length]
+        sub = view[off : off + length]
         if len(sub) != length:
             raise StoreProtocolError("truncated batch sub-frame payload")
         off += length

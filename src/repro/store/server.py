@@ -8,20 +8,29 @@ here, restart supervisors pull the latest manifest from here.
 At fleet scale — hundreds of supervisors holding persistent sockets — a
 thread per connection is hundreds of mostly-idle threads.  The daemon
 multiplexes every connection on one ``selectors`` loop instead:
-non-blocking sockets, per-connection in/out byte buffers, frames popped
-incrementally by :func:`~repro.store.protocol.pop_frame`.  The store
-work itself is byte-shuffling and hashing, so one loop thread keeps up
-with many clients and the accept path never queues behind a slow
-handler.  A single-node store is this same daemon as a 1-shard fleet.
+non-blocking sockets, frames assembled incrementally by a
+:class:`~repro.net.FrameBuffer` (a big one read in place, never copied),
+a per-connection output buffer.  The store work itself is
+byte-shuffling and hashing, so one loop thread keeps up with many
+clients and the accept path never queues behind a slow handler.  A
+single-node store is this same daemon as a 1-shard fleet.
 
 Every opcode is one entry of one table.  A handler returns the frames
-of its answer: one ``OK`` for most, and for the connection-layer ops
+of its answer — each ``(opcode, *payload parts)``, copied once, into
+the output buffer: one ``OK`` for most, and for the connection-layer ops
 
 - ``HELLO``    — the handshake: this node's identity and epoch;
-- ``BATCH``    — each sub-operation through the same table, one ``OK``
+- ``BATCH``    — each sub-operation through the same table (a chunk put
+  hashes and compresses its slice of the request in place), one ``OK``
   frame whose payload carries the per-sub-op results;
 - ``GET_MANY`` — one ``CHUNK`` frame per present key, then one ``END``
   frame naming the missing ones.
+
+An answer is *pumped*: its frames move to the output buffer only while
+that holds less than ``_WATERMARK`` bytes, and a connection's later
+requests wait, unread, until its answer in progress is out — so a
+``GET_MANY`` of hundreds of chunks costs the daemon one watermark, not
+the whole answer.
 
 Replication
 -----------
@@ -59,22 +68,23 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import StoreError, StoreProtocolError
+from repro.net import FrameBuffer
 from repro.store import protocol as P
 from repro.store.chunkstore import ChunkStore, Manifest, chunk_key
 from repro.store.client import StoreClient
 
-#: recv() size per readable event.
-_RECV_SIZE = 256 * 1024
+#: Output-buffer level below which an answer in progress is pumped on.
+_WATERMARK = 512 * 1024
 
 #: Ops a BATCH may not carry: no nesting, no streams inside a
 #: single-frame answer, no handshake mid-connection.
 _NOT_BATCHABLE = (P.OP_BATCH, P.OP_GET_MANY, P.OP_HELLO)
 
-#: One response frame: ``(opcode, payload)``.
-Frame = tuple[int, bytes]
+#: One response frame: ``(opcode, *payload parts)``.
+Frame = tuple
 
 
 def _ok(payload: bytes = b"") -> list[Frame]:
@@ -139,12 +149,14 @@ class FollowerState:
 class _Conn:
     """One multiplexed client connection."""
 
-    __slots__ = ("sock", "inbuf", "outbuf")
+    __slots__ = ("sock", "frames", "outbuf", "answer")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.inbuf = bytearray()
+        self.frames = FrameBuffer(P.CODEC)
         self.outbuf = bytearray()
+        #: The frames of the answer being pumped, while it lasts.
+        self.answer: Optional[Iterator[Frame]] = None
 
 
 class FleetNode:
@@ -288,6 +300,9 @@ class FleetNode:
             except OSError:  # BlockingIOError: the backlog is drained
                 return
             sock.setblocking(False)
+            # A pumped answer leaves in several writes: Nagle would hold
+            # each tail back for the client's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Conn(sock)
             self._conns[sock] = conn
             self._sel.register(sock, selectors.EVENT_READ, conn)
@@ -305,7 +320,9 @@ class FleetNode:
             pass
 
     def _interest(self, conn: _Conn) -> None:
-        events = selectors.EVENT_READ
+        # While an answer is pumped its requester's next ones stay
+        # unread (TCP backpressure), and the pump keeps outbuf filled.
+        events = selectors.EVENT_READ if conn.answer is None else 0
         if conn.outbuf:
             events |= selectors.EVENT_WRITE
         try:
@@ -315,27 +332,15 @@ class FleetNode:
 
     def _readable(self, conn: _Conn) -> None:
         try:
-            data = conn.sock.recv(_RECV_SIZE)
+            alive = conn.frames.fill(conn.sock)
         except BlockingIOError:
             return
         except OSError:
+            alive = False
+        if not alive:
             self._drop(conn.sock)
             return
-        if not data:
-            self._drop(conn.sock)
-            return
-        conn.inbuf += data
-        while True:
-            try:
-                frame = P.pop_frame(conn.inbuf)
-            except StoreProtocolError:
-                # Garbage framing: drop the connection.
-                self._drop(conn.sock)
-                return
-            if frame is None:
-                break
-            self._handle(conn, *frame)
-        self._interest(conn)
+        self._serve(conn)
 
     def _writable(self, conn: _Conn) -> None:
         try:
@@ -346,16 +351,51 @@ class FleetNode:
             self._drop(conn.sock)
             return
         del conn.outbuf[:sent]
+        self._pump(conn)
+        self._serve(conn)
+
+    def _serve(self, conn: _Conn) -> None:
+        """Answer each whole request received, in order, until one's
+        answer is still being pumped: the rest wait for it."""
+        while conn.answer is None:
+            try:
+                frame = conn.frames.pop()
+            except StoreProtocolError:
+                # Garbage framing: drop the connection.
+                self._drop(conn.sock)
+                return
+            if frame is None:
+                break
+            self._handle(conn, *frame)
         self._interest(conn)
 
     # -- request dispatch --------------------------------------------------
 
     def _handle(self, conn: _Conn, op: int, payload: bytes) -> None:
         try:
-            for rop, rpayload in self.dispatch(op, payload):
-                conn.outbuf += P.encode_frame(rop, rpayload)
+            conn.answer = iter(self.dispatch(op, payload))
         except Exception as e:  # never let a handler kill the loop
-            conn.outbuf += P.encode_frame(P.OP_ERR, P.error_payload(e))
+            conn.answer = iter([(P.OP_ERR, P.error_payload(e))])
+        self._pump(conn)
+
+    def _pump(self, conn: _Conn) -> None:
+        """Move the answer in progress into outbuf, each frame copied
+        once, while outbuf is under the watermark."""
+        while conn.answer is not None and len(conn.outbuf) < _WATERMARK:
+            try:
+                frame = next(conn.answer, None)
+                if frame is None:
+                    conn.answer = None
+                    return
+                op, *parts = frame
+                head = P.CODEC.header(op, sum(map(len, parts)))
+            except Exception as e:  # never let a handler kill the loop
+                conn.answer = None
+                op, parts = P.OP_ERR, [P.error_payload(e)]
+                head = P.CODEC.header(op, len(parts[0]))
+            conn.outbuf += head
+            for part in parts:
+                conn.outbuf += part
 
     def dispatch(self, op: int, payload: bytes) -> Iterable[Frame]:
         """The frames answering one request, through the one op table."""
@@ -407,10 +447,12 @@ class FleetNode:
 
     def _op_get_chunk(self, payload: bytes) -> list[Frame]:
         key = self._digest(payload)
-        data = self.store.get_object(key)
-        return _ok(P.encode_chunk(payload, data))
+        return [
+            (P.OP_OK, *P.chunk_parts(payload, self.store.get_object(key)))
+        ]
 
-    def _op_get_many(self, payload: bytes) -> Iterable[Frame]:
+    def _op_get_many(self, payload: bytes) -> Iterator[Frame]:
+        """A generator: each chunk is read only when the pump asks."""
         keys = self._digests(payload, "GET_MANY")
         if len(keys) > P.MAX_GET_MANY:
             raise StoreProtocolError(
@@ -425,7 +467,7 @@ class FleetNode:
                 missing.append(key)
                 continue
             self.chunks_streamed += 1
-            yield P.OP_CHUNK, P.encode_chunk(bytes.fromhex(key), data)
+            yield P.OP_CHUNK, *P.chunk_parts(bytes.fromhex(key), data)
         yield P.OP_END, P.encode_json(
             {"count": len(keys) - len(missing), "missing": missing}
         )
@@ -444,7 +486,7 @@ class FleetNode:
                 results.append((P.OP_ERR, P.error_payload(e)))
         self.batches_handled += 1
         self.batched_ops_handled += len(items)
-        return _ok(P.encode_ops(results))
+        return [(P.OP_OK, *P.batch_parts(results))]
 
     def _op_put_manifest(self, payload: bytes) -> list[Frame]:
         req = P.decode_request(

@@ -113,8 +113,8 @@ class TestRstp2Ops:
         host, port = fleet_node.address
         chunks = [f"chunk-{i}".encode() for i in range(10)]
         with StoreClient(host, port, backoff=0.01) as c:
-            assert c.put_chunks(chunks) == 10
-            assert c.put_chunks(chunks) == 0  # idempotent, all dedup
+            assert c.put_chunks(chunks) == [True] * 10
+            assert c.put_chunks(chunks) == [False] * 10  # all dedup
         assert fleet_node.batches_handled == 2
         assert fleet_node.batched_ops_handled == 20
 
@@ -124,7 +124,11 @@ class TestRstp2Ops:
         keys = [chunk_key(ch) for ch in chunks]
         with StoreClient(host, port, backoff=0.01) as c:
             c.put_chunks(chunks)
-            found, missing = c.get_many(keys + ["0" * 64])
+            found = {}
+            missing = c.get_many(
+                keys + ["0" * 64],
+                lambda key, data: found.update({key: bytes(data)}),
+            )
             assert found == dict(zip(keys, chunks))
             assert missing == ["0" * 64]
         assert fleet_node.chunks_streamed == 5

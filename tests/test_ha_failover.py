@@ -489,9 +489,9 @@ class TestChainFetch:
             seen.append(op)
             return call(client, op, payload)
 
-        def counted_stream(client, keys):
+        def counted_stream(client, keys, sink):
             seen.append(P.OP_GET_MANY)
-            return stream(client, keys)
+            return stream(client, keys, sink)
 
         monkeypatch.setattr(StoreClient, "_call", counted_call)
         monkeypatch.setattr(StoreClient, "_get_many_stream", counted_stream)

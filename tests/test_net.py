@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import inspect
 import pathlib
+import random
 import re
+import socket
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.store
 from repro.errors import ReplicationProtocolError, StoreProtocolError
-from repro.net import HEADER, FrameCodec
+from repro.net import BIG_FRAME, HEADER, FrameBuffer, FrameCodec
 from repro.replication import wire as rplc
 from repro.store import protocol as rstp
 
@@ -47,6 +50,11 @@ class ChoppedSocket:
             self._parts.pop(0)
         return part[:n]
 
+    def recv_into(self, buf, nbytes: int = 0) -> int:
+        data = self.recv(nbytes or len(buf))
+        buf[: len(data)] = data
+        return len(data)
+
 
 def recv_all(codec: FrameCodec, sock) -> list:
     frames = []
@@ -62,6 +70,15 @@ def pop_all(codec: FrameCodec, sock) -> list:
         while (frame := codec.pop_frame(buf)) is not None:
             frames.append(frame)
     assert not buf, "a clean stream leaves no partial frame behind"
+    return frames
+
+
+def buffer_all(codec: FrameCodec, sock) -> list:
+    frames, incoming = [], FrameBuffer(codec)
+    while incoming.fill(sock):
+        while (frame := incoming.pop()) is not None:
+            frames.append(frame)
+    assert not incoming.buf and incoming.big is None
     return frames
 
 
@@ -82,6 +99,49 @@ class TestFrameCodecProperty:
         )
         assert recv_all(codec, ChoppedSocket(stream, cuts)) == frames
         assert pop_all(codec, ChoppedSocket(stream, cuts)) == frames
+        assert buffer_all(codec, ChoppedSocket(stream, cuts)) == frames
+
+    @settings(max_examples=10, deadline=None)
+    @given(cuts=cut_lists, seed=st.integers(0, 2**16))
+    def test_big_frames_are_read_in_place(self, name, cuts, seed):
+        """Big payloads read back the same on both readers however the
+        stream is cut — the blocking one hands back the bytearray it
+        received each into — and sending them as parts puts the same
+        bytes on the wire."""
+        codec, _error = CODECS[name]
+        rng = random.Random(seed)
+        frames = [
+            (1, b"small"),
+            (2, rng.randbytes(BIG_FRAME)),
+            (3, b""),
+            (4, rng.randbytes(3 * BIG_FRAME + 5)),
+        ]
+        stream = b"".join(codec.encode_frame(op, p) for op, p in frames)
+        a, b = socket.socketpair()
+        with a, b:
+            sender = threading.Thread(target=lambda: [
+                codec.send_frame(a, op, [payload[:7], payload[7:]])
+                for op, payload in frames
+            ])
+            sender.start()
+            sent = b""
+            while len(sent) < len(stream):
+                sent += b.recv(1 << 20)
+            sender.join()
+        assert sent == stream
+        cuts = cuts + [rng.randrange(len(stream)) for _ in range(8)]
+        assert buffer_all(codec, ChoppedSocket(stream, cuts)) == frames
+        # A big frame whose header came in without the rest is read in
+        # place, and that buffer is the payload.
+        (big,) = buffer_all(codec, ChoppedSocket(
+            codec.encode_frame(*frames[1]), [HEADER.size + 100]
+        ))
+        assert big == frames[1] and type(big[1]) is bytearray
+        got = recv_all(codec, ChoppedSocket(stream, cuts))
+        assert got == frames
+        assert [type(p) for _op, p in got] == [
+            bytes, bytearray, bytes, bytearray
+        ]
 
     @settings(max_examples=30, deadline=None)
     @given(payload=st.binary(max_size=64), cuts=cut_lists)
@@ -100,6 +160,8 @@ class TestFrameCodecProperty:
                 recv_all(codec, ChoppedSocket(stream, cuts))
             with pytest.raises(error, match=what):
                 pop_all(codec, ChoppedSocket(stream, cuts))
+            with pytest.raises(error, match=what):
+                buffer_all(codec, ChoppedSocket(stream, cuts))
         # Truncation: the blocking reader sees EOF mid-frame and raises;
         # the incremental one just keeps waiting for the rest.
         torn = good[: len(good) - 1]

@@ -426,6 +426,63 @@ class TestFlakySocket:
             a.close()
             b.close()
 
+    def test_scatter_send_is_one_frame(self):
+        """Drop, duplicate and hold act on a ``sendmsg`` frame whole."""
+        fs, a, b = self._pair(seed=0, drop=1.0)
+        try:
+            assert fs.sendmsg([b"he", b"ad", b"er"]) == 6
+            b.settimeout(0.05)
+            with pytest.raises(TimeoutError):
+                b.recv(16)
+            fs.drop, fs.duplicate = 0.0, 1.0
+            fs.sendmsg([b"x", b"y"])
+            assert b.recv(16) == b"xyxy"
+            fs.duplicate, fs.reorder = 0.0, 1.0
+            fs.sendmsg([b"A", b"A"])
+            fs.reorder = 0.0
+            fs.sendmsg([b"B", b"B"])
+            data = b""
+            while len(data) < 4:
+                data += b.recv(16)
+            assert data == b"BBAA"  # the held frame, whole, after B
+            assert fs.events == [
+                "drop", "duplicate", "hold", "pass", "release-held",
+            ]
+        finally:
+            a.close()
+            b.close()
+
+    def test_scatter_and_plain_sends_roll_the_same_schedule(self):
+        def run(scatter):
+            fs, a, b = self._pair(seed=5, drop=0.3, duplicate=0.2,
+                                  reorder=0.2)
+            for i in range(20):
+                if scatter:
+                    fs.sendmsg([bytes([i]), b"-"])
+                else:
+                    fs.sendall(bytes([i]) + b"-")
+            a.close()
+            b.close()
+            return list(fs.events)
+
+        assert run(scatter=True) == run(scatter=False)
+
+    def test_recv_into_starves_while_partitioned(self):
+        fs, a, b = self._pair(seed=0)
+        try:
+            b.sendall(b"late")
+            fs.partition(True)
+            fs.settimeout(0.05)
+            buf = bytearray(8)
+            with pytest.raises((socket.timeout, TimeoutError)):
+                fs.recv_into(buf)
+            fs.partition(False)
+            assert fs.recv_into(memoryview(buf)[2:]) == 4
+            assert bytes(buf[2:6]) == b"late"
+        finally:
+            a.close()
+            b.close()
+
     def test_probabilities_validated(self):
         a, b = socket.socketpair()
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import random
 import socket
 import threading
 
@@ -934,6 +935,29 @@ class TestFlakyTransportRetry:
             return [e for fs in flakies for e in fs.events]
 
         assert run() == run()
+
+
+class TestFlakyScheduleIsPinned:
+    """One seeded schedule over the real byte path — its big ``BATCH``
+    goes out as a scatter send, its chunk stream comes back through
+    ``recv_into`` — misbehaves exactly as it did when every frame was
+    one ``sendall`` and one ``recv`` loop: the same events, frame for
+    frame (EPOCH HAS_MANY BATCH PUT_MANIFEST EPOCH, GET_MANIFEST dropped
+    and retried, GET_MANY)."""
+
+    EVENTS = [["pass"] * 5 + ["drop"], ["pass", "pass"]]
+
+    def test_seeded_events_are_unchanged(self, fleet, monkeypatch):
+        client, flakies = TestFlakyTransportRetry._flaky_client(
+            self, fleet, monkeypatch, seed=3, drop=0.2
+        )
+        payload = random.Random(5).randbytes(300_000)
+        try:
+            client.put_checkpoint("vm", payload)
+            assert client.get_checkpoint("vm")[0] == payload
+        finally:
+            client.close()
+        assert [fs.events for fs in flakies] == self.EVENTS
 
 
 # ---------------------------------------------------------------------------
