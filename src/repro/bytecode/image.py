@@ -24,7 +24,12 @@ _UNIT_MASK = 0xFFFFFFFF
 
 
 class CodeImage:
-    """An immutable byte-code program."""
+    """An immutable byte-code program.
+
+    Its attributes cannot be rebound and its units are a tuple, so the
+    digest every checkpoint header, restore, fold and ``HELLO`` compares
+    is computed once.
+    """
 
     def __init__(
         self,
@@ -34,18 +39,23 @@ class CodeImage:
         string_literals: list[bytes] | None = None,
         float_literals: list[float] | None = None,
     ) -> None:
+        init = super().__setattr__
         #: Code units, stored unsigned.
-        self.units: list[int] = self._validated_units(units)
+        init("units", tuple(self._validated_units(units)))
         #: Lazily built decoded stream (see :meth:`decoded`); shared by
         #: every VM and restart on this image, so re-decoding is paid
         #: exactly once per program load.
-        self._decoded = None
-        self.name = name
+        init("_decoded", None)
+        init("_digest", None)
+        init("name", name)
         #: Size of the global-data block the program expects.
-        self.n_globals = n_globals
+        init("n_globals", n_globals)
         #: Literal pools referenced by STRLIT / FLOATLIT.
-        self.string_literals: list[bytes] = list(string_literals or [])
-        self.float_literals: list[float] = list(float_literals or [])
+        init("string_literals", list(string_literals or []))
+        init("float_literals", list(float_literals or []))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"CodeImage is immutable (cannot set {name!r})")
 
     @staticmethod
     def _validated_units(units: list[int]) -> list[int]:
@@ -88,7 +98,7 @@ class CodeImage:
         if self._decoded is None:
             from repro.bytecode.decoded import decode_image
 
-            self._decoded = decode_image(self.units)
+            super().__setattr__("_decoded", decode_image(self.units))
         return self._decoded
 
     def __len__(self) -> int:
@@ -100,11 +110,16 @@ class CodeImage:
         return len(self.units) * CODE_UNIT_BYTES
 
     def digest(self) -> bytes:
-        """SHA-256 of the serialized units.
+        """SHA-256 of the serialized units (computed once).
 
         Stored in checkpoint files so a restart can verify it is resuming
         the *same program* the checkpoint was taken from.
         """
+        if self._digest is None:
+            super().__setattr__("_digest", self._compute_digest())
+        return self._digest
+
+    def _compute_digest(self) -> bytes:
         h = hashlib.sha256()
         h.update(struct.pack("<I", self.n_globals))
         h.update(struct.pack(f"<{len(self.units)}I", *self.units))

@@ -49,7 +49,7 @@ import numpy as np
 from repro.arch.architecture import Architecture, Endianness
 from repro.channels.manager import ChannelRecord
 from repro.checkpoint.schema import FormatProfile
-from repro.checkpoint.schema.source import SnapshotSource
+from repro.checkpoint.schema.source import ChunkSlice, SnapshotSource
 from repro.errors import CheckpointFormatError, CheckpointIntegrityError
 from repro.metrics import INTEGRITY
 
@@ -303,10 +303,13 @@ class SectionWriter:
     def words(self, ws) -> None:
         """A word array in native representation.
 
-        Accepts a list of ints or a numpy array; an array already in the
+        Accepts a list of ints, a numpy array or an array-like that
+        unboxes itself when written; an array already in the
         architecture's native dtype is written without any copy/convert.
         """
         self.u64(len(ws))
+        if not isinstance(ws, (np.ndarray, list)):
+            ws = np.asarray(ws)
         if isinstance(ws, np.ndarray) and ws.dtype == self._dtype:
             # Buffer protocol: no intermediate bytes copy.
             self.buf.write(ws.data if ws.flags.c_contiguous else ws.tobytes())
@@ -365,7 +368,12 @@ class SectionReader:
 
     def _take(self, n: int) -> bytes:
         off = self._skip(n)
-        return self.data[off : off + n]
+        return bytes(self.data[off : off + n])
+
+    def _take_view(self, n: int) -> memoryview:
+        """The next ``n`` bytes, not copied (a word array's payload)."""
+        off = self._skip(n)
+        return memoryview(self.data)[off : off + n]
 
     def u8(self) -> int:
         return _U8.unpack_from(self.data, self._skip(1))[0]
@@ -395,7 +403,7 @@ class SectionReader:
     def words_array(self) -> np.ndarray:
         """A word array decoded to canonical ``uint64`` (no Python ints)."""
         n = self.u64()
-        raw = self._take(n * self.arch.word_bytes)
+        raw = self._take_view(n * self.arch.word_bytes)
         return np.frombuffer(raw, dtype=self._dtype).astype(np.uint64)
 
 
@@ -705,7 +713,10 @@ def merge_delta_chain(chain: list[VMSnapshot]) -> VMSnapshot:
             elif rec.regions and rec.base not in owned:
                 # First dirty write into an inherited chunk: copy it now
                 # (a lazy parent's payload bytes are read only now).
-                arr = np.array(arr, dtype=np.uint64)
+                arr = np.array(
+                    arr.stored() if isinstance(arr, ChunkSlice) else arr,
+                    dtype=np.uint64,
+                )
                 owned.add(rec.base)
             for start, words in rec.regions:
                 wa = np.asarray(words, dtype=np.uint64)

@@ -27,12 +27,14 @@ Steps, mapped onto this implementation:
 Heap conversion (the payload half of step 5, and step 9) has one owner
 and one schedule.  The heap stage returns a per-chunk converter —
 :class:`_ChunkConverter` at equal word sizes, :class:`_RebuildContext`
-across them — whose single entry is ``convert(chunk, words,
-blocks=None)``, and every chunk is staged behind a thunk that calls it.
-An eager restart drains the thunks before it returns; a lazy one
-(``CHKPT_LAZY``) leaves them to first touch; the warm standby's in-place
-fold (:class:`ResidentImage`) calls the same ``convert`` with the blocks
-a delta touched.
+across them — whose single entry is ``convert(chunk, words)``, and
+every chunk is staged behind a thunk that calls it.  An eager restart
+verifies every link whole first, then drains the thunks before it
+returns, decoding one saved chunk at a time; a lazy one (``CHKPT_LAZY``)
+leaves them to first touch; the warm standby's in-place fold
+(:class:`~repro.checkpoint.resident.ResidentImage`) calls the same
+``convert`` for a full, and across word sizes on the strings and
+doubles a delta touched.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import BinaryIO, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.arch.architecture import Architecture
 from repro.arch.platforms import Platform
 from repro.bytecode.image import CodeImage
 from repro.checkpoint.commit import generation_chain, recover_commit
@@ -56,12 +57,10 @@ from repro.checkpoint.format import (
     SPLICE_SECTIONS,
     VMSnapshot,
     annotate_restore_error,
-    check_delta_parent,
-    check_delta_region,
     merge_delta_chain,
 )
 from repro.checkpoint.relocate import AddressMapper
-from repro.checkpoint.schema import SnapshotSource
+from repro.checkpoint.schema import ChunkSlice, SnapshotSource
 from repro.errors import (
     CheckpointError,
     CheckpointFormatError,
@@ -82,6 +81,9 @@ from repro.memory.layout import AreaKind, MemoryArea
 from repro.metrics import PhaseTimer
 from repro.threads.thread import BlockKind, ThreadState, VMThread
 from repro.vm import VMConfig, VirtualMachine
+
+if TYPE_CHECKING:
+    from repro.checkpoint.resident import ResidentImage
 
 
 @dataclass
@@ -119,9 +121,9 @@ class RestartStats:
     bytes_verified: int = 0
     bytes_deferred: int = 0
     #: What an eager restore leaves behind for a caller that keeps the
-    #: VM warm instead of running it (the standby): the source image
-    #: and conversion tables a later delta folds into this VM through.
-    #: ``None`` after a lazy restore.  It dies with these stats.
+    #: VM warm instead of running it (the standby): the conversion
+    #: tables a later generation folds into this VM through.  ``None``
+    #: after a lazy restore.  It dies with these stats.
     image: Optional["ResidentImage"] = field(
         default=None, repr=False, compare=False
     )
@@ -219,8 +221,12 @@ def load_snapshot_chain(
     returned as-is.  A v4 delta reads parents until a full base is
     found, validates each parent-SHA binding, and splices the dirty
     regions newest-last into a merged full snapshot.
-    A parent is verified whole — every section CRC, the body SHA-256
-    and the end CRC — but decoded only for :data:`SPLICE_SECTIONS`.
+    Without ``defer`` every link is verified whole — every section CRC,
+    the body SHA-256 and the end CRC — before anything of it is parsed,
+    a parent decoded
+    only for :data:`SPLICE_SECTIONS`; heap payloads stay behind chunk
+    slices over the verified bytes, so a restore decodes them a chunk at
+    a time, never the whole heap up front.
     Any break in the chain — a missing generation, a parent-hash
     mismatch, a chain deeper than :data:`MAX_DELTA_CHAIN` — raises a
     typed :class:`~repro.errors.CheckpointIntegrityError`, which the
@@ -242,7 +248,7 @@ def load_snapshot_chain(
         try:
             src = opener(defer=defer, decode=decode)
             if not defer:
-                return src.resolve_all()
+                return src.resolve_all(defer_heap=True)
         except CheckpointFormatError as e:
             INTEGRITY.integrity_failures += 1
             raise annotate_restore_error(e, name, data) from e
@@ -454,14 +460,10 @@ def _restart_vm(
             state.install(vm)
         else:
             state.finish()
-            stats.image = ResidentImage(
-                vm=vm,
-                code_digest=code_digest,
-                source=source,
-                src_arch=snap.arch,
-                head_sha=snap.body_sha256,
-                chunks=[(base, len(ws)) for base, ws in snap.heap_chunks],
-                conversion=conversion,
+            from repro.checkpoint.resident import ResidentImage
+
+            stats.image = ResidentImage.after_restore(
+                vm, code_digest, snap, conversion
             )
         # What converts from here on — a late thunk, a folded delta —
         # is not this restart's time.
@@ -572,7 +574,7 @@ class _ChunkConverter:
     positions and a chunk converts in place: pointers fixed, then —
     across endiannesses — byte-oriented payloads repacked.  Per-chunk
     work is independent, which is what lets one :meth:`convert` serve
-    the eager drain, a first touch in any order and a folded delta and
+    the eager drain, a first touch in any order and a folded full and
     still leave the same words.
     """
 
@@ -584,26 +586,12 @@ class _ChunkConverter:
     timer: PhaseTimer
     #: Set once the threads (whose stacks it resolves) exist.
     mapper: Optional[AddressMapper] = None
-    #: The saved chunk images, for a fold to re-convert from.  They were
-    #: converted where they lay — keeping a copy would tax every cold
-    #: restore — so ``None`` until the first delta that could fold needs
-    #: them, when :class:`ResidentImage` reads them back from its chain.
-    sources: Optional[list] = None
     #: No block moves.
     relocation = None
 
-    def convert(self, chunk: int, words: np.ndarray, blocks=None) -> None:
-        """Convert staged chunk ``chunk`` in place — or only ``blocks``
-        (indices into its header positions), copied in afresh from the
-        saved image, whole, before the passes run over them."""
+    def convert(self, chunk: int, words: np.ndarray) -> None:
+        """Convert staged chunk ``chunk`` where its saved words lie."""
         pos = self.positions[chunk]
-        if blocks is not None:
-            src = self.sources[chunk]
-            pos = pos[blocks].astype(np.int64)
-            idx = ragged_indices(
-                pos, (src[pos] >> np.uint64(10)).astype(np.int64) + 1
-            )
-            words[idx] = src[idx]
         with self.timer.phase("pointer_fix"):
             _fix_chunk_pointers(words, pos, self.mapper, self.timer)
         if self.converter.endian_differs:
@@ -889,9 +877,13 @@ class _RebuildContext:
     timer: PhaseTimer
     #: ``(source blocks, target blocks)`` for the address mapper.
     relocation: tuple[np.ndarray, np.ndarray]
-    #: Saved chunk images (deferred chunk slices under lazy restore),
-    #: read from and left whole: a fold re-converts from them.
-    sources: list
+    #: Saved chunk images while the restore converts from them: chunk
+    #: slices (read as stored, never decoded whole) or arrays; ``None``
+    #: once the image of an eager restore has taken what it keeps.
+    sources: Optional[list]
+    #: Every source chunk's block-header words, as saved (source word
+    #: width): the block shapes a fold checks a generation against.
+    headers: list
     #: First block number of each source chunk, then the block count.
     src_first: np.ndarray
     #: Payload start (word index in its source chunk) and word count.
@@ -909,17 +901,21 @@ class _RebuildContext:
     #: Set once the threads (whose stacks it resolves) exist.
     mapper: Optional[AddressMapper] = None
 
-    def convert(self, chunk: int, words: np.ndarray, blocks=None) -> None:
+    def convert(
+        self, chunk: int, words: np.ndarray, blocks=None, sources=None
+    ) -> None:
         """Fill rebuilt chunk ``chunk`` from the saved image — or only
-        its live blocks ``blocks`` (ascending block numbers).  Headers,
+        its live blocks ``blocks`` (ascending block numbers), or from
+        the images ``sources`` (one per source chunk) instead.  Headers,
         placement, the freelist and the relocation table stand since
         :func:`_rebuild_heap`; every kernel here is per block, so
         neither order nor subset can change a word."""
         timer = self.timer
-        with timer.phase("heap_rebuild"), timer.kernel("payloads"):
-            _fill_rebuilt_payloads(self, chunk, words, blocks)
-        with timer.phase("pointer_fix"):
-            _fix_rebuilt_heap(self, chunk, words, blocks)
+        for arr, part, tags in _rebuilt_groups(self, chunk, blocks, sources):
+            with timer.phase("heap_rebuild"), timer.kernel("payloads"):
+                _fill_rebuilt_payloads(self, arr, part, tags, words)
+            with timer.phase("pointer_fix"):
+                _fix_rebuilt_heap(self, arr, part, tags, words)
 
 
 def _rebuild_heap(
@@ -949,11 +945,13 @@ def _rebuild_heap(
 
     # -- pass A: live-block metadata ---------------------------------------
     src_first = [0]
-    pos_l, size_l, tag_l, nsz_l, addr_l = [], [], [], [], []
+    pos_l, size_l, tag_l, nsz_l, addr_l, hds_l = [], [], [], [], [], []
+    wtype = np.dtype(f"u{src_wb}")
     with timer.kernel("classify"):
         for (src_base, arr), pos in zip(snap.heap_chunks, positions):
             p = pos.astype(np.int64)
             hds = _gather_words(arr, p)
+            hds_l.append(hds.astype(wtype))
             sizes = (hds >> np.uint64(10)).astype(np.int64)
             colors = (hds >> np.uint64(8)) & np.uint64(3)
             tags = (hds & np.uint64(0xFF)).astype(np.int64)
@@ -1054,6 +1052,7 @@ def _rebuild_heap(
         timer=timer,
         relocation=relocation,
         sources=[arr for _, arr in snap.heap_chunks],
+        headers=hds_l,
         src_first=np.asarray(src_first, dtype=np.int64),
         src_pos=cat(pos_l),
         src_size=cat(size_l),
@@ -1103,22 +1102,34 @@ def _move_runs(
 
 
 def _rebuilt_groups(
-    ctx: _RebuildContext, d: int, ids: Optional[np.ndarray] = None
+    ctx: _RebuildContext,
+    d: int,
+    ids: Optional[np.ndarray] = None,
+    sources: Optional[list] = None,
 ):
     """Split the blocks placed in rebuilt chunk ``d`` — all of them, or
     the ascending subset ``ids`` — by source chunk.
 
     Yields ``(saved chunk words, block numbers, their tags)`` for each
-    source chunk that owns any of them; a deferred chunk slice
-    materializes only here, once a block actually needs its bytes.
+    source chunk that owns any of them, read from ``sources`` (default:
+    the context's).  A chunk slice is read only here, once a block
+    actually needs its bytes, and as it is stored: the kernels convert
+    the words they copy out, so no decoded copy of a saved chunk is
+    made, let alone kept.
     """
     if ids is None:
         ids = ctx.by_chunk[d]
+    if sources is None:
+        sources = ctx.sources
     cuts = np.searchsorted(ids, ctx.src_first).tolist()
-    for source, a, b in zip(ctx.sources, cuts[:-1], cuts[1:]):
+    for source, a, b in zip(sources, cuts[:-1], cuts[1:]):
         if a < b:
             part = ids[a:b]
-            yield np.asarray(source), part, ctx.tags[part]
+            words = (
+                source.stored() if isinstance(source, ChunkSlice)
+                else source
+            )
+            yield words, part, ctx.tags[part]
 
 
 def _convert_rebuilt_runs(
@@ -1150,14 +1161,15 @@ def _convert_rebuilt_runs(
 
 def _fill_rebuilt_payloads(
     ctx: _RebuildContext,
-    d: int,
+    arr: np.ndarray,
+    part: np.ndarray,
+    tags: np.ndarray,
     out: np.ndarray,
-    ids: Optional[np.ndarray] = None,
 ) -> None:
-    """Payloads of the non-scannable blocks of rebuilt chunk ``d`` (or
-    of its blocks ``ids``), into its words ``out``: opaque words
-    re-extended, doubles and strings re-packed into their new word
-    counts."""
+    """Payloads of the non-scannable blocks ``part`` (tagged ``tags``)
+    from the saved chunk ``arr`` into their rebuilt chunk's words
+    ``out``: opaque words re-extended, doubles and strings re-packed
+    into their new word counts."""
     converter = ctx.converter
 
     def opaque(words, _sizes):
@@ -1168,16 +1180,15 @@ def _fill_rebuilt_payloads(
             converter.double_pattern_array(words)
         )
 
-    for arr, part, tags in _rebuilt_groups(ctx, d, ids):
-        is_str = tags == STRING_TAG
-        is_dbl = tags == DOUBLE_TAG
-        is_opq = (tags >= NO_SCAN_TAG) & ~is_str & ~is_dbl
-        _convert_rebuilt_runs(ctx, arr, part[is_opq], opaque, out)
-        _convert_rebuilt_runs(ctx, arr, part[is_dbl], double, out)
-        with ctx.timer.kernel("strings"):
-            _convert_rebuilt_runs(
-                ctx, arr, part[is_str], converter.repack_string_batch, out
-            )
+    is_str = tags == STRING_TAG
+    is_dbl = tags == DOUBLE_TAG
+    is_opq = (tags >= NO_SCAN_TAG) & ~is_str & ~is_dbl
+    _convert_rebuilt_runs(ctx, arr, part[is_opq], opaque, out)
+    _convert_rebuilt_runs(ctx, arr, part[is_dbl], double, out)
+    with ctx.timer.kernel("strings"):
+        _convert_rebuilt_runs(
+            ctx, arr, part[is_str], converter.repack_string_batch, out
+        )
 
 
 def _simulate_first_fit(
@@ -1256,31 +1267,36 @@ def _simulate_first_fit(
 
 def _fix_rebuilt_heap(
     ctx: _RebuildContext,
-    d: int,
+    arr: np.ndarray,
+    part: np.ndarray,
+    tags: np.ndarray,
     out: np.ndarray,
-    ids: Optional[np.ndarray] = None,
 ) -> None:
-    """Convert every field of the scannable blocks of rebuilt chunk
-    ``d`` (or of its blocks ``ids``) on its way into ``out`` (immediates
-    re-boxed, pointers remapped, dangling words neutralized to unit);
-    the counterpart of :func:`_fill_rebuilt_payloads`."""
-    converter, mapper = ctx.converter, ctx.mapper
-    unit = np.uint64(converter.dst_values.val_unit)
+    """Convert every field of the scannable blocks among ``part`` on its
+    way from the saved chunk ``arr`` into ``out``; the counterpart of
+    :func:`_fill_rebuilt_payloads`."""
 
     def fix(words, _sizes):
-        # Re-box everything, then overwrite the (even) pointer words.
-        fixed = converter.convert_immediate_array(words)
-        even = np.flatnonzero((words & np.uint64(1)) == 0)
-        if even.size:
-            ptrs = words[even]
-            mapped, ok = mapper.map_many(ptrs)
-            fixed[even] = np.where(
-                ok, mapped, np.where(ptrs == 0, np.uint64(0), unit)
-            )
-        return fixed
+        return _rebuilt_fields(ctx, words)
 
-    for arr, part, tags in _rebuilt_groups(ctx, d, ids):
-        _convert_rebuilt_runs(ctx, arr, part[tags < NO_SCAN_TAG], fix, out)
+    _convert_rebuilt_runs(ctx, arr, part[tags < NO_SCAN_TAG], fix, out)
+
+
+def _rebuilt_fields(ctx: _RebuildContext, words: np.ndarray) -> np.ndarray:
+    """Scannable fields across word sizes, word by word: immediates
+    re-boxed, pointers remapped, dangling words neutralized to unit."""
+    converter = ctx.converter
+    # Re-box everything, then overwrite the (even) pointer words.
+    fixed = converter.convert_immediate_array(words)
+    even = np.flatnonzero((words & np.uint64(1)) == 0)
+    if even.size:
+        ptrs = words[even]
+        mapped, ok = ctx.mapper.map_many(ptrs)
+        unit = np.uint64(converter.dst_values.val_unit)
+        fixed[even] = np.where(
+            ok, mapped, np.where(ptrs == 0, np.uint64(0), unit)
+        )
+    return fixed
 
 
 # ---------------------------------------------------------------------------
@@ -1443,239 +1459,3 @@ def _restore_cglobals(vm: VirtualMachine, snap: VMSnapshot, fix, converter) -> N
             cg.area.words[idx] = converter.convert_raw(w)
     cg.root_indices = sorted(roots)
     cg._next = len(snap.cglobal_words)
-
-
-# ---------------------------------------------------------------------------
-# The resident image: folding a delta into a restored VM in place
-# ---------------------------------------------------------------------------
-
-
-def _same_block_shape(new: np.ndarray, old: np.ndarray) -> bool:
-    """Whether rewritten headers kept size, tag and blue-ness (a GC
-    color that moved between white, gray and black moves no block)."""
-    blue = np.uint64(Color.BLUE.value)
-    return bool(
-        (((new ^ old) & ~np.uint64(0x300)) == 0).all()
-        and (
-            (((new >> np.uint64(8)) & np.uint64(3)) == blue)
-            == (((old >> np.uint64(8)) & np.uint64(3)) == blue)
-        ).all()
-    )
-
-
-def _spliced_words(
-    src: np.ndarray, regions: list, idx: np.ndarray
-) -> np.ndarray:
-    """``src[idx]`` as it will read once ``regions`` are spliced in."""
-    out = src[idx]
-    for start, words in regions:
-        hit = (idx >= start) & (idx < start + len(words))
-        if hit.any():
-            out[hit] = words[idx[hit] - start]
-    return out
-
-
-@dataclass(repr=False, eq=False)
-class _DeltaPlan:
-    """A verified delta and the blocks its dirty runs touch."""
-
-    snap: VMSnapshot
-    #: ``(chunk, blocks)`` per VM heap chunk to re-convert, as the
-    #: restore's converter takes them: indices into the chunk's header
-    #: positions at equal word sizes, live-block numbers placed in that
-    #: rebuilt chunk across them.
-    touched: list
-
-
-@dataclass(repr=False, eq=False)
-class ResidentImage:
-    """What an eager restore knows that a later delta can reuse.
-
-    The restored VM ``vm`` as long as nothing has run it or unstaged its
-    heap, and the per-chunk converter the restore drained — which holds
-    the saved-representation chunk images the VM was converted from,
-    their block-header positions, the value converter, the address
-    mapper and (across word sizes) the rebuild tables.  One operation:
-    :meth:`plan_delta` verifies an arriving delta file and decides
-    whether it folds in place; :meth:`apply` folds it — splicing the
-    dirty regions into the source image and calling that same converter
-    on the blocks they touch, whole, then restoring the generation's
-    non-heap state — at a cost proportional to the dirty set, leaving
-    the VM word for word what a cold restore of the same chain builds.
-    """
-
-    vm: VirtualMachine
-    code_digest: bytes
-    #: The chain the VM was restored from.
-    source: str | Sequence[ChainLink]
-    src_arch: Architecture
-    #: Body SHA-256 of the generation the VM stands at (``None`` when
-    #: its file recorded none): what the next delta must bind to.
-    head_sha: Optional[bytes]
-    #: ``(base, n_words)`` of every saved chunk.
-    chunks: list
-    #: The restore's per-chunk converter.
-    conversion: _ChunkConverter | _RebuildContext
-
-    @property
-    def sources(self) -> Optional[list]:
-        """The saved chunk images the converter re-converts from."""
-        return self.conversion.sources
-
-    def _staged(self) -> Optional[list]:
-        """The VM's heap chunk arrays, or None once any was unstaged."""
-        arrs = [c.area.peek_staged() for c in self.vm.mem.heap.chunks]
-        return None if any(a is None for a in arrs) else arrs
-
-    def _load_sources(self) -> None:
-        """Read the saved chunk images back from the chain the VM was
-        restored from (verified again, as every read of the chain is);
-        its head must still be the generation the VM stands at."""
-        snap = load_snapshot_chain(self.source)
-        if snap.body_sha256 != self.head_sha:
-            raise RestartError(
-                f"{_head_of(self.source)[0]} no longer holds the "
-                f"generation the resident VM was restored from"
-            )
-        self.conversion.sources = [ws for _, ws in snap.heap_chunks]
-
-    def plan_delta(self, data: bytes) -> tuple[Optional[_DeltaPlan], str]:
-        """Verify one arriving delta file; decide whether it folds in
-        place.  Returns ``(plan, "")``, or ``(None, reason)`` when the
-        generation needs a full restore of its chain.
-
-        Every check a chain restore makes on this link is made here, on
-        the bytes: section CRCs, body SHA-256 and end CRC, the code
-        digest, the parent binding against the held head, region
-        bounds.  A damaged or misbound file raises the same typed
-        :class:`~repro.errors.RestartError`.  The VM and the image stay
-        as they are.
-        """
-        try:
-            snap = SnapshotSource.from_bytes(data).resolve_all()
-        except CheckpointFormatError:
-            INTEGRITY.integrity_failures += 1
-            raise
-        info = snap.delta
-        if info is None:
-            return None, "full"
-        if snap.header.code_digest != self.code_digest:
-            raise RestartError(
-                "checkpoint was taken from a different program "
-                "(digest mismatch)"
-            )
-        check_delta_parent(info, self.head_sha)
-        heap_areas = sorted(
-            (a.base, a.n_words)
-            for a in snap.boundaries
-            if a.kind == AreaKind.HEAP_CHUNK.value
-        )
-        index = snap.chunk_index
-        conv = self.conversion
-        if (
-            snap.arch != self.src_arch
-            or [(r.base, r.n_words) for r in info.chunks] != self.chunks
-            or heap_areas != sorted(self.chunks)
-            or index is None
-            or len(index) != len(conv.positions)
-            or any(
-                not np.array_equal(pos, held)
-                for (pos, _), held in zip(index, conv.positions)
-            )
-            or {t.tid for t in snap.threads} != set(self.vm.sched.threads)
-        ):
-            return None, "layout"
-        if self._staged() is None:
-            return None, "unstaged"
-        if conv.sources is None:
-            self._load_sources()
-        touched = []
-        for c, rec in enumerate(info.chunks):
-            if not rec.regions:
-                continue
-            for start, words in rec.regions:
-                check_delta_region(start, len(words), rec.n_words)
-            blocks = self._touched_blocks(c, rec.regions)
-            if blocks is None:
-                return None, "layout"
-            touched.append((c, blocks))
-        if conv.converter.word_size_differs and touched:
-            # Live blocks convert in the rebuilt chunk that holds them,
-            # whichever saved chunk they came from.
-            blocks = np.concatenate([b for _, b in touched])
-            chunk_of = conv.dst_chunk[blocks]
-            touched = [
-                (d, blocks[chunk_of == d])
-                for d in np.unique(chunk_of).tolist()
-            ]
-        return _DeltaPlan(snap, touched), ""
-
-    def _touched_blocks(self, c: int, regions: list) -> Optional[np.ndarray]:
-        """The blocks of saved chunk ``c`` whose header or payload a
-        dirty region overlaps; None when a region reshapes one."""
-        ctx = self.conversion
-        pos = ctx.positions[c]
-        src = ctx.sources[c]
-        spans = []
-        for start, words in regions:
-            end = start + len(words)
-            heads = pos[
-                np.searchsorted(pos, start) : np.searchsorted(pos, end)
-            ].astype(np.int64)
-            if not _same_block_shape(words[heads - start], src[heads]):
-                return None
-            # Blocks tile the chunk: from the one holding the region's
-            # first word through the one holding its last.
-            first = int(np.searchsorted(pos, start, side="right")) - 1
-            last = int(np.searchsorted(pos, end - 1, side="right"))
-            spans.append(np.arange(first, last))
-        blocks = np.unique(np.concatenate(spans))
-        if not ctx.converter.word_size_differs:
-            return blocks
-        # Across word sizes only live blocks were rebuilt, and a string
-        # rewritten in place must still fill the words it was given.
-        lo, hi = int(ctx.src_first[c]), int(ctx.src_first[c + 1])
-        live_heads = ctx.src_pos[lo:hi] - 1
-        heads = pos[blocks].astype(np.int64)
-        at = np.searchsorted(live_heads, heads)
-        ok = at < live_heads.size
-        ok[ok] = live_heads[at[ok]] == heads[ok]
-        live = lo + at[ok]
-        strs = live[ctx.tags[live] == STRING_TAG]
-        if strs.size:
-            last_words = _spliced_words(
-                src, regions, ctx.src_pos[strs] + ctx.src_size[strs] - 1
-            )
-            blen = ctx.converter.string_byte_lengths(
-                last_words, ctx.src_size[strs], ctx.relocation[0][strs]
-            )
-            dst_wb = ctx.converter.dst.word_bytes
-            if not np.array_equal(blen // dst_wb + 1, ctx.dst_size[strs]):
-                return None
-        return live
-
-    def apply(self, plan: _DeltaPlan) -> None:
-        """Fold a planned delta into the VM.  A failure part-way leaves
-        the VM torn: the caller restores its chain afresh."""
-        snap = plan.snap
-        vm = self.vm
-        conv = self.conversion
-        staged = self._staged()
-        vm.gc.disabled = True
-        try:
-            for rec, src in zip(snap.delta.chunks, conv.sources):
-                for start, words in rec.regions:
-                    src[start : start + len(words)] = words
-            for thread in vm.sched.threads.values():
-                thread.stack.reset()
-            _restore_threads_raw(vm, snap)
-            conv.mapper.refresh(snap, vm.sched.threads)
-            for c, blocks in plan.touched:
-                conv.convert(c, staged[c], blocks)
-            _restore_roots(
-                vm, snap, conv.mapper, conv.converter, conv.timer,
-                cglobals=snap.delta.has_cglobals,
-            )
-        finally:
-            vm.gc.disabled = False
-        self.head_sha = snap.body_sha256

@@ -80,12 +80,11 @@ class _Backing:
 
     def __init__(self, data, fd: Optional[int], size: int) -> None:
         self.data = data
-        # An image held in another buffer (a store download assembled in
-        # place, a received frame) is read through a view, so every read
-        # still hands out bytes.
+        # An image held in memory (a file read whole, a store download
+        # assembled in place, a received frame) is read through a view:
+        # a section or a chunk payload is never copied out of it.
         self._view = (
-            None if data is None or isinstance(data, bytes)
-            else memoryview(data).toreadonly()
+            None if data is None else memoryview(data).toreadonly()
         )
         self.fd = fd
         self.size = size
@@ -101,20 +100,25 @@ class _Backing:
             weakref.finalize(self, os.close, fd) if fd is not None else None
         )
 
-    def read(self, off: int, n: int) -> bytes:
+    @property
+    def in_memory(self) -> bool:
+        return self._view is not None
+
+    def read(self, off: int, n: int):
+        """``n`` bytes at ``off``: a read-only view of an image held in
+        memory, the bytes themselves from a file.  A caller that keeps
+        a small piece (a digest, a name) copies it out."""
         if self._view is not None:
-            return bytes(self._view[off : off + n])
-        if self.data is not None:
-            return self.data[off : off + n]
+            return self._view[off : off + n]
         self.bytes_read += n
         return os.pread(self.fd, n, off)
 
     def whole(self) -> bytes:
-        if self._view is not None:
-            return bytes(self._view)
         if self.data is None:
             self.data = os.pread(self.fd, self.size, 0)
             self.bytes_read = self.size
+        elif not isinstance(self.data, bytes):
+            return bytes(self._view)
         return self.data
 
     def close(self) -> None:
@@ -141,12 +145,15 @@ class ChunkSlice:
 
     Array-like enough for the restore pipeline: ``len``/``size`` answer
     geometry without IO, ``numpy.asarray`` (via ``__array__``) and
-    :meth:`materialize` read and decode the full payload to canonical
-    ``uint64``, and :meth:`gather` reads only the words a sparse index
-    needs (block headers, string last-words) with run coalescing.
+    :meth:`materialize` read, decode and keep the full payload as
+    canonical ``uint64``, :meth:`stored` hands out the words as stored
+    without decoding or keeping them, and :meth:`gather` reads only the
+    words a sparse index needs (block headers, string last-words) with
+    run coalescing.
     """
 
-    __slots__ = ("base", "n_words", "_backing", "_dtype", "_offset", "_arr")
+    __slots__ = ("base", "n_words", "_backing", "_dtype", "_offset", "_arr",
+                 "_read")
 
     def __init__(self, backing: _Backing, dtype: np.dtype, base: int,
                  n_words: int, offset: int) -> None:
@@ -157,6 +164,7 @@ class ChunkSlice:
         self.n_words = n_words
         self._offset = offset
         self._arr: Optional[np.ndarray] = None
+        self._read = False
 
     @property
     def size(self) -> int:
@@ -165,23 +173,41 @@ class ChunkSlice:
     def __len__(self) -> int:
         return self.n_words
 
+    def _raw(self):
+        """The payload bytes as stored, checked for length."""
+        wb = self._dtype.itemsize
+        raw = self._backing.read(self._offset, self.n_words * wb)
+        if len(raw) != self.n_words * wb:
+            raise CheckpointIntegrityError(
+                f"heap chunk payload truncated: needed "
+                f"{self.n_words * wb} byte(s) at offset {self._offset} "
+                f"but only {len(raw)} could be read",
+                section="heap",
+                offset=self._offset,
+                length=self.n_words * wb,
+            )
+        return raw
+
+    def stored(self) -> np.ndarray:
+        """The payload words as stored (source word size and byte
+        order), read-only: a view of an image held in memory, decoding
+        nothing.  A pass that reads the words once, converting them as
+        it copies them out, needs no decoded chunk."""
+        arr = np.frombuffer(self._raw(), dtype=self._dtype)
+        self._read_once()
+        return arr
+
     def materialize(self) -> np.ndarray:
         """Read, decode, and cache the full payload (uint64)."""
         if self._arr is None:
-            wb = self._dtype.itemsize
-            raw = self._backing.read(self._offset, self.n_words * wb)
-            if len(raw) != self.n_words * wb:
-                raise CheckpointIntegrityError(
-                    f"heap chunk payload truncated: needed "
-                    f"{self.n_words * wb} byte(s) at offset {self._offset} "
-                    f"but only {len(raw)} could be read",
-                    section="heap",
-                    offset=self._offset,
-                    length=self.n_words * wb,
-                )
-            self._arr = np.frombuffer(raw, dtype=self._dtype).astype(np.uint64)
-            self._backing.slice_materialized()
+            self._arr = self.stored().astype(np.uint64)
         return self._arr
+
+    def _read_once(self) -> None:
+        """The backing counts each slice read once, whichever way."""
+        if not self._read:
+            self._read = True
+            self._backing.slice_materialized()
 
     def gather(self, idx) -> np.ndarray:
         """The payload words at ``idx`` (any order, repeats allowed),
@@ -191,6 +217,10 @@ class ChunkSlice:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return np.empty(0, dtype=np.uint64)
+        if self._backing.in_memory:
+            # A view of the payload costs nothing: index it directly.
+            words = np.frombuffer(self._raw(), dtype=self._dtype)
+            return words[idx].astype(np.uint64)
         read = self._backing.read
         wb = self._dtype.itemsize
         uniq = idx if (np.diff(idx) > 0).all() else np.unique(idx)
@@ -443,7 +473,7 @@ class SnapshotSource:
                 offset=max(tstart, 0),
                 length=min(tlen + 4, payload_len),
             )
-        self._trailer_bytes = blob
+        self._trailer_bytes = bytes(blob)
         self.body_len = tstart
         tr = fmt.SectionReader(blob[:-4])
         tr.begin("trailer")
@@ -673,27 +703,32 @@ class SnapshotSource:
             h.resolved = True
         self._release_backing()
 
-    def resolve_all(self):
+    def resolve_all(self, defer_heap: bool = False):
         """Resolve every handle immediately: the eager mode.
 
         Replicates the classic verification order bit for bit — every
         per-section CRC in body order, then the whole-body SHA-256,
         then the end-of-file CRC, then the body parse — so eager
-        consumers keep the exact error surface they always had.
+        consumers keep the exact error surface they always had.  With
+        ``defer_heap`` a full's heap payloads are parsed into chunk
+        slices over the verified bytes, decoded when a caller asks.
         """
         if self._open_error is not None:
             raise self._open_error
-        if self.snapshot is not None and self.fully_verified \
-                and self._backing.slices_pending == 0:
+        if self.snapshot is not None and self.fully_verified and (
+            defer_heap or self._backing.slices_pending == 0
+        ):
             return self.snapshot
         if not self._aligned:
             self._resolve_unaligned()
             return self.snapshot
         self.finish_verification()
-        self._resolve_sections(defer_heap=False)
+        self._resolve_sections(
+            defer_heap=defer_heap and not self.profile.delta
+        )
         if self.snapshot is None:
             self._build()
-        else:
+        elif not defer_heap:
             # A deferred open already built the snapshot with chunk
             # slices; materialize them so the result is fully eager.
             for _base, ws in self.snapshot.heap_chunks:

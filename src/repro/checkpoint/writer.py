@@ -105,8 +105,11 @@ def build_snapshot(
 
     ``defer_unbox`` (background mode) keeps the blocking window at its
     minimum — heap chunks are captured as plain list copies and the
-    numpy conversion happens on the writer thread.  In blocking mode the
-    conversion *is* the capture (one pass instead of copy-then-convert).
+    numpy conversion happens on the writer thread.  In blocking mode a
+    full copies nothing: the VM runs no further until the commit
+    returns, so the serializer unboxes each chunk as it writes it
+    (:class:`_LiveChunk`) and holds one chunk beside the file, not the
+    heap.
 
     With ``try_delta`` (the caller has already verified a usable parent
     generation exists) the capture inspects the dirty-region tracker
@@ -247,32 +250,18 @@ def build_snapshot(
                     for c in vm.mem.heap.chunks:
                         pos = vm.mem.heap.block_positions(c)
                         chunk_positions.append(pos)
-                        staged = c.area.peek_staged()
-                        if staged is not None:
-                            chunk_headers.append(
-                                staged[pos].astype(np.uint64)
-                            )
-                        else:
-                            ws = c.area.words
-                            chunk_headers.append(
-                                np.fromiter(
-                                    (ws[i] for i in pos.tolist()),
-                                    dtype=np.uint64,
-                                    count=int(pos.size),
-                                )
-                            )
+                        chunk_headers.append(_words_at(c.area, pos))
             else:
                 with timer.kernel("unbox"):
                     for c in vm.mem.heap.chunks:
                         staged = c.area.peek_staged()
-                        if staged is not None:
-                            heap_chunks.append((c.base, staged.copy()))
-                        elif defer_unbox:
-                            heap_chunks.append((c.base, list(c.area.words)))
+                        if not defer_unbox:
+                            words = _LiveChunk(c.area)
+                        elif staged is not None:
+                            words = staged.copy()
                         else:
-                            heap_chunks.append(
-                                (c.base, _unbox_words(c.area.words, wb))
-                            )
+                            words = list(c.area.words)
+                        heap_chunks.append((c.base, words))
                 with timer.kernel("block_positions"):
                     for c in vm.mem.heap.chunks:
                         chunk_positions.append(
@@ -396,6 +385,42 @@ def _unbox_words(words: list[int], word_bytes: int) -> np.ndarray:
     )
 
 
+def _words_at(area, pos: np.ndarray) -> np.ndarray:
+    """The words of ``area`` at ``pos`` (block headers), as ``uint64``,
+    unboxing nothing else."""
+    staged = area.peek_staged()
+    if staged is not None:
+        return staged[pos]
+    ws = area.words
+    return np.fromiter(
+        (ws[i] for i in pos.tolist()), dtype=np.uint64, count=int(pos.size)
+    )
+
+
+class _LiveChunk:
+    """A heap chunk of a VM held at its safe point until its blocking
+    checkpoint commits, standing in for the chunk's copy: the serializer
+    unboxes it when it writes it, so a full capture holds one unboxed
+    chunk beside the file it is writing, not the whole heap."""
+
+    __slots__ = ("area",)
+
+    def __init__(self, area) -> None:
+        self.area = area
+
+    def __len__(self) -> int:
+        return self.area.n_words
+
+    def __array__(self, dtype=None, copy=None):
+        """The words, at their own width (``uint64`` while staged)."""
+        staged = self.area.peek_staged()
+        arr = (
+            staged if staged is not None
+            else _unbox_words(self.area.words, self.area.word_bytes)
+        )
+        return arr if dtype is None else arr.astype(dtype, copy=False)
+
+
 def _classify_header_words(hds: np.ndarray) -> np.ndarray:
     """Per-block CLASS_* codes from an array of header words."""
     tags = hds & hds.dtype.type(0xFF)
@@ -451,6 +476,12 @@ def _finalize_snapshot(snap: VMSnapshot) -> None:
     chunks = []
     index = []
     for (base, words), pos in zip(snap.heap_chunks, positions):
+        if isinstance(words, _LiveChunk):
+            chunks.append((base, words))
+            index.append((pos, _classify_header_words(
+                _words_at(words.area, pos)
+            )))
+            continue
         arr = (
             words
             if isinstance(words, np.ndarray)

@@ -14,6 +14,8 @@ import bisect
 import enum
 from typing import Iterator
 
+import numpy as np
+
 from repro.arch.architecture import Architecture
 from repro.errors import AlignmentError, SegmentationFault
 
@@ -28,6 +30,20 @@ class AreaKind(enum.Enum):
     CODE = "code"
     ATOMS = "atoms"
     C_GLOBALS = "c-globals"
+
+
+def _boxed(staged) -> list:
+    """``staged`` as a word list in which each run of equal words shares
+    one int object, as ``[v] * n`` made it before a checkpoint: a
+    restored ``Array.make`` row costs a pointer per word, not an int."""
+    staged = np.asarray(staged)
+    changes = staged[1:] != staged[:-1]
+    if 2 * np.count_nonzero(changes) >= staged.size:
+        return staged.tolist()  # mostly distinct: nothing to share
+    starts = np.concatenate(([0], np.flatnonzero(changes) + 1))
+    values = np.empty(starts.size, dtype=object)
+    values[:] = staged[starts].tolist()
+    return np.repeat(values, np.diff(starts, append=staged.size)).tolist()
 
 
 class MemoryArea:
@@ -114,7 +130,7 @@ class MemoryArea:
                     self.ensure_converted()
                     staged = self._staged
                 self._staged = None
-                ws = staged.tolist()
+                ws = _boxed(staged)
                 self.words = ws
                 return ws
         raise AttributeError(name)

@@ -92,6 +92,8 @@ class LiveReport:
     fault_slice: int = 0
     fault_style: str = ""
     generations_shipped: int = 0
+    #: Of those, full checkpoints (the rest are deltas).
+    generations_full: int = 0
     generations_discarded: int = 0
     #: How the standby applied what it received: folded into the
     #: resident VM in place, or by restoring its chain afresh (and why
@@ -346,6 +348,7 @@ class LiveHA:
                 self._succeed(report, standby, chunks)
                 return
             report.generations_shipped += 1
+            report.generations_full += rec.kind == "full"
             gate.feed(rec.stdout)
             gate.release_to(len(rec.stdout))
             chunks.append(gate.take())

@@ -10,13 +10,17 @@ size) before any failover happens.  Only then is the ACK sent: an
 acked generation is takeover-ready by definition, which is what lets
 the primary release stdout up to it.
 
-Splicing costs what changed, not what exists.  Next to the resident VM
-the standby keeps the :class:`~repro.checkpoint.reader.ResidentImage`
-its last restore left behind; a delta that binds to the held head and
-moves no block is verified once from the arriving bytes and folded into
-the resident VM in place.  Anything else — a full generation, a layout
-change, a lazily restored image — restores the local chain afresh,
-which re-verifies every link it reads from disk.
+Splicing costs what changed, not what exists, and the standby holds
+the state once.  Next to the resident VM it keeps the
+:class:`~repro.checkpoint.resident.ResidentImage` its last restore left
+behind — conversion tables, not a saved copy of the heap.  A generation
+that keeps the block layout (a delta bound to the held head, or a full)
+is verified once from the arriving bytes and folded into the resident
+VM in place.  Anything else restores afresh: the first full or a full
+whose blocks moved from the bytes received, a delta (a layout change, a
+lazily restored image) from the local chain, re-verifying every link it
+reads from disk.  The image being replaced is dropped first; the VM it
+belongs to stays promotable until its replacement exists.
 
 Failure detection rides the channel itself: any frame resets the miss
 counter; ``heartbeat_misses`` consecutive quiet windows (or an abrupt
@@ -40,7 +44,9 @@ from typing import Optional
 
 from repro.arch.platforms import Platform, get_platform
 from repro.checkpoint.commit import atomic_commit
-from repro.checkpoint.reader import MAX_DELTA_CHAIN, ResidentImage, restart_vm
+from repro.checkpoint.format import VMSnapshot
+from repro.checkpoint.reader import MAX_DELTA_CHAIN, ChainLink, restart_vm
+from repro.checkpoint.resident import ResidentImage, read_generation
 from repro.errors import (
     CheckpointError,
     LeaseLostError,
@@ -97,8 +103,9 @@ class StandbyServer:
         self.applied_in_place = 0
         self.rebuilt = 0
         #: Why the last generation was restored afresh instead of folded
-        #: in place: "full", "layout", "lazy", "depth", "unstaged",
-        #: "no-image", "apply-failed" ("" while none was).
+        #: in place: "full" (the first: nothing to fold into), "layout",
+        #: "lazy", "depth", "unstaged", "no-image", "apply-failed" (""
+        #: while none was).
         self.last_rebuild_reason = ""
         self.prefill = b""
         self.primary_node: Optional[str] = None
@@ -182,6 +189,9 @@ class StandbyServer:
                 return
             missed = 0
             op, payload = frame
+            # The frame must not outlive its handling: a full's buffer
+            # would sit beside the next frame while it is received.
+            del frame
             try:
                 if op == wire.OP_HELLO:
                     self._on_hello(conn, payload)
@@ -198,6 +208,8 @@ class StandbyServer:
                 if greeted:
                     self._suspect("eof")
                 return
+            finally:
+                del payload
 
     def _err(self, conn, message: str) -> None:
         try:
@@ -254,16 +266,19 @@ class StandbyServer:
     def _splice(self, rec: wire.GenRecord) -> None:
         """Commit the generation locally and fold it into the resident VM.
 
-        One decision (:meth:`_plan`): a delta the held image can take is
-        folded in place, everything else restores the local chain.  The
-        arriving delta is verified before anything is written; the
-        local commit uses the same journal/rotate/rename protocol as
-        the primary's checkpoint, so the standby's chain is itself
-        crash-consistent; apply happens *before* the ack — the output
-        rule depends on it.  A generation that cannot be committed or
-        applied leaves the standby where it was.
+        One decision (:meth:`_plan`): a generation the held image can
+        take — a delta, or a full that keeps the layout — is folded in
+        place; anything else restores afresh, a full from the bytes
+        received and a delta from the local chain.  The arriving file is
+        verified before anything is written; the local commit uses the
+        same journal/rotate/rename protocol as the primary's checkpoint,
+        so the standby's chain is itself crash-consistent; apply happens
+        *before* the ack — the output rule depends on it.  A generation
+        that cannot be committed or applied leaves the standby where it
+        was.
         """
-        plan, reason = self._plan(rec)
+        snap, reason = self._plan(rec)
+        full = snap.delta is None
         # Never rotate away a generation the new head still needs.
         keep = max(self.retain, rec.chain_depth)
         try:
@@ -278,16 +293,17 @@ class StandbyServer:
                 raise ReplicationError(
                     f"generation {rec.seq} arrived after promotion"
                 )
-            if plan is not None:
+            if not reason:
                 try:
-                    self.image.apply(plan)
+                    self.image.apply(snap)
                 except Exception:
                     # Whatever stopped it, the resident VM is torn and
                     # must not be acked or promoted; its chain is whole.
                     self.resident_vm = self.image = None
-                    plan, reason = None, "apply-failed"
-            if plan is None:
-                self._rebuild(rec)
+                    reason = "apply-failed"
+            del snap
+            if reason:
+                self._rebuild(rec, full)
                 self.rebuilt += 1
                 self.last_rebuild_reason = reason
                 REPLICATION.generations_rebuilt += 1
@@ -301,27 +317,36 @@ class StandbyServer:
             self.last_body_sha = rec.body_sha256
         REPLICATION.generations_applied += 1
 
-    def _plan(self, rec: wire.GenRecord) -> tuple[Optional[object], str]:
-        """``(plan, "")`` to fold ``rec`` in place, or ``(None, why not)``."""
-        if rec.kind != "delta":
-            return None, "full"
-        if self.image is None:
-            lazy = self.config is not None and self.config.lazy_restore
-            return None, "lazy" if lazy else "no-image"
-        if rec.chain_depth > MAX_DELTA_CHAIN:
-            return None, "depth"  # the restore refuses it, loudly
+    def _plan(self, rec: wire.GenRecord) -> tuple[VMSnapshot, str]:
+        """Verify ``rec``'s file; return it parsed, with ``""`` to fold
+        it in place or why it must be restored instead."""
         try:
-            return self.image.plan_delta(rec.data)
+            snap = read_generation(rec.data)
+            if self.image is None:
+                if self.config is not None and self.config.lazy_restore:
+                    return snap, "lazy"
+                return snap, "full" if snap.delta is None else "no-image"
+            if rec.chain_depth > MAX_DELTA_CHAIN:
+                return snap, "depth"  # the restore refuses it, loudly
+            return snap, self.image.fold_reason(snap)
         except RestartError as e:
             raise ReplicationError(
                 f"generation {rec.seq} failed to splice: {e}"
             ) from e
 
-    def _rebuild(self, rec: wire.GenRecord) -> None:
-        """Restore the local chain head: a new resident VM and image."""
+    def _rebuild(self, rec: wire.GenRecord, full: bool) -> None:
+        """Restore a new resident VM and image: a full from the bytes
+        received, a delta from the local chain.  The image being
+        replaced goes first; its VM stays promotable until the new one
+        exists."""
+        self.image = None
+        source = (
+            [ChainLink(self.chain_path, rec.data)] if full
+            else self.chain_path
+        )
         try:
             vm, stats = restart_vm(
-                self.platform, self.code, self.chain_path, self.config
+                self.platform, self.code, source, self.config
             )
         except RestartError as e:
             raise ReplicationError(

@@ -36,6 +36,31 @@ class TestCodeImage:
         # The name is informational only.
         assert base.digest() == CodeImage([0], "y", 1, [b"a"], [1.0]).digest()
 
+    def test_digest_is_computed_once_and_the_image_is_immutable(
+            self, monkeypatch):
+        img = CodeImage([int(Op.CONSTINT), 5, int(Op.STOP)], "t", 3,
+                        [b"lit"], [1.5])
+        first = img.digest()
+        # The cached digest is the one a fresh image computes.
+        assert first == CodeImage(list(img.units), "t", 3, [b"lit"],
+                                  [1.5]).digest()
+        calls = []
+        compute = CodeImage._compute_digest
+        monkeypatch.setattr(
+            CodeImage, "_compute_digest",
+            lambda self: calls.append(1) or compute(self),
+        )
+        assert img.digest() is first and img.digest() is first
+        assert calls == []
+        assert isinstance(img.units, tuple)
+        with pytest.raises(TypeError):
+            img.units[0] = int(Op.STOP)
+        for name, value in (("units", [0]), ("n_globals", 4),
+                            ("string_literals", [b"x"]), ("name", "u")):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(img, name, value)
+        assert img.digest() == first
+
     def test_signed_unit(self):
         img = CodeImage([-5, 5])
         assert img.signed_unit(0) == -5

@@ -313,10 +313,12 @@ class TestHACLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["client_stdout"] == "20000"
         assert doc["generations_shipped"] >= 3
-        if full_every is None:  # deltas fold into the standby in place
-            assert doc["generations_applied_in_place"] > 0
-        else:  # every generation full: each one is a rebuild
-            assert doc["generations_applied_in_place"] == 0
+        assert doc["generations_applied_in_place"] > 0
+        if full_every is None:  # deltas after the first full
+            assert doc["generations_full"] < doc["generations_shipped"]
+        else:  # every generation full: only the first is a rebuild
+            assert doc["generations_full"] == doc["generations_shipped"]
+            assert doc["generations_rebuilt"] == 1
             assert doc["last_rebuild_reason"] == "full"
 
     def test_ha_run_summary_line(self, tmp_path, capsys, env):

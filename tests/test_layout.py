@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.arch import ARCH_32_LE
+from repro.arch import ARCH_32_LE, ARCH_64_LE
 from repro.errors import AlignmentError, SegmentationFault
 from repro.memory import AddressSpace, AreaKind, MemoryArea
 
@@ -49,6 +50,24 @@ class TestMemoryArea:
         a = make_area()
         for i in range(a.n_words):
             assert a.index_of(a.addr_of(i)) == i
+
+    @pytest.mark.parametrize("runs", [
+        [(1001, 4096), (77, 1), (1001, 4095)],  # an Array.make row
+        [(2**64 - 1, 3), (3, 2), (5001, 2)],
+        [(v, 1) for v in range(2001, 2041)],    # every word distinct
+    ])
+    def test_unstaged_words_share_one_int_per_run(self, runs):
+        """Unboxing a staged area gives the words the staged array
+        holds, each run of equal words as one int object — what
+        ``[v] * n`` made before the checkpoint."""
+        staged = np.concatenate(
+            [np.full(n, v, dtype=np.uint64) for v, n in runs]
+        )
+        a = MemoryArea.from_staged(
+            AreaKind.HEAP_CHUNK, 0x1000, staged.copy(), ARCH_64_LE
+        )
+        assert a.words == staged.tolist()
+        assert len({id(w) for w in a.words}) <= len(runs)
 
 
 class TestAddressSpace:

@@ -141,14 +141,16 @@ def test_checkpoint_restart_is_transparent(tmp_path_factory, case):
 @st.composite
 def program_with_generations(draw):
     """A longer random program, the instruction counts at which its
-    primary checkpoints, the dirty-region size, and the platforms."""
+    primary checkpoints, the dirty-region size, the periodic-full
+    cadence (0: none), and the platforms."""
     stmts = random_statements(draw, draw(st.integers(4, 16)))
     budgets = draw(st.lists(st.integers(3, 90), min_size=2, max_size=8))
     region_words = draw(st.sampled_from([16, 128, 1024]))
+    full_every = draw(st.sampled_from([0, 2, 3]))
     origin = draw(st.sampled_from(PLATFORM_NAMES))
     target = draw(st.sampled_from(PLATFORM_NAMES))
     src = PRELUDE + ";;\n".join(stmts) + ";;\n" + DIGEST
-    return src, budgets, region_words, origin, target
+    return src, budgets, region_words, full_every, origin, target
 
 
 @settings(
@@ -158,11 +160,12 @@ def program_with_generations(draw):
 )
 @given(program_with_generations())
 def test_standby_resident_vm_equals_cold_restart(tmp_path_factory, case):
-    src, budgets, region_words, origin, target = case
+    src, budgets, region_words, full_every, origin, target = case
     code = compile_source(src)
     rep = Replica(
         code, origin, target, tmp_path_factory.mktemp("standby"),
-        primary={"chkpt_region_words": region_words},
+        primary={"chkpt_region_words": region_words,
+                 "chkpt_full_every": full_every},
     )
     for budget in budgets:
         if rep.ship(budget) is None:

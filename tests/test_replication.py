@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.replication import (
     ReplicationSender,
     StandbyServer,
 )
+from repro import net
 from repro.replication import wire
 from repro.replication.lease import LeaseClaim, LeaseState
 from repro.store import ChunkStore, FleetClient, FleetNode
@@ -529,6 +531,62 @@ class TestChannelEndToEnd:
         finally:
             sender.close()
             sb.stop()
+
+    def test_a_frame_is_released_before_the_next_is_received(
+            self, tmp_path, monkeypatch):
+        """The frame loop holds one GEN frame at a time: when the
+        standby starts receiving the next frame, no buffer the receipt
+        of an earlier one allocated is still alive (a full's would be
+        held beside the next frame for nothing)."""
+        code = compile_source("""
+            let keep = ref [];;
+            for i = 1 to 24 do keep := Array.make 4096 i :: !keep done;;
+            let n = ref 0;;
+            while !n < 400000 do
+              n := !n + 1;
+              (match !keep with h :: _ -> h.(!n mod 4096) <- !n | [] -> ())
+            done;;
+            print_int !n
+        """)
+        held = []
+        recv = wire.recv_frame
+        in_net = [tracemalloc.Filter(True, net.__file__)]
+
+        def traced_recv(sock, allow_eof=False):
+            if threading.current_thread().name.startswith("standby-"):
+                snap = tracemalloc.take_snapshot().filter_traces(in_net)
+                held.append(sum(t.size for t in snap.traces))
+            return recv(sock, allow_eof=allow_eof)
+
+        monkeypatch.setattr(wire, "recv_frame", traced_recv)
+        path = str(tmp_path / "p.hckp")
+        vm = _primary(code, path)
+        tailer = CommitTailer(vm, path)
+        kinds, sizes = [], []
+        tracemalloc.start()
+        try:
+            sb, host, port = self._standby(code, tmp_path)
+            sender = ReplicationSender.connect(host, port, node_id="pr")
+            try:
+                sender.hello(code.digest().hex(), 1, "rodrigo")
+                for full in (True, False, True, False):
+                    if full:
+                        vm.mem.dirty.mark_all()
+                    vm.run(max_instructions=100_000)
+                    rec = tailer.capture()
+                    kinds.append(rec.kind)
+                    sizes.append(len(rec.data))
+                    assert sender.ship(rec) == rec.seq
+                sender.ping()  # one more receive, after the last GEN
+            finally:
+                sender.close()
+                sb.stop()
+        finally:
+            tracemalloc.stop()
+        assert kinds == ["full", "delta", "full", "delta"]
+        assert min(sizes) > 0 and max(sizes) > 256 * 1024
+        assert len(held) >= len(kinds) + 1
+        assert max(held) < 64 * 1024, held
 
     def test_hello_rejects_wrong_program(self, code, tmp_path):
         sb, host, port = self._standby(code, tmp_path)

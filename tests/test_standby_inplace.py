@@ -34,7 +34,8 @@ from repro import (
     get_platform,
     restart_vm,
 )
-from repro.checkpoint.reader import ResidentImage
+from repro.checkpoint import reader
+from repro.checkpoint.resident import ResidentImage
 from repro.errors import ReplicationError
 from repro.metrics import REPLICATION
 from repro.replication import CommitTailer, ReplicationSender, StandbyServer
@@ -201,14 +202,19 @@ def reference_run(code, origin: str):
     return out
 
 
-def ship_all(rep: Replica, budget: int, limit: int = 40) -> list[str]:
+def ship_all(rep: Replica, budget: int, limit: int = 40,
+             kinds: list | None = None) -> list[str]:
     """Ship generations until the program ends (or ``limit``), checking
-    each; returns how each was applied ("in-place" or the reason)."""
+    each; returns how each was applied ("in-place" or the reason), and
+    appends each generation's kind to ``kinds`` when given."""
     how = []
     for _ in range(limit):
         before = rep.standby.applied_in_place
-        if rep.ship(budget) is None:
+        rec = rep.ship(budget)
+        if rec is None:
             break
+        if kinds is not None:
+            kinds.append(rec.kind)
         rep.check()
         how.append(
             "in-place" if rep.standby.applied_in_place > before
@@ -240,33 +246,50 @@ PAIRS = [
 ]
 
 
+#: A periodic full every few generations, so the matrix folds fulls
+#: in place as well as deltas.
+FULL_EVERY = {"chkpt_full_every": 4}
+
+
 @pytest.mark.parametrize("origin,target", PAIRS)
 def test_every_generation_equals_a_cold_restore(mixed, origin, target, tmp_path):
-    rep = Replica(mixed, origin, target, tmp_path)
-    how = ship_all(rep, BUDGET)
-    # The build phase allocates (layout changes, periodic fulls); the
-    # mutation phases must all fold in place.
+    rep = Replica(mixed, origin, target, tmp_path, primary=FULL_EVERY)
+    kinds = []
+    how = ship_all(rep, BUDGET, kinds=kinds)
+    # The build phase allocates (layout changes); the mutation phases
+    # must all fold in place, their periodic fulls included.
     assert how[0] == "full"
     assert how.count("in-place") >= 12, how
     assert set(how) <= {"in-place", "full", "layout"}, how
+    folded_fulls = [h for k, h in zip(kinds, how) if k == "full"][1:]
+    assert folded_fulls.count("in-place") >= 2, (kinds, how)
     rep.finish(reference_run(mixed, origin))
 
 
-def test_a_cold_restore_pays_nothing_for_the_image(mixed, tmp_path):
-    """Across word sizes the image *is* what the rebuild read from; at
-    the same word size the saved chunks were converted where they lay,
-    and are read back from the chain only when a delta needs them."""
-    rep = Replica(mixed, "rodrigo", "pc8", tmp_path, primary=DELTAS_ONLY)
-    rep.ship(BUDGET)
-    assert rep.standby.image.sources is None
-    while rep.standby.applied_in_place == 0:
-        assert rep.ship(BUDGET) is not None
-    rep.check()
-    assert [len(a) for a in rep.standby.image.sources] == [
-        n for _, n in rep.standby.image.chunks
-    ]
-    _, stats = restart_vm(get_platform("ultra64"), mixed, rep.standby_path)
-    assert stats.image.sources is stats.image.conversion.sources
+def test_a_cold_restore_pays_nothing_for_the_image(mixed, tmp_path,
+                                                  monkeypatch):
+    """A fold needs no saved image: every word converts on its own, or
+    (a string or a double across word sizes) is recovered from the
+    resident VM's own words.  The image keeps none of the saved chunks
+    the restore converted from, and a fold never reads the chain back."""
+    for target in ("pc8", "ultra64"):
+        os.makedirs(tmp_path / target)
+        rep = Replica(mixed, "rodrigo", target, tmp_path / target,
+                      primary=DELTAS_ONLY)
+        rep.ship(BUDGET)
+        assert getattr(rep.standby.image.conversion, "sources", None) is None
+        reads = []
+        chain_read = reader.load_snapshot_chain
+        monkeypatch.setattr(
+            reader, "load_snapshot_chain",
+            lambda *a, **k: reads.append(a) or chain_read(*a, **k),
+        )
+        while rep.standby.applied_in_place == 0:
+            before = len(reads)
+            assert rep.ship(BUDGET) is not None
+        assert len(reads) == before  # the fold read nothing back
+        monkeypatch.undo()
+        rep.check()
 
 
 def test_counters_and_describe_report_the_hit_rate(mixed, tmp_path):
@@ -344,13 +367,26 @@ def test_compaction_rebuilds(mixed, tmp_path):
 
 
 def test_full_generation_rebuilds(mixed, tmp_path):
+    """Only a full the held image cannot take is restored afresh: the
+    first (nothing to fold into yet, reason "full") and one whose blocks
+    moved ("layout").  A periodic full that keeps the layout folds in
+    place like a delta that dirtied every word."""
     rep = Replica(mixed, "rodrigo", "ultra64", tmp_path,
                   primary={"chkpt_full_every": 3})
-    how = ship_all(rep, BUDGET)
-    # A periodic full lands between in-place deltas and re-seeds the
-    # image the deltas after it fold into.
-    full = how.index("full", how.index("in-place"))
-    assert "in-place" in how[full:]
+    kinds = []
+    how = ship_all(rep, BUDGET, limit=WARM + 4, kinds=kinds)
+    assert (kinds[0], how[0]) == ("full", "full")
+    assert "full" not in how[1:], how
+    later = [h for k, h in zip(kinds, how) if k == "full"][1:]
+    assert later and later[-1] == "in-place", (kinds, how)
+    # Compaction moves blocks; a full taken then cannot fold.
+    rep.vm.gc.full_major()
+    rep.vm.gc.compact()
+    rep.vm.mem.dirty.mark_all()
+    rec = rep.ship(100)
+    assert rec.kind == "full"
+    rep.check()
+    assert rep.standby.last_rebuild_reason == "layout"
     rep.finish(reference_run(mixed, "rodrigo"))
 
 
@@ -431,7 +467,6 @@ def standby_state(sb: StandbyServer):
         sb.image,
         sb.image.head_sha,
         oracle.fingerprint(sb.resident_vm, header_maps=True),
-        [a.tobytes() for a in sb.image.sources],
     )
 
 
