@@ -28,8 +28,8 @@ import threading
 import time
 import tracemalloc
 
+from repro.checkpoint.generation import GenRecord
 from repro.replication import ReplicationSender, wire
-from repro.replication.wire import GenRecord
 from repro.store import ChunkStore, FleetClient, FleetNode
 
 MIB = 1024 * 1024

@@ -6,9 +6,11 @@ our Starfish system"), built on the same checkpoint mechanism.
 
 Four VM nodes cooperate on a block-sum: workers receive ranges from
 rank 0, compute partial sums, send them back.  Mid-computation the
-coordinator takes a *coordinated checkpoint* — every node plus every
+coordinator takes a *coordinated checkpoint* into a checkpoint store —
+one protected generation per node, then a cut record holding every
 in-flight marshaled message — and the whole application is then
-restarted with all four nodes migrated to different architectures.
+restored from the store with all four nodes migrated to different
+architectures.
 
 Run:  python examples/cluster_migration.py
 """
@@ -18,7 +20,8 @@ from __future__ import annotations
 import tempfile
 
 from repro import compile_source
-from repro.cluster import Cluster, restart_cluster
+from repro.cluster import Cluster, restore_cluster
+from repro.store import ChunkStore, FleetClient, FleetNode
 
 SOURCE = """
 let me = cluster_rank ();;
@@ -77,11 +80,19 @@ def main() -> None:
     print(f"taking a coordinated checkpoint: node states {states}, "
           f"{in_flight} in-flight message(s)")
 
-    ckpt_dir = tempfile.mkdtemp(suffix="_cluster")
-    cluster.checkpoint(ckpt_dir)
-
-    print(f"restarting every node on new machines: {after}")
-    cluster2 = restart_cluster(code, ckpt_dir, after, slice_instructions=300)
+    # A live store daemon on an ephemeral port, plus a client for it.
+    server = FleetNode(ChunkStore(tempfile.mkdtemp(prefix="repro-store-")))
+    host, port = server.start()
+    try:
+        with FleetClient([(host, port)]) as client:
+            cut = cluster.protect(client, "block-sum")
+            print(f"stored cut {cut} of 'block-sum'")
+            print(f"restarting every node on new machines: {after}")
+            cluster2 = restore_cluster(
+                code, client, "block-sum", after, slice_instructions=300
+            )
+    finally:
+        server.stop()
     cluster2.run()
     out = cluster2.stdout(0).decode()
     print(f"rank 0 says: {out!r}")

@@ -57,7 +57,3 @@ class WordCodec:
         """
         arr = np.frombuffer(data, dtype=self._dtype)
         return arr.byteswap().tobytes()
-
-    def word_count(self, data: bytes) -> int:
-        """Number of whole words in a native byte stream."""
-        return len(data) // self.arch.word_bytes

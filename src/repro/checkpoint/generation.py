@@ -132,12 +132,17 @@ class CommitTailer:
         parent_sha = vm.delta_parent_sha  # what a delta will bind to
         hooks = TailHooks(inner_hooks)
         saved_hooks = vm.config.commit_hooks
+        saved_state = vm.config.chkpt_state
         vm.config.commit_hooks = hooks
+        # A protected VM ignores every other request (its config says
+        # "disable"), so no commit but this one can fork its chain.
+        vm.config.chkpt_state = "enable"
         self._writes += 1
         try:
             vm.perform_checkpoint()
         finally:
             vm.config.commit_hooks = saved_hooks
+            vm.config.chkpt_state = saved_state
         if not hooks.committed:
             raise ReplicationError(
                 f"checkpoint of {self.path} never reached its commit "

@@ -7,25 +7,22 @@ integration in miniature: N virtual machines — possibly on *different*
 simulated architectures — exchange marshaled values through mailboxes,
 and a coordinator implements *coordinated checkpointing* (the first of
 the two classical approaches the paper's §6 surveys): it stops every
-node at a safe point, saves one per-node checkpoint plus the in-flight
-messages, and can restart the whole application with every node placed
-on a fresh (and possibly different) platform.
+node at a safe point, stores one protected generation per node plus a
+cut record holding the in-flight messages, and can restore the whole
+application from the store with every node placed on a fresh (and
+possibly different) platform.
 """
 
 from repro.cluster.coordinator import (
     Cluster,
     ClusterDeadlock,
     ClusterNode,
-    checkpoint_cluster_to_store,
-    restart_cluster,
-    restart_cluster_from_store,
+    restore_cluster,
 )
 
 __all__ = [
     "Cluster",
     "ClusterDeadlock",
     "ClusterNode",
-    "checkpoint_cluster_to_store",
-    "restart_cluster",
-    "restart_cluster_from_store",
+    "restore_cluster",
 ]

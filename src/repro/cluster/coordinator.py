@@ -1,21 +1,28 @@
-"""The cluster coordinator: node scheduling, messaging, coordinated C/R."""
+"""The cluster coordinator: node scheduling, messaging, coordinated C/R.
+
+A coordinated checkpoint is a set of ordinary protected generations —
+one per unfinished node, captured and uploaded the way both HA planes
+protect a VM — plus one small *cut record* naming them.
+"""
 
 from __future__ import annotations
 
+import base64
+import json
 import os
-import struct
+import shutil
+import tempfile
 import weakref
-import zlib
 from collections import deque
 from typing import Optional, Sequence
 
 from repro.arch.platforms import Platform, get_platform
 from repro.bytecode.image import CodeImage
-from repro.checkpoint.reader import restart_vm
+from repro.checkpoint.generation import CommitTailer
 from repro.errors import CheckpointFormatError, ReproError, RestartError
+from repro.store.fleet.client import FleetClient
+from repro.store.ha import manifest_meta, protected_config, restore_generation
 from repro.vm import VirtualMachine, VMConfig
-
-_MANIFEST_MAGIC = b"RCLU\x01"
 
 
 class ClusterDeadlock(ReproError):
@@ -53,15 +60,14 @@ class ClusterNode:
     def __init__(self, rank: int, vm: VirtualMachine) -> None:
         self.rank = rank
         self.vm = vm
+        #: Captures the node's generations at its protected chain path.
+        self.tailer = CommitTailer(vm, vm.config.chkpt_filename)
         #: Marshaled messages awaiting receipt (portable bytes, so the
         #: sender's and receiver's architectures never have to match).
         self.mailbox: deque[bytes] = deque()
         #: "runnable" | "waiting" (yielded on empty mailbox) | "finished"
         self.state = "runnable"
         self.exit_status: Optional[str] = None
-
-    def bind(self, cluster: "Cluster") -> None:
-        self.vm.cluster = _Binding(cluster, self.rank)
 
 
 class Cluster:
@@ -76,39 +82,30 @@ class Cluster:
     ) -> None:
         self.code = code
         self.slice_instructions = slice_instructions
+        self.steps = 0
+        self.messages_sent = 0
+        self._base_config = config
+        # The nodes' local checkpoint chains: the throwaway files their
+        # captures commit and protect() uploads, gone with the cluster.
+        self._chains = tempfile.mkdtemp(prefix="repro-cluster-")
+        weakref.finalize(self, shutil.rmtree, self._chains, True)
         self.nodes: list[ClusterNode] = []
-        self._base_config = config or VMConfig(chkpt_state="disable")
         for rank, p in enumerate(platforms):
-            vm = VirtualMachine(get_platform(p), code, self._node_config())
-            node = ClusterNode(rank, vm)
-            node.bind(self)
-            self.nodes.append(node)
-        self.steps = 0
-        self.messages_sent = 0
+            self._adopt(
+                VirtualMachine(get_platform(p), code, self._node_config(rank))
+            )
 
-    def _node_config(self) -> VMConfig:
-        c = self._base_config
-        return VMConfig(
-            chkpt_state="disable",  # node checkpoints go via the coordinator
-            minor_words=c.minor_words,
-            chunk_words=c.chunk_words,
-            stack_words=c.stack_words,
-            quantum=c.quantum,
-        )
+    def _node_config(self, rank: int) -> VMConfig:
+        """The protected configuration of node ``rank``'s VM."""
+        path = os.path.join(self._chains, f"node{rank}.hckp")
+        return protected_config(self._base_config, path)
 
-    @classmethod
-    def _adopt(cls, code: CodeImage, nodes: list[ClusterNode],
-               slice_instructions: int) -> "Cluster":
-        self = cls.__new__(cls)
-        self.code = code
-        self.slice_instructions = slice_instructions
-        self.nodes = nodes
-        self._base_config = VMConfig(chkpt_state="disable")
-        for node in nodes:
-            node.bind(self)
-        self.steps = 0
-        self.messages_sent = 0
-        return self
+    def _adopt(self, vm: VirtualMachine) -> ClusterNode:
+        """Make ``vm`` the next rank's node."""
+        node = ClusterNode(len(self.nodes), vm)
+        vm.cluster = _Binding(self, node.rank)
+        self.nodes.append(node)
+        return node
 
     # -- messaging -----------------------------------------------------------
 
@@ -167,188 +164,108 @@ class Cluster:
 
     # -- coordinated checkpointing -----------------------------------------------
 
-    def checkpoint(self, directory: str) -> None:
-        """Coordinated checkpoint: every node + every in-flight message.
+    def protect(self, client: FleetClient, cluster_id: str) -> int:
+        """Coordinated checkpoint to the store; returns the cut's generation.
 
         All nodes are between slices, i.e. at safe points — the easy
         consistency the paper describes for multi-threaded programs
         ("stop all threads, take the checkpoint") lifted to whole VMs.
-        In-flight messages live in the manifest as portable marshaled
-        bytes, so no channel state can be lost or duplicated.
+        Each unfinished node's capture goes up as the next generation of
+        ``<cluster_id>/<rank>`` (after its first full, a delta).  The cut
+        record goes up last, as the next generation of ``cluster_id``:
+        per rank the node generation (``None`` once finished), the run
+        state, the in-flight messages as portable marshaled bytes and
+        the cumulative stdout.  The cut is the commit point — a crash
+        before it leaves node generations that no cut names.
         """
-        os.makedirs(directory, exist_ok=True)
-        body = bytearray(_MANIFEST_MAGIC)
-        body += struct.pack("<I", len(self.nodes))
+        nodes = []
         for node in self.nodes:
-            vm = node.vm
-            ckpt_name = f"node{node.rank}.hckp"
-            # Flush stdout first, so the node checkpoint carries an empty
-            # output buffer and the manifest carries the full output —
-            # restart prefills the new sink, avoiding replay duplication.
-            vm.channels.stdout.flush()
-            if node.state == "finished":
-                ckpt_name = ""
-            else:
-                vm.config.chkpt_state = "enable"
-                vm.config.chkpt_filename = os.path.join(directory, ckpt_name)
-                vm.config.chkpt_mode = "blocking"
-                vm.perform_checkpoint()
-                vm.config.chkpt_state = "disable"
-            name_raw = ckpt_name.encode()
-            state_raw = node.state.encode()
-            stdout_raw = vm.channels.stdout_bytes()
-            body += struct.pack("<I", node.rank)
-            body += struct.pack("<I", len(name_raw)) + name_raw
-            body += struct.pack("<I", len(state_raw)) + state_raw
-            body += struct.pack("<I", len(stdout_raw)) + stdout_raw
-            body += struct.pack("<I", len(node.mailbox))
-            for msg in node.mailbox:
-                body += struct.pack("<I", len(msg)) + msg
-        body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
-        tmp = os.path.join(directory, "manifest.tmp")
-        with open(tmp, "wb") as f:
-            f.write(body)
-        os.replace(tmp, os.path.join(directory, "manifest.rclu"))
+            generation = None
+            if node.state != "finished":
+                rec = node.tailer.capture()
+                generation, _stats = client.put_checkpoint_file(
+                    f"{cluster_id}/{node.rank}",
+                    node.tailer.path,
+                    meta=manifest_meta(rec, node.vm.platform),
+                )
+            nodes.append({
+                "generation": generation,
+                "state": node.state,
+                "mailbox": [_b64(m) for m in node.mailbox],
+                "stdout": _b64(node.vm.channels.stdout_bytes()),
+            })
+        cut = json.dumps({"nodes": nodes}).encode()
+        generation, _stats = client.put_checkpoint(
+            cluster_id, cut, meta={"kind": "cut", "nodes": len(nodes)}
+        )
+        return generation
 
 
-def restart_cluster(
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode()
+
+
+def _cut_entry(entry: dict) -> tuple:
+    """One rank of a cut record: (generation, state, mailbox, stdout)."""
+    generation, state = entry["generation"], entry["state"]
+    if not (generation is None or type(generation) is int) or state not in (
+        "runnable", "waiting", "finished"
+    ):
+        raise ValueError(f"bad node entry ({generation!r}, {state!r})")
+    return (
+        generation,
+        state,
+        deque(base64.b64decode(m, validate=True) for m in entry["mailbox"]),
+        base64.b64decode(entry["stdout"], validate=True),
+    )
+
+
+def restore_cluster(
     code: CodeImage,
-    directory: str,
+    client: FleetClient,
+    cluster_id: str,
     platforms: Sequence[Platform | str],
+    generation: Optional[int] = None,
     slice_instructions: int = 20_000,
 ) -> Cluster:
     """Restore a coordinated checkpoint, re-placing every node.
 
-    ``platforms[rank]`` names the machine node ``rank`` restarts on —
-    it need not match the machine it was checkpointed on.
+    Reads the cut (the newest, or ``generation``) and restores exactly
+    the node generations it names.  ``platforms[rank]`` names the
+    machine node ``rank`` restarts on — it need not match the machine
+    it was checkpointed on.  Raises
+    :class:`~repro.errors.StoreNotFoundError` for an unknown id,
+    :class:`~repro.errors.CheckpointFormatError` when the payload is
+    not a cut, and a damaged node generation's own
+    :class:`~repro.errors.RestartError`: a cut cannot mix generations,
+    so no node falls back to an older one.
     """
-    path = os.path.join(directory, "manifest.rclu")
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[: len(_MANIFEST_MAGIC)] != _MANIFEST_MAGIC:
-        raise CheckpointFormatError("not a cluster manifest")
-    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) & 0xFFFFFFFF != crc:
-        raise CheckpointFormatError("cluster manifest CRC mismatch")
-    off = len(_MANIFEST_MAGIC)
-    (n_nodes,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if len(platforms) != n_nodes:
+    payload, manifest = client.get_checkpoint(cluster_id, generation)
+    try:
+        entries = [_cut_entry(e) for e in json.loads(payload)["nodes"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointFormatError(
+            f"vm {cluster_id!r} generation {manifest.generation} is not a "
+            f"cluster cut: {exc}"
+        ) from exc
+    if len(platforms) != len(entries):
         raise RestartError(
-            f"checkpoint has {n_nodes} nodes, {len(platforms)} platforms given"
+            f"checkpoint has {len(entries)} nodes, {len(platforms)} "
+            f"platforms given"
         )
-
-    def take_lp() -> bytes:
-        nonlocal off
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        out = data[off : off + n]
-        off += n
-        return out
-
-    nodes: list[ClusterNode] = []
-    for _ in range(n_nodes):
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        ckpt_name = take_lp().decode()
-        state = take_lp().decode()
-        stdout_bytes = take_lp()
-        (n_msgs,) = struct.unpack_from("<I", data, off)
-        off += 4
-        mailbox = deque(take_lp() for _ in range(n_msgs))
-        platform = get_platform(platforms[rank])
-        if ckpt_name:
-            vm, _ = restart_vm(
-                platform, code, os.path.join(directory, ckpt_name)
-            )
-        else:
+    cluster = Cluster(code, (), slice_instructions=slice_instructions)
+    for rank, (node_gen, state, mailbox, stdout) in enumerate(entries):
+        config = cluster._node_config(rank)
+        if node_gen is None:
             # The node had already finished; an idle VM stands in.
-            vm = VirtualMachine(platform, code, VMConfig(chkpt_state="disable"))
-        # Replay the output produced before the checkpoint, so the
-        # cumulative per-node stdout survives the restart.
-        vm.channels.prefill_stdout(stdout_bytes)
-        node = ClusterNode(rank, vm)
+            vm = VirtualMachine(get_platform(platforms[rank]), code, config)
+            vm.channels.prefill_stdout(stdout)
+        else:
+            vm, _depth = restore_generation(
+                client, f"{cluster_id}/{rank}", code, platforms[rank],
+                config, generation=node_gen,
+            )
+        node = cluster._adopt(vm)
         node.mailbox = mailbox
         node.state = "runnable" if state == "waiting" and mailbox else state
-        if node.state == "waiting" and not mailbox:
-            node.state = "waiting"
-        nodes.append(node)
-    return Cluster._adopt(code, nodes, slice_instructions)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint-store integration
-# ---------------------------------------------------------------------------
-
-
-def checkpoint_cluster_to_store(
-    cluster: Cluster,
-    client,
-    cluster_id: str,
-    directory: Optional[str] = None,
-):
-    """Coordinated checkpoint pushed to a checkpoint store.
-
-    Takes a normal :meth:`Cluster.checkpoint` into ``directory`` (a
-    temporary directory when omitted), packs the manifest plus every node
-    checkpoint into one payload, and stores it as the next generation of
-    ``cluster_id`` — so coordinated snapshots get the same dedup,
-    replication and integrity guarantees as single-VM checkpoints.
-    Returns ``(generation, PutStats)``.
-    """
-    import tempfile
-
-    from repro.store.chunkstore import pack_files
-
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-cluster-ck-")
-    cluster.checkpoint(directory)
-    files = {}
-    for name in sorted(os.listdir(directory)):
-        if name == "manifest.rclu" or name.endswith(".hckp"):
-            with open(os.path.join(directory, name), "rb") as f:
-                files[name] = f.read()
-    payload = pack_files(files)
-    meta = {"kind": "cluster", "nodes": len(cluster.nodes)}
-    return client.put_checkpoint(cluster_id, payload, meta=meta)
-
-
-def restart_cluster_from_store(
-    code: CodeImage,
-    client,
-    cluster_id: str,
-    platforms: Sequence[Platform | str],
-    directory: Optional[str] = None,
-    generation: Optional[int] = None,
-    slice_instructions: int = 20_000,
-) -> Cluster:
-    """Fetch a stored coordinated checkpoint and restart every node.
-
-    The inverse of :func:`checkpoint_cluster_to_store`: downloads and
-    verifies the packed payload, unpacks it into ``directory`` (a
-    temporary directory when omitted) and hands off to
-    :func:`restart_cluster`.
-    """
-    import tempfile
-
-    from repro.errors import StoreError
-    from repro.store.chunkstore import unpack_files
-
-    payload, _manifest = client.get_checkpoint(cluster_id, generation)
-    try:
-        files = unpack_files(payload)
-    except StoreError as e:
-        raise CheckpointFormatError(
-            f"stored payload for {cluster_id!r} is not a cluster checkpoint: {e}"
-        ) from e
-    if "manifest.rclu" not in files:
-        raise CheckpointFormatError(
-            f"stored payload for {cluster_id!r} is not a cluster checkpoint"
-        )
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-cluster-rs-")
-    os.makedirs(directory, exist_ok=True)
-    for name, data in files.items():
-        with open(os.path.join(directory, os.path.basename(name)), "wb") as f:
-            f.write(data)
-    return restart_cluster(code, directory, platforms, slice_instructions)
+    return cluster

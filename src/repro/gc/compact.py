@@ -29,10 +29,6 @@ class CompactionStats:
     chunks_after: int
     blocks_moved: int
 
-    @property
-    def words_reclaimed(self) -> int:
-        return self.words_before - self.words_after
-
 
 def compact(gc: "GCController") -> CompactionStats:
     """Compact the major heap; returns the stats.

@@ -14,13 +14,13 @@ Layout:
 ``wire``     framing and the GEN record codec
 ``gate``     the output rule (hold / release / resume)
 ``lease``    the primary-epoch lease and fencing (split-brain guard)
-``tailer``   commit-point observer packaging committed generations
 ``channel``  the primary's acked sender (retransmit, cumulative acks)
 ``standby``  the standby daemon (apply-before-ack, failure detector,
              promotion)
 ``live``     the end-to-end driver and seeded fault schedules
 """
 
+from repro.checkpoint.generation import CommitTailer, GenRecord, TailHooks
 from repro.replication.channel import ReplicationSender
 from repro.replication.gate import OutputGate
 from repro.replication.lease import (
@@ -36,8 +36,6 @@ from repro.replication.live import (
     cold_restore_from_store,
 )
 from repro.replication.standby import StandbyServer
-from repro.replication.tailer import CommitTailer, TailHooks
-from repro.replication.wire import GenRecord
 
 __all__ = [
     "CommitTailer",

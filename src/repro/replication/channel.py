@@ -20,6 +20,7 @@ from __future__ import annotations
 import socket
 from typing import Callable, Optional
 
+from repro.checkpoint.generation import GenRecord
 from repro.errors import (
     ReplicationError,
     ReplicationProtocolError,
@@ -27,7 +28,6 @@ from repro.errors import (
 )
 from repro.metrics import REPLICATION
 from repro.replication import wire
-from repro.replication.wire import GenRecord
 
 
 class ReplicationSender:

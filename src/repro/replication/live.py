@@ -2,7 +2,7 @@
 
 This is where the pieces meet.  A primary VM runs the workload on one
 platform, checkpointing every ``checkpoint_every`` instructions through
-the :class:`~repro.replication.tailer.CommitTailer`; each committed
+the :class:`~repro.checkpoint.generation.CommitTailer`; each committed
 generation is shipped over the acked channel to a
 :class:`~repro.replication.standby.StandbyServer` that keeps a resident
 VM on a *different* platform — different endianness, different word

@@ -45,6 +45,7 @@ from typing import Optional
 from repro.arch.platforms import Platform, get_platform
 from repro.checkpoint.commit import atomic_commit
 from repro.checkpoint.format import VMSnapshot
+from repro.checkpoint.generation import GenRecord
 from repro.checkpoint.reader import MAX_DELTA_CHAIN, ChainLink, restart_vm
 from repro.checkpoint.resident import ResidentImage, read_generation
 from repro.errors import (
@@ -263,7 +264,7 @@ class StandbyServer:
 
     # -- splicing ----------------------------------------------------------
 
-    def _splice(self, rec: wire.GenRecord) -> None:
+    def _splice(self, rec: GenRecord) -> None:
         """Commit the generation locally and fold it into the resident VM.
 
         One decision (:meth:`_plan`): a generation the held image can
@@ -317,7 +318,7 @@ class StandbyServer:
             self.last_body_sha = rec.body_sha256
         REPLICATION.generations_applied += 1
 
-    def _plan(self, rec: wire.GenRecord) -> tuple[VMSnapshot, str]:
+    def _plan(self, rec: GenRecord) -> tuple[VMSnapshot, str]:
         """Verify ``rec``'s file; return it parsed, with ``""`` to fold
         it in place or why it must be restored instead."""
         try:
@@ -334,7 +335,7 @@ class StandbyServer:
                 f"generation {rec.seq} failed to splice: {e}"
             ) from e
 
-    def _rebuild(self, rec: wire.GenRecord, full: bool) -> None:
+    def _rebuild(self, rec: GenRecord, full: bool) -> None:
         """Restore a new resident VM and image: a full from the bytes
         received, a delta from the local chain.  The image being
         replaced goes first; its VM stays promotable until the new one

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from repro.checkpoint.generation import GenRecord  # re-exported
+from repro.checkpoint.generation import GenRecord
 from repro.errors import ReplicationProtocolError
 from repro.net import HEADER, FrameCodec  # HEADER is re-exported
 

@@ -25,7 +25,6 @@ import hashlib
 import json
 import os
 import re
-import struct
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -642,28 +641,6 @@ class ChunkStore:
             self.bump_epoch()
         return {"removed": removed, "kept": kept, "bytes_freed": bytes_freed}
 
-    def dedup_stats(self, vm_id: str) -> PutStats:
-        """Cumulative dedup over every stored generation of one VM.
-
-        ``bytes_total`` counts every byte each manifest references;
-        ``bytes_new`` counts each distinct chunk once — their ratio is
-        the store-wide dedup factor for this VM's history.
-        """
-        stats = PutStats()
-        sizes: dict[str, int] = {}
-        for gen in self.generations(vm_id):
-            m = self.read_manifest(vm_id, gen)
-            for i, key in enumerate(m.chunks):
-                size = min(m.chunk_size, m.payload_len - i * m.chunk_size)
-                size = max(size, 0)
-                stats.chunks_total += 1
-                stats.bytes_total += size
-                if key not in sizes:
-                    sizes[key] = size
-                    stats.chunks_new += 1
-                    stats.bytes_new += size
-        return stats
-
     # -- integrity audit ---------------------------------------------------
 
     def audit(self, deep: bool = False, check_refs: bool = True) -> dict:
@@ -744,45 +721,3 @@ class ChunkStore:
                 os.unlink(path)
         return described
 
-
-# ---------------------------------------------------------------------------
-# Multi-file payload packing (cluster checkpoints)
-# ---------------------------------------------------------------------------
-
-_PACK_MAGIC = b"RPAK\x01"
-
-
-def pack_files(files: dict[str, bytes]) -> bytes:
-    """Pack named byte blobs into one store payload (order-stable)."""
-    out = bytearray(_PACK_MAGIC)
-    out += struct.pack("<I", len(files))
-    for name in sorted(files):
-        raw = name.encode()
-        out += struct.pack("<I", len(raw)) + raw
-        out += struct.pack("<Q", len(files[name])) + files[name]
-    return bytes(out)
-
-
-def unpack_files(payload: bytes) -> dict[str, bytes]:
-    """Inverse of :func:`pack_files`."""
-    if payload[: len(_PACK_MAGIC)] != _PACK_MAGIC:
-        raise StoreIntegrityError("not a packed multi-file payload")
-    off = len(_PACK_MAGIC)
-    try:
-        (n,) = struct.unpack_from("<I", payload, off)
-        off += 4
-        files = {}
-        for _ in range(n):
-            (name_len,) = struct.unpack_from("<I", payload, off)
-            off += 4
-            name = payload[off : off + name_len].decode()
-            off += name_len
-            (data_len,) = struct.unpack_from("<Q", payload, off)
-            off += 8
-            files[name] = payload[off : off + data_len]
-            if len(files[name]) != data_len:
-                raise StoreIntegrityError("truncated packed payload")
-            off += data_len
-        return files
-    except struct.error as e:
-        raise StoreIntegrityError(f"truncated packed payload: {e}") from e

@@ -206,7 +206,12 @@ def manifest_meta(rec: GenRecord, platform: Platform) -> dict:
 
 def protected_config(base: Optional[VMConfig], path: str) -> VMConfig:
     """A copy of ``base`` whose checkpoints a protection driver owns —
-    the one protection policy of both HA planes.
+    the one protection policy of both HA planes and the cluster.
+
+    Only the driver's :meth:`CommitTailer.capture` commits a generation:
+    a program's own ``checkpoint ()`` and the interval policy are
+    ignored, since a commit nobody uploads or ships would become the
+    parent the next protected delta binds to.
 
     After each first full, a generation carries only the dirty regions
     since its parent (a v4 delta); ``base``'s ``chkpt_full_every`` and
@@ -214,7 +219,7 @@ def protected_config(base: Optional[VMConfig], path: str) -> VMConfig:
     (``CHKPT_FULL_EVERY=1``: every one).
     """
     cfg = VMConfig() if base is None else VMConfig(**vars(base))
-    cfg.chkpt_state = "enable"
+    cfg.chkpt_state = "disable"  # the capture alone enables a commit
     cfg.chkpt_filename = path
     cfg.chkpt_mode = "blocking"  # the capture reads the committed file
     cfg.chkpt_interval = None  # the driver owns the cadence
@@ -222,6 +227,31 @@ def protected_config(base: Optional[VMConfig], path: str) -> VMConfig:
     # A delta's base must survive local rotation (the writer's rule).
     cfg.chkpt_retain = max(cfg.chkpt_retain, 8)
     return cfg
+
+
+def restore_generation(
+    client: FleetClient,
+    vm_id: str,
+    code: CodeImage,
+    platform: Platform | str,
+    config: Optional[VMConfig] = None,
+    generation: Optional[int] = None,
+    timer: Optional[PhaseTimer] = None,
+) -> tuple[VirtualMachine, int]:
+    """Restore one stored generation of ``vm_id`` (the newest when
+    ``generation`` is None) onto ``platform``: download its chain into
+    memory, restore, prefill stdout.  Returns the VM and the depth of
+    the chain it restored (0: a full; d: a delta and d parents).  A
+    damaged chain raises the :class:`~repro.errors.RestartError` that
+    names the link, ``vm '<vm_id>' generation <g>``."""
+    manifest, links = fetch_chain(client, vm_id, generation=generation,
+                                  timer=timer)
+    with _phase(timer, "restart_rebuild"):
+        vm, _stats = restart_vm(get_platform(platform), code, links, config)
+    vm.channels.prefill_stdout(
+        base64.b64decode(manifest.meta.get("stdout_b64", ""))
+    )
+    return vm, len(links) - 1
 
 
 def restore_from_store(
@@ -234,10 +264,9 @@ def restore_from_store(
     timer: Optional[PhaseTimer] = None,
 ) -> tuple[VirtualMachine, int, int]:
     """Recover the newest restorable generation of ``vm_id`` onto
-    ``platform``: download the head and its delta parents into memory,
-    restore, prefill stdout.  Returns the VM, how many damaged store
-    generations were skipped to get there, and the depth of the chain
-    it restored (0: a full; d: a delta and d parents).
+    ``platform`` (:func:`restore_generation`).  Returns the VM, how
+    many damaged store generations were skipped to get there, and the
+    depth of the chain it restored.
 
     ``path`` is where the restored VM will checkpoint: commit debris a
     crash left there is resolved first.  Store generations are walked
@@ -247,39 +276,32 @@ def restore_from_store(
     stored, and the last tried generation's own
     :class:`~repro.errors.RestartError` when none restores.
     """
-    platform = get_platform(platform)
     # A mid-write crash leaves journal/tmp debris (and possibly a torn
     # head) at the local path; resolve it the way a rebooted machine
     # would before the restored VM commits there.
     recover_commit(path)
-    manifest, links = fetch_chain(client, vm_id, timer=timer)
+    generation: Optional[int] = None
     older: Optional[list[int]] = None
     skipped = 0
     while True:
         try:
-            with _phase(timer, "restart_rebuild"):
-                vm, _stats = restart_vm(platform, code, links, config)
+            vm, depth = restore_generation(
+                client, vm_id, code, platform, config, generation, timer
+            )
             break
         except RestartError:
             if older is None:
+                # Nothing uploads while the VM is down, so the newest
+                # listed generation is the head that just failed.
                 listing = client.ls(vm_id)["vms"].get(vm_id, [])
-                older = sorted(
-                    g["generation"]
-                    for g in listing
-                    if g["generation"] < manifest.generation
-                )
+                older = sorted(g["generation"] for g in listing)[:-1]
             if not older:
                 raise
             skipped += 1
-            manifest, links = fetch_chain(
-                client, vm_id, generation=older.pop(), timer=timer
-            )
+            generation = older.pop()
     if skipped:
         INTEGRITY.fallback_restores += 1
-    vm.channels.prefill_stdout(
-        base64.b64decode(manifest.meta.get("stdout_b64", ""))
-    )
-    return vm, skipped, len(links) - 1
+    return vm, skipped, depth
 
 
 @dataclass

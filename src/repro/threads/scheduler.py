@@ -11,7 +11,7 @@ step 3).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.errors import DeadlockError, ThreadError
 from repro.memory.layout import AreaKind
@@ -179,6 +179,3 @@ class Scheduler:
             )
         return None
 
-    def live_threads(self) -> Iterator[VMThread]:
-        """Threads that have not finished."""
-        return (t for t in self.threads.values() if t.state is not ThreadState.FINISHED)

@@ -402,16 +402,6 @@ class VirtualMachine:
             f"background checkpoint of {stats.path} failed: {error}"
         ) from error
 
-    # -- dirty tracking (incremental checkpoints) ---------------------------
-
-    def snapshot_dirty(self):
-        """Freeze the dirty-region tracker state (at a safe point)."""
-        return self.mem.dirty.snapshot()
-
-    def clear_dirty(self) -> None:
-        """Reset dirty tracking (after a successful capture)."""
-        self.mem.dirty.clear()
-
     # -- state summaries (used by checkpoint and tests) -----------------------------------
 
     @property

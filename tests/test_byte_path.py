@@ -17,8 +17,8 @@ import tracemalloc
 
 import pytest
 
+from repro.checkpoint.generation import GenRecord
 from repro.replication import ReplicationSender, wire
-from repro.replication.wire import GenRecord
 from repro.store import ChunkStore, FleetClient, FleetNode, StoreClient
 from repro.store import protocol as P
 from repro.store import server as store_server

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import compile_source
-from repro.cluster import Cluster, ClusterDeadlock, restart_cluster
+from repro.cluster import Cluster, ClusterDeadlock, restore_cluster
+from repro.errors import CheckpointFormatError, RestartError
+from repro.store import ChunkStore, FleetClient, FleetNode
 
 # A ring: rank 0 injects a token; each node adds its rank and forwards;
 # after LAPS laps rank 0 prints the total.
@@ -69,6 +73,16 @@ def ring_expected(n_nodes: int, laps: int = 3) -> bytes:
     return f"total={laps * per_lap}".encode()
 
 
+@pytest.fixture
+def service(tmp_path):
+    server = FleetNode(ChunkStore(str(tmp_path / "store")))
+    host, port = server.start()
+    client = FleetClient([(host, port)], backoff=0.01)
+    yield server, client
+    client.close()
+    server.stop()
+
+
 class TestClusterExecution:
     def test_ring_homogeneous(self):
         code = compile_source(RING)
@@ -120,32 +134,35 @@ class TestClusterExecution:
 
 
 class TestCoordinatedCheckpoint:
-    def _run_with_mid_checkpoint(self, code, platforms, ckpt_dir, steps):
+    """A coordinated checkpoint is one protected generation per
+    unfinished node (``<cluster_id>/<rank>``) plus the cut record
+    (``<cluster_id>``) naming them, uploaded last."""
+
+    def _run_with_mid_checkpoint(self, code, platforms, client, steps):
         cluster = Cluster(code, platforms, slice_instructions=400)
         for _ in range(steps):
             if cluster.finished:
                 break
             cluster.step()
-        cluster.checkpoint(ckpt_dir)
+        cluster.protect(client, "ring")
         return cluster
 
-    def test_checkpoint_restart_finishes_ring(self, tmp_path):
+    def test_checkpoint_restart_finishes_ring(self, service):
+        _, client = service
         code = compile_source(RING)
-        ckpt_dir = str(tmp_path / "cluster_ck")
-        self._run_with_mid_checkpoint(
-            code, ["rodrigo"] * 4, ckpt_dir, steps=4
-        )
+        self._run_with_mid_checkpoint(code, ["rodrigo"] * 4, client, steps=4)
         # Restart every node on a *different* platform and finish.
-        cluster2 = restart_cluster(
-            code, ckpt_dir, ["sp2148", "ultra64", "csd", "pc8"],
+        cluster2 = restore_cluster(
+            code, client, "ring", ["sp2148", "ultra64", "csd", "pc8"],
             slice_instructions=400,
         )
         cluster2.run()
         assert cluster2.stdout(0) == ring_expected(4)
 
-    def test_checkpoint_preserves_in_flight_messages(self, tmp_path):
+    def test_checkpoint_preserves_in_flight_messages(self, service):
         """Messages sitting in mailboxes at checkpoint time are part of
         the coordinated snapshot and are delivered after restart."""
+        _, client = service
         src = """
         let me = cluster_rank ();;
         let () =
@@ -164,15 +181,15 @@ class TestCoordinatedCheckpoint:
         cluster = Cluster(code, ["rodrigo", "rodrigo"], slice_instructions=60)
         # Step until node 0 has sent (finished) but before node 1 consumed.
         cluster.step()
-        ckpt_dir = str(tmp_path / "inflight")
         # Force the interesting case: if the message is still queued,
         # checkpoint now; otherwise the test still passes trivially.
-        cluster.checkpoint(ckpt_dir)
-        cluster2 = restart_cluster(code, ckpt_dir, ["csd", "sp2148"])
+        cluster.protect(client, "inflight")
+        cluster2 = restore_cluster(code, client, "inflight", ["csd", "sp2148"])
         cluster2.run()
         assert cluster2.stdout(1) == b"got 42"
 
-    def test_stdout_survives_restart(self, tmp_path):
+    def test_stdout_survives_restart(self, service):
+        _, client = service
         src = """
         let me = cluster_rank ();;
         print_string "early ";;
@@ -184,33 +201,124 @@ class TestCoordinatedCheckpoint:
         code = compile_source(src)
         cluster = Cluster(code, ["rodrigo", "rodrigo"], slice_instructions=300)
         cluster.step()
-        ckpt_dir = str(tmp_path / "out")
-        cluster.checkpoint(ckpt_dir)
-        cluster2 = restart_cluster(code, ckpt_dir, ["sp2148", "csd"])
+        cluster.protect(client, "out")
+        cluster2 = restore_cluster(code, client, "out", ["sp2148", "csd"])
         cluster2.run()
         assert cluster2.stdout(0) == b"early late=10"
         assert cluster2.stdout(1) == b"early late=0"
 
-    def test_manifest_corruption_rejected(self, tmp_path):
-        import os
-
-        from repro.errors import CheckpointFormatError
-
+    def test_manifest_corruption_rejected(self, service):
+        """A damaged cut is refused typed — one with a flipped byte, and
+        one that decodes but is not a whole cut.  (Damage to the stored
+        bytes themselves is the store's: its payload SHA-256.)"""
+        _, client = service
         code = compile_source(RING)
-        ckpt_dir = str(tmp_path / "bad")
-        self._run_with_mid_checkpoint(code, ["rodrigo"] * 4, ckpt_dir, 2)
-        path = os.path.join(ckpt_dir, "manifest.rclu")
-        data = bytearray(open(path, "rb").read())
-        data[10] ^= 0xFF
-        open(path, "wb").write(bytes(data))
-        with pytest.raises(CheckpointFormatError):
-            restart_cluster(code, ckpt_dir, ["rodrigo"] * 4)
+        self._run_with_mid_checkpoint(code, ["rodrigo"] * 4, client, 2)
+        cut, _ = client.get_checkpoint("ring")
+        cut[10] ^= 0xFF
+        client.put_checkpoint("ring", bytes(cut))
+        with pytest.raises(CheckpointFormatError, match="not a cluster cut"):
+            restore_cluster(code, client, "ring", ["rodrigo"] * 4)
 
-    def test_platform_count_mismatch(self, tmp_path):
-        from repro.errors import RestartError
+        for entry in (
+            {"state": "runnable"},
+            {"generation": None, "state": "asleep", "mailbox": [], "stdout": ""},
+            {"generation": "1", "state": "waiting", "mailbox": [], "stdout": ""},
+        ):
+            client.put_checkpoint("ring", json.dumps({"nodes": [entry]}).encode())
+            with pytest.raises(CheckpointFormatError, match="not a cluster cut"):
+                restore_cluster(code, client, "ring", ["rodrigo"])
 
+    def test_platform_count_mismatch(self, service):
+        _, client = service
         code = compile_source(RING)
-        ckpt_dir = str(tmp_path / "cnt")
-        self._run_with_mid_checkpoint(code, ["rodrigo"] * 4, ckpt_dir, 2)
+        self._run_with_mid_checkpoint(code, ["rodrigo"] * 4, client, 2)
         with pytest.raises(RestartError):
-            restart_cluster(code, ckpt_dir, ["rodrigo"] * 3)
+            restore_cluster(code, client, "ring", ["rodrigo"] * 3)
+
+    def test_second_cut_uploads_deltas(self, service):
+        """Cluster nodes ride the protection policy: after each node's
+        first full, a cut uploads a delta for every node that ran, and
+        it costs the store less than the full did."""
+        server, client = service
+        put_file = client.put_checkpoint_file
+        uploads = []
+
+        def recording(vm_id, path, meta=None):
+            generation, stats = put_file(vm_id, path, meta=meta)
+            uploads.append((vm_id, meta["kind"], stats.bytes_new))
+            return generation, stats
+
+        client.put_checkpoint_file = recording
+        code = compile_source(RING)
+        cluster = Cluster(code, ["rodrigo"] * 4, slice_instructions=60)
+        cuts = []
+        for generation in (1, 2):
+            cluster.step()  # every node runs
+            del uploads[:]
+            assert cluster.protect(client, "ring") == generation
+            cuts.append(uploads[:])
+        first, second = cuts
+        assert [kind for _, kind, _ in first] == ["full"] * 4
+        assert [vm_id for vm_id, _, _ in second] == [
+            f"ring/{rank}" for rank in range(4)
+        ]
+        for (_, _, full_new), (_, kind, delta_new) in zip(first, second):
+            assert kind == "delta"
+            assert delta_new < full_new
+        cut = server.store.read_manifest("ring", 2)
+        assert cut.meta == {"kind": "cut", "nodes": 4}
+
+        cluster2 = restore_cluster(
+            code, client, "ring", ["sp2148", "ultra64", "csd", "pc8"],
+            slice_instructions=60,
+        )
+        cluster2.run()
+        assert cluster2.stdout(0) == ring_expected(4)
+
+    def test_crash_before_the_cut_restores_the_previous_cut(self, service):
+        """The cut is the commit point: node generations uploaded by a
+        checkpoint that died before its cut are orphans no cut names."""
+        server, client = service
+        code = compile_source(RING)
+        cluster = Cluster(code, ["rodrigo"] * 4, slice_instructions=60)
+        cluster.step()
+        assert cluster.protect(client, "ring") == 1
+        cluster.step()
+
+        def crash(vm_id, payload, meta=None):
+            raise ConnectionError("the coordinator died before the cut")
+
+        client.put_checkpoint = crash
+        with pytest.raises(ConnectionError):
+            cluster.protect(client, "ring")
+        del client.put_checkpoint
+        assert server.store.generations("ring") == [1]
+        assert server.store.generations("ring/1") == [1, 2]
+
+        cluster2 = restore_cluster(
+            code, client, "ring", ["csd", "sp2148", "ultra64", "pc8"],
+            slice_instructions=60,
+        )
+        cluster2.run()
+        assert cluster2.stdout(0) == ring_expected(4)
+
+    def test_damaged_node_generation_fails_named(self, service):
+        """A cut cannot mix generations: a node generation that does not
+        restore fails the whole restore, naming that generation."""
+        server, client = service
+        code = compile_source(RING)
+        cluster = Cluster(code, ["rodrigo"] * 3, slice_instructions=60)
+        cluster.step()
+        cluster.protect(client, "ring")
+        payload, manifest = client.get_checkpoint("ring/1", 1)
+        payload[len(payload) // 2] ^= 0xFF
+        assert client.put_checkpoint(
+            "ring/1", bytes(payload), meta=manifest.meta
+        )[0] == 2
+        cut, _ = client.get_checkpoint("ring", 1)
+        cut = json.loads(cut)
+        cut["nodes"][1]["generation"] = 2
+        client.put_checkpoint("ring", json.dumps(cut).encode())
+        with pytest.raises(RestartError, match="vm 'ring/1' generation 2"):
+            restore_cluster(code, client, "ring", ["csd"] * 3)

@@ -5,15 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro import compile_source
-from repro.cluster import (
-    Cluster,
-    ClusterDeadlock,
-    checkpoint_cluster_to_store,
-    restart_cluster,
-    restart_cluster_from_store,
-)
+from repro.cluster import Cluster, ClusterDeadlock, restore_cluster
 from repro.errors import CheckpointFormatError, StoreNotFoundError
-from repro.store import ChunkStore, FleetClient, FleetNode
+from tests.test_cluster import service  # noqa: F401 (a fixture)
 
 # Every node waits forever: nothing is ever sent.
 ALL_WAIT = """
@@ -44,16 +38,6 @@ let () =
 """
 
 
-@pytest.fixture
-def service(tmp_path):
-    server = FleetNode(ChunkStore(str(tmp_path / "store")))
-    host, port = server.start()
-    client = FleetClient([(host, port)], backoff=0.01)
-    yield server, client
-    client.close()
-    server.stop()
-
-
 class TestDeadlockDetection:
     def test_all_nodes_waiting_empty_mailboxes(self):
         """Satellite acceptance: every node blocked on an empty mailbox
@@ -76,9 +60,10 @@ class TestDeadlockDetection:
         cluster.run()  # must complete, never report a false deadlock
         assert cluster.finished
 
-    def test_deadlock_survives_checkpoint_restart(self, tmp_path):
+    def test_deadlock_survives_checkpoint_restart(self, service):
         """A doomed cluster is still (correctly) doomed after C/R —
         the waiting states and empty mailboxes round-trip faithfully."""
+        _, client = service
         code = compile_source(ALL_WAIT)
         cluster = Cluster(code, ["rodrigo", "rodrigo"])
         # step until both nodes are parked waiting
@@ -86,18 +71,18 @@ class TestDeadlockDetection:
             if all(n.state == "waiting" for n in cluster.nodes):
                 break
             cluster.step()
-        ckpt = str(tmp_path / "doomed")
-        cluster.checkpoint(ckpt)
-        cluster2 = restart_cluster(code, ckpt, ["csd", "ultra64"])
+        cluster.protect(client, "doomed")
+        cluster2 = restore_cluster(code, client, "doomed", ["csd", "ultra64"])
         with pytest.raises(ClusterDeadlock):
             cluster2.run()
 
 
 class TestMailboxSurvival:
-    def test_mailbox_contents_survive_hetero_roundtrip(self, tmp_path):
+    def test_mailbox_contents_survive_hetero_roundtrip(self, service):
         """Satellite acceptance: bytes sitting in mailboxes at
         checkpoint time are delivered after a restart on *different*
         platforms — byte-for-byte."""
+        _, client = service
         code = compile_source(EXCHANGE)
         cluster = Cluster(code, ["rodrigo"] * 3, slice_instructions=150)
         # run until at least one marshaled message is parked in a mailbox
@@ -112,11 +97,11 @@ class TestMailboxSurvival:
             if cluster.finished:
                 break
         assert queued, "never observed an in-flight message"
-        ckpt = str(tmp_path / "mail")
-        cluster.checkpoint(ckpt)
+        cluster.protect(client, "mail")
 
-        cluster2 = restart_cluster(
-            code, ckpt, ["ultra64", "csd", "sp2148"], slice_instructions=150
+        cluster2 = restore_cluster(
+            code, client, "mail", ["ultra64", "csd", "sp2148"],
+            slice_instructions=150,
         )
         for rank, msgs in queued.items():
             assert list(cluster2.nodes[rank].mailbox) == msgs
@@ -126,24 +111,27 @@ class TestMailboxSurvival:
 
 
 class TestStoreBackedClusterCR:
-    def test_roundtrip_through_store(self, tmp_path, service):
+    def test_roundtrip_through_store(self, service):
         server, client = service
         code = compile_source(EXCHANGE)
         cluster = Cluster(code, ["rodrigo"] * 3, slice_instructions=150)
         cluster.step()
-        gen, stats = checkpoint_cluster_to_store(
-            cluster, client, "cluster/exchange",
-            directory=str(tmp_path / "ck"),
-        )
+        gen = cluster.protect(client, "cluster/exchange")
         assert gen == 1
-        assert stats.bytes_total > 0
         manifest = server.store.read_manifest("cluster/exchange", gen)
-        assert manifest.meta == {"kind": "cluster", "nodes": 3}
+        assert manifest.meta == {"kind": "cut", "nodes": 3}
+        # A finished node has nothing left to protect.
+        for node in cluster.nodes:
+            stored = server.store.generations(f"cluster/exchange/{node.rank}")
+            assert stored == ([] if node.state == "finished" else [1])
+        assert cluster.nodes[0].state != "finished"
+        rank0 = server.store.read_manifest("cluster/exchange/0", 1)
+        assert rank0.meta["kind"] == "full"
+        assert rank0.meta["platform"] == "rodrigo"
 
-        cluster2 = restart_cluster_from_store(
+        cluster2 = restore_cluster(
             code, client, "cluster/exchange",
             ["csd", "ultra64", "sp2148"],
-            directory=str(tmp_path / "rs"),
             slice_instructions=150,
         )
         cluster2.run()
@@ -153,11 +141,11 @@ class TestStoreBackedClusterCR:
         _, client = service
         code = compile_source(EXCHANGE)
         with pytest.raises(StoreNotFoundError):
-            restart_cluster_from_store(code, client, "ghost", ["rodrigo"] * 3)
+            restore_cluster(code, client, "ghost", ["rodrigo"] * 3)
 
     def test_non_cluster_payload_rejected(self, service):
         _, client = service
         client.put_checkpoint("plain", b"just one vm checkpoint")
         code = compile_source(EXCHANGE)
         with pytest.raises(CheckpointFormatError):
-            restart_cluster_from_store(code, client, "plain", ["rodrigo"] * 3)
+            restore_cluster(code, client, "plain", ["rodrigo"] * 3)

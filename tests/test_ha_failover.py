@@ -39,6 +39,7 @@ from repro.store.ha import (
     protected_config,
     restart_candidates,
     restore_from_store,
+    restore_generation,
 )
 from repro.store import protocol as P
 from repro.workloads import (
@@ -905,6 +906,40 @@ def test_both_planes_write_the_same_manifest_schema(code, service):
     assert all(len(shapes) == 1 for shapes in cold.values())
 
 
+class TestProgramCheckpointIsIgnored:
+    """A protected VM commits a generation only when its driver
+    captures.  A program's own ``checkpoint ()`` used to commit one
+    nobody uploaded or shipped, and the next protected delta bound to
+    it — forking the chain the store or the standby holds."""
+
+    SOURCE = matmul_source(14, checkpoint=True)
+
+    def test_cold_plane_loses_no_work(self, service):
+        _, client = service
+        report = HASupervisor(
+            compile_source(self.SOURCE), client, "program-ckpt-cold",
+            checkpoint_every=20_000,
+            fault_budgets=(30_000, 80_000),
+            max_faults=2,
+            seed=2002,
+        ).run()
+        assert report.completed
+        assert report.stdout == matmul_expected(14)
+        assert report.faults_injected == 2
+        assert report.delta_checkpoints > 0
+        assert report.fallback_restores == 0
+
+    def test_warm_standby_accepts_every_generation(self, service):
+        server, _ = service
+        report = LiveHA(
+            compile_source(self.SOURCE), server.address, "program-ckpt-warm",
+            schedule="none",
+        ).run()
+        assert report.completed
+        assert report.client_stdout == matmul_expected(14)
+        assert report.generations_shipped > report.generations_full
+
+
 class TestOneOfEach:
     """Tier-1 guard: the hand-copied protect/recover pieces stay deleted
     — one capture, one manifest-meta writer, one prefill reader, one
@@ -916,7 +951,7 @@ class TestOneOfEach:
         assert source.count('"stdout_b64"') == 2
         assert inspect.getsource(manifest_meta).count('"stdout_b64":') == 1
         assert (
-            inspect.getsource(restore_from_store).count('.get("stdout_b64"')
+            inspect.getsource(restore_generation).count('.get("stdout_b64"')
             == 1
         )
 
@@ -948,25 +983,42 @@ class TestOneOfEach:
             "repro/store/ha.py"
         ]
         source = (SRC / "repro/store/ha.py").read_text()
-        assert len(re.findall(r"\bfetch_chain\(", source)) == 3  # def + 2
-        assert inspect.getsource(restore_from_store).count("fetch_chain(") == 2
+        assert len(re.findall(r"\bfetch_chain\(", source)) == 2  # def + 1
+        assert inspect.getsource(restore_generation).count("fetch_chain(") == 1
+        assert (
+            inspect.getsource(restore_from_store).count("restore_generation(")
+            == 1
+        )
         assert _modules_matching(r"\brestore_from_store\(") == [
             "repro/replication/live.py",
             "repro/store/ha.py",
         ]
+        # The cluster restores the generations its cut names through
+        # the same one-chain restore, with no walk of its own.
+        assert _modules_matching(r"\brestore_generation\(") == [
+            "repro/cluster/coordinator.py",
+            "repro/store/ha.py",
+        ]
 
     def test_one_protection_policy(self):
-        """Both planes' protected VMs are configured by
-        ``protected_config`` alone — the warm driver has no copy."""
+        """Both planes' and the cluster's protected VMs are configured
+        by ``protected_config`` alone — no driver keeps a copy or
+        toggles one."""
         assert not hasattr(LiveHA, "_config")
         assert _modules_matching(r"\bprotected_config\(") == [
+            "repro/cluster/coordinator.py",
             "repro/replication/live.py",
             "repro/store/ha.py",
         ]
+        assert "repro/cluster/coordinator.py" not in _modules_matching(
+            r"\.chkpt_\w+\s*=[^=]"
+        )
         config = protected_config(VMConfig(chkpt_retain=2), "p.hckp")
         assert config.chkpt_incremental and config.chkpt_retain == 8
         assert config.chkpt_mode == "blocking"
         assert config.chkpt_interval is None
+        # Only the driver's capture commits: program requests are moot.
+        assert config.chkpt_state == "disable"
 
     def test_only_whole_store_jobs_list_the_whole_store(self):
         """An argument-less ``.ls()`` reads every manifest of every vm

@@ -15,8 +15,6 @@ from repro.store.chunkstore import (
     Manifest,
     PutStats,
     chunk_key,
-    pack_files,
-    unpack_files,
 )
 
 
@@ -266,17 +264,6 @@ class TestPutStats:
         a.merge(PutStats(chunks_total=3, chunks_new=1, bytes_total=30, bytes_new=5))
         assert (a.chunks_total, a.chunks_new) == (4, 2)
         assert (a.bytes_total, a.bytes_new) == (40, 15)
-
-
-class TestPackFiles:
-    def test_roundtrip(self):
-        files = {"manifest.rclu": b"\x00\x01", "node0.hckp": os.urandom(5000),
-                 "empty": b""}
-        assert unpack_files(pack_files(files)) == files
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(StoreError):
-            unpack_files(b"not a pack")
 
 
 class TestDirectoryLock:
