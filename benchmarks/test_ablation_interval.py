@@ -18,19 +18,42 @@ import pytest
 from repro import VirtualMachine, VMConfig, compile_source, get_platform
 from repro.workloads import matmul_expected, matmul_source
 
-N = 24
 INTERVALS = [None, 0.4, 0.1, 0.03]
+SIZES = range(24, 129, 8)
+
+
+def _plain_seconds(n: int) -> float:
+    vm = VirtualMachine(
+        get_platform("rodrigo"),
+        compile_source(matmul_source(n, checkpoint=False)),
+    )
+    t0 = time.perf_counter()
+    vm.run()
+    return time.perf_counter() - t0
+
+
+def _size() -> int:
+    """The smallest matmul N whose plain run lasts at least 3x the
+    longest interval, so every interval takes a checkpoint on any host.
+    Calibrated once per session."""
+    if "n" not in _SIZE:
+        longest = max(i for i in INTERVALS if i is not None)
+        _SIZE["n"] = next(
+            (n for n in SIZES if _plain_seconds(n) >= 3 * longest), SIZES[-1]
+        )
+    return _SIZE["n"]
 
 
 @pytest.mark.parametrize("interval", INTERVALS, ids=lambda v: f"interval={v}")
 def test_overhead_vs_interval(interval, tmp_path, benchmark, get_report):
+    n = _size()
     rep = get_report(
         "Ablation A4",
-        "runtime overhead vs periodic checkpoint interval (matmul n=24)",
+        f"runtime overhead vs periodic checkpoint interval (matmul n={n})",
         ["interval s", "checkpoints", "runtime s", "overhead %"],
     )
     path = str(tmp_path / "iv.hckp")
-    code = compile_source(matmul_source(N, checkpoint=False))
+    code = compile_source(matmul_source(n, checkpoint=False))
 
     def run():
         vm = VirtualMachine(
@@ -45,7 +68,7 @@ def test_overhead_vs_interval(interval, tmp_path, benchmark, get_report):
         result = vm.run()
         dt = time.perf_counter() - t0
         assert result.status == "stopped"
-        assert result.stdout == matmul_expected(N)
+        assert result.stdout == matmul_expected(n)
         return dt, vm.checkpoints_taken
 
     (dt, taken) = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -66,3 +89,4 @@ def test_overhead_vs_interval(interval, tmp_path, benchmark, get_report):
 
 
 _BASELINE: dict = {}
+_SIZE: dict = {}

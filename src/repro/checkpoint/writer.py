@@ -529,10 +529,10 @@ class CheckpointWriter:
         cfg = self.vm.config.chkpt_mode
         if cfg == "blocking":
             return "blocking"
-        # "background" (explicit or auto) degrades to blocking on
-        # platforms without fork — the NT personality has no child
-        # process to hand the write to, so honoring the request would
-        # hand a mutating VM to a concurrent serializer.
+        # "background" degrades to blocking on platforms without fork —
+        # the NT personality has no child process to hand the write to,
+        # so honoring the request would hand a mutating VM to a
+        # concurrent serializer.
         return "background" if self.vm.platform.supports_fork else "blocking"
 
     def checkpoint(self, path: str) -> CheckpointStats:

@@ -41,7 +41,7 @@ from repro.bytecode.image import CodeImage
 from repro.checkpoint.format import read_checkpoint
 from repro.checkpoint.reader import restart_vm
 from repro.minilang import compile_source
-from repro.vm import VirtualMachine, VMConfig
+from repro.vm import VirtualMachine, VMConfig, knobs
 
 
 def _load_code(path: str) -> CodeImage:
@@ -54,28 +54,44 @@ def _load_code(path: str) -> CodeImage:
 
 
 def _config_from(args: argparse.Namespace) -> VMConfig:
+    """The environment's config, overridden by every knob flag given."""
     cfg = VMConfig.from_env(os.environ)
-    if getattr(args, "checkpoint", None):
-        cfg.chkpt_filename = args.checkpoint
-    if getattr(args, "interval", None) is not None:
-        cfg.chkpt_interval = args.interval
-    if getattr(args, "mode", None):
-        cfg.chkpt_mode = args.mode
-    if getattr(args, "lazy_restore", False):
-        cfg.lazy_restore = True
-    if getattr(args, "dispatch", None):
-        cfg.dispatch = args.dispatch
-    if getattr(args, "retain", None) is not None:
-        cfg.chkpt_retain = args.retain
-    if getattr(args, "incremental", False):
-        cfg.chkpt_incremental = True
-    if getattr(args, "full_every", None) is not None:
-        cfg.chkpt_full_every = args.full_every
-    if getattr(args, "dirty_threshold", None) is not None:
-        cfg.chkpt_dirty_threshold = args.dirty_threshold
-    if getattr(args, "region_words", None) is not None:
-        cfg.chkpt_region_words = args.region_words
+    for name, _, _ in knobs():
+        if hasattr(args, name):
+            setattr(cfg, name, getattr(args, name))
     return cfg
+
+
+def _argparse_type(parse):
+    """A knob's parser as an argparse type: a refused value is a usage
+    error (exit 2) carrying the parser's message."""
+
+    def parse_flag(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse_flag
+
+
+def _add_knob_flags(sp: argparse.ArgumentParser) -> None:
+    """One flag per knob that has one.  An absent flag sets no attribute,
+    so the environment (or the default) stands."""
+    for name, default, knob in knobs():
+        if knob.flag is None:
+            continue
+        takes = (
+            {"action": "store_const", "const": True}
+            if isinstance(default, bool)
+            else {"type": _argparse_type(knob.parse),
+                  "metavar": knob.flag[2:].upper()}
+        )
+        help_text = knob.meaning.replace("`", "")
+        if knob.env:
+            help_text += f" ({knob.env})"
+        sp.add_argument(knob.flag, dest=name, default=argparse.SUPPRESS,
+                        help=help_text, **takes)
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -559,8 +575,8 @@ def cmd_ha_run(args: argparse.Namespace) -> int:
             fault_budgets=(args.fault_min, args.fault_max),
             max_faults=args.max_faults,
             seed=args.seed,
-            # CHKPT_* knobs reach the protected VM; the supervisor still
-            # owns its file, mode, cadence and delta policy.
+            # Environment knobs reach the protected VM; the supervisor
+            # still owns its file, mode, cadence and delta policy.
             config=VMConfig.from_env(os.environ),
         )
         report = supervisor.run()
@@ -855,38 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--platform", default="rodrigo",
                         choices=sorted(PLATFORMS))
-        sp.add_argument("--checkpoint", help="checkpoint file (CHKPT_FILENAME)")
-        sp.add_argument("--interval", type=float,
-                        help="periodic checkpoint interval in seconds")
-        sp.add_argument("--mode", choices=["auto", "background", "blocking"])
-        sp.add_argument("--lazy-restore", action="store_true",
-                        help="convert restored heap chunks lazily on "
-                             "first touch instead of during restart "
-                             "(CHKPT_LAZY)")
-        sp.add_argument("--dispatch", choices=["fast", "reference"],
-                        default=None,
-                        help="interpreter dispatch tier (CHKPT_DISPATCH; "
-                             "default fast; reference = the canonical "
-                             "fetch/decode/execute oracle loop)")
-        sp.add_argument("--retain", type=int, default=None, metavar="N",
-                        help="keep N previous checkpoint generations as "
-                             "path.1..path.N (CHKPT_RETAIN)")
-        sp.add_argument("--incremental", action="store_true",
-                        help="write format-v4 delta checkpoints of the "
-                             "dirty regions since the previous generation "
-                             "(CHKPT_INCREMENTAL)")
-        sp.add_argument("--full-every", type=int, default=None, metavar="N",
-                        help="force a full checkpoint every N generations "
-                             "(CHKPT_FULL_EVERY; 0 = never)")
-        sp.add_argument("--dirty-threshold", type=float, default=None,
-                        metavar="R",
-                        help="write a full checkpoint when more than this "
-                             "fraction of the heap is dirty "
-                             "(CHKPT_DIRTY_THRESHOLD)")
-        sp.add_argument("--region-words", type=int, default=None,
-                        metavar="W",
-                        help="dirty-tracking region granularity in words "
-                             "(CHKPT_REGION_WORDS)")
+        _add_knob_flags(sp)
         sp.add_argument("--max-instructions", type=int, default=None)
 
     r = sub.add_parser("run", help="run a program on a simulated platform")

@@ -108,51 +108,3 @@ class GCController:
             "mark_slices": self.major.mark_slices,
             "sweep_slices": self.major.sweep_slices,
         }
-
-    def compact_freelist(self) -> None:
-        """Merge adjacent free blocks and rebuild the freelist.
-
-        A safety valve against fragmentation between sweep cycles; called
-        by the heap-pressure path in the VM before growing the heap.  Only
-        legal while the major collector is idle — mid-cycle the sweep
-        pointer and allocation colors depend on the block layout.
-        """
-        if self.major.phase is not Phase.IDLE:
-            raise RuntimeError("cannot compact while a major cycle is active")
-        mem = self.mem
-        headers = mem.headers
-        from repro.memory.blocks import Color
-
-        for chunk in mem.heap.chunks:
-            words = chunk.area.words
-            i = 0
-            n = len(words)
-            while i < n:
-                hd = words[i]
-                color = headers.color(hd)
-                size = headers.size(hd)
-                if color is Color.BLUE or (color is Color.WHITE and size == 0):
-                    # Merge this free/fragment block with any free or
-                    # fragment blocks that follow it.
-                    end = i + 1 + size
-                    merged = size
-                    hm = chunk.header_map
-                    while end < n:
-                        nhd = words[end]
-                        ncol = headers.color(nhd)
-                        nsz = headers.size(nhd)
-                        if ncol is Color.BLUE or (
-                            ncol is Color.WHITE and nsz == 0
-                        ):
-                            if hm is not None:
-                                hm[end] = 0
-                            merged += 1 + nsz
-                            end += 1 + nsz
-                        else:
-                            break
-                    final_color = Color.BLUE if merged >= 1 else Color.WHITE
-                    words[i] = headers.make(0, final_color, merged)
-                    i = end
-                else:
-                    i += 1 + size
-        mem.heap.rebuild_freelist()

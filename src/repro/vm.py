@@ -19,8 +19,8 @@ Typical use::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import BinaryIO, Mapping, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Optional
 
 from repro.arch.platforms import Platform
 from repro.bytecode.image import CodeImage
@@ -42,105 +42,151 @@ from repro.threads.sync import CondvarOps, MutexOps
 from repro.threads.thread import ThreadState
 
 
+class Knob(NamedTuple):
+    """How a user sets one :class:`VMConfig` field.  ``env`` and ``flag``
+    may be ``None``; both go through ``parse``, which raises
+    ``ValueError`` for a value the knob does not accept."""
+
+    env: Optional[str]
+    flag: Optional[str]
+    parse: Callable[[str], Any]
+    meaning: str  #: one line of markdown (README table, ``--help``)
+
+
+def _knob(default, env, flag, parse, meaning) -> Any:
+    return field(default=default,
+                 metadata={"knob": Knob(env, flag, parse, meaning)})
+
+
+def _checked(convert, ok, message: str) -> Callable[[str], Any]:
+    def parse(raw: str) -> Any:
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(message)
+        return value
+
+    return parse
+
+
+def _choice(*allowed: str) -> Callable[[str], str]:
+    return _checked(lambda raw: raw.strip().lower(), lambda v: v in allowed,
+                    f"expected one of {', '.join(allowed)}")
+
+
+def _interval(raw: str) -> Optional[float]:
+    value = float(raw)
+    return None if value < 0 else value  # negative = off (the paper's -1)
+
+
+def _switch(raw: str) -> bool:
+    return raw.strip().lower() not in ("0", "false", "no", "off")
+
+
+_count = _checked(int, lambda n: n >= 0, "expected a count >= 0")
+_ratio = _checked(float, lambda r: 0 <= r <= 1, "expected a ratio in [0, 1]")
+_power_of_two = _checked(int, lambda n: n > 0 and not n & (n - 1),
+                         "expected a power of two")
+
+
 @dataclass
 class VMConfig:
-    """Run-time configuration, mirroring the paper's environment variables."""
+    """Run-time configuration, mirroring the paper's environment variables.
 
-    #: ``CHKPT_STATE``: "enable" (take checkpoints when asked), "disable",
-    #: or "restart" (start from ``chkpt_filename``).
-    chkpt_state: str = "enable"
-    #: ``CHKPT_FILENAME``: where checkpoints go / come from.
-    chkpt_filename: Optional[str] = None
-    #: ``CHKPT_INTERVAL``: seconds between system-initiated checkpoints
-    #: (None or a negative value disables them, like the paper's -1).
-    chkpt_interval: Optional[float] = None
-    #: Checkpoint concurrency: "auto" picks by OS personality (fork ->
-    #: background snapshot writer, NT -> blocking); may be forced.
-    chkpt_mode: str = "auto"
+    Each user-settable field is declared once, with its :class:`Knob`;
+    :meth:`from_env`, the CLI flags and :func:`knob_table` derive from it.
+    """
+
+    chkpt_state: str = _knob(
+        "enable", "CHKPT_STATE", None, _choice("enable", "disable", "restart"),
+        "`enable`, `disable`, or `restart` (paper Fig. 5)")
+    chkpt_filename: Optional[str] = _knob(
+        None, "CHKPT_FILENAME", "--checkpoint", str,
+        "where checkpoints go / come from")
+    chkpt_interval: Optional[float] = _knob(
+        None, "CHKPT_INTERVAL", "--interval", _interval,
+        "seconds between system-initiated checkpoints (negative = off)")
+    chkpt_mode: str = _knob(
+        "background", None, "--mode", _choice("background", "blocking"),
+        "`background` (a forked writer; blocking where the platform "
+        "cannot fork) or `blocking`")
     #: Memory sizing knobs (words).
     minor_words: Optional[int] = None
     chunk_words: Optional[int] = None
     stack_words: int = DEFAULT_STACK_WORDS
     #: Thread preemption quantum in instructions.
     quantum: int = 1000
-    #: ``CHKPT_DISPATCH``: interpreter dispatch tier.  ``"fast"`` (the
-    #: default) runs decode-once closures with superinstruction fusion
-    #: and batched loop kernels; ``"reference"`` keeps the canonical
-    #: fetch/decode/execute loop as the differential oracle.  Both
-    #: tiers produce bit-identical checkpoints.
-    dispatch: str = "fast"
-    #: ``CHKPT_RETAIN``: how many previous checkpoint generations to keep
-    #: as ``path.1`` ... ``path.N`` (0 = overwrite, the paper's single
-    #: checkpoint file).  Restores fall back along this chain when the
-    #: newest generation fails verification.
-    chkpt_retain: int = 0
-    #: ``CHKPT_INCREMENTAL``: write format-v4 delta checkpoints carrying
-    #: only dirty heap regions when a usable parent generation exists.
-    #: Requires ``chkpt_retain >= 1`` (the parent must survive rotation);
+    #: ``reference`` is the canonical fetch/decode/execute loop, kept as
+    #: the differential oracle; both tiers write bit-identical checkpoints.
+    dispatch: str = _knob(
+        "fast", "CHKPT_DISPATCH", "--dispatch", _choice("fast", "reference"),
+        "interpreter tier: `fast` or `reference`")
+    #: Restores fall back along this chain when the newest generation
+    #: fails verification.
+    chkpt_retain: int = _knob(
+        0, "CHKPT_RETAIN", "--retain", _count,
+        "previous generations kept as `path.1..path.N`")
+    #: Needs ``chkpt_retain >= 1`` (the parent must survive rotation);
     #: otherwise every checkpoint silently stays full.
-    chkpt_incremental: bool = False
-    #: ``CHKPT_FULL_EVERY``: force a full checkpoint every N generations,
-    #: bounding delta-chain length (0 = no periodic full).
-    chkpt_full_every: int = 8
-    #: ``CHKPT_DIRTY_THRESHOLD``: write a full checkpoint instead of a
-    #: delta when the dirty heap fraction exceeds this ratio (a delta
-    #: would barely be smaller but still costs a chain entry).
-    chkpt_dirty_threshold: float = 0.5
-    #: ``CHKPT_REGION_WORDS``: dirty-region granularity in words
-    #: (power of two; default 1 KiB of words).
-    chkpt_region_words: int = 1024
-    #: ``CHKPT_LAZY``: convert restored heap chunks lazily on first
-    #: touch instead of eagerly during restart, cutting blocking
-    #: time-to-first-output; a background drainer finishes the rest
-    #: between interpreter quanta.
-    lazy_restore: bool = False
+    chkpt_incremental: bool = _knob(
+        False, "CHKPT_INCREMENTAL", "--incremental", _switch,
+        "write v4 deltas when a parent generation exists")
+    chkpt_full_every: int = _knob(
+        8, "CHKPT_FULL_EVERY", "--full-every", _count,
+        "force a full checkpoint every N generations (0 = never)")
+    #: Above it a delta would barely be smaller but still costs a chain
+    #: entry.
+    chkpt_dirty_threshold: float = _knob(
+        0.5, "CHKPT_DIRTY_THRESHOLD", "--dirty-threshold", _ratio,
+        "dirty heap fraction above which a full is written")
+    chkpt_region_words: int = _knob(
+        1024, "CHKPT_REGION_WORDS", "--region-words", _power_of_two,
+        "dirty-tracking granularity in words (a power of two)")
+    #: A background drainer converts the rest between interpreter quanta.
+    lazy_restore: bool = _knob(
+        False, "CHKPT_LAZY", "--lazy-restore", _switch,
+        "convert restored chunks on first touch")
     #: Commit hook override (fault injection); ``None`` = real syscalls.
     commit_hooks: Optional[object] = None
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str]) -> "VMConfig":
-        """Build a config from CHKPT_* environment variables (paper Fig. 5)."""
+        """Build a config from CHKPT_* environment variables (paper Fig. 5).
+
+        A value its knob's parser refuses is ignored: the default stands.
+        """
         cfg = cls()
-        state = environ.get("CHKPT_STATE")
-        if state in ("enable", "disable", "restart"):
-            cfg.chkpt_state = state
-        cfg.chkpt_filename = environ.get("CHKPT_FILENAME", cfg.chkpt_filename)
-        raw = environ.get("CHKPT_INTERVAL")
-        if raw is not None:
-            try:
-                interval = float(raw)
-                cfg.chkpt_interval = None if interval < 0 else interval
-            except ValueError:
-                pass
-        tier = environ.get("CHKPT_DISPATCH")
-        if tier is not None and tier.strip().lower() in ("fast", "reference"):
-            cfg.dispatch = tier.strip().lower()
-        raw = environ.get("CHKPT_RETAIN")
-        if raw is not None and raw.strip().isdigit():
-            cfg.chkpt_retain = int(raw.strip())
-        inc = environ.get("CHKPT_INCREMENTAL")
-        if inc is not None:
-            cfg.chkpt_incremental = inc.strip().lower() not in (
-                "0", "false", "no", "off",
-            )
-        raw = environ.get("CHKPT_FULL_EVERY")
-        if raw is not None and raw.strip().isdigit():
-            cfg.chkpt_full_every = int(raw.strip())
-        raw = environ.get("CHKPT_DIRTY_THRESHOLD")
-        if raw is not None:
-            try:
-                cfg.chkpt_dirty_threshold = float(raw)
-            except ValueError:
-                pass
-        raw = environ.get("CHKPT_REGION_WORDS")
-        if raw is not None and raw.strip().isdigit():
-            cfg.chkpt_region_words = int(raw.strip())
-        lazy = environ.get("CHKPT_LAZY")
-        if lazy is not None:
-            cfg.lazy_restore = lazy.strip().lower() not in (
-                "0", "false", "no", "off",
-            )
+        for name, _, knob in knobs():
+            raw = environ.get(knob.env) if knob.env else None
+            if raw is not None:
+                try:
+                    setattr(cfg, name, knob.parse(raw))
+                except ValueError:
+                    pass
         return cfg
+
+
+def knobs() -> list[tuple[str, Any, Knob]]:
+    """``(field name, default, Knob)`` for every user-settable field."""
+    return [(f.name, f.default, f.metadata["knob"])
+            for f in fields(VMConfig) if "knob" in f.metadata]
+
+
+def knob_table() -> str:
+    """The markdown table of every knob, as the README embeds it."""
+
+    def shown(value: Any) -> str:
+        if isinstance(value, bool):
+            return "on" if value else "off"
+        if isinstance(value, str):
+            return f"`{value}`"
+        return "none" if value is None else str(value)
+
+    rows = ["| variable | flag | default | meaning |", "|---|---|---|---|"]
+    for _, default, knob in knobs():
+        env = f"`{knob.env}`" if knob.env else "—"
+        flag = f"`{knob.flag}`" if knob.flag else "—"
+        rows.append(f"| {env} | {flag} | {shown(default)} | {knob.meaning} |")
+    return "\n".join(rows) + "\n"
 
 
 @dataclass

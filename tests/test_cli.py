@@ -62,6 +62,18 @@ class TestRunRestart:
                    "--checkpoint", str(tmp_path / "x.hckp")])
         assert rc == 75
 
+    def test_negative_interval_takes_no_checkpoint(self, tmp_path, capsys):
+        """``--interval -1`` is off, as ``CHKPT_INTERVAL=-1`` is."""
+        prog = tmp_path / "spin.ml"
+        prog.write_text("let r = ref 0;;\n"
+                        "while !r < 100000 do r := !r + 1 done;;\n"
+                        "print_int 1")
+        ck = str(tmp_path / "spin.hckp")
+        assert main(["run", str(prog), "--checkpoint", ck,
+                     "--interval", "-1", "--mode", "blocking"]) == 0
+        assert capsys.readouterr().out == "1"
+        assert not os.path.exists(ck)
+
     def test_platforms_lists_table1(self, capsys):
         assert main(["platforms"]) == 0
         out = capsys.readouterr().out

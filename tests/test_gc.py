@@ -221,24 +221,6 @@ class TestController:
             for _ in range(100):
                 mem.make_block(0, [mem.values.val_int(0)])
 
-    def test_compact_freelist_merges(self):
-        mem, roots, gc = setup()
-        blocks = [mem.alloc_shr(4, 0) for _ in range(10)]
-        for b in blocks:
-            mem.heap.free_block(b)
-        n_before = len(list(mem.heap.iter_freelist()))
-        gc.compact_freelist()
-        n_after = len(list(mem.heap.iter_freelist()))
-        assert n_after < n_before
-        mem.heap.check_integrity()
-
-    def test_compact_rejected_mid_cycle(self):
-        mem, roots, gc = setup()
-        gc.minor.collect()
-        gc.major.start_cycle()
-        with pytest.raises(RuntimeError):
-            gc.compact_freelist()
-
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=5, max_size=60))
     def test_random_mutation_preserves_reachable_values(self, ops):

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro import cli
 from repro import (
     VirtualMachine,
     VMConfig,
@@ -17,8 +18,10 @@ from repro import (
     restart_vm,
 )
 from repro.errors import CheckpointError
+from repro.vm import knob_table, knobs
 
 RODRIGO = get_platform("rodrigo")
+ROOT = pathlib.Path(__file__).parents[1]
 
 SPIN = """
 let r = ref 0;;
@@ -56,12 +59,81 @@ class TestVMConfigFromEnv:
         assert cfg.chkpt_state == "enable"
 
     def test_readme_knob_table_lists_every_env_knob(self):
-        read = re.findall(
-            r'environ\.get\(\s*"(CHKPT_\w+)"', inspect.getsource(VMConfig.from_env)
-        )
-        readme = pathlib.Path(__file__).parents[1] / "README.md"
-        rows = re.findall(r"^\| `(CHKPT_\w+)` \|", readme.read_text(), re.M)
-        assert rows == read and len(rows) == 10
+        table = knob_table()
+        assert table in (ROOT / "README.md").read_text()
+        assert len(re.findall(r"^\| `CHKPT_\w+` \|", table, re.M)) == 10
+        assert "\n| — | `--mode` |" in table
+
+
+# Every knob with both a variable and a flag: raw strings and the value
+# both routes must give them, then strings both routes must refuse.
+BOTH_WAYS = {
+    "chkpt_filename": ({"a.hckp": "a.hckp"}, []),
+    "chkpt_interval": ({"0.5": 0.5, " 2 ": 2.0, "-1": None}, ["soon", ""]),
+    "dispatch": (
+        {"fast": "fast", " FAST ": "fast", "reference": "reference"},
+        ["turbo", ""],
+    ),
+    "chkpt_retain": ({"0": 0, "3": 3, " 4 ": 4}, ["-1", "two", "1.5"]),
+    "chkpt_incremental": (
+        {"1": True, "on": True, "0": False, "false": False, "no": False,
+         "off": False},
+        [],
+    ),
+    "chkpt_full_every": ({"0": 0, "1": 1, "8": 8}, ["-2", "-3", "x"]),
+    "chkpt_dirty_threshold": (
+        {"0": 0.0, "0.25": 0.25, "1": 1.0},
+        ["nan", "1.5", "-0.1", "half"],
+    ),
+    "chkpt_region_words": (
+        {"1": 1, "512": 512, " 1024 ": 1024},
+        ["1000", "0", "-4", "x"],
+    ),
+    "lazy_restore": ({"1": True, "on": True, "off": False}, []),
+}
+KNOBS = {name: knob for name, _, knob in knobs()}
+
+
+class TestKnobsDeclaredOnce:
+    def test_table_covers_every_knob_with_flag_and_variable(self):
+        assert set(BOTH_WAYS) == {
+            name for name, knob in KNOBS.items() if knob.env and knob.flag
+        }
+
+    @pytest.mark.parametrize("name", sorted(BOTH_WAYS))
+    def test_flag_and_variable_agree(self, name, tmp_path, monkeypatch):
+        knob = KNOBS[name]
+        default = getattr(VMConfig(), name)
+        for env in (k.env for k in KNOBS.values() if k.env):
+            monkeypatch.delenv(env, raising=False)
+        prog = tmp_path / "p.ml"
+        prog.write_text("print_int 1")
+        valid, refused = BOTH_WAYS[name]
+        for raw, value in valid.items():
+            assert getattr(VMConfig.from_env({knob.env: raw}), name) == value
+            if isinstance(default, bool):  # a switch flag takes no value
+                argv = [knob.flag] if value else []
+            else:
+                argv = [knob.flag, raw]
+            args = cli.build_parser().parse_args(["run", str(prog), *argv])
+            assert getattr(cli._config_from(args), name) == value, raw
+        for raw in refused:
+            assert getattr(VMConfig.from_env({knob.env: raw}), name) == default
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["run", str(prog), knob.flag, raw])
+            assert exc.value.code == 2, raw
+
+    def test_no_variable_read_outside_from_env(self):
+        for path in (ROOT / "src").rglob("*.py"):
+            assert 'environ.get("CHKPT_' not in path.read_text(), path
+
+    def test_cli_names_no_knob(self):
+        body = inspect.getsource(cli).split('"""', 2)[2]  # past the docstring
+        assert "CHKPT_" not in body
+        for knob in KNOBS.values():
+            assert knob.flag is None or f'"{knob.flag}"' not in body
+        config_from = inspect.getsource(cli._config_from)
+        assert not any(name in config_from for name in KNOBS)
 
 
 class TestCheckpointPolicy:
