@@ -10,27 +10,31 @@ workload runs against the one store path, at both shard counts:
 * **3 shards**: three ``FleetNode`` daemons behind one ``FleetClient``.
 
 Either way RSTP BATCH frames carry all of a shard's puts in one round
-trip, and the presence cache answers unchanged chunks with no round
-trip at all.
+trip, after one HAS_MANY has asked the shard which chunks it lacks.
 
 Loopback round trips cost microseconds, which would hide exactly the
 thing the protocol buys, so every connection runs through a
 ``LatencyProxy`` that charges ``RTT_MS`` per response — the shape of a
 real network.
 
-Recorded in ``results/BENCH_store_fleet.json``: throughput and
-p50/p95/p99 upload latency per arm.  There is no ratio gate: the
+Recorded in ``results/BENCH_store_fleet.json``: throughput,
+p50/p95/p99 upload latency and the store exchanges by opcode, counted
+at the client, per arm.  There is no ratio gate: the
 per-op v1 path this used to be compared against (2.6x slower at this
 RTT, EXPERIMENTS.md) was deleted, so no baseline remains.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
+from collections import Counter
 
 from repro.store import ChunkStore, FleetClient, FleetNode
+from repro.store import protocol as P
+from repro.store.client import StoreClient
 
 N_WORKERS = 8
 GENERATIONS = 6
@@ -114,6 +118,25 @@ def _payload(worker: int, generation: int) -> bytes:
     return b"".join(parts)
 
 
+@contextlib.contextmanager
+def _counted_exchanges():
+    """Count every request a ``StoreClient`` sends, by opcode."""
+    counts: Counter = Counter()
+    lock = threading.Lock()
+    exchange = StoreClient._exchange
+
+    def counted(client, op, payload, read):
+        with lock:
+            counts[P.OP_NAMES[op]] += 1
+        return exchange(client, op, payload, read)
+
+    StoreClient._exchange = counted
+    try:
+        yield counts
+    finally:
+        StoreClient._exchange = exchange
+
+
 def _percentile(sorted_vals: list[float], q: float) -> float:
     if not sorted_vals:
         return 0.0
@@ -180,9 +203,13 @@ def _run_fleet(tmp_path, shards: int) -> dict:
         proxies.append(LatencyProxy(node.address, rtt))
     addrs = [proxy.address for proxy in proxies]
     try:
-        return _drive(
-            lambda: FleetClient(addrs, backoff=0.01, chunk_size=CHUNK_SIZE)
-        )
+        with _counted_exchanges() as counts:
+            arm = _drive(
+                lambda: FleetClient(addrs, backoff=0.01, chunk_size=CHUNK_SIZE)
+            )
+        arm["exchanges"] = sum(counts.values())
+        arm["exchanges_by_op"] = dict(sorted(counts.items()))
+        return arm
     finally:
         for proxy in proxies:
             proxy.stop()
@@ -198,7 +225,7 @@ def test_fleet_throughput(tmp_path, bench_json, get_report):
         f"{N_WORKERS} supervisors x {GENERATIONS} generations, "
         f"{PAYLOAD_CHUNKS} x {CHUNK_SIZE // 1024} KiB chunks, "
         f"{RTT_MS:g} ms simulated RTT",
-        ["backend", "MiB/s", "p50 ms", "p95 ms", "p99 ms"],
+        ["backend", "MiB/s", "p50 ms", "p95 ms", "p99 ms", "exchanges"],
     )
     doc = bench_json("BENCH_store_fleet")
     doc["workload"] = {
@@ -211,6 +238,8 @@ def test_fleet_throughput(tmp_path, bench_json, get_report):
     }
     for shards, arm in arms.items():
         rep.row(f"RSTP {shards}-shard fleet", arm["throughput_mib_s"],
-                arm["p50_ms"], arm["p95_ms"], arm["p99_ms"])
+                arm["p50_ms"], arm["p95_ms"], arm["p99_ms"], arm["exchanges"])
+        rep.note(f"{shards}-shard exchanges by opcode: " + ", ".join(
+            f"{op} {n}" for op, n in arm["exchanges_by_op"].items()))
         doc[f"fleet_{shards}_shard"] = arm
         assert arm["uploads"] == N_WORKERS * GENERATIONS

@@ -518,11 +518,6 @@ def cmd_store_stat(args: argparse.Namespace) -> int:
     if own:
         arcs = ", ".join(f"{n}={own[n]:.2f}" for n in sorted(own))
         print(f"ring: {ring.get('vnodes')} vnode(s)/node, ownership {arcs}")
-    caches = stat.get("caches") or {}
-    for addr in sorted(caches):
-        c = caches[addr]
-        print(f"cache {addr}: {c['present_entries']}+{c['absent_entries']} "
-              f"entries, hit rate {c['hit_rate']:.2f}")
     return 0
 
 
@@ -787,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_stat = stsub.add_parser("stat", help="per-shard store statistics")
     sp_stat.add_argument("--json", action="store_true",
                          help="full JSON detail (per-shard counts, ring "
-                              "ownership ranges, cache hit rates)")
+                              "ownership ranges, fleet counters)")
     store_common(sp_stat)
     sp_stat.set_defaults(fn=cmd_store_stat)
 

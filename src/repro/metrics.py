@@ -269,10 +269,8 @@ STORE = StoreCounters()
 class FleetCounters(_Counters):
     """Process-wide counters for the sharded store fleet client.
 
-    The interesting ratios: ``batched_ops / batches_sent`` says how much
-    round-trip amortization RSTP/2 batching is buying, and
-    :attr:`cache_hit_rate` says how often the presence cache let a
-    repeat upload skip the wire entirely.
+    The interesting ratio: ``batched_ops / batches_sent`` says how much
+    round-trip amortization RSTP/2 batching is buying.
     """
 
     #: BATCH frames sent (each carries many sub-operations).
@@ -281,14 +279,9 @@ class FleetCounters(_Counters):
     batched_ops: int = 0
     #: Chunks received via streamed GET_MANY responses.
     streamed_chunks: int = 0
-    #: Presence-cache lookups answered without a round trip.
-    cache_hits: int = 0
-    #: Presence-cache lookups that had to go to the wire.
-    cache_misses: int = 0
-    #: Whole-cache drops forced by a moved destruction epoch.
-    cache_invalidations: int = 0
-    #: Commits retried after a stale positive cache entry (the chunk
-    #: had been gc'ed under us) forced a re-upload.
+    #: Uploads re-verified because a destructive op moved a shard's
+    #: destruction epoch during the upload (chunks a racing gc swept
+    #: were re-sent from the source).
     stale_cache_retries: int = 0
     #: Chunks copied to their owner shard by rebalance/gc placement.
     rebalance_moves: int = 0
@@ -297,15 +290,8 @@ class FleetCounters(_Counters):
     #: Chunks found on a non-owner shard during reads (pre-rebalance).
     misplaced_fetches: int = 0
 
-    DERIVED = ("cache_hit_rate",)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        looked = self.cache_hits + self.cache_misses
-        return self.cache_hits / looked if looked else 0.0
-
-
-#: The module-level instance the fleet client and cache increment.
+#: The module-level instance the fleet client increments.
 FLEET = FleetCounters()
 
 

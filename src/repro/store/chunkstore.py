@@ -244,11 +244,11 @@ class ChunkStore:
         """A counter bumped by every destructive operation.
 
         Chunk puts are monotone — content addressing means a key, once
-        present, stays valid — so a client may cache presence answers
-        *until* something deletes chunks or manifests.  ``gc``,
-        ``prune``, ``sweep_keep`` and ``delete_manifest`` each bump the
-        epoch; a client that sees the number move must drop its
-        presence cache.
+        present, stays valid — *until* something deletes chunks or
+        manifests.  ``gc``, ``prune``, ``sweep_keep`` and
+        ``delete_manifest`` each bump the epoch; an upload that sees the
+        number move between its first presence answer and its commit
+        must re-verify the chunks its manifest names.
         """
         try:
             with open(self._epoch_path, "r", encoding="utf-8") as f:

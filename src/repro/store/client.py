@@ -48,6 +48,9 @@ _ERROR_CLASSES = {
 #: How many digests one HAS_MANY query carries at most.
 _HAS_BATCH = 1024
 
+#: The longest sleep between two connection attempts, in seconds.
+_BACKOFF_MAX = 1.0
+
 #: What the retry loop treats as a transport failure: the socket died
 #: or the byte stream stopped being frames.
 _TRANSPORT_ERRORS = (OSError, StoreProtocolError)
@@ -96,7 +99,6 @@ class StoreClient:
         io_timeout: float = 30.0,
         retries: int = 3,
         backoff: float = 0.05,
-        backoff_max: float = 1.0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         jitter_seed: Optional[int] = None,
     ) -> None:
@@ -105,7 +107,9 @@ class StoreClient:
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.chunk_size = chunk_size
-        self._retry = RetryPolicy(retries, backoff, backoff_max, seed=jitter_seed)
+        self._retry = RetryPolicy(
+            retries, backoff, _BACKOFF_MAX, seed=jitter_seed
+        )
         #: The daemon's ``node_id``, learned from its HELLO answer.
         self.remote_node_id: Optional[str] = None
         self._sock: Optional[socket.socket] = None

@@ -5,24 +5,23 @@ hold — for a fleet of N shards or a single daemon (a 1-shard fleet).
 It owns the checkpoint-level surface (``put_checkpoint[_file]``,
 ``get_checkpoint[_file]``, ``ls``, ``get_manifest``, gc/rebalance/audit):
 it chunks the payload, routes every chunk to its ring owner over that
-node's :class:`~repro.store.client.StoreClient`, keeps a per-shard
-:class:`~repro.store.fleet.cache.PresenceCache`, and verifies every
-download against the manifest digest.
+node's :class:`~repro.store.client.StoreClient`, asks the owner which
+chunks it already has, and verifies every download against the
+manifest digest.
 
-Upload correctness under caching
---------------------------------
+The upload's epoch bracket
+--------------------------
 
-A positive cache entry lets an upload skip both the presence query and
-the put for an unchanged chunk — that is the whole point — but it can
-go stale if a gc sweeps the chunk between cache fill and commit.  The
-defense is an epoch bracket: the client reads every shard's destruction
-epoch before uploading (dropping caches if it moved) and re-reads it
-after the commit.  If any epoch moved *during* the upload, every
-referenced chunk is re-verified against its owner shard and the missing
-ones are re-uploaded from the source stream (the "two-pass" path,
-counted in ``FLEET.stale_cache_retries``).  Chunk puts are
-content-addressed and manifest commits idempotent, so the recovery pass
-is safe to repeat.
+An upload trusts each ``HAS_MANY`` "present" answer and does not send
+that chunk.  A gc can sweep the chunk between that answer and the
+manifest commit, leaving a manifest that names a chunk no shard holds.
+The defense is an epoch bracket around every upload: the client reads
+every shard's destruction epoch before uploading and re-reads it after
+the commit.  If any epoch moved *during* the upload, every referenced
+chunk is re-verified against its owner shard and the missing ones are
+re-uploaded from the source stream (the "two-pass" path, counted in
+``FLEET.stale_cache_retries``).  Chunk puts are content-addressed and
+manifest commits idempotent, so the recovery pass is safe to repeat.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ from repro.store.chunkstore import (
 )
 from repro.store import protocol as P
 from repro.store.client import StoreClient, parse_addr
-from repro.store.fleet.cache import PresenceCache
-from repro.store.fleet.ring import DEFAULT_VNODES, HashRing
+from repro.store.fleet.ring import HashRing
 
 #: Chunk bytes an upload buffers per shard before one presence query and
 #: one batched put (capped at ``MAX_BATCH_OPS`` chunks, so one ``BATCH``),
@@ -60,10 +58,7 @@ class FleetClient:
         io_timeout: float = 30.0,
         retries: int = 3,
         backoff: float = 0.05,
-        backoff_max: float = 1.0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        cache: bool = True,
-        vnodes: int = DEFAULT_VNODES,
         drain: Iterable[str] | None = None,
         jitter_seed: Optional[int] = None,
     ) -> None:
@@ -79,7 +74,6 @@ class FleetClient:
                 io_timeout=io_timeout,
                 retries=retries,
                 backoff=backoff,
-                backoff_max=backoff_max,
                 chunk_size=chunk_size,
                 jitter_seed=jitter_seed,
             )
@@ -92,11 +86,8 @@ class FleetClient:
         ring_nodes = [n for n in self.nodes if n not in self.draining]
         if not ring_nodes:
             raise StoreError("every fleet node is draining; none can own keys")
-        self.ring = HashRing(ring_nodes, vnodes=vnodes)
+        self.ring = HashRing(ring_nodes)
         self.chunk_size = chunk_size
-        self.caches: Optional[dict[str, PresenceCache]] = (
-            {node: PresenceCache() for node in self.nodes} if cache else None
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -131,24 +122,9 @@ class FleetClient:
             grouped.setdefault(self.ring.chunk_node(key), []).append(key)
         return grouped
 
-    # -- presence-cache epochs ---------------------------------------------
-
-    def _sync_epochs(self) -> dict[str, int]:
-        """Read every shard's destruction epoch, dropping stale caches."""
-        epochs: dict[str, int] = {}
-        for node, client in self.nodes.items():
-            epoch = client.epoch()
-            epochs[node] = epoch
-            if self.caches is not None:
-                self.caches[node].sync_epoch(epoch)
-        return epochs
-
-    def _drop_caches(self) -> None:
-        if self.caches is None:
-            return
-        for cache in self.caches.values():
-            cache.clear()
-            cache.epoch = None
+    def _epochs(self) -> dict[str, int]:
+        """Every shard's destruction epoch."""
+        return {node: client.epoch() for node, client in self.nodes.items()}
 
     # -- upload ------------------------------------------------------------
 
@@ -185,9 +161,9 @@ class FleetClient:
         """Sharded dedup upload with the epoch-bracket staleness guard.
 
         ``make_iter`` must produce a *fresh* chunk iterator per call —
-        the rare stale-cache recovery pass re-reads the source.  Each
-        shard's window is flushed once it holds ``_WINDOW_BYTES`` and
-        let go before the source is read further, so an upload holds
+        the rare recovery pass after a racing gc re-reads the source.
+        Each shard's window is flushed once it holds ``_WINDOW_BYTES``
+        and let go before the source is read further, so an upload holds
         about one window per shard of what it reads.
         """
 
@@ -199,14 +175,13 @@ class FleetClient:
             if empty:  # an empty payload is one empty chunk
                 yield b""
 
-        epochs_before = self._sync_epochs() if self.caches is not None else {}
+        epochs_before = self._epochs()
         stats = PutStats()
         payload_sha = hashlib.sha256()
         keys: list[str] = []
         payload_len = 0
         seen: set[str] = set()
-        # node -> [(key, chunk, cached_answer)] with cached in (False, None)
-        pending: dict[str, list[tuple[str, bytes, Optional[bool]]]] = {}
+        pending: dict[str, list[tuple[str, bytes]]] = {}
         pending_bytes: dict[str, int] = {}
         for chunk in source():
             key = chunk_key(chunk)
@@ -219,15 +194,8 @@ class FleetClient:
                 continue
             seen.add(key)
             node = self.ring.chunk_node(key)
-            cached = (
-                self.caches[node].lookup(key)
-                if self.caches is not None
-                else None
-            )
-            if cached is True:
-                continue  # the cache says the owner already has it
             window = pending.setdefault(node, [])
-            window.append((key, chunk, cached))
+            window.append((key, chunk))
             pending_bytes[node] = pending_bytes.get(node, 0) + len(chunk)
             if (
                 pending_bytes[node] >= _WINDOW_BYTES
@@ -240,14 +208,13 @@ class FleetClient:
         generation = self._commit(
             vm_id, keys, payload_len, payload_sha.hexdigest(), meta
         )
-        if self.caches is not None:
-            self._verify_after_commit(epochs_before, keys, source)
+        self._verify_after_commit(epochs_before, keys, source)
         return generation, stats
 
     def _flush_window(
         self,
         node: str,
-        items: list[tuple[str, bytes, Optional[bool]]],
+        items: list[tuple[str, bytes]],
         stats: PutStats,
     ) -> None:
         """One presence round trip + one batched-put round trip.
@@ -256,19 +223,8 @@ class FleetClient:
         chunk another client put after this one heard "absent" is not.
         """
         client = self.nodes[node]
-        unknown = [key for key, _chunk, cached in items if cached is None]
-        # A cached negative answer means: skip the query, go straight to
-        # the put (content-addressed puts are idempotent anyway).
-        present: dict[str, bool] = {
-            key: False for key, _chunk, cached in items if cached is False
-        }
-        if unknown:
-            present.update(zip(unknown, client.has_many(unknown)))
-        to_put = [
-            (key, chunk)
-            for key, chunk, _cached in items
-            if not present.get(key, False)
-        ]
+        present = client.has_many([key for key, _chunk in items])
+        to_put = [item for item, have in zip(items, present) if not have]
         if to_put:
             stored_new = client.put_chunks(
                 [chunk for _key, chunk in to_put],
@@ -278,8 +234,6 @@ class FleetClient:
                 if new:
                     stats.chunks_new += 1
                     stats.bytes_new += len(chunk)
-        if self.caches is not None:
-            self.caches[node].note_present([key for key, _c, _a in items])
 
     def _commit(
         self,
@@ -311,20 +265,14 @@ class FleetClient:
         """Close the epoch bracket; re-upload if a gc raced the upload.
 
         Any destructive op between the opening epoch read and now has
-        moved some shard's epoch, which means a positive cache entry we
+        moved some shard's epoch, which means a "present" answer we
         trusted may have named a chunk that no longer exists.  Re-check
         every referenced key against its owner and re-send the missing
         ones from the source stream.
         """
-        moved = [
-            node
-            for node, client in self.nodes.items()
-            if client.epoch() != epochs_before.get(node)
-        ]
-        if not moved:
+        if self._epochs() == epochs_before:
             return
         FLEET.stale_cache_retries += 1
-        self._drop_caches()
         missing: set[str] = set()
         for node, group in self._group_by_owner(set(keys)).items():
             group = sorted(group)
@@ -343,7 +291,6 @@ class FleetClient:
                     f"{len(missing - resent)} chunk(s) vanished during "
                     f"upload and are absent from the source stream"
                 )
-        self._sync_epochs()
 
     # -- download ----------------------------------------------------------
 
@@ -527,7 +474,7 @@ class FleetClient:
         return {"vms": merged_vms, "objects": objects}
 
     def fleet_stat(self) -> dict:
-        """Per-shard stats, ring ownership, and this process's caches."""
+        """Per-shard stats, ring ownership and this process's counters."""
         shards = {}
         for node, client in sorted(self.nodes.items()):
             s = client.stat()
@@ -542,11 +489,10 @@ class FleetClient:
                 "ownership": ownership,
                 "ranges": self.ring.ranges(),
             },
-            "caches": (
-                {n: c.stats() for n, c in sorted(self.caches.items())}
-                if self.caches is not None
-                else None
-            ),
+            # There is no client-side cache; the key stays, always None,
+            # because the e2e harness (benchmarks/e2e/workloads.py)
+            # indexes it.
+            "caches": None,
             "fleet_counters": FLEET.as_dict(),
         }
 
@@ -588,8 +534,8 @@ class FleetClient:
         reference.  Mark globally instead, self-heal placement (every
         live chunk onto its owner), then hand each shard the exact keep
         set for the keys it owns — a draining or non-owner shard keeps
-        nothing.  Every sweep bumps shard epochs, so all presence
-        caches drop on their next sync.
+        nothing.  Every sweep bumps its shard's epoch, which closes the
+        bracket of any upload it raced with a re-verify.
         """
         live: set[str] = set()
         for _node, manifest in self._all_manifests():
@@ -604,7 +550,6 @@ class FleetClient:
             report = client.sweep(owned[node])
             removed += int(report["removed"])
             bytes_freed += int(report["bytes_freed"])
-        self._drop_caches()
         return {
             "removed": removed,
             "kept": len(live),

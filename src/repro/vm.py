@@ -107,7 +107,7 @@ class VMConfig:
         "seconds between system-initiated checkpoints (negative = off)")
     chkpt_mode: str = _knob(
         "background", None, "--mode", _choice("background", "blocking"),
-        "`background` (a forked writer; blocking where the platform "
+        "`background` (a writer thread; blocking where the platform "
         "cannot fork) or `blocking`")
     #: Memory sizing knobs (words).
     minor_words: Optional[int] = None

@@ -170,6 +170,19 @@ class TestUploadWindows:
             P.OP_EPOCH,
         ]
 
+    def test_an_unchanged_window_is_asked_for_and_not_sent(
+        self, node, exchanges
+    ):
+        payload = random.Random(1).randbytes(5 * CS)
+        with FleetClient([node.address], backoff=0.01) as client:
+            client.put_checkpoint("vm", payload)
+            exchanges.clear()
+            _gen, stats = client.put_checkpoint("vm", payload)
+        assert stats.bytes_new == 0
+        assert exchanges == [
+            P.OP_EPOCH, P.OP_HAS_MANY, P.OP_PUT_MANIFEST, P.OP_EPOCH,
+        ]
+
     def test_each_extra_window_adds_one_query_and_one_put(
         self, node, exchanges
     ):

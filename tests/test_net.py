@@ -255,5 +255,5 @@ class TestOneOfEach:
             if m.startswith("repro/store/")
         ] == []
         assert sorted(p.stem for p in (store / "fleet").glob("*.py")) == [
-            "__init__", "cache", "client", "ring"
+            "__init__", "client", "ring"
         ]

@@ -304,11 +304,9 @@ class TestFleetCLI:
         # machine detail with --json
         assert main(["store", "stat", "--addr", addr, "--json"]) == 0
         stat = json.loads(capsys.readouterr().out)
-        for section in ("shards", "ring", "caches", "fleet_counters"):
+        for section in ("shards", "ring", "fleet_counters"):
             assert section in stat
         assert "ranges" in stat["ring"]
-        for cache in stat["caches"].values():
-            assert "hit_rate" in cache
 
     def test_info_json_reports_counters(self, tmp_path, capsys):
         from repro.cli import main
@@ -322,5 +320,5 @@ class TestFleetCLI:
         assert main(["info", str(ckpt), "--json"]) == 0
         desc = json.loads(capsys.readouterr().out)
         assert "transport_retries" in desc["store_counters"]
-        assert "cache_hit_rate" in desc["fleet_counters"]
+        assert "stale_cache_retries" in desc["fleet_counters"]
         assert "batches_sent" in desc["fleet_counters"]
