@@ -47,7 +47,7 @@ def _protect_chain(client, code, platform, path, first, every):
     """A full and four deltas of one run, each uploaded under every vm
     id whose head sits at or past its depth."""
     vm = VirtualMachine(
-        platform, code, protected_config(VMConfig(chkpt_full_every=0), path)
+        platform, code, protected_config(VMConfig(chkpt_full_every=0))
     )
     tailer = CommitTailer(vm, path)
     for depth in DEPTHS:

@@ -467,8 +467,9 @@ def serialize_snapshot(snap: VMSnapshot) -> bytes:
     return serialize_snapshot_writer(snap).getvalue()
 
 
-def _magic_version(magic: bytes) -> Optional[int]:
-    profile = FormatProfile.for_magic(magic[: FormatProfile.magic_len()], None)
+def magic_version(image: bytes) -> Optional[int]:
+    """The format version an image's leading magic claims, or None."""
+    profile = FormatProfile.for_magic(image[: FormatProfile.magic_len()], None)
     return profile.version if profile is not None else None
 
 
@@ -479,7 +480,7 @@ def detect_format_version(path: str) -> Optional[int]:
             magic = f.read(FormatProfile.magic_len())
     except OSError:
         return None
-    return _magic_version(magic)
+    return magic_version(magic)
 
 
 def annotate_restore_error(
@@ -499,7 +500,7 @@ def annotate_restore_error(
     if getattr(exc, "path", None) is not None:
         return exc
     version = (
-        detect_format_version(path) if data is None else _magic_version(data)
+        detect_format_version(path) if data is None else magic_version(data)
     )
     vnote = (
         f"format v{version}"

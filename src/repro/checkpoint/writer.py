@@ -85,6 +85,10 @@ class CheckpointStats:
     completed: bool = False
     #: The writer-thread failure, surfaced as a typed error at join.
     error: Optional[BaseException] = None
+    #: The committed image, a read-only view of the serializer's buffer
+    #: (no copy) — kept only for a caller that asked (``keep_data``), so
+    #: neither a run's last stats nor a background write pin it.
+    data: Optional[memoryview] = field(default=None, repr=False)
 
     @property
     def writer_seconds(self) -> float:
@@ -501,8 +505,9 @@ def write_snapshot(
     *,
     retain: int = 0,
     hooks: Optional[CommitHooks] = None,
-) -> int:
-    """Serialize and atomically commit a snapshot; returns file size.
+) -> memoryview:
+    """Serialize and atomically commit a snapshot; returns the committed
+    image, a read-only view of the serializer's buffer.
 
     The journal + temporary-file + rename protocol of
     :func:`repro.checkpoint.commit.atomic_commit` guarantees a failure
@@ -513,10 +518,9 @@ def write_snapshot(
     with timer.phase("serialize"):
         _finalize_snapshot(snap)
         w = serialize_snapshot_writer(snap)
-    with w.buf.getbuffer() as view:
-        return atomic_commit(
-            path, view, retain=retain, hooks=hooks, timer=timer
-        )
+    view = w.buf.getbuffer().toreadonly()
+    atomic_commit(path, view, retain=retain, hooks=hooks, timer=timer)
+    return view
 
 
 class CheckpointWriter:
@@ -535,20 +539,28 @@ class CheckpointWriter:
         # concurrent serializer.
         return "background" if self.vm.platform.supports_fork else "blocking"
 
-    def checkpoint(self, path: str) -> CheckpointStats:
-        """Take one checkpoint; returns its stats.
+    def checkpoint(
+        self,
+        path: str,
+        hooks: Optional[CommitHooks] = None,
+        *,
+        keep_data: bool = False,
+    ) -> CheckpointStats:
+        """Take one checkpoint at ``path``; returns its stats.
 
         In background mode the application is only blocked for the
         snapshot build; the serialization and disk I/O happen on the
-        writer thread (the "child process").
+        writer thread (the "child process").  ``hooks`` ride the commit
+        protocol (``None``: the real syscalls).  ``keep_data`` blocks
+        whatever ``chkpt_mode`` says and hands the committed image back
+        as ``stats.data``.
         """
         vm = self.vm
-        mode = self._mode()
+        mode = "blocking" if keep_data else self._mode()
         stats = CheckpointStats(path=path, mode=mode)
         timer = stats.phases
         cfg = vm.config
         retain = cfg.chkpt_retain
-        hooks = cfg.commit_hooks
         # Wait out any previous in-flight writer (one checkpoint at a time,
         # like the paper's single checkpoint file).  Must happen before
         # the delta decision: a failed writer resets the parent chain.
@@ -608,12 +620,15 @@ class CheckpointWriter:
 
         if mode == "blocking":
             try:
-                stats.file_bytes = write_snapshot(
+                data = write_snapshot(
                     snap, path, timer, retain=retain, hooks=hooks
                 )
             except Exception:
                 _commit_failure()
                 raise
+            stats.file_bytes = len(data)
+            if keep_data:
+                stats.data = data
             stats.blocking_seconds = time.perf_counter() - t0
             stats.completed = True
             _commit_success(stats.file_bytes)
@@ -622,9 +637,9 @@ class CheckpointWriter:
 
             def _writer() -> None:
                 try:
-                    stats.file_bytes = write_snapshot(
+                    stats.file_bytes = len(write_snapshot(
                         snap, path, timer, retain=retain, hooks=hooks
-                    )
+                    ))
                     _commit_success(stats.file_bytes)
                 except Exception as exc:  # pragma: no cover - I/O failure
                     stats.file_bytes = -1

@@ -57,11 +57,11 @@ class _Binding:
 class ClusterNode:
     """One node: a VM plus its mailbox and run state."""
 
-    def __init__(self, rank: int, vm: VirtualMachine) -> None:
+    def __init__(self, rank: int, vm: VirtualMachine, path: str) -> None:
         self.rank = rank
         self.vm = vm
-        #: Captures the node's generations at its protected chain path.
-        self.tailer = CommitTailer(vm, vm.config.chkpt_filename)
+        #: Captures the node's generations at its local chain ``path``.
+        self.tailer = CommitTailer(vm, path)
         #: Marshaled messages awaiting receipt (portable bytes, so the
         #: sender's and receiver's architectures never have to match).
         self.mailbox: deque[bytes] = deque()
@@ -84,25 +84,21 @@ class Cluster:
         self.slice_instructions = slice_instructions
         self.steps = 0
         self.messages_sent = 0
-        self._base_config = config
         # The nodes' local checkpoint chains: the throwaway files their
         # captures commit and protect() uploads, gone with the cluster.
         self._chains = tempfile.mkdtemp(prefix="repro-cluster-")
         weakref.finalize(self, shutil.rmtree, self._chains, True)
         self.nodes: list[ClusterNode] = []
-        for rank, p in enumerate(platforms):
+        for p in platforms:
             self._adopt(
-                VirtualMachine(get_platform(p), code, self._node_config(rank))
+                VirtualMachine(get_platform(p), code, protected_config(config))
             )
-
-    def _node_config(self, rank: int) -> VMConfig:
-        """The protected configuration of node ``rank``'s VM."""
-        path = os.path.join(self._chains, f"node{rank}.hckp")
-        return protected_config(self._base_config, path)
 
     def _adopt(self, vm: VirtualMachine) -> ClusterNode:
         """Make ``vm`` the next rank's node."""
-        node = ClusterNode(len(self.nodes), vm)
+        rank = len(self.nodes)
+        path = os.path.join(self._chains, f"node{rank}.hckp")
+        node = ClusterNode(rank, vm, path)
         vm.cluster = _Binding(self, node.rank)
         self.nodes.append(node)
         return node
@@ -183,9 +179,9 @@ class Cluster:
             generation = None
             if node.state != "finished":
                 rec = node.tailer.capture()
-                generation, _stats = client.put_checkpoint_file(
+                generation, _stats = client.put_checkpoint(
                     f"{cluster_id}/{node.rank}",
-                    node.tailer.path,
+                    rec.data,
                     meta=manifest_meta(rec, node.vm.platform),
                 )
             nodes.append({
@@ -255,7 +251,7 @@ def restore_cluster(
         )
     cluster = Cluster(code, (), slice_instructions=slice_instructions)
     for rank, (node_gen, state, mailbox, stdout) in enumerate(entries):
-        config = cluster._node_config(rank)
+        config = protected_config(None)
         if node_gen is None:
             # The node had already finished; an idle VM stands in.
             vm = VirtualMachine(get_platform(platforms[rank]), code, config)

@@ -20,7 +20,7 @@ Layout:
 ``live``     the end-to-end driver and seeded fault schedules
 """
 
-from repro.checkpoint.generation import CommitTailer, GenRecord, TailHooks
+from repro.checkpoint.generation import CommitTailer, GenRecord
 from repro.replication.channel import ReplicationSender
 from repro.replication.gate import OutputGate
 from repro.replication.lease import (
@@ -50,6 +50,5 @@ __all__ = [
     "ReplicationSender",
     "SCHEDULES",
     "StandbyServer",
-    "TailHooks",
     "cold_restore_from_store",
 ]

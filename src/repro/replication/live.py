@@ -198,7 +198,7 @@ class LiveHA:
             node_id="standby",
             chain_path=standby_path,
             lease=standby_lease,
-            config=protected_config(self._base_config, standby_path),
+            config=protected_config(self._base_config),
             heartbeat_timeout=self.heartbeat_timeout,
             heartbeat_misses=self.heartbeat_misses,
             auto_promote=True,
@@ -273,7 +273,7 @@ class LiveHA:
         vm = VirtualMachine(
             self.primary_platform,
             self.code,
-            protected_config(self._base_config, path),
+            protected_config(self._base_config),
         )
         gate = OutputGate()
         tailer = CommitTailer(vm, path)

@@ -204,7 +204,7 @@ def manifest_meta(rec: GenRecord, platform: Platform) -> dict:
     return meta
 
 
-def protected_config(base: Optional[VMConfig], path: str) -> VMConfig:
+def protected_config(base: Optional[VMConfig]) -> VMConfig:
     """A copy of ``base`` whose checkpoints a protection driver owns —
     the one protection policy of both HA planes and the cluster.
 
@@ -219,10 +219,7 @@ def protected_config(base: Optional[VMConfig], path: str) -> VMConfig:
     (``CHKPT_FULL_EVERY=1``: every one).
     """
     cfg = VMConfig() if base is None else VMConfig(**vars(base))
-    cfg.chkpt_state = "disable"  # the capture alone enables a commit
-    cfg.chkpt_filename = path
-    cfg.chkpt_mode = "blocking"  # the capture reads the committed file
-    cfg.chkpt_interval = None  # the driver owns the cadence
+    cfg.chkpt_state = "disable"  # only the capture commits
     cfg.chkpt_incremental = True
     # A delta's base must survive local rotation (the writer's rule).
     cfg.chkpt_retain = max(cfg.chkpt_retain, 8)
@@ -399,7 +396,7 @@ class HASupervisor:
         integrity_before = INTEGRITY.as_dict()
         fd, ckpt_path = tempfile.mkstemp(suffix=".hckp")
         os.close(fd)
-        os.unlink(ckpt_path)  # perform_checkpoint recreates it atomically
+        os.unlink(ckpt_path)  # the first capture commits it atomically
         try:
             return self._supervise(report, timer, ckpt_path)
         finally:
@@ -417,7 +414,7 @@ class HASupervisor:
         self, report: HAReport, timer: PhaseTimer, ckpt_path: str
     ) -> HAReport:
         platform = self.start_platform
-        config = protected_config(self._base_config, ckpt_path)
+        config = protected_config(self._base_config)
         vm = VirtualMachine(platform, self.code, config)
         tailer = CommitTailer(vm, ckpt_path)
         report.platforms_visited.append(platform.name)
@@ -499,23 +496,17 @@ class HASupervisor:
         """
         try:
             with timer.phase("checkpoint"):
-                meta = manifest_meta(
-                    tailer.capture(
-                        CrashHooks(crash_point) if crash_point else None
-                    ),
-                    platform,
+                rec = tailer.capture(
+                    CrashHooks(crash_point) if crash_point else None
                 )
         except SimulatedCrashError:
             return False
-        # The committed file is the record's data (blocking mode).  It is
-        # streamed from disk and the record, which never read it, let go:
-        # a multi-megabyte generation is at no point held in memory whole.
         with timer.phase("upload"):
-            generation, stats = self.client.put_checkpoint_file(
-                self.vm_id, tailer.path, meta=meta
+            generation, stats = self.client.put_checkpoint(
+                self.vm_id, rec.data, meta=manifest_meta(rec, platform)
             )
         report.checkpoints += 1
-        if meta["kind"] == "delta":
+        if rec.kind == "delta":
             report.delta_checkpoints += 1
         else:
             report.full_checkpoints += 1

@@ -129,7 +129,8 @@ class VMConfig:
     #: otherwise every checkpoint silently stays full.
     chkpt_incremental: bool = _knob(
         False, "CHKPT_INCREMENTAL", "--incremental", _switch,
-        "write v4 deltas when a parent generation exists")
+        "write v4 deltas; needs `--retain` >= 1 (else every checkpoint "
+        "is full) and chains at most `--retain` deep")
     chkpt_full_every: int = _knob(
         8, "CHKPT_FULL_EVERY", "--full-every", _count,
         "force a full checkpoint every N generations (0 = never)")
@@ -404,7 +405,9 @@ class VirtualMachine:
         from repro.checkpoint.writer import CheckpointWriter
 
         writer = CheckpointWriter(self)
-        self.last_checkpoint_stats = writer.checkpoint(path)
+        self.last_checkpoint_stats = writer.checkpoint(
+            path, self.config.commit_hooks
+        )
         self.checkpoints_taken += 1
         self._policy_last = time.monotonic()
 

@@ -241,15 +241,16 @@ class TestCoordinatedCheckpoint:
         first full, a cut uploads a delta for every node that ran, and
         it costs the store less than the full did."""
         server, client = service
-        put_file = client.put_checkpoint_file
+        put = client.put_checkpoint
         uploads = []
 
-        def recording(vm_id, path, meta=None):
-            generation, stats = put_file(vm_id, path, meta=meta)
-            uploads.append((vm_id, meta["kind"], stats.bytes_new))
+        def recording(vm_id, payload, meta=None):
+            generation, stats = put(vm_id, payload, meta=meta)
+            if meta["kind"] != "cut":
+                uploads.append((vm_id, meta["kind"], stats.bytes_new))
             return generation, stats
 
-        client.put_checkpoint_file = recording
+        client.put_checkpoint = recording
         code = compile_source(RING)
         cluster = Cluster(code, ["rodrigo"] * 4, slice_instructions=60)
         cuts = []
@@ -286,8 +287,12 @@ class TestCoordinatedCheckpoint:
         assert cluster.protect(client, "ring") == 1
         cluster.step()
 
+        put = client.put_checkpoint
+
         def crash(vm_id, payload, meta=None):
-            raise ConnectionError("the coordinator died before the cut")
+            if meta["kind"] == "cut":
+                raise ConnectionError("the coordinator died before the cut")
+            return put(vm_id, payload, meta=meta)
 
         client.put_checkpoint = crash
         with pytest.raises(ConnectionError):

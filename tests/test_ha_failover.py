@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import inspect
 import os
@@ -16,16 +17,15 @@ from repro.arch.platforms import PLATFORMS
 from repro.channels.manager import ChannelManager
 from repro.checkpoint.format import TRAILER_MAGIC, read_section_table
 from repro.checkpoint.reader import ChainLink, restart_vm
+from repro.cluster import Cluster
 from repro.errors import (
     CheckpointIntegrityError,
-    ReplicationError,
     ReproError,
 )
 from repro.metrics import INTEGRITY
 from repro.replication import (
     CommitTailer,
     EpochLease,
-    GenRecord,
     LiveHA,
     StandbyServer,
     cold_restore_from_store,
@@ -357,14 +357,11 @@ class DamagedUpload:
     def put_checkpoint(self, vm_id, payload, meta=None):
         self._left -= 1
         if self._left == 0:
+            payload = bytes(payload)  # never flip the writer's buffer
             mid = len(payload) // 2
             flipped = bytes([payload[mid] ^ 0xFF])
             payload = payload[:mid] + flipped + payload[mid + 1:]
         return self._inner.put_checkpoint(vm_id, payload, meta=meta)
-
-    def put_checkpoint_file(self, vm_id, path, meta=None):
-        with open(path, "rb") as f:
-            return self.put_checkpoint(vm_id, f.read(), meta=meta)
 
 
 class TestDamagedHeadFallsBack:
@@ -393,7 +390,7 @@ class TestDamagedHeadFallsBack:
             return report.stdout
         path = str(tmp_path / "origin.hckp")
         platform = get_platform("rodrigo")
-        vm = VirtualMachine(platform, code, protected_config(None, path))
+        vm = VirtualMachine(platform, code, protected_config(None))
         tailer = CommitTailer(vm, path)
         for _ in range(generations):
             vm.run(max_instructions=self.EVERY)
@@ -468,7 +465,7 @@ class TestChainFetch:
     def records(self, code, tmp_path):
         """One full and ``DEPTH`` deltas of one run, as captured."""
         path = str(tmp_path / "origin.hckp")
-        config = protected_config(VMConfig(chkpt_full_every=0), path)
+        config = protected_config(VMConfig(chkpt_full_every=0))
         vm = VirtualMachine(get_platform("rodrigo"), code, config)
         tailer = CommitTailer(vm, path)
         out = []
@@ -554,7 +551,7 @@ class TestChainFetch:
             if i in (1, 2):
                 meta = manifest_meta(stray, get_platform("rodrigo"))
                 meta["body_sha256"] = f"{i:064x}"
-                client.put_checkpoint("chain", stray_data + b"\0" * i,
+                client.put_checkpoint("chain", bytes(stray_data) + b"\0" * i,
                                       meta=meta)
         del exchanges[:]
         del wire_log[:]
@@ -610,7 +607,7 @@ class TestChainFetch:
         # link of the chain is unusable.
         path = str(tmp_path / "older.hckp")
         vm = VirtualMachine(
-            get_platform("rodrigo"), code, protected_config(None, path)
+            get_platform("rodrigo"), code, protected_config(None)
         )
         vm.run(max_instructions=3_000)
         older = CommitTailer(vm, path).capture()
@@ -619,8 +616,8 @@ class TestChainFetch:
             if i == damaged:
                 (row,) = [r for r in read_section_table(data)
                           if r.name == section]
-                at = row.offset + row.length // 2
-                data = data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+                data = bytearray(data)  # a copy: the capture's stays
+                data[row.offset + row.length // 2] ^= 0xFF
             self._upload(client, rec, data)
         bad_gen = damaged + 2
         _head, links = fetch_chain(client, "chain")
@@ -759,7 +756,7 @@ class TestListingsAreScoped:
         """A standby for vm ``name`` holding one applied generation."""
         path = str(tmp_path / f"{name}-primary.hckp")
         vm = VirtualMachine(
-            get_platform("rodrigo"), code, protected_config(None, path)
+            get_platform("rodrigo"), code, protected_config(None)
         )
         tailer = CommitTailer(vm, path)
         vm.run(max_instructions=6_000)
@@ -827,19 +824,21 @@ class TestListingsAreScoped:
 
 def test_cold_plane_never_reads_the_generation_it_uploads(
         code, service, monkeypatch):
-    """The supervisor uploads the committed file from disk; the record
-    of its capture must not have read that file into memory as well."""
-    _, client = service
-    payload_reads = []
-    descriptor = GenRecord.__dict__["data"]
+    """No protection cycle reads back the file it just committed: the
+    supervisor, the warm driver and the cluster upload (and ship) the
+    image their writer held.  Only a standby rebuild reads a chain from
+    disk, and that chain is its own."""
+    server, client = service
+    reads = []
+    real_open = builtins.open
 
-    class Watched(type(descriptor)):
-        def __get__(self, rec, owner=None):
-            if rec is not None:
-                payload_reads.append(rec.seq)
-            return super().__get__(rec, owner)
+    def watched(file, mode="r", *args, **kwargs):
+        name = os.path.basename(str(file))
+        if ".hckp" in name and "r" in mode and not name.startswith("standby."):
+            reads.append(name)
+        return real_open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(GenRecord, "data", Watched())
+    monkeypatch.setattr(builtins, "open", watched)
     report = HASupervisor(
         code, client, "cold-payload",
         checkpoint_every=15_000,
@@ -848,31 +847,42 @@ def test_cold_plane_never_reads_the_generation_it_uploads(
         seed=7,
     ).run()
     assert report.completed and report.checkpoints >= 2
-    assert payload_reads == []
+    live = LiveHA(
+        code, server.address, "warm-payload",
+        checkpoint_every=15_000,
+        schedule="none",
+        mirror_to_store=True,
+    ).run()
+    assert live.completed and live.generations_shipped >= 2
+    cluster = Cluster(code, ["rodrigo", "ultra64"], slice_instructions=15_000)
+    for generation in (1, 2):
+        cluster.step()
+        assert cluster.protect(client, "cluster-payload") == generation
+    assert reads == []
 
 
 def test_captured_payload_is_read_on_demand_and_never_stale(code, tmp_path):
+    """A record keeps the image committed at its capture, read or not,
+    after later captures replaced the file: a read-only view of the
+    writer's buffer, not a copy and not a reader of the path."""
     path = str(tmp_path / "origin.hckp")
     vm = VirtualMachine(
-        get_platform("rodrigo"), code, protected_config(None, path)
+        get_platform("rodrigo"), code, protected_config(None)
     )
     tailer = CommitTailer(vm, path)
-    vm.run(max_instructions=10_000)
-    first = tailer.capture()
-    with open(path, "rb") as f:
-        on_disk = f.read()
-    assert first.data == on_disk and first.data is first.data
-    assert first.data_sha256 == hashlib.sha256(on_disk).hexdigest()
-    vm.run(max_instructions=10_000)
-    unread = tailer.capture()
-    vm.run(max_instructions=10_000)
-    latest = tailer.capture()
-    # Read in time, a payload stays with its record; not read before the
-    # next capture replaced the file, it is gone — never another's bytes.
-    assert first.data == on_disk
-    with pytest.raises(ReplicationError, match="replaced its file"):
-        unread.data
-    assert latest.data != on_disk
+    records, committed = [], []
+    for _ in range(3):
+        vm.run(max_instructions=10_000)
+        records.append(tailer.capture())
+        with open(path, "rb") as f:
+            committed.append(f.read())
+    assert len(set(committed)) == 3
+    for rec, on_disk in zip(records, committed):
+        assert rec.data == on_disk
+        assert rec.data_sha256 == hashlib.sha256(on_disk).hexdigest()
+        assert isinstance(rec.data, memoryview)  # the writer's own
+        with pytest.raises(TypeError):
+            rec.data[0] = 0
 
 
 def test_both_planes_write_the_same_manifest_schema(code, service):
@@ -969,12 +979,13 @@ class TestOneOfEach:
         ) == 1
 
     def test_commit_hooks_are_swapped_only_by_the_capture(self):
-        assert _modules_matching(r"\.commit_hooks\s*=[^=]") == [
-            "repro/checkpoint/generation.py"
-        ]
+        """Not even by the capture: it hands its path and hooks to one
+        writer call and assigns nothing on the VM's config."""
+        assert _modules_matching(r"\.commit_hooks\s*=[^=]") == []
         capture = inspect.getsource(CommitTailer.capture)
-        assert capture.count(".commit_hooks = ") == 2  # install, restore
-        assert capture.count(".perform_checkpoint()") == 1
+        assert not re.search(r"\.config\.\w+\s*=[^=]", capture)
+        assert capture.count("CheckpointWriter(vm).checkpoint(") == 1
+        assert "perform_checkpoint" not in capture
 
     def test_store_generations_are_walked_in_one_place(self):
         """``fetch_chain(..., generation=...)`` — re-fetching an older
@@ -1013,10 +1024,14 @@ class TestOneOfEach:
         assert "repro/cluster/coordinator.py" not in _modules_matching(
             r"\.chkpt_\w+\s*=[^=]"
         )
-        config = protected_config(VMConfig(chkpt_retain=2), "p.hckp")
+        base = VMConfig(chkpt_retain=2, chkpt_mode="background",
+                        chkpt_interval=0.5)
+        config = protected_config(base)
         assert config.chkpt_incremental and config.chkpt_retain == 8
-        assert config.chkpt_mode == "blocking"
-        assert config.chkpt_interval is None
+        # The capture picks its own path and mode: the base's stand.
+        assert config.chkpt_filename is None
+        assert config.chkpt_mode == "background"
+        assert config.chkpt_interval == 0.5
         # Only the driver's capture commits: program requests are moot.
         assert config.chkpt_state == "disable"
 

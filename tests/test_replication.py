@@ -343,6 +343,27 @@ class TestCommitTailer:
         assert rec2.stdout.startswith(rec1.stdout)
         assert len(rec2.data) < len(rec1.data)  # deltas ship dirty runs
 
+    def test_capture_commits_whatever_the_mode(self, code, tmp_path):
+        """A VM configured for background writes still captures: the
+        capture blocks until its commit, so the second record is a delta
+        bound to the first and each holds what was committed."""
+        path = str(tmp_path / "p.hckp")
+        vm = _primary(code, path)
+        vm.config.chkpt_mode = "background"
+        tailer = CommitTailer(vm, path)
+        vm.run(max_instructions=5_000)
+        rec1 = tailer.capture()
+        vm.run(max_instructions=5_000)
+        rec2 = tailer.capture()
+        assert vm._background_writer is None
+        assert (rec1.kind, rec2.kind) == ("full", "delta")
+        assert rec2.parent_sha256 == rec1.body_sha256
+        assert vm.delta_parent_sha.hex() == rec2.body_sha256
+        with open(path, "rb") as f:
+            assert rec2.data == f.read()
+        with open(path + ".1", "rb") as f:
+            assert rec1.data == f.read()
+
     def test_crash_mid_commit_ships_nothing(self, code, tmp_path):
         path = str(tmp_path / "p.hckp")
         vm = _primary(code, path)
