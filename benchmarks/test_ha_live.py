@@ -24,9 +24,10 @@ standby folding the delta in place against a standby made to restore
 its whole chain for every generation — and gates in-place at no more
 than ``MAX_APPLY_RATIO`` of the re-restore.
 
-"O(lease claim)" also has to mean *not* O(store): every lease read is a
-listing scoped to the lease id, so a promotion must cost the same in a
-store that other VMs have filled.  The third test promotes against an
+"O(lease claim)" also has to mean *not* O(store): a promotion is one
+listing scoped to the lease id and one ``CLAIM`` that reads only the
+lease's records, so it must cost the same in a store that other VMs
+have filled.  The third test promotes against an
 otherwise empty store and against one holding ``UNRELATED_GENERATIONS``
 generations of other VMs, and gates the ratio of the two p50s at
 ``MAX_TAKEOVER_GROWTH`` (a whole-store listing per lease read gave 25-30).
@@ -55,9 +56,11 @@ ROW_WORDS = 4096
 
 WARM_ROUNDS = 10
 COLD_ROUNDS = 5
-#: Six runs on the tree that scoped the lease reads: 13.4-30.0x (takeover
-#: 1.3-2.6 ms against a 35-40 ms cold restore); it read 12.75x at 4.0 ms
-#: when every lease read listed the store.
+#: A takeover is one scoped listing and one CLAIM.  Three runs on a 2-vCPU
+#: VM read 23.0-35.1x (takeover 0.70-1.15 ms against a 25-28 ms cold
+#: restore); three of the tree whose claim was an upload and two
+#: read-backs read 11.1-15.9x (2.04-2.37 ms against 26-32 ms), and it
+#: read 12.75x at 4.0 ms when every lease read listed the store.
 MIN_TAKEOVER_SPEEDUP = 10.0
 
 UNRELATED_GENERATIONS = 400
@@ -287,7 +290,7 @@ def test_takeover_is_flat_in_store_size(tmp_path, get_report, bench_json):
     growth = _p50(crowded) / _p50(alone)
     rep = get_report(
         "HA live takeover vs store size",
-        "warm takeover (lease read, claim, fencing probe) against what "
+        "warm takeover (lease read, atomic claim) against what "
         "other VMs have stored",
         ["unrelated generations", "p50 ms", "p95 ms"],
     )

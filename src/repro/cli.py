@@ -416,10 +416,15 @@ def _store_client(args: argparse.Namespace):
     comma-separated — a single daemon is a 1-shard fleet."""
     from repro.store import FleetClient
 
+    return FleetClient(_store_addrs(args), retries=args.retries)
+
+
+def _store_addrs(args: argparse.Namespace) -> list[tuple[str, int]]:
+    """Every shard ``--addr`` names, comma-separated."""
     addrs = [_parse_addr(a) for a in args.addr.split(",") if a]
     if not addrs:
         raise SystemExit(f"repro: bad --addr {args.addr!r} (no addresses)")
-    return FleetClient(addrs, retries=args.retries)
+    return addrs
 
 
 def _serve_nodes(nodes, banner: str) -> int:
@@ -595,10 +600,9 @@ def cmd_ha_live(args: argparse.Namespace) -> int:
     from repro.replication import LiveHA
 
     code = _load_code(args.source)
-    addr = _parse_addr(args.addr.split(",")[0])
     ha = LiveHA(
         code,
-        addr,
+        _store_addrs(args),
         args.vm_id,
         primary_platform=args.primary,
         standby_platform=args.standby,

@@ -41,7 +41,7 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.arch.platforms import Platform, get_platform
 from repro.bytecode.image import CodeImage
@@ -129,7 +129,7 @@ class LiveHA:
     def __init__(
         self,
         code: CodeImage,
-        store_addr: tuple[str, int],
+        store_addrs: Sequence[tuple[str, int] | str],
         vm_id: str,
         primary_platform: Platform | str = "rodrigo",
         standby_platform: Optional[Platform | str] = None,
@@ -150,7 +150,8 @@ class LiveHA:
         if checkpoint_every <= 0:
             raise ReproError("checkpoint_every must be positive")
         self.code = code
-        self.store_addr = store_addr
+        #: The store fleet's shards (one address is a 1-shard fleet).
+        self.store_addrs = list(store_addrs)
         self.vm_id = vm_id
         self.primary_platform = get_platform(primary_platform)
         if standby_platform is None:
@@ -187,8 +188,8 @@ class LiveHA:
         primary_path = os.path.join(tmpdir, "primary.hckp")
         standby_path = os.path.join(tmpdir, "standby.hckp")
 
-        primary_client = FleetClient([self.store_addr], backoff=0.01)
-        standby_client = FleetClient([self.store_addr], backoff=0.01)
+        primary_client = FleetClient(self.store_addrs, backoff=0.01)
+        standby_client = FleetClient(self.store_addrs, backoff=0.01)
         primary_lease = EpochLease(primary_client, self.vm_id, "primary")
         standby_lease = EpochLease(standby_client, self.vm_id, "standby")
 

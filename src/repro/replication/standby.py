@@ -378,10 +378,12 @@ class StandbyServer:
         :class:`~repro.errors.LeaseLostError` and must stay down.  The
         un-acked tail is applied first — under the synchronous apply
         discipline it is always empty, making takeover O(lease claim):
-        three reads of the lease's own claim history (observe, confirm
-        the claim, fencing probe) and one put, each a listing scoped to
-        the lease id, so its cost does not depend on what else the
-        store holds.
+        two store exchanges, one listing of the lease's claim records
+        (observe the newest valid epoch) and one ``CLAIM`` that the
+        lease's owner shard decides atomically.  A valid claim is the
+        newest epoch when it commits, so it is its own fencing probe.
+        Both touch only the lease's records, so the cost does not
+        depend on what else the store holds.
         """
         if self.lease is None:
             raise ReplicationError("no lease configured; cannot promote")
@@ -391,10 +393,7 @@ class StandbyServer:
                     "nothing replicated yet; cold-start instead"
                 )
         t0 = time.perf_counter()
-        observed = self.lease.read().epoch
-        self.epoch = self.lease.claim(expected=observed)
-        # Confirm we hold the newest epoch (claim raced nobody).
-        self.lease.check(self.epoch)
+        self.epoch = self.lease.claim(expected=self.lease.read().epoch)
         self.takeover_seconds = time.perf_counter() - t0
         REPLICATION.promotions += 1
         with self._lock:

@@ -178,6 +178,61 @@ class Manifest:
             raise StoreIntegrityError(f"malformed manifest: {e}") from e
 
 
+@dataclass(frozen=True)
+class LeaseClaim:
+    """One claim record of an epoch lease — valid (held the lease) or a
+    loser."""
+
+    epoch: int  # the store generation this claim was assigned
+    holder: str
+    expected: int  # the valid epoch the claimant thought was newest
+    valid: bool
+
+
+def fold_claims(lease_id: str, entries: list[dict]) -> list[LeaseClaim]:
+    """A lease's claim records (listing entries), oldest first, validity
+    resolved.
+
+    A claim is valid iff its ``expected_epoch`` equals the generation of
+    the newest valid claim before it.  Any reader computes the same
+    answer from the same records.  A record whose meta cannot be read
+    raises :class:`~repro.errors.StoreIntegrityError` naming it: it is
+    neither valid nor invalid, since either guess could change who holds
+    the lease.
+    """
+    claims = []
+    valid_head = 0
+    for entry in sorted(entries, key=lambda g: g["generation"]):
+        meta = entry.get("meta", {})
+        try:
+            expected = int(meta.get("expected_epoch", -1))
+        except (AttributeError, TypeError, ValueError):
+            raise StoreIntegrityError(
+                f"lease {lease_id!r} generation {entry['generation']}: "
+                f"damaged claim record (meta {meta!r})"
+            ) from None
+        valid = expected == valid_head
+        if valid:
+            valid_head = entry["generation"]
+        claims.append(
+            LeaseClaim(
+                epoch=entry["generation"],
+                holder=str(meta.get("holder", "")),
+                expected=expected,
+                valid=valid,
+            )
+        )
+    return claims
+
+
+def lease_head(claims: list[LeaseClaim]) -> tuple[int, str]:
+    """``(epoch, holder)`` of the newest valid claim; ``(0, "")`` if none."""
+    for claim in reversed(claims):
+        if claim.valid:
+            return claim.epoch, claim.holder
+    return 0, ""
+
+
 @dataclass
 class PutStats:
     """Dedup accounting for one (or several accumulated) put(s)."""
@@ -507,6 +562,61 @@ class ChunkStore:
         )
         self.write_manifest(manifest)
         return manifest
+
+    def claim(
+        self, lease_id: str, holder: str, expected: int
+    ) -> tuple[dict, Manifest]:
+        """Record ``holder``'s claim on an epoch lease, expecting
+        ``expected`` to be the newest valid epoch, in one locked step.
+
+        The claim is a record with no chunks, committed as generation
+        latest + 1 — that generation is its epoch — whatever the
+        outcome: a losing claim stays in the history.  Returns the
+        answer ``{epoch, valid, head: {epoch, holder}}`` (the head after
+        the commit) and the committed record.  Only the lease's own
+        records are read.  A store that holds no record of epoch
+        ``expected`` (> 0) cannot judge the claim — the lease's records
+        live elsewhere, as after a shard joins — and refuses it with
+        :class:`~repro.errors.StoreNotFoundError`, committing nothing.
+
+        A claim whose record is already the newest — same holder, same
+        ``expected`` — is a resend of one whose answer was lost (the
+        client retries a broken exchange), so it is answered from the
+        history and nothing is committed.
+        """
+        meta = {"holder": holder, "expected_epoch": expected}
+        with self._lock():
+            entries = self.ls(lease_id)["vms"].get(lease_id, [])
+            held = [e["generation"] for e in entries]
+            if expected and expected not in held:
+                raise StoreNotFoundError(
+                    f"lease {lease_id!r} has no claim of epoch {expected} "
+                    f"here (holds {held}); its records are on another store"
+                )
+            newest = max(entries, key=lambda e: e["generation"], default=None)
+            if newest is not None and newest["meta"] == meta:
+                claims = fold_claims(lease_id, entries)
+                manifest = self.read_manifest(lease_id, newest["generation"])
+            else:
+                mine = {"generation": max(held, default=0) + 1, "meta": meta}
+                # Folded before the commit: a damaged record refuses the
+                # claim instead of recording one nobody can judge.
+                claims = fold_claims(lease_id, entries + [mine])
+                manifest = self._commit_manifest(
+                    lease_id,
+                    [],
+                    payload_len=0,
+                    payload_sha256=hashlib.sha256(b"").hexdigest(),
+                    meta=meta,
+                    generation=mine["generation"],
+                )
+        epoch, head_holder = lease_head(claims)
+        answer = {
+            "epoch": manifest.generation,
+            "valid": claims[-1].valid,
+            "head": {"epoch": epoch, "holder": head_holder},
+        }
+        return answer, manifest
 
     def get_checkpoint(
         self, vm_id: str, generation: Optional[int] = None

@@ -270,6 +270,12 @@ class StoreClient:
         resp = P.decode_json(self._call(P.OP_PUT_MANIFEST, P.encode_json(req)))
         return int(resp["generation"])
 
+    def claim(self, lease_id: str, holder: str, expected: int) -> dict:
+        """One ``CLAIM``: the daemon records the claim and answers
+        ``{epoch, valid, head: {epoch, holder}}``."""
+        req = {"lease_id": lease_id, "holder": holder, "expected": expected}
+        return P.decode_json(self._call(P.OP_CLAIM, P.encode_json(req)))
+
     def get_manifest(self, vm_id: str, generation: Optional[int] = None) -> Manifest:
         req: dict = {"vm_id": vm_id}
         if generation is not None:

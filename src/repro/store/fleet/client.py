@@ -292,6 +292,28 @@ class FleetClient:
                     f"upload and are absent from the source stream"
                 )
 
+    # -- lease claims ------------------------------------------------------
+
+    def claim(self, lease_id: str, holder: str, expected: int) -> dict:
+        """One ``CLAIM`` on the lease's owner shard, which decides it
+        (:meth:`~repro.store.chunkstore.ChunkStore.claim`).
+
+        The owner refuses a claim expecting an epoch it holds no record
+        of.  A first claim (``expected`` 0) is judged against no records
+        at all, so on a fleet of several shards it first confirms, one
+        scoped listing per other shard, that no other shard holds any.
+        """
+        owner = self.ring.manifest_node(lease_id)
+        if expected == 0:
+            for node, client in sorted(self.nodes.items()):
+                if node != owner and client.ls(lease_id)["vms"]:
+                    raise StoreNotFoundError(
+                        f"lease {lease_id!r} has claim records on {node}, "
+                        f"not on its owner {owner}; rebalance before "
+                        f"claiming"
+                    )
+        return self.nodes[owner].claim(lease_id, holder, expected)
+
     # -- download ----------------------------------------------------------
 
     def get_manifest(

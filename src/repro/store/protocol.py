@@ -52,6 +52,15 @@ bytes on the wire are exactly those of the joined encoders
     daemon about one watermark of memory at any size up to
     ``MAX_GET_MANY`` chunks, and the client assembles what it asked for
     in place as the frames arrive.
+
+``CLAIM``
+    An epoch-lease claim, decided where the lease's records live: JSON
+    ``{lease_id, holder, expected}`` up; the daemon folds the lease's
+    claim records, commits this claim as generation latest + 1 under
+    its commit lock and answers ``{epoch, valid, head: {epoch,
+    holder}}`` — one round trip, no upload, no read-back.  Safe to
+    resend: a claim whose record is already the newest is answered from
+    the history, not committed twice.
 """
 
 from __future__ import annotations
@@ -98,6 +107,7 @@ OP_GET_MANY = 0x12
 OP_EPOCH = 0x13
 OP_DEL_MANIFEST = 0x14
 OP_SWEEP = 0x15
+OP_CLAIM = 0x16
 
 # Response opcodes.
 OP_OK = 0x80
@@ -125,6 +135,7 @@ OP_NAMES = {
     OP_EPOCH: "EPOCH",
     OP_DEL_MANIFEST: "DEL_MANIFEST",
     OP_SWEEP: "SWEEP",
+    OP_CLAIM: "CLAIM",
     OP_OK: "OK",
     OP_ERR: "ERR",
     OP_CHUNK: "CHUNK",

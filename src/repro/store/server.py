@@ -204,6 +204,7 @@ class FleetNode:
             P.OP_EPOCH: self._op_epoch,
             P.OP_DEL_MANIFEST: self._op_del_manifest,
             P.OP_SWEEP: self._op_sweep,
+            P.OP_CLAIM: self._op_claim,
         }
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -506,6 +507,19 @@ class FleetNode:
             )
         self._replicate(manifest)
         return _ok_json({"generation": manifest.generation})
+
+    def _op_claim(self, payload: bytes) -> list[Frame]:
+        req = P.decode_request(
+            P.OP_CLAIM, payload, lease_id=str, holder=str, expected=int
+        )
+        if req["expected"] < 0:
+            raise StoreProtocolError("malformed CLAIM: 'expected' must be >= 0")
+        with self._commit_lock:
+            answer, record = self.store.claim(
+                req["lease_id"], req["holder"], req["expected"]
+            )
+        self._replicate(record)
+        return _ok_json(answer)
 
     def _op_get_manifest(self, payload: bytes) -> list[Frame]:
         req = P.decode_request(P.OP_GET_MANIFEST, payload, vm_id=str)

@@ -20,6 +20,7 @@ from repro.checkpoint.reader import ChainLink, restart_vm
 from repro.cluster import Cluster
 from repro.errors import (
     CheckpointIntegrityError,
+    LeaseLostError,
     ReproError,
 )
 from repro.metrics import INTEGRITY
@@ -30,6 +31,7 @@ from repro.replication import (
     StandbyServer,
     cold_restore_from_store,
 )
+from repro.replication.lease import LeaseState
 from repro.store import ChunkStore, FleetClient, FleetNode, HASupervisor
 from repro.store.client import StoreClient
 from repro.store.ha import (
@@ -790,15 +792,40 @@ class TestListingsAreScoped:
         busy.promote()
         full_store = list(wire_log)
         assert (quiet.epoch, busy.epoch) == (1, 1)
-        # Same exchanges, opcode for opcode: observe, claim, confirm, probe.
+        # Same exchanges, opcode for opcode: observe, then claim.
         assert [op for op, *_ in full_store] == [op for op, *_ in empty_store]
-        assert _ls_requests(empty_store) == [{"vm_id": "quiet.lease"}] * 3
-        assert _ls_requests(full_store) == [{"vm_id": "busy.lease"}] * 3
+        assert [op for op, *_ in empty_store] == [P.OP_LS, P.OP_CLAIM]
+        assert _ls_requests(empty_store) == [{"vm_id": "quiet.lease"}]
+        assert _ls_requests(full_store) == [{"vm_id": "busy.lease"}]
+        assert [
+            P.decode_json(payload)["lease_id"]
+            for store in (empty_store, full_store)
+            for op, payload, _reply in store
+            if op == P.OP_CLAIM
+        ] == ["quiet.lease", "busy.lease"]
         # ... and the same bytes back, give or take a timestamp's digits:
         # one unrelated generation's entry alone is larger than the slack.
         assert abs(
             self._reply_bytes(full_store) - self._reply_bytes(empty_store)
         ) <= 64
+
+    def test_promotion_is_two_store_exchanges(
+        self, code, service, tmp_path, wire_log
+    ):
+        """A takeover asks the store twice: one scoped listing to observe
+        the newest valid epoch, one ``CLAIM`` the owner shard decides —
+        no upload, no read-back, no separate fencing probe.  Counted
+        under a history of earlier claims, valid and losing."""
+        _server, client = service
+        standby = self._promotable(code, client, tmp_path, "twice")
+        assert EpochLease(client, "twice", "rival").claim(expected=0) == 1
+        with pytest.raises(LeaseLostError):
+            EpochLease(client, "twice", "late").claim(expected=0)
+        del wire_log[:]
+        standby.promote()
+        assert standby.epoch == 3
+        assert [op for op, *_ in wire_log] == [P.OP_LS, P.OP_CLAIM]
+        assert standby.lease.read() == LeaseState(epoch=3, holder="twice")
 
     def test_follower_commit_lists_only_the_committed_vm(
         self, tmp_path, wire_log
@@ -848,7 +875,7 @@ def test_cold_plane_never_reads_the_generation_it_uploads(
     ).run()
     assert report.completed and report.checkpoints >= 2
     live = LiveHA(
-        code, server.address, "warm-payload",
+        code, [server.address], "warm-payload",
         checkpoint_every=15_000,
         schedule="none",
         mirror_to_store=True,
@@ -896,7 +923,7 @@ def test_both_planes_write_the_same_manifest_schema(code, service):
         config=VMConfig(chkpt_incremental=True, chkpt_retain=8),
     ).run()
     report = LiveHA(
-        code, server.address, "schema-warm",
+        code, [server.address], "schema-warm",
         checkpoint_every=15_000,
         schedule="none",
         mirror_to_store=True,
@@ -942,7 +969,7 @@ class TestProgramCheckpointIsIgnored:
     def test_warm_standby_accepts_every_generation(self, service):
         server, _ = service
         report = LiveHA(
-            compile_source(self.SOURCE), server.address, "program-ckpt-warm",
+            compile_source(self.SOURCE), [server.address], "program-ckpt-warm",
             schedule="none",
         ).run()
         assert report.completed

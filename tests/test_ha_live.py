@@ -10,7 +10,7 @@ from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.arch.platforms import PLATFORMS
 from repro.metrics import REPLICATION
 from repro.replication import LiveHA
-from repro.store import ChunkStore, FleetNode
+from repro.store import ChunkStore, FleetClient, FleetNode
 
 # Enough work for ~7 replicated generations at the test cadence, with
 # output spread through the run so every fault window has bytes at
@@ -67,7 +67,7 @@ def _live(code, store, vm_id, schedule, seed, **kwargs):
     kwargs.setdefault("ack_timeout", 0.4)
     kwargs.setdefault("max_retransmits", 1)
     return LiveHA(
-        code, store.address, vm_id, schedule=schedule, seed=seed, **kwargs
+        code, [store.address], vm_id, schedule=schedule, seed=seed, **kwargs
     )
 
 
@@ -179,6 +179,46 @@ class TestPartitionDetails:
         assert report.fault_style == "mid-commit"
         assert report.completed
         assert report.client_stdout == expected
+
+
+class TestFleet:
+    def test_live_run_on_a_fleet_audits_clean(
+        self, code, expected, tmp_path
+    ):
+        """Given every shard's address, a live run places the lease and
+        the mirrored generations on their owners: the fleet audit
+        (deep) is clean after a partition's two claims and a fence."""
+        shards = [
+            FleetNode(ChunkStore(str(tmp_path / f"shard{i}"))) for i in range(2)
+        ]
+        for shard in shards:
+            shard.start()
+        addrs = [shard.address for shard in shards]
+        try:
+            with FleetClient(addrs, backoff=0.01) as fleet:
+                # A lease owned by the second shard: a run that spoke to
+                # the first alone would leave it misplaced.
+                vm_id = next(
+                    f"live-fleet-{i}" for i in range(100)
+                    if fleet.manifest_node(f"live-fleet-{i}.lease")
+                    != "%s:%d" % addrs[0]
+                )
+                report = LiveHA(
+                    code, addrs, vm_id, schedule="partition", seed=3,
+                    checkpoint_every=CHECKPOINT_EVERY, mirror_to_store=True,
+                    heartbeat_timeout=0.2, heartbeat_misses=3,
+                    ack_timeout=0.4, max_retransmits=1,
+                ).run()
+                assert report.completed
+                assert report.client_stdout == expected
+                assert (report.promotions, report.fenced_demotions) == (1, 1)
+                _audit_lease(report)
+                audit = fleet.audit(deep=True)
+                assert audit["ok"], audit["problems"]
+                assert {vm_id, vm_id + ".lease"} <= set(fleet.ls()["vms"])
+        finally:
+            for shard in shards:
+                shard.stop()
 
 
 class TestHeteroPairings:

@@ -3,6 +3,8 @@ commit tailer, flaky transport, and the acked channel end to end."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import socket
 import threading
 import tracemalloc
@@ -14,6 +16,7 @@ from repro.errors import (
     LeaseLostError,
     ReplicationError,
     ReplicationProtocolError,
+    StoreProtocolError,
 )
 from repro.faults.injectors import CrashHooks, FlakySocket, SimulatedCrashError
 from repro.metrics import REPLICATION
@@ -29,6 +32,7 @@ from repro import net
 from repro.replication import wire
 from repro.replication.lease import LeaseClaim, LeaseState
 from repro.store import ChunkStore, FleetClient, FleetNode
+from repro.store import protocol as P
 
 
 @pytest.fixture
@@ -263,6 +267,254 @@ class TestEpochLease:
             assert type(e.value) is ReplicationError
             assert "'wl.lease' generation 2" in str(e.value)
         assert client.asked == ["wl.lease"] * 3
+
+
+@pytest.fixture
+def fleet(tmp_path):
+    """Four in-process daemons: shard sets of any size up to four."""
+    nodes = [FleetNode(ChunkStore(str(tmp_path / f"s{i}"))) for i in range(4)]
+    for node in nodes:
+        node.start()
+    yield nodes
+    for node in nodes:
+        node.stop()
+
+
+class TestShardJoin:
+    def test_claim_on_a_new_owner_is_refused_not_held(self, fleet):
+        """A shard joins and the lease's owner moves: the new owner holds
+        none of the lease's records, so it cannot judge a claim.  The
+        claim is refused, typed, and nothing is committed — it is never
+        reported as holding an epoch the old owner already numbered."""
+        addrs = [node.address for node in fleet]
+        three = FleetClient(addrs[:3], backoff=0.01)
+        four = FleetClient(addrs, backoff=0.01)
+        try:
+            vm_id = next(
+                f"wl{i}" for i in range(1000)
+                if three.manifest_node(f"wl{i}.lease")
+                != four.manifest_node(f"wl{i}.lease")
+            )
+            old = EpochLease(three, vm_id, "node-a")
+            assert old.claim(expected=0) == 1
+            assert old.claim(expected=1) == 2
+            joined = EpochLease(four, vm_id, "node-b")
+            observed = joined.read()
+            assert (observed.epoch, observed.holder) == (2, "node-a")
+            with pytest.raises(ReplicationError) as refused:
+                joined.claim(expected=observed.epoch)
+            assert not isinstance(refused.value, LeaseLostError)
+            assert f"'{vm_id}.lease'" in str(refused.value)
+            assert joined.read() == observed
+            assert [(c.epoch, c.valid) for c in joined.history()] == [
+                (1, True), (2, True),
+            ]
+        finally:
+            three.close()
+            four.close()
+
+
+class TestAtomicClaim:
+    """A claim is one ``CLAIM`` the lease's owner shard decides under its
+    commit lock: fold, commit as latest + 1, answer."""
+
+    def test_contending_claims_have_exactly_one_winner(self, store):
+        lease_id = "race.lease"
+        assert EpochLease(store, "race", "seed").claim(expected=0) == 1
+        n = 6
+        barrier = threading.Barrier(n)
+        won, lost, other = [], [], []
+
+        def contend(i):
+            with FleetClient(list(store.nodes), backoff=0.01) as client:
+                lease = EpochLease(client, "race", f"node-{i}")
+                client.ping()  # connected before the race starts
+                barrier.wait()
+                try:
+                    won.append((lease.claim(expected=1), i))
+                except LeaseLostError as e:
+                    lost.append((e.epoch, e.holder))
+                except Exception as e:  # pragma: no cover - reported below
+                    other.append(e)
+
+        threads = [threading.Thread(target=contend, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert other == []
+        ((epoch, winner),) = won
+        assert epoch == 2
+        assert lost == [(2, f"node-{winner}")] * (n - 1)
+        history = EpochLease(store, "race", "audit").history()
+        assert [c.epoch for c in history] == list(range(1, n + 2))
+        assert [c.epoch for c in history if c.valid] == [1, 2]
+        assert all(c.expected == 1 for c in history[1:])
+        assert store.ls(lease_id)["vms"][lease_id][-1]["chunks"] == 0
+
+    def test_uploaded_and_chunkless_records_fold_alike(self, store):
+        """Records uploaded as a nonce payload (how claims were written
+        before ``CLAIM``) and chunkless ones fold as one history, on the
+        client and on the deciding shard, and the store audits clean."""
+        a = EpochLease(store, "mixed", "node-a")
+        b = EpochLease(store, "mixed", "node-b")
+
+        def upload(holder, expected, nonce):
+            payload = json.dumps(
+                {"holder": holder, "expected": expected, "nonce": nonce},
+                sort_keys=True,
+            ).encode()
+            return store.put_checkpoint(
+                "mixed.lease", payload,
+                meta={"holder": holder, "expected_epoch": expected},
+            )[0]
+
+        assert upload("node-a", 0, 1) == 1
+        assert b.claim(expected=1) == 2
+        assert upload("node-a", 1, 2) == 3  # stale: a loser
+        assert a.claim(expected=2) == 4
+        with pytest.raises(LeaseLostError) as lost:
+            b.claim(expected=2)  # epoch 5, decided over the mixed history
+        assert (lost.value.epoch, lost.value.holder) == (4, "node-a")
+        expected = [
+            LeaseClaim(epoch=1, holder="node-a", expected=0, valid=True),
+            LeaseClaim(epoch=2, holder="node-b", expected=1, valid=True),
+            LeaseClaim(epoch=3, holder="node-a", expected=1, valid=False),
+            LeaseClaim(epoch=4, holder="node-a", expected=2, valid=True),
+            LeaseClaim(epoch=5, holder="node-b", expected=2, valid=False),
+        ]
+        assert a.history() == expected
+        assert _whole_store_fold(store, "mixed.lease") == expected
+        listing = store.ls("mixed.lease")["vms"]["mixed.lease"]
+        assert [g["chunks"] for g in listing] == [1, 0, 1, 0, 0]
+        report = store.audit(deep=True)
+        assert report["ok"], report["problems"]
+
+    def test_damaged_record_refuses_the_claim(self, tmp_path):
+        """The deciding shard folds before it commits: a record it
+        cannot read refuses the claim, typed, naming the record, and
+        nothing is recorded."""
+        server = FleetNode(ChunkStore(str(tmp_path / "store")))
+        server.start()
+        try:
+            with FleetClient([server.address], backoff=0.01) as client:
+                lease = EpochLease(client, "wl", "node-a")
+                assert lease.claim(expected=0) == 1
+                server.store.commit_manifest(
+                    "wl.lease", [], 0, hashlib.sha256(b"").hexdigest(),
+                    meta={"holder": "node-b", "expected_epoch": "x"},
+                    generation=2,
+                )
+                with pytest.raises(ReplicationError) as e:
+                    lease.claim(expected=1)
+                assert type(e.value) is ReplicationError
+                assert "'wl.lease' generation 2" in str(e.value)
+            assert server.store.generations("wl.lease") == [1, 2]
+        finally:
+            server.stop()
+
+    def test_a_lost_claim_answer_is_not_a_second_claim(
+        self, tmp_path, monkeypatch
+    ):
+        """The daemon commits a claim and its answer is lost: the client's
+        retry resends the same ``CLAIM``, and the daemon answers it from
+        the history instead of recording a second, losing claim."""
+        from repro.store.client import StoreClient
+
+        lost = []
+
+        class LoseClaimAnswer(FlakySocket):
+            def sendall(self, data):
+                super().sendall(data)
+                if not lost and net.HEADER.unpack_from(data)[2] == P.OP_CLAIM:
+                    lost.append(True)
+                    self.partition()  # the answer never arrives
+
+        real_connect = StoreClient._connect
+        monkeypatch.setattr(
+            StoreClient, "_connect",
+            lambda client: LoseClaimAnswer(real_connect(client)),
+        )
+        server = FleetNode(ChunkStore(str(tmp_path / "store")))
+        server.start()
+        try:
+            with FleetClient(
+                [server.address], backoff=0.01, io_timeout=0.3
+            ) as client:
+                lease = EpochLease(client, "wl", "node-a")
+                assert lease.claim(expected=0) == 1
+                assert lost and client.retries_used >= 1
+                assert lease.claim(expected=1) == 2
+            assert server.store.generations("wl.lease") == [1, 2]
+            with FleetClient([server.address], backoff=0.01) as client:
+                assert [
+                    (c.epoch, c.valid)
+                    for c in EpochLease(client, "wl", "x").history()
+                ] == [(1, True), (2, True)]
+        finally:
+            server.stop()
+
+    def test_a_daemon_without_claim_is_a_typed_error(self, tmp_path):
+        """A daemon that predates ``CLAIM`` answers ``unknown opcode``;
+        the lease does not fall back to uploading a claim."""
+        server = FleetNode(ChunkStore(str(tmp_path / "store")))
+        del server._ops[P.OP_CLAIM]
+        server.start()
+        try:
+            with FleetClient([server.address], backoff=0.01) as client:
+                lease = EpochLease(client, "wl", "node-a")
+                with pytest.raises(StoreProtocolError, match="unknown opcode"):
+                    lease.claim(expected=0)
+            assert server.store.vm_ids() == []
+        finally:
+            server.stop()
+
+    def test_claims_replicate_and_audit_clean(self, tmp_path):
+        follower = FleetNode(ChunkStore(str(tmp_path / "follower")))
+        follower.start()
+        primary = FleetNode(
+            ChunkStore(str(tmp_path / "primary")), replicas=[follower.address]
+        )
+        primary.start()
+        try:
+            with FleetClient([primary.address], backoff=0.01) as client:
+                lease = EpochLease(client, "wl", "node-a")
+                assert lease.claim(expected=0) == 1
+                assert lease.claim(expected=1) == 2
+                client.put_checkpoint("wl", b"a checkpoint")
+            for node in (primary, follower):
+                assert node.store.generations("wl.lease") == [1, 2]
+                report = node.store.audit(deep=True)
+                assert report["ok"], report["problems"]
+            with FleetClient([follower.address], backoff=0.01) as client:
+                assert EpochLease(client, "wl", "x").read() == LeaseState(
+                    epoch=2, holder="node-a"
+                )
+        finally:
+            primary.stop()
+            follower.stop()
+
+    def test_first_claim_on_a_fleet_checks_the_other_shards(self, fleet):
+        """A first claim (expecting 0) is judged against no records; on
+        a fleet it is refused while a shard other than the owner holds
+        any of the lease's records, and then takes epoch 1 on the owner
+        once none does."""
+        addrs = [node.address for node in fleet[:2]]
+        with FleetClient(addrs, backoff=0.01) as client:
+            owner = client.manifest_node("wl.lease")
+            stray = next(n for n in fleet[:2]
+                         if f"{n.address[0]}:{n.address[1]}" != owner)
+            stray.store.claim("wl.lease", "old", 0)
+            lease = EpochLease(client, "wl", "node-a")
+            with pytest.raises(ReplicationError, match="rebalance"):
+                lease.claim(expected=0)
+            client.rebalance()
+            with pytest.raises(LeaseLostError):
+                lease.claim(expected=0)  # the moved record holds epoch 1
+            assert lease.claim(expected=1) == 3
+            report = client.audit(deep=True)
+            assert report["ok"], report["problems"]
 
 
 class _ListingOnly:

@@ -267,6 +267,9 @@ class TestDaemonRoundtrip:
             (P.OP_HELLO, [1]),
             (P.OP_PUT_MANIFEST, {}),
             (P.OP_DEL_MANIFEST, []),
+            (P.OP_CLAIM, {}),
+            (P.OP_CLAIM, {"lease_id": "a.lease", "holder": "n", "expected": "1"}),
+            (P.OP_CLAIM, {"lease_id": "a.lease", "holder": "n", "expected": -1}),
         ],
     )
     def test_malformed_request_is_a_typed_error(self, fleet, op, request_json):
