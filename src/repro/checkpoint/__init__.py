@@ -48,7 +48,7 @@ from repro.checkpoint.reader import (
     restart_vm,
     restart_vm_with_fallback,
 )
-from repro.checkpoint.fsck import fsck_checkpoint
+from repro.checkpoint.fsck import fsck_chain
 
 __all__ = [
     "CheckpointHeader",
@@ -73,6 +73,6 @@ __all__ = [
     "build_snapshot",
     "restart_vm",
     "restart_vm_with_fallback",
-    "fsck_checkpoint",
+    "fsck_chain",
     "RestartStats",
 ]

@@ -76,6 +76,11 @@ def verify_checkpoint_bytes(data: bytes) -> list[dict]:
     magic, an unreadable trailer) yield a single whole-file problem
     with ``section``/``offset`` taken from the parse error.
     """
+    return _verify(data)[0]
+
+
+def _verify(data: bytes):
+    """``(problems, snapshot)``: the snapshot is parsed iff no problem."""
     problems: list[dict] = []
     src = SnapshotSource.from_bytes(data, tolerant=True)
     if src.handles is not None:
@@ -98,9 +103,9 @@ def verify_checkpoint_bytes(data: bytes) -> list[dict]:
                     }
                 )
         if problems:
-            return problems
+            return problems, None
     try:
-        src.resolve_all()
+        return problems, src.resolve_all()
     except RestartError as e:
         problems.append(
             {
@@ -110,7 +115,7 @@ def verify_checkpoint_bytes(data: bytes) -> list[dict]:
                 "error": str(e),
             }
         )
-    return problems
+    return problems, None
 
 
 def _patch_from_chunks(
@@ -244,7 +249,7 @@ def fsck_checkpoint(
 
 
 # ---------------------------------------------------------------------------
-# Delta-chain fsck
+# The chain check: a full checkpoint is a chain of one link
 # ---------------------------------------------------------------------------
 
 
@@ -255,6 +260,7 @@ def _chain_link_report(path: str) -> dict:
         "kind": "unknown",
         "ok": False,
         "problems": [],
+        "action": "none",
         "body_sha256": None,
         "parent_sha256": None,
     }
@@ -264,50 +270,46 @@ def _chain_link_report(path: str) -> dict:
     except OSError as e:
         entry["problems"] = [{"error": f"cannot read {path}: {e}"}]
         return entry
-    # The magic alone decides delta-ness, so discovery keeps walking
-    # past a link too damaged to parse.
+    # The magic alone decides the kind, so discovery keeps walking past
+    # a link too damaged to parse, and a damaged base is named as such.
     profile = FormatProfile.for_magic(data[: FormatProfile.magic_len()], None)
-    if profile is not None and profile.delta:
-        entry["kind"] = "delta"
-    entry["problems"] = verify_checkpoint_bytes(data)
+    if profile is not None:
+        entry["kind"] = "delta" if profile.delta else "full"
+    entry["problems"], snap = _verify(data)
     entry["ok"] = not entry["problems"]
-    if entry["ok"]:
-        snap = SnapshotSource.from_bytes(data).resolve_all()
+    if snap is not None:
         if snap.body_sha256 is not None:
             entry["body_sha256"] = snap.body_sha256.hex()
         if snap.delta is not None:
-            entry["kind"] = "delta"
             entry["parent_sha256"] = snap.delta.parent_sha256.hex()
-        else:
-            entry["kind"] = "full"
     return entry
 
 
 def _chain_generations(
-    source: ReplicaSource,
-    vm_id: str,
+    source: Optional[ReplicaSource],
+    vm_id: Optional[str],
     links: list[dict],
     head_generation: Optional[int],
 ) -> list[Optional[int]]:
     """Store generations aligned to the local chain, head first.
 
-    Alignment uses two signals: any locally verifiable link is matched
-    to a store generation by its own body SHA, and the damaged gaps in
-    between are filled by following the ``parent_sha256`` ->
-    ``body_sha256`` links the HA supervisor records in manifest meta.
-    Sources or uploads without that meta can only locate the head.
+    A chain of one link is repaired from ``head_generation`` (``None``:
+    the latest), so it reads no manifest here.  A longer chain is
+    aligned two ways: any locally verifiable link is matched to a store
+    generation by its own body SHA, and the damaged gaps in between are
+    filled by following the ``parent_sha256`` -> ``body_sha256`` links
+    the HA supervisor records in manifest meta.  Sources or uploads
+    without that meta can only locate the head.
     """
-    chain: list[Optional[int]] = [None] * len(links)
+    chain: list[Optional[int]] = [head_generation] + [None] * (len(links) - 1)
     gen_of = getattr(source, "generations", None)
-    if gen_of is None:
-        chain[0] = head_generation
+    if len(links) == 1 or gen_of is None or vm_id is None:
         return chain
     try:
         gens = list(gen_of(vm_id))
     except StoreError:
         gens = []
     if not gens:
-        chain[0] = head_generation
         return chain
     metas: dict[int, dict] = {}
     for g in gens:
@@ -325,11 +327,8 @@ def _chain_generations(
         ]
         return max(cands) if cands else None
 
-    chain[0] = (
-        head_generation
-        if head_generation is not None
-        else by_body(links[0]["body_sha256"])
-    )
+    if chain[0] is None:
+        chain[0] = by_body(links[0]["body_sha256"])
     if chain[0] is None and all(e["body_sha256"] is None for e in links):
         # Nothing verifies locally and no explicit generation: assume
         # the store's newest generation is the chain head.
@@ -362,12 +361,14 @@ def fsck_chain(
 ) -> dict:
     """Verify ``path`` and, for a v4 delta head, its whole parent chain.
 
-    Each link gets its own verification report plus a binding check
-    (every delta's recorded parent SHA must match the next generation's
-    body SHA).  Repair runs base-first: a delta is only repaired once
-    everything beneath it verifies — patching a delta whose base is
-    unverifiable would manufacture a chain that merges into garbage, so
-    that repair is refused instead.
+    A full checkpoint is a chain of one link, so this is the one check
+    ``repro fsck`` runs.  Each link gets its own verification report
+    plus a binding check (every delta's recorded parent SHA must match
+    the next generation's body SHA).  Repair runs base-first, one
+    :func:`fsck_checkpoint` per damaged link, whose ``action`` the link
+    keeps: a delta is only repaired once everything beneath it verifies
+    — patching a delta whose base is unverifiable would manufacture a
+    chain that merges into garbage, so that repair is refused instead.
     """
     from repro.checkpoint.reader import MAX_DELTA_CHAIN, next_generation_path
 
@@ -398,12 +399,7 @@ def fsck_chain(
     report["kind"] = "delta" if links[0]["kind"] == "delta" else "full"
     report["chain_depth"] = len(links) - 1
 
-    if (
-        repair
-        and any(not e["ok"] for e in links)
-        and source is not None
-        and vm_id is not None
-    ):
+    if repair and not all(e["ok"] for e in links):
         gens = _chain_generations(source, vm_id, links, generation)
         deeper_ok = True  # everything beneath the current link verifies
         for idx in range(len(links) - 1, -1, -1):
@@ -419,8 +415,7 @@ def fsck_chain(
                 )
                 report["action"] = "refused"
                 continue
-            gen = gens[idx] if idx < len(gens) else None
-            if gen is None and idx > 0:
+            if gens[idx] is None and idx > 0:
                 entry["problems"].append(
                     {"error": "no store generation locatable for this link"}
                 )
@@ -432,18 +427,19 @@ def fsck_chain(
                 repair=True,
                 source=source,
                 vm_id=vm_id,
-                generation=gen,
+                generation=gens[idx],
             )
             report["sections_repaired"] += sub["sections_repaired"]
             report["chunks_fetched"] += sub["chunks_fetched"]
             if sub["ok"]:
-                links[idx] = _chain_link_report(entry["path"])
+                entry = links[idx] = _chain_link_report(entry["path"])
                 if report["action"] == "none":
                     report["action"] = "repaired"
             else:
                 entry["problems"] = sub["problems"]
                 deeper_ok = False
                 report["action"] = "unrepairable"
+            entry["action"] = sub["action"]
 
     # Binding verification over the (possibly repaired) files.
     for child, parent in zip(links, links[1:]):

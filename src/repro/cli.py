@@ -295,7 +295,6 @@ def cmd_fsck(args: argparse.Namespace) -> int:
         ClientSource,
         LocalStoreSource,
         fsck_chain,
-        fsck_checkpoint,
     )
 
     source = None
@@ -307,9 +306,8 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     elif args.repair:
         client = _store_client(args)
         source = ClientSource(client)
-    check = fsck_chain if args.chain else fsck_checkpoint
     try:
-        report = check(
+        report = fsck_chain(
             args.checkpoint_file,
             repair=args.repair,
             source=source,
@@ -369,35 +367,28 @@ def cmd_faults_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_faults_fuzz(args: argparse.Namespace) -> int:
-    from repro.faults.fuzz import fuzz_delta_chain, fuzz_matrix
+    from repro.faults.fuzz import fuzz_matrix
 
-    platforms = args.platforms.split(",") if args.platforms else None
-    progress = lambda msg: print(f"[{msg}]", file=sys.stderr)  # noqa: E731
-    if args.delta:
-        report = fuzz_delta_chain(
-            seed=args.seed, platforms=platforms, progress=progress
-        )
-    else:
-        report = fuzz_matrix(
-            seed=args.seed,
-            mutations=args.mutations,
-            platforms=platforms,
-            progress=progress,
-        )
+    report = fuzz_matrix(
+        seed=args.seed,
+        mutations=args.mutations,
+        platforms=args.platforms.split(",") if args.platforms else None,
+        progress=lambda msg: print(f"[{msg}]", file=sys.stderr),
+    )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         o = report["outcomes"]
-        total = report.get("mutations", report.get("cases", 0))
-        what = "delta-chain case(s)" if args.delta else "mutation(s)"
-        print(f"corruption matrix: {total} {what} over "
-              f"{report['pairs']} platform pair(s)")
+        links = report["mutated_links"]
+        print(f"corruption matrix: {report['mutations']} mutation(s) "
+              f"({links['delta']} on a delta, {links['full']} on a full) "
+              f"and {sum(report['scenarios'].values())} link scenario(s) "
+              f"over {report['pairs']} platform pair(s)")
         print(f"  detected + recovered : {o['detected_and_recovered']}")
         print(f"  clean restores       : {o['clean_restore']}")
         print(f"  invariant violations : {len(report['failures'])}")
         for f in report["failures"]:
-            what = f.get("mutation", f.get("scenario", "?"))
-            print(f"  FAIL {f['pair']}: {what} -> {f['problem']}")
+            print(f"  FAIL {f['pair']}: {f['case']} -> {f['problem']}")
     return 0 if report["ok"] else 1
 
 
@@ -680,13 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
     sd.set_defaults(fn=cmd_schema_dump)
 
     fk = sub.add_parser(
-        "fsck", help="verify a checkpoint file; repair from a store replica")
+        "fsck", help="verify a checkpoint and the delta chain it heads "
+                     "(a full file is a chain of one); repair from a "
+                     "store replica")
     fk.add_argument("checkpoint_file")
     fk.add_argument("--repair", action="store_true",
                     help="re-fetch damaged sections from the store")
-    fk.add_argument("--chain", action="store_true",
-                    help="verify/repair the whole delta chain "
-                         "(path.1, path.2, ... back to the full base)")
     fk.add_argument("--store-root", default=None,
                     help="repair from a local store directory instead of "
                          "a daemon")
@@ -723,15 +713,12 @@ def build_parser() -> argparse.ArgumentParser:
     fi.set_defaults(fn=cmd_faults_inject)
 
     ff = flsub.add_parser(
-        "fuzz", help="run the corruption matrix: mutate checkpoints "
-                     "across platform pairs and check every restore "
-                     "detects or recovers")
+        "fuzz", help="run the corruption matrix: mutate a delta chain's "
+                     "head and full base and damage its links, across "
+                     "platform pairs, and check every restore detects "
+                     "or recovers")
     ff.add_argument("--seed", type=int, default=2002)
     ff.add_argument("--mutations", type=int, default=200)
-    ff.add_argument("--delta", action="store_true",
-                    help="run the delta-chain scenarios (corrupt base, "
-                         "corrupt middle delta, swapped parent) instead "
-                         "of the byte-mutation matrix")
     ff.add_argument("--platforms", default=None,
                     help="comma-separated platform names "
                          "(default: one per architecture class)")

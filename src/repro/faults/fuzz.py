@@ -1,29 +1,34 @@
 """The corruption-matrix fuzz harness (CI job + ``repro faults fuzz``).
 
-The invariant under test — the acceptance bar of this robustness layer:
-for **every** seeded mutation of a checkpoint file, on **every**
-platform pair, a restore attempt must either
+A full checkpoint is a delta chain of one, so there is one matrix: one
+incremental chain per origin platform, damaged one link at a time and
+restored with generation fallback on every target platform.  The
+damage is the seeded mutation plan (split between the head, a v4
+delta, and the chain's full base, so both profiles' sections are under
+mutation) plus four link scenarios: a control, a corrupt base, a
+corrupt middle delta, and a valid but *wrong* file swapped into the
+head's parent slot.
 
-* reproduce the exact baseline output (the mutation hit slack bytes —
-  essentially impossible with the v3 trailer, but allowed), or
-* raise a *typed* integrity/format error, and — because the harness
-  always keeps one retained generation — fall back to a correct restore
-  of the previous generation.
-
-Anything else (an uncaught exception, a hang, or a restore that
-"succeeds" with wrong output) is a harness failure, reported per
-mutation.
+The invariant, checked by one function for every case: while a healthy
+generation exists, the fallback restore never raises; its output is
+bit-identical to the baseline of the generation it restored; and a
+swapped-in parent is never accepted as the head's.  Anything else (an
+uncaught exception, a hang, or a restore that "succeeds" with wrong
+output) is a harness failure, reported per case.
 """
 
 from __future__ import annotations
 
 import io
 import random
+import tempfile
 from typing import Callable, Optional
 
 from repro.arch.platforms import PLATFORMS, Platform
+from repro.checkpoint.commit import generation_chain
 from repro.checkpoint.format import read_section_table
 from repro.checkpoint.reader import restart_vm, restart_vm_with_fallback
+from repro.checkpoint.schema import FormatProfile
 from repro.errors import RestartError
 from repro.faults.injectors import Mutation, apply_mutation, plan_mutations
 from repro.minilang import compile_source
@@ -33,27 +38,56 @@ from repro.vm import VMConfig, VirtualMachine
 #: the pairs of these four cover every conversion the restart path has.
 ARCH_REPRESENTATIVES = ("rodrigo", "csd", "sp2148", "ultra64")
 
-#: Checkpoints twice mid-computation: after the run, the head generation
-#: holds the second checkpoint and ``path.1`` the first, so a damaged
-#: head has a real, *different* generation to fall back to.  The state
-#: spans heap (list, array, string, float), closures, and deep stack.
+#: Six checkpoints under ``chkpt_incremental`` with ``full_every=3`` and
+#: ``retain=5`` leave :data:`CHAIN_SHAPE` on disk.  The state spans heap
+#: (list, array, string, boxed float), a closure over a mutable cell,
+#: and a deep stack: the head is taken 40 frames down a recursion.
 FUZZ_PROGRAM = """
 let rec build n acc = if n = 0 then acc else build (n - 1) (n :: acc);;
 let rec sum l = match l with [] -> 0 | h :: t -> h + sum t;;
-let data = build 60 [];;
-let arr = Array.make 8 0;;
-let () = for i = 0 to 7 do arr.(i) <- i * i done;;
+let data = build 120 [];;
+let arr = Array.make 16 0;;
+let () = for i = 0 to 15 do arr.(i) <- i * 3 done;;
 let tag = "s:" ^ string_of_int (sum data);;
 let f = 1.5;;
+let tick = let c = ref 0 in fun () -> begin c := !c + 1; !c end;;
+let bump k = for i = 0 to 15 do arr.(i) <- arr.(i) + k done;;
 checkpoint ();;
+bump 1;;
+print_int (arr.(5) + tick ());;
+print_string ";";;
+checkpoint ();;
+bump 2;;
 print_string tag;;
-print_string " a=";;
-print_int (arr.(3) + arr.(7));;
+print_string ";";;
 checkpoint ();;
-print_string " f=";;
+bump 3;;
+print_int (arr.(11) + tick ());;
+print_string ";";;
+checkpoint ();;
+bump 4;;
 print_float (f *. 4.0);;
+print_string ";";;
+checkpoint ();;
+let rec deep n =
+  if n = 0 then begin bump 5; checkpoint (); arr.(2) + tick () end
+  else n + deep (n - 1);;
+print_int (deep 40 + sum data);;
 print_newline ();;
 """
+
+#: The chain the program leaves, newest first (True = v4 delta): head =
+#: delta (depth 2), ``.1`` = delta (depth 1), ``.2`` = FULL, ``.3`` =
+#: delta (2), ``.4`` = delta (1), ``.5`` = FULL.  Damage to the head's
+#: chain always leaves ``.3`` -> ``.5`` healthy to fall back to.
+CHAIN_SHAPE = (True, True, False, True, True, False)
+HEAD, MIDDLE, BASE = 0, 1, 2
+
+#: The links the mutation plan alternates between: (link, name, kind).
+_MUTATED_LINKS = ((HEAD, "head", "delta"), (BASE, "base", "full"))
+
+#: The link scenarios every pair runs besides its planned mutations.
+LINK_SCENARIOS = ("control", "corrupt-base", "corrupt-middle", "swap-parent")
 
 
 def _run_restarted(
@@ -64,7 +98,7 @@ def _run_restarted(
     out = io.BytesIO()
     restore = restart_vm_with_fallback if fallback else restart_vm
     # Restarted runs re-execute any later ``checkpoint ()`` calls; those
-    # must not overwrite the file under test.
+    # must not overwrite the files under test.
     vm, stats = restore(
         platform, code, path, VMConfig(chkpt_state="disable"), stdout=out
     )
@@ -74,322 +108,128 @@ def _run_restarted(
     return result.stdout, stats.restored_path
 
 
+def _build_chain(origin: str, code, path: str) -> list[bytes]:
+    """Run the program on ``origin``; the generations' bytes, newest first."""
+    vm = VirtualMachine(
+        PLATFORMS[origin],
+        code,
+        VMConfig(
+            chkpt_filename=path,
+            chkpt_mode="blocking",
+            chkpt_retain=5,
+            chkpt_incremental=True,
+            chkpt_full_every=3,
+        ),
+        stdout=io.BytesIO(),
+    )
+    result = vm.run(max_instructions=20_000_000)
+    assert result.status == "stopped" and vm.checkpoints_taken == 6
+    pristine = []
+    for g in generation_chain(path):
+        with open(g, "rb") as f:
+            pristine.append(f.read())
+    magic = FormatProfile.delta_profile().magic
+    kinds = tuple(data[: len(magic)] == magic for data in pristine)
+    assert kinds == CHAIN_SHAPE, f"{origin}: unexpected chain shape {kinds}"
+    return pristine
+
+
+def _flip_bytes(data: bytes, rng: random.Random) -> bytes:
+    """XOR three random bytes of ``data`` with random non-zero values."""
+    buf = bytearray(data)
+    for _ in range(3):
+        buf[rng.randrange(len(buf))] ^= rng.randrange(1, 256)
+    return bytes(buf)
+
+
+def _scenario(
+    name: str, pristine: list[bytes], rng: random.Random
+) -> tuple[int, bytes, Optional[str]]:
+    """One link scenario: (damaged link, its bytes, expected winner)."""
+    if name == "control":
+        return HEAD, pristine[HEAD], "head"
+    if name == "swap-parent":
+        # A valid FULL file with the wrong identity: only the parent-SHA
+        # binding can tell, and the fallback then restores it as itself.
+        return MIDDLE, pristine[BASE], "fallback"
+    link = BASE if name == "corrupt-base" else MIDDLE
+    return link, _flip_bytes(pristine[link], rng), None
+
+
 def fuzz_matrix(
     seed: int = 2002,
     mutations: int = 200,
     platforms: Optional[list[str]] = None,
-    program: str = FUZZ_PROGRAM,
     progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
     """Run the corruption matrix; returns a JSON-able report.
 
     ``mutations`` is the total budget, spread round-robin across all
-    ordered (origin, target) platform pairs so every conversion path
-    sees both early and late entries of the mutation plan.
+    ordered (origin, target) platform pairs and alternating between the
+    head and the full base, so every conversion path sees early and late
+    entries of both links' plans.  Every pair also runs each of
+    :data:`LINK_SCENARIOS` once.
     """
-    import tempfile
-
     names = list(platforms or ARCH_REPRESENTATIVES)
     for n in names:
         if n not in PLATFORMS:
             raise ValueError(f"unknown platform {n!r}")
-    code = compile_source(program)
+    code = compile_source(FUZZ_PROGRAM)
+    pairs = [(o, t) for o in names for t in names]
     report: dict = {
         "seed": seed,
+        "pairs": len(pairs),
         "mutations": 0,
-        "pairs": len(names) * len(names),
-        "outcomes": {
-            "detected_and_recovered": 0,
-            "clean_restore": 0,
-            "typed_failure_no_chain": 0,
-        },
-        "failures": [],
-        "ok": True,
-    }
-
-    with tempfile.TemporaryDirectory() as td:
-        # One origin checkpoint chain per origin platform.
-        chains: dict[str, tuple[str, bytes, bytes]] = {}
-        for origin in names:
-            path = f"{td}/{origin}.hckp"
-            vm = VirtualMachine(
-                PLATFORMS[origin],
-                code,
-                VMConfig(
-                    chkpt_filename=path,
-                    chkpt_mode="blocking",
-                    chkpt_retain=1,
-                ),
-                stdout=io.BytesIO(),
-            )
-            result = vm.run(max_instructions=20_000_000)
-            assert result.status == "stopped" and vm.checkpoints_taken == 2
-            with open(path, "rb") as f:
-                head = f.read()
-            with open(path + ".1", "rb") as f:
-                prev = f.read()
-            chains[origin] = (path, head, prev)
-
-        # Per-pair baselines: expected output from head and from path.1.
-        baselines: dict[tuple[str, str], tuple[bytes, bytes]] = {}
-        for origin in names:
-            path, _head, _prev = chains[origin]
-            for target in names:
-                out_head, _ = _run_restarted(
-                    PLATFORMS[target], code, path, fallback=False
-                )
-                out_prev, _ = _run_restarted(
-                    PLATFORMS[target], code, path + ".1", fallback=False
-                )
-                baselines[(origin, target)] = (out_head, out_prev)
-
-        pairs = [(o, t) for o in names for t in names]
-        per_pair = -(-mutations // len(pairs))
-        for pair_idx, (origin, target) in enumerate(pairs):
-            path, head, prev = chains[origin]
-            plan = plan_mutations(
-                len(head),
-                seed=seed * 1000 + pair_idx,
-                count=per_pair,
-                section_table=read_section_table(head),
-            )
-            out_head, out_prev = baselines[(origin, target)]
-            for m in plan:
-                if report["mutations"] >= mutations:
-                    break
-                report["mutations"] += 1
-                _fuzz_one(
-                    report,
-                    m,
-                    PLATFORMS[target],
-                    code,
-                    path,
-                    head,
-                    prev,
-                    out_head,
-                    out_prev,
-                    label=f"{origin}->{target}",
-                )
-            if progress is not None:
-                progress(
-                    f"{origin}->{target}: {report['mutations']} mutations, "
-                    f"{len(report['failures'])} failures"
-                )
-
-    report["ok"] = not report["failures"]
-    return report
-
-
-def _fuzz_one(
-    report: dict,
-    m: Mutation,
-    target: Platform,
-    code,
-    path: str,
-    head: bytes,
-    prev: bytes,
-    out_head: bytes,
-    out_prev: bytes,
-    label: str,
-) -> None:
-    """Apply one mutation to the head generation and check the invariant."""
-    damaged = apply_mutation(head, m)
-    with open(path, "wb") as f:
-        f.write(damaged)
-    with open(path + ".1", "wb") as f:
-        f.write(prev)
-    try:
-        out, restored = _run_restarted(target, code, path, fallback=True)
-    except RestartError:
-        # Typed failure with the whole chain exhausted would be a
-        # violation here (a healthy path.1 always exists) *except* when
-        # the mutation is a no-op on the parsed image; record it.
-        report["outcomes"]["typed_failure_no_chain"] += 1
-        report["failures"].append(
-            {"pair": label, "mutation": m.describe(),
-             "problem": "fallback chain exhausted despite healthy path.1"}
-        )
-        return
-    except Exception as e:  # noqa: BLE001 — the invariant bans these
-        report["failures"].append(
-            {"pair": label, "mutation": m.describe(),
-             "problem": f"uncaught {type(e).__name__}: {e}"}
-        )
-        return
-    if restored == path:
-        if out == out_head:
-            report["outcomes"]["clean_restore"] += 1
-        else:
-            report["failures"].append(
-                {"pair": label, "mutation": m.describe(),
-                 "problem": "silently wrong restore from damaged head"}
-            )
-    else:
-        if out == out_prev:
-            report["outcomes"]["detected_and_recovered"] += 1
-        else:
-            report["failures"].append(
-                {"pair": label, "mutation": m.describe(),
-                 "problem": "fallback restore produced wrong output"}
-            )
-
-
-# ---------------------------------------------------------------------------
-# Delta-chain corruption matrix
-# ---------------------------------------------------------------------------
-
-#: Six checkpoints under ``chkpt_incremental`` with ``full_every=3`` and
-#: ``retain=5`` leave this chain on disk, newest first:
-#: head = delta(depth 2), .1 = delta(depth 1), .2 = FULL, .3 = delta(2),
-#: .4 = delta(1), .5 = FULL.  Every scenario below damages a specific
-#: link of the head's chain; a healthy older generation always survives.
-DELTA_FUZZ_PROGRAM = """
-let rec build n acc = if n = 0 then acc else build (n - 1) (n :: acc);;
-let keep = build 120 [];;
-let rec sum l = match l with [] -> 0 | h :: t -> h + sum t;;
-let arr = Array.make 16 0;;
-let () = for i = 0 to 15 do arr.(i) <- i * 3 done;;
-checkpoint ();;
-let () = for i = 0 to 15 do arr.(i) <- arr.(i) + 1 done;;
-print_int arr.(5);;
-print_string ";";;
-checkpoint ();;
-let () = for i = 0 to 15 do arr.(i) <- arr.(i) + 2 done;;
-print_int arr.(7);;
-print_string ";";;
-checkpoint ();;
-let () = for i = 0 to 15 do arr.(i) <- arr.(i) + 3 done;;
-print_int arr.(11);;
-print_string ";";;
-checkpoint ();;
-let () = for i = 0 to 15 do arr.(i) <- arr.(i) + 4 done;;
-print_int arr.(13);;
-print_string ";";;
-checkpoint ();;
-let () = for i = 0 to 15 do arr.(i) <- arr.(i) + 5 done;;
-print_int (sum keep + arr.(2));;
-print_string ";";;
-checkpoint ();;
-print_string "done";;
-print_newline ();;
-"""
-
-#: The delta-chain scenarios; see :func:`fuzz_delta_chain`.
-DELTA_SCENARIOS = ("control", "corrupt-base", "corrupt-middle", "swap-parent")
-
-
-def _flip_bytes(path: str, rng: random.Random, n: int = 3) -> None:
-    with open(path, "rb") as f:
-        data = bytearray(f.read())
-    for _ in range(n):
-        i = rng.randrange(len(data))
-        data[i] ^= rng.randrange(1, 256)
-    with open(path, "wb") as f:
-        f.write(bytes(data))
-
-
-def fuzz_delta_chain(
-    seed: int = 2002,
-    platforms: Optional[list[str]] = None,
-    program: str = DELTA_FUZZ_PROGRAM,
-    progress: Optional[Callable[[str], None]] = None,
-) -> dict:
-    """The delta-chain corruption matrix (``repro faults fuzz --delta``).
-
-    The invariant: damaging any link of a delta chain — the full base,
-    a middle delta, or the head's parent binding (a valid but *wrong*
-    file swapped into the parent slot) — must produce either the exact
-    head output (the damage was a no-op) or a typed error plus a
-    fallback restore whose output is bit-identical to that surviving
-    generation's baseline.  Silently merging a delta onto the wrong
-    base is the failure mode the parent-SHA binding exists to prevent.
-    """
-    import tempfile
-
-    from repro.checkpoint.schema import FormatProfile
-
-    delta_magic = FormatProfile.delta_profile().magic
-    names = list(platforms or ARCH_REPRESENTATIVES)
-    for n in names:
-        if n not in PLATFORMS:
-            raise ValueError(f"unknown platform {n!r}")
-    code = compile_source(program)
-    report: dict = {
-        "seed": seed,
-        "pairs": len(names) * len(names),
-        "cases": 0,
+        "mutated_links": {"delta": 0, "full": 0},
+        "scenarios": dict.fromkeys(LINK_SCENARIOS, 0),
         "outcomes": {"clean_restore": 0, "detected_and_recovered": 0},
         "failures": [],
         "ok": True,
     }
+    per_pair = -(-mutations // len(pairs))
 
     with tempfile.TemporaryDirectory() as td:
-        chains: dict[str, tuple[str, dict[str, bytes]]] = {}
-        for origin in names:
-            path = f"{td}/{origin}.hckp"
-            vm = VirtualMachine(
-                PLATFORMS[origin],
-                code,
-                VMConfig(
-                    chkpt_filename=path,
-                    chkpt_mode="blocking",
-                    chkpt_retain=5,
-                    chkpt_incremental=True,
-                    chkpt_full_every=3,
-                ),
-                stdout=io.BytesIO(),
-            )
-            result = vm.run(max_instructions=20_000_000)
-            assert result.status == "stopped" and vm.checkpoints_taken == 6
-            gens = [path] + [f"{path}.{i}" for i in range(1, 6)]
-            pristine: dict[str, bytes] = {}
-            for g in gens:
-                with open(g, "rb") as f:
-                    pristine[g] = f.read()
-            # The scenarios rely on this exact chain shape.
-            kinds = [
-                pristine[g][: len(delta_magic)] == delta_magic for g in gens
+        chains = {o: _build_chain(o, code, f"{td}/{o}.hckp") for o in names}
+        for pair_idx, (origin, target) in enumerate(pairs):
+            pristine = chains[origin]
+            gens = generation_chain(f"{td}/{origin}.hckp")
+            baselines = [
+                _run_restarted(PLATFORMS[target], code, g, fallback=False)[0]
+                for g in gens
             ]
-            assert kinds == [True, True, False, True, True, False], (
-                f"{origin}: unexpected chain shape {kinds}"
-            )
-            chains[origin] = (path, pristine)
-
-        for pair_idx, (origin, target) in enumerate(
-            (o, t) for o in names for t in names
-        ):
-            path, pristine = chains[origin]
-
-            def _reset() -> None:
-                for g, data in pristine.items():
-                    with open(g, "wb") as f:
-                        f.write(data)
-
-            _reset()
-            baselines = {
-                g: _run_restarted(
-                    PLATFORMS[target], code, g, fallback=False
-                )[0]
-                for g in pristine
+            cases: list[tuple[str, int, bytes, Optional[str]]] = []
+            plans = {
+                link: iter(
+                    plan_mutations(
+                        len(pristine[link]),
+                        seed=(seed * 1000 + pair_idx) * 2 + k,
+                        count=per_pair,
+                        section_table=read_section_table(pristine[link]),
+                    )
+                )
+                for k, (link, _name, _kind) in enumerate(_MUTATED_LINKS)
             }
-            for si, scenario in enumerate(DELTA_SCENARIOS):
-                report["cases"] += 1
-                _reset()
+            for _ in range(min(per_pair, mutations - report["mutations"])):
+                link, name, kind = _MUTATED_LINKS[report["mutations"] % 2]
+                m: Mutation = next(plans[link])
+                report["mutations"] += 1
+                report["mutated_links"][kind] += 1
+                cases.append((
+                    f"{name}: {m.describe()}",
+                    link, apply_mutation(pristine[link], m), None,
+                ))
+            for si, scenario in enumerate(LINK_SCENARIOS):
+                report["scenarios"][scenario] += 1
                 rng = random.Random(seed * 1000 + pair_idx * 10 + si)
-                if scenario == "corrupt-base":
-                    _flip_bytes(f"{path}.2", rng)
-                elif scenario == "corrupt-middle":
-                    _flip_bytes(f"{path}.1", rng)
-                elif scenario == "swap-parent":
-                    with open(f"{path}.1", "wb") as f:
-                        f.write(pristine[f"{path}.2"])
-                _fuzz_delta_one(
-                    report, scenario, PLATFORMS[target], code, path,
-                    baselines, label=f"{origin}->{target}",
+                cases.append((scenario, *_scenario(scenario, pristine, rng)))
+            for label, link, damaged, expect in cases:
+                _check(
+                    report, f"{origin}->{target}", label, PLATFORMS[target],
+                    code, gens, pristine, baselines, link, damaged, expect,
                 )
             if progress is not None:
                 progress(
-                    f"{origin}->{target}: {report['cases']} case(s), "
+                    f"{origin}->{target}: {report['mutations']} mutation(s), "
                     f"{len(report['failures'])} failure(s)"
                 )
 
@@ -397,55 +237,55 @@ def fuzz_delta_chain(
     return report
 
 
-def _fuzz_delta_one(
+def _check(
     report: dict,
-    scenario: str,
+    pair: str,
+    label: str,
     target: Platform,
     code,
-    path: str,
-    baselines: dict[str, bytes],
-    label: str,
+    gens: list[str],
+    pristine: list[bytes],
+    baselines: list[bytes],
+    link: int,
+    damaged: bytes,
+    expect: Optional[str],
 ) -> None:
-    """Run one scenario's restore and check the chain invariant."""
+    """Put ``damaged`` at generation ``link``, restore the head with
+    fallback, and check the invariant.
 
-    def fail(problem: str) -> None:
-        report["failures"].append(
-            {"pair": label, "scenario": scenario, "problem": problem}
-        )
-
+    ``expect`` pins which generation must win: ``"head"`` (the control),
+    ``"fallback"`` (a swapped-in parent must be rejected), or ``None``
+    (a mutation may be a no-op on the parsed image).  The expected
+    output is the baseline of the bytes the winning slot holds, so a
+    valid file swapped into another slot is judged as itself.
+    """
+    with open(gens[link], "wb") as f:
+        f.write(damaged)
+    problem = None
     try:
-        out, restored = _run_restarted(target, code, path, fallback=True)
+        out, restored = _run_restarted(target, code, gens[HEAD], fallback=True)
     except RestartError as e:
-        fail(f"fallback chain exhausted despite healthy generations: {e}")
-        return
+        problem = f"fallback chain exhausted despite healthy generations: {e}"
     except Exception as e:  # noqa: BLE001 — the invariant bans these
-        fail(f"uncaught {type(e).__name__}: {e}")
-        return
-    if scenario == "control":
-        if restored != path or out != baselines[path]:
-            fail("control restore was not a clean head restore")
-        else:
-            report["outcomes"]["clean_restore"] += 1
-        return
-    if scenario == "swap-parent":
-        # The swapped-in parent is a valid FULL file with the wrong
-        # identity: the binding check must reject the head, and the
-        # fallback then restores that full directly.
-        if restored == path:
-            fail("parent-SHA binding mismatch went undetected")
-        elif out != baselines[f"{path}.2"]:
-            fail("fallback after binding mismatch gave wrong output")
-        else:
-            report["outcomes"]["detected_and_recovered"] += 1
-        return
-    # Byte-flip scenarios: whatever generation won must reproduce its
-    # own pre-mutation baseline (head included, if the flips no-op'd).
-    if out != baselines.get(restored):
-        fail(
-            f"restore from {restored} did not match its baseline "
-            f"(scenario {scenario})"
+        problem = f"uncaught {type(e).__name__}: {e}"
+    else:
+        g = gens.index(restored)
+        held = damaged if g == link else pristine[g]
+        expected = baselines[pristine.index(held) if held in pristine else g]
+        if g == HEAD and expect == "fallback":
+            problem = "a swapped-in parent was accepted as the head's"
+        elif g != HEAD and expect == "head":
+            problem = "control restore was not a clean head restore"
+        elif out != expected:
+            problem = f"restore from {restored} did not match its baseline"
+    finally:
+        with open(gens[link], "wb") as f:
+            f.write(pristine[link])
+    if problem is not None:
+        report["failures"].append(
+            {"pair": pair, "case": label, "problem": problem}
         )
-    elif restored == path:
+    elif g == HEAD:
         report["outcomes"]["clean_restore"] += 1
     else:
         report["outcomes"]["detected_and_recovered"] += 1

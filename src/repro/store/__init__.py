@@ -17,10 +17,10 @@ provides:
   store; several are the shards of a consistent-hash fleet.
 - :class:`~repro.store.fleet.client.FleetClient` — the one checkpoint
   client: chunked dedup uploads, streamed verified downloads, per-key
-  routing across 1..N shards with client-side presence caching.  It
-  holds one :class:`~repro.store.client.StoreClient` per node — the
-  persistent RSTP connection with configurable timeouts and bounded
-  full-jitter retries.
+  routing across 1..N shards, asking each chunk's owner shard what it
+  already holds.  It holds one :class:`~repro.store.client.StoreClient`
+  per node — the persistent RSTP connection with configurable timeouts
+  and bounded full-jitter retries.
 - :class:`~repro.store.ha.HASupervisor` — runs a workload VM with
   periodic checkpoints pushed to the store, injects faults, and
   auto-restarts from the latest manifest on a *different* simulated

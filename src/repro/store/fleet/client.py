@@ -208,8 +208,27 @@ class FleetClient:
         generation = self._commit(
             vm_id, keys, payload_len, payload_sha.hexdigest(), meta
         )
+        if generation == 1 and len(self.nodes) > 1:
+            self._refuse_split_history(vm_id)
         self._verify_after_commit(epochs_before, keys, source)
         return generation, stats
+
+    def _refuse_split_history(self, vm_id: str) -> None:
+        """The claim rule, for uploads: an owner that numbered this
+        upload generation 1 holds none of the vm's history, so while
+        another shard holds some (a join or drain moved the owner, and
+        no rebalance followed) the upload would start a second history
+        whose newest generation hides behind the older ones.  Withdraw
+        the commit and refuse, one scoped listing per other shard."""
+        owner = self.ring.manifest_node(vm_id)
+        for node, client in sorted(self.nodes.items()):
+            if node != owner and client.ls(vm_id)["vms"]:
+                self.nodes[owner].del_manifest(vm_id, 1)
+                raise StoreNotFoundError(
+                    f"vm {vm_id!r} has generations on {node}, not on its "
+                    f"owner {owner}; run `repro store fleet rebalance` "
+                    f"before uploading"
+                )
 
     def _flush_window(
         self,

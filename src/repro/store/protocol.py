@@ -89,7 +89,9 @@ MAX_GET_MANY = 512
 
 CODEC = FrameCodec(MAGIC, VERSION, MAX_FRAME, StoreProtocolError)
 
-# Request opcodes.
+# Request opcodes.  ``HAS_CHUNK`` and ``GC`` are retired: no client sends
+# them and the daemon answers them as unknown (a shard-local gc cannot
+# see the other shards' manifests); their numbers stay reserved.
 OP_PING = 0x01
 OP_HAS_CHUNK = 0x02
 OP_PUT_CHUNK = 0x03

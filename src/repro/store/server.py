@@ -188,14 +188,12 @@ class FleetNode:
         self.connections_accepted = 0
         self._ops = {
             P.OP_PING: self._op_ping,
-            P.OP_HAS_CHUNK: self._op_has_chunk,
             P.OP_HAS_MANY: self._op_has_many,
             P.OP_PUT_CHUNK: self._op_put_chunk,
             P.OP_GET_CHUNK: self._op_get_chunk,
             P.OP_PUT_MANIFEST: self._op_put_manifest,
             P.OP_GET_MANIFEST: self._op_get_manifest,
             P.OP_LS: self._op_ls,
-            P.OP_GC: self._op_gc,
             P.OP_STAT: self._op_stat,
             P.OP_AUDIT: self._op_audit,
             P.OP_HELLO: self._op_hello,
@@ -426,10 +424,6 @@ class FleetNode:
             raise StoreProtocolError(f"{what} payload is not whole digests")
         return [payload[i : i + 32].hex() for i in range(0, len(payload), 32)]
 
-    def _op_has_chunk(self, payload: bytes) -> list[Frame]:
-        key = self._digest(payload)
-        return _ok(bytes([1 if self.store.has_object(key) else 0]))
-
     def _op_has_many(self, payload: bytes) -> list[Frame]:
         out = bytearray()
         for key in self._digests(payload, "HAS_MANY"):
@@ -530,9 +524,6 @@ class FleetNode:
     def _op_ls(self, payload: bytes) -> list[Frame]:
         req = P.decode_request(P.OP_LS, payload, optional={"vm_id": str})
         return _ok_json(self.store.ls(req.get("vm_id")))
-
-    def _op_gc(self, _payload: bytes) -> list[Frame]:
-        return _ok_json(self.store.gc())
 
     def _op_stat(self, _payload: bytes) -> list[Frame]:
         return _ok_json(self.stats())

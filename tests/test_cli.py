@@ -553,7 +553,7 @@ class TestIncrementalCLI:
 
     def test_fsck_chain_walks_all_links(self, chain, capsys):
         _, ck = chain
-        assert main(["fsck", ck, "--chain"]) == 0
+        assert main(["fsck", ck]) == 0
         out = capsys.readouterr().out
         assert f"{ck}: delta [ok]" in out
         assert f"{ck}.2: full [ok]" in out
@@ -564,9 +564,10 @@ class TestIncrementalCLI:
         data[len(data) // 2] ^= 0x55
         with open(ck + ".2", "wb") as f:
             f.write(bytes(data))
-        assert main(["fsck", ck, "--chain"]) == 1
+        assert main(["fsck", ck]) == 1
         out = capsys.readouterr().out
-        assert "DAMAGED" in out
+        assert f"{ck}: DAMAGED" in out
+        assert f"{ck}.2: full [DAMAGED]" in out
 
     def test_restart_from_delta_head(self, chain, capsys):
         prog, ck = chain

@@ -1,9 +1,9 @@
 """The corruption-matrix invariant, in-suite (CI runs the full matrix).
 
-Every seeded mutation of a checkpoint head must produce either a clean
-restore (bit-identical output) or a typed detection followed by a
-successful fallback to the retained generation — never an uncaught
-exception, never silently wrong output.
+Every seeded mutation of a delta chain's head or full base must produce
+either a clean restore (bit-identical output) or a typed detection
+followed by a successful fallback to a retained generation — never an
+uncaught exception, never silently wrong output.
 """
 
 from __future__ import annotations
@@ -71,13 +71,15 @@ class TestFuzzMatrix:
         )
         assert report["ok"], report["failures"]
         assert report["mutations"] == 24
+        assert report["mutated_links"] == {"delta": 12, "full": 12}
         assert report["pairs"] == 4
         outcomes = report["outcomes"]
-        assert sum(outcomes.values()) == 24
-        # With a v3 head, essentially every mutation is detected and the
-        # retained generation takes over.
+        assert sum(outcomes.values()) == 24 + sum(
+            report["scenarios"].values()
+        )
+        # With a CRC-trailed chain, essentially every mutation is
+        # detected and a retained generation takes over.
         assert outcomes["detected_and_recovered"] > 0
-        assert outcomes["typed_failure_no_chain"] == 0
 
     def test_report_is_deterministic(self):
         a = fuzz_matrix(seed=11, mutations=6, platforms=["rodrigo"])

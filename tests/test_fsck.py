@@ -11,6 +11,7 @@ from repro.checkpoint.format import read_section_table
 from repro.checkpoint.fsck import (
     ClientSource,
     LocalStoreSource,
+    fsck_chain,
     fsck_checkpoint,
     verify_checkpoint_bytes,
 )
@@ -142,6 +143,28 @@ class TestRepairFromLocalStore:
         result = vm.run(max_instructions=20_000_000)
         assert result.status == "stopped"
         assert result.stdout == b"sum=20100"
+
+    def test_full_file_is_a_chain_of_one(self, replicated):
+        """The chain check on a full file repairs it exactly as the
+        one-file step does, reading one replica manifest however many
+        generations the store holds."""
+        path, data, store = replicated
+        for i in range(3):
+            store.put_checkpoint("vm", b"older generation %d" % i)
+        store.put_checkpoint("vm", data)
+        damage_section(path, data)
+        source = LocalStoreSource(store)
+        reads = []
+        real_manifest = source.manifest
+        source.manifest = lambda *a: reads.append(a) or real_manifest(*a)
+        report = fsck_chain(path, repair=True, source=source, vm_id="vm")
+        assert report["ok"] and report["chain_depth"] == 0
+        assert report["action"] == "repaired"
+        (link,) = report["links"]
+        assert link["kind"] == "full" and link["action"] == "patched"
+        assert reads == [("vm", None)]
+        with open(path, "rb") as f:
+            assert f.read() == data
 
     def test_unknown_vm_is_unrepairable(self, replicated):
         path, data, store = replicated

@@ -445,12 +445,14 @@ class TestChainDamage:
 
 def test_delta_fuzz_scenarios_recover():
     """The fault-injection matrix over delta chains: corrupt base,
-    corrupt middle, swapped parent — all detected and recovered."""
-    from repro.faults.fuzz import fuzz_delta_chain
+    corrupt middle, swapped parent — all detected and recovered, on
+    every pair."""
+    from repro.faults.fuzz import LINK_SCENARIOS, fuzz_matrix
 
-    report = fuzz_delta_chain(platforms=["rodrigo", "ultra64"])
+    report = fuzz_matrix(mutations=4, platforms=["rodrigo", "ultra64"])
     assert report["ok"], report["failures"]
-    assert report["cases"] == 16
+    assert report["pairs"] == 4
+    assert report["scenarios"] == dict.fromkeys(LINK_SCENARIOS, 4)
     outcomes = report["outcomes"]
     assert outcomes.get("detected_and_recovered", 0) > 0
     assert outcomes.get("clean_restore", 0) > 0

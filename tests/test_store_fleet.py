@@ -11,6 +11,7 @@ from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.errors import StoreNotFoundError, StoreProtocolError
 from repro.metrics import FLEET
 from repro.store import ChunkStore, HASupervisor
+from repro.store import protocol as P
 from repro.store.fleet import FleetClient, FleetNode
 
 WORKLOAD = """
@@ -146,6 +147,29 @@ class TestFleetService:
         # shards reference this shard's chunks
         assert client.audit(deep=True)["ok"]
 
+    def test_daemon_gc_request_leaves_the_fleet_whole(self, fleet3):
+        """A shard-local mark cannot see the other shards' manifests, so
+        no daemon serves ``GC`` (nor ``HAS_CHUNK``, which no client
+        sends): each answers the typed unknown-opcode error, and the
+        fleet still deep-audits clean after every shard was asked."""
+        _nodes, _addrs, client = fleet3
+        payload = distinct_payload(64)
+        gen, _stats = client.put_checkpoint("vmgcop", payload)
+        assert client.audit(deep=True)["ok"]
+        refused = []
+        for node in client.nodes.values():
+            for op, body in ((P.OP_GC, b""), (P.OP_HAS_CHUNK, bytes(32))):
+                try:
+                    node._call(op, body)
+                except StoreProtocolError as e:
+                    refused.append(str(e))
+        assert client.audit(deep=True)["ok"]
+        assert refused == [
+            "unknown opcode 0x08", "unknown opcode 0x02"
+        ] * len(client.nodes)
+        got, _m = client.get_checkpoint("vmgcop", gen)
+        assert got == payload
+
 
 class TestConcurrentHA:
     def test_eight_supervisors_with_crash_failover(
@@ -231,6 +255,48 @@ class TestRebalance:
                 assert got == payload
             finally:
                 grown.close()
+        finally:
+            joiner.stop()
+
+    def test_upload_after_join_is_refused_until_rebalanced(
+        self, fleet3, tmp_path
+    ):
+        """A shard joins and a vm's owner moves: the new owner would
+        number the next upload generation 1, behind the acked generation
+        2 on the old owner.  The upload is refused, typed, naming the
+        rebalance, and no shard keeps it; after the rebalance the same
+        upload lands as generation 3."""
+        _nodes, addrs, client = fleet3
+        joiner = FleetNode(
+            ChunkStore(str(tmp_path / "shard-new")), node_id="s3"
+        )
+        joiner.start()
+        try:
+            with FleetClient(
+                addrs + [joiner.address], backoff=0.01,
+                chunk_size=client.chunk_size,
+            ) as grown:
+                vm_id = next(
+                    f"vm{i}" for i in range(1000)
+                    if client.manifest_node(f"vm{i}")
+                    != grown.manifest_node(f"vm{i}")
+                )
+                owner = grown.nodes[grown.manifest_node(vm_id)]
+                client.put_checkpoint(vm_id, b"old one")
+                assert client.put_checkpoint(vm_id, b"old two")[0] == 2
+                with pytest.raises(
+                    StoreNotFoundError, match="repro store fleet rebalance"
+                ):
+                    grown.put_checkpoint(vm_id, b"NEWEST after join")
+                assert owner.ls(vm_id) == {"vms": {}}
+                got, manifest = grown.get_checkpoint(vm_id)
+                assert (got, manifest.generation) == (b"old two", 2)
+                grown.rebalance()
+                gen, _ = grown.put_checkpoint(vm_id, b"NEWEST after join")
+                assert gen == 3
+                got, _m = grown.get_checkpoint(vm_id)
+                assert got == b"NEWEST after join"
+                assert grown.audit(deep=True)["ok"]
         finally:
             joiner.stop()
 
