@@ -609,7 +609,8 @@ def cmd_ha_live(args: argparse.Namespace) -> int:
         sys.stdout.buffer.write(report.client_stdout)
         sys.stdout.buffer.flush()
         takeover = (
-            f", takeover {report.takeover_seconds * 1e3:.1f} ms"
+            f", takeover {report.takeover_seconds * 1e3:.1f} ms in "
+            f"{report.takeover_exchanges} store exchange(s)"
             if report.takeover_seconds is not None
             else ""
         )

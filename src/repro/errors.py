@@ -31,6 +31,17 @@ class VMRuntimeError(ReproError):
     """A byte-code program performed an illegal operation at run time."""
 
 
+class VMFinishedError(VMRuntimeError):
+    """``run()`` on a VM whose program already ended."""
+
+    def __init__(self, status: str) -> None:
+        super().__init__(
+            f"the program has {status}; a finished VM cannot run again"
+        )
+        #: How it ended: ``"stopped"`` or ``"exited"``.
+        self.status = status
+
+
 class PrimitiveError(VMRuntimeError):
     """A C-call primitive was invoked with invalid arguments."""
 

@@ -24,13 +24,18 @@ and so is the decision:
   valid epoch held by someone else and must demote — it can never win
   an argument with the store, because valid epochs only move forward.
 
-A promotion is therefore two store exchanges: one listing to observe
-(:meth:`EpochLease.read`) and one claim, whose answer already says
-whether the claimant holds the newest epoch.  Both touch only the
-lease's own records, so they cost the same whatever other VMs have
-stored.  The one term that still grows is the lease's own history — one
-record per claim, i.e. per failover — which is folded whole on every
-read and claim.
+An observation is one listing (:meth:`EpochLease.read`), and a claim's
+answer already says whether the claimant holds the newest epoch.  A
+node that observed before it needed the lease acquires it in one store
+exchange: a standby observes when its primary greets it
+(:class:`~repro.replication.standby.StandbyServer`), so its takeover is
+the claim alone.  An observation that went stale costs one more claim,
+expecting the head the losing answer names — the winner a fresh read
+would have picked, one losing record later; a node with no observation
+reads, then claims.  Both exchanges touch only the lease's own records,
+so they cost the same whatever other VMs have stored.  The one term
+that still grows is the lease's own history — one record per claim,
+i.e. per failover — which is folded whole on every read and claim.
 """
 
 from __future__ import annotations

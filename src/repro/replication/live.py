@@ -107,6 +107,9 @@ class LiveReport:
     #: (discarded on fence/crash; re-produced by the successor).
     held_discarded_bytes: int = 0
     takeover_seconds: Optional[float] = None
+    #: Store exchanges the takeover made: one ``CLAIM`` when the standby
+    #: observed the lease at its primary's HELLO.
+    takeover_exchanges: Optional[int] = None
     primary_platform: str = ""
     standby_platform: str = ""
     epochs: list[int] = field(default_factory=list)
@@ -238,8 +241,9 @@ class LiveHA:
                 sender, flaky, standby, primary_path,
             )
             report.promotions = 1 if standby.promoted_event.is_set() else 0
-            report.takeover_seconds = standby.takeover_seconds
             state = standby.describe()
+            report.takeover_seconds = state["takeover_seconds"]
+            report.takeover_exchanges = state["takeover_exchanges"]
             report.generations_applied_in_place = state["applied_in_place"]
             report.generations_rebuilt = state["rebuilt"]
             report.last_rebuild_reason = state["last_rebuild_reason"]

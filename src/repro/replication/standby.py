@@ -31,7 +31,9 @@ guard — if the store says no, someone else leads and we stay down),
 and the resident VM plus its stdout prefill become the new primary.
 Takeover applies only the un-acked tail — which is empty, because
 apply-before-ack means the resident VM is already *at* the acked
-frontier.
+frontier.  Nor does it open a connection or read the lease: the
+standby does both when its primary greets it, so a takeover is the
+claim alone.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from repro.errors import (
     ReplicationError,
     ReplicationProtocolError,
     RestartError,
+    StoreError,
 )
 from repro.metrics import REPLICATION
 from repro.replication import wire
@@ -112,13 +115,22 @@ class StandbyServer:
         self.primary_node: Optional[str] = None
         self.primary_epoch = 0
         self.epoch = 0
+        #: The lease's newest valid epoch as last seen — when a primary
+        #: said HELLO, or by a claim of our own — for the next claim to
+        #: expect (None: not observed, or the store failed us then).
+        self.lease_observed: Optional[int] = None
         self.takeover_seconds: Optional[float] = None
+        #: Store exchanges the takeover's claim took (one when observed).
+        self.takeover_exchanges: Optional[int] = None
         #: Why the failure detector fired ("eof", "timeout"), if it did.
         self.suspicion_reason = ""
 
         self.suspect_event = threading.Event()
         self.promoted_event = threading.Event()
         self._lock = threading.Lock()
+        #: Serializes the lease client between the serving thread (the
+        #: observation at HELLO) and whoever calls :meth:`promote`.
+        self._lease_lock = threading.Lock()
         self._stopping = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
@@ -228,6 +240,10 @@ class StandbyServer:
             )
         self.primary_node = info.get("node")
         self.primary_epoch = int(info.get("epoch", 0))
+        # Before the answer, so before any generation is acked: a
+        # primary that lives long enough to be protected has been
+        # observed, and its standby's takeover is one claim.
+        self._observe_lease()
         wire.send_frame(
             conn,
             wire.OP_OK,
@@ -235,6 +251,18 @@ class StandbyServer:
                 {"node": self.node_id, "applied": self.applied_seq}
             ),
         )
+
+    def _observe_lease(self) -> None:
+        """Open the lease client's connection and note the newest valid
+        epoch.  Never fails the greeting: a store that cannot answer
+        leaves the standby unobserved, and its promotion reads first."""
+        if self.lease is None:
+            return
+        with self._lease_lock:
+            try:
+                self.lease_observed = self.lease.read().epoch
+            except (StoreError, ReplicationError):
+                self.lease_observed = None
 
     def _on_gen(self, conn, payload: bytes) -> None:
         rec = wire.decode_gen(payload)  # verifies sizes + file digest
@@ -378,12 +406,13 @@ class StandbyServer:
         :class:`~repro.errors.LeaseLostError` and must stay down.  The
         un-acked tail is applied first — under the synchronous apply
         discipline it is always empty, making takeover O(lease claim):
-        two store exchanges, one listing of the lease's claim records
-        (observe the newest valid epoch) and one ``CLAIM`` that the
-        lease's owner shard decides atomically.  A valid claim is the
-        newest epoch when it commits, so it is its own fencing probe.
-        Both touch only the lease's records, so the cost does not
-        depend on what else the store holds.
+        one ``CLAIM`` that the lease's owner shard decides atomically,
+        expecting the epoch observed when the primary said HELLO, on
+        the connection opened then.  A valid claim is the newest epoch
+        when it commits, so it is its own fencing probe.  It touches
+        only the lease's records, so the cost does not depend on what
+        else the store holds.  See :meth:`_claim` for an observation
+        that went stale and a standby that has none.
         """
         if self.lease is None:
             raise ReplicationError("no lease configured; cannot promote")
@@ -393,7 +422,10 @@ class StandbyServer:
                     "nothing replicated yet; cold-start instead"
                 )
         t0 = time.perf_counter()
-        self.epoch = self.lease.claim(expected=self.lease.read().epoch)
+        with self._lease_lock:
+            before = self.lease.client.exchanges
+            self.epoch = self.lease_observed = self._claim()
+            self.takeover_exchanges = self.lease.client.exchanges - before
         self.takeover_seconds = time.perf_counter() - t0
         REPLICATION.promotions += 1
         with self._lock:
@@ -404,6 +436,19 @@ class StandbyServer:
             vm = self.resident_vm
             vm.channels.prefill_stdout(self.prefill)
         return vm
+
+    def _claim(self) -> int:
+        """One ``CLAIM`` expecting the observed epoch.  A stale
+        observation loses, and the losing answer names the head it lost
+        to — the read a read-then-claim would have made — so the second
+        claim expects that: the same winner, at the price of one losing
+        record in the history.  Unobserved, read first."""
+        if self.lease_observed is None:
+            return self.lease.claim(expected=self.lease.read().epoch)
+        try:
+            return self.lease.claim(expected=self.lease_observed)
+        except LeaseLostError as lost:
+            return self.lease.claim(expected=lost.epoch)
 
     # -- introspection -----------------------------------------------------
 
@@ -429,7 +474,9 @@ class StandbyServer:
                 "suspicion_reason": self.suspicion_reason,
                 "promoted": self.promoted_event.is_set(),
                 "epoch": self.epoch,
+                "lease_observed": self.lease_observed,
                 "takeover_seconds": self.takeover_seconds,
+                "takeover_exchanges": self.takeover_exchanges,
             }
 
 

@@ -17,10 +17,12 @@ Layout::
     root/
       objects/ab/ab3f...9c.z        zlib(chunk), key = sha256(chunk)
       manifests/<vm_id>/00000001.json
+      .lock                         flocked by every mutation (DirectoryLock)
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -60,69 +62,59 @@ class DirectoryLock:
     the sweep — the sweep would delete chunks the brand-new generation
     references.
 
-    Implementation: ``O_CREAT | O_EXCL`` on ``<root>/.lock`` (atomic on
-    every filesystem the store supports), holder pid + timestamp inside
-    for diagnostics.  A lock older than ``stale_after`` seconds is
-    presumed abandoned by a crashed holder and broken.  Waiting longer
-    than ``timeout`` raises :class:`~repro.errors.StoreError` rather
-    than deadlocking the caller.
+    Implementation: an exclusive ``flock`` on ``<root>/.lock``, a file
+    that stays in place (the first lock creates it; no locked operation
+    creates or unlinks anything).  The kernel holds the lock for the
+    open file, so a holder that dies — however it dies — frees it at
+    once, and a live holder's lock is never taken from it however long
+    it holds.  Every handle opens the file afresh, so handles in one
+    process, on one thread or several, exclude each other as separate
+    processes do.  Waiting longer than ``timeout`` raises
+    :class:`~repro.errors.StoreError` rather than deadlocking the
+    caller.
     """
 
     def __init__(
         self,
         path: str,
         timeout: float = 10.0,
-        stale_after: float = 60.0,
         poll_interval: float = 0.02,
     ) -> None:
         self.path = path
         self.timeout = timeout
-        self.stale_after = stale_after
         self.poll_interval = poll_interval
-        self._held = False
+        self._fd: Optional[int] = None
 
     def acquire(self) -> None:
-        if self._held:
+        if self._fd is not None:
             raise StoreError(f"lock {self.path} is not reentrant")
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                self._maybe_break_stale()
-                if time.monotonic() >= deadline:
-                    raise StoreError(
-                        f"timed out after {self.timeout:.1f}s waiting for "
-                        f"store lock {self.path}"
-                    ) from None
-                time.sleep(self.poll_interval)
-                continue
-            try:
-                os.write(fd, f"{os.getpid()} {time.time()}\n".encode())
-            finally:
-                os.close(fd)
-            self._held = True
-            return
-
-    def _maybe_break_stale(self) -> None:
         try:
-            age = time.time() - os.path.getmtime(self.path)
-        except OSError:
-            return  # released (or broken) between our check and now
-        if age > self.stale_after:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() >= deadline:
+                        raise StoreError(
+                            f"timed out after {self.timeout:.1f}s waiting "
+                            f"for store lock {self.path}"
+                        ) from None
+                    time.sleep(self.poll_interval)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
 
     def release(self) -> None:
-        if not self._held:
+        fd, self._fd = self._fd, None
+        if fd is None:
             return
-        self._held = False
         try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+            fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
 
     def __enter__(self) -> "DirectoryLock":
         self.acquire()
@@ -264,14 +256,12 @@ class ChunkStore:
         root: str,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         lock_timeout: float = 10.0,
-        lock_stale_after: float = 60.0,
     ) -> None:
         if chunk_size <= 0:
             raise StoreError("chunk_size must be positive")
         self.root = root
         self.chunk_size = chunk_size
         self.lock_timeout = lock_timeout
-        self.lock_stale_after = lock_stale_after
         self._objects = os.path.join(root, "objects")
         self._manifests = os.path.join(root, "manifests")
         self._epoch_path = os.path.join(root, "epoch")
@@ -281,15 +271,13 @@ class ChunkStore:
     def _lock(self) -> DirectoryLock:
         """A fresh handle on the store-wide mutation lock.
 
-        Fresh per operation (the exclusion lives in the lock *file*),
-        so one store object can run sequential locked operations and
-        concurrent holders — other processes or threads — block on the
-        filesystem, not on shared Python state.
+        Fresh per operation (the exclusion lives in the kernel's lock
+        on the file), so one store object can run sequential locked
+        operations and concurrent holders — other processes or threads
+        — block on the kernel, not on shared Python state.
         """
         return DirectoryLock(
-            os.path.join(self.root, ".lock"),
-            timeout=self.lock_timeout,
-            stale_after=self.lock_stale_after,
+            os.path.join(self.root, ".lock"), timeout=self.lock_timeout
         )
 
     # -- store epoch -------------------------------------------------------

@@ -115,6 +115,9 @@ class StoreClient:
         self._sock: Optional[socket.socket] = None
         #: Transport failures survived via retry (observability + tests).
         self.retries_used = 0
+        #: Requests sent through :meth:`_exchange`, one per exchange
+        #: however many attempts it took (the handshake is not one).
+        self.exchanges = 0
 
     # -- connection management ---------------------------------------------
 
@@ -196,6 +199,7 @@ class StoreClient:
             self.retries_used += 1
             STORE.transport_retries += 1
 
+        self.exchanges += 1
         return self._retry.run(
             attempt,
             transient=_TRANSPORT_ERRORS,

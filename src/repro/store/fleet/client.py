@@ -105,6 +105,10 @@ class FleetClient:
     def retries_used(self) -> int:
         return sum(c.retries_used for c in self.nodes.values())
 
+    @property
+    def exchanges(self) -> int:
+        return sum(c.exchanges for c in self.nodes.values())
+
     def ping(self) -> bool:
         return all(c.ping() for c in self.nodes.values())
 

@@ -24,7 +24,7 @@ from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Optional
 
 from repro.arch.platforms import Platform
 from repro.bytecode.image import CodeImage
-from repro.errors import CheckpointError, ReproError
+from repro.errors import CheckpointError, ReproError, VMFinishedError
 from repro.gc import GCController
 from repro.gc.roots import MutatorRoots
 from repro.interpreter.interpreter import Interpreter
@@ -307,6 +307,9 @@ class VirtualMachine:
         self.delta_depth: int = 0
         #: Set by restart so the first run() continues mid-program.
         self.restarted = False
+        #: How the program ended ("stopped" / "exited"), once it has:
+        #: its stack is spent, so run() refuses instead of resuming it.
+        self.finished: Optional[str] = None
         #: Deferred-conversion tracker after a ``--lazy-restore``
         #: restart (:class:`repro.checkpoint.reader.LazyRestoreState`);
         #: ``None`` once every chunk has converted (or always, eagerly).
@@ -338,17 +341,23 @@ class VirtualMachine:
 
         ``max_instructions`` bounds the slice exactly: ``0`` returns
         ``"budget"`` at once, ``None`` runs unbounded, negative raises.
+        A program that has stopped or exited stays finished: running it
+        again raises :class:`~repro.errors.VMFinishedError`.
         """
         if max_instructions is not None and max_instructions < 0:
             raise ReproError(
                 f"max_instructions must be >= 0, got {max_instructions}"
             )
+        if self.finished is not None:
+            raise VMFinishedError(self.finished)
         try:
             status = self.interp.run(self, max_instructions)
             exit_code = 0
         except ExitProgram as e:
             status = "exited"
             exit_code = e.status
+        if status in ("stopped", "exited"):
+            self.finished = status
         self.join_background_checkpoint()
         self.channels.flush_all()
         return RunResult(

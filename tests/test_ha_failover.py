@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import os
 import re
+import socket
 import struct
 import zlib
 
@@ -28,6 +29,7 @@ from repro.replication import (
     CommitTailer,
     EpochLease,
     LiveHA,
+    ReplicationSender,
     StandbyServer,
     cold_restore_from_store,
 )
@@ -771,6 +773,17 @@ class TestListingsAreScoped:
         return standby
 
     @staticmethod
+    def _greet(code, standby):
+        """A primary says HELLO to ``standby`` and then dies."""
+        host, port = standby.start()
+        sender = ReplicationSender.connect(host, port, node_id="primary")
+        try:
+            sender.hello(code.digest().hex(), 1, "rodrigo")
+        finally:
+            sender.close()
+            standby.stop()
+
+    @staticmethod
     def _reply_bytes(wire_log) -> int:
         return sum(len(reply[1]) for _op, _payload, reply in wire_log)
 
@@ -826,6 +839,105 @@ class TestListingsAreScoped:
         assert standby.epoch == 3
         assert [op for op, *_ in wire_log] == [P.OP_LS, P.OP_CLAIM]
         assert standby.lease.read() == LeaseState(epoch=3, holder="twice")
+
+    def test_promotion_after_hello_is_one_store_exchange(
+        self, code, service, tmp_path, wire_log
+    ):
+        """A standby observes the lease when its primary greets it, on
+        the connection its takeover will use: the takeover is the
+        ``CLAIM`` alone."""
+        _server, client = service
+        standby = self._promotable(code, client, tmp_path, "once")
+        assert EpochLease(client, "once", "primary").claim(expected=0) == 1
+        self._greet(code, standby)
+        assert standby.describe()["lease_observed"] == 1
+        del wire_log[:]
+        standby.promote()
+        assert [op for op, *_ in wire_log] == [P.OP_CLAIM]
+        assert P.decode_json(wire_log[0][1]) == {
+            "lease_id": "once.lease", "holder": "once", "expected": 1,
+        }
+        assert standby.epoch == 2
+        state = standby.describe()
+        assert (state["lease_observed"], state["takeover_exchanges"]) == (2, 1)
+        assert standby.lease.read() == LeaseState(epoch=2, holder="once")
+
+    def test_stale_observation_claims_again_with_the_same_winner(
+        self, code, service, tmp_path, wire_log
+    ):
+        """A rival claims after the HELLO: the first ``CLAIM`` loses and
+        its answer names the head, so the second expects that head —
+        the winner a read-then-claim picks, one losing record later."""
+        _server, client = service
+        stale = self._promotable(code, client, tmp_path, "stale")
+        fresh = self._promotable(code, client, tmp_path, "fresh")
+        for vm_id in ("stale", "fresh"):
+            assert EpochLease(client, vm_id, "primary").claim(expected=0) == 1
+        self._greet(code, stale)
+        for vm_id in ("stale", "fresh"):
+            assert EpochLease(client, vm_id, "rival").claim(expected=1) == 2
+        del wire_log[:]
+        stale.promote()
+        assert [op for op, *_ in wire_log] == [P.OP_CLAIM, P.OP_CLAIM]
+        assert [P.decode_json(p)["expected"] for _op, p, _r in wire_log] == [
+            1, 2,
+        ]
+        assert stale.describe()["takeover_exchanges"] == 2
+        del wire_log[:]
+        fresh.promote()  # never greeted: read, then claim
+        assert [op for op, *_ in wire_log] == [P.OP_LS, P.OP_CLAIM]
+
+        def claims(standby):
+            return [
+                (c.holder.replace(standby.node_id, "standby"), c.valid)
+                for c in standby.lease.history()
+            ]
+
+        # The same valid claims in the same order, and one losing record
+        # more — which, since an epoch is its claim's generation, puts
+        # the winning epoch one past the read-then-claim's.
+        assert claims(fresh) == [
+            ("primary", True), ("rival", True), ("standby", True),
+        ]
+        assert claims(stale) == [
+            ("primary", True), ("rival", True),
+            ("standby", False), ("standby", True),
+        ]
+        assert (stale.epoch, fresh.epoch) == (4, 3)
+        assert stale.lease.read() == LeaseState(epoch=4, holder="stale")
+        assert fresh.lease.read() == LeaseState(epoch=3, holder="fresh")
+
+    def test_store_unreachable_at_hello_still_greets_and_promotes_later(
+        self, code, tmp_path, wire_log
+    ):
+        """The observation never fails a greeting: a store that cannot
+        answer leaves the standby unobserved, and its promotion reads
+        the lease first once the store is back."""
+        with socket.socket() as probe:  # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = FleetClient([("127.0.0.1", port)], retries=1, backoff=0.01)
+        standby = self._promotable(code, client, tmp_path, "later")
+        host, sport = standby.start()
+        sender = ReplicationSender.connect(host, sport, node_id="primary")
+        try:
+            answer = sender.hello(code.digest().hex(), 1, "rodrigo")
+            assert answer["node"] == "later"
+            assert standby.describe()["lease_observed"] is None
+        finally:
+            sender.close()
+            standby.stop()
+        server = FleetNode(ChunkStore(str(tmp_path / "store")), port=port)
+        server.start()
+        try:
+            del wire_log[:]
+            standby.promote()
+            assert [op for op, *_ in wire_log] == [P.OP_LS, P.OP_CLAIM]
+            assert standby.epoch == 1
+            assert standby.describe()["lease_observed"] == 1
+        finally:
+            client.close()
+            server.stop()
 
     def test_follower_commit_lists_only_the_committed_vm(
         self, tmp_path, wire_log

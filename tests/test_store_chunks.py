@@ -269,23 +269,78 @@ class TestPutStats:
 class TestDirectoryLock:
     """The gc/prune vs concurrent-commit exclusion (PR 3 satellite)."""
 
-    def test_acquire_creates_and_release_removes(self, tmp_path):
+    def test_second_lock_waits_while_held_and_acquires_after_release(
+        self, tmp_path
+    ):
         from repro.store.chunkstore import DirectoryLock
 
         lock_path = str(tmp_path / ".lock")
-        lock = DirectoryLock(lock_path)
-        lock.acquire()
-        assert os.path.exists(lock_path)
-        lock.release()
-        assert not os.path.exists(lock_path)
+        holder = DirectoryLock(lock_path)
+        holder.acquire()
+        with pytest.raises(StoreError, match="timed out"):
+            DirectoryLock(lock_path, timeout=0.1).acquire()
+        holder.release()
+        waiter = DirectoryLock(lock_path, timeout=0.1)
+        waiter.acquire()
+        waiter.release()
 
-    def test_context_manager(self, tmp_path):
+    def test_with_block_excludes_and_releases(self, tmp_path):
         from repro.store.chunkstore import DirectoryLock
 
         lock_path = str(tmp_path / ".lock")
         with DirectoryLock(lock_path):
-            assert os.path.exists(lock_path)
-        assert not os.path.exists(lock_path)
+            with pytest.raises(StoreError, match="timed out"):
+                DirectoryLock(lock_path, timeout=0.1).acquire()
+        with DirectoryLock(lock_path, timeout=0.1):
+            pass
+
+    def test_no_file_is_created_or_removed_per_operation(self, tmp_path):
+        store = ChunkStore(str(tmp_path / "store"))
+        store.put_checkpoint("vm", b"first")
+        lock_path = str(tmp_path / "store" / ".lock")
+        inode = os.stat(lock_path).st_ino
+        store.put_checkpoint("vm", b"second")
+        store.claim("vm.lease", "node", 0)
+        store.gc()
+        assert os.stat(lock_path).st_ino == inode
+
+    def test_live_holder_is_never_broken(self, tmp_path):
+        """However old the lock file looks, a holder that is alive keeps
+        the lock: a waiter times out instead of sweeping beside it."""
+        from repro.store.chunkstore import DirectoryLock
+
+        lock_path = str(tmp_path / ".lock")
+        holder = DirectoryLock(lock_path)
+        holder.acquire()
+        old = os.path.getmtime(lock_path) - 120
+        os.utime(lock_path, (old, old))
+        with pytest.raises(StoreError, match="timed out"):
+            DirectoryLock(lock_path, timeout=0.2).acquire()
+        holder.release()
+
+    def test_dead_holder_frees_the_lock_at_once(self, tmp_path):
+        """A process that dies holding the lock — no release, no
+        cleanup — leaves it free for the next waiter immediately."""
+        from repro.store.chunkstore import DirectoryLock
+
+        lock_path = str(tmp_path / ".lock")
+        ready_r, ready_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: take the lock and die holding it
+            try:
+                DirectoryLock(lock_path).acquire()
+                os.write(ready_w, b"held")
+            finally:
+                os._exit(0)
+        os.close(ready_w)
+        try:
+            assert os.read(ready_r, 4) == b"held"
+        finally:
+            os.close(ready_r)
+            os.waitpid(pid, 0)
+        lock = DirectoryLock(lock_path, timeout=0.2)
+        lock.acquire()
+        lock.release()
 
     def test_contended_lock_times_out(self, tmp_path):
         from repro.store.chunkstore import DirectoryLock
@@ -293,7 +348,7 @@ class TestDirectoryLock:
         lock_path = str(tmp_path / ".lock")
         holder = DirectoryLock(lock_path)
         holder.acquire()
-        waiter = DirectoryLock(lock_path, timeout=0.1, stale_after=60.0)
+        waiter = DirectoryLock(lock_path, timeout=0.1)
         with pytest.raises(StoreError, match="timed out"):
             waiter.acquire()
         holder.release()
@@ -315,8 +370,8 @@ class TestDirectoryLock:
             f.write("99999 0\n")
         old = os.path.getmtime(lock_path) - 120
         os.utime(lock_path, (old, old))
-        lock = DirectoryLock(lock_path, timeout=1.0, stale_after=60.0)
-        lock.acquire()  # breaks the abandoned lock instead of timing out
+        lock = DirectoryLock(lock_path, timeout=1.0)
+        lock.acquire()  # an abandoned file is no lock: nothing holds it
         lock.release()
 
     def test_gc_blocked_while_commit_holds_lock(self, tmp_path):

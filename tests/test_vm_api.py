@@ -13,6 +13,7 @@ from repro import (
     get_platform,
     restart_vm,
 )
+from repro.errors import VMFinishedError
 
 RODRIGO = get_platform("rodrigo")
 
@@ -54,6 +55,40 @@ class TestRunResult:
         )
         vm.run(max_instructions=100_000)
         assert vm.channels.stdin.read_byte() == ord("A")
+
+
+class TestFinishedVM:
+    """A program that has stopped or exited stays finished: its stack
+    is spent, so another ``run()`` is refused by name, on either
+    dispatch tier, instead of failing inside the interpreter."""
+
+    @pytest.mark.parametrize("dispatch", ["fast", "reference"])
+    @pytest.mark.parametrize(
+        "source, status",
+        [
+            ("let r = ref 0;; r := !r + 1;; print_int !r", "stopped"),
+            ("print_int 1;; exit 3;; print_int 2", "exited"),
+        ],
+    )
+    def test_run_after_the_end_is_refused(self, dispatch, source, status):
+        vm = VirtualMachine(
+            RODRIGO, compile_source(source),
+            VMConfig(chkpt_state="disable", dispatch=dispatch),
+        )
+        assert vm.run().status == status
+        for budget in (10, None):
+            with pytest.raises(VMFinishedError, match=status) as info:
+                vm.run(max_instructions=budget)
+            assert info.value.status == status
+        assert vm.channels.stdout_bytes() == b"1"
+
+    def test_a_spent_budget_is_not_the_end(self):
+        vm = VirtualMachine(
+            RODRIGO, compile_source("print_int 7"),
+            VMConfig(chkpt_state="disable"),
+        )
+        assert vm.run(max_instructions=1).status == "budget"
+        assert vm.run().status == "stopped"
 
 
 class TestDeterminism:
