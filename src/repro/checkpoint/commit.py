@@ -107,12 +107,15 @@ def atomic_commit(
     retain: int = 0,
     hooks: Optional[CommitHooks] = None,
     timer: Optional[PhaseTimer] = None,
+    sha256: Optional[str] = None,
 ) -> int:
     """Durably commit ``data`` (bytes or memoryview) as ``path``.
 
     Returns the byte count.  ``retain`` keeps that many previous
-    generations as ``path.N``.  An :class:`OSError` from a write or
-    fsync aborts the commit, removes the partial temp file, and raises
+    generations as ``path.N``; ``sha256`` is ``data``'s SHA-256 (hex)
+    for the journal, when the caller has already computed it.  An
+    :class:`OSError` from a write or fsync aborts the commit, removes
+    the partial temp file, and raises
     :class:`~repro.errors.CheckpointError` — the previous generation is
     untouched.  Exceptions raised by ``hooks.point`` (simulated crashes)
     propagate as-is *without* cleanup, exactly like a real crash.
@@ -128,7 +131,7 @@ def atomic_commit(
                 {
                     "path": os.path.basename(path),
                     "size": n,
-                    "sha256": hashlib.sha256(data).hexdigest(),
+                    "sha256": sha256 or hashlib.sha256(data).hexdigest(),
                     "retain": retain,
                 }
             ).encode()

@@ -257,6 +257,8 @@ class SectionWriter:
         #: ``(name, start_offset)`` marks; each section runs to the next
         #: mark (the last to the end of the body).
         self.section_marks: list[tuple[str, int]] = []
+        #: The finished image's SHA-256 (hex), once serialized.
+        self.sha256: Optional[str] = None
 
     def begin_section(self, name: str) -> None:
         """Mark the start of a named section at the current offset."""
@@ -412,8 +414,9 @@ class SectionReader:
 # ---------------------------------------------------------------------------
 
 
-def _encode_integrity_trailer(view, extents) -> tuple[bytes, bytes]:
-    """The v3 integrity trailer for a complete body + the body SHA-256.
+def _encode_integrity_trailer(view, extents) -> tuple:
+    """The v3 integrity trailer for a complete body + the SHA-256 object
+    that hashed the body (the caller runs it on over the trailer).
 
     ``view`` may be a ``bytes`` or ``memoryview`` of the body;
     ``extents`` is ``SectionWriter.section_extents`` output.  Layout:
@@ -433,21 +436,25 @@ def _encode_integrity_trailer(view, extents) -> tuple[bytes, bytes]:
                 zlib.crc32(view[off : off + length]) & 0xFFFFFFFF,
             )
         )
-    sha = hashlib.sha256(view).digest()
-    parts.append(sha)
+    sha = hashlib.sha256(view)
+    parts.append(sha.digest())
     blob = b"".join(parts)
     return blob + struct.pack("<I", len(blob)), sha
 
 
 def serialize_snapshot_writer(snap: VMSnapshot) -> "SectionWriter":
-    """Serialize a snapshot; returns the filled :class:`SectionWriter`.
+    """Serialize a snapshot; returns the filled :class:`SectionWriter`,
+    whose ``sha256`` is the whole image's SHA-256 (hex).
 
     The CRCs run over the live buffer view and the trailer is appended
     in place, so callers streaming straight to a file
-    (``w.buf.getbuffer()``) never copy the multi-megabyte body.
+    (``w.buf.getbuffer()``) never copy the multi-megabyte body.  The
+    body's SHA-256 runs on over the trailer and the end signature to
+    the whole image's: the body is hashed once.
     """
     profile = FormatProfile.for_snapshot(snap)
     w = profile.write_body(snap)
+    sha = None
     if profile.integrity_trailer:
         body_len = w.buf.tell()
         with w.buf.getbuffer() as view:
@@ -455,10 +462,18 @@ def serialize_snapshot_writer(snap: VMSnapshot) -> "SectionWriter":
                 view, w.section_extents(body_len)
             )
         w.raw(trailer)
-        snap.body_sha256 = sha
+        snap.body_sha256 = sha.digest()
+        sha.update(trailer)
     with w.buf.getbuffer() as view:
         crc = zlib.crc32(view) & 0xFFFFFFFF
-    w.raw(CHECKPOINT_END + struct.pack("<I", crc))
+    end = CHECKPOINT_END + struct.pack("<I", crc)
+    w.raw(end)
+    if sha is None:
+        with w.buf.getbuffer() as view:
+            sha = hashlib.sha256(view)
+    else:
+        sha.update(end)
+    w.sha256 = sha.hexdigest()
     return w
 
 

@@ -21,11 +21,12 @@ the store; the warm-standby driver also ships it over the channel.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 from repro.checkpoint.commit import CommitHooks
 from repro.checkpoint.format import magic_version
+from repro.checkpoint.schema import ImageDigest
 from repro.checkpoint.writer import CheckpointWriter
 
 
@@ -38,6 +39,13 @@ class GenRecord:
     decoded off the wire a view of the frame.  ``stdout`` is the
     cumulative program output at the safe point the generation was
     taken.
+
+    ``data_sha256`` is ``data``'s SHA-256 as the pass that produced or
+    received it computed it (``sha256=``: the writer's, the frame
+    check's); a record built without one — or copied with other
+    ``data`` — hashes ``data`` once, here.  ``digests`` is the received
+    image's :class:`~repro.checkpoint.schema.ImageDigest`
+    (``received=``), whose body digests the standby's reads adopt.
     """
 
     seq: int
@@ -49,10 +57,19 @@ class GenRecord:
     instructions: int
     stdout: bytes = field(repr=False)
     data: memoryview = field(repr=False)
+    sha256: InitVar[Optional[str]] = None
+    received: InitVar[Optional[ImageDigest]] = None
+    data_sha256: str = field(init=False, repr=False, compare=False)
+    digests: Optional[ImageDigest] = field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def data_sha256(self) -> str:
-        return hashlib.sha256(self.data).hexdigest()
+    def __post_init__(self, sha256: Optional[str],
+                      received: Optional[ImageDigest]) -> None:
+        object.__setattr__(
+            self, "data_sha256", sha256 or hashlib.sha256(self.data).hexdigest()
+        )
+        object.__setattr__(self, "digests", received)
 
 
 class CommitTailer:
@@ -92,4 +109,5 @@ class CommitTailer:
             instructions=vm.interp.instructions,
             stdout=stdout_so_far,
             data=stats.data,
+            sha256=stats.data_sha256,
         )

@@ -60,7 +60,7 @@ from repro.checkpoint.format import (
     merge_delta_chain,
 )
 from repro.checkpoint.relocate import AddressMapper
-from repro.checkpoint.schema import ChunkSlice, SnapshotSource
+from repro.checkpoint.schema import ChunkSlice, ImageDigest, SnapshotSource
 from repro.errors import (
     CheckpointError,
     CheckpointFormatError,
@@ -172,11 +172,14 @@ class ChainLink:
 
     A restore reads its chain from a checkpoint path, whose parents sit
     at ``path.1``, ``path.2``, ... as local rotation leaves them, or
-    from a sequence of these, head first, newest to oldest.
+    from a sequence of these, head first, newest to oldest.  ``digests``
+    is what hashed ``data`` as it arrived: the restore adopts its body
+    digests instead of hashing the body again.
     """
 
     name: str
     data: bytes = field(repr=False)
+    digests: Optional[ImageDigest] = field(default=None, repr=False)
 
 
 def _head_of(
@@ -204,7 +207,8 @@ def _chain_links(source: str | Sequence[ChainLink]) -> Iterator[tuple]:
             current = next_generation_path(current)
     for link in source:
         opener = partial(
-            SnapshotSource.from_bytes, link.data, name=link.name
+            SnapshotSource.from_bytes, link.data, name=link.name,
+            digests=link.digests,
         )
         yield link.name, link.data, opener
 

@@ -62,12 +62,16 @@ def _same_block_shape(new: np.ndarray, old: np.ndarray) -> bool:
     )
 
 
-def read_generation(data) -> VMSnapshot:
+def read_generation(data, digests=None) -> VMSnapshot:
     """Verify one generation file held in memory — every section CRC,
     the body SHA-256 and the end CRC — and parse it, a full's heap left
-    as chunk slices over ``data`` (decoded by whoever converts it)."""
+    as chunk slices over ``data`` (decoded by whoever converts it).
+    ``digests`` is the :class:`~repro.checkpoint.schema.ImageDigest`
+    that hashed ``data`` as it arrived."""
     try:
-        return SnapshotSource.from_bytes(data).resolve_all(defer_heap=True)
+        return SnapshotSource.from_bytes(data, digests=digests).resolve_all(
+            defer_heap=True
+        )
     except CheckpointFormatError:
         INTEGRITY.integrity_failures += 1
         raise

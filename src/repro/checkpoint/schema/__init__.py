@@ -22,6 +22,7 @@ from repro.checkpoint.schema import sections as _sections  # registers codecs
 from repro.checkpoint.schema.profiles import FormatProfile
 from repro.checkpoint.schema.source import (
     ChunkSlice,
+    ImageDigest,
     SectionHandle,
     SnapshotSource,
 )
@@ -31,6 +32,7 @@ del _sections
 __all__ = [
     "ChunkSlice",
     "FormatProfile",
+    "ImageDigest",
     "SectionCodec",
     "SectionHandle",
     "SnapshotBuilder",

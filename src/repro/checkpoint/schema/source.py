@@ -29,6 +29,12 @@ touched.
 Profiles without an integrity trailer (v1/v2) have no section table to
 hand out, so the source degrades to the classic eager
 read-verify-parse; the API is uniform either way.
+
+An image that arrived over the network was already hashed once, as it
+arrived: :class:`ImageDigest` is the digest object that pass feeds, and
+a source opened with it (``digests=``) adopts the body SHA-256 and the
+end-CRC accumulator it holds instead of hashing the body again.  The
+section CRCs and every comparison stay the source's own.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import os
 import struct
 import weakref
 import zlib
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -49,6 +56,11 @@ from repro.errors import CheckpointFormatError, CheckpointIntegrityError
 #: Gather runs separated by at most this many words are coalesced into
 #: one read — block headers a few words apart cost one syscall, not N.
 _GATHER_SLACK = 64
+
+#: How much of an image's tail :class:`ImageDigest` keeps unhashed until
+#: the image ends — far more than any integrity trailer, so the
+#: body/trailer boundary the tail names falls inside it.
+_TAIL_HOLD = 64 * 1024
 
 _format_mod = None
 
@@ -62,6 +74,88 @@ def _fmt():
 
         _format_mod = format_mod
     return _format_mod
+
+
+class ImageDigest:
+    """The digests of one checkpoint image, computed in the pass that
+    receives it (a store download, a received frame).
+
+    A ``hashlib``-style object — :meth:`update` in image order, then
+    :meth:`hexdigest` — whose one SHA-256 and one CRC-32 pass also
+    yield what the reader verifies: the bytes are hashed as they come
+    except the last :data:`_TAIL_HOLD`, which wait until the image ends
+    and its tail names where the body stops.  There the body SHA-256
+    (the one the v3 trailer records) and the body's CRC-32 (the
+    end-of-file CRC before the trailer) are taken; the same SHA-256 then
+    runs on over the trailer to the whole-image digest a store manifest
+    or a ``GEN`` frame names.
+
+    The bytes fed are held by reference until the image ends: they must
+    not change before :meth:`hexdigest` is first read.
+    """
+
+    __slots__ = ("_sha", "_crc", "_tail", "_held", "_size", "_hex", "_body")
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256()
+        self._crc = 0
+        self._tail: deque = deque()
+        self._held = 0
+        self._size = 0
+        self._hex: Optional[str] = None
+        self._body: Optional[tuple[int, bytes, int]] = None
+
+    def update(self, data) -> None:
+        view = memoryview(data).cast("B")
+        if not view.nbytes:
+            return
+        self._tail.append(view)
+        self._held += view.nbytes
+        self._size += view.nbytes
+        while self._held > _TAIL_HOLD:
+            first = self._tail[0]
+            excess = self._held - _TAIL_HOLD
+            if first.nbytes > excess:
+                self._hash(first[:excess])
+                self._tail[0] = first[excess:]
+                self._held -= excess
+                break
+            self._hash(self._tail.popleft())
+            self._held -= first.nbytes
+
+    def _hash(self, data) -> None:
+        self._sha.update(data)
+        self._crc = zlib.crc32(data, self._crc)
+
+    def _finish(self) -> None:
+        if self._hex is not None:
+            return
+        tail = b"".join(self._tail)
+        self._tail.clear()
+        start = self._size - len(tail)
+        body_len = None
+        if len(tail) >= 16 and tail[-12:-4] == _fmt().CHECKPOINT_END:
+            (tlen,) = struct.unpack_from("<I", tail, len(tail) - 16)
+            body_len = self._size - 16 - tlen
+        if body_len is not None and start <= body_len:
+            cut = memoryview(tail)[: body_len - start]
+            self._hash(cut)
+            self._body = (body_len, self._sha.copy().digest(), self._crc)
+            self._sha.update(memoryview(tail)[body_len - start :])
+        else:
+            self._sha.update(tail)
+        self._hex = self._sha.hexdigest()
+
+    def hexdigest(self) -> str:
+        """The SHA-256 of every byte fed."""
+        self._finish()
+        return self._hex
+
+    def body(self) -> Optional[tuple[int, bytes, int]]:
+        """``(body_len, body SHA-256, body CRC-32)`` at the boundary the
+        image's tail names, or None when the tail names none."""
+        self._finish()
+        return self._body
 
 
 class _Backing:
@@ -292,12 +386,15 @@ class SnapshotSource:
     raising, for damage-probing callers.  ``decode`` names the sections
     to parse (default: all); the others are still read and verified but
     never decoded — a chain parent needs only what the splice takes.
+    ``digests`` is the :class:`ImageDigest` the image's bytes were fed
+    to as they arrived.
     """
 
     def __init__(self, path: Optional[str], data: Optional[bytes],
                  fd: Optional[int], size: int, defer: bool,
                  tolerant: bool,
-                 decode: Optional[frozenset] = None) -> None:
+                 decode: Optional[frozenset] = None,
+                 digests: Optional[ImageDigest] = None) -> None:
         self.path = path
         self._backing = _Backing(data, fd, size)
         self.size = size
@@ -317,6 +414,10 @@ class SnapshotSource:
         self._crc = 0
         self._frontier = 0
         self._pending_feed: dict[int, bytes] = {}
+        #: The body SHA-256 of an image hashed as it arrived (its CRC
+        #: accumulator is then ``_crc``): nothing is fed.
+        self._body_sha: Optional[bytes] = None
+        self._digests = digests
         self._builder: Optional[registry.SnapshotBuilder] = None
         self._next_parse = 0
         self._aligned = True
@@ -348,10 +449,13 @@ class SnapshotSource:
     @classmethod
     def from_bytes(cls, data: bytes, tolerant: bool = False,
                    defer: bool = False, decode: Optional[frozenset] = None,
-                   name: Optional[str] = None) -> "SnapshotSource":
+                   name: Optional[str] = None,
+                   digests: Optional[ImageDigest] = None) -> "SnapshotSource":
         """An in-memory image in any byte buffer, held as it is (not
-        copied); ``name`` stands in for its path in errors."""
-        return cls(name, data, None, len(data), defer, tolerant, decode)
+        copied); ``name`` stands in for its path in errors, ``digests``
+        is what hashed ``data`` as it arrived."""
+        return cls(name, data, None, len(data), defer, tolerant, decode,
+                   digests)
 
     # -- raw IO --------------------------------------------------------------
 
@@ -437,6 +541,9 @@ class SnapshotSource:
             self._release_backing()
             return
         self._open_trailer(fmt)
+        body = self._digests.body() if self._digests is not None else None
+        if body is not None and body[0] == self.body_len:
+            _len, self._body_sha, self._crc = body
         self._aligned = (
             tuple(h.name for h in self.handles) == self.profile.section_names
         )
@@ -529,6 +636,8 @@ class SnapshotSource:
     # -- verification accumulator --------------------------------------------
 
     def _feed(self, offset: int, data: bytes) -> None:
+        if self._body_sha is not None:
+            return
         if offset != self._frontier:
             self._pending_feed[offset] = data
             return
@@ -542,7 +651,7 @@ class SnapshotSource:
             self._frontier += len(nxt)
 
     def _finalize_digests(self) -> None:
-        actual_sha = self._sha.digest()
+        actual_sha = self._body_sha or self._sha.digest()
         if actual_sha != self.recorded_sha:
             raise CheckpointIntegrityError(
                 f"whole-file SHA-256 mismatch (expected "

@@ -89,6 +89,9 @@ class CheckpointStats:
     #: (no copy) — kept only for a caller that asked (``keep_data``), so
     #: neither a run's last stats nor a background write pin it.
     data: Optional[memoryview] = field(default=None, repr=False)
+    #: The committed image's SHA-256 (hex), as the serializer computed
+    #: it (blocking mode).
+    data_sha256: str = ""
 
     @property
     def writer_seconds(self) -> float:
@@ -505,9 +508,10 @@ def write_snapshot(
     *,
     retain: int = 0,
     hooks: Optional[CommitHooks] = None,
-) -> memoryview:
+) -> tuple[memoryview, str]:
     """Serialize and atomically commit a snapshot; returns the committed
-    image, a read-only view of the serializer's buffer.
+    image, a read-only view of the serializer's buffer, and its SHA-256
+    (hex).
 
     The journal + temporary-file + rename protocol of
     :func:`repro.checkpoint.commit.atomic_commit` guarantees a failure
@@ -519,8 +523,9 @@ def write_snapshot(
         _finalize_snapshot(snap)
         w = serialize_snapshot_writer(snap)
     view = w.buf.getbuffer().toreadonly()
-    atomic_commit(path, view, retain=retain, hooks=hooks, timer=timer)
-    return view
+    atomic_commit(path, view, retain=retain, hooks=hooks, timer=timer,
+                  sha256=w.sha256)
+    return view, w.sha256
 
 
 class CheckpointWriter:
@@ -620,7 +625,7 @@ class CheckpointWriter:
 
         if mode == "blocking":
             try:
-                data = write_snapshot(
+                data, stats.data_sha256 = write_snapshot(
                     snap, path, timer, retain=retain, hooks=hooks
                 )
             except Exception:
@@ -639,7 +644,7 @@ class CheckpointWriter:
                 try:
                     stats.file_bytes = len(write_snapshot(
                         snap, path, timer, retain=retain, hooks=hooks
-                    ))
+                    )[0])
                     _commit_success(stats.file_bytes)
                 except Exception as exc:  # pragma: no cover - I/O failure
                     stats.file_bytes = -1

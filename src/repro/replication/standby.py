@@ -311,7 +311,8 @@ class StandbyServer:
         # Never rotate away a generation the new head still needs.
         keep = max(self.retain, rec.chain_depth)
         try:
-            atomic_commit(self.chain_path, rec.data, retain=keep)
+            atomic_commit(self.chain_path, rec.data, retain=keep,
+                          sha256=rec.data_sha256)
         except CheckpointError as e:
             raise ReplicationError(
                 f"standby could not commit generation {rec.seq}: {e}"
@@ -350,7 +351,7 @@ class StandbyServer:
         """Verify ``rec``'s file; return it parsed, with ``""`` to fold
         it in place or why it must be restored instead."""
         try:
-            snap = read_generation(rec.data)
+            snap = read_generation(rec.data, rec.digests)
             if self.image is None:
                 if self.config is not None and self.config.lazy_restore:
                     return snap, "lazy"
@@ -370,7 +371,7 @@ class StandbyServer:
         exists."""
         self.image = None
         source = (
-            [ChainLink(self.chain_path, rec.data)] if full
+            [ChainLink(self.chain_path, rec.data, rec.digests)] if full
             else self.chain_path
         )
         try:

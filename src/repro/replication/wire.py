@@ -36,10 +36,10 @@ Frames:
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 from repro.checkpoint.generation import GenRecord
+from repro.checkpoint.schema import ImageDigest
 from repro.errors import ReplicationProtocolError
 from repro.net import HEADER, FrameCodec  # HEADER is re-exported
 
@@ -109,7 +109,10 @@ def decode_gen(payload: bytes) -> GenRecord:
     """Parse and *verify* a GEN payload (lengths and file digest).
 
     The record's ``data`` is a read-only view of ``payload`` — the
-    buffer a big frame was received into — not a copy of it."""
+    buffer a big frame was received into — not a copy of it.  The file
+    digest is one :class:`~repro.checkpoint.schema.ImageDigest` pass,
+    which the record carries: the standby's reads adopt its body
+    digests and its commit journal the file digest."""
     if len(payload) < _GEN_HEAD.size:
         raise ReplicationProtocolError("GEN payload shorter than its header")
     (meta_len,) = _GEN_HEAD.unpack_from(payload)
@@ -131,7 +134,9 @@ def decode_gen(payload: bytes) -> GenRecord:
             f"frame carries {len(rest)}"
         )
     data, stdout = rest[:data_len], rest[data_len:]
-    digest = hashlib.sha256(data).hexdigest()
+    digests = ImageDigest()
+    digests.update(data)
+    digest = digests.hexdigest()
     if digest != meta.get("data_sha256"):
         raise ReplicationProtocolError(
             f"GEN seq {seq}: file digest mismatch (wire corruption?)"
@@ -147,6 +152,8 @@ def decode_gen(payload: bytes) -> GenRecord:
         instructions=int(meta.get("instructions", 0)),
         stdout=bytes(stdout),
         data=data,
+        sha256=digest,
+        received=digests,
     )
 
 

@@ -342,7 +342,8 @@ class ChunkStore:
         except FileNotFoundError:
             raise StoreNotFoundError(f"no such chunk {key}") from None
         try:
-            data = zlib.decompress(raw)
+            # Sized for a whole chunk: the output buffer is not grown.
+            data = zlib.decompress(raw, bufsize=self.chunk_size)
         except zlib.error as e:
             raise StoreIntegrityError(f"chunk {key} is corrupt: {e}") from e
         if chunk_key(data) != key:

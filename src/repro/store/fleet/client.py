@@ -406,55 +406,87 @@ class FleetClient:
         self, keys: Iterable[str], sink: Callable[[str, memoryview], None]
     ) -> None:
         """Stream each key's verified bytes into ``sink(key, data)``: one
-        ``GET_MANY`` per owner shard; a chunk its owner lacks is hunted
-        on the others."""
-        for node, group in self._group_by_owner(set(keys)).items():
-            for key in self.nodes[node].get_many(sorted(group), sink):
+        ``GET_MANY`` per owner shard, asking for its keys in the order
+        given; a chunk its owner lacks is hunted on the others."""
+        for node, group in self._group_by_owner(keys).items():
+            for key in self.nodes[node].get_many(group, sink):
                 sink(key, self._hunt_chunk(key, exclude=node))
 
     def _assemble(
-        self, vm_id: str, spans: list[tuple[Manifest, int, int]]
+        self,
+        vm_id: str,
+        spans: list[tuple[Manifest, int, int]],
+        digests: list,
     ) -> list[bytearray]:
         """Chunks ``[a, b)`` of each manifest, fetched together and
         copied, as each arrives, into one buffer per span preallocated
         at its size — each chunk at the offset its position and the
-        manifest's chunk size give it."""
+        manifest's chunk size give it.
+
+        Each span's bytes are fed to its digest (one ``hashlib``-style
+        object per span) as they arrive: whenever the chunks at the
+        front of the span are all in place, they go in, in payload
+        order — while the rest are still on the wire.
+        """
         buffers: list[bytearray] = []
-        slots: dict[str, list[memoryview]] = {}
-        for m, a, b in spans:
+        pieces: list[list[memoryview]] = []
+        slots: dict[str, list[tuple[int, int]]] = {}
+        for s, (m, a, b) in enumerate(spans):
             cs = m.chunk_size
             buf = bytearray(max(0, min(b * cs, m.payload_len) - a * cs))
             view = memoryview(buf)
-            for i, key in enumerate(m.chunks[a:b]):
-                slots.setdefault(key, []).append(view[i * cs : (i + 1) * cs])
+            keys = m.chunks[a:b]
+            pieces.append([view[i * cs : (i + 1) * cs]
+                           for i in range(len(keys))])
+            for i, key in enumerate(keys):
+                slots.setdefault(key, []).append((s, i))
             buffers.append(buf)
+        placed = [[False] * len(p) for p in pieces]
+        fed = [0] * len(spans)
 
         def place(key: str, data) -> None:
-            for slot in slots[key]:
-                if len(slot) != len(data):
+            for s, i in slots[key]:
+                piece = pieces[s][i]
+                if len(piece) != len(data):
                     raise StoreIntegrityError(
                         f"vm {vm_id!r}: chunk {key[:16]}... does not fit "
                         f"its place in the manifest; downloaded payload "
                         f"fails verification"
                     )
-                slot[:] = data
+                piece[:] = data
+                placed[s][i] = True
+                done = placed[s]
+                while fed[s] < len(done) and done[fed[s]]:
+                    digests[s].update(pieces[s][fed[s]])
+                    fed[s] += 1
 
         self._fetch(slots, place)
         return buffers
 
     def get_payloads(
-        self, vm_id: str, manifests: list[Manifest]
+        self,
+        vm_id: str,
+        manifests: list[Manifest],
+        digests: Optional[list] = None,
     ) -> list[bytearray]:
         """Each generation's payload, in memory and verified against its
         manifest; the chunks of all of them are fetched together — one
-        ``GET_MANY`` per shard up to ``MAX_GET_MANY`` distinct keys — and
-        each payload is the buffer it was assembled in."""
+        ``GET_MANY`` per shard up to ``MAX_GET_MANY`` distinct keys, in
+        payload order — and each payload is the buffer it was assembled
+        in.
+
+        ``digests`` are the ``hashlib``-style objects (default: one
+        ``hashlib.sha256()`` per manifest) the payloads are fed to as
+        they arrive; each one's ``hexdigest()`` is then checked against
+        its manifest, and the caller may read whatever else it computed.
+        """
+        if digests is None:
+            digests = [hashlib.sha256() for _m in manifests]
         payloads = self._assemble(
-            vm_id, [(m, 0, len(m.chunks)) for m in manifests]
+            vm_id, [(m, 0, len(m.chunks)) for m in manifests], digests
         )
-        for m, payload in zip(manifests, payloads):
-            self._verify_payload(vm_id, m, len(payload),
-                                 hashlib.sha256(payload).hexdigest())
+        for m, payload, digest in zip(manifests, payloads, digests):
+            self._verify_payload(vm_id, m, len(payload), digest.hexdigest())
         return payloads
 
     def get_checkpoint(
@@ -474,8 +506,9 @@ class FleetClient:
         written = 0
         with open(path, "wb") as f:
             for a in range(0, len(manifest.chunks), per):
-                (window,) = self._assemble(vm_id, [(manifest, a, a + per)])
-                payload_sha.update(window)
+                (window,) = self._assemble(
+                    vm_id, [(manifest, a, a + per)], [payload_sha]
+                )
                 written += len(window)
                 f.write(window)
         self._verify_payload(vm_id, manifest, written, payload_sha.hexdigest())

@@ -34,8 +34,13 @@ from repro.bytecode.image import CodeImage
 from repro.checkpoint.commit import COMMIT_POINTS, recover_commit
 from repro.checkpoint.generation import CommitTailer, GenRecord
 from repro.checkpoint.reader import MAX_DELTA_CHAIN, ChainLink, restart_vm
-from repro.checkpoint.schema import FormatProfile
-from repro.errors import ReproError, RestartError, StoreNotFoundError
+from repro.checkpoint.schema import FormatProfile, ImageDigest
+from repro.errors import (
+    ReproError,
+    RestartError,
+    StoreIntegrityError,
+    StoreNotFoundError,
+)
 from repro.faults.injectors import CrashHooks, SimulatedCrashError
 from repro.metrics import INTEGRITY, PhaseTimer
 from repro.store.chunkstore import Manifest, PutStats
@@ -162,14 +167,20 @@ def fetch_chain(
     chunks of every link together.  Returns the head's manifest and the
     links, head first, for :func:`~repro.checkpoint.reader.restart_vm`.
     Nothing is written to disk.  This is the cold-restore download path
-    that warm standby replication exists to beat."""
+    that warm standby replication exists to beat.
+
+    Each link is hashed once, as its chunks arrive: one
+    :class:`~repro.checkpoint.schema.ImageDigest` per link yields the
+    digest its manifest names and, carried on the link, the body
+    digests the restore checks."""
     with _phase(timer, "restart_download"):
         head = client.get_manifest(vm_id, generation)
         manifests = _chain_manifests(client, vm_id, head)
-        payloads = client.get_payloads(vm_id, manifests)
+        digests = [ImageDigest() for _m in manifests]
+        payloads = client.get_payloads(vm_id, manifests, digests)
     return head, [
-        ChainLink(f"vm {vm_id!r} generation {m.generation}", payload)
-        for m, payload in zip(manifests, payloads)
+        ChainLink(f"vm {vm_id!r} generation {m.generation}", payload, d)
+        for m, payload, d in zip(manifests, payloads, digests)
     ]
 
 
@@ -267,11 +278,13 @@ def restore_from_store(
 
     ``path`` is where the restored VM will checkpoint: commit debris a
     crash left there is resolved first.  Store generations are walked
-    newest-first until one restores: a damaged latest generation
-    degrades the recovery, never kills it.  Raises
+    newest-first until one restores: a damaged latest generation — a
+    file that fails its own checks, or a payload that fails its
+    manifest's digest — degrades the recovery, never kills it.  Raises
     :class:`~repro.errors.StoreNotFoundError` when nothing was ever
     stored, and the last tried generation's own
-    :class:`~repro.errors.RestartError` when none restores.
+    :class:`~repro.errors.RestartError` (or
+    :class:`~repro.errors.StoreIntegrityError`) when none restores.
     """
     # A mid-write crash leaves journal/tmp debris (and possibly a torn
     # head) at the local path; resolve it the way a rebooted machine
@@ -286,7 +299,7 @@ def restore_from_store(
                 client, vm_id, code, platform, config, generation, timer
             )
             break
-        except RestartError:
+        except (RestartError, StoreIntegrityError):
             if older is None:
                 # Nothing uploads while the VM is down, so the newest
                 # listed generation is the head that just failed.

@@ -51,6 +51,13 @@ retry) and a follower the heartbeat has marked dead is skipped outright.
 Follower topologies must be acyclic — a daemon that replicated back to
 its own primary would wait on a loop thread that is waiting on it.
 
+A fleet shard holds only the chunks the ring gives it, so it can ship
+a manifest whole only when it holds every chunk its follower lacks.  A
+manifest it cannot is skipped — counted in ``replication_skips``, the
+last reason in ``last_replication_skip`` — and is not the follower's
+failure: the follower stays alive and keeps receiving what the shard
+can ship.
+
 Liveness is tracked by heartbeats: a background thread pings every
 follower each ``heartbeat_interval`` seconds; ``heartbeat_misses``
 consecutive failures mark it dead (skipped by replication), one
@@ -178,6 +185,10 @@ class FleetNode:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
         self.replication_failures = 0
+        #: Manifests not shipped because chunks the follower lacks live
+        #: on other shards, and why the last one was.
+        self.replication_skips = 0
+        self.last_replication_skip = ""
         self._commit_lock = threading.Lock()
         self._started = time.monotonic()
         self.requests_served = 0
@@ -569,6 +580,8 @@ class FleetNode:
             "hellos": self.hellos,
             "followers": [f.describe() for f in self.followers],
             "replication_failures": self.replication_failures,
+            "replication_skips": self.replication_skips,
+            "last_replication_skip": self.last_replication_skip,
         }
         if self.node_id is not None:
             out["node_id"] = self.node_id
@@ -621,9 +634,17 @@ class FleetNode:
                        manifest: Manifest) -> None:
         keys = list(manifest.chunks)
         present = client.has_many(keys)
-        for key, have in zip(keys, present):
-            if have:
-                continue
+        lacking = [key for key, have in zip(keys, present) if not have]
+        elsewhere = {k for k in lacking if not self.store.has_object(k)}
+        if elsewhere:
+            self.replication_skips += 1
+            self.last_replication_skip = (
+                f"vm {manifest.vm_id!r} gen {manifest.generation}: "
+                f"{len(elsewhere)} chunk(s) the follower lacks live on "
+                f"other shards"
+            )
+            return
+        for key in lacking:
             client.put_chunk(self.store.get_object(key))
             follower.chunks_replicated += 1
         client.put_manifest(

@@ -11,6 +11,7 @@ from repro import VMConfig, VirtualMachine, compile_source, get_platform
 from repro.errors import StoreNotFoundError, StoreProtocolError
 from repro.metrics import FLEET
 from repro.store import ChunkStore, HASupervisor
+from repro.store.chunkstore import chunk_key
 from repro.store import protocol as P
 from repro.store.fleet import FleetClient, FleetNode
 
@@ -118,6 +119,50 @@ class TestFleetService:
             client.nodes[sorted(client.nodes)[0]]._call(
                 store_client.P.OP_PUT_CHUNK, bad
             )
+
+    def test_shard_follower_is_not_failed_by_chunks_elsewhere(
+        self, tmp_path
+    ):
+        """A shard with a follower cannot ship a manifest whose chunks
+        live on the other shard: it skips it, says why, and the healthy
+        follower stays alive and still gets what the shard can ship."""
+        follower = FleetNode(ChunkStore(str(tmp_path / "follower")))
+        follower.start()
+        shards = [
+            FleetNode(ChunkStore(str(tmp_path / "s0")), node_id="s0",
+                      replicas=[follower.address], heartbeat_interval=60.0),
+            FleetNode(ChunkStore(str(tmp_path / "s1")), node_id="s1"),
+        ]
+        for node in shards:
+            node.start()
+        client = FleetClient([n.address for n in shards], backoff=0.01,
+                             chunk_size=4096)
+        try:
+            s0 = "%s:%d" % shards[0].address
+            owned = [v for v in (f"vm{i}" for i in range(64))
+                     if client.manifest_node(v) == s0]
+            for n, vm_id in enumerate(owned[:3]):
+                payload = distinct_payload(32)
+                client.put_checkpoint(vm_id, bytes([n]) + payload[1:])
+            primary = shards[0]
+            assert primary.replication_failures == 0
+            assert primary.followers[0].alive
+            assert primary.replication_skips == 3
+            assert "live on other shards" in (
+                primary.stats()["last_replication_skip"]
+            )
+            # A manifest whose one chunk this shard owns still ships.
+            small = next(
+                p for p in (b"one chunk %d" % i for i in range(256))
+                if client.chunk_node(chunk_key(p)) == s0
+            )
+            client.put_checkpoint(owned[3], small)
+            assert follower.store.generations(owned[3]) == [1]
+            assert primary.replication_skips == 3
+        finally:
+            client.close()
+            for node in [*shards, follower]:
+                node.stop()
 
     def test_ls_merges_shards(self, fleet3):
         _nodes, _addrs, client = fleet3
